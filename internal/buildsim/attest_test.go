@@ -43,6 +43,21 @@ func TestAttestAdmittedSetEquivalence(t *testing.T) {
 			}
 		}
 	}
+	// The template ablation changes how containers boot, never what they
+	// are: subjects carry the real image content hash either way.
+	cold := &Options{Seed: 7, Checkpoints: true, Distributed: true,
+		Nodes: 3, NodeSlots: 1, Attest: true, DisableTemplates: true}
+	if got := cold.BuildAll(specs, nil); !reflect.DeepEqual(got, wantOuts) {
+		t.Errorf("template ablation: build output diverged")
+	}
+	if admitted := cold.AdmittedSet(); !reflect.DeepEqual(admitted, wantAdmitted) {
+		t.Errorf("template ablation: admitted set diverged\n got %+v\nwant %+v", admitted, wantAdmitted)
+	}
+	for _, st := range wantAdmitted {
+		if st.Subject.Image == 0 {
+			t.Errorf("job %d attested under a zero image hash", st.Job)
+		}
+	}
 }
 
 // TestAttestQuarantineNamesAdversaries pins that every seated Byzantine

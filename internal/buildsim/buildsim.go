@@ -76,9 +76,6 @@ type Options struct {
 	// template-reuse mechanism ablation). Like Jobs, it must not change any
 	// build output — only setup cost.
 	DisableTemplates bool
-	// TemplateCacheSize bounds the prepared-template LRU caches
-	// (0 = DefaultTemplateCacheSize).
-	TemplateCacheSize int
 	// NoObservability disables the per-container flight recorder in the
 	// DetTrace runs (the observability mechanism ablation). Like Jobs and
 	// DisableTemplates it must not change any build output — the recorder
@@ -100,7 +97,8 @@ type Options struct {
 	// Checkpoints runs the DetTrace builds in checkpoint mode: the build
 	// driver self-execs at phase boundaries (post-configure, post-compile)
 	// and the kernel seals a restorable checkpoint at each of those quiescent
-	// stops, pinned in a bounded farm-wide LRU while the job is in flight.
+	// stops, pinned in the bounded farm-wide seal store while the job is in
+	// flight.
 	// Checkpoint mode is its own determinism equivalence class — the extra
 	// execs advance virtual time — so its outputs are compared against other
 	// checkpointed runs, never against plain ones.
@@ -112,14 +110,6 @@ type Options struct {
 	// farm's outputs must be bitwise-unchanged by the whole ordeal (faults.go
 	// and faults_test.go pin that). Requires Checkpoints.
 	InjectFaults bool
-	// CheckpointRetries bounds restore attempts per crashed job
-	// (0 = DefaultCheckpointRetries).
-	CheckpointRetries int
-	// CheckpointCacheSize bounds the farm's checkpoint LRU
-	// (0 = DefaultCheckpointCacheSize). In-flight jobs pin their freshest
-	// seal, so eviction can only cost older fallback seals — a job that needs
-	// one after losing its freshest to corruption degrades to a cold replay.
-	CheckpointCacheSize int
 	// Incremental enables derivation-store rebuild reuse (ISSUE 8): patched
 	// packages fork the freshest checkpoint seal whose prefix read no dirty
 	// file instead of cold-building, re-executing only the invalidated
@@ -165,16 +155,20 @@ type Options struct {
 	// LogServers is the transparency-log replica count (0 = farm default, 3).
 	LogServers int
 
+	// Test overrides for the store caps (templateCap, sealCap) and the local
+	// restore-attempt budget (restoreRetries); zero selects the constant.
+	templateCap, sealCap, restoreRetries int
+
 	// jobSeq hands each checkpointed build a farm-unique identity for its
-	// LRU entries. Scheduling-dependent, so it must never influence results —
-	// only which cache slots a job's checkpoints occupy.
+	// seal keys. Scheduling-dependent, so it must never influence results —
+	// only which store slots a job's checkpoints occupy.
 	jobSeq atomic.Uint64
 
-	// Farm-wide prepared-state caches and setup accounting (templates.go).
+	// Farm-wide prepared-state stores and setup accounting (templates.go).
 	// Lazily initialized; all access is concurrency-safe, so one Options may
 	// drive the whole Jobs-sized worker pool.
 	cacheMu sync.Mutex
-	cache   *farmCaches
+	store   *stores
 	setup   setupCounters
 	obsReg  *obs.Registry
 
@@ -277,21 +271,25 @@ func (o *Options) BuildPackage(spec *debpkg.Spec) Out {
 // is ordered by spec index and bitwise-independent of Jobs; progress, when
 // non-nil, is called serially with strictly increasing done counts.
 func (o *Options) BuildAll(specs []*debpkg.Spec, progress func(done, total int)) []Out {
-	if o.Distributed {
-		return o.buildAllFarm(specs, progress)
-	}
 	outs := make([]Out, len(specs))
 	var mu sync.Mutex
 	done := 0
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		outs[i] = o.build(l, specs[i], i)
+	land := func(i int, out Out) {
 		mu.Lock()
+		outs[i] = out
 		done++
 		if progress != nil {
 			progress(done, len(specs))
 		}
 		mu.Unlock()
-	})
+	}
+	// The farm declines only when registration fails (a custom transport):
+	// nothing has landed yet, so the local pool keeps BuildAll's contract.
+	if !o.Distributed || !o.buildAllFarm(specs, land) {
+		o.forEach(len(specs), func(l obs.Local, i int) {
+			land(i, o.build(l, specs[i], i))
+		})
+	}
 	return outs
 }
 
@@ -341,19 +339,19 @@ func pkgSeed(seed uint64, spec *debpkg.Spec) uint64 {
 
 // build is the per-package protocol on the local (single-process) path.
 func (o *Options) build(l obs.Local, spec *debpkg.Spec, idx int) Out {
-	out, _ := o.buildProto(l, spec, idx, nil)
+	out, _ := o.buildProto(l, spec, idx, o.stores().snapshots, nil)
 	return out
 }
 
-// buildProto is the per-package protocol with a pluggable first DetTrace
-// build. The distributed farm overrides d1 — the run its fault plane may
-// kill and its recovery must resume from a shard-store seal — while the
-// native double build and the second DetTrace run stay on the local path:
-// the farm changes WHERE a build runs, never WHAT it computes. A non-nil
-// dt1 error aborts the package (the coordinator retries the whole job;
-// every step before the crash is a pure function of (spec, seed), so the
-// re-run recomputes identical bits).
-func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, dt1 func(obs.Local, uint64, reprotest.Variation) (dtRun, error)) (Out, error) {
+// buildProto is the per-package protocol with a pluggable snapshot store and
+// first DetTrace build. The distributed farm boots the native builds from
+// the coordinator's store and overrides d1 — the run its fault plane may
+// kill and its recovery must resume from a coordinator-held seal — while
+// the second DetTrace run stays on the local path: the farm changes WHERE a
+// build runs, never WHAT it computes. A non-nil dt1 error aborts the package
+// (the coordinator retries the whole job; every step before the crash is a
+// pure function of (spec, seed), so the re-run recomputes identical bits).
+func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots derive.Store, dt1 func(obs.Local, uint64, reprotest.Variation) (dtRun, error)) (Out, error) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, v2 := reprotest.Pair(seed)
 	out := Out{Spec: spec, Index: idx, Threaded: spec.Compiler == "javac"}
@@ -362,7 +360,7 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, dt1 func(o
 	// (environment, build path, epoch, CPUs, host seed all vary). The §6.1
 	// toolchain includes strip-nondeterminism, so the baseline verdict
 	// compares the stripped .debs.
-	b1 := o.buildNative(l, spec, v1, BLDeadline)
+	b1 := o.buildNativeFrom(l, snapshots, spec, v1, BLDeadline)
 	out.BLTime = b1.wall
 	if secs := float64(b1.wall) / 1e9; secs > 0 {
 		out.SyscallRate = float64(b1.syscalls) / secs
@@ -371,7 +369,7 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, dt1 func(o
 		out.BL = v
 		return out, nil
 	}
-	b2 := o.buildNative(l, spec, v2, BLDeadline)
+	b2 := o.buildNativeFrom(l, snapshots, spec, v2, BLDeadline)
 	if v := b2.verdict(); v != "" {
 		out.BL = v
 		return out, nil
@@ -476,50 +474,17 @@ func (r nativeRun) verdict() Verdict {
 }
 
 // buildNative runs dpkg-buildpackage on the simulated host under one
-// reprotest variation, with the kernel's baseline (nondeterministic) policy.
-// Unless the template ablation is on, the kernel boots from a cached
-// prepared snapshot of the toolchain image instead of repopulating it.
+// reprotest variation, with the kernel's baseline (nondeterministic) policy,
+// booting from the farm-wide local snapshot store.
 func (o *Options) buildNative(l obs.Local, spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
-	sc := o.sc()
-	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
-	start := time.Now()
-	var k *kernel.Kernel
-	if o.DisableTemplates {
-		k = kernel.New(kernel.Config{
-			Profile:  machine.CloudLabC220G5(),
-			Seed:     v.HostSeed,
-			Epoch:    v.Epoch,
-			NumCPU:   v.NumCPU,
-			Image:    img,
-			Resolver: registry().Resolver(),
-			Deadline: deadline,
-		})
-		sc.coldBoots.Add(l, 1)
-		sc.coldSetupNs.Add(l, time.Since(start).Nanoseconds())
-	} else {
-		snap := o.snapshot(l, imgHash, img) // Prepare time lands in prepareNs
-		start = time.Now()
-		k = snap.Boot(kernel.BootConfig{
-			Seed:     v.HostSeed,
-			Epoch:    v.Epoch,
-			NumCPU:   v.NumCPU,
-			Deadline: deadline,
-		})
-		sc.forkBoots.Add(l, 1)
-		sc.forkNs.Add(l, time.Since(start).Nanoseconds())
-	}
-	argv := []string{"dpkg-buildpackage", "-b"}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/bin/dpkg-buildpackage", argv, v.Env); err != abi.OK {
-			return 127
-		}
-		return 127 // unreachable
-	}
-	proc := k.Start(init, argv, v.Env)
-	if n, err := k.ResolveInode(proc, pkgdir, true); err == abi.OK && n.IsDir() {
-		proc.Cwd, proc.CwdPath = n, pkgdir
-	}
+	return o.buildNativeFrom(l, o.stores().snapshots, spec, v, deadline)
+}
+
+// buildNativeFrom is buildNative with the prepared snapshot served from an
+// explicit store.
+func (o *Options) buildNativeFrom(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
+	k, pkgdir := o.bootNative(l, snapshots, spec, v, deadline, nil)
+	proc := startBuild(k, pkgdir, v.Env)
 	runErr := k.Run()
 	r := nativeRun{exit: proc.ExitCode(), wall: k.Now(), syscalls: k.Stats.Syscalls}
 	if runErr != nil {
@@ -534,6 +499,64 @@ func (o *Options) buildNative(l obs.Local, spec *debpkg.Spec, v reprotest.Variat
 	r.log = inodeData(k, proc, pkgdir+"/build-step.log")
 	r.prog = inodeData(k, proc, pkgdir+"/build/prog")
 	return r
+}
+
+// bootNative boots the package's toolchain image on the simulated host under
+// one reprotest variation and returns the kernel with the package's source
+// directory. A nil policy is the kernel's baseline. Unless the template
+// ablation is on (or the store carries no bodies), the kernel boots from the
+// store's prepared snapshot of the image instead of repopulating it.
+func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64, policy kernel.Policy) (*kernel.Kernel, string) {
+	sc := o.sc()
+	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
+	var snap *kernel.Snapshot
+	if !o.DisableTemplates {
+		snap = o.snapshot(l, snapshots, imgHash, img) // Prepare time lands in prepareNs
+	}
+	start := time.Now()
+	if snap == nil {
+		k := kernel.New(kernel.Config{
+			Profile:  machine.CloudLabC220G5(),
+			Seed:     v.HostSeed,
+			Epoch:    v.Epoch,
+			NumCPU:   v.NumCPU,
+			Image:    img,
+			Resolver: registry().Resolver(),
+			Deadline: deadline,
+			Policy:   policy,
+		})
+		sc.coldBoots.Add(l, 1)
+		sc.coldSetupNs.Add(l, time.Since(start).Nanoseconds())
+		return k, pkgdir
+	}
+	k := snap.Boot(kernel.BootConfig{
+		Seed:     v.HostSeed,
+		Epoch:    v.Epoch,
+		NumCPU:   v.NumCPU,
+		Deadline: deadline,
+		Policy:   policy,
+	})
+	sc.forkBoots.Add(l, 1)
+	sc.forkNs.Add(l, time.Since(start).Nanoseconds())
+	return k, pkgdir
+}
+
+// startBuild starts dpkg-buildpackage as the kernel's init process, in the
+// package's source directory.
+func startBuild(k *kernel.Kernel, pkgdir string, env []string) *kernel.Proc {
+	argv := []string{"dpkg-buildpackage", "-b"}
+	init := func(t *kernel.Thread) int {
+		p := &guest.Proc{T: t}
+		if err := p.Exec("/bin/dpkg-buildpackage", argv, env); err != abi.OK {
+			return 127
+		}
+		return 127 // unreachable
+	}
+	proc := k.Start(init, argv, env)
+	if n, err := k.ResolveInode(proc, pkgdir, true); err == abi.OK && n.IsDir() {
+		proc.Cwd, proc.CwdPath = n, pkgdir
+	}
+	return proc
 }
 
 func inodeData(k *kernel.Kernel, p *kernel.Proc, path string) []byte {
@@ -630,19 +653,35 @@ func (o *Options) dtConfig(img *fs.Image, pkgdir string, seed uint64, v reprotes
 	}
 }
 
-// runContainer builds the container for cfg — forked from a cached template
-// unless an ablation or a fault knob forces the cold path — runs the package
-// build in it, and books the setup accounting. Crash-carrying configs always
-// cold-boot: their config hash differs by design, and preparing a template
-// for a run doomed to die mid-flight would only churn the cache (forked and
-// cold boots are pinned bitwise-identical, so the detour is invisible).
+// runContainer runs the package build in a container for cfg, forking its
+// template from the farm-wide local store.
 func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
+	return o.runContainerFrom(l, o.stores().templates, cfg, img, imgHash, env)
+}
+
+// runContainerFrom builds the container for cfg — forked from the template
+// the store holds (or leases to this caller to prepare) unless an ablation or a fault knob
+// forces the cold path — runs the package build in it, and books the setup
+// accounting. Crash-carrying configs always cold-boot: their config hash
+// differs by design, and a run doomed to die mid-flight must not hold a
+// prepare lease — that keeps the lease protocol deadlock-free (holders always
+// complete their put) and the store unchurned. Forked and cold boots are
+// pinned bitwise-identical, so the detour is invisible.
+func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
 	sc := o.sc()
+	var tpl *core.Template
+	if !o.DisableTemplates && !cfg.DisableTemplateReuse && cfg.Image == img && cfg.FaultInjectCrash == 0 {
+		// cfg carries its final behaviour-relevant fields by now (mod applied),
+		// and the key's config hash ignores the per-run host fields, so one
+		// template serves every perturbation of a build and no other.
+		key := derive.KeyFor(imgHash, core.ConfigHash(cfg))
+		tpl, _ = o.prepared(l, templates, key, func() any { return core.NewTemplate(cfg) }).(*core.Template)
+	}
 	var c *core.Container
-	if o.DisableTemplates || cfg.DisableTemplateReuse || cfg.Image != img || cfg.FaultInjectCrash != 0 {
+	if tpl == nil {
 		c = core.New(cfg)
 	} else {
-		c = o.template(l, imgHash, cfg).NewContainer(core.HostRun{
+		c = tpl.NewContainer(core.HostRun{
 			Seed: cfg.HostSeed, Epoch: cfg.Epoch, NumCPU: cfg.NumCPU,
 			CheckpointSink:         cfg.CheckpointSink,
 			FaultCorruptCheckpoint: cfg.FaultCorruptCheckpoint,

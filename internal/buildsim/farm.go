@@ -22,18 +22,13 @@
 package buildsim
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/farm"
-	"repro/internal/fs"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/stats"
@@ -44,9 +39,11 @@ const DefaultFarmNodes = 3
 
 // buildAllFarm is BuildAll on the distributed path: one farm.Job per spec,
 // executed wherever the coordinator places it. Out bodies stay in-process
-// (the protocol carries digests and content addresses only), land in spec
-// order, and must be bitwise-identical to the local pool's.
-func (o *Options) buildAllFarm(specs []*debpkg.Spec, progress func(done, total int)) []Out {
+// (the protocol carries digests and content addresses only), land through
+// the caller's collector, and must be bitwise-identical to the local
+// pool's. Reports false, having landed nothing, if the workers could not
+// register.
+func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) bool {
 	nodes := o.Nodes
 	if nodes <= 0 {
 		nodes = DefaultFarmNodes
@@ -55,32 +52,19 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, progress func(done, total i
 	if slots <= 0 {
 		slots = 1
 	}
-	outs := make([]Out, len(specs))
-	var mu sync.Mutex
-	done := 0
 	exec := func(ctx *farm.ExecCtx) (uint64, error) {
 		i := int(ctx.Job.ID) - 1
-		spec := specs[i]
-		l := obs.NewLocal()
-		o.stageSnapshots(ctx, l, spec)
-		out, err := o.buildProto(l, spec, i, o.farmDT1(ctx, spec))
+		out, err := o.buildProto(obs.NewLocal(), specs[i], i, ctx.Store(), o.farmDT1(ctx, specs[i]))
 		if err != nil {
 			return 0, err
 		}
 		ctx.Attest.Ring = ringDigest(&out)
-		if ctx.Rebuild {
-			// Attestation rebuild: the full build runs (that is the point —
-			// an independent re-execution) but the result is admission
-			// evidence, never farm output.
-			return outDigest(&out), nil
+		// An attestation rebuild runs the full build (that is the point — an
+		// independent re-execution) but its result is admission evidence,
+		// never farm output.
+		if !ctx.Rebuild {
+			land(i, out)
 		}
-		mu.Lock()
-		outs[i] = out
-		done++
-		if progress != nil {
-			progress(done, len(specs))
-		}
-		mu.Unlock()
 		return outDigest(&out), nil
 	}
 	cl := farm.New(farm.Config{Nodes: nodes, Slots: slots,
@@ -92,28 +76,15 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, progress func(done, total i
 		// Affinity/Image are the spec's pure identity hash: placement input
 		// only, never a build input. The real image content hash is computed
 		// inside the executor (it requires materialization) and keys the
-		// shard store.
+		// coordinator's store.
 		id := pkgSeed(0, spec)
 		jobs[i] = farm.Job{ID: uint64(i) + 1, Affinity: id, Image: id}
 	}
-	if _, err := cl.Run(jobs); err != nil {
-		// Registration failed (only possible on a custom transport): keep
-		// BuildAll's contract by building locally.
-		o.forEach(len(specs), func(l obs.Local, i int) {
-			out := o.build(l, specs[i], i)
-			mu.Lock()
-			outs[i] = out
-			done++
-			if progress != nil {
-				progress(done, len(specs))
-			}
-			mu.Unlock()
-		})
-	}
+	_, err := cl.Run(jobs)
 	o.farmMu.Lock()
 	o.lastFarm = cl
 	o.farmMu.Unlock()
-	return outs
+	return err == nil
 }
 
 // outDigest condenses one Out into the digest the farm protocol reports:
@@ -139,153 +110,50 @@ func ringDigest(out *Out) uint64 {
 		uint64(out.Events.WsForks), uint64(out.Events.WsMerges))
 }
 
-// stageSnapshots routes the package's prepared baseline-kernel snapshots
-// through the coordinator's shard store: the first node to need one holds
-// the lease and prepares it, every other node forks the farm-shared copy —
-// the same fork-once-build-everywhere story templates get in
-// runFarmContainer. The staged snapshot is seeded into this node's local
-// cache so buildNative's lookup hits it. Skipped under the template
-// ablation, where every boot is deliberately cold.
-func (o *Options) stageSnapshots(ctx *farm.ExecCtx, l obs.Local, spec *debpkg.Spec) {
-	if o.DisableTemplates {
-		return
-	}
-	seed := pkgSeed(o.Seed, spec)
-	v1, v2 := reprotest.Pair(seed)
-	for _, root := range []string{v1.BuildRoot, v2.BuildRoot} {
-		img, _, imgHash := o.pkgImage(l, spec, root)
-		key := derive.KeyFor(imgHash, 0)
-		snap := ctx.Prepared(key, func() any {
-			return o.snapshot(l, imgHash, img)
-		})
-		if snap == nil {
-			continue // transport without body transfer: prepare locally later
-		}
-		e, _ := o.caches().snapshots.get(key)
-		e.once.Do(func() { e.v = snap })
-	}
-}
-
 // farmDT1 builds the hook buildProto runs instead of the local first
 // DetTrace build: the one run in the package protocol that the farm fault
 // plane may kill (ctx.Doom) and that a post-crash attempt resumes from the
-// shard store's freshest seal. In checkpoint mode seals publish to the
-// store as they land; in plain mode a doomed run still crashes but recovery
-// can only cold-replay (there are no seals to restore).
+// coordinator's freshest seal. It is the local checkpointed build
+// (buildDTFault) with the coordinator's store in place of the local ones —
+// the first node to need a template holds the lease and prepares it, every
+// other node forks the farm-shared copy — and with the two halves of crash
+// recovery split across attempts: a crash returns *farm.Crash so the
+// coordinator can re-place the job, and the re-placed attempt recovers. In
+// checkpoint mode seals publish to the store as they land; in plain mode a
+// doomed run still crashes but recovery can only cold-replay (there are no
+// seals to restore).
 func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(obs.Local, uint64, reprotest.Variation) (dtRun, error) {
 	return func(l obs.Local, seed uint64, v reprotest.Variation) (dtRun, error) {
 		img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
 		cfg := o.dtConfig(img, pkgdir, seed, v)
+		store := ctx.Store()
+		j := ckptJob{templates: store, seals: store,
+			state: derive.KeyFor(imgHash, core.ConfigHash(cfg)), job: ctx.Job.ID}
 		// Attestation subject: the content-addressed identity of this build,
 		// taken from the CLEAN config — before any doomed-node crash knob
-		// lands in runCfg — so honest primaries and rebuilders bind the same
+		// lands in it — so honest primaries and rebuilders bind the same
 		// subject regardless of the fault schedule.
-		ctx.Attest.Subject = derive.KeyFor(imgHash, core.ConfigHash(cfg))
+		ctx.Attest.Subject = j.state
 		env := containerEnv
-		runCfg := cfg
-		var state derive.Key
 		if o.Checkpoints {
 			env = checkpointEnv
-			state = derive.KeyFor(imgHash, core.ConfigHash(cfg))
-			runCfg.CheckpointSink = func(cp *core.Checkpoint) {
-				o.sc().ckptSealed.Add(l, 1)
-				ctx.PutSeal(state, cp.Ordinal(), cp.Digest(), cp)
-			}
+			cfg.CheckpointSink = o.sealSink(l, j.seals, j.state, j.job)
 		}
 		if ctx.Attempt > 0 {
-			return o.farmRecover(ctx, l, spec, state, runCfg, img, imgHash, pkgdir, env), nil
+			var res *core.Result
+			res, ctx.RestoredFrom = o.recoverJob(l, j, false, cfg, img, imgHash, env, ctx.PrevWall)
+			return dtRunFrom(res, spec, pkgdir), nil
 		}
 		if ctx.Doom.Crashes() {
-			runCfg.FaultInjectCrash = ctx.Doom.CrashAtAction
+			cfg.FaultInjectCrash = ctx.Doom.CrashAtAction
 		}
-		res := o.runFarmContainer(ctx, l, runCfg, img, imgHash, env)
-		if res.Err != nil && errors.Is(res.Err, kernel.ErrInjectedCrash) {
+		res := o.runContainerFrom(l, store, cfg, img, imgHash, env)
+		if crashed(res) {
 			o.sc().crashes.Add(l, 1)
 			return dtRun{}, &farm.Crash{Wall: res.WallTime}
 		}
 		return dtRunFrom(res, spec, pkgdir), nil
 	}
-}
-
-// farmRecover completes a stolen job on its new node: fetch the freshest
-// seal from the shard store, restore, and run the suffix — stepping down
-// ordinals past corrupted or missing seals and degrading to a cold replay
-// when none survives. The determinism contract makes every exit produce the
-// uninterrupted run's bits; the accounting (MTTR, redone work) reuses the
-// local fault plane's counters so `benchtab -farm` reports one story.
-func (o *Options) farmRecover(ctx *farm.ExecCtx, l obs.Local, spec *debpkg.Spec, state derive.Key, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string, env []string) dtRun {
-	sc := o.sc()
-	for ord := ctx.LatestSeal(state); ord > 0; ord-- {
-		sc.restoreAttempts.Add(l, 1)
-		sv, ok := ctx.Seal(state, ord)
-		if !ok {
-			continue
-		}
-		cp, ok := sv.(*core.Checkpoint)
-		if !ok {
-			continue // transport without body transfer: nothing to restore
-		}
-		res, err := core.Resume(cp, registry(), cfg)
-		if err != nil {
-			sc.ckptInvalid.Add(l, 1)
-			continue
-		}
-		sc.restores.Add(l, 1)
-		sc.mttrNs.Add(l, res.WallTime-cp.VirtualNow())
-		sc.redoneNs.Add(l, ctx.PrevWall-cp.VirtualNow())
-		ctx.RestoredFrom = ord
-		return dtRunFrom(res, spec, pkgdir)
-	}
-	sc.coldReplays.Add(l, 1)
-	res := o.runFarmContainer(ctx, l, cfg, img, imgHash, env)
-	sc.replayNs.Add(l, res.WallTime)
-	sc.redoneNs.Add(l, ctx.PrevWall)
-	return dtRunFrom(res, spec, pkgdir)
-}
-
-// runFarmContainer is runContainer with the prepared template served from
-// the coordinator's shard store instead of the local LRU: the first node to
-// need a (image, config) template holds the lease and prepares it; every
-// other node — and every later build on any node — forks the farm-shared
-// copy. Crash-carrying configs cold-boot exactly as on the local path (a
-// run doomed to die must not hold a prepare lease), which also keeps the
-// lease protocol deadlock-free: lease holders always complete their put.
-func (o *Options) runFarmContainer(ctx *farm.ExecCtx, l obs.Local, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
-	sc := o.sc()
-	var c *core.Container
-	if o.DisableTemplates || cfg.DisableTemplateReuse || cfg.Image != img || cfg.FaultInjectCrash != 0 {
-		c = core.New(cfg)
-	} else {
-		key := derive.KeyFor(imgHash, core.ConfigHash(cfg))
-		v := ctx.Prepared(key, func() any {
-			start := time.Now()
-			t := core.NewTemplate(cfg)
-			sc.prepareNs.Add(l, time.Since(start).Nanoseconds())
-			return t
-		})
-		if tpl, ok := v.(*core.Template); ok {
-			c = tpl.NewContainer(core.HostRun{
-				Seed: cfg.HostSeed, Epoch: cfg.Epoch, NumCPU: cfg.NumCPU,
-				CheckpointSink:         cfg.CheckpointSink,
-				FaultCorruptCheckpoint: cfg.FaultCorruptCheckpoint,
-			})
-		} else {
-			c = core.New(cfg) // transport without body transfer: cold-boot
-		}
-	}
-	res := c.Run(registry(), "/bin/dpkg-buildpackage",
-		[]string{"dpkg-buildpackage", "-b"}, env)
-	if res.Forked {
-		sc.forkBoots.Add(l, 1)
-		sc.forkNs.Add(l, res.SetupNs)
-		sc.recEventsFork.Add(l, res.Trace.Total())
-	} else {
-		sc.coldBoots.Add(l, 1)
-		sc.coldSetupNs.Add(l, res.SetupNs)
-		sc.recEventsCold.Add(l, res.Trace.Total())
-	}
-	o.Obs().Absorb(res.Obs)
-	return res
 }
 
 // FarmStats returns the farm accounting of the most recent distributed

@@ -166,4 +166,14 @@ func TestFarmSealTraffic(t *testing.T) {
 			t.Fatalf("fault-free job report off: %+v", r)
 		}
 	}
+	// Seals published over the wire are sized like local ones: the farm
+	// takes the same seals as the local pool, so it books the same bytes.
+	local := &Options{Seed: 7, Checkpoints: true}
+	local.BuildAll(specs, nil)
+	for _, name := range []string{"checkpoint_delta_bytes", "checkpoint_full_bytes"} {
+		got, want := o.Obs().Counter(name).Value(), local.Obs().Counter(name).Value()
+		if got == 0 || got != want {
+			t.Errorf("%s: distributed farm booked %d, local pool %d", name, got, want)
+		}
+	}
 }

@@ -5,8 +5,8 @@
 // (workload.dpkgBuildpackageMain): at each build-phase boundary the driver
 // journals its progress and self-execs, handing the kernel a quiescent
 // traced stop to seal a restorable checkpoint at. Seals land in a bounded
-// farm-wide LRU; the in-flight job pins its freshest seal so cache pressure
-// can never evict the one checkpoint a crash is about to need.
+// farm-wide derivation store, which pins each in-flight job's freshest seal
+// so pressure can never evict the one checkpoint a crash is about to need.
 //
 // Faults are scheduled on the container's logical clock (reprotest.FaultPlan
 // — an action count to die at, a checkpoint ordinal to corrupt, a restore
@@ -36,15 +36,17 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultCheckpointRetries bounds restore attempts per crashed job when
-// Options.CheckpointRetries is zero.
-const DefaultCheckpointRetries = 3
+// checkpointRetries bounds restore attempts per crashed job on the local
+// pool; exhausting it degrades the recovery to a cold replay.
+const checkpointRetries = 3
 
-// DefaultCheckpointCacheSize bounds the farm's checkpoint LRU when
-// Options.CheckpointCacheSize is zero. Checkpoints pin a full filesystem
-// clone each, so the cap is deliberately modest: builds seal a handful of
-// ordinals and only in-flight jobs ever read them back.
-const DefaultCheckpointCacheSize = 32
+// sealCap bounds the farm's local seal store. Checkpoints pin a full
+// filesystem clone each, so the cap is deliberately modest: builds seal a
+// handful of ordinals and only in-flight jobs ever read them back. The store
+// never evicts an in-flight job's freshest seal, so eviction can only cost
+// older fallback seals — a job that needs one after losing its freshest to
+// corruption steps further down, and in the end to a cold replay.
+const sealCap = 32
 
 // BackoffBaseNs is the first retry's virtual-time backoff; each further
 // attempt doubles it. The backoff is recovery bookkeeping (it models the
@@ -57,51 +59,44 @@ const BackoffBaseNs = int64(250 * 1e6)
 // checkpoint-mode builds.
 var checkpointEnv = append(append([]string{}, containerEnv...), "DETTRACE_CHECKPOINT=1")
 
-// jobCkpts is one build's window into the farm checkpoint cache, addressed
-// by derive.SealKey — the same (state, job, ordinal) scheme the distributed
-// farm's shard store uses. The sink runs inside the container's kernel loop
-// (single-threaded per job); it keeps exactly one pin — on the freshest
-// seal — so older ordinals age out under pressure while the seal a crash
-// would restore from cannot.
-type jobCkpts struct {
-	o      *Options
-	l      obs.Local
-	state  derive.Key
-	job    uint64
-	latest int
+// ckptJob is one checkpointed build's window into the derivation store: the
+// (state, job) its seals file under — the same derive.SealKey scheme on the
+// local pool and on a farm worker — the store a cold replay forks its
+// template from, and how hard recovery tries before replaying cold.
+type ckptJob struct {
+	templates, seals derive.Store
+	state            derive.Key
+	job              uint64
+	// retries bounds restore attempts, each charged an exponential virtual
+	// backoff (the local pool waiting out a flaky worker). Zero steps down
+	// through every ordinal with no backoff: on the farm the coordinator has
+	// already re-placed the job, so there is nobody left to wait for.
+	retries int
 }
 
-func (j *jobCkpts) key(ordinal int) derive.SealKey {
-	return derive.SealKey{State: j.state, Job: j.job, Ordinal: ordinal}
-}
-
-func (j *jobCkpts) sink(cp *core.Checkpoint) {
-	j.o.sc().ckptSealed.Add(j.l, 1)
-	j.o.bookSealBytes(j.l, cp)
-	cache := j.o.caches().checkpoints
-	cache.putPinned(j.key(cp.Ordinal()), cp)
-	if j.latest > 0 {
-		cache.unpin(j.key(j.latest))
+// sealSink is the farm's one CheckpointSink: it files every seal a run takes
+// under (state, job) in store and books it. The sink runs inside the
+// container's kernel loop (single-threaded per job). Seal sizes are booked
+// here at the farm layer — never inside core.sealCheckpoint — because
+// attaching a sink must not perturb a run's own metrics registry (the
+// bitwise equivalence tests compare those): a delta seal costs the bytes
+// dirtied since the previous seal, a full seal its whole tree.
+func (o *Options) sealSink(l obs.Local, store derive.Store, state derive.Key, job uint64) func(*core.Checkpoint) {
+	return func(cp *core.Checkpoint) {
+		sc := o.sc()
+		sc.ckptSealed.Add(l, 1)
+		if st := cp.Kernel().FSSealStats(); st.Delta {
+			sc.ckptDeltaBytes.Add(l, st.FreshBytes)
+		} else {
+			sc.ckptFullBytes.Add(l, st.TotalBytes)
+		}
+		store.PutSeal(derive.SealKey{State: state, Job: job, Ordinal: cp.Ordinal()}, cp, cp.Digest())
 	}
-	j.latest = cp.Ordinal()
 }
 
-// get returns the job's seal with the given ordinal, or nil if it was never
-// sealed or has been evicted.
-func (j *jobCkpts) get(ordinal int) *core.Checkpoint {
-	v, ok := j.o.caches().checkpoints.peek(j.key(ordinal))
-	if !ok {
-		return nil
-	}
-	return v.(*core.Checkpoint)
-}
-
-// release drops the job's last pin once the build is settled.
-func (j *jobCkpts) release() {
-	if j.latest > 0 {
-		j.o.caches().checkpoints.unpin(j.key(j.latest))
-		j.latest = 0
-	}
+// crashed reports whether the run died to an injected crash.
+func crashed(res *core.Result) bool {
+	return errors.Is(res.Err, kernel.ErrInjectedCrash)
 }
 
 // buildDTFault runs one checkpoint-mode DetTrace build under plan. A zero
@@ -110,53 +105,54 @@ func (j *jobCkpts) release() {
 // through recoverJob; either way the returned observables must be the bits
 // the uninterrupted run would have produced.
 func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string) dtRun {
-	j := &jobCkpts{o: o, l: l, job: o.jobSeq.Add(1),
-		state: derive.KeyFor(imgHash, core.ConfigHash(cfg))}
-	defer j.release()
+	st := o.stores()
+	j := ckptJob{templates: st.templates, seals: st.seals,
+		state: derive.KeyFor(imgHash, core.ConfigHash(cfg)), job: o.jobSeq.Add(1),
+		retries: checkpointRetries}
+	if o.restoreRetries > 0 {
+		j.retries = o.restoreRetries
+	}
+	defer st.seals.Release(j.state, j.job)
 
+	cfg.CheckpointSink = o.sealSink(l, j.seals, j.state, j.job)
 	runCfg := cfg
-	runCfg.CheckpointSink = j.sink
 	runCfg.FaultInjectCrash = plan.CrashAtAction
 	runCfg.FaultCorruptCheckpoint = plan.CorruptCheckpoint
 	res := o.runContainer(l, runCfg, img, imgHash, checkpointEnv)
-	if res.Err != nil && errors.Is(res.Err, kernel.ErrInjectedCrash) {
+	if crashed(res) {
 		o.sc().crashes.Add(l, 1)
-		res = o.recoverJob(l, j, plan, cfg, img, imgHash, res.WallTime)
+		res, _ = o.recoverJob(l, j, plan.FailRestore, cfg, img, imgHash, checkpointEnv, res.WallTime)
 	}
 	return dtRunFrom(res, spec, pkgdir)
 }
 
 // recoverJob brings a crashed job back: restore from the freshest seal,
-// retrying with exponential virtual-time backoff up to the retry bound,
-// stepping down to older seals when validation rejects one, and degrading
-// to a cold replay when no seal survives. Every exit produces the
-// uninterrupted run's bits. crashWall is the crashed run's virtual time of
-// death; the gap between it and the restored seal is the work executed
-// twice, charged to farm_redone_ns.
-func (o *Options) recoverJob(l obs.Local, j *jobCkpts, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, crashWall int64) *core.Result {
+// stepping down to older seals when one is gone or validation rejects it,
+// within the job's retry budget, and degrading to a cold replay when no seal
+// survives. Every exit produces the uninterrupted run's bits. cfg is the
+// job's clean config — sink attached, fault knobs clear: the replacement
+// worker must finish the build, not re-die, and checkpoint validation
+// (core.Resume's recoveryHash) accounts for the cleared crash knob.
+// crashWall is the crashed run's virtual time of death; the gap between it
+// and the restored seal is the work executed twice, charged to
+// farm_redone_ns. Returns the ordinal restored from (0 = cold replay).
+func (o *Options) recoverJob(l obs.Local, j ckptJob, failRestore bool, cfg core.Config, img *fs.Image, imgHash uint64, env []string, crashWall int64) (*core.Result, int) {
 	sc := o.sc()
-	retries := o.CheckpointRetries
-	if retries <= 0 {
-		retries = DefaultCheckpointRetries
-	}
-	// The recovery deliberately clears the fault knobs: the replacement
-	// worker must finish the build, not re-die. Checkpoint validation
-	// (core.Resume's recoveryHash) accounts for the cleared crash knob.
-	cfg.CheckpointSink = j.sink
-	cfg.FaultInjectCrash = 0
-	cfg.FaultCorruptCheckpoint = 0
-
-	ordinal := j.latest
-	for attempt := 0; attempt < retries && ordinal > 0; attempt++ {
+	ordinal := j.seals.Latest(j.state, j.job)
+	for attempt := 0; ordinal > 0 && (j.retries == 0 || attempt < j.retries); attempt++ {
 		sc.restoreAttempts.Add(l, 1)
-		sc.backoffNs.Add(l, BackoffBaseNs<<attempt)
-		if plan.FailRestore && attempt == 0 {
+		if j.retries > 0 {
+			sc.backoffNs.Add(l, BackoffBaseNs<<attempt)
+		}
+		if failRestore && attempt == 0 {
 			sc.restoreFailures.Add(l, 1)
 			continue // planned restore failure: same seal, next attempt
 		}
-		cp := j.get(ordinal)
+		v, _, _ := j.seals.Seal(derive.SealKey{State: j.state, Job: j.job, Ordinal: ordinal})
+		cp, _ := v.(*core.Checkpoint)
 		if cp == nil {
-			break // evicted under pressure: nothing left to restore
+			ordinal-- // evicted under pressure, or a transport without bodies
+			continue
 		}
 		res, err := core.Resume(cp, registry(), cfg)
 		if err != nil {
@@ -167,20 +163,20 @@ func (o *Options) recoverJob(l obs.Local, j *jobCkpts, plan reprotest.FaultPlan,
 		sc.restores.Add(l, 1)
 		sc.mttrNs.Add(l, res.WallTime-cp.VirtualNow())
 		sc.redoneNs.Add(l, crashWall-cp.VirtualNow())
-		return res
+		return res, ordinal
 	}
 	sc.coldReplays.Add(l, 1)
-	res := o.runContainer(l, cfg, img, imgHash, checkpointEnv)
+	res := o.runContainerFrom(l, j.templates, cfg, img, imgHash, env)
 	sc.replayNs.Add(l, res.WallTime)
 	sc.redoneNs.Add(l, crashWall)
-	return res
+	return res, 0
 }
 
 // FaultStats is a point-in-time snapshot of the farm's fault-plane
 // accounting. Benchmarking metadata only, like SetupStats.
 type FaultStats struct {
 	Sealed        int64 // checkpoints sealed across all builds
-	CkptEvictions int64 // checkpoint LRU entries dropped under pressure
+	CkptEvictions int64 // seals evicted from the local store under pressure
 	Crashes       int64 // injected crashes that fired
 	Attempts      int64 // restore attempts, including failed ones
 	Restores      int64 // successful checkpoint restores
@@ -250,8 +246,7 @@ func (st *FaultStudy) String() string {
 func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
 	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
 		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability,
-		TemplateCacheSize: o.TemplateCacheSize, Checkpoints: true,
-		CheckpointRetries: o.CheckpointRetries, CheckpointCacheSize: o.CheckpointCacheSize}
+		Checkpoints: true}
 	type fOut struct {
 		ok, crashed, identical bool
 		refWall                int64

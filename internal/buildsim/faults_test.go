@@ -129,7 +129,7 @@ func assertSameBits(t *testing.T, ref, got dtRun) {
 // older seal is evicted — but the in-flight job's freshest seal is pinned,
 // so a crash still restores from checkpoint instead of replaying cold.
 func TestCheckpointPinSurvivesPressure(t *testing.T) {
-	o := &Options{Seed: 1, Checkpoints: true, CheckpointCacheSize: 1}
+	o := &Options{Seed: 1, Checkpoints: true, sealCap: 1}
 	ref, got := crashOne(t, o, func(ref dtRun, _ []int64) reprotest.FaultPlan {
 		return reprotest.FaultPlan{CrashAtAction: ref.actions / 2}
 	})
@@ -168,7 +168,7 @@ func TestCorruptSealFallsBackToOlder(t *testing.T) {
 // corrupted seal exhaust a two-attempt budget, so recovery degrades to a
 // cold replay — and still lands on the reference bits.
 func TestRetryExhaustionDegradesToColdReplay(t *testing.T) {
-	o := &Options{Seed: 1, Checkpoints: true, CheckpointRetries: 2}
+	o := &Options{Seed: 1, Checkpoints: true, restoreRetries: 2}
 	ref, got := crashOne(t, o, func(_ dtRun, seals []int64) reprotest.FaultPlan {
 		crashAt, freshest := lastGapCrash(seals)
 		return reprotest.FaultPlan{

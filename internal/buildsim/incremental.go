@@ -65,33 +65,18 @@ func (s *rebuildSession) advance(img *fs.Image, tree derive.TreeHash, state deri
 	s.img, s.tree, s.state, s.job = img, tree, state, job
 }
 
-// sealTo returns a CheckpointSink publishing every seal to the derivation
-// store under (state, job) — the same keys the distributed farm's shard
-// store uses, so seals sealed locally and seals sealed on a farm node are
-// interchangeable fork sources.
-func (o *Options) sealTo(l obs.Local, store derive.Store, state derive.Key, job uint64) func(*core.Checkpoint) {
-	return func(cp *core.Checkpoint) {
-		o.sc().ckptSealed.Add(l, 1)
-		store.PutSeal(derive.SealKey{State: state, Job: job, Ordinal: cp.Ordinal()},
-			cp, cp.Digest())
-	}
-}
-
 // buildIncrBase runs the package's base build in checkpoint mode with every
 // seal published to the store, and opens the rebuild session subsequent
 // patches fork from.
 func (o *Options) buildIncrBase(l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation, store derive.Store) (*rebuildSession, dtRun) {
 	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
-	if imgHash == 0 { // template ablation: pkgImage skips hashing
-		imgHash = img.Hash()
-	}
 	cfg := o.dtConfig(img, pkgdir, seed, v)
 	s := &rebuildSession{spec: spec, store: store, img: img, pkgdir: pkgdir,
 		state: derive.KeyFor(imgHash, core.ConfigHash(cfg)),
 		job:   incrJobBit | o.jobSeq.Add(1),
 		tree:  img.TreeHash(), seed: seed, v: v}
 	runCfg := cfg
-	runCfg.CheckpointSink = o.sealTo(l, store, s.state, s.job)
+	runCfg.CheckpointSink = o.sealSink(l, store, s.state, s.job)
 	res := o.runContainer(l, runCfg, img, imgHash, checkpointEnv)
 	return s, dtRunFrom(res, spec, pkgdir)
 }
@@ -187,7 +172,7 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		sc.incrCold.Add(l, 1)
 		o.recordDerive(l, false, deriveGranPhase, s.state.Hash(), 0)
 		runCfg := pcfg
-		runCfg.CheckpointSink = o.sealTo(l, s.store, pstate, pjob)
+		runCfg.CheckpointSink = o.sealSink(l, s.store, pstate, pjob)
 		res := o.runContainer(l, runCfg, pimg, pimg.Hash(), checkpointEnv)
 		r := dtRunFrom(res, s.spec, s.pkgdir)
 		s.advance(pimg, ptree, pstate, pjob)
@@ -216,7 +201,7 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		patch[p] = append([]byte(nil), pimg.Entries[p].Data...)
 	}
 	runCfg := pcfg
-	runCfg.CheckpointSink = o.sealTo(l, s.store, pstate, pjob)
+	runCfg.CheckpointSink = o.sealSink(l, s.store, pstate, pjob)
 	res, err := core.ResumePatched(cp, registry(), runCfg, patch)
 	if err != nil {
 		// The seal and the patch disagree (shape drift, config mismatch):
@@ -424,10 +409,8 @@ func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *Increme
 	if rounds <= 0 {
 		rounds = 3
 	}
-	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true, Incremental: true,
-		TemplateCacheSize: o.TemplateCacheSize, CheckpointCacheSize: o.CheckpointCacheSize}
-	off := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true,
-		TemplateCacheSize: o.TemplateCacheSize, CheckpointCacheSize: o.CheckpointCacheSize}
+	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true, Incremental: true}
+	off := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true}
 	store := derive.NewMemStore()
 	type iOut struct {
 		ok         bool

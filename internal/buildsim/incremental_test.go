@@ -224,4 +224,9 @@ func TestDeriveTraceRecordsReuse(t *testing.T) {
 		t.Fatalf("derive ring incomplete: %d hits, %d misses, %d phase-granularity events",
 			hits, misses, phase)
 	}
+	for _, name := range []string{"checkpoint_delta_bytes", "checkpoint_full_bytes"} {
+		if o.Obs().Counter(name).Value() == 0 {
+			t.Errorf("incremental seals booked no %s", name)
+		}
+	}
 }

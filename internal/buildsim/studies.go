@@ -196,48 +196,12 @@ func (o *Options) RunRRStudy() *RRStudy {
 // ablation is on. rr's known crash — an unhandled tty ioctl — surfaces as
 // ErrUnsupportedIoctl.
 func (o *Options) buildRR(l obs.Local, spec *debpkg.Spec, v reprotest.Variation) (wall, traceBytes int64, crashed bool) {
-	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
-	profile := machine.CloudLabC220G5()
-	rec := rr.NewRecorder(profile.SeccompSingleStop)
-	var k *kernel.Kernel
-	if o.DisableTemplates {
-		k = kernel.New(kernel.Config{
-			Profile:  profile,
-			Seed:     v.HostSeed,
-			Epoch:    v.Epoch,
-			NumCPU:   v.NumCPU,
-			Image:    img,
-			Resolver: registry().Resolver(),
-			Deadline: DTDeadline,
-			Policy:   rec,
-		})
-	} else {
-		k = o.snapshot(l, imgHash, img).Boot(kernel.BootConfig{
-			Seed:     v.HostSeed,
-			Epoch:    v.Epoch,
-			NumCPU:   v.NumCPU,
-			Deadline: DTDeadline,
-			Policy:   rec,
-		})
-	}
+	rec := rr.NewRecorder(machine.CloudLabC220G5().SeccompSingleStop)
+	k, pkgdir := o.bootNative(l, o.stores().snapshots, spec, v, DTDeadline, rec)
 	rec.Attach(k)
-	argv := []string{"dpkg-buildpackage", "-b"}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/bin/dpkg-buildpackage", argv, v.Env); err != abi.OK {
-			return 127
-		}
-		return 127 // unreachable
-	}
-	proc := k.Start(init, argv, v.Env)
-	if n, err := k.ResolveInode(proc, pkgdir, true); err == abi.OK && n.IsDir() {
-		proc.Cwd, proc.CwdPath = n, pkgdir
-	}
+	startBuild(k, pkgdir, v.Env)
 	runErr := k.Run()
-	if errors.Is(runErr, rr.ErrUnsupportedIoctl) {
-		return k.Now(), rec.Trace.Bytes, true
-	}
-	return k.Now(), rec.Trace.Bytes, false
+	return k.Now(), rec.Trace.Bytes, errors.Is(runErr, rr.ErrUnsupportedIoctl)
 }
 
 // BufferStudy is the syscall-buffering ablation: the Figure 5 aggregate

@@ -5,10 +5,10 @@
 // and populating the result into a fresh kernel filesystem — repeated for
 // every one of a package's four (or more) builds. All three passes are pure
 // functions of (spec, build root, container config), so the farm now
-// memoizes them: materialized images in a small LRU, and on top of those the
-// prepared boot state — kernel.Snapshot for baseline builds, core.Template
-// for DetTrace builds — keyed by (image content hash, config hash). A run
-// then COW-forks the frozen template instead of repopulating it.
+// memoizes them in bounded derivation stores: materialized images, and on top
+// of those the prepared boot state — kernel.Snapshot for baseline builds,
+// core.Template for DetTrace builds — keyed by (image content hash, config
+// hash). A run then COW-forks the frozen template instead of repopulating it.
 //
 // The reuse must be invisible. Forked boots are pinned bitwise-identical to
 // cold boots (kernel.TestSnapshotBootEqualsCold, core.TestTemplateForkEqualsCold),
@@ -20,12 +20,9 @@ package buildsim
 
 import (
 	"bytes"
-	"container/list"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/fs"
@@ -35,13 +32,14 @@ import (
 	"repro/internal/reprotest"
 )
 
-// DefaultTemplateCacheSize bounds each prepared-state LRU when
-// Options.TemplateCacheSize is zero. Templates pin their image and frozen
-// filesystem, so the cap is the farm's working-set knob: large enough that
-// one package's builds and the portability/ablation profile variants all
-// hit, small enough that a 17k-package universe cannot accumulate 17k
-// toolchain trees.
-const DefaultTemplateCacheSize = 32
+// templateCap bounds the snapshot and the template store. Templates pin their
+// image and frozen filesystem, so the cap is the farm's working-set size:
+// large enough that one package's builds and the portability/ablation
+// profile variants all hit, small enough that a 17k-package universe cannot
+// accumulate 17k toolchain trees. The image memo holds twice as many — images
+// back the templates, and the native-build variants (one per build root) sit
+// alongside them.
+const templateCap = 32
 
 // setupCounters is the farm's setup accounting, held as handles into the
 // farm's obs registry (see Options.Obs) so roll-ups and the Prometheus dump
@@ -110,7 +108,7 @@ type setupCounters struct {
 type SetupStats struct {
 	TemplateHits   int64 // prepared snapshot/template served from cache
 	TemplateMisses int64 // prepared on demand
-	Evictions      int64 // cache entries dropped by the LRU cap
+	Evictions      int64 // image/snapshot/template entries evicted at the cap
 	ImageBuilds    int64 // toolchain images assembled + materialized
 	ImageHits      int64 // image requests served from the memo
 
@@ -261,126 +259,23 @@ func (o *Options) DeriveTrace() []obs.Event {
 	return o.deriveRec.Events()
 }
 
-// lruEntry is one cache slot. Construction runs under the entry's own Once,
-// outside the cache lock, so a slow Prepare never serializes unrelated
-// lookups; concurrent first requesters block on the Once and share the one
-// built value (never observing a half-built template).
-type lruEntry struct {
-	once sync.Once
-	v    any
-}
-
-// lruCache is a mutex-protected LRU over opaque keys. Eviction drops the
-// cache's reference only — an entry still in use by an in-flight build stays
-// alive until that build finishes, which is what makes eviction invisible to
-// results.
-type lruCache struct {
-	mu        sync.Mutex
-	cap       int
-	order     *list.List // front = most recently used
-	items     map[any]*list.Element
-	evictions *obs.Counter
-}
-
-type lruItem struct {
-	key  any
-	e    *lruEntry
-	pins int
-}
-
-func newLRU(cap int, evictions *obs.Counter) *lruCache {
-	return &lruCache{cap: cap, order: list.New(), items: make(map[any]*list.Element), evictions: evictions}
-}
-
-// get returns the entry for key, creating an empty slot on miss, and
-// reports whether the key was already present.
-func (c *lruCache) get(key any) (*lruEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*lruItem).e, true
-	}
-	e := &lruEntry{}
-	c.insertLocked(key, e, 0)
-	return e, false
-}
-
-// insertLocked adds key→e at the front and, when over cap, evicts the
-// least-recently-used unpinned entry. Pinned entries are never evicted: a
-// fully pinned cache grows past cap instead, because in-flight state must
-// survive pressure (the pin is what makes eviction results-invisible).
-func (c *lruCache) insertLocked(key any, e *lruEntry, pins int) {
-	c.items[key] = c.order.PushFront(&lruItem{key: key, e: e, pins: pins})
-	if c.order.Len() <= c.cap {
-		return
-	}
-	for el := c.order.Back(); el != nil; el = el.Prev() {
-		it := el.Value.(*lruItem)
-		if it.pins > 0 {
-			continue
-		}
-		c.order.Remove(el)
-		delete(c.items, it.key)
-		c.evictions.Inc(1) // under the cache mutex: single writer
-		return
-	}
-}
-
-// putPinned stores v at key with one pin already held, atomically — the
-// value cannot be evicted between insertion and a separate pin call.
-func (c *lruCache) putPinned(key, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		it := el.Value.(*lruItem)
-		it.e.v = v
-		it.pins++
-		c.order.MoveToFront(el)
-		return
-	}
-	c.insertLocked(key, &lruEntry{v: v}, 1)
-}
-
-// peek returns the value stored at key, without creating a slot on miss.
-func (c *lruCache) peek(key any) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*lruItem).e.v, true
-}
-
-// unpin releases one pin on key; no-op if the key was already evicted.
-func (c *lruCache) unpin(key any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruItem).pins--
-	}
-}
-
-// farmCaches is the per-Options prepared-state store: materialized images,
-// baseline kernel snapshots, DetTrace container templates, and — in
-// checkpoint mode — the sealed mid-run checkpoints of in-flight jobs.
+// stores is the per-Options prepared state: materialized images, baseline
+// kernel snapshots, DetTrace container templates, and — in checkpoint mode —
+// the sealed mid-run checkpoints of in-flight jobs. Four bounded instances of
+// the one derivation store, so each keeps its own cap and LRU order; on a
+// farm worker the coordinator's single store stands in for the last three.
 //
-// Every prepared-state key derives through derive.KeyFor — the one shared
-// (image content hash, config hash) derivation this package and the
-// distributed farm's shard map both use — so the four caches cannot drift
-// in what "the same prepared state" means (snapshots use a zero config
-// slot: a prepared kernel depends only on the image).
-type farmCaches struct {
-	images      *lruCache // imageKey -> *imageEntry
-	snapshots   *lruCache // derive.Key (config 0) -> *kernel.Snapshot
-	templates   *lruCache // derive.Key -> *core.Template
-	checkpoints *lruCache // derive.SealKey -> *core.Checkpoint
-}
-
-type imageKey struct {
-	name, version, dir string
+// Every key derives through derive.KeyFor — the one shared (image content
+// hash, config hash) derivation this package and the distributed farm both
+// use — so the stores cannot drift in what "the same prepared state" means
+// (snapshots use a zero config slot: a prepared kernel depends only on the
+// image; images, whose content hash is not known before they are built, are
+// memoized under the spec's identity hash and the build root's).
+type stores struct {
+	images    *derive.MemStore // (spec identity, build root) -> *imageEntry
+	snapshots *derive.MemStore // derive.Key (config 0) -> *kernel.Snapshot
+	templates *derive.MemStore // derive.Key -> *core.Template
+	seals     *derive.MemStore // derive.SealKey -> *core.Checkpoint
 }
 
 type imageEntry struct {
@@ -389,106 +284,90 @@ type imageEntry struct {
 	hash   uint64
 }
 
-func (o *Options) caches() *farmCaches {
+func (o *Options) stores() *stores {
 	o.cacheMu.Lock()
 	defer o.cacheMu.Unlock()
 	o.initObsLocked()
-	if o.cache == nil {
-		n := o.TemplateCacheSize
-		if n <= 0 {
-			n = DefaultTemplateCacheSize
+	if o.store == nil {
+		n, nseals := templateCap, sealCap
+		if o.templateCap > 0 {
+			n = o.templateCap
 		}
-		ckptCap := o.CheckpointCacheSize
-		if ckptCap <= 0 {
-			ckptCap = DefaultCheckpointCacheSize
+		if o.sealCap > 0 {
+			nseals = o.sealCap
 		}
-		o.cache = &farmCaches{
-			// Images back the templates, so the memo holds the native-build
-			// variants (one per build root) alongside them: twice the cap.
-			images:      newLRU(2*n, o.setup.evictions),
-			snapshots:   newLRU(n, o.setup.evictions),
-			templates:   newLRU(n, o.setup.evictions),
-			checkpoints: newLRU(ckptCap, o.setup.ckptEvictions),
+		evicted := func() { o.setup.evictions.Inc(1) }
+		o.store = &stores{
+			images:    derive.NewStore(1, 2*n, evicted),
+			snapshots: derive.NewStore(1, n, evicted),
+			templates: derive.NewStore(1, n, evicted),
+			seals:     derive.NewStore(1, nseals, func() { o.setup.ckptEvictions.Inc(1) }),
 		}
 	}
-	return o.cache
+	return o.store
 }
 
 // pkgImage returns the package's toolchain image, its source directory, and
 // the image content hash. With templates enabled the materialized image is
 // memoized — it is only ever read after construction (kernel populate,
 // template prepare), so sharing one *fs.Image across concurrent builds is
-// safe. Under the ablation every call rebuilds, exactly like the pre-template
-// farm, so the cold setup numbers measure the real cold cost.
+// safe. Under the ablation every call rebuilds, like the pre-template farm,
+// so the cold setup numbers measure the real cold cost — hashing included:
+// seal keys and attestation subjects carry the content hash either way.
 func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
 	sc := o.sc()
-	if o.DisableTemplates {
-		start := time.Now()
-		img, pkgdir := toolchainImage(spec, dir)
-		sc.imageBuilds.Add(l, 1)
-		sc.imageBuildNs.Add(l, time.Since(start).Nanoseconds())
-		return img, pkgdir, 0
-	}
-	e, hit := o.caches().images.get(imageKey{spec.Name, spec.Version, dir})
-	if hit {
-		sc.imageHits.Add(l, 1)
-	}
-	e.once.Do(func() {
+	build := func() *imageEntry {
 		start := time.Now()
 		img, pkgdir := toolchainImage(spec, dir)
 		ie := &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 		sc.imageBuilds.Add(l, 1)
 		sc.imageBuildNs.Add(l, time.Since(start).Nanoseconds())
-		e.v = ie
-	})
-	ie := e.v.(*imageEntry)
+		return ie
+	}
+	var ie *imageEntry
+	if o.DisableTemplates {
+		ie = build()
+	} else {
+		key := derive.KeyFor(pkgSeed(0, spec), derive.DigestBytes([]byte(dir)))
+		v, hit := derive.Prepared(o.stores().images, key, func() any { return build() })
+		if hit {
+			sc.imageHits.Add(l, 1)
+		}
+		ie = v.(*imageEntry)
+	}
 	return ie.img, ie.pkgdir, ie.hash
 }
 
-// snapshot returns the prepared baseline-kernel snapshot for an image,
-// preparing it on first use.
-func (o *Options) snapshot(l obs.Local, imgHash uint64, img *fs.Image) *kernel.Snapshot {
+// prepared serves one piece of prepared boot state from store, building it
+// on first use, and books the lookup. The value is nil when the store is a
+// transport that carries no bodies; callers then boot cold.
+func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, build func() any) any {
 	sc := o.sc()
-	key := derive.KeyFor(imgHash, 0)
-	e, hit := o.caches().snapshots.get(key)
+	v, hit := derive.Prepared(store, key, func() any {
+		start := time.Now()
+		v := build()
+		sc.prepareNs.Add(l, time.Since(start).Nanoseconds())
+		return v
+	})
 	if hit {
 		sc.templateHits.Add(l, 1)
 	} else {
 		sc.templateMisses.Add(l, 1)
 	}
 	o.recordDerive(l, hit, deriveGranTemplate, key.Hash(), 0)
-	e.once.Do(func() {
-		start := time.Now()
-		e.v = kernel.Prepare(kernel.Config{
+	return v
+}
+
+// snapshot returns the prepared baseline-kernel snapshot for an image.
+func (o *Options) snapshot(l obs.Local, store derive.Store, imgHash uint64, img *fs.Image) *kernel.Snapshot {
+	snap, _ := o.prepared(l, store, derive.KeyFor(imgHash, 0), func() any {
+		return kernel.Prepare(kernel.Config{
 			Profile:  machine.CloudLabC220G5(),
 			Image:    img,
 			Resolver: registry().Resolver(),
 		})
-		sc.prepareNs.Add(l, time.Since(start).Nanoseconds())
-	})
-	return e.v.(*kernel.Snapshot)
-}
-
-// template returns the prepared container template for (image, config),
-// preparing it on first use. cfg must already carry its final
-// behaviour-relevant fields (mod applied); the key's config hash ignores the
-// per-run host fields, so one template serves every perturbation of a build.
-func (o *Options) template(l obs.Local, imgHash uint64, cfg core.Config) *core.Template {
-	sc := o.sc()
-	key := derive.KeyFor(imgHash, core.ConfigHash(cfg))
-	e, hit := o.caches().templates.get(key)
-	if hit {
-		sc.templateHits.Add(l, 1)
-	} else {
-		sc.templateMisses.Add(l, 1)
-	}
-	o.recordDerive(l, hit, deriveGranTemplate, key.Hash(), 0)
-	e.once.Do(func() {
-		start := time.Now()
-		e.v = core.NewTemplate(cfg)
-		sc.prepareNs.Add(l, time.Since(start).Nanoseconds())
-	})
-	return e.v.(*core.Template)
+	}).(*kernel.Snapshot)
+	return snap
 }
 
 // TemplateStudy is the template-reuse ablation: the same perturbation builds
@@ -541,8 +420,7 @@ func (o *Options) RunTemplateStudy(specs []*debpkg.Spec, runs int) *TemplateStud
 		runs = 16
 	}
 	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
-		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability,
-		TemplateCacheSize: o.TemplateCacheSize}
+		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability}
 	off := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
 		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability,
 		DisableTemplates: true}

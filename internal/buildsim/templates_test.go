@@ -81,7 +81,7 @@ func TestTemplateBackToBackLeakFreedom(t *testing.T) {
 // output still matches the ablated farm.
 func TestTemplateEvictionInvisible(t *testing.T) {
 	specs := debpkg.Universe(5, 24)
-	o := &Options{Seed: 5, Jobs: 8, TemplateCacheSize: 2}
+	o := &Options{Seed: 5, Jobs: 8, templateCap: 2}
 	warm := o.BuildAll(specs, nil)
 	cold := (&Options{Seed: 5, Jobs: 8, DisableTemplates: true}).BuildAll(specs, nil)
 	if !reflect.DeepEqual(warm, cold) {

@@ -1,9 +1,9 @@
 // Time-travel debugging over recorded builds (ISSUE 9): record a package
-// build in checkpoint mode keeping EVERY seal (not just the freshest, as the
-// crash-recovery LRU does), wrap the seal chain and the full flight-recorder
-// trace in a ttd.Session, and drive the two debugger verbs — SeekTo a
-// logical instant, and Bisect two runs to their first divergent event in
-// O(log n) seal probes plus a constant number of window replays.
+// build in checkpoint mode keeping EVERY seal (the bounded crash-recovery
+// store keeps only recent ones), wrap the seal chain and the full
+// flight-recorder trace in a ttd.Session, and drive the two debugger verbs —
+// SeekTo a logical instant, and Bisect two runs to their first divergent
+// event in O(log n) seal probes plus a constant number of window replays.
 //
 // BisectDiagnose is the `reprotest -bisect` gate: it must land on the SAME
 // event the linear diagnoser (diagnose.go) finds, while re-executing only
@@ -19,28 +19,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
+	"repro/internal/derive"
 	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/stats"
 	"repro/internal/ttd"
 )
 
-// bookSealBytes charges one sealed checkpoint's storage cost to the farm's
-// seal-size counters: a delta seal stores only the bytes dirtied since the
-// previous seal, a full seal its whole tree. Farm-layer on purpose — sinks
-// must never touch the run's own registry (see setupCounters.ckptDeltaBytes).
-func (o *Options) bookSealBytes(l obs.Local, cp *core.Checkpoint) {
-	st := cp.Kernel().FSSealStats()
-	sc := o.sc()
-	if st.Delta {
-		sc.ckptDeltaBytes.Add(l, st.FreshBytes)
-	} else {
-		sc.ckptFullBytes.Add(l, st.TotalBytes)
-	}
-}
-
-// recordSession builds spec once in checkpoint mode with an all-seals sink
-// and a diagnosis-sized ring, and wraps the recording in a ttd.Session.
+// recordSession builds spec once in checkpoint mode, sealing into a private
+// unbounded store so every seal is kept, with a diagnosis-sized ring, and
+// wraps the recording in a ttd.Session.
 // inject > 0 perturbs the inject'th entropy draw (the divergence the bisect
 // gate localizes); mod further adjusts the config (the delta-seal ablation).
 // The session's Launch closure cold-boots deliberately — core templates
@@ -58,13 +46,14 @@ func (o *Options) recordSession(l obs.Local, spec *debpkg.Spec, inject int, mod 
 	if mod != nil {
 		mod(&cfg)
 	}
-	var seals []*core.Checkpoint
-	cfg.CheckpointSink = func(cp *core.Checkpoint) {
-		o.sc().ckptSealed.Add(l, 1)
-		o.bookSealBytes(l, cp)
-		seals = append(seals, cp)
-	}
+	store, state := derive.NewMemStore(), derive.KeyFor(imgHash, core.ConfigHash(cfg))
+	cfg.CheckpointSink = o.sealSink(l, store, state, 1)
 	res := o.runContainer(l, cfg, img, imgHash, checkpointEnv)
+	seals := make([]*core.Checkpoint, store.Latest(state, 1))
+	for i := range seals {
+		v, _, _ := store.Seal(derive.SealKey{State: state, Job: 1, Ordinal: i + 1})
+		seals[i] = v.(*core.Checkpoint)
+	}
 	sess := &ttd.Session{
 		Cfg:   cfg,
 		Reg:   registry(),

@@ -109,8 +109,9 @@ type Config struct {
 	// this is a mechanism ablation, not a container input: workspaces only
 	// overlap *physical* time — the logical clock stays token-serialized —
 	// so guest-visible state and output are bitwise identical with the mode
-	// on or off, the invariant the workspace equivalence gate pins.
-	// Excluded from ConfigHash for the same reason.
+	// on or off, the invariant the workspace equivalence gate pins. Joined
+	// into ConfigHash all the same, so prepared state never crosses the
+	// ablation under test.
 	DisableWorkspaces bool
 
 	// FaultInjectEntropy, when > 0, deliberately perturbs the N-th entropy

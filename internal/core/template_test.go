@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/baseimg"
 	"repro/internal/core"
+	"repro/internal/fs"
 	"repro/internal/guest"
 	"repro/internal/hashdeep"
 	"repro/internal/machine"
@@ -150,60 +152,88 @@ func TestTemplateStateLeakFreedom(t *testing.T) {
 	}
 }
 
-// ConfigHash must split every behaviour-relevant knob and ignore the [host]
-// fields, so a template can never be reused across incompatible configs.
+// configHashExcluded lists every core.Config field ConfigHash ignores, with
+// the reason. Any other field must move the hash when changed.
+var configHashExcluded = map[string]string{
+	"Image":                  "content is keyed separately via Image.Hash, so one config hash serves many images",
+	"HostSeed":               "[host] physical-run entropy: varies per run, must not reach output",
+	"Epoch":                  "[host] boot wall-clock: varies per run, must not reach output",
+	"NumCPU":                 "[host] core count: varies per run, must not reach output",
+	"DisableTemplateReuse":   "mechanism ablation pinned behaviourally invisible (fork == cold)",
+	"DisableObservability":   "the recorder observes, it never feeds back",
+	"RingEvents":             "ring capacity bounds retention, never behaviour",
+	"FaultCorruptCheckpoint": "checkpoints observe the run; the guest never sees its seals",
+	"CheckpointSink":         "sealing is read-only; output is identical with a sink attached",
+	"HaltAtLTime":            "a halted replay is a strict prefix and never enters a cache",
+	"HaltAtAction":           "a halted replay is a strict prefix and never enters a cache",
+	"Debug":                  "an observer",
+}
+
+// ConfigHash must split every behaviour-relevant knob and ignore the excluded
+// ones, so prepared state can never be reused across incompatible configs.
+// The walk covers core.Config by reflection: a new field fails here until it
+// is either hashed or excluded with a reason.
 func TestConfigHashGuard(t *testing.T) {
 	img := baseimg.Minimal()
 	base := core.Config{Image: img, PRNGSeed: 1}
 	h0 := core.ConfigHash(base)
 
-	hostVariants := []core.Config{
-		{Image: img, PRNGSeed: 1, HostSeed: 999},
-		{Image: img, PRNGSeed: 1, Epoch: 123456},
-		{Image: img, PRNGSeed: 1, NumCPU: 64},
-	}
-	for i, v := range hostVariants {
-		if core.ConfigHash(v) != h0 {
-			t.Errorf("host variant %d changed the config hash — templates would thrash", i)
+	seen := map[uint64]string{h0: "the base config"}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		v := base
+		f := reflect.ValueOf(&v).Elem().Field(i)
+		switch x := f.Addr().Interface().(type) {
+		case *bool:
+			*x = true
+		case *int:
+			*x = 7
+		case *int64:
+			*x = 7
+		case *uint64:
+			*x = 7
+		case *string:
+			*x = "/elsewhere"
+		case *[]byte:
+			*x = []byte{1, 2, 3}
+		case **fs.Image:
+			*x = baseimg.Minimal()
+			(*x).AddFile("/etc/extra", 0o644, []byte("new"))
+		case **machine.Profile:
+			*x = machine.PortabilityBroadwell()
+		case *map[string]core.Download:
+			*x = map[string]core.Download{"u": {Data: []byte("x"), SHA256: "aa"}}
+		case *func(*core.Checkpoint):
+			*x = func(*core.Checkpoint) {}
+		case *func(string, ...any):
+			*x = func(string, ...any) {}
+		default:
+			t.Fatalf("field %s: the walk cannot perturb a %s — teach it", name, f.Type())
 		}
-	}
-
-	behaviourVariants := []core.Config{
-		{Image: img, PRNGSeed: 2},
-		{Image: img, PRNGSeed: 1, DisableSeccomp: true},
-		{Image: img, PRNGSeed: 1, DisableSyscallBuf: true},
-		{Image: img, PRNGSeed: 1, DisableVdso: true},
-		{Image: img, PRNGSeed: 1, DisableDirSizes: true},
-		{Image: img, PRNGSeed: 1, DisableCpuidTrap: true},
-		{Image: img, PRNGSeed: 1, DisableInodeVirt: true},
-		{Image: img, PRNGSeed: 1, DisableGetdentsSort: true},
-		{Image: img, PRNGSeed: 1, WorkingDir: "/elsewhere"},
-		{Image: img, PRNGSeed: 1, SpinLimit: 99},
-		{Image: img, PRNGSeed: 1, UpdateVirtualMtimes: true},
-		{Image: img, PRNGSeed: 1, FastVdso: true},
-		{Image: img, PRNGSeed: 1, ExperimentalSockets: true},
-		{Image: img, PRNGSeed: 1, ExperimentalSignals: true},
-		{Image: img, PRNGSeed: 1, LogRealRandom: true},
-		{Image: img, PRNGSeed: 1, RandomReplay: []byte{1, 2, 3}},
-		{Image: img, PRNGSeed: 1, LogicalEpoch: 1},
-		{Image: img, PRNGSeed: 1, Deadline: 5},
-		{Image: img, PRNGSeed: 1, Profile: machine.PortabilityBroadwell()},
-		{Image: img, PRNGSeed: 1, Downloads: map[string]core.Download{"u": {Data: []byte("x"), SHA256: "aa"}}},
-	}
-	seen := map[uint64]int{h0: -1}
-	for i, v := range behaviourVariants {
 		h := core.ConfigHash(v)
-		if prev, dup := seen[h]; dup {
-			t.Errorf("behaviour variant %d collides with variant %d", i, prev)
+		if _, excluded := configHashExcluded[name]; excluded {
+			if h != h0 {
+				t.Errorf("excluded field %s moved the config hash — prepared state would thrash", name)
+			}
+			continue
 		}
-		seen[h] = i
+		if prev, dup := seen[h]; dup {
+			t.Errorf("field %s hashes like %s: hash it in ConfigHash, or exclude it with a reason", name, prev)
+		}
+		seen[h] = "field " + name
+	}
+	for name := range configHashExcluded {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("configHashExcluded names %s, which core.Config no longer has", name)
+		}
 	}
 
 	tp := core.NewTemplate(base)
 	if !tp.CompatibleWith(base) {
 		t.Errorf("template rejects its own config")
 	}
-	if tp.CompatibleWith(behaviourVariants[1]) {
+	if tp.CompatibleWith(core.Config{Image: img, PRNGSeed: 1, DisableSeccomp: true}) {
 		t.Errorf("template accepts an incompatible ablation config")
 	}
 	changed := baseimg.Minimal()

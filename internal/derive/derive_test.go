@@ -1,8 +1,10 @@
 package derive
 
 import (
+	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -182,58 +184,197 @@ func TestPlanRebuildCold(t *testing.T) {
 	}
 }
 
+// storeShapes are the configurations the one store implementation runs in:
+// the in-process default, the coordinator's sharded store, and a bounded
+// cache roomy enough that nothing below is evicted.
+func storeShapes() map[string]*MemStore {
+	return map[string]*MemStore{
+		"mem":     NewMemStore(),
+		"sharded": NewStore(3, 0, nil),
+		"bounded": NewStore(1, 64, nil),
+	}
+}
+
 func TestMemStoreLease(t *testing.T) {
-	m := NewMemStore()
-	k := KeyFor(1, 2)
-	if v, ok := m.GetOrLease(k); ok || v != nil {
-		t.Fatal("first requester must hold the lease")
-	}
-	var wg sync.WaitGroup
-	got := make([]any, 3)
-	for i := range got {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, ok := m.GetOrLease(k)
-			if !ok {
-				t.Error("waiter must observe the filled lease")
-			}
-			got[i] = v
-		}(i)
-	}
-	m.Put(k, "built")
-	wg.Wait()
-	for _, v := range got {
-		if v != "built" {
-			t.Fatalf("waiter got %v", v)
+	for shape, m := range storeShapes() {
+		k := KeyFor(1, 2)
+		if v, ok := m.GetOrLease(k); ok || v != nil {
+			t.Fatalf("%s: first requester must hold the lease", shape)
 		}
-	}
-	m.Put(k, "dup") // first value wins
-	if v, _ := m.GetOrLease(k); v != "built" {
-		t.Fatalf("redundant put must not overwrite, got %v", v)
+		var wg sync.WaitGroup
+		got := make([]any, 3)
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v, ok := m.GetOrLease(k)
+				if !ok {
+					t.Errorf("%s: waiter must observe the filled lease", shape)
+				}
+				got[i] = v
+			}(i)
+		}
+		m.Put(k, "built")
+		wg.Wait()
+		for _, v := range got {
+			if v != "built" {
+				t.Fatalf("%s: waiter got %v", shape, v)
+			}
+		}
+		m.Put(k, "dup") // first value wins
+		if v, _ := m.GetOrLease(k); v != "built" {
+			t.Fatalf("%s: redundant put must not overwrite, got %v", shape, v)
+		}
 	}
 }
 
 func TestMemStoreSeals(t *testing.T) {
-	m := NewMemStore()
-	st := KeyFor(3, 4)
-	if m.Latest(st, 7) != 0 {
-		t.Fatal("empty store must report ordinal 0")
+	for shape, m := range storeShapes() {
+		st := KeyFor(3, 4)
+		if m.Latest(st, 7) != 0 {
+			t.Fatalf("%s: empty store must report ordinal 0", shape)
+		}
+		m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 2}, "s2", 22)
+		m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 1}, "s1", 11)
+		if m.Latest(st, 7) != 2 {
+			t.Fatalf("%s: latest = %d, want 2", shape, m.Latest(st, 7))
+		}
+		v, d, ok := m.Seal(SealKey{State: st, Job: 7, Ordinal: 1})
+		if !ok || v != "s1" || d != 11 {
+			t.Fatalf("%s: seal 1 = %v %d %v", shape, v, d, ok)
+		}
+		m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 1}, "other", 99)
+		if v, d, _ := m.Seal(SealKey{State: st, Job: 7, Ordinal: 1}); v != "s1" || d != 11 {
+			t.Fatalf("%s: PutSeal must be idempotent, got %v %d", shape, v, d)
+		}
+		if m.Latest(st, 8) != 0 {
+			t.Fatalf("%s: latest must be per-job", shape)
+		}
 	}
-	m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 2}, "s2", 22)
-	m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 1}, "s1", 11)
-	if m.Latest(st, 7) != 2 {
-		t.Fatalf("latest = %d, want 2", m.Latest(st, 7))
+}
+
+// Exactly one of N concurrent requesters per key is told to build, and
+// everyone sees that builder's value.
+func TestStoreLeaseExactlyOnce(t *testing.T) {
+	const keys, requesters = 8, 16
+	for shape, m := range storeShapes() {
+		var built [keys]atomic.Int32
+		var wg sync.WaitGroup
+		for k := 0; k < keys; k++ {
+			for r := 0; r < requesters; r++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					v, _ := Prepared(m, KeyFor(uint64(k), 9), func() any {
+						built[k].Add(1)
+						return k * 100
+					})
+					if v != k*100 {
+						t.Errorf("%s: key %d: got %v", shape, k, v)
+					}
+				}(k)
+			}
+		}
+		wg.Wait()
+		for k := range built {
+			if n := built[k].Load(); n != 1 {
+				t.Errorf("%s: key %d built %d times, want exactly 1", shape, k, n)
+			}
+		}
 	}
-	v, d, ok := m.Seal(SealKey{State: st, Job: 7, Ordinal: 1})
-	if !ok || v != "s1" || d != 11 {
-		t.Fatalf("seal 1 = %v %d %v", v, d, ok)
+}
+
+// A cap-1 store keeps the pinned freshest seal of a live job and evicts its
+// older ordinals; Release makes the freshest evictable too.
+func TestStorePinnedSealSurvivesPressure(t *testing.T) {
+	evictions := 0
+	m := NewStore(1, 1, func() { evictions++ })
+	st := KeyFor(5, 6)
+	for ord := 1; ord <= 5; ord++ {
+		m.PutSeal(SealKey{State: st, Job: 1, Ordinal: ord}, ord, uint64(ord))
+		if _, _, ok := m.Seal(SealKey{State: st, Job: 1, Ordinal: ord}); !ok {
+			t.Fatalf("freshest seal %d evicted", ord)
+		}
+		if _, _, ok := m.Seal(SealKey{State: st, Job: 1, Ordinal: ord - 1}); ok {
+			t.Fatalf("older seal %d survived a one-slot store", ord-1)
+		}
 	}
-	m.PutSeal(SealKey{State: st, Job: 7, Ordinal: 1}, "other", 99)
-	if v, d, _ := m.Seal(SealKey{State: st, Job: 7, Ordinal: 1}); v != "s1" || d != 11 {
-		t.Fatalf("PutSeal must be idempotent, got %v %d", v, d)
+	if evictions != 4 {
+		t.Fatalf("evictions = %d, want 4", evictions)
 	}
-	if m.Latest(st, 8) != 0 {
-		t.Fatal("latest must be per-job")
+	// A second live job's freshest seal is pinned too: the shard grows past
+	// its cap rather than drop either.
+	m.PutSeal(SealKey{State: st, Job: 2, Ordinal: 1}, "b", 0)
+	if _, _, ok := m.Seal(SealKey{State: st, Job: 1, Ordinal: 5}); !ok {
+		t.Fatal("pressure from another job evicted a pinned seal")
+	}
+	m.Release(st, 1)
+	if m.Latest(st, 1) != 0 {
+		t.Fatal("a released job is no longer live")
+	}
+	m.PutSeal(SealKey{State: st, Job: 2, Ordinal: 2}, "b2", 0)
+	if _, _, ok := m.Seal(SealKey{State: st, Job: 1, Ordinal: 5}); ok {
+		t.Fatal("released seal survived pressure")
+	}
+	if _, _, ok := m.Seal(SealKey{State: st, Job: 2, Ordinal: 2}); !ok {
+		t.Fatal("live job's freshest seal evicted")
+	}
+}
+
+// An unfilled lease is never evicted: its eventual put must reach the
+// waiters, however many other keys pass through a one-slot store meanwhile.
+func TestStoreUnfilledLeaseSurvivesPressure(t *testing.T) {
+	m := NewStore(1, 1, nil)
+	slow := KeyFor(1, 0)
+	if _, ok := m.GetOrLease(slow); ok {
+		t.Fatal("first requester must hold the lease")
+	}
+	for i := uint64(2); i < 10; i++ {
+		Prepared(m, KeyFor(i, 0), func() any { return i })
+	}
+	got := make(chan any)
+	go func() {
+		v, ok := m.GetOrLease(slow)
+		if !ok {
+			t.Error("lease was evicted: a second requester was told to build")
+		}
+		got <- v
+	}()
+	m.Put(slow, "late")
+	if v := <-got; v != "late" {
+		t.Fatalf("waiter got %v", v)
+	}
+}
+
+// Shard count is invisible: a random single-threaded op trace observes the
+// same results on a 1-shard and an n-shard store.
+func TestStoreShardCountInvisible(t *testing.T) {
+	trace := func(m *MemStore) []any {
+		rng := rand.New(rand.NewSource(42))
+		var out []any
+		for i := 0; i < 4000; i++ {
+			k := KeyFor(uint64(rng.Intn(6)), uint64(rng.Intn(3)))
+			sk := SealKey{State: k, Job: uint64(rng.Intn(3)), Ordinal: 1 + rng.Intn(5)}
+			switch rng.Intn(6) {
+			case 0:
+				v, hit := Prepared(m, k, func() any { return i })
+				out = append(out, v, hit)
+			case 1:
+				m.Put(k, -i)
+			case 2:
+				m.PutSeal(sk, i, uint64(i))
+			case 3:
+				v, d, ok := m.Seal(sk)
+				out = append(out, v, d, ok)
+			case 4:
+				out = append(out, m.Latest(k, sk.Job))
+			case 5:
+				m.Release(k, sk.Job)
+			}
+		}
+		return out
+	}
+	if one, many := trace(NewStore(1, 0, nil)), trace(NewStore(5, 0, nil)); !reflect.DeepEqual(one, many) {
+		t.Fatal("a 5-shard store is observably different from a 1-shard store")
 	}
 }

@@ -2,8 +2,8 @@ package derive
 
 // Key is the content address of one piece of prepared state: the image
 // content hash and the behaviour-relevant config hash. It is THE cache-key
-// semantics of the whole system — the buildsim snapshot, template and
-// checkpoint LRUs, the farm shard store and the incremental-rebuild planner
+// semantics of the whole system — every instance of the derivation store
+// (buildsim's, the farm coordinator's) and the incremental-rebuild planner
 // all derive their keys through KeyFor, so no two cache layers can drift in
 // what "the same prepared state" means.
 //

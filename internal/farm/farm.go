@@ -115,8 +115,6 @@ type Config struct {
 	// duplication) plus the container-level crash plan injected into the
 	// doomed worker's build.
 	Plan reprotest.FaultPlan
-	// ShardCount sizes the content-addressed store (default 8).
-	ShardCount int
 	// RingEvents caps the coordinator's flight-recorder ring (default 256).
 	RingEvents int
 	// Transport overrides the in-process transport (used by the HTTP
@@ -252,9 +250,6 @@ func New(cfg Config, exec ExecFunc) *Cluster {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	if cfg.ShardCount < 1 {
-		cfg.ShardCount = 8
-	}
 	if cfg.RingEvents < 1 {
 		cfg.RingEvents = 256
 	}
@@ -285,7 +280,7 @@ func New(cfg Config, exec ExecFunc) *Cluster {
 	}
 	cl.tr = newFaultTransport(inner, cfg.Plan, cl.c.transportCounters)
 
-	cl.co = newCoordinator(cl, NewShards(cfg.ShardCount))
+	cl.co = newCoordinator(cl, NewShards(storeShards))
 	if mem != nil {
 		mem.attach(Coordinator, cl.co)
 	}

@@ -1,140 +1,19 @@
 package farm
 
-import (
-	"sync"
+import "repro/internal/derive"
 
-	"repro/internal/derive"
-)
+// Shards is the coordinator's derivation store: baseline kernel snapshots and
+// container templates keyed by derive.Key, checkpoint seals keyed by
+// derive.SealKey. It lives at the coordinator — the one node the fault plane
+// never kills — so a worker's death cannot take seals down with it, and any
+// surviving node can fork any prepared state by content address. The same
+// type serves buildsim's in-process caches, so reuse behaves identically
+// whether the source is this node or the coordinator.
+type Shards = derive.MemStore
 
-// Shards is the content-addressed, sharded store of prepared state: baseline
-// kernel snapshots and container templates keyed by derive.Key, checkpoint
-// seals keyed by derive.SealKey. It lives at the coordinator — the one node the
-// fault plane never kills — so a worker's death cannot take seals down with
-// it, and any surviving node can fork any prepared state by content address.
-//
-// Prepared-state population is exactly-once via leases: the first requester
-// of a missing key is told to build it (Status "lease" on the wire), and
-// concurrent requesters for the same key block until the leaseholder's put
-// lands. Builds of prepared state never crash (only container runs carry
-// fault plans), so a lease is always eventually filled.
-type Shards struct {
-	n      int
-	shards []shard
-}
+// storeShards sizes the coordinator's store: enough that a full complement of
+// worker slots rarely meets on one shard lock.
+const storeShards = 8
 
-// Shards is the cluster-scale derive.Store: the same lease/seal semantics
-// buildsim's in-process store serves locally, so incremental rebuilds reuse
-// seals identically whether the source is this node or the coordinator.
-var _ derive.Store = (*Shards)(nil)
-
-type shard struct {
-	mu     sync.Mutex
-	state  map[derive.Key]*stateEntry
-	seals  map[derive.SealKey]sealEntry
-	latest map[latestKey]int
-}
-
-type stateEntry struct {
-	ready chan struct{} // closed once val is set
-	val   any
-}
-
-type sealEntry struct {
-	val    any
-	digest uint64
-}
-
-// latestKey tracks the freshest seal ordinal per (state, job).
-type latestKey struct {
-	state derive.Key
-	job   uint64
-}
-
-// NewShards builds a store with n shards (minimum 1).
-func NewShards(n int) *Shards {
-	if n < 1 {
-		n = 1
-	}
-	s := &Shards{n: n, shards: make([]shard, n)}
-	for i := range s.shards {
-		s.shards[i] = shard{
-			state:  make(map[derive.Key]*stateEntry),
-			seals:  make(map[derive.SealKey]sealEntry),
-			latest: make(map[latestKey]int),
-		}
-	}
-	return s
-}
-
-func (s *Shards) shard(k derive.Key) *shard { return &s.shards[k.Shard(s.n)] }
-
-// GetOrLease returns the prepared state at k. The first caller for a missing
-// key gets (nil, false): it holds the lease and must call Put. Later callers
-// block until the lease is filled and return (val, true). A present key
-// returns immediately.
-func (s *Shards) GetOrLease(k derive.Key) (any, bool) {
-	sh := s.shard(k)
-	sh.mu.Lock()
-	e, ok := sh.state[k]
-	if !ok {
-		sh.state[k] = &stateEntry{ready: make(chan struct{})}
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.mu.Unlock()
-	<-e.ready
-	return e.val, true
-}
-
-// Put fills the lease at k with the built state and wakes all waiters.
-func (s *Shards) Put(k derive.Key, val any) {
-	sh := s.shard(k)
-	sh.mu.Lock()
-	e := sh.state[k]
-	if e == nil {
-		e = &stateEntry{ready: make(chan struct{})}
-		sh.state[k] = e
-	}
-	sh.mu.Unlock()
-	select {
-	case <-e.ready:
-		// Redundant put (duplicate delivery); first value wins.
-	default:
-		e.val = val
-		close(e.ready)
-	}
-}
-
-// PutSeal stores a checkpoint seal and advances the freshest-ordinal marker
-// for its (state, job). Re-putting the same key is idempotent (first wins),
-// which makes duplicate MsgSealPut deliveries harmless.
-func (s *Shards) PutSeal(k derive.SealKey, val any, digest uint64) {
-	sh := s.shard(k.State)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.seals[k]; !ok {
-		sh.seals[k] = sealEntry{val: val, digest: digest}
-	}
-	lk := latestKey{k.State, k.Job}
-	if k.Ordinal > sh.latest[lk] {
-		sh.latest[lk] = k.Ordinal
-	}
-}
-
-// Seal returns the seal stored at k, its digest, and whether it exists.
-func (s *Shards) Seal(k derive.SealKey) (any, uint64, bool) {
-	sh := s.shard(k.State)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.seals[k]
-	return e.val, e.digest, ok
-}
-
-// Latest returns the freshest seal ordinal recorded for (state, job), or 0
-// if the job sealed nothing.
-func (s *Shards) Latest(state derive.Key, job uint64) int {
-	sh := s.shard(state)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.latest[latestKey{state, job}]
-}
+// NewShards builds an unbounded store with n shards (minimum 1).
+func NewShards(n int) *Shards { return derive.NewStore(n, 0, nil) }

@@ -209,59 +209,86 @@ func (w *Worker) cosign(env *Envelope) *Envelope {
 	return resp
 }
 
-// The ExecCtx accessors below route a build's prepared-state and seal
-// traffic through the transport to the coordinator's store, so the executor
-// is oblivious to which node it runs on.
+// ctxStore is a worker's view of the coordinator's derivation store:
+// derive.Store spoken over the transport, so an executor is oblivious to
+// which node it runs on and drives the remote store exactly as it would an
+// in-process one. A transport that carries digests without bodies (the HTTP
+// binding) yields nil values; executors fall back to building locally.
+type ctxStore struct{ c *ExecCtx }
 
-func (c *ExecCtx) send(env *Envelope) *Envelope {
-	env.From = c.Node
+// Store returns the coordinator's derivation store as seen from this job's
+// node.
+func (c *ExecCtx) Store() derive.Store { return ctxStore{c} }
+
+func (s ctxStore) send(env *Envelope) *Envelope {
+	env.From = s.c.Node
 	env.To = Coordinator
-	resp, err := c.c.tr.Send(env)
+	resp, err := s.c.c.tr.Send(env)
 	if err != nil {
 		return &Envelope{Type: MsgErr, Status: err.Error()}
 	}
 	return resp
 }
 
-// Prepared returns the prepared state (kernel snapshot or container
-// template) at key, building it via build exactly once farm-wide: the first
-// requester holds the lease and builds; concurrent requesters block until
-// the put lands.
-func (c *ExecCtx) Prepared(key derive.Key, build func() any) any {
-	resp := c.send(&Envelope{Type: MsgStateGet, Image: key.Image, Config: key.Config})
-	if resp.Status == "lease" {
-		val := build()
-		c.send(&Envelope{Type: MsgStatePut, Image: key.Image, Config: key.Config, Val: val})
-		return val
+func (s ctxStore) GetOrLease(k derive.Key) (any, bool) {
+	resp := s.send(&Envelope{Type: MsgStateGet, Image: k.Image, Config: k.Config})
+	return resp.Val, resp.Status != "lease"
+}
+
+func (s ctxStore) Put(k derive.Key, val any) {
+	s.send(&Envelope{Type: MsgStatePut, Image: k.Image, Config: k.Config, Val: val})
+}
+
+func (s ctxStore) PutSeal(k derive.SealKey, val any, digest uint64) {
+	s.send(&Envelope{Type: MsgSealPut, Job: k.Job,
+		Image: k.State.Image, Config: k.State.Config,
+		Ordinal: int32(k.Ordinal), Digest: digest, Val: val})
+}
+
+func (s ctxStore) Seal(k derive.SealKey) (any, uint64, bool) {
+	resp := s.send(&Envelope{Type: MsgSealGet, Job: k.Job,
+		Image: k.State.Image, Config: k.State.Config, Ordinal: int32(k.Ordinal)})
+	if resp.Status == "miss" || resp.Type == MsgErr {
+		return nil, 0, false
 	}
-	return resp.Val
+	return resp.Val, resp.Digest, true
 }
 
-// PutSeal publishes a checkpoint seal for this job into the content-
-// addressed store.
-func (c *ExecCtx) PutSeal(key derive.Key, ordinal int, digest uint64, seal any) {
-	c.send(&Envelope{Type: MsgSealPut, Job: c.Job.ID,
-		Image: key.Image, Config: key.Config,
-		Ordinal: int32(ordinal), Digest: digest, Val: seal})
-}
-
-// LatestSeal returns the freshest seal ordinal published for this job (0 if
-// none).
-func (c *ExecCtx) LatestSeal(key derive.Key) int {
-	resp := c.send(&Envelope{Type: MsgSealGet, Job: c.Job.ID,
-		Image: key.Image, Config: key.Config})
+func (s ctxStore) Latest(state derive.Key, job uint64) int {
+	resp := s.send(&Envelope{Type: MsgSealGet, Job: job,
+		Image: state.Image, Config: state.Config})
 	if resp.Status == "miss" {
 		return 0
 	}
 	return int(resp.Ordinal)
 }
 
+// The accessors below are the per-job shorthand over Store: seals address
+// this job's own trail.
+
+// Prepared returns the prepared state (kernel snapshot or container
+// template) at key, building it via build exactly once farm-wide: the first
+// requester holds the lease and builds; concurrent requesters block until
+// the put lands.
+func (c *ExecCtx) Prepared(key derive.Key, build func() any) any {
+	val, _ := derive.Prepared(c.Store(), key, build)
+	return val
+}
+
+// PutSeal publishes a checkpoint seal for this job into the content-
+// addressed store.
+func (c *ExecCtx) PutSeal(key derive.Key, ordinal int, digest uint64, seal any) {
+	c.Store().PutSeal(derive.SealKey{State: key, Job: c.Job.ID, Ordinal: ordinal}, seal, digest)
+}
+
+// LatestSeal returns the freshest seal ordinal published for this job (0 if
+// none).
+func (c *ExecCtx) LatestSeal(key derive.Key) int {
+	return c.Store().Latest(key, c.Job.ID)
+}
+
 // Seal fetches the seal at the given ordinal for this job.
 func (c *ExecCtx) Seal(key derive.Key, ordinal int) (any, bool) {
-	resp := c.send(&Envelope{Type: MsgSealGet, Job: c.Job.ID,
-		Image: key.Image, Config: key.Config, Ordinal: int32(ordinal)})
-	if resp.Status == "miss" || resp.Type == MsgErr {
-		return nil, false
-	}
-	return resp.Val, true
+	val, _, ok := c.Store().Seal(derive.SealKey{State: key, Job: c.Job.ID, Ordinal: ordinal})
+	return val, ok
 }
