@@ -1,7 +1,9 @@
-// Machine-readable benchmark report (-json): a snapshot of the performance
-// headline numbers — syscall dispatch throughput with the in-tracee buffer on
-// and off, and the Fig. 5 aggregate slowdown under both configurations — for
-// CI artifact upload and regression tracking.
+// Machine-readable study report (-json): BENCH_<date>.json is the study
+// values themselves — each buildsim study carries its JSON key names as
+// struct tags — plus two sections only this command can fill: the syscall
+// microbenchmark's exact stop/buffer/flush counts and the mlsim thread sweep.
+// Everything in it is virtual time or a count, so two runs of one commit
+// agree key for key; host-clock figures live in bench/ (BENCHMARK.json).
 package main
 
 import (
@@ -17,229 +19,57 @@ import (
 	"repro/internal/mlsim"
 )
 
-// syscallBench is one wall-clock microbenchmark run: a single-process guest
-// looping on an intercepted time() call.
-type syscallBench struct {
-	Calls       int     `json:"calls"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	CallsPerSec float64 `json:"calls_per_sec"`
-	Stops       int64   `json:"ptrace_stops"`
-	Buffered    int64   `json:"buffered_calls"`
-	Flushes     int64   `json:"buffer_flushes"`
-}
-
-// templateBench is the container-template ablation section: total farm
-// setup cost with the COW template cache on and off, the reuse counters,
-// and the per-boot costs behind the amortization.
-type templateBench struct {
-	Packages       int     `json:"packages"`
-	RunsPerPackage int     `json:"runs_per_package"`
-	Identical      int     `json:"bitwise_identical"`
-	SetupOnNs      int64   `json:"farm_setup_ns_templates_on"`
-	SetupOffNs     int64   `json:"farm_setup_ns_templates_off"`
-	SetupReduction float64 `json:"setup_reduction"`
-	Hits           int64   `json:"template_hits"`
-	Misses         int64   `json:"template_misses"`
-	Evictions      int64   `json:"template_evictions"`
-	AvgForkNs      float64 `json:"avg_fork_ns"`
-	AvgColdSetupNs float64 `json:"avg_cold_setup_ns"`
-}
-
-// faultBench is the crash-recovery section (X15): every sampled package is
-// crashed mid-build with a deterministic fault and recovered from its last
-// checkpoint; MTTR is crash-to-completion virtual time, redone is the work
-// executed twice (the chunk-granularity number a cold replay pays in full).
-type faultBench struct {
-	Packages    int     `json:"packages"`
-	Crashed     int     `json:"crashed"`
-	Identical   int     `json:"recovered_identical"`
-	Restores    int64   `json:"checkpoint_restores"`
-	ColdReplays int64   `json:"cold_replays"`
-	AvgMTTRNs   float64 `json:"avg_mttr_ns"`
-	AvgReplayNs float64 `json:"avg_replay_ns"`
-	AvgRedoneNs float64 `json:"avg_redone_ns"`
-	MTTRSpeedup float64 `json:"mttr_speedup"`
-}
-
-// farmBench is the distributed-farm section (X16): the same package set
-// built across farm shapes — node counts x placement seeds x fault
-// schedules — with every cell compared bitwise against the local reference.
-// identical_cells must equal cells (the determinism oracle); the rest is
-// the cost story: shard-store amortization and node-kill recovery latency.
-type farmBench struct {
-	Packages       int     `json:"packages"`
-	Cells          int     `json:"cells"`
-	Identical      int     `json:"identical_cells"`
-	NodeCounts     []int   `json:"node_counts"`
-	NodeCrashes    int64   `json:"node_crashes"`
-	Steals         int64   `json:"steals"`
-	Recoveries     int64   `json:"recoveries"`
-	ColdRecoveries int64   `json:"cold_recoveries"`
-	SealPuts       int64   `json:"seal_puts"`
-	StatePrepares  int64   `json:"state_prepares"`
-	StateFetches   int64   `json:"state_fetches"`
-	MsgsLost       int64   `json:"msgs_lost"`
-	MsgsDuplicated int64   `json:"msgs_duplicated"`
-	MsgsDeduped    int64   `json:"msgs_deduped"`
-	AvgMTTRNs      float64 `json:"avg_mttr_ns"`
-	AvgRedoneNs    float64 `json:"avg_redone_ns"`
-}
-
-// wsThreadBench is one thread point of the workspace sweep (X17): the
-// intra-op pool under DetTrace with workspaces on vs the serialized-thread
-// ablation, plus the merge accounting of the ws-on run.
-type wsThreadBench struct {
-	Workload  string  `json:"workload"`
-	Threads   int     `json:"threads"`
-	WsOnNs    int64   `json:"ws_on_ns"`
-	WsOffNs   int64   `json:"ws_off_ns"`
-	Speedup   float64 `json:"speedup_vs_serialized"`
-	Merges    int64   `json:"merges"`
-	Conflicts int64   `json:"conflicts"`
-}
-
-// workspaceBench is the thread-workspace section (X17): per-thread-count
-// speedups over the serialized ablation, the farm-level aggregate over the
-// threaded (javac) packages, and the cost-model constants behind the fork
-// and merge charges. farm_identical must equal farm_packages — workspaces
-// relax only the physical clock, never an output byte.
-type workspaceBench struct {
-	ThreadPoints []wsThreadBench `json:"thread_points"`
-
-	FarmPackages        int     `json:"farm_packages"`
-	FarmThreaded        int     `json:"farm_threaded"`
-	FarmIdentical       int     `json:"farm_identical"`
-	FarmThreadedSpeedup float64 `json:"farm_threaded_speedup"`
-	FarmAvgForks        float64 `json:"farm_avg_forks"`
-	FarmAvgMerges       float64 `json:"farm_avg_merges"`
-	FarmConflicts       int64   `json:"farm_conflicts"`
-
-	ForkNs  int64 `json:"avg_fork_ns"`
-	MergeNs int64 `json:"avg_merge_ns"`
-}
-
-// incrementalBench is the incremental-rebuild section (X18): one-file
-// patches rebuilt by forking derivation-store seals versus cold rebuilds of
-// the same patched trees. identical_rounds must equal rounds (reuse may move
-// time, never a byte); the headline is rebuild_speedup — the geometric-mean
-// cold/rebuild time ratio over seal-forking rounds, alongside the raw
-// average rebuild and cold times.
-type incrementalBench struct {
-	Packages    int     `json:"packages"`
-	Rounds      int     `json:"rounds"`
-	Identical   int     `json:"identical_rounds"`
-	Forked      int     `json:"seal_forks"`
-	ColdFalls   int     `json:"cold_falls"`
-	UnitsTotal  int64   `json:"units_total"`
-	UnitsReused int64   `json:"units_reused"`
-	UnitsRedone int64   `json:"units_redone"`
-	AvgRebuild  float64 `json:"avg_rebuild_ns"`
-	AvgCold     float64 `json:"avg_cold_ns"`
-	Speedup     float64 `json:"rebuild_speedup"`
-}
-
-// ttdBench is the time-travel debug section (X19): what dense delta
-// checkpointing stores versus standalone full seals, what a logical-time
-// seek costs against a cold replay to the same instant, and the auto-bisect
-// probe/replay counts with agreement against the linear diagnoser.
-// delta_full_equivalent must equal packages — the DisableDeltaSeals ablation
-// may change seal representation, never an output byte.
-type ttdBench struct {
-	Packages   int `json:"packages"`
-	Seals      int `json:"seals"`
-	Equivalent int `json:"delta_full_equivalent"`
-
-	DeltaBytes int64   `json:"seal_delta_bytes"`
-	FullBytes  int64   `json:"seal_full_bytes"`
-	DeltaRatio float64 `json:"seal_delta_ratio"`
-
-	// seek_speedup is the deterministic action-count ratio (cold replay
-	// actions / chain-seek actions); the *_ns wall times are informational.
-	ReplayedActions int64   `json:"seek_replayed_actions"`
-	ColdActions     int64   `json:"cold_replayed_actions"`
-	SeekSpeedup     float64 `json:"seek_speedup"`
-	SeekNs          int64   `json:"seek_ns"`
-	ColdReplayNs    int64   `json:"cold_replay_ns"`
-
-	BisectProbes  int `json:"bisect_probes"`
-	BisectReplays int `json:"bisect_window_replays"`
-	BisectAgree   int `json:"bisect_agree_linear"`
-}
-
-// attestBench is the Byzantine-robustness section (X20): attested farms
-// under adversarial schedules x node counts x slot counts. admitted_identical
-// and outs_identical must equal cells and lies_admitted/false_verified must
-// be zero — a Byzantine participant can be detected, named and quarantined
-// but never move an admitted bit. verify_cost_pct is the rebuild-free claim:
-// log-only verification as a percentage of build cost.
-type attestBench struct {
-	Packages int `json:"packages"`
-	Cells    int `json:"cells"`
-
-	AdmittedIdentical int `json:"admitted_identical"`
-	OutsIdentical     int `json:"outs_identical"`
-	LiesAdmitted      int `json:"lies_admitted"`
-
-	ByzantineCells int `json:"byzantine_cells"`
-	Caught         int `json:"byzantine_caught"`
-
-	Attestations int64 `json:"attestations"`
-	Rebuilds     int64 `json:"rebuilds"`
-	Lies         int64 `json:"lies_detected"`
-	Corrupt      int64 `json:"corrupt_attestations"`
-	Withheld     int64 `json:"cosigns_withheld"`
-	Quarantines  int64 `json:"quarantines"`
-	Epochs       int64 `json:"epochs_sealed"`
-
-	Verified      int     `json:"verified"`
-	Refuted       int     `json:"refuted"`
-	FalseVerified int     `json:"false_verified"`
-	ForgedBlocks  int     `json:"forged_blocks_rejected"`
-	VerifyCostPct float64 `json:"verify_cost_pct"`
-}
-
-// obsBench is the observability section: the modeled Fig. 5 slowdown with
-// the flight recorder on and off (the recorder charges no virtual time, so
-// the regression must stay under the 2% acceptance bound), the recorder
-// event volume per setup path, and the microbenchmark container's ring size.
-type obsBench struct {
-	SlowdownObsOn    float64 `json:"aggregate_slowdown_obs_on"`
-	SlowdownObsOff   float64 `json:"aggregate_slowdown_obs_off"`
-	RegressionPct    float64 `json:"fig5_regression_pct"`
-	AvgRecEventsFork float64 `json:"avg_rec_events_fork"`
-	AvgRecEventsCold float64 `json:"avg_rec_events_cold"`
-	MicrobenchEvents int64   `json:"recorder_events_microbench"`
-	MicrobenchDrops  int64   `json:"recorder_dropped_microbench"`
-}
-
-// benchReport is the BENCH_<date>.json schema. Additions ride in new keys
-// (the `obs` and `faults` sections); existing keys never rename, so
-// downstream regression tracking keeps parsing old and new files alike.
+// benchReport is the BENCH_<date>.json schema. Additions ride in new keys;
+// existing keys never rename, so downstream regression tracking keeps parsing
+// old and new files alike (TestReportSchema pins the key set). The buffering
+// study is embedded: its packages / aggregate_slowdown / bitwise_identical
+// are the report's top-level headline.
 type benchReport struct {
-	Date     string `json:"date"`
-	Seed     uint64 `json:"seed"`
-	Packages int    `json:"packages"`
+	Date string `json:"date"`
+	Seed uint64 `json:"seed"`
 
 	Buffered   syscallBench `json:"syscall_buffered"`
 	Unbuffered syscallBench `json:"syscall_unbuffered"`
+	*buildsim.BufferStudy
 
-	AggregateSlowdown           float64 `json:"aggregate_slowdown"`
-	AggregateSlowdownUnbuffered float64 `json:"aggregate_slowdown_unbuffered"`
-	BitwiseIdentical            int     `json:"bitwise_identical"`
-
-	Templates   templateBench    `json:"templates"`
-	Obs         obsBench         `json:"obs"`
-	Faults      faultBench       `json:"faults"`
-	Farm        farmBench        `json:"farm"`
-	Workspaces  workspaceBench   `json:"workspaces"`
-	Incremental incrementalBench `json:"incremental"`
-	TTD         ttdBench         `json:"ttd"`
-	Attest      attestBench      `json:"attest"`
+	Templates   *buildsim.TemplateStudy    `json:"templates"`
+	Obs         obsSection                 `json:"obs"`
+	Faults      *buildsim.FaultStudy       `json:"faults"`
+	Farm        *buildsim.FarmStudy        `json:"farm"`
+	Workspaces  workspaceSection           `json:"workspaces"`
+	Incremental *buildsim.IncrementalStudy `json:"incremental"`
+	TTD         *buildsim.TTDStudy         `json:"ttd"`
+	Attest      *buildsim.AttestStudy      `json:"attest"`
 }
 
-// runSyscallBench times `calls` intercepted time() calls end to end inside a
-// fresh container and reads the tracer counters back out.
-func runSyscallBench(calls int, disableBuf bool) (syscallBench, error) {
+// syscallCalls is the microbenchmark's loop length.
+const syscallCalls = 200_000
+
+// syscallBench is one microbenchmark run: a single-process guest looping on
+// an intercepted time() call, and what the tracer paid for it. What a call
+// costs on the host clock is bench/'s syscall-mix row
+// core.buffered_ns_per_call.
+type syscallBench struct {
+	Calls    int   `json:"calls"`
+	Stops    int64 `json:"ptrace_stops"`
+	Buffered int64 `json:"buffered_calls"`
+	Flushes  int64 `json:"buffer_flushes"`
+	err      error
+}
+
+func (b syscallBench) String() string {
+	if b.err != nil {
+		return "run failed: " + b.err.Error()
+	}
+	return fmt.Sprintf("%d calls: %d ptrace stops, %d buffered in %d flushes", b.Calls, b.Stops, b.Buffered, b.Flushes)
+}
+
+// OK reports whether the guest ran to completion.
+func (b syscallBench) OK() bool { return b.err == nil }
+
+// timeLoop runs a guest that issues `calls` intercepted time() calls in a
+// fresh container.
+func timeLoop(calls int, disableBuf bool) *repro.Result {
 	reg := repro.NewRegistry()
 	reg.Register("loop", func(p *repro.GuestProc) int {
 		for i := 0; i < calls; i++ {
@@ -250,194 +80,80 @@ func runSyscallBench(calls int, disableBuf bool) (syscallBench, error) {
 	img := repro.MinimalImage()
 	img.AddFile("/bin/loop", 0o755, repro.MakeExe("loop", nil))
 	c := repro.New(repro.Config{Image: img, HostSeed: 1, DisableSyscallBuf: disableBuf})
-	start := time.Now()
-	res := c.Run(reg, "/bin/loop", []string{"loop"}, nil)
-	elapsed := float64(time.Since(start).Nanoseconds())
-	if res.Err != nil {
-		return syscallBench{}, res.Err
-	}
-	ns := elapsed / float64(calls)
-	return syscallBench{
-		Calls:       calls,
-		NsPerOp:     ns,
-		CallsPerSec: 1e9 / ns,
-		Stops:       res.Tracer.Stops,
-		Buffered:    res.Tracer.BufferedCalls,
-		Flushes:     res.Tracer.Flushes,
-	}, nil
+	return c.Run(reg, "/bin/loop", []string{"loop"}, nil)
 }
 
-// runObsBench fills the obs section: the same small farm aggregated with the
-// flight recorder on and off (modeled times are virtual, so any regression
-// is an observer-effect bug), plus the microbenchmark ring volume.
-func runObsBench(o *buildsim.Options, seed uint64, n int, ts *buildsim.TemplateStudy) obsBench {
-	if n <= 0 || n > 24 {
-		n = 24
-	}
-	specs := debpkg.Universe(seed, n)
-	on := (&buildsim.Options{Seed: seed, Jobs: o.Jobs}).BuildAll(specs, nil)
-	off := (&buildsim.Options{Seed: seed, Jobs: o.Jobs, NoObservability: true}).BuildAll(specs, nil)
-	b := obsBench{
-		SlowdownObsOn:    buildsim.Aggregate(on).AggregateSlowdown,
-		SlowdownObsOff:   buildsim.Aggregate(off).AggregateSlowdown,
-		AvgRecEventsFork: ts.AvgRecEventsFork,
-		AvgRecEventsCold: ts.AvgRecEventsCold,
-	}
-	if b.SlowdownObsOff > 0 {
-		b.RegressionPct = (b.SlowdownObsOn - b.SlowdownObsOff) / b.SlowdownObsOff * 100
-	}
-	reg := repro.NewRegistry()
-	reg.Register("loop", func(p *repro.GuestProc) int {
-		for i := 0; i < 1000; i++ {
-			p.Time()
-		}
-		return 0
-	})
-	img := repro.MinimalImage()
-	img.AddFile("/bin/loop", 0o755, repro.MakeExe("loop", nil))
-	res := repro.New(repro.Config{Image: img, HostSeed: 1}).Run(reg, "/bin/loop", []string{"loop"}, nil)
-	if res.Err == nil && res.Trace != nil {
+func runSyscallBench(disableBuf bool) syscallBench {
+	res := timeLoop(syscallCalls, disableBuf)
+	return syscallBench{Calls: syscallCalls, Stops: res.Tracer.Stops,
+		Buffered: res.Tracer.BufferedCalls, Flushes: res.Tracer.Flushes, err: res.Err}
+}
+
+// obsSection is the observability section: the recorder on/off ablation, the
+// recorder event volume per setup path (from the template study, which runs
+// first — it owns the forked-vs-cold farms), and a 1000-call microbenchmark
+// container's ring volume.
+type obsSection struct {
+	*buildsim.ObsStudy
+	AvgRecEventsFork float64 `json:"avg_rec_events_fork"`
+	AvgRecEventsCold float64 `json:"avg_rec_events_cold"`
+	MicrobenchEvents int64   `json:"recorder_events_microbench"`
+	MicrobenchDrops  int64   `json:"recorder_dropped_microbench"`
+}
+
+func runObsSection(e *env, specs []*debpkg.Spec) fmt.Stringer {
+	ts := e.results["templates"].(*buildsim.TemplateStudy)
+	b := obsSection{ObsStudy: e.o.RunObsStudy(specs),
+		AvgRecEventsFork: ts.AvgRecEventsFork, AvgRecEventsCold: ts.AvgRecEventsCold}
+	if res := timeLoop(1000, false); res.Err == nil && res.Trace != nil {
 		b.MicrobenchEvents = res.Trace.Total()
 		b.MicrobenchDrops = res.Trace.Dropped()
 	}
 	return b
 }
 
-// writeBenchJSON produces BENCH_<date>.json in the working directory. The
-// aggregate slowdowns come from the buffering ablation over an n-package
-// sample, so one file carries both the microbenchmark and the modeled
-// macro numbers.
-func writeBenchJSON(o *buildsim.Options, seed uint64, n int) error {
-	const calls = 200_000
-	rep := benchReport{Date: time.Now().Format("2006-01-02"), Seed: seed}
-	var err error
-	if rep.Buffered, err = runSyscallBench(calls, false); err != nil {
-		return err
-	}
-	if rep.Unbuffered, err = runSyscallBench(calls, true); err != nil {
-		return err
-	}
-	st := o.RunBufferStudy(debpkg.Universe(seed, n))
-	rep.Packages = st.Packages
-	rep.AggregateSlowdown = st.WithBuf
-	rep.AggregateSlowdownUnbuffered = st.WithoutBuf
-	rep.BitwiseIdentical = st.Identical
-	ts := o.RunTemplateStudy(debpkg.Universe(seed, n), 0)
-	rep.Obs = runObsBench(o, seed, n, ts)
-	rep.Templates = templateBench{
-		Packages:       ts.Packages,
-		RunsPerPackage: ts.Runs,
-		Identical:      ts.Identical,
-		SetupOnNs:      ts.SetupOnNs,
-		SetupOffNs:     ts.SetupOffNs,
-		SetupReduction: ts.SetupRatio,
-		Hits:           ts.Hits,
-		Misses:         ts.Misses,
-		Evictions:      ts.Evictions,
-		AvgForkNs:      ts.AvgForkNs,
-		AvgColdSetupNs: ts.AvgColdSetupNs,
-	}
-	fs := o.RunFaultStudy(debpkg.Universe(seed, sampleOr(n, 48)))
-	rep.Faults = faultBench{
-		Packages:    fs.Packages,
-		Crashed:     fs.Crashed,
-		Identical:   fs.Identical,
-		Restores:    fs.Restores,
-		ColdReplays: fs.ColdReplays,
-		AvgMTTRNs:   fs.AvgMTTRNs,
-		AvgReplayNs: fs.AvgReplayNs,
-		AvgRedoneNs: fs.AvgRedoneNs,
-		MTTRSpeedup: fs.Speedup,
-	}
-	fm := o.RunFarmStudy(debpkg.Universe(seed, sampleOr(n, 12)))
-	rep.Farm = farmBench{
-		Packages:       fm.Packages,
-		Cells:          fm.Cells,
-		Identical:      fm.Identical,
-		NodeCounts:     fm.Nodes,
-		NodeCrashes:    fm.Crashes,
-		Steals:         fm.Steals,
-		Recoveries:     fm.Recoveries,
-		ColdRecoveries: fm.ColdRecoveries,
-		SealPuts:       fm.SealPuts,
-		StatePrepares:  fm.StateMisses,
-		StateFetches:   fm.StateHits,
-		MsgsLost:       fm.MsgsLost,
-		MsgsDuplicated: fm.MsgsDuplicated,
-		MsgsDeduped:    fm.MsgsDeduped,
-		AvgMTTRNs:      fm.AvgMTTRNs,
-		AvgRedoneNs:    fm.AvgRedoneNs,
-	}
-	is := o.RunIncrementalStudy(debpkg.Universe(seed, sampleOr(n, 120)), 0)
-	rep.Incremental = incrementalBench{
-		Packages:    is.Packages,
-		Rounds:      is.Rounds,
-		Identical:   is.Identical,
-		Forked:      is.Forked,
-		ColdFalls:   is.ColdFalls,
-		UnitsTotal:  is.UnitsTotal,
-		UnitsReused: is.UnitsReused,
-		UnitsRedone: is.UnitsRedone,
-		AvgRebuild:  is.AvgRebuildNs,
-		AvgCold:     is.AvgColdNs,
-		Speedup:     is.Speedup,
-	}
-	td := o.RunTTDStudy(debpkg.Universe(seed, sampleOr(n, 24)))
-	rep.TTD = ttdBench{
-		Packages:        td.Packages,
-		Seals:           td.Seals,
-		Equivalent:      td.Equivalent,
-		DeltaBytes:      td.DeltaBytes,
-		FullBytes:       td.FullBytes,
-		DeltaRatio:      td.Ratio,
-		ReplayedActions: td.ReplayedActions,
-		ColdActions:     td.ColdActions,
-		SeekSpeedup:     td.Speedup,
-		SeekNs:          td.SeekNs,
-		ColdReplayNs:    td.ColdNs,
-		BisectProbes:    td.BisectProbes,
-		BisectReplays:   td.BisectReplays,
-		BisectAgree:     td.BisectAgree,
-	}
-	at := o.RunAttestStudy(debpkg.Universe(seed, sampleOr(n, 6)))
-	rep.Attest = attestBench{
-		Packages:          at.Packages,
-		Cells:             at.Cells,
-		AdmittedIdentical: at.IdenticalAdmitted,
-		OutsIdentical:     at.IdenticalOuts,
-		LiesAdmitted:      at.LiesAdmitted,
-		ByzantineCells:    at.ByzantineCells,
-		Caught:            at.Caught,
-		Attestations:      at.Attestations,
-		Rebuilds:          at.Rebuilds,
-		Lies:              at.LiesDetected,
-		Corrupt:           at.CorruptAttestations,
-		Withheld:          at.CosignsWithheld,
-		Quarantines:       at.Quarantines,
-		Epochs:            at.EpochsSealed,
-		Verified:          at.Verified,
-		Refuted:           at.Refuted,
-		FalseVerified:     at.FalsePos,
-		ForgedBlocks:      at.ForgedSeen,
-		VerifyCostPct:     at.VerifyCostPct(),
-	}
+// workspaceSection is the thread-workspace section (X17): per-thread-count
+// speedups over the serialized ablation, the farm-level study over the
+// threaded (javac) packages, and the cost-model constants behind the fork
+// and merge charges.
+type workspaceSection struct {
+	ThreadPoints []mlsim.WsRow `json:"thread_points"`
+	*buildsim.WorkspaceStudy
+	ForkNs  int64 `json:"avg_fork_ns"`
+	MergeNs int64 `json:"avg_merge_ns"`
+}
+
+func runWorkspaceSection(e *env, specs []*debpkg.Spec) fmt.Stringer {
 	cost := kernel.DefaultCostModel()
-	rep.Workspaces = workspaceBench{ForkNs: cost.WsForkCost, MergeNs: cost.WsMergeCost}
-	for _, r := range mlsim.RunWorkspaceSweep(seed) {
-		rep.Workspaces.ThreadPoints = append(rep.Workspaces.ThreadPoints, wsThreadBench{
-			Workload: string(r.Model), Threads: r.Threads,
-			WsOnNs: r.WsOn, WsOffNs: r.WsOff, Speedup: r.Speedup,
-			Merges: r.Merges, Conflicts: r.Conflicts,
-		})
+	return workspaceSection{ThreadPoints: mlsim.RunWorkspaceSweep(e.o.Seed),
+		WorkspaceStudy: e.o.RunWorkspaceStudy(specs),
+		ForkNs:         cost.WsForkCost, MergeNs: cost.WsMergeCost}
+}
+
+// benchReport assembles the schema from the keyed sections' results; every
+// keyed section must have run.
+func (e *env) benchReport() *benchReport {
+	r := e.results
+	return &benchReport{
+		Date: time.Now().Format("2006-01-02"), Seed: e.o.Seed,
+		Buffered:    r["syscall_buffered"].(syscallBench),
+		Unbuffered:  r["syscall_unbuffered"].(syscallBench),
+		BufferStudy: r["aggregate_slowdown"].(*buildsim.BufferStudy),
+		Templates:   r["templates"].(*buildsim.TemplateStudy),
+		Obs:         r["obs"].(obsSection),
+		Faults:      r["faults"].(*buildsim.FaultStudy),
+		Farm:        r["farm"].(*buildsim.FarmStudy),
+		Workspaces:  r["workspaces"].(workspaceSection),
+		Incremental: r["incremental"].(*buildsim.IncrementalStudy),
+		TTD:         r["ttd"].(*buildsim.TTDStudy),
+		Attest:      r["attest"].(*buildsim.AttestStudy),
 	}
-	ws := o.RunWorkspaceStudy(debpkg.Universe(seed, sampleOr(n, 48)))
-	rep.Workspaces.FarmPackages = ws.Packages
-	rep.Workspaces.FarmThreaded = ws.Threaded
-	rep.Workspaces.FarmIdentical = ws.Identical
-	rep.Workspaces.FarmThreadedSpeedup = ws.ThreadedSpeedup
-	rep.Workspaces.FarmAvgForks = ws.AvgForks
-	rep.Workspaces.FarmAvgMerges = ws.AvgMerges
-	rep.Workspaces.FarmConflicts = ws.Conflicts
+}
+
+// writeBenchJSON writes the report to BENCH_<date>.json in the working
+// directory.
+func writeBenchJSON(e *env) error {
+	rep := e.benchReport()
 	name := fmt.Sprintf("BENCH_%s.json", rep.Date)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -446,11 +162,6 @@ func writeBenchJSON(o *buildsim.Options, seed uint64, n int) error {
 	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%.0f ns/op buffered, %.0f ns/op unbuffered; slowdown %.2fx vs %.2fx; template setup %.1fx less; crash MTTR %.1fx less than replay; farm %d/%d cells identical; threaded ws speedup %.2fx; incremental rebuild %.1fx geomean speedup, %d/%d rounds identical; attest %d/%d cells admitted-identical, %d lies admitted, verify %.2f%% of build cost)\n",
-		name, rep.Buffered.NsPerOp, rep.Unbuffered.NsPerOp,
-		rep.AggregateSlowdown, rep.AggregateSlowdownUnbuffered, rep.Templates.SetupReduction,
-		rep.Faults.MTTRSpeedup, rep.Farm.Identical, rep.Farm.Cells, rep.Workspaces.FarmThreadedSpeedup,
-		rep.Incremental.Speedup, rep.Incremental.Identical, rep.Incremental.Rounds,
-		rep.Attest.AdmittedIdentical, rep.Attest.Cells, rep.Attest.LiesAdmitted, rep.Attest.VerifyCostPct)
+	fmt.Printf("wrote %s\n", name)
 	return nil
 }

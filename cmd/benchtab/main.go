@@ -1,29 +1,14 @@
 // Command benchtab regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index):
+// evaluation, and the extension studies (see DESIGN.md's experiment index).
+// Each is one row of the sections table below; `benchtab -h` lists them.
 //
-//	benchtab -table1            Table 1 (build-status transitions)
-//	benchtab -table2            Table 2 (per-package tracer events)
-//	benchtab -fig5              Figure 5 CSV (slowdown vs syscall rate)
-//	benchtab -fig6              Figure 6 (bioinformatics speedups)
-//	benchtab -tensorflow        §7.6 TensorFlow slowdowns
-//	benchtab -rr                §7.1.3 Mozilla rr comparison
-//	benchtab -portability       §7.3 cross-machine study (plus ablation)
-//	benchtab -llvm              §7.2 LLVM self-host correctness
-//	benchtab -baseline          §6.1 stock-Wheezy numbers
-//	benchtab -unsupported       §7.1.1 unsupported breakdown
-//	benchtab -biorepro          §6.1 bio/ML reproducibility verdicts
-//	benchtab -rescue            §5.9/§5.4 ablation: experimental sockets+signals
-//	benchtab -buffering         syscall-buffer ablation (Fig. 5 with/without)
-//	benchtab -templates         container-template ablation (setup cost with/without COW forks)
-//	benchtab -faults            X15 crash-recovery study (checkpoint restore vs cold replay)
-//	benchtab -farm              X16 distributed-farm study (scaling, placement, node-kill recovery)
-//	benchtab -workspaces        X17 thread-workspace ablation (farm speedup + output equivalence)
-//	benchtab -incremental       X18 incremental-rebuild study (derivation-store seal reuse vs cold)
-//	benchtab -ttd               X19 time-travel debug study (delta seals, seek latency, bisect cost)
-//	benchtab -attest            X20 Byzantine-robustness study (attested farms under adversarial schedules)
+//	benchtab -table1 -fig5      the named sections
+//	benchtab -all               every section that has a flag
 //	benchtab -json              machine-readable BENCH_<date>.json report
 //	benchtab -trace <dir>       flight-recorder Chrome traces + Prometheus metrics dump
-//	benchtab -all               everything (except -json and -trace, which write files)
+//
+// Every reported time is virtual. benchtab exits 1 when a study it ran fails
+// its own oracle (a mechanism moved an output bit, a lie was admitted, …).
 //
 // The package universe defaults to a deterministic 1,200-package sample
 // (proportions preserved); -n 0 runs all 17,145 packages like the paper.
@@ -32,6 +17,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
+	"strings"
 	"time"
 
 	"repro/internal/bio"
@@ -41,184 +29,216 @@ import (
 	"repro/internal/stats"
 )
 
+// env is what a section runs against: the farm, the sampling flags, the
+// results of the keyed sections so far (by JSON key), and the lazily built
+// universe report the paper's tables share.
+type env struct {
+	out      io.Writer
+	o        *buildsim.Options // o.Seed also seeds the universe
+	n, nport int
+	results  map[string]fmt.Stringer
+	universe *buildsim.Report
+}
+
+// section is one table, figure or study: the one place its flag, heading,
+// JSON key and default sample are declared.
+type section struct {
+	flag   string // command-line flag ("" = part of the -json report only)
+	title  string // text heading, and the flag's usage line
+	key    string // key its result fills in BENCH_<date>.json ("" = text only)
+	sample int    // default package sample, capped by -n (0 = takes no sample)
+	// run produces the section; a result with an OK() bool method is a study
+	// carrying its own oracle.
+	run func(e *env, specs []*debpkg.Spec) fmt.Stringer
+}
+
+// text is a pre-rendered section.
+type text string
+
+func (t text) String() string { return string(t) }
+
+func heading(title string) string { return fmt.Sprintf("==== %s ====", title) }
+
+// report builds the -n universe once, for the four sections that are views
+// of the same BuildAll.
+func (e *env) report() *buildsim.Report {
+	if e.universe == nil {
+		specs := debpkg.Universe(e.o.Seed, e.n)
+		fmt.Fprintf(e.out, "== building %d packages (4 builds each) ==\n", len(specs))
+		start := time.Now()
+		outs := e.o.BuildAll(specs, e.progress)
+		fmt.Fprintf(e.out, "   done in %s\n\n", time.Since(start).Round(time.Second))
+		e.universe = buildsim.Aggregate(outs)
+	}
+	return e.universe
+}
+
+var sections = []section{
+	{"table1", "Table 1: build status transitions, baseline <-> DetTrace", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			return text(e.report().Table1Top() + "\n" + e.report().Table1Bottom())
+		}},
+	{"unsupported", "§7.1.1: why packages are unsupported", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer { return text(e.report().UnsupportedBreakdown()) }},
+	{"table2", "Table 2: per-package average tracer events", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer { return text(e.report().Table2String()) }},
+	{"fig5", "Figure 5: DetTrace slowdown vs system call rate (CSV)", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer { return text(e.report().Fig5Summary()) }},
+	{"baseline", "§6.1: stock Wheezy baseline (no DetTrace)", "", 400,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer {
+			st := e.o.RunStock(specs)
+			s := st.String()
+			for _, d := range st.SampleDiffs {
+				s += "\n  example difference: " + d
+			}
+			return text(s)
+		}},
+	{"fig6", "Figure 6: bioinformatics speedups (1/4/16 processes)", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			return text(bio.FormatFig6(bio.RunFig6(e.o.Seed)) + "\n" +
+				heading("X17: pthreads builds — workspaces vs serialized threads") + "\n" +
+				bio.FormatThreadStudy(bio.RunThreadStudy(e.o.Seed)))
+		}},
+	{"biorepro", "§6.1: bio output reproducibility (hashdeep)", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			t := stats.NewTable("workflow", "native identical", "dettrace identical")
+			for _, r := range bio.VerifyRepro(e.o.Seed) {
+				t.Row(string(r.Tool), r.NativeIdentical, r.DetTraceIdentical)
+			}
+			return t
+		}},
+	{"tensorflow", "§7.6: TensorFlow (alexnet/cifar10) slowdowns", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			t := stats.NewTable("model", "DT vs 16-thread native", "DT vs serialized native")
+			for _, r := range mlsim.RunStudy(e.o.Seed) {
+				t.Row(string(r.Model), fmt.Sprintf("%.2fx", r.VsParallel), fmt.Sprintf("%.2fx", r.VsSerial))
+			}
+			wt := stats.NewTable("model", "threads", "ws on", "ws off", "speedup", "merges", "conflicts")
+			for _, r := range mlsim.RunWorkspaceSweep(e.o.Seed) {
+				wt.Row(string(r.Model), fmt.Sprint(r.Threads),
+					fmt.Sprintf("%.1fs", float64(r.WsOn)/1e9),
+					fmt.Sprintf("%.1fs", float64(r.WsOff)/1e9),
+					fmt.Sprintf("%.2fx", r.Speedup),
+					fmt.Sprint(r.Merges), fmt.Sprint(r.Conflicts))
+			}
+			return text(t.String() + "\n" +
+				heading("X17: intra-op thread pool — workspaces vs serialized threads") + "\n" + wt.String())
+		}},
+	{"rr", "§7.1.3: comparison with Mozilla rr", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer { return e.o.RunRRStudy() }},
+	{"portability", "§7.3: portability across Skylake/4.15 and Broadwell/4.18", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			return text(fmt.Sprintf("%s\nablation (directory-size virtualization disabled):\n%s",
+				e.o.RunPortability(e.nport, false), e.o.RunPortability(e.nport, true)))
+		}},
+	{"rescue", "extension ablation: experimental sockets+signals vs the unsupported set", "", 2400,
+		func(e *env, universe []*debpkg.Spec) fmt.Stringer {
+			var specs []*debpkg.Spec
+			for _, s := range universe {
+				if s.Unsup == debpkg.UnsupSocket || s.Unsup == debpkg.UnsupSignal {
+					specs = append(specs, s)
+				}
+				if len(specs) >= 40 {
+					break
+				}
+			}
+			exp := &buildsim.Options{Seed: e.o.Seed, Jobs: e.o.Jobs, Experimental: true}
+			rescued := 0
+			for _, out := range exp.BuildAll(specs, nil) {
+				if out.DT == buildsim.Reproducible {
+					rescued++
+				}
+			}
+			return text(fmt.Sprintf("socket/signal-class packages sampled: %d; reproducible with experimental modes: %d",
+				len(specs), rescued))
+		}},
+	{"", "syscall microbenchmark: 200k intercepted time() calls, buffer on", "syscall_buffered", 0,
+		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(false) }},
+	{"", "syscall microbenchmark: buffer off", "syscall_unbuffered", 0,
+		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(true) }},
+	{"buffering", "syscall-buffer ablation: Fig. 5 with and without the in-tracee buffer", "aggregate_slowdown", 120,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunBufferStudy(specs) }},
+	{"templates", "container-template ablation: setup cost with and without COW forks", "templates", 120,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunTemplateStudy(specs, 0) }},
+	{"", "observability ablation: Fig. 5 with and without the flight recorder", "obs", 24, runObsSection},
+	{"faults", "X15: crash recovery — checkpoint restore vs cold replay", "faults", 48,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunFaultStudy(specs) }},
+	{"farm", "X16: distributed farm — scaling, placement and crash recovery", "farm", 12,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunFarmStudy(specs) }},
+	{"workspaces", "X17: thread workspaces across the farm — ablation study", "workspaces", 48, runWorkspaceSection},
+	{"incremental", "X18: incremental rebuilds — derivation-store seal reuse vs cold", "incremental", 120,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunIncrementalStudy(specs, 0) }},
+	{"ttd", "X19: time-travel debugging — delta seals, logical-time seek, auto-bisect", "ttd", 24,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunTTDStudy(specs) }},
+	{"attest", "X20: Byzantine-robust attestation — adversarial schedules, quorum admission, rebuild-free verification", "attest", 6,
+		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunAttestStudy(specs) }},
+	{"llvm", "§7.2: LLVM self-host correctness", "", 0,
+		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			st := e.o.RunLLVM()
+			return text(fmt.Sprintf("native build:   %s\ndettrace build: %s\noutcomes match: %v; dettrace verdict: %s",
+				st.NativeSummary, st.DetTraceSummary, st.Match, st.DetTraceVerdict))
+		}},
+}
+
+// do runs the section over its sample, files a keyed result for the report,
+// and reports whether its oracle, if it carries one, holds.
+func (s section) do(e *env) (v fmt.Stringer, ok bool) {
+	var specs []*debpkg.Spec
+	if s.sample > 0 {
+		specs = debpkg.Universe(e.o.Seed, sampleOr(e.n, s.sample))
+	}
+	v = s.run(e, specs)
+	if s.key != "" {
+		e.results[s.key] = v
+	}
+	st, isStudy := v.(interface{ OK() bool })
+	return v, !isStudy || st.OK()
+}
+
+// runSections runs every section pick selects, in table order, printing each
+// under its heading, and returns the titles of the studies that failed their
+// oracle.
+func runSections(e *env, pick func(section) bool) (failed []string) {
+	for _, s := range sections {
+		if !pick(s) {
+			continue
+		}
+		v, ok := s.do(e)
+		fmt.Fprintf(e.out, "%s\n%s\n\n", heading(s.title), strings.TrimRight(v.String(), "\n"))
+		if !ok {
+			failed = append(failed, s.title)
+		}
+	}
+	return failed
+}
+
 func main() {
 	var (
 		seed     = flag.Uint64("seed", 1, "universe + environment seed")
 		n        = flag.Int("n", 1200, "package sample size (0 = full 17,145 universe)")
 		jobs     = flag.Int("jobs", 0, "parallel build workers (0 = GOMAXPROCS)")
 		nport    = flag.Int("nport", 100, "portability study size (paper: 1,000)")
-		table1   = flag.Bool("table1", false, "")
-		table2   = flag.Bool("table2", false, "")
-		fig5     = flag.Bool("fig5", false, "")
-		fig6     = flag.Bool("fig6", false, "")
-		tf       = flag.Bool("tensorflow", false, "")
-		rrFlag   = flag.Bool("rr", false, "")
-		port     = flag.Bool("portability", false, "")
-		llvm     = flag.Bool("llvm", false, "")
-		stock    = flag.Bool("baseline", false, "")
-		unsup    = flag.Bool("unsupported", false, "")
-		biorep   = flag.Bool("biorepro", false, "")
-		rescue   = flag.Bool("rescue", false, "")
-		bufStud  = flag.Bool("buffering", false, "syscall-buffer ablation: Fig. 5 slowdown with/without the in-tracee buffer")
-		tmplStd  = flag.Bool("templates", false, "container-template ablation: farm setup cost with/without COW template forks")
-		faults   = flag.Bool("faults", false, "X15 crash-recovery study: mid-build crashes recovered from checkpoints vs cold replay")
-		farmStd  = flag.Bool("farm", false, "X16 distributed-farm study: node counts x placement seeds x fault schedules vs the local reference")
-		wsStud   = flag.Bool("workspaces", false, "X17 thread-workspace ablation: threaded-build speedup vs serialized threads, with bitwise output equivalence")
-		incrStd  = flag.Bool("incremental", false, "X18 incremental-rebuild study: one-file patches rebuilt from derivation-store seals vs cold, compared bitwise")
-		ttdStd   = flag.Bool("ttd", false, "X19 time-travel debug study: delta-seal sizes, logical-time seek vs cold replay, bisect probe counts")
-		attStd   = flag.Bool("attest", false, "X20 Byzantine-robustness study: attested farms under adversarial schedules, quorum admission, rebuild-free verification")
-		jsonOut  = flag.Bool("json", false, "write BENCH_<date>.json with throughput, slowdown and stop counts")
+		jsonOut  = flag.Bool("json", false, "run every keyed study and write BENCH_<date>.json (virtual clock, counts)")
 		traceDir = flag.String("trace", "", "export flight-recorder Chrome traces and a Prometheus metrics dump to this directory")
-		all      = flag.Bool("all", false, "")
+		all      = flag.Bool("all", false, "every section (except -json and -trace, which write files)")
 	)
+	picked := map[string]*bool{}
+	for _, s := range sections {
+		if s.flag != "" {
+			picked[s.flag] = flag.Bool(s.flag, false, s.title)
+		}
+	}
 	flag.Parse()
-	o := &buildsim.Options{Seed: *seed, Jobs: *jobs}
+	e := &env{out: os.Stdout, o: &buildsim.Options{Seed: *seed, Jobs: *jobs}, n: *n, nport: *nport,
+		results: map[string]fmt.Stringer{}}
 
-	needUniverse := *all || *table1 || *table2 || *fig5 || *unsup
-	var report *buildsim.Report
-	if needUniverse {
-		specs := debpkg.Universe(*seed, *n)
-		fmt.Printf("== building %d packages (4 builds each) ==\n", len(specs))
-		start := time.Now()
-		outs := o.BuildAll(specs, progress)
-		fmt.Printf("   done in %s\n\n", time.Since(start).Round(time.Second))
-		report = buildsim.Aggregate(outs)
-	}
-
-	if *all || *table1 {
-		section("Table 1: build status transitions, baseline <-> DetTrace")
-		fmt.Println(report.Table1Top())
-		fmt.Println(report.Table1Bottom())
-	}
-	if *all || *unsup {
-		section("§7.1.1: why packages are unsupported")
-		fmt.Println(report.UnsupportedBreakdown())
-	}
-	if *all || *table2 {
-		section("Table 2: per-package average tracer events")
-		fmt.Println(report.Table2String())
-	}
-	if *all || *fig5 {
-		section("Figure 5: DetTrace slowdown vs system call rate (CSV)")
-		fmt.Println(report.Fig5Summary())
-	}
-	if *all || *stock {
-		section("§6.1: stock Wheezy baseline (no DetTrace)")
-		st := o.RunStock(debpkg.Universe(*seed, sampleOr(*n, 400)))
-		fmt.Println(st)
-		for _, d := range st.SampleDiffs {
-			fmt.Println("  example difference:", d)
-		}
-		fmt.Println()
-	}
-	if *all || *fig6 {
-		section("Figure 6: bioinformatics speedups (1/4/16 processes)")
-		fmt.Println(bio.FormatFig6(bio.RunFig6(*seed)))
-		section("X17: pthreads builds — workspaces vs serialized threads")
-		fmt.Println(bio.FormatThreadStudy(bio.RunThreadStudy(*seed)))
-	}
-	if *all || *biorep {
-		section("§6.1: bio output reproducibility (hashdeep)")
-		t := stats.NewTable("workflow", "native identical", "dettrace identical")
-		for _, r := range bio.VerifyRepro(*seed) {
-			t.Row(string(r.Tool), r.NativeIdentical, r.DetTraceIdentical)
-		}
-		fmt.Println(t.String())
-	}
-	if *all || *tf {
-		section("§7.6: TensorFlow (alexnet/cifar10) slowdowns")
-		t := stats.NewTable("model", "DT vs 16-thread native", "DT vs serialized native")
-		for _, r := range mlsim.RunStudy(*seed) {
-			t.Row(string(r.Model), fmt.Sprintf("%.2fx", r.VsParallel), fmt.Sprintf("%.2fx", r.VsSerial))
-		}
-		fmt.Println(t.String())
-		section("X17: intra-op thread pool — workspaces vs serialized threads")
-		wt := stats.NewTable("model", "threads", "ws on", "ws off", "speedup", "merges", "conflicts")
-		for _, r := range mlsim.RunWorkspaceSweep(*seed) {
-			wt.Row(string(r.Model), fmt.Sprint(r.Threads),
-				fmt.Sprintf("%.1fs", float64(r.WsOn)/1e9),
-				fmt.Sprintf("%.1fs", float64(r.WsOff)/1e9),
-				fmt.Sprintf("%.2fx", r.Speedup),
-				fmt.Sprint(r.Merges), fmt.Sprint(r.Conflicts))
-		}
-		fmt.Println(wt.String())
-	}
-	if *all || *rrFlag {
-		section("§7.1.3: comparison with Mozilla rr")
-		fmt.Println(o.RunRRStudy())
-		fmt.Println()
-	}
-	if *all || *port {
-		section("§7.3: portability across Skylake/4.15 and Broadwell/4.18")
-		fmt.Println(o.RunPortability(*nport, false))
-		fmt.Println("ablation (directory-size virtualization disabled):")
-		fmt.Println(o.RunPortability(*nport, true))
-		fmt.Println()
-	}
-	if *all || *rescue {
-		section("extension ablation: experimental sockets+signals vs the unsupported set")
-		var specs []*debpkg.Spec
-		for _, s := range debpkg.Universe(*seed, sampleOr(*n, 2400)) {
-			if s.Unsup == debpkg.UnsupSocket || s.Unsup == debpkg.UnsupSignal {
-				specs = append(specs, s)
-			}
-			if len(specs) >= 40 {
-				break
-			}
-		}
-		exp := &buildsim.Options{Seed: *seed, Jobs: *jobs, Experimental: true}
-		rescued := 0
-		for _, out := range exp.BuildAll(specs, nil) {
-			if out.DT == buildsim.Reproducible {
-				rescued++
-			}
-		}
-		fmt.Printf("socket/signal-class packages sampled: %d; reproducible with experimental modes: %d\n\n",
-			len(specs), rescued)
-	}
-	if *all || *bufStud {
-		section("syscall-buffer ablation: Fig. 5 with and without the in-tracee buffer")
-		fmt.Println(o.RunBufferStudy(debpkg.Universe(*seed, sampleOr(*n, 120))))
-		fmt.Println()
-	}
-	if *all || *tmplStd {
-		section("container-template ablation: setup cost with and without COW forks")
-		fmt.Println(o.RunTemplateStudy(debpkg.Universe(*seed, sampleOr(*n, 120)), 0))
-		fmt.Println()
-	}
-	if *all || *faults {
-		section("X15: crash recovery — checkpoint restore vs cold replay")
-		fmt.Println(o.RunFaultStudy(debpkg.Universe(*seed, sampleOr(*n, 48))))
-		fmt.Println()
-	}
-	if *all || *farmStd {
-		section("X16: distributed farm — scaling, placement and crash recovery")
-		fmt.Println(o.RunFarmStudy(debpkg.Universe(*seed, sampleOr(*n, 12))))
-		fmt.Println()
-	}
-	if *all || *wsStud {
-		section("X17: thread workspaces across the farm — ablation study")
-		fmt.Println(o.RunWorkspaceStudy(debpkg.Universe(*seed, sampleOr(*n, 120))))
-		fmt.Println()
-	}
-	if *all || *incrStd {
-		section("X18: incremental rebuilds — derivation-store seal reuse vs cold")
-		fmt.Println(o.RunIncrementalStudy(debpkg.Universe(*seed, sampleOr(*n, 120)), 0))
-		fmt.Println()
-	}
-	if *all || *ttdStd {
-		section("X19: time-travel debugging — delta seals, logical-time seek, auto-bisect")
-		fmt.Println(o.RunTTDStudy(debpkg.Universe(*seed, sampleOr(*n, 24))))
-		fmt.Println()
-	}
-	if *all || *attStd {
-		section("X20: Byzantine-robust attestation — adversarial schedules, quorum admission, rebuild-free verification")
-		fmt.Println(o.RunAttestStudy(debpkg.Universe(*seed, sampleOr(*n, 6))))
-		fmt.Println()
-	}
+	failed := runSections(e, func(s section) bool {
+		return s.flag != "" && (*all || *picked[s.flag]) || s.key != "" && *jsonOut
+	})
 	if *jsonOut {
-		if err := writeBenchJSON(o, *seed, sampleOr(*n, 120)); err != nil {
+		if err := writeBenchJSON(e); err != nil {
 			fmt.Println("benchmark report failed:", err)
+			os.Exit(1)
 		}
 	}
 	if *traceDir != "" {
@@ -226,28 +246,21 @@ func main() {
 			fmt.Println("trace export failed:", err)
 		}
 	}
-	if *all || *llvm {
-		section("§7.2: LLVM self-host correctness")
-		st := o.RunLLVM()
-		fmt.Printf("native build:   %s\n", st.NativeSummary)
-		fmt.Printf("dettrace build: %s\n", st.DetTraceSummary)
-		fmt.Printf("outcomes match: %v; dettrace verdict: %s\n\n", st.Match, st.DetTraceVerdict)
+	if len(failed) > 0 {
+		fmt.Println("studies that FAILED their oracle:\n  " + strings.Join(failed, "\n  "))
+		os.Exit(1)
 	}
-}
-
-func section(title string) {
-	fmt.Printf("==== %s ====\n", title)
 }
 
 // progress redraws an in-place counter every 100 packages and always leaves
 // a complete, newline-terminated line once the last package finishes, so the
 // next section never starts on a dangling \r line.
-func progress(done, total int) {
+func (e *env) progress(done, total int) {
 	if done%100 == 0 || done == total {
-		fmt.Printf("\r   %d/%d packages", done, total)
+		fmt.Fprintf(e.out, "\r   %d/%d packages", done, total)
 	}
 	if done == total {
-		fmt.Println()
+		fmt.Fprintln(e.out)
 	}
 }
 

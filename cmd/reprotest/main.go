@@ -76,31 +76,71 @@ import (
 	"repro/internal/debpkg"
 )
 
-func main() {
-	var (
-		seed      = flag.Uint64("seed", 1, "universe + environment seed")
-		pkgN      = flag.Int("pkg", 0, "universe package index")
-		llvm      = flag.Bool("llvm", false, "build the llvm package instead")
-		diagnose  = flag.Bool("diagnose", false, "double-build with identical inputs and report the first divergent flight-recorder event")
-		bisect    = flag.Bool("bisect", false, "localize the first divergent event by checkpoint bisection and verify it against the linear diagnoser")
-		inject    = flag.Int("inject-entropy", 0, "with -diagnose or -bisect: perturb the second run's N'th entropy draw")
-		crashAt   = flag.Int64("inject-crash", -1, "crash a checkpointed build at action N (0 = midpoint), recover it, and verify the bits")
-		nodes     = flag.Int("nodes", 0, "run the crash-recovery gate on a distributed farm with N worker nodes")
-		killNode  = flag.Int("kill-node", 0, "with -nodes: worker ordinal to kill mid-build (0 auto-picks the node the job lands on)")
-		attest    = flag.Bool("attest", false, "run the Byzantine-robustness gate: attested farm build under seated adversaries")
-		byzantine = flag.Int("byzantine", 2, "with -attest: number of simultaneous adversaries to seat (1-4)")
-		wsFlag    = flag.Bool("workspaces", true, "thread workspaces for multi-threaded builds (false = serialized-thread ablation; never changes an output byte)")
-		patch     = flag.String("patch", "", "incremental-rebuild gate: patch FILE (or PKG:FILE) in the source tree, rebuild from the derivation store, and verify the bits")
-	)
-	flag.Parse()
+var (
+	seed      = flag.Uint64("seed", 1, "universe + environment seed")
+	pkgN      = flag.Int("pkg", 0, "universe package index")
+	llvm      = flag.Bool("llvm", false, "build the llvm package instead")
+	diagnose  = flag.Bool("diagnose", false, "double-build with identical inputs and report the first divergent flight-recorder event")
+	bisect    = flag.Bool("bisect", false, "localize the first divergent event by checkpoint bisection and verify it against the linear diagnoser")
+	inject    = flag.Int("inject-entropy", 0, "with -diagnose or -bisect: perturb the second run's N'th entropy draw")
+	crashAt   = flag.Int64("inject-crash", -1, "crash a checkpointed build at action N (0 = midpoint), recover it, and verify the bits")
+	nodes     = flag.Int("nodes", 0, "run the crash-recovery gate on a distributed farm with N worker nodes")
+	killNode  = flag.Int("kill-node", 0, "with -nodes: worker ordinal to kill mid-build (0 auto-picks the node the job lands on)")
+	attest    = flag.Bool("attest", false, "run the Byzantine-robustness gate: attested farm build under seated adversaries")
+	byzantine = flag.Int("byzantine", 2, "with -attest: number of simultaneous adversaries to seat (1-4)")
+	wsFlag    = flag.Bool("workspaces", true, "thread workspaces for multi-threaded builds (false = serialized-thread ablation; never changes an output byte)")
+	patch     = flag.String("patch", "", "incremental-rebuild gate: patch FILE (or PKG:FILE) in the source tree, rebuild from the derivation store, and verify the bits")
+)
 
-	// -patch PKG:FILE selects the universe package inline.
+// parse reads the command line into the flags above; -patch PKG:FILE selects
+// the universe package inline.
+func parse(args []string) {
+	flag.CommandLine.Parse(args) // ExitOnError
 	if i := strings.IndexByte(*patch, ':'); i > 0 {
 		if n, err := strconv.Atoi((*patch)[:i]); err == nil {
-			*pkgN = n
-			*patch = (*patch)[i+1:]
+			*pkgN, *patch = n, (*patch)[i+1:]
 		}
 	}
+}
+
+// gate is one pass/fail mode of the tool: the flag that selects it, when, and
+// the buildsim gate behind it, which returns a human-readable report and the
+// machine verdict. The first selected row runs; reprotest exits 1 unless it
+// passes.
+type gate struct {
+	flag     string
+	selected func() bool
+	run      func(o *buildsim.Options, spec *debpkg.Spec) (report string, ok bool)
+}
+
+var gates = []gate{
+	{"patch", func() bool { return *patch != "" },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.PatchRebuild(spec, *patch) }},
+	{"attest", func() bool { return *attest },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.ByzantineGate(spec, *byzantine) }},
+	{"nodes", func() bool { return *nodes > 0 },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) {
+			return o.FarmCrashRecovery(spec, *nodes, *killNode)
+		}},
+	{"inject-crash", func() bool { return *crashAt >= 0 },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.CrashRecovery(spec, *crashAt) }},
+	{"bisect", func() bool { return *bisect },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.BisectDiagnose(spec, *inject) }},
+}
+
+// selectGate returns the gate the command line asks for, nil for the plain
+// build-twice protocol.
+func selectGate() *gate {
+	for i := range gates {
+		if gates[i].selected() {
+			return &gates[i]
+		}
+	}
+	return nil
+}
+
+func main() {
+	parse(os.Args[1:])
 
 	var spec *debpkg.Spec
 	if *llvm {
@@ -127,45 +167,9 @@ func main() {
 	}
 
 	o := &buildsim.Options{Seed: *seed, NoWorkspaces: !*wsFlag}
-	if *patch != "" {
+	if g := selectGate(); g != nil {
 		fmt.Println()
-		report, ok := o.PatchRebuild(spec, *patch)
-		fmt.Println(report)
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *attest {
-		fmt.Println()
-		report, ok := o.ByzantineGate(spec, *byzantine)
-		fmt.Println(report)
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *nodes > 0 {
-		fmt.Println()
-		report, ok := o.FarmCrashRecovery(spec, *nodes, *killNode)
-		fmt.Println(report)
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *crashAt >= 0 {
-		fmt.Println()
-		report, ok := o.CrashRecovery(spec, *crashAt)
-		fmt.Println(report)
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *bisect {
-		fmt.Println()
-		report, ok := o.BisectDiagnose(spec, *inject)
+		report, ok := g.run(o, spec)
 		fmt.Println(report)
 		if !ok {
 			os.Exit(1)

@@ -4,14 +4,14 @@
 // bit-identical statement for a job, a compromised builder's wrong claim is
 // always a nameable minority — the gates below pin that the admitted artifact
 // set never moves under any adversarial schedule, that every seated liar is
-// identified and quarantined, and that the rebuild-free verifier answers
-// from the transparency log at a vanishing fraction of rebuild cost.
+// identified and quarantined, and that the rebuild-free verifier confirms
+// every admitted artifact and refutes every false claim from the transparency
+// log alone.
 package buildsim
 
 import (
 	"fmt"
 	"reflect"
-	"time"
 
 	"repro/internal/attest"
 	"repro/internal/debpkg"
@@ -109,14 +109,13 @@ func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok boo
 		seat(&plan)
 	}
 	specs := []*debpkg.Spec{spec}
-	honest := &Options{Seed: o.Seed, Checkpoints: true, Distributed: true,
-		Nodes: nodes, PlacementSeed: o.PlacementSeed, Attest: true}
+	honest := o.derive(func(f *Options) {
+		f.Checkpoints, f.Distributed, f.Attest, f.Nodes = true, true, true, nodes
+	})
 	want := honest.BuildAll(specs, nil)
 	wantAdmitted := honest.AdmittedSet()
 
-	faulted := &Options{Seed: o.Seed, Checkpoints: true, Distributed: true,
-		Nodes: nodes, PlacementSeed: o.PlacementSeed, Attest: true,
-		FarmPlan: plan}
+	faulted := honest.derive(func(f *Options) { f.FarmPlan = plan })
 	got := faulted.BuildAll(specs, nil)
 	gotAdmitted := faulted.AdmittedSet()
 
@@ -188,53 +187,44 @@ func (o *Options) quarantinedOrds() []int {
 // cell's admitted statement set and build output compared bitwise against
 // the honest single-node reference. IdenticalOuts and IdenticalAdmitted must
 // both equal Cells and LiesAdmitted must be zero (the oracle); Caught must
-// equal ByzantineCells (every adversary named); VerifyCost must stay under
-// one percent of build cost (the rebuild-free claim).
+// equal ByzantineCells (every adversary named); the verifier must confirm
+// every admitted artifact and verify no false claim. What a verification
+// costs on the host clock is bench/'s farm-control row attest.verify_query_us.
 type AttestStudy struct {
-	Packages int   // packages per cell
-	Cells    int   // farm shapes x fault schedules run
-	Nodes    []int // node counts swept
-	Slots    []int // per-node slot counts swept
+	Packages int   `json:"packages"`    // packages per cell
+	Cells    int   `json:"cells"`       // farm shapes x fault schedules run
+	Nodes    []int `json:"node_counts"` // node counts swept
+	Slots    []int `json:"slot_counts"` // per-node slot counts swept
 
-	IdenticalOuts     int // cells whose build output matched the reference
-	IdenticalAdmitted int // cells whose admitted statement set matched
-	LiesAdmitted      int // admitted statements carrying a wrong output (must be 0)
+	IdenticalAdmitted int `json:"admitted_identical"` // cells whose admitted statement set matched
+	IdenticalOuts     int `json:"outs_identical"`     // cells whose build output matched the reference
+	LiesAdmitted      int `json:"lies_admitted"`      // admitted statements carrying a wrong output (must be 0)
 
-	ByzantineCells int // cells whose schedule seated at least one adversary
-	Caught         int // of those, cells where every seated worker was quarantined
+	ByzantineCells int `json:"byzantine_cells"`  // cells whose schedule seated at least one adversary
+	Caught         int `json:"byzantine_caught"` // of those, cells where every seated worker was quarantined
 
-	Attestations        int64 // signed statements collected
-	Rebuilds            int64 // independent re-executions solicited
-	AdmitRetries        int64 // admission rounds that widened the quorum pool
-	LiesDetected        int64 // valid-signature wrong-output attestations out-voted
-	CorruptAttestations int64 // invalid-signature attestations demoted
-	CosignsWithheld     int64 // withheld attestations and co-signatures
-	Quarantines         int64 // workers named and evicted
-	EpochsSealed        int64 // transparency-log epochs sealed and co-signed
+	Attestations        int64 `json:"attestations"`         // signed statements collected
+	Rebuilds            int64 `json:"rebuilds"`             // independent re-executions solicited
+	AdmitRetries        int64 `json:"admit_retries"`        // admission rounds that widened the quorum pool
+	LiesDetected        int64 `json:"lies_detected"`        // valid-signature wrong-output attestations out-voted
+	CorruptAttestations int64 `json:"corrupt_attestations"` // invalid-signature attestations demoted
+	CosignsWithheld     int64 `json:"cosigns_withheld"`     // withheld attestations and co-signatures
+	Quarantines         int64 `json:"quarantines"`          // workers named and evicted
+	EpochsSealed        int64 `json:"epochs_sealed"`        // transparency-log epochs sealed and co-signed
 
-	Verified    int   // admitted artifacts the log-only verifier confirmed
-	Refuted     int   // false claims the verifier rejected with evidence
-	FalsePos    int   // false claims verified (must be 0)
-	ForgedSeen  int   // forged blocks rejected by collective-signature checks
-	BuildNs     int64 // host ns spent building (all cells)
-	VerifyNs    int64 // host ns spent in rebuild-free verification (all cells)
-	VerifyHops  int   // skipchain hops walked across all verifications
-	VerifyCalls int   // Verify invocations issued
+	Verified    int `json:"verified"`               // admitted artifacts the log-only verifier confirmed
+	Refuted     int `json:"refuted"`                // false claims the verifier rejected with evidence
+	FalsePos    int `json:"false_verified"`         // false claims verified (must be 0)
+	ForgedSeen  int `json:"forged_blocks_rejected"` // forged blocks rejected by collective-signature checks
+	VerifyHops  int `json:"verify_hops"`            // skipchain hops walked across all verifications
+	VerifyCalls int `json:"verify_calls"`           // Verify invocations issued
 }
 
-// VerifyCostPct is verification cost as a percentage of build cost.
-func (st *AttestStudy) VerifyCostPct() float64 {
-	if st.BuildNs == 0 {
-		return 0
-	}
-	return 100 * float64(st.VerifyNs) / float64(st.BuildNs)
-}
-
-// Pass is the machine verdict over the study's pinned claims.
-func (st *AttestStudy) Pass() bool {
+// OK is the machine verdict over the study's pinned claims.
+func (st *AttestStudy) OK() bool {
 	return st.IdenticalOuts == st.Cells && st.IdenticalAdmitted == st.Cells &&
 		st.LiesAdmitted == 0 && st.FalsePos == 0 &&
-		st.Caught == st.ByzantineCells && st.VerifyCostPct() <= 1.0
+		st.Caught == st.ByzantineCells
 }
 
 // String renders the study summary.
@@ -250,16 +240,14 @@ func (st *AttestStudy) String() string {
 			"%d lies out-voted, %d corrupt signatures demoted, %d withheld, %d quarantined\n"+
 			"chain: %d attestations, %d rebuilds, %d admission retries, %d epochs sealed\n"+
 			"verifier: %d artifacts confirmed, %d false claims refuted, %d falsely verified, "+
-			"%d forged blocks rejected, %.1f skip hops/query\n"+
-			"verification cost: %.3f%% of build cost (%.1f ms vs %.1f s)",
+			"%d forged blocks rejected, %.1f skip hops/query",
 		st.Packages, st.Cells, st.Nodes, st.Slots,
 		stats.Pct(st.IdenticalAdmitted, st.Cells),
 		stats.Pct(st.IdenticalOuts, st.Cells), st.LiesAdmitted,
 		st.ByzantineCells, stats.Pct(st.Caught, st.ByzantineCells),
 		st.LiesDetected, st.CorruptAttestations, st.CosignsWithheld, st.Quarantines,
 		st.Attestations, st.Rebuilds, st.AdmitRetries, st.EpochsSealed,
-		st.Verified, st.Refuted, st.FalsePos, st.ForgedSeen, hops,
-		st.VerifyCostPct(), float64(st.VerifyNs)/1e6, float64(st.BuildNs)/1e9)
+		st.Verified, st.Refuted, st.FalsePos, st.ForgedSeen, hops)
 }
 
 // attestPlans is the X20 fault-schedule sweep for a farm of the given size:
@@ -287,8 +275,9 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 	st := &AttestStudy{Packages: len(specs),
 		Nodes: []int{1, 3, 8}, Slots: []int{1, 4, 16}}
 
-	ref := &Options{Seed: o.Seed, Checkpoints: true, Distributed: true,
-		Nodes: 1, NodeSlots: 1, PlacementSeed: o.PlacementSeed, Attest: true}
+	ref := o.derive(func(f *Options) {
+		f.Checkpoints, f.Distributed, f.Attest, f.Nodes, f.NodeSlots = true, true, true, 1, 1
+	})
 	refOuts := ref.BuildAll(specs, nil)
 	refAdmitted := ref.AdmittedSet()
 	refOutput := make(map[uint64]uint64, len(refAdmitted))
@@ -299,13 +288,10 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 	for _, nodes := range st.Nodes {
 		for _, slots := range st.Slots {
 			for _, plan := range attestPlans(o.Seed, nodes) {
-				cell := &Options{Seed: o.Seed, Checkpoints: true,
-					Distributed: true, Nodes: nodes, NodeSlots: slots,
-					PlacementSeed: o.PlacementSeed, Attest: true,
-					FarmPlan: plan}
-				start := time.Now()
+				cell := ref.derive(func(f *Options) {
+					f.Nodes, f.NodeSlots, f.FarmPlan = nodes, slots, plan
+				})
 				got := cell.BuildAll(specs, nil)
-				st.BuildNs += time.Since(start).Nanoseconds()
 				st.Cells++
 				if reflect.DeepEqual(got, refOuts) {
 					st.IdenticalOuts++
@@ -337,7 +323,6 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 				st.EpochsSealed += fst.EpochsSealed
 
 				v := cell.AttestVerifier()
-				vstart := time.Now()
 				for _, s := range admitted {
 					vd := v.Verify(s.Subject, s.Job, s.Output)
 					st.VerifyCalls++
@@ -356,7 +341,6 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 						st.Refuted++
 					}
 				}
-				st.VerifyNs += time.Since(vstart).Nanoseconds()
 				st.ForgedSeen += v.BadBlocks
 			}
 		}

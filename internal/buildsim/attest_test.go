@@ -167,8 +167,14 @@ func TestRunAttestStudySmall(t *testing.T) {
 	specs := debpkg.Universe(2, 1)
 	o := &Options{Seed: 11}
 	st := o.RunAttestStudy(specs)
-	if !st.Pass() {
+	if !st.OK() {
 		t.Errorf("X20 study failed its pinned claims:\n%s", st)
+	}
+	// The rebuild-free verifier, exactly: every admitted artifact of every
+	// cell confirmed, one false claim per cell refuted, none verified.
+	if st.Verified != st.Packages*st.Cells || st.Refuted != st.Cells || st.FalsePos != 0 {
+		t.Errorf("verifier: %d confirmed (want %d), %d refuted (want %d), %d falsely verified",
+			st.Verified, st.Packages*st.Cells, st.Refuted, st.Cells, st.FalsePos)
 	}
 	if st.LiesDetected == 0 {
 		t.Error("X20 seated liars but detected no lies")

@@ -17,10 +17,10 @@ package buildsim
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/abi"
 	"repro/internal/baseimg"
@@ -35,6 +35,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/stripnd"
+	"repro/internal/ttd"
 	"repro/internal/workload"
 )
 
@@ -159,6 +160,10 @@ type Options struct {
 	// restore-attempt budget (restoreRetries); zero selects the constant.
 	templateCap, sealCap, restoreRetries int
 
+	// noDeltaSeals maps onto core.Config.DisableDeltaSeals, so the ablation
+	// table (ablation.go) can switch every mechanism on the farm.
+	noDeltaSeals bool
+
 	// jobSeq hands each checkpointed build a farm-unique identity for its
 	// seal keys. Scheduling-dependent, so it must never influence results —
 	// only which store slots a job's checkpoints occupy.
@@ -185,6 +190,23 @@ type Options struct {
 	// kept so FarmStats/FarmReports can expose its accounting (farm.go).
 	farmMu   sync.Mutex
 	lastFarm *farm.Cluster
+}
+
+// derive returns a fresh farm — its own stores, counters and registry — that
+// carries every exported field of o with override applied on top. It is the
+// one way a study or gate builds a farm from its caller's, so the caller's
+// mechanism flags (NoWorkspaces, NoSyscallBuf, Experimental, …) reach every
+// build the study runs.
+func (o *Options) derive(override func(*Options)) *Options {
+	d := &Options{}
+	src, dst := reflect.ValueOf(o).Elem(), reflect.ValueOf(d).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		if src.Type().Field(i).IsExported() {
+			dst.Field(i).Set(src.Field(i))
+		}
+	}
+	override(d)
+	return d
 }
 
 // Out is the full record of one package's evaluation.
@@ -511,9 +533,8 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
 	var snap *kernel.Snapshot
 	if !o.DisableTemplates {
-		snap = o.snapshot(l, snapshots, imgHash, img) // Prepare time lands in prepareNs
+		snap = o.snapshot(l, snapshots, imgHash, img)
 	}
-	start := time.Now()
 	if snap == nil {
 		k := kernel.New(kernel.Config{
 			Profile:  machine.CloudLabC220G5(),
@@ -526,7 +547,6 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 			Policy:   policy,
 		})
 		sc.coldBoots.Add(l, 1)
-		sc.coldSetupNs.Add(l, time.Since(start).Nanoseconds())
 		return k, pkgdir
 	}
 	k := snap.Boot(kernel.BootConfig{
@@ -537,7 +557,6 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 		Policy:   policy,
 	})
 	sc.forkBoots.Add(l, 1)
-	sc.forkNs.Add(l, time.Since(start).Nanoseconds())
 	return k, pkgdir
 }
 
@@ -582,6 +601,16 @@ type dtRun struct {
 	recEvents int64       // flight-recorder events produced (incl. dropped)
 	trace     []obs.Event // retained flight-recorder ring
 	spans     []obs.Span  // lifecycle spans (prepare/fork/boot/run/flush)
+
+	sess *ttd.Session // the run's debug session, when recordSession took it
+}
+
+// same reports whether two builds are one build as far as the determinism
+// contract goes: exit status, .deb and build log bitwise, and the virtual
+// clock — unless the mechanism that separates them may move it.
+func (r dtRun) same(o dtRun, m moves) bool {
+	return r.exit == o.exit && (m == movesVirtualTime || r.wall == o.wall) &&
+		bytes.Equal(r.deb, o.deb) && bytes.Equal(r.log, o.log)
 }
 
 func (r dtRun) verdict() (Verdict, string) {
@@ -650,6 +679,7 @@ func (o *Options) dtConfig(img *fs.Image, pkgdir string, seed uint64, v reprotes
 		DisableObservability: o.NoObservability,
 		DisableWorkspaces:    o.NoWorkspaces,
 		DisableIncremental:   !o.Incremental,
+		DisableDeltaSeals:    o.noDeltaSeals,
 	}
 }
 
@@ -691,11 +721,9 @@ func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core
 		[]string{"dpkg-buildpackage", "-b"}, env)
 	if res.Forked {
 		sc.forkBoots.Add(l, 1)
-		sc.forkNs.Add(l, res.SetupNs)
 		sc.recEventsFork.Add(l, res.Trace.Total())
 	} else {
 		sc.coldBoots.Add(l, 1)
-		sc.coldSetupNs.Add(l, res.SetupNs)
 		sc.recEventsCold.Add(l, res.Trace.Total())
 	}
 	// Roll the run's own registry (kernel syscall table, tracer stops) into

@@ -191,7 +191,7 @@ func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (rep
 		nodes = DefaultFarmNodes
 	}
 	// Reference action count, for a mid-build crash point.
-	local := &Options{Seed: o.Seed, Checkpoints: true}
+	local := o.derive(func(f *Options) { f.Checkpoints = true })
 	l := obs.NewLocal()
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
@@ -207,13 +207,13 @@ func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (rep
 		killNode = farm.Place(o.PlacementSeed, pkgSeed(0, spec), live)
 	}
 	specs := []*debpkg.Spec{spec}
-	single := &Options{Seed: o.Seed, Checkpoints: true, Distributed: true,
-		Nodes: 1, PlacementSeed: o.PlacementSeed}
+	single := local.derive(func(f *Options) { f.Distributed, f.Nodes = true, 1 })
 	want := single.BuildAll(specs, nil)
-	killed := &Options{Seed: o.Seed, Checkpoints: true, Distributed: true,
-		Nodes: nodes, PlacementSeed: o.PlacementSeed,
-		FarmPlan: reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1,
-			CrashAtAction: ref.actions / 2}}
+	killed := single.derive(func(f *Options) {
+		f.Nodes = nodes
+		f.FarmPlan = reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1,
+			CrashAtAction: ref.actions / 2}
+	})
 	got := killed.BuildAll(specs, nil)
 	ok = reflect.DeepEqual(got, want)
 	verdict := "bitwise-identical to the single-node farm"
@@ -252,25 +252,28 @@ func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (rep
 // oracle); the rest is the cost story: how much setup the shard store
 // amortizes and what a node crash costs to recover from.
 type FarmStudy struct {
-	Packages  int   // packages per cell
-	Cells     int   // farm shapes run
-	Identical int   // cells whose outputs matched the local reference exactly
-	Nodes     []int // node counts swept
+	Packages  int   `json:"packages"`        // packages per cell
+	Cells     int   `json:"cells"`           // farm shapes run
+	Identical int   `json:"identical_cells"` // cells whose outputs matched the local reference exactly
+	Nodes     []int `json:"node_counts"`     // node counts swept
 
-	Crashes        int64 // worker nodes killed by the fault plans
-	Steals         int64 // jobs re-placed off dead nodes
-	Recoveries     int64 // crashed jobs completed by a later attempt
-	ColdRecoveries int64 // recoveries that degraded to a cold replay
-	SealPuts       int64 // checkpoint seals published to shard stores
-	StateMisses    int64 // prepared-state leases (one per farm-wide prepare)
-	StateHits      int64 // prepared-state fetches served from shard stores
-	MsgsLost       int64 // transmissions dropped by the fault plans
-	MsgsDuplicated int64 // deliveries duplicated by the fault plans
-	MsgsDeduped    int64 // duplicates absorbed by idempotency keys
+	Crashes        int64 `json:"node_crashes"`    // worker nodes killed by the fault plans
+	Steals         int64 `json:"steals"`          // jobs re-placed off dead nodes
+	Recoveries     int64 `json:"recoveries"`      // crashed jobs completed by a later attempt
+	ColdRecoveries int64 `json:"cold_recoveries"` // recoveries that degraded to a cold replay
+	SealPuts       int64 `json:"seal_puts"`       // checkpoint seals published to shard stores
+	StateMisses    int64 `json:"state_prepares"`  // prepared-state leases (one per farm-wide prepare)
+	StateHits      int64 `json:"state_fetches"`   // prepared-state fetches served from shard stores
+	MsgsLost       int64 `json:"msgs_lost"`       // transmissions dropped by the fault plans
+	MsgsDuplicated int64 `json:"msgs_duplicated"` // deliveries duplicated by the fault plans
+	MsgsDeduped    int64 `json:"msgs_deduped"`    // duplicates absorbed by idempotency keys
 
-	AvgMTTRNs   float64 // virtual crash-to-completion time per seal restore
-	AvgRedoneNs float64 // virtual work executed twice per recovery
+	AvgMTTRNs   float64 `json:"avg_mttr_ns"`   // virtual crash-to-completion time per seal restore
+	AvgRedoneNs float64 `json:"avg_redone_ns"` // virtual work executed twice per recovery
 }
+
+// OK is the study's oracle: every farm shape reproduced the local reference.
+func (st *FarmStudy) OK() bool { return st.Identical == st.Cells }
 
 // String renders the study summary.
 func (st *FarmStudy) String() string {
@@ -294,7 +297,8 @@ func (st *FarmStudy) String() string {
 // duplicate-messages), every cell checkpointed and single-slot, all compared
 // DeepEqual against the local checkpointed farm's output.
 func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
-	ref := (&Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true}).BuildAll(specs, nil)
+	local := o.derive(func(f *Options) { f.Checkpoints, f.Distributed = true, false })
+	ref := local.BuildAll(specs, nil)
 
 	// A mid-build crash point needs a reference action count; take the first
 	// package's (any in-range action works — the plan dodges harmlessly on
@@ -305,7 +309,7 @@ func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
 		spec := specs[0]
 		seed := pkgSeed(o.Seed, spec)
 		v1, _ := reprotest.Pair(seed)
-		probe := (&Options{Seed: o.Seed, Checkpoints: true}).buildDT(l, spec, seed, v1, nil)
+		probe := local.buildDT(l, spec, seed, v1, nil)
 		if probe.actions > 1 {
 			crashAt = probe.actions / 2
 		}
@@ -324,9 +328,9 @@ func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
 				{DupMsg: 2},
 			}
 			for _, plan := range plans {
-				cell := &Options{Seed: o.Seed, Checkpoints: true,
-					Distributed: true, Nodes: nodes, PlacementSeed: seed,
-					FarmPlan: plan}
+				cell := local.derive(func(f *Options) {
+					f.Distributed, f.Nodes, f.PlacementSeed, f.FarmPlan = true, nodes, seed, plan
+				})
 				got := cell.BuildAll(specs, nil)
 				st.Cells++
 				if reflect.DeepEqual(got, ref) {

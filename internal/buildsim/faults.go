@@ -22,7 +22,6 @@
 package buildsim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -214,18 +213,22 @@ func (o *Options) FaultStats() FaultStats {
 // mechanism, not a semantic one — and the MTTR column is the headline: how
 // much virtual work a checkpoint restore redoes versus a cold replay.
 type FaultStudy struct {
-	Packages  int // packages whose reference build completed
-	Crashed   int // packages whose planned crash fired
-	Identical int // crashed packages recovered to the reference bits
+	Packages  int `json:"packages"`            // packages whose reference build completed
+	Crashed   int `json:"crashed"`             // packages whose planned crash fired
+	Identical int `json:"recovered_identical"` // crashed packages recovered to the reference bits
 
-	Restores    int64 // recoveries via checkpoint restore
-	ColdReplays int64 // recoveries via full replay
+	Restores    int64 `json:"checkpoint_restores"` // recoveries via checkpoint restore
+	ColdReplays int64 `json:"cold_replays"`        // recoveries via full replay
 
-	AvgMTTRNs   float64 // crash-to-completion virtual time per restore
-	AvgReplayNs float64 // crash-to-completion virtual time for a cold replay
-	AvgRedoneNs float64 // virtual work executed twice, per recovery
-	Speedup     float64 // replay/MTTR: the recovery headline
+	AvgMTTRNs   float64 `json:"avg_mttr_ns"`   // crash-to-completion virtual time per restore
+	AvgReplayNs float64 `json:"avg_replay_ns"` // crash-to-completion virtual time for a cold replay
+	AvgRedoneNs float64 `json:"avg_redone_ns"` // virtual work executed twice, per recovery
+	Speedup     float64 `json:"mttr_speedup"`  // replay/MTTR: the recovery headline
 }
+
+// OK is the study's oracle: every crashed build recovered to the reference
+// bits.
+func (st *FaultStudy) OK() bool { return st.Identical == st.Crashed }
 
 // String renders the study summary.
 func (st *FaultStudy) String() string {
@@ -240,38 +243,47 @@ func (st *FaultStudy) String() string {
 		st.AvgRedoneNs/1e9)
 }
 
+// crashAndRecover builds spec on the checkpointing farm o uninterrupted, then
+// again with a crash injected at action n (n <= 0 picks the reference run's
+// midpoint) and recovered. A reference that did not complete is returned
+// alone.
+func (o *Options) crashAndRecover(l obs.Local, spec *debpkg.Spec, n int64) (ref, got dtRun, at int64) {
+	seed := pkgSeed(o.Seed, spec)
+	v1, _ := reprotest.Pair(seed)
+	ref = o.buildDT(l, spec, seed, v1, nil)
+	if v, _ := ref.verdict(); v != "" {
+		return ref, dtRun{}, 0
+	}
+	if n <= 0 {
+		n = ref.actions / 2
+	}
+	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	cfg := o.dtConfig(img, pkgdir, seed, v1)
+	got = o.buildDTFault(l, spec, reprotest.FaultPlan{CrashAtAction: n}, cfg, img, imgHash, pkgdir)
+	return ref, got, n
+}
+
 // RunFaultStudy builds each spec twice in checkpoint mode — uninterrupted,
 // then crashed at half its reference action count and recovered — and
 // compares the recovered observables bitwise against the reference.
 func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
-	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
-		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability,
-		Checkpoints: true}
+	on := o.derive(func(f *Options) { f.Checkpoints = true })
 	type fOut struct {
 		ok, crashed, identical bool
 		refWall                int64
 	}
 	outs := make([]fOut, len(specs))
 	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		seed := pkgSeed(o.Seed, spec)
-		v1, _ := reprotest.Pair(seed)
-		ref := on.buildDT(l, spec, seed, v1, nil)
+		before := on.FaultStats().Crashes
+		ref, got, _ := on.crashAndRecover(l, specs[i], 0)
 		if v, _ := ref.verdict(); v != "" {
 			return
 		}
-		img, pkgdir, imgHash := on.pkgImage(l, spec, "/build")
-		cfg := on.dtConfig(img, pkgdir, seed, v1)
-		before := on.FaultStats().Crashes
-		got := on.buildDTFault(l, spec,
-			reprotest.FaultPlan{CrashAtAction: ref.actions / 2},
-			cfg, img, imgHash, pkgdir)
 		outs[i] = fOut{
-			ok:      true,
-			crashed: on.FaultStats().Crashes > before,
-			identical: got.exit == ref.exit && got.wall == ref.wall &&
-				bytes.Equal(got.deb, ref.deb) && bytes.Equal(got.log, ref.log),
-			refWall: ref.wall,
+			ok:        true,
+			crashed:   on.FaultStats().Crashes > before,
+			identical: got.same(ref, movesNothing),
+			refWall:   ref.wall,
 		}
 	})
 	st := &FaultStudy{}
@@ -312,24 +324,13 @@ func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
 // recover it, and compare bitwise. The report is human-readable; ok is the
 // machine verdict.
 func (o *Options) CrashRecovery(spec *debpkg.Spec, n int64) (report string, ok bool) {
-	on := &Options{Seed: o.Seed, Checkpoints: true}
-	l := obs.NewLocal()
-	seed := pkgSeed(o.Seed, spec)
-	v1, _ := reprotest.Pair(seed)
-	ref := on.buildDT(l, spec, seed, v1, nil)
+	on := o.derive(func(f *Options) { f.Checkpoints = true })
+	ref, got, n := on.crashAndRecover(obs.NewLocal(), spec, n)
 	if v, _ := ref.verdict(); v != "" {
 		return fmt.Sprintf("reference build did not complete: %s", v), false
 	}
-	if n <= 0 {
-		n = ref.actions / 2
-	}
-	img, pkgdir, imgHash := on.pkgImage(l, spec, "/build")
-	cfg := on.dtConfig(img, pkgdir, seed, v1)
-	got := on.buildDTFault(l, spec, reprotest.FaultPlan{CrashAtAction: n},
-		cfg, img, imgHash, pkgdir)
 	fst := on.FaultStats()
-	ok = got.exit == ref.exit && got.wall == ref.wall &&
-		bytes.Equal(got.deb, ref.deb) && bytes.Equal(got.log, ref.log)
+	ok = got.same(ref, movesNothing)
 	verdict := "bitwise-identical to the uninterrupted build"
 	if !ok {
 		verdict = "DIVERGED from the uninterrupted build"
@@ -343,7 +344,7 @@ func (o *Options) CrashRecovery(spec *debpkg.Spec, n int64) (report string, ok b
 		how = "recovered by cold replay"
 	}
 	report = fmt.Sprintf(
-		"reference: %d actions, %.1f s virtual; %d checkpoints sealed across runs\n"+
+		"reference: %d actions, %.3f s virtual; %d checkpoints sealed across runs\n"+
 			"crash injected at action %d: %s\n"+
 			"recovered run %s",
 		ref.actions, float64(ref.wall)/1e9, fst.Sealed, n, how, verdict)

@@ -25,9 +25,9 @@
 package buildsim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 
 	"repro/internal/core"
@@ -313,7 +313,8 @@ func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Sto
 // incremental run must land on those exact bits. The report is
 // human-readable; ok is the machine verdict.
 func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, ok bool) {
-	on := &Options{Seed: o.Seed, Checkpoints: true, Incremental: true}
+	off := o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
+	on := off.derive(func(f *Options) { f.Incremental = true })
 	l := obs.NewLocal()
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
@@ -334,13 +335,9 @@ func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, o
 	pimg := patchImage(s.img, path)
 	incr, st := on.incrementalRebuild(l, s, pimg)
 
-	off := &Options{Seed: o.Seed, Checkpoints: true}
 	c1 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
 	c2 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
-	det := c1.exit == c2.exit && c1.wall == c2.wall &&
-		bytes.Equal(c1.deb, c2.deb) && bytes.Equal(c1.log, c2.log)
-	match := incr.exit == c1.exit && incr.wall == c1.wall &&
-		bytes.Equal(incr.deb, c1.deb) && bytes.Equal(incr.log, c1.log)
+	det, match := c1.same(c2, movesNothing), incr.same(c1, movesNothing)
 	ok = det && match
 
 	how := fmt.Sprintf("forked seal ordinal %d: %d/%d units reused, %d re-executed (%.1f s virtual of %.1f s)",
@@ -372,21 +369,24 @@ func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, o
 // the headline is the rebuild-time win: virtual suffix work per forked
 // rebuild versus the cold rebuild's full run.
 type IncrementalStudy struct {
-	Packages int // packages whose base builds completed under both farms
-	Rounds   int // patch rounds compared (across all packages)
+	Packages int `json:"packages"` // packages whose base builds completed under both farms
+	Rounds   int `json:"rounds"`   // patch rounds compared (across all packages)
 
-	Forked    int // rounds that forked a seal
-	ColdFalls int // rounds the planner sent cold
-	Identical int // rounds bitwise-identical to the cold rebuild
+	Identical int `json:"identical_rounds"` // rounds bitwise-identical to the cold rebuild
+	Forked    int `json:"seal_forks"`       // rounds that forked a seal
+	ColdFalls int `json:"cold_falls"`       // rounds the planner sent cold
 
-	UnitsTotal  int64 // compile units across forked rounds
-	UnitsReused int64 // objects reused from forked seals
-	UnitsRedone int64 // units re-executed in rebuild suffixes
+	UnitsTotal  int64 `json:"units_total"`  // compile units across forked rounds
+	UnitsReused int64 `json:"units_reused"` // objects reused from forked seals
+	UnitsRedone int64 `json:"units_redone"` // units re-executed in rebuild suffixes
 
-	AvgRebuildNs float64 // virtual work per forked rebuild
-	AvgColdNs    float64 // virtual time per cold rebuild
-	Speedup      float64 // geometric-mean cold/rebuild ratio over forked rounds
+	AvgRebuildNs float64 `json:"avg_rebuild_ns"`  // virtual work per forked rebuild
+	AvgColdNs    float64 `json:"avg_cold_ns"`     // virtual time per cold rebuild
+	Speedup      float64 `json:"rebuild_speedup"` // geometric-mean cold/rebuild ratio over forked rounds
 }
+
+// OK is the study's oracle: every rebuild landed on the cold rebuild's bits.
+func (st *IncrementalStudy) OK() bool { return st.Identical == st.Rounds }
 
 // String renders the study summary.
 func (st *IncrementalStudy) String() string {
@@ -409,8 +409,8 @@ func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *Increme
 	if rounds <= 0 {
 		rounds = 3
 	}
-	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true, Incremental: true}
-	off := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true}
+	off := o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
+	on := off.derive(func(f *Options) { f.Incremental = true })
 	store := derive.NewMemStore()
 	type iOut struct {
 		ok         bool
@@ -440,9 +440,8 @@ func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *Increme
 		st.Packages++
 		for r := range io.warm {
 			st.Rounds++
-			w, c := io.warm[r], io.cold[r]
-			if w.Exit == c.Exit && w.Wall == c.Wall &&
-				bytes.Equal(w.Deb, c.Deb) && bytes.Equal(w.Log, c.Log) {
+			c := io.cold[r]
+			if reflect.DeepEqual(io.warm[r], c) {
 				st.Identical++
 			}
 			ws := io.warmStats[r]

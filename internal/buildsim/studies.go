@@ -204,110 +204,6 @@ func (o *Options) buildRR(l obs.Local, spec *debpkg.Spec, v reprotest.Variation)
 	return k.Now(), rec.Trace.Bytes, errors.Is(runErr, rr.ErrUnsupportedIoctl)
 }
 
-// BufferStudy is the syscall-buffering ablation: the Figure 5 aggregate
-// re-derived with the in-tracee buffer on and off, over the same packages
-// under the same perturbations. Outputs must be bitwise identical either way
-// (the buffer is a performance mechanism, not a semantic one); only the
-// overhead moves.
-type BufferStudy struct {
-	Packages  int // packages whose baseline and both DT runs completed
-	Identical int // packages whose buffered and unbuffered .debs matched
-
-	WithBuf    float64 // aggregate slowdown, buffer on
-	WithoutBuf float64 // aggregate slowdown, buffer off (pre-buffer DetTrace)
-
-	// Per-package averages over the completed set, buffer on.
-	AvgStops    float64
-	AvgBuffered float64
-	AvgFlushes  float64
-	// AvgStopsOff is the unbuffered run's average stop count, for the
-	// stop-elimination headline.
-	AvgStopsOff float64
-}
-
-// String renders the ablation summary.
-func (st *BufferStudy) String() string {
-	return fmt.Sprintf(
-		"packages: %d; bitwise-identical with/without buffer: %d\n"+
-			"aggregate slowdown: %.2fx buffered, %.2fx unbuffered\n"+
-			"per-package stops: %.0f buffered (%.0f records in %.0f flushes) vs %.0f unbuffered",
-		st.Packages, st.Identical,
-		st.WithBuf, st.WithoutBuf,
-		st.AvgStops, st.AvgBuffered, st.AvgFlushes, st.AvgStopsOff)
-}
-
-// RunBufferStudy builds each spec natively once, then twice under DetTrace —
-// with and without the syscall buffer — and aggregates the two slowdowns.
-func (o *Options) RunBufferStudy(specs []*debpkg.Spec) *BufferStudy {
-	type bufOut struct {
-		ok        bool
-		identical bool
-		blTime    int64
-		onTime    int64
-		offTime   int64
-		on        Events
-		off       Events
-	}
-	outs := make([]bufOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		seed := pkgSeed(o.Seed, spec)
-		v1, _ := reprotest.Pair(seed)
-		nat := o.buildNative(l, spec, v1, BLDeadline)
-		if nat.verdict() != "" {
-			return
-		}
-		on := o.buildDT(l, spec, seed, v1, func(c *core.Config) { c.DisableSyscallBuf = false })
-		off := o.buildDT(l, spec, seed, v1, func(c *core.Config) { c.DisableSyscallBuf = true })
-		if v, _ := on.verdict(); v != "" {
-			return
-		}
-		if v, _ := off.verdict(); v != "" {
-			return
-		}
-		outs[i] = bufOut{
-			ok:        true,
-			identical: bytes.Equal(on.deb, off.deb),
-			blTime:    nat.wall,
-			onTime:    on.wall,
-			offTime:   off.wall,
-			on:        on.events,
-			off:       off.events,
-		}
-	})
-	st := &BufferStudy{}
-	var blSum, onSum, offSum int64
-	var stops, buffered, flushes, stopsOff int64
-	for _, bo := range outs {
-		if !bo.ok {
-			continue
-		}
-		st.Packages++
-		if bo.identical {
-			st.Identical++
-		}
-		blSum += bo.blTime
-		onSum += bo.onTime
-		offSum += bo.offTime
-		stops += bo.on.Stops
-		buffered += bo.on.Buffered
-		flushes += bo.on.Flushes
-		stopsOff += bo.off.Stops
-	}
-	if blSum > 0 {
-		st.WithBuf = float64(onSum) / float64(blSum)
-		st.WithoutBuf = float64(offSum) / float64(blSum)
-	}
-	if st.Packages > 0 {
-		n := float64(st.Packages)
-		st.AvgStops = float64(stops) / n
-		st.AvgBuffered = float64(buffered) / n
-		st.AvgFlushes = float64(flushes) / n
-		st.AvgStopsOff = float64(stopsOff) / n
-	}
-	return st
-}
-
 // PortStudy is the §7.3 cross-machine result: the same container run on
 // Skylake/4.15 and Broadwell/4.18, outputs compared bitwise.
 type PortStudy struct {
@@ -493,120 +389,4 @@ func testSummary(log []byte) string {
 func scan(line, format string, dst *int) bool {
 	_, err := fmt.Sscanf(line, format, dst)
 	return err == nil
-}
-
-// WorkspaceStudy is the X17 farm-level ablation: every spec built under
-// DetTrace with copy-on-write thread workspaces on and with the serialized-
-// thread fallback. Outputs must be bitwise identical either way — workspaces
-// relax only the physical clock — so the study's interesting numbers are the
-// threaded packages' wall-time recovery and the merge accounting.
-type WorkspaceStudy struct {
-	Packages  int // packages whose baseline and both DT runs completed
-	Threaded  int // of those, packages whose build clones threads (javac)
-	Identical int // packages whose on/off .debs matched bitwise
-
-	WithWs    float64 // aggregate DT slowdown vs baseline, workspaces on
-	WithoutWs float64 // aggregate DT slowdown, serialized-thread ablation
-
-	// ThreadedSpeedup aggregates ws-off wall over ws-on wall across the
-	// threaded packages only (single-threaded builds never fork a
-	// workspace, so their two runs are identical to the nanosecond).
-	ThreadedSpeedup float64
-
-	// Per-threaded-package averages, workspaces on.
-	AvgForks  float64
-	AvgMerges float64
-	// Conflicts counts rank-resolved merge collisions across the whole
-	// study; production guests write disjoint paths, so any nonzero value
-	// is a finding.
-	Conflicts int64
-}
-
-// String renders the ablation summary.
-func (st *WorkspaceStudy) String() string {
-	return fmt.Sprintf(
-		"packages: %d (%d threaded); bitwise-identical with/without workspaces: %d\n"+
-			"aggregate slowdown: %.2fx workspaces, %.2fx serialized threads\n"+
-			"threaded packages: %.2fx faster with workspaces; per package %.0f forks, %.0f merges, %d conflicts",
-		st.Packages, st.Threaded, st.Identical,
-		st.WithWs, st.WithoutWs,
-		st.ThreadedSpeedup, st.AvgForks, st.AvgMerges, st.Conflicts)
-}
-
-// RunWorkspaceStudy builds each spec natively once, then twice under
-// DetTrace — workspaces on and off — and aggregates the two slowdowns plus
-// the threaded packages' recovery ratio.
-func (o *Options) RunWorkspaceStudy(specs []*debpkg.Spec) *WorkspaceStudy {
-	type wsOut struct {
-		ok        bool
-		threaded  bool
-		identical bool
-		blTime    int64
-		onTime    int64
-		offTime   int64
-		on        Events
-	}
-	outs := make([]wsOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		seed := pkgSeed(o.Seed, spec)
-		v1, _ := reprotest.Pair(seed)
-		nat := o.buildNative(l, spec, v1, BLDeadline)
-		if nat.verdict() != "" {
-			return
-		}
-		on := o.buildDT(l, spec, seed, v1, func(c *core.Config) { c.DisableWorkspaces = false })
-		off := o.buildDT(l, spec, seed, v1, func(c *core.Config) { c.DisableWorkspaces = true })
-		if v, _ := on.verdict(); v != "" {
-			return
-		}
-		if v, _ := off.verdict(); v != "" {
-			return
-		}
-		outs[i] = wsOut{
-			ok:        true,
-			threaded:  spec.Compiler == "javac",
-			identical: bytes.Equal(on.deb, off.deb),
-			blTime:    nat.wall,
-			onTime:    on.wall,
-			offTime:   off.wall,
-			on:        on.events,
-		}
-	})
-	st := &WorkspaceStudy{}
-	var blSum, onSum, offSum int64
-	var thrOnSum, thrOffSum, forks, merges int64
-	for _, wo := range outs {
-		if !wo.ok {
-			continue
-		}
-		st.Packages++
-		if wo.identical {
-			st.Identical++
-		}
-		blSum += wo.blTime
-		onSum += wo.onTime
-		offSum += wo.offTime
-		st.Conflicts += wo.on.WsConflicts
-		if wo.threaded {
-			st.Threaded++
-			thrOnSum += wo.onTime
-			thrOffSum += wo.offTime
-			forks += wo.on.WsForks
-			merges += wo.on.WsMerges
-		}
-	}
-	if blSum > 0 {
-		st.WithWs = float64(onSum) / float64(blSum)
-		st.WithoutWs = float64(offSum) / float64(blSum)
-	}
-	if thrOnSum > 0 {
-		st.ThreadedSpeedup = float64(thrOffSum) / float64(thrOnSum)
-	}
-	if st.Threaded > 0 {
-		n := float64(st.Threaded)
-		st.AvgForks = float64(forks) / n
-		st.AvgMerges = float64(merges) / n
-	}
-	return st
 }

@@ -19,17 +19,12 @@
 package buildsim
 
 import (
-	"bytes"
-	"fmt"
-	"time"
-
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/reprotest"
 )
 
 // templateCap bounds the snapshot and the template store. Templates pin their
@@ -55,10 +50,6 @@ type setupCounters struct {
 	imageHits      *obs.Counter
 	coldBoots      *obs.Counter
 	forkBoots      *obs.Counter
-	imageBuildNs   *obs.Counter
-	prepareNs      *obs.Counter
-	forkNs         *obs.Counter
-	coldSetupNs    *obs.Counter
 
 	// Recorder roll-up: flight-recorder events produced by container runs,
 	// split by setup path so the templates study can price the recorder per
@@ -102,9 +93,9 @@ type setupCounters struct {
 }
 
 // SetupStats is a point-in-time snapshot of the farm's container-setup
-// accounting: how often prepared state was reused and what the setup paths
-// cost in wall-clock time. It is benchmarking metadata only — build outputs
-// never depend on it.
+// accounting: how often prepared state was reused and which path each boot
+// took. Counts only — what a path costs on the host clock is bench/'s
+// boot-churn workload's to measure. Build outputs never depend on it.
 type SetupStats struct {
 	TemplateHits   int64 // prepared snapshot/template served from cache
 	TemplateMisses int64 // prepared on demand
@@ -115,19 +106,8 @@ type SetupStats struct {
 	ColdBoots int64 // kernels/containers built on the cold path
 	ForkBoots int64 // kernels/containers forked from a template
 
-	ImageBuildNs int64 // assembling + materializing + hashing images
-	PrepareNs    int64 // populating and freezing template bases
-	ForkNs       int64 // COW-fork boots
-	ColdSetupNs  int64 // cold kernel construction (image populate included)
-
 	RecEventsFork int64 // flight-recorder events from forked containers
 	RecEventsCold int64 // flight-recorder events from cold-booted containers
-}
-
-// SetupNs is the farm's total setup cost: everything spent getting
-// containers to their first instruction, on either path.
-func (s SetupStats) SetupNs() int64 {
-	return s.ImageBuildNs + s.PrepareNs + s.ForkNs + s.ColdSetupNs
 }
 
 // SetupStats snapshots the farm's setup accounting so far.
@@ -141,10 +121,6 @@ func (o *Options) SetupStats() SetupStats {
 		ImageHits:      sc.imageHits.Value(),
 		ColdBoots:      sc.coldBoots.Value(),
 		ForkBoots:      sc.forkBoots.Value(),
-		ImageBuildNs:   sc.imageBuildNs.Value(),
-		PrepareNs:      sc.prepareNs.Value(),
-		ForkNs:         sc.forkNs.Value(),
-		ColdSetupNs:    sc.coldSetupNs.Value(),
 		RecEventsFork:  sc.recEventsFork.Value(),
 		RecEventsCold:  sc.recEventsCold.Value(),
 	}
@@ -183,10 +159,6 @@ func (o *Options) initObsLocked() {
 		imageHits:      r.Counter("farm_image_hits"),
 		coldBoots:      r.Counter("farm_cold_boots"),
 		forkBoots:      r.Counter("farm_fork_boots"),
-		imageBuildNs:   r.Counter("farm_image_build_ns"),
-		prepareNs:      r.Counter("farm_prepare_ns"),
-		forkNs:         r.Counter("farm_fork_ns"),
-		coldSetupNs:    r.Counter("farm_cold_setup_ns"),
 		recEventsFork:  r.Counter("farm_rec_events_fork"),
 		recEventsCold:  r.Counter("farm_rec_events_cold"),
 
@@ -312,17 +284,14 @@ func (o *Options) stores() *stores {
 // memoized — it is only ever read after construction (kernel populate,
 // template prepare), so sharing one *fs.Image across concurrent builds is
 // safe. Under the ablation every call rebuilds, like the pre-template farm,
-// so the cold setup numbers measure the real cold cost — hashing included:
-// seal keys and attestation subjects carry the content hash either way.
+// so the cold farm pays the real cold cost — hashing included: seal keys and
+// attestation subjects carry the content hash either way.
 func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
 	sc := o.sc()
 	build := func() *imageEntry {
-		start := time.Now()
 		img, pkgdir := toolchainImage(spec, dir)
-		ie := &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 		sc.imageBuilds.Add(l, 1)
-		sc.imageBuildNs.Add(l, time.Since(start).Nanoseconds())
-		return ie
+		return &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 	}
 	var ie *imageEntry
 	if o.DisableTemplates {
@@ -343,12 +312,7 @@ func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Imag
 // transport that carries no bodies; callers then boot cold.
 func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, build func() any) any {
 	sc := o.sc()
-	v, hit := derive.Prepared(store, key, func() any {
-		start := time.Now()
-		v := build()
-		sc.prepareNs.Add(l, time.Since(start).Nanoseconds())
-		return v
-	})
+	v, hit := derive.Prepared(store, key, build)
 	if hit {
 		sc.templateHits.Add(l, 1)
 	} else {
@@ -368,114 +332,4 @@ func (o *Options) snapshot(l obs.Local, store derive.Store, imgHash uint64, img 
 		})
 	}).(*kernel.Snapshot)
 	return snap
-}
-
-// TemplateStudy is the template-reuse ablation: the same perturbation builds
-// run through two farms — templates on and off — outputs compared bitwise,
-// setup costs compared end to end. Reuse is a pure performance mechanism, so
-// Identical must equal Packages; only the setup column may move.
-type TemplateStudy struct {
-	Packages  int // packages whose builds completed under both farms
-	Runs      int // perturbation builds per package (each done twice)
-	Identical int // packages bitwise-identical across every on/off run pair
-
-	SetupOnNs  int64   // total farm setup, templates on
-	SetupOffNs int64   // total farm setup, templates off
-	SetupRatio float64 // off/on: the amortization headline
-
-	Hits, Misses, Evictions int64 // template-cache traffic, templates on
-	AvgForkNs               float64
-	AvgColdSetupNs          float64 // per cold boot, image build included
-
-	// Recorder overhead per setup path: flight-recorder events produced per
-	// forked vs cold-booted container. Equal rates are the observability
-	// layer's invisibility evidence — recording is independent of how the
-	// container was set up.
-	AvgRecEventsFork float64
-	AvgRecEventsCold float64
-}
-
-// String renders the ablation summary.
-func (st *TemplateStudy) String() string {
-	return fmt.Sprintf(
-		"packages: %d x %d perturbed builds; bitwise-identical with/without templates: %d\n"+
-			"farm setup cost: %.1f ms cold, %.1f ms templated (%.1fx less)\n"+
-			"per boot: %.0f us cold vs %.0f us forked; cache: %d hits, %d misses, %d evictions\n"+
-			"recorder: %.0f events per forked boot vs %.0f per cold boot",
-		st.Packages, st.Runs, st.Identical,
-		float64(st.SetupOffNs)/1e6, float64(st.SetupOnNs)/1e6, st.SetupRatio,
-		st.AvgColdSetupNs/1e3, st.AvgForkNs/1e3,
-		st.Hits, st.Misses, st.Evictions,
-		st.AvgRecEventsFork, st.AvgRecEventsCold)
-}
-
-// RunTemplateStudy builds each spec `runs` times under DetTrace with
-// perturbed host accidents, through a templated farm and a cold farm, and
-// compares outputs and setup costs. runs <= 0 selects the default of 16 —
-// reprotest's standard variation schedule — so one template prepare
-// amortizes across all of a package's perturbed builds, exactly as it does
-// across the farm's own BL/DT/ablation re-runs.
-func (o *Options) RunTemplateStudy(specs []*debpkg.Spec, runs int) *TemplateStudy {
-	if runs <= 0 {
-		runs = 16
-	}
-	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
-		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability}
-	off := &Options{Seed: o.Seed, Jobs: o.Jobs, Experimental: o.Experimental,
-		NoSyscallBuf: o.NoSyscallBuf, NoObservability: o.NoObservability,
-		DisableTemplates: true}
-	type tmplOut struct {
-		ok, identical bool
-	}
-	outs := make([]tmplOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		seed := pkgSeed(o.Seed, spec)
-		ok, identical := true, true
-		for r := 0; r < runs; r++ {
-			v := reprotest.Perturbed(seed, r)
-			warm := on.buildDT(l, spec, seed, v, nil)
-			cold := off.buildDT(l, spec, seed, v, nil)
-			wv, _ := warm.verdict()
-			cv, _ := cold.verdict()
-			if wv != cv {
-				ok, identical = true, false // same inputs must fail the same way
-				break
-			}
-			if wv != "" {
-				ok = false
-				break
-			}
-			if !bytes.Equal(warm.deb, cold.deb) || !bytes.Equal(warm.log, cold.log) {
-				identical = false
-			}
-		}
-		outs[i] = tmplOut{ok: ok, identical: ok && identical}
-	})
-	st := &TemplateStudy{Runs: runs}
-	for _, to := range outs {
-		if !to.ok {
-			continue
-		}
-		st.Packages++
-		if to.identical {
-			st.Identical++
-		}
-	}
-	son, soff := on.SetupStats(), off.SetupStats()
-	st.SetupOnNs = son.SetupNs()
-	st.SetupOffNs = soff.SetupNs()
-	if st.SetupOnNs > 0 {
-		st.SetupRatio = float64(st.SetupOffNs) / float64(st.SetupOnNs)
-	}
-	st.Hits, st.Misses, st.Evictions = son.TemplateHits, son.TemplateMisses, son.Evictions
-	if son.ForkBoots > 0 {
-		st.AvgForkNs = float64(son.ForkNs) / float64(son.ForkBoots)
-		st.AvgRecEventsFork = float64(son.RecEventsFork) / float64(son.ForkBoots)
-	}
-	if soff.ColdBoots > 0 {
-		st.AvgColdSetupNs = float64(soff.ColdSetupNs+soff.ImageBuildNs) / float64(soff.ColdBoots)
-		st.AvgRecEventsCold = float64(soff.RecEventsCold) / float64(soff.ColdBoots)
-	}
-	return st
 }

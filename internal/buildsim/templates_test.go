@@ -50,7 +50,7 @@ func TestFarmTemplateEquivalence(t *testing.T) {
 			t.Errorf("jobs=%d: template cache never hit across %d packages", jobs, len(specs))
 		}
 	}
-	if st := (&Options{Seed: 3, Jobs: 4, DisableTemplates: true}).SetupStats(); st.SetupNs() != 0 {
+	if st := (&Options{Seed: 3, Jobs: 4, DisableTemplates: true}).SetupStats(); st != (SetupStats{}) {
 		t.Errorf("fresh options carries setup state")
 	}
 }
@@ -92,15 +92,15 @@ func TestTemplateEvictionInvisible(t *testing.T) {
 	}
 }
 
-// Setup accounting: the templated farm forks everything, the ablated farm
-// boots everything cold, and the per-boot fork cost undercuts the per-boot
-// cold cost — the amortization the -templates study reports.
+// Setup accounting: the templated farm forks everything off memoized images,
+// the ablated farm boots everything cold and rebuilds its image every time —
+// the traffic the -templates study reports.
 func TestSetupStatsAccounting(t *testing.T) {
 	specs := debpkg.Universe(7, 16)
 	warm := &Options{Seed: 7, Jobs: 4}
 	warm.BuildAll(specs, nil)
 	ws := warm.SetupStats()
-	if ws.ColdBoots != 0 || ws.ForkBoots == 0 || ws.ColdSetupNs != 0 {
+	if ws.ColdBoots != 0 || ws.ForkBoots == 0 {
 		t.Errorf("templated farm took cold boots: %+v", ws)
 	}
 	if ws.ImageHits == 0 || ws.TemplateHits == 0 {
@@ -110,7 +110,7 @@ func TestSetupStatsAccounting(t *testing.T) {
 	cold := &Options{Seed: 7, Jobs: 4, DisableTemplates: true}
 	cold.BuildAll(specs, nil)
 	cs := cold.SetupStats()
-	if cs.ForkBoots != 0 || cs.ColdBoots == 0 || cs.ForkNs != 0 || cs.PrepareNs != 0 {
+	if cs.ForkBoots != 0 || cs.ColdBoots == 0 || cs.TemplateHits+cs.TemplateMisses != 0 {
 		t.Errorf("ablated farm forked: %+v", cs)
 	}
 	if cs.ImageHits != 0 {
@@ -118,8 +118,9 @@ func TestSetupStatsAccounting(t *testing.T) {
 	}
 }
 
-// The study itself: every on/off pair bitwise-identical, and the cold farm's
-// setup bill is a multiple of the templated one.
+// The study itself: every on/off pair bitwise-identical, the templated farm
+// forks every boot off a few prepares, and the cold farm pays a cold boot and
+// an image build every time.
 func TestTemplateStudy(t *testing.T) {
 	st := (&Options{Seed: 1, Jobs: 4}).RunTemplateStudy(debpkg.Universe(1, 12), 4)
 	if st.Packages == 0 {
@@ -131,12 +132,22 @@ func TestTemplateStudy(t *testing.T) {
 	if st.Runs != 4 {
 		t.Errorf("Runs = %d, want 4", st.Runs)
 	}
-	if st.SetupRatio <= 1 {
-		t.Errorf("template reuse did not reduce setup cost: %.2fx (on=%dns off=%dns)",
-			st.SetupRatio, st.SetupOnNs, st.SetupOffNs)
+	if st.ColdBootsOn != 0 || st.ForkBootsOn == 0 {
+		t.Errorf("templated farm: %d cold boots, %d forked, want 0 and > 0", st.ColdBootsOn, st.ForkBootsOn)
 	}
 	if st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("implausible cache traffic: %d hits, %d misses", st.Hits, st.Misses)
+	}
+	if st.ImageBuildsOn >= st.ForkBootsOn {
+		t.Errorf("templated farm built %d images for %d boots: the memo never hit", st.ImageBuildsOn, st.ForkBootsOn)
+	}
+	// Zero image-memo hits on the cold farm: every boot rebuilt its image.
+	if st.ForkBootsOff != 0 || st.ColdBootsOff == 0 || st.ImageBuildsOff != st.ColdBootsOff {
+		t.Errorf("cold farm: %d forked boots, %d cold, %d image builds, want 0 and cold == builds",
+			st.ForkBootsOff, st.ColdBootsOff, st.ImageBuildsOff)
+	}
+	if !st.OK() {
+		t.Errorf("study fails its own oracle:\n%s", st)
 	}
 	if st.String() == "" {
 		t.Error("empty study rendering")

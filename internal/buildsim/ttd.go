@@ -13,7 +13,6 @@
 package buildsim
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 
@@ -65,7 +64,9 @@ func (o *Options) recordSession(l obs.Local, spec *debpkg.Spec, inject int, mod 
 				[]string{"dpkg-buildpackage", "-b"}, checkpointEnv)
 		},
 	}
-	return sess, dtRunFrom(res, spec, pkgdir)
+	run := dtRunFrom(res, spec, pkgdir)
+	run.sess = sess
+	return sess, run
 }
 
 // sameDivergence reports whether the bisect and the linear diagnoser named
@@ -95,7 +96,7 @@ func sameDivergence(a, b *obs.Divergence) bool {
 // agreement on the exact event AND the O(log n) bound — at most
 // ceil(log2(seals))+1 window re-executions.
 func (o *Options) BisectDiagnose(spec *debpkg.Spec, inject int) (report string, ok bool) {
-	on := &Options{Seed: o.Seed, Checkpoints: true}
+	on := o.derive(func(f *Options) { f.Checkpoints = true })
 	l := obs.NewLocal()
 	a, runA := on.recordSession(l, spec, 0, nil)
 	if v, _ := runA.verdict(); v != "" {
@@ -147,38 +148,35 @@ func (o *Options) BisectDiagnose(spec *debpkg.Spec, inject int) (report string, 
 // TTDStudy is the `benchtab -ttd` result: what dense delta checkpointing
 // costs, what it buys a seek, and what bisection saves over linear replay.
 type TTDStudy struct {
-	Packages int
-	Seals    int // seals recorded per reference run, summed
+	Packages int `json:"packages"`
+	Seals    int `json:"seals"` // seals recorded per reference run, summed
 
 	// Equivalent counts packages whose delta-sealed build matched the
 	// DisableDeltaSeals build bitwise (the ablation equivalence gate).
-	Equivalent int
+	Equivalent int `json:"delta_full_equivalent"`
 
 	// DeltaBytes is what the delta chains actually stored (base seal + fresh
 	// bytes of every delta); FullBytes what the same chains would hold as
 	// standalone full seals. Ratio = DeltaBytes/FullBytes.
-	DeltaBytes int64
-	FullBytes  int64
-	Ratio      float64
+	DeltaBytes int64   `json:"seal_delta_bytes"`
+	FullBytes  int64   `json:"seal_full_bytes"`
+	Ratio      float64 `json:"seal_delta_ratio"`
 
 	// ReplayedActions is a mid-build SeekTo's forward-replay distance when
 	// restored from the seal chain; ColdActions the same seek forced to
 	// replay from boot. Speedup = ColdActions/ReplayedActions — the
 	// deterministic seek-cost ratio (kernel actions re-executed, a pure
-	// function of the run). SeekNs/ColdNs are the wall times those replays
-	// took, informational only: the study records packages in parallel, so
-	// wall time carries scheduler noise the action counts do not.
-	ReplayedActions int64
-	ColdActions     int64
-	Speedup         float64
-	SeekNs          int64
-	ColdNs          int64
+	// function of the run). What a seek costs on the host clock is bench/'s
+	// seal-recover row ttd.seek_ms.
+	ReplayedActions int64   `json:"seek_replayed_actions"`
+	ColdActions     int64   `json:"cold_replayed_actions"`
+	Speedup         float64 `json:"seek_speedup"`
 
 	// BisectProbes/BisectReplays aggregate the entropy-injected bisections;
 	// BisectAgree counts those landing on the linear diagnoser's event.
-	BisectProbes  int
-	BisectReplays int
-	BisectAgree   int
+	BisectProbes  int `json:"bisect_probes"`
+	BisectReplays int `json:"bisect_window_replays"`
+	BisectAgree   int `json:"bisect_agree_linear"`
 }
 
 // String renders the study for benchtab text output.
@@ -186,43 +184,42 @@ func (st *TTDStudy) String() string {
 	return fmt.Sprintf(
 		"ttd: %d packages, %d seals; delta/full equivalent %d/%d\n"+
 			"seal bytes: delta %d vs full %d (ratio %.3f)\n"+
-			"seek: %d actions replayed from seal chain vs %d cold (%.1fx); wall %.2f ms vs %.2f ms\n"+
+			"seek: %d actions replayed from seal chain vs %d cold (%.1fx)\n"+
 			"bisect: %d probes, %d window replays, %s agree with linear",
 		st.Packages, st.Seals, st.Equivalent, st.Packages,
 		st.DeltaBytes, st.FullBytes, st.Ratio,
 		st.ReplayedActions, st.ColdActions, st.Speedup,
-		float64(st.SeekNs)/1e6, float64(st.ColdNs)/1e6,
 		st.BisectProbes, st.BisectReplays, stats.Pct(st.BisectAgree, st.Packages))
+}
+
+// OK is the study's oracle: delta seals moved no output bit, and every
+// bisection landed on the linear diagnoser's event.
+func (st *TTDStudy) OK() bool {
+	return st.Equivalent == st.Packages && st.BisectAgree == st.Packages
 }
 
 // RunTTDStudy measures the time-travel debug service over specs: the
 // delta-seal ablation equivalence, chain storage cost against full seals,
-// seek latency against cold replay, and bisect cost against linear
+// seek distance against cold replay, and bisect cost against linear
 // diagnosis.
 func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
-	on := &Options{Seed: o.Seed, Jobs: o.Jobs, Checkpoints: true}
-	st := &TTDStudy{}
 	type tOut struct {
-		ok, equivalent, agree  bool
+		agree                  bool
 		seals                  int
 		deltaBytes, fullBytes  int64
-		seekNs, coldNs         int64
 		replayed, coldReplayed int64
 		probes, replays        int
 	}
 	outs := make([]tOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		sess, run := on.recordSession(l, spec, 0, nil)
-		if v, _ := run.verdict(); v != "" {
-			return
-		}
-		full, fullRun := on.recordSession(l, spec, 0, func(c *core.Config) {
-			c.DisableDeltaSeals = true
-		})
-		out := tOut{ok: true, seals: len(sess.Seals)}
-		out.equivalent = run.exit == fullRun.exit && run.wall == fullRun.wall &&
-			bytes.Equal(run.deb, fullRun.deb) && bytes.Equal(run.log, fullRun.log)
+	record := func(f *Options, l obs.Local, spec *debpkg.Spec, _ uint64, _ reprotest.Variation) dtRun {
+		_, run := f.recordSession(l, spec, 0, nil)
+		return run
+	}
+	// A recorded session pins every seal and a diagnosis-sized ring, so each
+	// package's are measured on the worker and dropped before the next.
+	measure := func(l obs.Local, i int, on, off dtRun) {
+		sess, full := on.sess, off.sess
+		out := tOut{seals: len(sess.Seals)}
 
 		// Chain storage: the delta chain's stored bytes vs the standalone
 		// full seals the ablated run took at the same instants.
@@ -243,19 +240,17 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		if len(sess.Trace) > 0 {
 			mid := sess.Trace[len(sess.Trace)/2].LTime
 			if view, err := sess.SeekTo(mid); err == nil {
-				out.seekNs = view.ReplayedNs
 				out.replayed = view.ReplayedActions
 			}
 			cold := *sess
 			cold.Seals = nil
 			if view, err := cold.SeekTo(mid); err == nil {
-				out.coldNs = view.ReplayedNs
 				out.coldReplayed = view.ReplayedActions
 			}
 		}
 
 		// Bisect against an entropy-injected recording of the same build.
-		inj, injRun := on.recordSession(l, spec, 1, nil)
+		inj, injRun := o.recordSession(l, specs[i], 1, nil)
 		if v, _ := injRun.verdict(); v == "" {
 			if bres, err := sess.Bisect(inj); err == nil {
 				out.probes = bres.Probes
@@ -265,20 +260,21 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 			}
 		}
 		outs[i] = out
-	})
-	for _, out := range outs {
-		if !out.ok {
+	}
+	pairs, _, _ := o.ablate(ablations[ablDeltaSeals], specs, protocol{build: record, visit: measure})
+	st := &TTDStudy{}
+	for i, p := range pairs {
+		if !p.ok {
 			continue
 		}
+		out := outs[i]
 		st.Packages++
 		st.Seals += out.seals
-		if out.equivalent {
+		if p.identical {
 			st.Equivalent++
 		}
 		st.DeltaBytes += out.deltaBytes
 		st.FullBytes += out.fullBytes
-		st.SeekNs += out.seekNs
-		st.ColdNs += out.coldNs
 		st.ReplayedActions += out.replayed
 		st.ColdActions += out.coldReplayed
 		st.BisectProbes += out.probes

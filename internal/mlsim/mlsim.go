@@ -325,14 +325,14 @@ func RunStudy(seed uint64) []Result {
 // WsRow is one line of the workspace ablation sweep (X17): the same
 // DetTrace training run with workspaces on and off at a given thread count.
 type WsRow struct {
-	Model     Model
-	Threads   int
-	WsOn      int64   // DetTrace wall time, workspaces enabled
-	WsOff     int64   // DetTrace wall time, serialized ablation
-	Speedup   float64 // WsOff / WsOn
-	Forks     int64   // workspace_forks counter (ws-on run)
-	Merges    int64   // workspace_merges counter (ws-on run)
-	Conflicts int64   // workspace_conflicts counter (ws-on run)
+	Model     Model   `json:"workload"`
+	Threads   int     `json:"threads"`
+	WsOn      int64   `json:"ws_on_ns"`              // DetTrace wall time, workspaces enabled
+	WsOff     int64   `json:"ws_off_ns"`             // DetTrace wall time, serialized ablation
+	Speedup   float64 `json:"speedup_vs_serialized"` // WsOff / WsOn
+	Forks     int64   `json:"forks"`                 // workspace_forks counter (ws-on run)
+	Merges    int64   `json:"merges"`                // workspace_merges counter (ws-on run)
+	Conflicts int64   `json:"conflicts"`             // workspace_conflicts counter (ws-on run)
 }
 
 // WsThreadPoints are the thread counts the sweep covers.

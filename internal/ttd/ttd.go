@@ -16,7 +16,6 @@ package ttd
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fs"
@@ -67,11 +66,10 @@ type View struct {
 
 	// SealOrdinal is the checkpoint the seek restored from (0 = cold replay
 	// from boot); ReplayedActions how many kernel actions the replay
-	// executed to reach the instant, and ReplayedNs the wall time that took
-	// — the seek-latency numerator benchtab's ttd study reports.
+	// executed to reach the instant — the deterministic seek cost benchtab's
+	// ttd study reports.
 	SealOrdinal     int
 	ReplayedActions int64
-	ReplayedNs      int64
 
 	// Halted is false when the requested instant lies at or beyond the end
 	// of the run: the View then shows final state.
@@ -103,12 +101,10 @@ func (s *Session) SeekTo(ltime int64) (*View, error) {
 	for idx >= 0 && s.Seals[idx].LNow() > ltime {
 		idx--
 	}
-	start := time.Now()
 	res, ordinal, err := s.replayFrom(idx, cfg)
 	if err != nil {
 		return nil, err
 	}
-	replayedNs := time.Since(start).Nanoseconds()
 
 	var sealActions int64
 	if ordinal > 0 {
@@ -117,7 +113,6 @@ func (s *Session) SeekTo(ltime int64) (*View, error) {
 	replayed := res.Actions - sealActions
 	s.count("ttd_seek_total", 1)
 	s.count("ttd_seek_replay_actions", replayed)
-	s.count("ttd_seek_replay_ns", replayedNs)
 	from := int64(ordinal)
 	if ordinal == 0 {
 		from = -1 // cold replay
@@ -129,7 +124,6 @@ func (s *Session) SeekTo(ltime int64) (*View, error) {
 		Actions:         res.Actions,
 		SealOrdinal:     ordinal,
 		ReplayedActions: replayed,
-		ReplayedNs:      replayedNs,
 		Halted:          res.Halted,
 		FS:              res.FS,
 		Events:          res.Events,
