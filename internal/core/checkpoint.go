@@ -132,7 +132,7 @@ func (cp *Checkpoint) VirtualNow() int64 { return cp.kern.VirtualNow() }
 // later seal chained onto it, and recovery steps down to the newest seal
 // whose whole chain validates.
 func (cp *Checkpoint) Valid() bool {
-	return ringDigestOf(cp.ringSeal) == cp.ringDigest && cp.kern.FSSealChain().ChainValid()
+	return cp.ringSeal.Digest() == cp.ringDigest && cp.kern.FSSealChain().ChainValid()
 }
 
 // Digest returns the sealed ring-prefix digest — the checkpoint's content
@@ -140,10 +140,6 @@ func (cp *Checkpoint) Valid() bool {
 // as (image hash, config hash, job, ordinal, digest), and a receiving node
 // revalidates the body it fetches against this digest before restoring.
 func (cp *Checkpoint) Digest() uint64 { return cp.ringDigest }
-
-// ringDigestOf folds a sealed ring into the validation digest. Nil-safe: a
-// DisableObservability seal digests its canonical empty header.
-func ringDigestOf(r *obs.Recorder) uint64 { return obs.DigestBytes(r.MarshalBinary()) }
 
 // recoveryHash is the config identity a checkpoint is valid against. The
 // crash-fault knob is excluded: the sealed run carried FaultInjectCrash=N by
@@ -197,7 +193,7 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 	for k, v := range c.rawPid {
 		cp.rawPid[k] = v
 	}
-	cp.ringDigest = ringDigestOf(cp.ringSeal)
+	cp.ringDigest = cp.ringSeal.Digest() // nil-safe: a DisableObservability seal digests its empty header
 	if c.cfg.FaultCorruptCheckpoint > 0 && c.checkpoints == c.cfg.FaultCorruptCheckpoint {
 		// Injected checkpoint-write corruption: the stored digests no longer
 		// match the contents, so Valid() — and therefore Resume — rejects
@@ -315,6 +311,10 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	// would have.
 	for path, data := range patch {
 		if !c.k.FS.Amend(path, data) {
+			// The survivor is already parked at its sealed stop: stop it
+			// rather than leave its coroutine behind.
+			k.Abort(ErrPatchUnapplied)
+			k.Run()
 			return nil, ErrPatchUnapplied
 		}
 	}

@@ -32,19 +32,6 @@ func (k *Kernel) processAction(t *Thread) {
 	}
 }
 
-// resume completes t's current action: the guest continues, yields its next
-// action, and t rejoins the pending set (or dies).
-func (k *Kernel) resume(t *Thread, m resumeMsg) {
-	t.resumeCh <- m
-	next := <-t.yieldCh
-	if next.kind == yieldDead {
-		t.dead = true
-		return
-	}
-	t.act = next
-	k.pending = append(k.pending, t)
-}
-
 // resumeWithSignals delivers any pending signal disposition before resuming:
 // a handler request rides along in the resume message; a lethal default
 // kills the process instead of resuming.
@@ -255,7 +242,9 @@ func (k *Kernel) runSyscall(t *Thread, act *yieldMsg) {
 	}
 	er := k.Policy.SyscallEnter(t, sc)
 	if er.Disposition == DispAbort {
-		k.debug("%s %s: container abort: %v", fmtPID(t.Proc), sc.Num, er.AbortErr)
+		if k.debugf != nil {
+			k.debugf("%s %s: container abort: %v", fmtPID(t.Proc), sc.Num, er.AbortErr)
+		}
 		k.Abort(er.AbortErr)
 		return
 	}
@@ -313,7 +302,9 @@ func (k *Kernel) runSyscall(t *Thread, act *yieldMsg) {
 	}
 	k.advanceGlobal(t.Clock)
 	k.advanceLogical(t.LClock)
-	k.debug("%s.t%d %s(%d,...) = %d @%.3fs tracer=%.3fs", fmtPID(t.Proc), t.TID, sc.Num, sc.Arg[0], sc.Ret, float64(t.Clock)/1e9, float64(k.tracerBusy)/1e9)
+	if k.debugf != nil { // the arguments alone cost a Sprintf and seven boxes per syscall
+		k.debugf("%s.t%d %s(%d,...) = %d @%.3fs tracer=%.3fs", fmtPID(t.Proc), t.TID, sc.Num, sc.Arg[0], sc.Ret, float64(t.Clock)/1e9, float64(k.tracerBusy)/1e9)
+	}
 
 	// execve success unwinds the old image instead of returning.
 	if sc.Num == abi.SysExecve && sc.Err() == abi.OK {
@@ -361,10 +352,12 @@ func (k *Kernel) takePendingSignal(t *Thread) (abi.Signal, bool) {
 }
 
 // killProcess terminates t's whole process with a signal status. t's own
-// goroutine is killed too; callers must not resume t afterwards.
+// coroutine is stopped too; callers must not resume t afterwards.
 func (k *Kernel) killProcess(t *Thread, sig abi.Signal) {
 	p := t.Proc
-	k.debug("%s killed by %s", fmtPID(p), sig)
+	if k.debugf != nil {
+		k.debugf("%s killed by %s", fmtPID(p), sig)
+	}
 	for _, th := range p.Threads {
 		if !th.dead {
 			k.removePending(th)

@@ -439,8 +439,6 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 		SpinCount: ts.spinCount,
 		BufCount:  ts.bufCount,
 		program:   stub,
-		yieldCh:   make(chan *yieldMsg),
-		resumeCh:  make(chan resumeMsg),
 		k:         k,
 	}
 	p.Threads = append(p.Threads, t)

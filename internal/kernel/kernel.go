@@ -6,10 +6,11 @@
 //
 // Guest programs are Go functions that may only interact with the world by
 // yielding actions (system calls, compute bursts, CPU instructions) to the
-// kernel. Guest goroutines run in strict lockstep with the kernel loop: the
-// kernel resumes exactly one guest at a time and waits for its next yield,
-// so guest code is mutually excluded and the simulation is a deterministic
-// function of the kernel's scheduling decisions.
+// kernel. Each guest thread is a coroutine its kernel owns (handoff.go), run
+// in strict lockstep with the kernel loop: the kernel switches to exactly one
+// guest at a time and gets control back at its next yield, so guest code is
+// mutually excluded and the simulation is a deterministic function of the
+// kernel's scheduling decisions.
 //
 // Virtual parallelism is modelled in time, not in execution: compute bursts
 // are list-scheduled onto the machine profile's cores, and each thread
@@ -31,7 +32,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/abi"
 	"repro/internal/cpu"
@@ -170,13 +171,13 @@ type VdsoProvider interface {
 
 // SyscallBufferer is an optional Policy extension: a tracer that injects an
 // rr-style in-tracee syscall buffer implements it to service light calls on
-// the guest side of the yield channel, with no kernel round trip.
+// the guest side of the hand-off, with no kernel round trip.
 //
-// BufferSyscall runs on the *guest goroutine*, before the call would yield.
+// BufferSyscall runs on the *guest coroutine*, before the call would yield.
 // Returning true means the call was fully serviced (sc.Ret and out buffers
 // filled, costs charged to t's clocks) and the thread keeps running;
 // returning false falls through to the normal yield path. This is safe only
-// because of strict lockstep: the kernel loop is blocked waiting for this
+// because of strict lockstep: the kernel loop is suspended until this
 // thread's next yield, so exactly one goroutine touches kernel and policy
 // state. Implementations must not unblock other threads or change global
 // scheduling state — decisions that need the kernel loop must return false.
@@ -548,7 +549,15 @@ func (k *Kernel) Actions() int64 { return k.actions }
 
 // Run drives the simulation until every process has exited, a container
 // error aborts it, or a limit trips. It returns nil on clean completion.
+// However it ends, every guest coroutine has finished when it returns; a
+// panic in guest code surfaces here, after the other guests were stopped.
 func (k *Kernel) Run() error {
+	defer func() {
+		if r := recover(); r != nil {
+			k.killEverything()
+			panic(r)
+		}
+	}()
 	err := k.run()
 	k.foldStats()
 	return err
@@ -624,7 +633,9 @@ func (k *Kernel) choose() *Thread {
 	if len(k.pending) > 1 || len(k.parked) > 0 {
 		k.Stats.SchedRequests += k.weightOf(nil)
 	}
-	sort.Slice(k.pending, func(i, j int) bool { return k.pending[i].TID < k.pending[j].TID })
+	if len(k.pending) > 1 {
+		slices.SortFunc(k.pending, func(a, b *Thread) int { return a.TID - b.TID })
+	}
 	return k.Policy.PickNext(k, k.pending)
 }
 
@@ -670,8 +681,8 @@ func (k *Kernel) removePending(t *Thread) {
 	}
 }
 
-// killEverything delivers a kill-resume to every live thread so their
-// goroutines unwind; used for aborts, deadlocks and timeouts.
+// killEverything stops every live thread's coroutine; used for aborts,
+// crashes, halts, deadlocks and timeouts.
 func (k *Kernel) killEverything() {
 	for _, p := range k.procs {
 		for _, t := range p.Threads {
@@ -683,13 +694,6 @@ func (k *Kernel) killEverything() {
 	k.pending = nil
 	k.kblocked = nil
 	k.parked = nil
-}
-
-// debug emits one formatted trace line when debugging is enabled.
-func (k *Kernel) debug(format string, args ...any) {
-	if k.debugf != nil {
-		k.debugf(format, args...)
-	}
 }
 
 // Console buffers container stdout/stderr in processing order.

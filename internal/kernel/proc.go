@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/abi"
 	"repro/internal/cpu"
 	"repro/internal/fs"
@@ -111,10 +109,15 @@ type Thread struct {
 	program     ProgramFn
 	pendingExec ProgramFn
 
-	yieldCh  chan *yieldMsg
-	resumeCh chan resumeMsg
-	act      *yieldMsg // the action currently waiting to be processed
-	dead     bool
+	// The hand-off (handoff.go): next switches to the guest coroutine until
+	// its next action, stop kills it; out is the guest's side of the same
+	// switch and in carries the kernel's answer across it.
+	next func() (*yieldMsg, bool)
+	stop func()
+	out  func(*yieldMsg) bool
+	in   resumeMsg
+	act  *yieldMsg // the action currently waiting to be processed
+	dead bool
 
 	eintr      bool  // current blocked syscall was interrupted by a signal
 	wakeReady  bool  // explicit wake (futex wake, socket event)
@@ -155,7 +158,6 @@ const (
 	yieldInstr
 	yieldVdsoTime
 	yieldExit
-	yieldDead // goroutine acknowledged a kill
 )
 
 type yieldMsg struct {
@@ -168,13 +170,12 @@ type yieldMsg struct {
 }
 
 type resumeMsg struct {
-	kill   bool
 	exec   bool
 	signal abi.Signal // deliver this signal's handler before returning
 	instr  cpu.Result
 }
 
-// killedPanic unwinds a guest goroutine when its thread is killed.
+// killedPanic unwinds a guest coroutine when its thread is killed.
 type killedPanic struct{}
 
 // execPanic unwinds the old program image after a successful execve.
@@ -226,12 +227,10 @@ func (k *Kernel) newProc(parent *Proc) *Proc {
 
 func (k *Kernel) newThread(p *Proc, fn ProgramFn) *Thread {
 	t := &Thread{
-		TID:      p.PID*64 + len(p.Threads), // unique, deterministic per spawn order
-		Proc:     p,
-		program:  fn,
-		yieldCh:  make(chan *yieldMsg),
-		resumeCh: make(chan resumeMsg),
-		k:        k,
+		TID:     p.PID*64 + len(p.Threads), // unique, deterministic per spawn order
+		Proc:    p,
+		program: fn,
+		k:       k,
 	}
 	if len(p.Threads) > 0 {
 		t.Clock = p.Threads[0].Clock
@@ -241,76 +240,6 @@ func (k *Kernel) newThread(p *Proc, fn ProgramFn) *Thread {
 	return t
 }
 
-// startThread launches the guest goroutine and waits for its first yield,
-// preserving the lockstep invariant.
-func (k *Kernel) startThread(t *Thread) {
-	go t.runner()
-	t.act = <-t.yieldCh
-	if t.act.kind == yieldDead {
-		t.dead = true
-		return
-	}
-	k.pending = append(k.pending, t)
-}
-
-// runner is the guest goroutine body: it runs the thread's program, handles
-// execve unwinding, and reports exit.
-func (t *Thread) runner() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedPanic); ok {
-				t.yieldCh <- &yieldMsg{kind: yieldDead}
-				return
-			}
-			panic(r) // real bug in guest code: surface it
-		}
-	}()
-	for {
-		code, execed := t.invoke()
-		if execed {
-			continue
-		}
-		t.yield(&yieldMsg{kind: yieldExit, code: code, weight: t.Proc.Weight})
-		t.yieldCh <- &yieldMsg{kind: yieldDead}
-		return
-	}
-}
-
-// invoke runs the current program image, converting an execve unwind into a
-// normal return.
-func (t *Thread) invoke() (code int, execed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(execPanic); ok {
-				t.program = t.pendingExec
-				t.pendingExec = nil
-				execed = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	return t.program(t), false
-}
-
-// yield hands an action to the kernel and blocks until it has been
-// processed. It is the only place guest goroutines synchronize with the
-// kernel loop.
-func (t *Thread) yield(m *yieldMsg) resumeMsg {
-	if m.weight == 0 {
-		m.weight = t.Proc.Weight
-	}
-	t.yieldCh <- m
-	r := <-t.resumeCh
-	if r.kill {
-		panic(killedPanic{})
-	}
-	if r.exec {
-		panic(execPanic{})
-	}
-	return r
-}
-
 // --- guest-facing action entry points (used by package guest) --------------
 
 // Syscall issues a system call and blocks until it completes. The returned
@@ -318,15 +247,16 @@ func (t *Thread) yield(m *yieldMsg) resumeMsg {
 //
 // The first branch is the in-tracee fast path: if the attached policy keeps
 // a syscall buffer and claims this call, it is serviced right here on the
-// guest goroutine — no yield, no kernel-loop round trip, no stop. The
-// lockstep model makes this safe: the kernel loop is blocked waiting for
-// this thread's next yield, so the policy has exclusive access to shared
+// guest coroutine — no yield, no kernel-loop round trip, no stop. The
+// lockstep model makes this safe: the kernel loop is suspended until this
+// thread's next yield, so the policy has exclusive access to shared
 // state. The guards keep the slow path authoritative whenever the kernel
 // might need control: before the thread's first yield completes (t.act is
-// still nil while the policy's OnSpawn bookkeeping may be pending) and
-// whenever a signal awaits delivery.
+// still nil while the policy's OnSpawn bookkeeping may be pending),
+// whenever a signal awaits delivery, and once the thread is dead (yield then
+// re-panics: a killed guest's deferred calls touch nothing).
 func (t *Thread) Syscall(sc *abi.Syscall) *abi.Syscall {
-	if fp := t.k.fastPath; fp != nil && t.act != nil && len(t.Proc.sigPending) == 0 &&
+	if fp := t.k.fastPath; fp != nil && t.act != nil && !t.dead && len(t.Proc.sigPending) == 0 &&
 		fp.BufferSyscall(t, sc) {
 		w := t.Proc.Weight
 		t.k.Stats.Syscalls += w
@@ -383,8 +313,6 @@ func (t *Thread) VdsoTime() int64 {
 	return int64(r.instr.Value)
 }
 
-var _ = fmt.Sprintf // fmt is used by debug helpers below
-
 // SignalHandler is a guest-side signal handler function. The kernel tracks
 // only that a handler is registered; the function itself runs on the guest
 // goroutine when the kernel requests delivery.
@@ -414,23 +342,12 @@ func (t *Thread) runSignal(sig abi.Signal) {
 	}
 }
 
-// killThread delivers the kill resume and waits for the goroutine to unwind.
-// Callers must know the thread has yielded (the lockstep invariant makes
-// this true whenever kernel code runs).
-func (k *Kernel) killThread(t *Thread) {
-	if t.dead {
-		return
-	}
-	t.dead = true
-	t.resumeCh <- resumeMsg{kill: true}
-	<-t.yieldCh // yieldDead acknowledgement
-}
-
 // --- process teardown -------------------------------------------------------
 
 // finishThread handles a thread's exit action. When the last thread exits,
 // the process dies: fds close, children are reparented to init, the parent
-// gets a zombie and a SIGCHLD.
+// gets a zombie and a SIGCHLD. The exit action is the last of the thread's
+// sequence, so the closing resume ends it.
 func (k *Kernel) finishThread(t *Thread, code int) {
 	t.dead = true
 	k.removePending(t)
@@ -443,8 +360,7 @@ func (k *Kernel) finishThread(t *Thread, code int) {
 	}
 	k.Policy.OnExit(t)
 	if live > 0 {
-		t.resumeCh <- resumeMsg{}
-		<-t.yieldCh
+		k.resume(t, resumeMsg{})
 		return
 	}
 	p.exited = true
@@ -465,8 +381,7 @@ func (k *Kernel) finishThread(t *Thread, code int) {
 		k.postSignal(parent, abi.SIGCHLD)
 	}
 	delete(k.procs, p.PID)
-	t.resumeCh <- resumeMsg{}
-	<-t.yieldCh // yieldDead
+	k.resume(t, resumeMsg{})
 }
 
 // exitGroup kills every other thread in the process, then exits this one.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/derive"
 )
@@ -172,10 +173,17 @@ const DefaultRingEvents = 8192
 // Recorder is a bounded ring of events. It is nil-safe: every method on a
 // nil *Recorder is a no-op, which is how DisableObservability is spelled at
 // the recording sites. The recorder is written only under the kernel's
-// lockstep (exactly one guest goroutine runs at a time), so it needs no
-// locking of its own.
+// lockstep (exactly one guest runs at a time), so it needs no locking of its
+// own.
+//
+// The ring costs its contents, not its capacity: it grows by append up to
+// limit and only then wraps, so booting, sealing and restoring a recorder
+// that holds 39 events moves 39 events. next is the slot the next event
+// lands in — len(ring) while growing, the oldest event once full — so
+// ring[next:] followed by ring[:next] is always record order.
 type Recorder struct {
 	ring    []Event
+	limit   int
 	next    int
 	total   int64
 	dropped int64
@@ -187,7 +195,7 @@ func NewRecorder(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultRingEvents
 	}
-	return &Recorder{ring: make([]Event, 0, n)}
+	return &Recorder{limit: n}
 }
 
 // Record appends one event.
@@ -196,13 +204,18 @@ func (r *Recorder) Record(ltime int64, kind Kind, num int32, pid int32, arg uint
 		return
 	}
 	ev := Event{LTime: ltime, Arg: arg, Ret: ret, Pid: pid, Num: num, Kind: kind}
-	if len(r.ring) < cap(r.ring) {
+	if n := len(r.ring); n < r.limit {
+		if n == cap(r.ring) {
+			// Double, and stop at the limit: append's own 1.25x steps would
+			// have allocated four times a full ring on the way to filling it.
+			r.ring = slices.Grow(r.ring, min(max(n, 16), r.limit-n))
+		}
 		r.ring = append(r.ring, ev)
 	} else {
 		r.ring[r.next] = ev
 		r.dropped++
 	}
-	r.next = (r.next + 1) % cap(r.ring)
+	r.next = (r.next + 1) % r.limit
 	r.total++
 }
 
@@ -227,13 +240,7 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if len(r.ring) < cap(r.ring) {
-		return append([]Event(nil), r.ring...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return slices.Concat(r.ring[r.next:], r.ring[:r.next])
 }
 
 // CloneState returns an immutable deep copy of the recorder's state (ring
@@ -243,9 +250,9 @@ func (r *Recorder) CloneState() *Recorder {
 	if r == nil {
 		return nil
 	}
-	c := &Recorder{next: r.next, total: r.total, dropped: r.dropped}
-	c.ring = append(make([]Event, 0, cap(r.ring)), r.ring...)
-	return c
+	c := *r
+	c.ring = slices.Clone(r.ring)
+	return &c
 }
 
 // RestoreState overwrites the recorder with a seal taken by CloneState, so a
@@ -255,10 +262,8 @@ func (r *Recorder) RestoreState(seal *Recorder) {
 	if r == nil || seal == nil {
 		return
 	}
-	r.ring = append(make([]Event, 0, cap(seal.ring)), seal.ring...)
-	r.next = seal.next
-	r.total = seal.total
-	r.dropped = seal.dropped
+	*r = *seal
+	r.ring = slices.Clone(seal.ring)
 }
 
 // MarshalBinary renders the retained events as canonical little-endian
@@ -266,21 +271,48 @@ func (r *Recorder) RestoreState(seal *Recorder) {
 // same event stream marshal byte-identically — the property the ring
 // determinism test pins.
 func (r *Recorder) MarshalBinary() []byte {
-	evs := r.Events()
-	out := make([]byte, 16, 16+len(evs)*eventBytes)
-	binary.LittleEndian.PutUint64(out[0:], uint64(r.Total()))
-	binary.LittleEndian.PutUint64(out[8:], uint64(r.Dropped()))
-	var rec [eventBytes]byte
-	for _, ev := range evs {
-		binary.LittleEndian.PutUint64(rec[0:], uint64(ev.LTime))
-		binary.LittleEndian.PutUint64(rec[8:], ev.Arg)
-		binary.LittleEndian.PutUint64(rec[16:], uint64(ev.Ret))
-		binary.LittleEndian.PutUint32(rec[24:], uint32(ev.Pid))
-		binary.LittleEndian.PutUint32(rec[28:], uint32(ev.Num))
-		rec[32] = byte(ev.Kind)
-		out = append(out, rec[:]...)
+	n := 0
+	if r != nil {
+		n = len(r.ring)
 	}
+	out := make([]byte, 0, 16+n*eventBytes)
+	r.wire(func(p []byte) { out = append(out, p...) })
 	return out
+}
+
+// Digest is DigestBytes(MarshalBinary()) folded in place: the same bytes in
+// the same order into the same FNV-1a state, with neither the event copy nor
+// the wire buffer materialised. Checkpoints validate their sealed ring with
+// it on every seal and every resume.
+func (r *Recorder) Digest() uint64 {
+	h := derive.NewHasher()
+	r.wire(h.Bytes)
+	return h.Sum()
+}
+
+// wire feeds the canonical encoding to emit piece by piece: the 16-byte
+// header first, then one eventBytes record per retained event, oldest first.
+// emit must not keep the slice.
+func (r *Recorder) wire(emit func([]byte)) {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[0:], uint64(r.Total()))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(r.Dropped()))
+	emit(hdr[:])
+	if r == nil {
+		return
+	}
+	var rec [eventBytes]byte
+	for _, evs := range [2][]Event{r.ring[r.next:], r.ring[:r.next]} {
+		for _, ev := range evs {
+			binary.LittleEndian.PutUint64(rec[0:], uint64(ev.LTime))
+			binary.LittleEndian.PutUint64(rec[8:], ev.Arg)
+			binary.LittleEndian.PutUint64(rec[16:], uint64(ev.Ret))
+			binary.LittleEndian.PutUint32(rec[24:], uint32(ev.Pid))
+			binary.LittleEndian.PutUint32(rec[28:], uint32(ev.Num))
+			rec[32] = byte(ev.Kind)
+			emit(rec[:])
+		}
+	}
 }
 
 // Span is one timed phase of a container's lifecycle (prepare, boot, fork,

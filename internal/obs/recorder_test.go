@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -95,5 +96,86 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 	if !strings.Contains(buf2.String(), `"name":"sys_9"`) {
 		t.Fatal("nil namer fallback missing")
+	}
+}
+
+// fillRing records n distinguishable events into a recorder of the given
+// limit and returns it with the full event history for reference.
+func fillRing(limit, n int) (*Recorder, []Event) {
+	r := NewRecorder(limit)
+	var all []Event
+	for i := 0; i < n; i++ {
+		ev := Event{LTime: int64(100 + i), Arg: uint64(i) << 33, Ret: int64(-i), Pid: int32(1000 + i), Num: int32(i % 7), Kind: Kind(1 + i%5)}
+		r.Record(ev.LTime, ev.Kind, ev.Num, ev.Pid, ev.Arg, ev.Ret)
+		all = append(all, ev)
+	}
+	return r, all
+}
+
+// TestRecorderGrowsToLimit pins the ring's observable behaviour while it
+// grows, when it is exactly full and after it wraps: a recorder costs its
+// contents, but Events, Dropped and the wire form are those of a ring that
+// was allocated at capacity.
+func TestRecorderGrowsToLimit(t *testing.T) {
+	const limit = 8
+	for _, n := range []int{0, 3, 8, 9, 20} {
+		r, all := fillRing(limit, n)
+		want := all
+		if n > limit {
+			want = all[n-limit:]
+		}
+		if r.Total() != int64(n) || r.Dropped() != int64(n-len(want)) {
+			t.Fatalf("n=%d: total/dropped = %d/%d, want %d/%d", n, r.Total(), r.Dropped(), n, n-len(want))
+		}
+		if got := r.Events(); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: events = %v, want %v", n, got, want)
+		}
+		wire := r.MarshalBinary()
+		if len(wire) != 16+len(want)*eventBytes {
+			t.Fatalf("n=%d: marshal len = %d, want %d", n, len(wire), 16+len(want)*eventBytes)
+		}
+
+		// A seal and a restore carry the same stream, and both keep wrapping
+		// where the original would.
+		seal := r.CloneState()
+		restored := NewRecorder(limit * 4)
+		restored.RestoreState(seal)
+		for _, c := range []*Recorder{seal, restored} {
+			if !bytes.Equal(c.MarshalBinary(), wire) {
+				t.Fatalf("n=%d: clone/restore changed the wire form", n)
+			}
+		}
+		for _, c := range []*Recorder{r, restored} {
+			for i := 0; i < limit+1; i++ {
+				c.Record(int64(i), KindSched, 0, 0, 0, 0)
+			}
+		}
+		if !bytes.Equal(restored.MarshalBinary(), r.MarshalBinary()) {
+			t.Fatalf("n=%d: restored ring diverges from the original after more events", n)
+		}
+		if !bytes.Equal(seal.MarshalBinary(), wire) {
+			t.Fatalf("n=%d: seal aliases the ring it was cloned from", n)
+		}
+	}
+}
+
+// TestRecorderDigestMatchesMarshal pins Digest as the in-place form of
+// DigestBytes(MarshalBinary()) over every ring shape.
+func TestRecorderDigestMatchesMarshal(t *testing.T) {
+	const limit = 8
+	shapes := map[string]*Recorder{"nil": nil}
+	for name, n := range map[string]int{"empty": 0, "partly filled": 3, "exactly full": limit, "wrapped once": limit + 1, "wrapped twice": 2*limit + 4} {
+		shapes[name], _ = fillRing(limit, n)
+	}
+	seen := map[uint64]string{}
+	for name, r := range shapes {
+		got, want := r.Digest(), DigestBytes(r.MarshalBinary())
+		if got != want {
+			t.Errorf("%s ring: Digest() = %#x, DigestBytes(MarshalBinary()) = %#x", name, got, want)
+		}
+		if other, dup := seen[got]; dup && !(name == "nil" || other == "nil") {
+			t.Errorf("%s and %s rings share a digest", name, other)
+		}
+		seen[got] = name
 	}
 }
