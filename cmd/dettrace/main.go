@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,27 +26,39 @@ import (
 	"repro/internal/machine"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args (without the program name), runs
+// the container, writes its streams to stdout and stderr and returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dettrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed       = flag.Uint64("seed", 0, "container PRNG seed (part of the container input)")
-		hostSeed   = flag.Uint64("host-seed", 1, "simulated physical-run entropy (must not affect output)")
-		epoch      = flag.Int64("epoch", 1_600_000_000, "host wall-clock epoch at boot (must not affect output)")
-		mach       = flag.String("machine", "skylake", "host machine: skylake|broadwell|haswell|sandybridge")
-		noSeccomp  = flag.Bool("no-seccomp", false, "disable seccomp-bpf selective interception (slower, same results)")
-		debug      = flag.Int("debug", 0, "debug verbosity (>=1 traces every system call)")
-		workingDir = flag.String("working-dir", "", "container working directory (default /build)")
-		withPkg    = flag.Int("with-package", -1, "materialize universe package N under /build")
-		showStats  = flag.Bool("stats", false, "print tracer statistics after the run")
-		expSocks   = flag.Bool("experimental-sockets", false, "allow container-internal AF_UNIX sockets")
-		expSigs    = flag.Bool("experimental-signals", false, "allow reproducible cross-process signals")
-		fastVdso   = flag.Bool("fast-vdso", false, "answer vDSO timing calls logically without a stop")
-		download   = flag.String("download", "", "declare a fetchable file: url=sha256hex=literal-content")
+		seed       = fs.Uint64("seed", 0, "container PRNG seed (part of the container input)")
+		hostSeed   = fs.Uint64("host-seed", 1, "simulated physical-run entropy (must not affect output)")
+		epoch      = fs.Int64("epoch", 1_600_000_000, "host wall-clock epoch at boot (must not affect output)")
+		mach       = fs.String("machine", "skylake", "host machine: skylake|broadwell|haswell|sandybridge")
+		noSeccomp  = fs.Bool("no-seccomp", false, "disable seccomp-bpf selective interception (slower, same results)")
+		debug      = fs.Int("debug", 0, "debug verbosity (>=1 traces every system call)")
+		workingDir = fs.String("working-dir", "", "container working directory (default /build)")
+		withPkg    = fs.Int("with-package", -1, "materialize universe package N under /build")
+		showStats  = fs.Bool("stats", false, "print tracer statistics after the run")
+		expSocks   = fs.Bool("experimental-sockets", false, "allow container-internal AF_UNIX sockets")
+		expSigs    = fs.Bool("experimental-signals", false, "allow reproducible cross-process signals")
+		fastVdso   = fs.Bool("fast-vdso", false, "answer vDSO timing calls logically without a stop")
+		download   = fs.String("download", "", "declare a fetchable file: url=sha256hex=literal-content")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: dettrace [flags] command [args...]")
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: dettrace [flags] command [args...]")
+		fs.Usage()
+		return 2
 	}
 
 	profiles := map[string]func() *machine.Profile{
@@ -56,8 +69,8 @@ func main() {
 	}
 	mk, ok := profiles[*mach]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "dettrace: unknown machine %q\n", *mach)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "dettrace: unknown machine %q\n", *mach)
+		return 2
 	}
 
 	img := repro.ToolchainImage()
@@ -69,7 +82,7 @@ func main() {
 		if wd == "" {
 			wd = pkgdir
 		}
-		fmt.Fprintf(os.Stderr, "dettrace: materialized %s at %s\n", spec.Name, pkgdir)
+		fmt.Fprintf(stderr, "dettrace: materialized %s at %s\n", spec.Name, pkgdir)
 	}
 
 	cfg := repro.Config{
@@ -87,21 +100,21 @@ func main() {
 	if *download != "" {
 		parts := strings.SplitN(*download, "=", 3)
 		if len(parts) != 3 {
-			fmt.Fprintln(os.Stderr, "dettrace: --download wants url=sha256hex=content")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "dettrace: --download wants url=sha256hex=content")
+			return 2
 		}
 		cfg.Downloads = map[string]repro.Download{
 			parts[0]: {SHA256: parts[1], Data: []byte(parts[2])},
 		}
 	}
 	if *debug >= 1 {
-		cfg.Debug = func(f string, a ...any) { fmt.Fprintf(os.Stderr, "[dettrace] "+f+"\n", a...) }
+		cfg.Debug = func(f string, a ...any) { fmt.Fprintf(stderr, "[dettrace] "+f+"\n", a...) }
 	}
 
 	reg := repro.NewRegistry()
 	repro.RegisterToolchain(reg)
 
-	argv := flag.Args()
+	argv := fs.Args()
 	path := argv[0]
 	if len(path) > 0 && path[0] != '/' {
 		path = "/bin/" + path
@@ -109,24 +122,24 @@ func main() {
 	c := repro.New(cfg)
 	res := c.Run(reg, path, argv, []string{"PATH=/bin", "USER=root", "HOME=/root", "LC_ALL=C", "TZ=UTC"})
 
-	os.Stdout.WriteString(res.Stdout)
-	os.Stderr.WriteString(res.Stderr)
+	io.WriteString(stdout, res.Stdout)
+	io.WriteString(stderr, res.Stderr)
 	if res.Err != nil {
 		var ue *repro.UnsupportedError
 		if errors.As(res.Err, &ue) {
-			fmt.Fprintf(os.Stderr, "dettrace: container error: unsupported operation: %s\n", ue.Op)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "dettrace: container error: unsupported operation: %s\n", ue.Op)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "dettrace: %v\n", res.Err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dettrace: %v\n", res.Err)
+		return 1
 	}
 	if *showStats {
-		fmt.Fprintf(os.Stderr, "--- dettrace stats ---\n")
-		fmt.Fprintf(os.Stderr, "virtual wall time : %.3fs\n", float64(res.WallTime)/1e9)
-		fmt.Fprintf(os.Stderr, "system calls      : %d\n", res.Stats.Syscalls)
-		fmt.Fprintf(os.Stderr, "tracer stops      : %d\n", res.Tracer.Stops)
-		fmt.Fprintf(os.Stderr, "memory reads      : %d\n", res.Tracer.MemReads)
-		fmt.Fprintf(os.Stderr, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
+		fmt.Fprintf(stderr, "--- dettrace stats ---\n")
+		fmt.Fprintf(stderr, "virtual wall time : %.3fs\n", float64(res.WallTime)/1e9)
+		fmt.Fprintf(stderr, "system calls      : %d\n", res.Stats.Syscalls)
+		fmt.Fprintf(stderr, "tracer stops      : %d\n", res.Tracer.Stops)
+		fmt.Fprintf(stderr, "memory reads      : %d\n", res.Tracer.MemReads)
+		fmt.Fprintf(stderr, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
 	}
-	os.Exit(res.ExitCode)
+	return res.ExitCode
 }

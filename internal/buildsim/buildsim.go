@@ -535,29 +535,20 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 	if !o.DisableTemplates {
 		snap = o.snapshot(l, snapshots, imgHash, img)
 	}
-	if snap == nil {
-		k := kernel.New(kernel.Config{
-			Profile:  machine.CloudLabC220G5(),
-			Seed:     v.HostSeed,
-			Epoch:    v.Epoch,
-			NumCPU:   v.NumCPU,
-			Image:    img,
-			Resolver: registry().Resolver(),
-			Deadline: deadline,
-			Policy:   policy,
-		})
-		sc.coldBoots.Add(l, 1)
-		return k, pkgdir
-	}
-	k := snap.Boot(kernel.BootConfig{
+	b := kernel.BootConfig{
 		Seed:     v.HostSeed,
 		Epoch:    v.Epoch,
 		NumCPU:   v.NumCPU,
 		Deadline: deadline,
 		Policy:   policy,
-	})
+	}
+	if snap == nil {
+		b.Resolver = registry().Resolver() // a snapshot carries its own
+		sc.coldBoots.Add(l, 1)
+		return kernel.ColdBoot(machine.CloudLabC220G5(), kernel.CostModel{}, img, b), pkgdir
+	}
 	sc.forkBoots.Add(l, 1)
-	return k, pkgdir
+	return snap.Boot(b), pkgdir
 }
 
 // startBuild starts dpkg-buildpackage as the kernel's init process, in the

@@ -47,28 +47,16 @@ type Checkpoint struct {
 	kern      *kernel.Checkpoint
 	schedSeal sched.Seal
 
-	prngState uint64
+	// det is the container's determinization state, cloned whole; what it
+	// holds is decided by detState's declaration, not listed here.
+	det detState
 
-	inoMap    map[uint64]uint64
-	nextIno   uint64
-	mtimeMap  map[uint64]int64
-	nextMtime int64
-
-	vpid     map[int]int
-	rawPid   map[int]int
-	nextVPID int
-
+	prngState  uint64
 	rdtscCount int64 // surviving process's count (sole proc at quiescence)
-
-	entropyDraws    int
-	randomLog       []byte
-	replayCursor    int
-	replayExhausted bool
 
 	regSeal  *obs.Registry // additive snapshot of the run's metrics prefix
 	ringSeal *obs.Recorder // flight-recorder prefix
 
-	ordinal      int
 	recoveryHash uint64 // ConfigHash minus the crash-fault knob
 	ringDigest   uint64 // digest of ringSeal at seal time (corruptible)
 }
@@ -83,7 +71,7 @@ type Checkpoint struct {
 // order, interleaving): only what was read and written matters, which is
 // exactly the derivation the planner's validity rule needs.
 func (cp *Checkpoint) RebuildInfo(pkgdir string) derive.SealInfo {
-	info := derive.SealInfo{Ordinal: cp.ordinal}
+	info := derive.SealInfo{Ordinal: cp.det.checkpoints}
 	sealFS := cp.kern.FSSeal()
 	if sealFS == nil {
 		return info
@@ -107,7 +95,7 @@ func (cp *Checkpoint) RebuildInfo(pkgdir string) derive.SealInfo {
 }
 
 // Ordinal returns the checkpoint's 1-based sequence number within its run.
-func (cp *Checkpoint) Ordinal() int { return cp.ordinal }
+func (cp *Checkpoint) Ordinal() int { return cp.det.checkpoints }
 
 // Actions returns the kernel action count at the seal.
 func (cp *Checkpoint) Actions() int64 { return cp.kern.Actions() }
@@ -161,37 +149,14 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 	regSeal := obs.NewRegistry()
 	regSeal.Absorb(c.obs)
 	cp := &Checkpoint{
-		kern:            kcp,
-		schedSeal:       c.sched.CheckpointSeal(t),
-		prngState:       c.prng.State(),
-		inoMap:          make(map[uint64]uint64, len(c.inoMap)),
-		nextIno:         c.nextIno,
-		mtimeMap:        make(map[uint64]int64, len(c.mtimeMap)),
-		nextMtime:       c.nextMtime,
-		vpid:            make(map[int]int, len(c.vpid)),
-		rawPid:          make(map[int]int, len(c.rawPid)),
-		nextVPID:        c.nextVPID,
-		rdtscCount:      c.rdtscCount[t.Proc],
-		entropyDraws:    c.entropyDraws,
-		randomLog:       append([]byte(nil), c.randomLog...),
-		replayCursor:    c.replayCursor,
-		replayExhausted: c.replayExhausted,
-		regSeal:         regSeal,
-		ringSeal:        c.rec.CloneState(),
-		ordinal:         c.checkpoints,
-		recoveryHash:    recoveryHash(c.cfg),
-	}
-	for k, v := range c.inoMap {
-		cp.inoMap[k] = v
-	}
-	for k, v := range c.mtimeMap {
-		cp.mtimeMap[k] = v
-	}
-	for k, v := range c.vpid {
-		cp.vpid[k] = v
-	}
-	for k, v := range c.rawPid {
-		cp.rawPid[k] = v
+		kern:         kcp,
+		schedSeal:    c.sched.CheckpointSeal(t),
+		det:          c.detState.clone(),
+		prngState:    c.prng.State(),
+		rdtscCount:   c.rdtscCount[t.Proc],
+		regSeal:      regSeal,
+		ringSeal:     c.rec.CloneState(),
+		recoveryHash: recoveryHash(c.cfg),
 	}
 	cp.ringDigest = cp.ringSeal.Digest() // nil-safe: a DisableObservability seal digests its empty header
 	if c.cfg.FaultCorruptCheckpoint > 0 && c.checkpoints == c.cfg.FaultCorruptCheckpoint {
@@ -209,10 +174,14 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 
 // Resume validates cp against cfg, reconstructs the container at the seal
 // point and runs it to completion. cfg must be the sealed run's config with
-// FaultInjectCrash cleared (or re-aimed past the seal); mechanism knobs
-// (observability, template reuse, checkpoint sinks) may differ freely. The
-// returned Result is bitwise identical — output, ring, rolled-up metrics —
-// to what the uninterrupted run would have produced.
+// FaultInjectCrash cleared (or re-aimed past the seal); template reuse,
+// checkpoint sinks and the debugger halts may differ freely. Observability
+// may only be turned off: a seal taken with the recorder on resumes under
+// DisableObservability (the Result then carries no ring), but a seal taken
+// with it off holds no ring prefix and is rejected under a recording config
+// with ErrCheckpointMismatch. The returned Result is bitwise identical —
+// output, ring, rolled-up metrics — to what the uninterrupted run under cfg
+// would have produced.
 func Resume(cp *Checkpoint, reg *guest.Registry, cfg Config) (*Result, error) {
 	return resume(cp, reg, cfg, nil)
 }
@@ -232,7 +201,10 @@ func ResumePatched(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[st
 
 func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]byte) (*Result, error) {
 	normalizeConfig(&cfg)
-	if recoveryHash(cfg) != cp.recoveryHash {
+	// recoveryHash leaves the observability knob out on purpose, so the one
+	// direction that cannot work is checked here: a ringless seal would
+	// resume into a ring missing its prefix.
+	if recoveryHash(cfg) != cp.recoveryHash || (cp.ringSeal == nil && !cfg.DisableObservability) {
 		return nil, ErrCheckpointMismatch
 	}
 	if !cp.Valid() {
@@ -243,27 +215,8 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	// Determinization state picks up mid-stream: the PRNG cursor, the
 	// first-touch inode/mtime/pid maps and the draw counter all continue
 	// exactly where the sealed run left them.
+	c.detState = cp.det.clone()
 	c.prng.SetState(cp.prngState)
-	for k, v := range cp.inoMap {
-		c.inoMap[k] = v
-	}
-	c.nextIno = cp.nextIno
-	for k, v := range cp.mtimeMap {
-		c.mtimeMap[k] = v
-	}
-	c.nextMtime = cp.nextMtime
-	for k, v := range cp.vpid {
-		c.vpid[k] = v
-	}
-	for k, v := range cp.rawPid {
-		c.rawPid[k] = v
-	}
-	c.nextVPID = cp.nextVPID
-	c.entropyDraws = cp.entropyDraws
-	c.randomLog = append([]byte(nil), cp.randomLog...)
-	c.replayCursor = cp.replayCursor
-	c.replayExhausted = cp.replayExhausted
-	c.checkpoints = cp.ordinal
 
 	// Observability prefix: absorb the sealed metrics into the fresh
 	// registry (counters are additive, so final Gather = prefix + suffix)
@@ -271,36 +224,10 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	c.obs.Absorb(cp.regSeal)
 	c.rec.RestoreState(cp.ringSeal)
 
-	var kcheck func(*kernel.Checkpoint, *kernel.Thread)
-	if cfg.CheckpointSink != nil {
-		kcheck = c.sealCheckpoint
-	}
 	setupStart := time.Now()
-	k, p, t := kernel.Resume(cp.kern, kernel.BootConfig{
-		Policy:        c,
-		Resolver:      reg.Resolver(),
-		Deadline:      cfg.Deadline,
-		Obs:           c.obs,
-		Rec:           c.rec,
-		CrashAtAction: cfg.FaultInjectCrash,
-		Checkpointer:  kcheck,
-		DeltaSeals:    !cfg.DisableDeltaSeals,
-		HaltAtAction:  cfg.HaltAtAction,
-		HaltAtLTime:   cfg.HaltAtLTime,
-	})
+	k, p, t := kernel.Resume(cp.kern, c.bootConfig(reg))
 	setupNs := time.Since(setupStart).Nanoseconds()
-	c.k = k
-	if c.rec != nil {
-		// COW flags survive sealing, so a resumed fork-path run fires the
-		// same break events at the same writes the original would have.
-		k.FS.OnCOWBreak = func(bytes int64) {
-			c.rec.Record(k.LNow(), obs.KindCOWBreak, 0, 0, uint64(bytes), 0)
-		}
-	}
-	if cfg.Debug != nil {
-		k.SetDebug(cfg.Debug)
-	}
-	c.registerContainerDevices(k)
+	c.attach(k, "resume", setupNs, true)
 	c.rdtscCount[p] = cp.rdtscCount
 	c.sched.RestoreSeal(cp.schedSeal, t)
 
@@ -318,20 +245,7 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 			return nil, ErrPatchUnapplied
 		}
 	}
-	c.spans = append(c.spans, obs.Span{Name: "resume", RealNs: setupNs})
-
-	runStart := time.Now()
-	runErr := k.Run()
-	c.spans = append(c.spans, obs.Span{
-		Name: "run", RealNs: time.Since(runStart).Nanoseconds(), LEnd: k.LNow(),
-	})
-	flushStart := time.Now()
-	res := c.assembleResult(p, runErr)
-	res.SetupNs = setupNs
+	res := c.finish(p, setupNs)
 	res.Resumed = true
-	c.spans = append(c.spans, obs.Span{
-		Name: "flush", RealNs: time.Since(flushStart).Nanoseconds(),
-	})
-	res.Spans = c.spans
 	return res, nil
 }

@@ -379,6 +379,35 @@ func TestCheckpointConfigMismatchRejected(t *testing.T) {
 	if _, err := core.Resume(last, chainRegistry(), chainConfig(hostA)); err != nil {
 		t.Errorf("same-config resume rejected: %v", err)
 	}
+
+	// Observability may only be turned off across a resume. A ring-carrying
+	// seal resumes with the recorder off and still equals the reference in
+	// everything but the ring ...
+	quiet := chainConfig(hostA)
+	quiet.DisableObservability = true
+	res, err := core.Resume(last, chainRegistry(), quiet)
+	if err != nil {
+		t.Fatalf("ring-carrying seal, recorder off: %v", err)
+	}
+	if res.Trace != nil {
+		t.Errorf("recorder off, yet the resumed result carries a ring")
+	}
+	if bitwiseNoRing(t, res) != bitwiseNoRing(t, refChain(t, hostA)) {
+		t.Errorf("ring-carrying seal resumed with the recorder off diverged from the reference")
+	}
+	// ... but a seal taken with the recorder off holds no ring prefix, so a
+	// recording config must not resume it into a ring missing its head.
+	var ringless *core.Checkpoint
+	quiet.CheckpointSink = func(cp *core.Checkpoint) { ringless = cp }
+	if res := runChain(quiet); res.Err != nil {
+		t.Fatalf("ringless run: %v", res.Err)
+	}
+	if _, err := core.Resume(ringless, chainRegistry(), chainConfig(hostA)); !errors.Is(err, core.ErrCheckpointMismatch) {
+		t.Errorf("ringless seal under a recording config: err=%v, want ErrCheckpointMismatch", err)
+	}
+	if _, err := core.Resume(ringless, chainRegistry(), discardSink(quiet)); err != nil {
+		t.Errorf("ringless seal under its own config rejected: %v", err)
+	}
 }
 
 // TestResumeChainsCheckpoints: a resumed run keeps sealing; crashing *again*

@@ -13,6 +13,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/abi"
@@ -298,16 +300,12 @@ func (r *Result) Unsupported() (string, bool) {
 // TimedOut reports whether the run exceeded its virtual deadline.
 func (r *Result) TimedOut() bool { return errors.Is(r.Err, kernel.ErrTimeout) }
 
-// Container is the DetTrace tracer: it implements kernel.Policy and owns all
-// determinization state.
-type Container struct {
-	cfg    Config
-	k      *kernel.Kernel
-	sess   *tracer.Session
-	sched  *sched.Scheduler
-	filter *seccomp.Filter
-	prng   *prng.LFSR
-
+// detState is the container's sealed determinization state: a field declared
+// here is carried by every Checkpoint (sealCheckpoint clones the struct,
+// resume assigns it back); everything declared on Container itself is
+// rebuilt by newContainer, keyed by live kernel objects, or empty at a
+// quiescent stop. Plain data only, so a seal never aliases a live container.
+type detState struct {
 	// Virtual inode and mtime maps (§5.5): real inode -> virtual value,
 	// assigned lazily in first-touch order.
 	inoMap    map[uint64]uint64
@@ -319,6 +317,42 @@ type Container struct {
 	vpid     map[int]int
 	rawPid   map[int]int // inverse
 	nextVPID int
+
+	// §5.2 true-randomness escape hatch state.
+	randomLog       []byte
+	replayCursor    int
+	replayExhausted bool
+
+	// entropyDraws numbers fillRandom calls for KindEntropy events and the
+	// FaultInjectEntropy hook.
+	entropyDraws int
+
+	// checkpoints numbers the seals handed to CheckpointSink (1-based
+	// ordinal); a resumed container continues the sealed run's numbering.
+	checkpoints int
+}
+
+// clone deep-copies the state: every slice and map gets its own backing.
+func (s detState) clone() detState {
+	s.inoMap = maps.Clone(s.inoMap)
+	s.mtimeMap = maps.Clone(s.mtimeMap)
+	s.vpid = maps.Clone(s.vpid)
+	s.rawPid = maps.Clone(s.rawPid)
+	s.randomLog = slices.Clone(s.randomLog)
+	return s
+}
+
+// Container is the DetTrace tracer: it implements kernel.Policy and owns all
+// determinization state.
+type Container struct {
+	detState
+
+	cfg    Config
+	k      *kernel.Kernel
+	sess   *tracer.Session
+	sched  *sched.Scheduler
+	filter *seccomp.Filter
+	prng   *prng.LFSR
 
 	// Per-process rdtsc counts for the §5.8 linear function.
 	rdtscCount map[*kernel.Proc]int64
@@ -336,24 +370,13 @@ type Container struct {
 	// unless DisableTemplateReuse insists on the cold path.
 	snap *kernel.Snapshot
 
-	// §5.2 true-randomness escape hatch state.
-	randomLog       []byte
-	replayCursor    int
-	replayExhausted bool
-
 	// Observability: the per-run metrics registry (always on — it backs
 	// Stats and Result.Tracer) and the flight recorder (nil under the
 	// DisableObservability ablation; every Record on a nil recorder is a
-	// no-op). entropyDraws numbers fillRandom calls for KindEntropy events
-	// and the FaultInjectEntropy hook; spans collects lifecycle phases.
-	obs          *obs.Registry
-	rec          *obs.Recorder
-	entropyDraws int
-	spans        []obs.Span
-
-	// checkpoints numbers the seals handed to CheckpointSink (1-based
-	// ordinal); a resumed container continues the sealed run's numbering.
-	checkpoints int
+	// no-op); spans collects lifecycle phases.
+	obs   *obs.Registry
+	rec   *obs.Recorder
+	spans []obs.Span
 
 	// Workspace-consistency state (ISSUE 7): ws maps each thread to its
 	// outstanding private workspace, forked lazily at the first concurrent
@@ -436,16 +459,18 @@ func New(cfg Config) *Container {
 // precompiled seccomp filter. cfg must already be normalized.
 func newContainer(cfg Config, filter *seccomp.Filter) *Container {
 	c := &Container{
+		detState: detState{
+			inoMap:   make(map[uint64]uint64),
+			nextIno:  2, // inode 1 is conventionally reserved
+			mtimeMap: make(map[uint64]int64),
+			vpid:     make(map[int]int),
+			rawPid:   make(map[int]int),
+			nextVPID: 1,
+		},
 		cfg:         cfg,
 		sched:       sched.New(),
 		prng:        prng.NewLFSR(cfg.PRNGSeed),
 		filter:      filter,
-		inoMap:      make(map[uint64]uint64),
-		nextIno:     2, // inode 1 is conventionally reserved
-		mtimeMap:    make(map[uint64]int64),
-		vpid:        make(map[int]int),
-		rawPid:      make(map[int]int),
-		nextVPID:    1,
 		rdtscCount:  make(map[*kernel.Proc]int64),
 		rw:          make(map[*kernel.Thread]*rwRetry),
 		pendingOpen: make(map[*kernel.Thread]bool),
@@ -468,69 +493,68 @@ func newContainer(cfg Config, filter *seccomp.Filter) *Container {
 	return c
 }
 
-// Run executes path inside the container with the given argv/env, resolving
-// programs against reg. It blocks until the container finishes.
-func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *Result {
-	setupStart := time.Now()
-	var kcheck func(*kernel.Checkpoint, *kernel.Thread)
+// bootConfig is the per-run half every kernel this container attaches to is
+// built from, whichever source the machine state comes from: a cold boot, a
+// template fork, or a checkpoint (which ignores Seed, Epoch and NumCPU — the
+// seal carries the original boot's).
+func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
+	b := kernel.BootConfig{
+		Seed:          c.cfg.HostSeed,
+		Epoch:         c.cfg.Epoch,
+		Policy:        c,
+		Resolver:      reg.Resolver(),
+		Deadline:      c.cfg.Deadline,
+		NumCPU:        c.cfg.NumCPU,
+		Obs:           c.obs,
+		Rec:           c.rec,
+		CrashAtAction: c.cfg.FaultInjectCrash,
+		DeltaSeals:    !c.cfg.DisableDeltaSeals,
+		HaltAtAction:  c.cfg.HaltAtAction,
+		HaltAtLTime:   c.cfg.HaltAtLTime,
+	}
 	if c.cfg.CheckpointSink != nil {
-		kcheck = c.sealCheckpoint
+		b.Checkpointer = c.sealCheckpoint
 	}
-	var k *kernel.Kernel
-	forked := c.snap != nil && !c.cfg.DisableTemplateReuse
-	if forked {
-		k = c.snap.Boot(kernel.BootConfig{
-			Seed:          c.cfg.HostSeed,
-			Epoch:         c.cfg.Epoch,
-			Policy:        c,
-			Resolver:      reg.Resolver(),
-			Deadline:      c.cfg.Deadline,
-			NumCPU:        c.cfg.NumCPU,
-			Obs:           c.obs,
-			Rec:           c.rec,
-			CrashAtAction: c.cfg.FaultInjectCrash,
-			Checkpointer:  kcheck,
-			DeltaSeals:    !c.cfg.DisableDeltaSeals,
-			HaltAtAction:  c.cfg.HaltAtAction,
-			HaltAtLTime:   c.cfg.HaltAtLTime,
-		})
-	} else {
-		k = kernel.New(kernel.Config{
-			Profile:       c.cfg.Profile,
-			Seed:          c.cfg.HostSeed,
-			Epoch:         c.cfg.Epoch,
-			Image:         c.cfg.Image,
-			Policy:        c,
-			Resolver:      reg.Resolver(),
-			Deadline:      c.cfg.Deadline,
-			NumCPU:        c.cfg.NumCPU,
-			Obs:           c.obs,
-			Rec:           c.rec,
-			CrashAtAction: c.cfg.FaultInjectCrash,
-			Checkpointer:  kcheck,
-			DeltaSeals:    !c.cfg.DisableDeltaSeals,
-			HaltAtAction:  c.cfg.HaltAtAction,
-			HaltAtLTime:   c.cfg.HaltAtLTime,
-		})
-	}
-	setupNs := time.Since(setupStart).Nanoseconds()
+	return b
+}
+
+// attach binds the container to the kernel it was just handed, recording the
+// setup phase as a span. cow says the filesystem may share data with a
+// frozen template base (a forked boot, or a resume — COW flags survive
+// sealing), so the break hook is worth installing: a resumed fork-path run
+// then fires the same break events at the same writes the original would.
+func (c *Container) attach(k *kernel.Kernel, span string, setupNs int64, cow bool) {
 	c.k = k
-	setupSpan := "boot"
-	if forked {
-		setupSpan = "fork"
-		if c.rec != nil {
-			// COW data breaks are mechanism-level events: they exist only
-			// on the template path, so the diagnoser skips their kind.
-			k.FS.OnCOWBreak = func(bytes int64) {
-				c.rec.Record(k.LNow(), obs.KindCOWBreak, 0, 0, uint64(bytes), 0)
-			}
+	if cow && c.rec != nil {
+		// COW data breaks are mechanism-level events: they exist only on
+		// the template path, so the diagnoser skips their kind.
+		k.FS.OnCOWBreak = func(bytes int64) {
+			c.rec.Record(k.LNow(), obs.KindCOWBreak, 0, 0, uint64(bytes), 0)
 		}
 	}
-	c.spans = append(c.spans, obs.Span{Name: setupSpan, RealNs: setupNs})
+	c.spans = append(c.spans, obs.Span{Name: span, RealNs: setupNs})
 	if c.cfg.Debug != nil {
 		k.SetDebug(c.cfg.Debug)
 	}
 	c.registerContainerDevices(k)
+}
+
+// Run executes path inside the container with the given argv/env, resolving
+// programs against reg. It blocks until the container finishes.
+func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *Result {
+	setupStart := time.Now()
+	b := c.bootConfig(reg)
+	var k *kernel.Kernel
+	forked := c.snap != nil && !c.cfg.DisableTemplateReuse
+	setupSpan := "boot"
+	if forked {
+		k = c.snap.Boot(b)
+		setupSpan = "fork"
+	} else {
+		k = kernel.ColdBoot(c.cfg.Profile, kernel.CostModel{}, c.cfg.Image, b)
+	}
+	setupNs := time.Since(setupStart).Nanoseconds()
+	c.attach(k, setupSpan, setupNs, forked)
 
 	// Init execs the requested command so the OnExec hook (vDSO, traps,
 	// scratch page) fires exactly as it would for any process.
@@ -559,15 +583,23 @@ func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *R
 		proc.CwdPath = wd
 	}
 
+	res := c.finish(proc, setupNs)
+	res.Forked = forked
+	return res
+}
+
+// finish runs the attached kernel to completion and assembles the Result,
+// timing both as spans; callers add which path built the kernel (Forked,
+// Resumed).
+func (c *Container) finish(proc *kernel.Proc, setupNs int64) *Result {
 	runStart := time.Now()
-	runErr := k.Run()
+	runErr := c.k.Run()
 	c.spans = append(c.spans, obs.Span{
-		Name: "run", RealNs: time.Since(runStart).Nanoseconds(), LEnd: k.LNow(),
+		Name: "run", RealNs: time.Since(runStart).Nanoseconds(), LEnd: c.k.LNow(),
 	})
 	flushStart := time.Now()
 	res := c.assembleResult(proc, runErr)
 	res.SetupNs = setupNs
-	res.Forked = forked
 	c.spans = append(c.spans, obs.Span{
 		Name: "flush", RealNs: time.Since(flushStart).Nanoseconds(),
 	})
@@ -602,8 +634,7 @@ func (c *Container) registerContainerDevices(k *kernel.Kernel) {
 }
 
 // assembleResult builds the reproducibility-observable Result from the
-// finished kernel. Shared by Run and Resume; callers layer their own
-// benchmarking metadata (SetupNs, Forked, Resumed, Spans) on top.
+// finished kernel; finish layers the benchmarking metadata on top.
 func (c *Container) assembleResult(proc *kernel.Proc, runErr error) *Result {
 	k := c.k
 	counters := c.sess.Counters()

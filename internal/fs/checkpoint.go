@@ -29,7 +29,8 @@ import "repro/internal/prng"
 
 // The public sealing API lives in delta.go: SealCheckpoint produces a *Seal
 // (full or delta-chained), Seal.Resume rebuilds a live filesystem from one.
-// This file keeps the eager identity cloner both of them are built on.
+// Both are built on the one identity cloner, sealClone (delta.go); this file
+// keeps its entry point and the allocator-state copy.
 
 // cloneFSHeader copies the allocator and identity state of f into a fresh
 // FS bound to the given clock and entropy pool (both nil for an immutable
@@ -51,53 +52,18 @@ func (f *FS) cloneFSHeader(clock Clock, entropy *prng.Host) *FS {
 	}
 }
 
-// deepClone copies the whole tree eagerly, preserving identity fields, and
-// records the source→clone mapping in memo.
-func (f *FS) deepClone(clock Clock, entropy *prng.Host, memo map[*Inode]*Inode) *FS {
+// deepClone copies the tree into a fresh FS, preserving identity fields, and
+// records the source→clone mapping in memo. It is sealClone from the root:
+// prevMemo nil copies everything eagerly (a full seal, a restore, a
+// reconstituted chain); a previous seal's memo shares what is clean against
+// it (a delta seal). st receives the clone's cost accounting.
+func (f *FS) deepClone(clock Clock, entropy *prng.Host, memo, prevMemo map[*Inode]*Inode, st *SealStats) *FS {
 	nf := f.cloneFSHeader(clock, entropy)
-	nf.Root = cloneInodeDeep(f.Root, nf, memo)
-	nf.Root.parent = nf.Root
+	nf.Root = sealClone(f.Root, nf, memo, prevMemo, f.sealEpoch, st)
+	if nf.Root.parent == nil { // a root shared with the previous seal keeps its own
+		nf.Root.parent = nf.Root
+	}
 	return nf
-}
-
-// cloneInodeDeep copies one inode and (for directories) its subtree. The
-// memo keeps hard links aliased within the clone exactly as in the source.
-func cloneInodeDeep(n *Inode, nf *FS, memo map[*Inode]*Inode) *Inode {
-	if c, ok := memo[n]; ok {
-		return c
-	}
-	c := &Inode{
-		Ino: n.Ino, Mode: n.Mode, UID: n.UID, GID: n.GID, Nlink: n.Nlink,
-		Atime: n.Atime, Mtime: n.Mtime, Ctime: n.Ctime,
-		Target: n.Target, DevID: n.DevID,
-		fs: nf,
-	}
-	memo[n] = c
-	switch {
-	case n.IsDir():
-		ents := n.ents() // materialize any deferred fork map; invisible to the source
-		c.entries = make(map[string]*Inode, len(ents))
-		for name, child := range ents {
-			cc := cloneInodeDeep(child, nf, memo)
-			if cc.parent == nil {
-				cc.parent = c
-			}
-			c.entries[name] = cc
-		}
-	case n.IsRegular():
-		if n.cowData {
-			// Shared read-only with an immutable frozen base: alias it and
-			// keep the flag, so the resumed run breaks COW (and records the
-			// break) at exactly the writes the uninterrupted run would.
-			c.Data = n.Data
-			c.cowData = true
-		} else {
-			c.Data = append([]byte(nil), n.Data...)
-		}
-	case n.IsFIFO():
-		c.Pipe = n.Pipe.cloneState()
-	}
-	return c
 }
 
 // cloneState deep-copies a pipe's runtime state (buffered bytes, end

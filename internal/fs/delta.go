@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements delta checkpoint seals (ISSUE 9). A full seal
-// (checkpoint.go) deep-copies the whole tree, which makes dense per-unit
+// deep-copies the whole tree, which makes dense per-unit
 // checkpointing cost O(filesystem) per seal. A delta seal instead shares
 // every subtree that is provably unchanged since the previous seal and
 // freshly clones only what was dirtied — the same structural-sharing idea as
@@ -78,31 +78,19 @@ const sealSharedMark uint64 = 0x51ab51ab
 func (f *FS) SealCheckpoint(delta bool) *Seal {
 	s := &Seal{}
 	memo := make(map[*Inode]*Inode)
+	var prevMemo map[*Inode]*Inode
 	if delta && f.lastSeal != nil && f.lastSealMemo != nil {
-		s.base = f.lastSeal
+		s.base, prevMemo = f.lastSeal, f.lastSealMemo
 		s.stats.Delta = true
 	}
-	s.tree = f.cloneFSHeader(nil, nil)
+	s.tree = f.deepClone(nil, nil, memo, prevMemo, &s.stats)
 	s.tree.frozen = true
-	s.tree.Root = sealClone(f.Root, s.tree, memo, f.lastSealMemoIfDelta(s), f.sealEpoch, &s.stats)
-	if s.tree.Root.parent == nil {
-		s.tree.Root.parent = s.tree.Root
-	}
 	s.fillTotals()
 	s.digest = s.computeDigest()
 	f.lastSeal = s
 	f.lastSealMemo = memo
 	f.sealEpoch++
 	return s
-}
-
-// lastSealMemoIfDelta returns the previous seal's live→clone memo when s is
-// a delta, nil otherwise (nil prevMemo makes sealClone clone everything).
-func (f *FS) lastSealMemoIfDelta(s *Seal) map[*Inode]*Inode {
-	if s.base != nil {
-		return f.lastSealMemo
-	}
-	return nil
 }
 
 // Tree returns the sealed filesystem tree (read-only).
@@ -141,7 +129,7 @@ func (s *Seal) ChainValid() bool {
 // exactly as the uninterrupted run's would.
 func (s *Seal) Resume(clock Clock, entropy *prng.Host) *FS {
 	memo := make(map[*Inode]*Inode)
-	nf := s.tree.deepClone(clock, entropy, memo)
+	nf := s.tree.deepClone(clock, entropy, memo, nil, &SealStats{})
 	nf.lastSeal = s
 	nf.lastSealMemo = make(map[*Inode]*Inode, len(memo))
 	for src, clone := range memo {
@@ -155,10 +143,9 @@ func (s *Seal) Resume(clock Clock, entropy *prng.Host) *FS {
 // Restoring the reconstituted seal must be bitwise-identical to restoring
 // the chained one — the delta-chain correctness oracle.
 func (s *Seal) Reconstitute() *Seal {
-	memo := make(map[*Inode]*Inode)
-	full := &Seal{tree: s.tree.deepClone(nil, nil, memo)}
+	full := &Seal{}
+	full.tree = s.tree.deepClone(nil, nil, make(map[*Inode]*Inode), nil, &full.stats)
 	full.tree.frozen = true
-	full.stats.Fresh = len(memo)
 	full.fillTotals()
 	full.stats.FreshBytes = full.stats.TotalBytes
 	full.digest = full.computeDigest()

@@ -52,9 +52,9 @@ type Workspace struct {
 
 // wsOp kinds. A journal entry's effect is fully described by (kind, data).
 const (
-	wsWrite = iota // create-or-replace regular file contents
-	wsMkdir        // create directory
-	wsRemove       // unlink file / remove empty directory
+	wsWrite  = iota // create-or-replace regular file contents
+	wsMkdir         // create directory
+	wsRemove        // unlink file / remove empty directory
 )
 
 // wsOp is one journaled mutation.

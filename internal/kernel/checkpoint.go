@@ -2,12 +2,12 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/abi"
 	"repro/internal/cpu"
 	"repro/internal/fs"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/prng"
 )
 
@@ -39,62 +39,36 @@ var ErrInjectedCrash = errors.New("kernel: injected crash (deterministic fault p
 // Checkpoint is the sealed kernel state. Fields are unexported: a checkpoint
 // is an opaque token produced by the run loop and consumed by Resume; the
 // exported accessors expose only what recovery bookkeeping needs.
+//
+// What is sealed is decided where a field is declared: kern, proc and thread
+// are the three state structs of the kernel and its surviving process and
+// thread, cloned whole. The rest is what is not plain data and needs a
+// representation of its own.
 type Checkpoint struct {
 	profile *machine.Profile
 	cost    CostModel
-	epoch   int64
+
+	kern   kernelState
+	proc   procState
+	thread threadState
+	tid    int
 
 	entropyState   uint64 // host pool cursor (splitmix64 counter)
 	hwEntropyState uint64 // hardware pool cursor
 	bootTSC        uint64
 
-	now, lnow               int64
-	cores, lcores           []int64
-	tracerBusy, ltracerBusy int64
-	tracerGaps              []tracerGap
-
-	actions int64
-	nextPID int
-
-	stats Stats // PerSyscall deep-copied
-
 	consoleOut, consoleErr []byte
 
 	fsSeal *fs.Seal
 
-	proc   procSeal
-	thread threadSeal
+	fds     []fdSeal
+	zombies []zombie
 
 	// The unattempted execve to re-issue on resume.
 	execPath    string
 	execHasArgs bool
 	execArgv    []string
 	execEnv     []string
-}
-
-// procSeal is the surviving process's plain-data state.
-type procSeal struct {
-	pid, ppid int
-	argv, env []string
-	comm      string
-	uid, gid  uint32
-	umask     uint32
-	cwdPath   string
-
-	brk, brkBase      int64
-	mmapBase, mmapOff int64
-
-	fds []fdSeal
-
-	zombies []zombie
-	mem     map[int64]int64
-
-	trap                      cpu.TrapConfig
-	vdsoReplaced, vdsoLogical bool
-	scratchPage               bool
-	weight                    int64
-	timeCallCount             int64
-	threadBusy, lthreadBusy   int64
 }
 
 // fdSeal is one console descriptor (quiescence admits no other kind).
@@ -104,25 +78,17 @@ type fdSeal struct {
 	consoleErr bool
 }
 
-// threadSeal is the surviving thread's plain-data state.
-type threadSeal struct {
-	tid           int
-	clock, lclock int64
-	spinCount     int
-	bufCount      int
-}
-
 // Actions returns the processed-action count at the seal — the checkpoint's
 // position on the deterministic event axis.
-func (cp *Checkpoint) Actions() int64 { return cp.actions }
+func (cp *Checkpoint) Actions() int64 { return cp.kern.actions }
 
 // VirtualNow returns the sealed virtual time in nanoseconds since boot; the
 // difference between a resumed run's final Now and this value is the virtual
 // work re-executed after restore (the X15 MTTR metric).
-func (cp *Checkpoint) VirtualNow() int64 { return cp.now }
+func (cp *Checkpoint) VirtualNow() int64 { return cp.kern.now }
 
 // LNow returns the sealed logical time.
-func (cp *Checkpoint) LNow() int64 { return cp.lnow }
+func (cp *Checkpoint) LNow() int64 { return cp.kern.lnow }
 
 // FSSeal exposes the sealed (frozen) filesystem tree for read-only
 // inspection. The incremental-rebuild planner walks it to learn what the
@@ -203,74 +169,28 @@ func (k *Kernel) seal(t *Thread) *Checkpoint {
 	cp := &Checkpoint{
 		profile:        k.Profile,
 		cost:           k.Cost,
-		epoch:          k.epoch,
+		kern:           k.kernelState.clone(),
+		proc:           p.procState.clone(),
+		thread:         t.threadState.clone(),
+		tid:            t.TID,
 		entropyState:   k.Entropy.State(),
 		hwEntropyState: k.HW.Entropy.State(),
 		bootTSC:        k.HW.BootTSC(),
-		now:            k.now,
-		lnow:           k.lnow,
-		cores:          append([]int64(nil), k.cores...),
-		lcores:         append([]int64(nil), k.lcores...),
-		tracerBusy:     k.tracerBusy,
-		ltracerBusy:    k.ltracerBusy,
-		tracerGaps:     append([]tracerGap(nil), k.tracerGaps...),
-		actions:        k.actions,
-		nextPID:        k.nextPID,
-		stats:          k.Stats,
-		consoleOut:     append([]byte(nil), k.Console.Out...),
-		consoleErr:     append([]byte(nil), k.Console.Err...),
+		consoleOut:     slices.Clone(k.Console.Out),
+		consoleErr:     slices.Clone(k.Console.Err),
 		fsSeal:         k.FS.SealCheckpoint(k.deltaSeals),
 		execPath:       sc.Path,
 	}
-	cp.stats.PerSyscall = make(map[abi.Sysno]int64, len(k.Stats.PerSyscall))
-	for nr, n := range k.Stats.PerSyscall {
-		cp.stats.PerSyscall[nr] = n
-	}
 	if args, ok := sc.Obj.(*ExecArgs); ok && args != nil {
 		cp.execHasArgs = true
-		cp.execArgv = append([]string(nil), args.Argv...)
-		cp.execEnv = append([]string(nil), args.Env...)
-	}
-	ps := procSeal{
-		pid:           p.PID,
-		ppid:          p.PPID,
-		argv:          append([]string(nil), p.Argv...),
-		env:           append([]string(nil), p.Env...),
-		comm:          p.Comm,
-		uid:           p.UID,
-		gid:           p.GID,
-		umask:         p.Umask,
-		cwdPath:       p.CwdPath,
-		brk:           p.brk,
-		brkBase:       p.brkBase,
-		mmapBase:      p.mmapBase,
-		mmapOff:       p.mmapOff,
-		trap:          p.Trap,
-		vdsoReplaced:  p.VdsoReplaced,
-		vdsoLogical:   p.VdsoLogical,
-		scratchPage:   p.ScratchPage,
-		weight:        p.Weight,
-		timeCallCount: p.TimeCallCount,
-		threadBusy:    p.threadBusyUntil,
-		lthreadBusy:   p.lthreadBusyUntil,
-		mem:           make(map[int64]int64, len(p.Mem)),
-	}
-	for a, v := range p.Mem {
-		ps.mem[a] = v
+		cp.execArgv = slices.Clone(args.Argv)
+		cp.execEnv = slices.Clone(args.Env)
 	}
 	for _, z := range p.zombies {
-		ps.zombies = append(ps.zombies, *z)
+		cp.zombies = append(cp.zombies, *z)
 	}
 	for num, f := range p.FDs.fds {
-		ps.fds = append(ps.fds, fdSeal{num: num, flags: f.flags, consoleErr: f.consoleErr})
-	}
-	cp.proc = ps
-	cp.thread = threadSeal{
-		tid:       t.TID,
-		clock:     t.Clock,
-		lclock:    t.LClock,
-		spinCount: t.SpinCount,
-		bufCount:  t.BufCount,
+		cp.fds = append(cp.fds, fdSeal{num: num, flags: f.flags, consoleErr: f.consoleErr})
 	}
 	return cp
 }
@@ -307,110 +227,37 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 	if b.Policy == nil {
 		panic("kernel: Resume requires an explicit policy (baseline policy state is not sealed)")
 	}
-	resolver := b.Resolver
-	maxActions := b.MaxActions
-	if maxActions == 0 {
-		maxActions = 200_000_000
-	}
-	k := &Kernel{
-		Profile:        cp.profile,
-		Cost:           cp.cost,
-		Policy:         b.Policy,
-		resolver:       resolver,
-		epoch:          cp.epoch,
-		now:            cp.now,
-		lnow:           cp.lnow,
-		cores:          append([]int64(nil), cp.cores...),
-		lcores:         append([]int64(nil), cp.lcores...),
-		tracerBusy:     cp.tracerBusy,
-		ltracerBusy:    cp.ltracerBusy,
-		tracerGaps:     append([]tracerGap(nil), cp.tracerGaps...),
-		nextPID:        cp.nextPID,
-		procs:          make(map[int]*Proc),
-		deadline:       b.Deadline,
-		maxActions:     maxActions,
-		actions:        cp.actions,
-		devices:        make(map[string]func() fs.Device),
-		Console:        &Console{Out: append([]byte(nil), cp.consoleOut...), Err: append([]byte(nil), cp.consoleErr...)},
-		crashAt:        b.CrashAtAction,
-		checkpointer:   b.Checkpointer,
-		lastCheckpoint: cp.actions,
-		deltaSeals:     b.DeltaSeals,
-		haltAtAction:   b.HaltAtAction,
-		haltAtLTime:    b.HaltAtLTime,
-	}
-	k.Stats = cp.stats
-	k.Stats.PerSyscall = make(map[abi.Sysno]int64, len(cp.stats.PerSyscall))
-	for nr, n := range cp.stats.PerSyscall {
-		k.Stats.PerSyscall[nr] = n
-	}
-	k.Obs = b.Obs
-	if k.Obs == nil {
-		k.Obs = obs.NewRegistry()
-	}
-	k.Rec = b.Rec
-	k.sysVec = k.Obs.CounterVec("kernel_syscalls", abi.SysnoSlots)
+	k := attach(cp.profile, cp.cost, b)
+	k.kernelState = cp.kern.clone()
+	k.lastCheckpoint = cp.kern.actions
+	k.Console = &Console{Out: slices.Clone(cp.consoleOut), Err: slices.Clone(cp.consoleErr)}
 	k.Entropy = prng.NewHost(0)
 	k.Entropy.SetState(cp.entropyState)
+	// The /proc pseudo inodes are not per-boot state (populateProc ran at the
+	// original boot and the sealed filesystem carries them).
 	k.FS = cp.fsSeal.Resume(k.WallClock, k.Entropy)
 	hwPool := prng.NewHost(0)
 	hwPool.SetState(cp.hwEntropyState)
 	k.HW = cpu.ResumeHW(cp.profile, hwPool, func() int64 { return k.now }, cp.bootTSC)
-	// Device constructors are per-boot state; the /proc pseudo inodes are
-	// not (populateProc ran at the original boot and the sealed filesystem
-	// carries them), so only the registry is rebuilt here.
-	k.registerStandardDevices()
-	if fp, ok := k.Policy.(SyscallBufferer); ok {
-		k.fastPath = fp
-	}
-	if ws, ok := k.Policy.(WorkspaceScheduler); ok {
-		k.wsched = ws
-	}
 
-	ps := cp.proc
 	p := &Proc{
-		PID:              ps.pid,
-		PPID:             ps.ppid,
-		Argv:             append([]string(nil), ps.argv...),
-		Env:              append([]string(nil), ps.env...),
-		Comm:             ps.comm,
-		UID:              ps.uid,
-		GID:              ps.gid,
-		Umask:            ps.umask,
-		CwdPath:          ps.cwdPath,
-		brk:              ps.brk,
-		brkBase:          ps.brkBase,
-		mmapBase:         ps.mmapBase,
-		mmapOff:          ps.mmapOff,
-		FDs:              newFDTable(),
-		Mem:              make(map[int64]int64, len(ps.mem)),
-		futexWaiters:     make(map[int64][]*Thread),
-		Trap:             ps.trap,
-		VdsoReplaced:     ps.vdsoReplaced,
-		VdsoLogical:      ps.vdsoLogical,
-		ScratchPage:      ps.scratchPage,
-		Weight:           ps.weight,
-		TimeCallCount:    ps.timeCallCount,
-		threadBusyUntil:  ps.threadBusy,
-		lthreadBusyUntil: ps.lthreadBusy,
+		procState:    cp.proc.clone(),
+		FDs:          newFDTable(),
+		futexWaiters: make(map[int64][]*Thread),
+		Root:         k.FS.Root,
+		Cwd:          k.FS.Root,
 	}
-	for a, v := range ps.mem {
-		p.Mem[a] = v
-	}
-	for _, z := range ps.zombies {
-		zc := z
-		p.zombies = append(p.zombies, &zc)
+	for _, z := range cp.zombies {
+		p.zombies = append(p.zombies, &z)
 	}
 	// Quiescence admits only console descriptors; rebuilding them unshared is
 	// faithful because console fds carry no position and their release is a
 	// no-op, so dup-sharing is unobservable.
-	for _, f := range ps.fds {
+	for _, f := range cp.fds {
 		p.FDs.install(f.num, &FD{kind: fdConsole, flags: f.flags, consoleErr: f.consoleErr})
 	}
-	p.Root = k.FS.Root
-	p.Cwd = k.FS.Root
-	if ps.cwdPath != "" {
-		if n, err := k.FS.Resolve(fs.LookupCtx{Root: k.FS.Root, Cwd: k.FS.Root}, ps.cwdPath, true); err == abi.OK && n.IsDir() {
+	if p.CwdPath != "" {
+		if n, err := k.FS.Resolve(fs.LookupCtx{Root: k.FS.Root, Cwd: k.FS.Root}, p.CwdPath, true); err == abi.OK && n.IsDir() {
 			p.Cwd = n
 		}
 	}
@@ -423,23 +270,19 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 		ev := abi.Syscall{Num: abi.SysExecve, Path: cp.execPath}
 		if cp.execHasArgs {
 			ev.Obj = &ExecArgs{
-				Argv: append([]string(nil), cp.execArgv...),
-				Env:  append([]string(nil), cp.execEnv...),
+				Argv: slices.Clone(cp.execArgv),
+				Env:  slices.Clone(cp.execEnv),
 			}
 		}
 		t.Syscall(&ev)
 		return 127
 	})
-	ts := cp.thread
 	t := &Thread{
-		TID:       ts.tid,
-		Proc:      p,
-		Clock:     ts.clock,
-		LClock:    ts.lclock,
-		SpinCount: ts.spinCount,
-		BufCount:  ts.bufCount,
-		program:   stub,
-		k:         k,
+		TID:         cp.tid,
+		Proc:        p,
+		threadState: cp.thread.clone(),
+		program:     stub,
+		k:           k,
 	}
 	p.Threads = append(p.Threads, t)
 	k.startThread(t)

@@ -32,6 +32,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/abi"
@@ -317,19 +318,16 @@ type Stats struct {
 	PerSyscall     map[abi.Sysno]int64
 }
 
-// Kernel is one booted machine instance running one process tree.
-type Kernel struct {
-	Profile *machine.Profile
-	Entropy *prng.Host
-	FS      *fs.FS
-	HW      *cpu.HW
-	Cost    CostModel
-	Policy  Policy
-	Stats   Stats
+// kernelState is the kernel's own sealed state: a field declared here is
+// carried by every Checkpoint (seal clones the struct, Resume assigns it
+// back); everything declared on Kernel itself is rebuilt by the constructor
+// or is empty at a quiescent stop. Plain data only — no pointers, funcs or
+// interfaces — so a seal can never alias or pin a live kernel.
+type kernelState struct {
+	Stats Stats
 
-	resolver Resolver
-	epoch    int64 // wall seconds at boot
-	now      int64 // global virtual ns since boot (monotone)
+	epoch int64 // wall seconds at boot
+	now   int64 // global virtual ns since boot (monotone)
 
 	cores      []int64 // per-core busy-until times
 	tracerBusy int64   // serialized tracer timeline busy-until
@@ -346,6 +344,32 @@ type Kernel struct {
 	lcores      []int64
 	ltracerBusy int64
 
+	nextPID int
+	actions int64
+}
+
+// clone deep-copies the state: every slice and map gets its own backing.
+func (s kernelState) clone() kernelState {
+	s.cores = slices.Clone(s.cores)
+	s.lcores = slices.Clone(s.lcores)
+	s.tracerGaps = slices.Clone(s.tracerGaps)
+	s.Stats.PerSyscall = maps.Clone(s.Stats.PerSyscall)
+	return s
+}
+
+// Kernel is one booted machine instance running one process tree.
+type Kernel struct {
+	kernelState
+
+	Profile *machine.Profile
+	Entropy *prng.Host
+	FS      *fs.FS
+	HW      *cpu.HW
+	Cost    CostModel
+	Policy  Policy
+
+	resolver Resolver
+
 	// fastPath is non-nil when the policy implements SyscallBufferer; cached
 	// once at boot so the dispatch hot path avoids a per-call type assertion.
 	fastPath SyscallBufferer
@@ -361,7 +385,6 @@ type Kernel struct {
 	sysVec      *obs.CounterVec
 	statsFolded bool
 
-	nextPID  int
 	procs    map[int]*Proc
 	pending  []*Thread // yielded, waiting for their action to be processed
 	kblocked []*Thread // blocked with kernel semantics (baseline)
@@ -369,7 +392,6 @@ type Kernel struct {
 
 	deadline   int64
 	maxActions int64
-	actions    int64
 	abortErr   error
 
 	// Fault/checkpoint plane (checkpoint.go). lastCheckpoint guards against
@@ -397,18 +419,81 @@ type Kernel struct {
 }
 
 // New boots a kernel per the config. The filesystem is populated from the
-// image; no process exists yet — call Start.
+// image; no process exists yet — call Start. It is the flat front end of
+// ColdBoot: the one place a Config is split into its prepared and per-run
+// halves.
 func New(cfg Config) *Kernel {
-	return newKernel(cfg, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
-		f := fs.New(cfg.Profile, k.WallClock, fsEntropy)
-		if cfg.Image != nil {
-			f.Populate(cfg.Image)
+	return ColdBoot(cfg.Profile, cfg.Cost, cfg.Image, BootConfig{
+		Seed:          cfg.Seed,
+		Epoch:         cfg.Epoch,
+		Policy:        cfg.Policy,
+		Deadline:      cfg.Deadline,
+		MaxActions:    cfg.MaxActions,
+		NumCPU:        cfg.NumCPU,
+		Resolver:      cfg.Resolver,
+		Obs:           cfg.Obs,
+		Rec:           cfg.Rec,
+		CrashAtAction: cfg.CrashAtAction,
+		Checkpointer:  cfg.Checkpointer,
+		DeltaSeals:    cfg.DeltaSeals,
+		HaltAtAction:  cfg.HaltAtAction,
+		HaltAtLTime:   cfg.HaltAtLTime,
+	})
+}
+
+// ColdBoot is New for callers that already hold the per-run half as a
+// BootConfig: it populates img into a fresh filesystem, where Snapshot.Boot
+// COW-forks a prepared one. A zero cost selects DefaultCostModel.
+func ColdBoot(profile *machine.Profile, cost CostModel, img *fs.Image, b BootConfig) *Kernel {
+	return newKernel(profile, cost, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
+		f := fs.New(profile, k.WallClock, fsEntropy)
+		if img != nil {
+			f.Populate(img)
 		}
 		return f
 	})
 }
 
-// newKernel is the boot path shared by New (cold: populate the image into a
+// attach is the one Kernel constructor: the per-run half, everything a
+// BootConfig names apart from the accidents of the boot (Seed, Epoch,
+// NumCPU). The machine state is its caller's to supply — newKernel boots it
+// fresh from the seed, Resume restores it from a Checkpoint.
+func attach(profile *machine.Profile, cost CostModel, b BootConfig) *Kernel {
+	if cost == (CostModel{}) {
+		cost = DefaultCostModel()
+	}
+	if b.MaxActions == 0 {
+		b.MaxActions = 200_000_000
+	}
+	k := &Kernel{
+		Profile:    profile,
+		Cost:       cost,
+		Policy:     b.Policy,
+		resolver:   b.Resolver,
+		Obs:        b.Obs,
+		Rec:        b.Rec,
+		procs:      make(map[int]*Proc),
+		deadline:   b.Deadline,
+		maxActions: b.MaxActions,
+		devices:    make(map[string]func() fs.Device),
+
+		crashAt:      b.CrashAtAction,
+		checkpointer: b.Checkpointer,
+		deltaSeals:   b.DeltaSeals,
+		haltAtAction: b.HaltAtAction,
+		haltAtLTime:  b.HaltAtLTime,
+	}
+	if k.Obs == nil {
+		k.Obs = obs.NewRegistry()
+	}
+	k.sysVec = k.Obs.CounterVec("kernel_syscalls", abi.SysnoSlots)
+	k.registerStandardDevices()
+	k.fastPath, _ = b.Policy.(SyscallBufferer)
+	k.wsched, _ = b.Policy.(WorkspaceScheduler)
+	return k
+}
+
+// newKernel is the boot path shared by ColdBoot (populate the image into a
 // fresh FS) and Snapshot.Boot (warm: COW-fork a frozen template base).
 //
 // The host entropy draw order below is a compatibility contract: the seed
@@ -417,60 +502,25 @@ func New(cfg Config) *Kernel {
 // (4) the baseline policy when no policy is supplied. Warm boots are bitwise
 // identical to cold boots only while both paths consume entropy in exactly
 // this sequence, so mkFS receives its own pre-forked pool.
-func newKernel(cfg Config, mkFS func(k *Kernel, fsEntropy *prng.Host) *fs.FS) *Kernel {
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
-	}
-	if cfg.MaxActions == 0 {
-		cfg.MaxActions = 200_000_000
-	}
-	entropy := prng.NewHost(cfg.Seed)
-	k := &Kernel{
-		Profile:    cfg.Profile,
-		Entropy:    entropy,
-		Cost:       cfg.Cost,
-		Policy:     cfg.Policy,
-		resolver:   cfg.Resolver,
-		epoch:      cfg.Epoch,
-		nextPID:    1000 + entropy.Intn(30_000), // host PIDs start anywhere
-		procs:      make(map[int]*Proc),
-		deadline:   cfg.Deadline,
-		maxActions: cfg.MaxActions,
-		devices:    make(map[string]func() fs.Device),
-		Console:    &Console{},
-
-		crashAt:        cfg.CrashAtAction,
-		checkpointer:   cfg.Checkpointer,
-		lastCheckpoint: -1,
-		deltaSeals:     cfg.DeltaSeals,
-		haltAtAction:   cfg.HaltAtAction,
-		haltAtLTime:    cfg.HaltAtLTime,
-	}
+func newKernel(profile *machine.Profile, cost CostModel, b BootConfig, mkFS func(k *Kernel, fsEntropy *prng.Host) *fs.FS) *Kernel {
+	k := attach(profile, cost, b)
+	k.Entropy = prng.NewHost(b.Seed)
+	k.epoch = b.Epoch
+	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
+	k.Console = &Console{}
+	k.lastCheckpoint = -1
 	k.Stats.PerSyscall = make(map[abi.Sysno]int64)
-	k.Obs = cfg.Obs
-	if k.Obs == nil {
-		k.Obs = obs.NewRegistry()
-	}
-	k.Rec = cfg.Rec
-	k.sysVec = k.Obs.CounterVec("kernel_syscalls", abi.SysnoSlots)
-	cores := cfg.Profile.Cores
-	if cfg.NumCPU > 0 {
-		cores = cfg.NumCPU
+	cores := profile.Cores
+	if b.NumCPU > 0 {
+		cores = b.NumCPU
 	}
 	k.cores = make([]int64, cores)
 	k.lcores = make([]int64, cores)
-	k.FS = mkFS(k, entropy.Fork())
-	k.HW = cpu.NewHW(cfg.Profile, entropy.Fork(), func() int64 { return k.now })
-	k.registerStandardDevices()
+	k.FS = mkFS(k, k.Entropy.Fork())
+	k.HW = cpu.NewHW(profile, k.Entropy.Fork(), func() int64 { return k.now })
 	k.populateProc()
-	if cfg.Policy == nil {
-		k.Policy = newBaselinePolicy(entropy.Fork())
-	}
-	if fp, ok := k.Policy.(SyscallBufferer); ok {
-		k.fastPath = fp
-	}
-	if ws, ok := k.Policy.(WorkspaceScheduler); ok {
-		k.wsched = ws
+	if k.Policy == nil {
+		k.Policy = newBaselinePolicy(k.Entropy.Fork())
 	}
 	return k
 }

@@ -1,14 +1,18 @@
 package kernel
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/abi"
 	"repro/internal/cpu"
 	"repro/internal/fs"
 )
 
-// Proc is one process: a PID, an address-space surrogate (shared futex
-// words), an fd table, credentials, a filesystem view and a set of threads.
-type Proc struct {
+// procState is a process's sealed state (see kernelState for the rule):
+// plain data only, so everything that points into the live kernel — inodes,
+// the fd table, threads, relatives, signal handlers — stays on Proc.
+type procState struct {
 	PID  int
 	PPID int
 
@@ -19,8 +23,6 @@ type Proc struct {
 	UID, GID uint32
 	Umask    uint32
 
-	Root    *fs.Inode
-	Cwd     *fs.Inode
 	CwdPath string // textual cwd for getcwd and fd-path bookkeeping
 
 	// Address-space surrogates: the program break and mmap region bases are
@@ -28,24 +30,10 @@ type Proc struct {
 	brk, brkBase      int64
 	mmapBase, mmapOff int64
 
-	FDs *FDTable
-
-	Threads  []*Thread
-	parent   *Proc
-	children []*Proc
-	zombies  []*zombie
-
 	// Mem is the process's shared-memory surrogate: futex words and other
 	// cross-thread flags live here. Threads of one process share it; fork
 	// copies it (COW semantics collapsed to a copy at fork time).
 	Mem map[int64]int64
-
-	futexWaiters map[int64][]*Thread
-
-	// Signal state. handlers holds the guest's Go handler functions; the
-	// kernel consults only their presence when deciding disposition.
-	handlers   map[abi.Signal]SignalHandler
-	sigPending []abi.Signal
 
 	// Trap holds the rdtsc/cpuid interception configuration (§5.8).
 	Trap cpu.TrapConfig
@@ -79,6 +67,37 @@ type Proc struct {
 	// mirror.
 	threadBusyUntil  int64
 	lthreadBusyUntil int64
+}
+
+// clone deep-copies the state: every slice and map gets its own backing.
+func (s procState) clone() procState {
+	s.Argv = slices.Clone(s.Argv)
+	s.Env = slices.Clone(s.Env)
+	s.Mem = maps.Clone(s.Mem)
+	return s
+}
+
+// Proc is one process: a PID, an address-space surrogate (shared futex
+// words), an fd table, credentials, a filesystem view and a set of threads.
+type Proc struct {
+	procState
+
+	Root *fs.Inode
+	Cwd  *fs.Inode
+
+	FDs *FDTable
+
+	Threads  []*Thread
+	parent   *Proc
+	children []*Proc
+	zombies  []*zombie
+
+	futexWaiters map[int64][]*Thread
+
+	// Signal state. handlers holds the guest's Go handler functions; the
+	// kernel consults only their presence when deciding disposition.
+	handlers   map[abi.Signal]SignalHandler
+	sigPending []abi.Signal
 
 	exited   bool
 	exitCode int
@@ -90,11 +109,8 @@ type zombie struct {
 	usage  abi.Rusage
 }
 
-// Thread is one schedulable context within a process.
-type Thread struct {
-	TID  int
-	Proc *Proc
-
+// threadState is a thread's sealed state (see kernelState for the rule).
+type threadState struct {
 	// Clock is the thread's physical virtual time: it includes the host's
 	// microarchitectural jitter and is what performance results report.
 	Clock int64
@@ -105,6 +121,27 @@ type Thread struct {
 	// decisions by it — the queue key that lets DetTrace service system
 	// calls in (logical) arrival order without consulting host time.
 	LClock int64
+
+	// spinCount counts consecutive pure-compute actions while sibling
+	// threads are starved — the busy-wait signature (§5.9). Maintained by
+	// policies that serialize threads.
+	SpinCount int
+
+	// BufCount is the number of records sitting in this thread's tracee-side
+	// syscall buffer since the last flush. Maintained by buffering policies
+	// (see kernel.SyscallBufferer); the kernel itself never touches it.
+	BufCount int
+}
+
+// clone copies the state; it holds no slice or map yet, and the guard test
+// fails if one is added without a deep copy here.
+func (s threadState) clone() threadState { return s }
+
+// Thread is one schedulable context within a process.
+type Thread struct {
+	TID  int
+	Proc *Proc
+	threadState
 
 	program     ProgramFn
 	pendingExec ProgramFn
@@ -123,16 +160,6 @@ type Thread struct {
 	wakeReady  bool  // explicit wake (futex wake, socket event)
 	futexWoken bool  // a FUTEX_WAKE targeted this thread
 	sleepUntil int64 // nanosleep deadline, in virtual ns
-
-	// spinCount counts consecutive pure-compute actions while sibling
-	// threads are starved — the busy-wait signature (§5.9). Maintained by
-	// policies that serialize threads.
-	SpinCount int
-
-	// BufCount is the number of records sitting in this thread's tracee-side
-	// syscall buffer since the last flush. Maintained by buffering policies
-	// (see kernel.SyscallBufferer); the kernel itself never touches it.
-	BufCount int
 
 	// Event is a reusable syscall record for guest wrappers: each thread has
 	// at most one call in flight, so the wrappers (guest.Proc.call) copy
@@ -184,13 +211,15 @@ type execPanic struct{}
 // newProc allocates a process. parent == nil creates the init process.
 func (k *Kernel) newProc(parent *Proc) *Proc {
 	p := &Proc{
-		PID:          k.nextPID,
-		UID:          1000 + uint32(k.Entropy.Intn(100)), // host uid of the invoking user
-		Umask:        0o022,
+		procState: procState{
+			PID:    k.nextPID,
+			UID:    1000 + uint32(k.Entropy.Intn(100)), // host uid of the invoking user
+			Umask:  0o022,
+			Mem:    make(map[int64]int64),
+			Weight: 1,
+		},
 		FDs:          newFDTable(),
-		Mem:          make(map[int64]int64),
 		futexWaiters: make(map[int64][]*Thread),
-		Weight:       1,
 	}
 	k.nextPID++
 	if parent != nil {

@@ -71,35 +71,16 @@ func Prepare(cfg Config) *Snapshot {
 }
 
 // Boot instantiates a runnable kernel from the snapshot. It is the warm
-// twin of New: instead of populating the image into a fresh FS it COW-forks
+// twin of ColdBoot: instead of populating the image into a fresh FS it COW-forks
 // the frozen base, and the fork consumes exactly the entropy a cold
 // fs.New would have, so the booted kernel is bitwise indistinguishable from
 // a cold boot with the same image and BootConfig. Safe to call from any
 // number of goroutines at once.
 func (s *Snapshot) Boot(b BootConfig) *Kernel {
-	resolver := s.Resolver
-	if b.Resolver != nil {
-		resolver = b.Resolver
+	if b.Resolver == nil {
+		b.Resolver = s.Resolver
 	}
-	cfg := Config{
-		Profile:       s.Profile,
-		Seed:          b.Seed,
-		Epoch:         b.Epoch,
-		Policy:        b.Policy,
-		Resolver:      resolver,
-		Cost:          s.Cost,
-		Deadline:      b.Deadline,
-		MaxActions:    b.MaxActions,
-		NumCPU:        b.NumCPU,
-		Obs:           b.Obs,
-		Rec:           b.Rec,
-		CrashAtAction: b.CrashAtAction,
-		Checkpointer:  b.Checkpointer,
-		DeltaSeals:    b.DeltaSeals,
-		HaltAtAction:  b.HaltAtAction,
-		HaltAtLTime:   b.HaltAtLTime,
-	}
-	return newKernel(cfg, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
+	return newKernel(s.Profile, s.Cost, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
 		return s.base.Fork(k.WallClock, fsEntropy)
 	})
 }
