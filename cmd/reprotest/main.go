@@ -73,6 +73,7 @@ import (
 	"strings"
 
 	"repro/internal/buildsim"
+	"repro/internal/core"
 	"repro/internal/debpkg"
 )
 
@@ -166,7 +167,10 @@ func main() {
 		fmt.Printf("uses unsupported feature: %s\n", spec.Unsup)
 	}
 
-	o := &buildsim.Options{Seed: *seed, NoWorkspaces: !*wsFlag}
+	o := &buildsim.Options{Seed: *seed}
+	if !*wsFlag {
+		o.Off = core.Off(core.Workspaces)
+	}
 	if g := selectGate(); g != nil {
 		fmt.Println()
 		report, ok := g.run(o, spec)

@@ -2,54 +2,20 @@
 // shares. DetTrace's contract is that a mechanism may move the physical clock
 // and nothing else, so each study builds the same packages with the mechanism
 // on and off, counts the bitwise-identical ones, and reports what moved. The
-// table below declares the mechanisms; ablate is the one runner; the
-// buffering, workspace, observability and template studies here — and the
-// delta-seal half of the time-travel study (ttd.go) — are views over its
-// result.
+// mechanism table in core declares the mechanisms and their contracts; ablate
+// is the one runner; the buffering, workspace, observability and template
+// studies here — and the delta-seal half of the time-travel study (ttd.go) —
+// are views over its result.
 package buildsim
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
-
-// moves names what switching a mechanism off is allowed to change. Exit
-// status, .deb and build log are pinned bitwise for every mechanism.
-type moves int
-
-const (
-	movesNothing     moves = iota // not even the virtual clock
-	movesVirtualTime              // the virtual clock (dtRun.wall, Out.DTTime, Out.Slowdown)
-	movesSetupCounts              // the farm's SetupStats; no build observable
-)
-
-// ablation is one row of the mechanism table: how a farm switches the
-// mechanism, and what that may move.
-type ablation struct {
-	name  string
-	set   func(f *Options, off bool)
-	moves moves
-}
-
-// Rows of the mechanism table.
-const (
-	ablSyscallBuf = iota
-	ablWorkspaces
-	ablObservability
-	ablTemplates
-	ablDeltaSeals
-)
-
-var ablations = [...]ablation{
-	ablSyscallBuf:    {"syscall-buffer", func(f *Options, off bool) { f.NoSyscallBuf = off }, movesVirtualTime},
-	ablWorkspaces:    {"workspaces", func(f *Options, off bool) { f.NoWorkspaces = off }, movesVirtualTime},
-	ablObservability: {"observability", func(f *Options, off bool) { f.NoObservability = off }, movesNothing},
-	ablTemplates:     {"templates", func(f *Options, off bool) { f.DisableTemplates = off }, movesSetupCounts},
-	ablDeltaSeals:    {"delta-seals", func(f *Options, off bool) { f.noDeltaSeals = off }, movesNothing},
-}
 
 // buildFunc is one DetTrace build on farm f under variation v.
 type buildFunc func(f *Options, l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation) dtRun
@@ -79,15 +45,15 @@ type ablated struct {
 	on, off                 Events
 }
 
-// ablate builds every spec with mechanism a on and off, on two farms derived
-// from o, under the same perturbations, and compares each pair. A package
-// whose baseline or builds fail is skipped; one whose two builds end in
-// different verdicts counts, as not identical. It returns the per-package
-// results in spec order and the two farms, whose SetupStats are the study's
-// to read.
-func (o *Options) ablate(a ablation, specs []*debpkg.Spec, p protocol) (pairs []ablated, on, off *Options) {
-	on = o.derive(func(f *Options) { a.set(f, false) })
-	off = o.derive(func(f *Options) { a.set(f, true) })
+// ablate builds every spec with mechanism m on and off, on two farms derived
+// from o, under the same perturbations, and compares each pair by m's
+// contract. A package whose baseline or builds fail is skipped; one whose two
+// builds end in different verdicts counts, as not identical. It returns the
+// per-package results in spec order and the two farms, whose SetupStats are
+// the study's to read.
+func (o *Options) ablate(m core.Mechanism, specs []*debpkg.Spec, p protocol) (pairs []ablated, on, off *Options) {
+	on = o.derive(func(f *Options) { f.Off &^= core.Off(m) })
+	off = o.derive(func(f *Options) { f.Off |= core.Off(m) })
 	if p.runs <= 0 {
 		p.runs = 1
 	}
@@ -117,7 +83,7 @@ func (o *Options) ablate(a ablation, specs []*debpkg.Spec, p protocol) (pairs []
 			// A failed build is skipped at once, as the farm's own protocol
 			// skips it — unless the study reads the two farms' setup
 			// counters, which must then cover the same builds.
-			if von != "" && a.moves != movesSetupCounts {
+			if von != "" && m.Moves() != core.MovesSetup {
 				return
 			}
 			roff := p.build(off, l, pr.spec, seed, v)
@@ -131,7 +97,7 @@ func (o *Options) ablate(a ablation, specs []*debpkg.Spec, p protocol) (pairs []
 			if von != "" {
 				return
 			}
-			identical = identical && ron.same(roff, a.moves)
+			identical = identical && ron.same(roff, m.Moves())
 		}
 		pr.ok, pr.identical = true, identical
 		pr.onTime, pr.offTime = on0.wall, off0.wall
@@ -203,7 +169,7 @@ func (st *BufferStudy) OK() bool { return st.Identical == st.Packages }
 // RunBufferStudy builds each spec natively once, then twice under DetTrace —
 // with and without the syscall buffer — and aggregates the two slowdowns.
 func (o *Options) RunBufferStudy(specs []*debpkg.Spec) *BufferStudy {
-	pairs, _, _ := o.ablate(ablations[ablSyscallBuf], specs, protocol{baseline: true})
+	pairs, _, _ := o.ablate(core.SyscallBuf, specs, protocol{baseline: true})
 	st := &BufferStudy{}
 	st.Packages, st.Identical, st.WithBuf, st.WithoutBuf = slowdowns(pairs)
 	var stops, buffered, flushes, stopsOff int64
@@ -270,7 +236,7 @@ func (st *WorkspaceStudy) OK() bool { return st.Identical == st.Packages && st.C
 // DetTrace — workspaces on and off — and aggregates the two slowdowns plus
 // the threaded packages' recovery ratio.
 func (o *Options) RunWorkspaceStudy(specs []*debpkg.Spec) *WorkspaceStudy {
-	pairs, _, _ := o.ablate(ablations[ablWorkspaces], specs, protocol{baseline: true})
+	pairs, _, _ := o.ablate(core.Workspaces, specs, protocol{baseline: true})
 	st := &WorkspaceStudy{}
 	st.Packages, st.Identical, st.WithWs, st.WithoutWs = slowdowns(pairs)
 	var thrOnSum, thrOffSum, forks, merges int64
@@ -323,7 +289,7 @@ func (st *ObsStudy) OK() bool { return st.Identical == st.Packages }
 // RunObsStudy builds each spec natively once, then twice under DetTrace —
 // flight recorder on and off — and aggregates the two slowdowns.
 func (o *Options) RunObsStudy(specs []*debpkg.Spec) *ObsStudy {
-	pairs, _, _ := o.ablate(ablations[ablObservability], specs, protocol{baseline: true})
+	pairs, _, _ := o.ablate(core.Observability, specs, protocol{baseline: true})
 	st := &ObsStudy{}
 	st.Packages, st.Identical, st.SlowdownOn, st.SlowdownOff = slowdowns(pairs)
 	if st.SlowdownOff > 0 {
@@ -394,7 +360,7 @@ func (o *Options) RunTemplateStudy(specs []*debpkg.Spec, runs int) *TemplateStud
 	if runs <= 0 {
 		runs = 16
 	}
-	pairs, on, off := o.ablate(ablations[ablTemplates], specs, protocol{runs: runs})
+	pairs, on, off := o.ablate(core.TemplateReuse, specs, protocol{runs: runs})
 	st := &TemplateStudy{Runs: runs}
 	st.Packages, st.Identical, _, _ = slowdowns(pairs)
 	son, soff := on.SetupStats(), off.SetupStats()

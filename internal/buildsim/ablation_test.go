@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/reprotest"
 )
@@ -24,7 +25,7 @@ func TestDeriveCopiesEveryExportedField(t *testing.T) {
 			f.SetBool(true)
 		case reflect.Int:
 			f.SetInt(int64(i) + 2)
-		case reflect.Uint64:
+		case reflect.Uint64, reflect.Uint16:
 			f.SetUint(uint64(i) + 2)
 		case reflect.Struct:
 			f.Set(reflect.ValueOf(reprotest.FaultPlan{KillNode: 2, DupMsg: 3}))
@@ -69,26 +70,31 @@ func TestCrashGateHonoursCallerFlags(t *testing.T) {
 	}
 	reference := func(report string) string { return strings.SplitN(report, ";", 2)[0] }
 	on, okOn := (&Options{Seed: 1}).CrashRecovery(spec, 0)
-	off, okOff := (&Options{Seed: 1, NoWorkspaces: true}).CrashRecovery(spec, 0)
+	off, okOff := (&Options{Seed: 1, Off: core.Off(core.Workspaces)}).CrashRecovery(spec, 0)
 	if !okOn || !okOff {
 		t.Fatalf("recovery diverged:\n%s\n%s", on, off)
 	}
 	if reference(on) == reference(off) {
-		t.Errorf("NoWorkspaces did not reach the gate's builds: both report %q", reference(on))
+		t.Errorf("Off did not reach the gate's builds: both report %q", reference(on))
 	}
 }
 
-// Every row of the mechanism table, through the one runner, on a farm in
-// checkpoint mode (so the delta-seal row has seals to switch): no row may move
-// an output bit, and only a movesVirtualTime row may move the clock.
+// Every performance row of the mechanism table, through the one runner, on a
+// farm in checkpoint mode (so the delta-seal row has seals to switch) with
+// incremental rebuilds on (so the incremental row has something to switch): no
+// row may move an output bit, and only a row whose contract moves the virtual
+// clock may move it.
 func TestAblationTable(t *testing.T) {
 	specs := debpkg.Universe(1, 18)[10:] // includes the threaded pkg-00010 and pkg-00017
-	o := &Options{Seed: 1, Jobs: 2, Checkpoints: true}
-	for _, a := range ablations {
-		pairs, on, off := o.ablate(a, specs, protocol{baseline: true})
+	o := &Options{Seed: 1, Jobs: 2, Checkpoints: true, Incremental: true}
+	for m := range core.NumMechanisms {
+		if m.Breaks() != "" {
+			continue
+		}
+		pairs, on, off := o.ablate(m, specs, protocol{baseline: true})
 		v := reprotest.Variation{}
-		if reflect.DeepEqual(on.dtConfig(nil, "", 0, v), off.dtConfig(nil, "", 0, v)) && on.DisableTemplates == off.DisableTemplates {
-			t.Errorf("%s: the switch switches nothing", a.name)
+		if reflect.DeepEqual(on.dtConfig(nil, "", 0, v), off.dtConfig(nil, "", 0, v)) {
+			t.Errorf("%s: the switch switches nothing", m)
 		}
 		completed := 0
 		for _, p := range pairs {
@@ -97,14 +103,14 @@ func TestAblationTable(t *testing.T) {
 			}
 			completed++
 			if !p.identical {
-				t.Errorf("%s: %s differs across the ablation", a.name, p.spec.Name)
+				t.Errorf("%s: %s differs across the ablation", m, p.spec.Name)
 			}
-			if a.moves != movesVirtualTime && p.onTime != p.offTime {
-				t.Errorf("%s: %s virtual time moved: %d vs %d", a.name, p.spec.Name, p.onTime, p.offTime)
+			if m.Moves() < core.MovesVirtualTime && p.onTime != p.offTime {
+				t.Errorf("%s: %s virtual time moved: %d vs %d", m, p.spec.Name, p.onTime, p.offTime)
 			}
 		}
 		if completed == 0 {
-			t.Errorf("%s: no package completed", a.name)
+			t.Errorf("%s: no package completed", m)
 		}
 	}
 }

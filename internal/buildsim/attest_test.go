@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/reprotest"
 )
@@ -46,7 +47,7 @@ func TestAttestAdmittedSetEquivalence(t *testing.T) {
 	// The template ablation changes how containers boot, never what they
 	// are: subjects carry the real image content hash either way.
 	cold := &Options{Seed: 7, Checkpoints: true, Distributed: true,
-		Nodes: 3, NodeSlots: 1, Attest: true, DisableTemplates: true}
+		Nodes: 3, NodeSlots: 1, Attest: true, Off: core.Off(core.TemplateReuse)}
 	if got := cold.BuildAll(specs, nil); !reflect.DeepEqual(got, wantOuts) {
 		t.Errorf("template ablation: build output diverged")
 	}

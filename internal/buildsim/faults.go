@@ -282,7 +282,7 @@ func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
 		outs[i] = fOut{
 			ok:        true,
 			crashed:   on.FaultStats().Crashes > before,
-			identical: got.same(ref, movesNothing),
+			identical: got.same(ref, core.MovesNothing),
 			refWall:   ref.wall,
 		}
 	})
@@ -330,7 +330,7 @@ func (o *Options) CrashRecovery(spec *debpkg.Spec, n int64) (report string, ok b
 		return fmt.Sprintf("reference build did not complete: %s", v), false
 	}
 	fst := on.FaultStats()
-	ok = got.same(ref, movesNothing)
+	ok = got.same(ref, core.MovesNothing)
 	verdict := "bitwise-identical to the uninterrupted build"
 	if !ok {
 		verdict = "DIVERGED from the uninterrupted build"

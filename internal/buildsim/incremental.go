@@ -182,7 +182,7 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		return r, st
 	}
 
-	if !o.Incremental {
+	if pcfg.DisableIncremental {
 		return cold(RebuildStats{})
 	}
 
@@ -337,7 +337,7 @@ func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, o
 
 	c1 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
 	c2 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
-	det, match := c1.same(c2, movesNothing), incr.same(c1, movesNothing)
+	det, match := c1.same(c2, core.MovesNothing), incr.same(c1, core.MovesNothing)
 	ok = det && match
 
 	how := fmt.Sprintf("forked seal ordinal %d: %d/%d units reused, %d re-executed (%.1f s virtual of %.1f s)",

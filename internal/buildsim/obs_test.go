@@ -1,32 +1,11 @@
 package buildsim
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/debpkg"
 	"repro/internal/obs"
 )
-
-// The farm-level observation contract: BuildAll's output is bitwise identical
-// with the flight recorder on and off, at any Jobs. Recording must never act
-// back on what it records.
-func TestFarmObservabilityEquivalence(t *testing.T) {
-	specs := debpkg.Universe(5, 40)
-	off := (&Options{Seed: 5, Jobs: 4, NoObservability: true}).BuildAll(specs, nil)
-	for _, jobs := range []int{1, 4, 16} {
-		on := (&Options{Seed: 5, Jobs: jobs}).BuildAll(specs, nil)
-		if !reflect.DeepEqual(on, off) {
-			for i := range on {
-				if !reflect.DeepEqual(on[i], off[i]) {
-					t.Fatalf("jobs=%d: package %s diverged under observation:\non:  %+v\noff: %+v",
-						jobs, specs[i].Name, on[i], off[i])
-				}
-			}
-			t.Fatalf("jobs=%d: farms differ under observation", jobs)
-		}
-	}
-}
 
 // Two identical diagnostic runs retain byte-identical complete event streams;
 // the diagnoser finds nothing.

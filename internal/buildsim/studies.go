@@ -232,15 +232,7 @@ func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
 	if n <= 0 {
 		n = 100
 	}
-	var cands []*debpkg.Spec
-	for _, s := range debpkg.Universe(o.Seed, 0) {
-		if s.Class == debpkg.BLRepro_DTRepro || s.Class == debpkg.BLIrrepro_DTRepro {
-			cands = append(cands, s)
-		}
-		if len(cands) >= n {
-			break
-		}
-	}
+	cands := portCandidates(o.Seed, n)
 	type portOut struct {
 		ok, identical bool
 		diff          string
@@ -248,17 +240,7 @@ func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
 	outs := make([]portOut, len(cands))
 	o.forEach(len(cands), func(l obs.Local, i int) {
 		spec := cands[i]
-		seed := pkgSeed(o.Seed, spec)
-		v1, _ := reprotest.Pair(seed)
-		vB := reprotest.PortabilityHost(v1, seed)
-		a := o.buildDT(l, spec, seed, v1, func(c *core.Config) {
-			c.Profile = machine.CloudLabC220G5()
-			c.DisableDirSizes = ablate
-		})
-		b := o.buildDT(l, spec, seed, vB, func(c *core.Config) {
-			c.Profile = machine.PortabilityBroadwell()
-			c.DisableDirSizes = ablate
-		})
+		a, b := o.buildOnBothMachines(l, spec, ablate)
 		if a.deb == nil || b.deb == nil {
 			return
 		}
@@ -281,6 +263,35 @@ func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
 		}
 	}
 	return st
+}
+
+// portCandidates is the portability study's sample: the first n packages of
+// the seed's universe that DetTrace makes reproducible.
+func portCandidates(seed uint64, n int) []*debpkg.Spec {
+	var cands []*debpkg.Spec
+	for _, s := range debpkg.Universe(seed, 0) {
+		if s.Class == debpkg.BLRepro_DTRepro || s.Class == debpkg.BLIrrepro_DTRepro {
+			cands = append(cands, s)
+		}
+		if len(cands) >= n {
+			break
+		}
+	}
+	return cands
+}
+
+// buildOnBothMachines builds spec under DetTrace once on each §7.3 machine
+// profile, same container inputs, with dir-size virtualization off when
+// ablate.
+func (o *Options) buildOnBothMachines(l obs.Local, spec *debpkg.Spec, ablate bool) (a, b dtRun) {
+	seed := pkgSeed(o.Seed, spec)
+	v1, _ := reprotest.Pair(seed)
+	at := func(p *machine.Profile) func(*core.Config) {
+		return func(c *core.Config) { c.Profile, c.DisableDirSizes = p, ablate }
+	}
+	a = o.buildDT(l, spec, seed, v1, at(machine.CloudLabC220G5()))
+	b = o.buildDT(l, spec, seed, reprotest.PortabilityHost(v1, seed), at(machine.PortabilityBroadwell()))
+	return a, b
 }
 
 // LLVMStudy is the §7.2 self-host correctness check: the llvm package's

@@ -2,12 +2,11 @@ package buildsim
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/debpkg"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
@@ -66,20 +65,6 @@ func TestRunRRStudy(t *testing.T) {
 	}
 }
 
-// portCandidates mirrors RunPortability's candidate selection.
-func portCandidates(seed uint64) []*debpkg.Spec {
-	var cands []*debpkg.Spec
-	for _, s := range debpkg.Universe(seed, 0) {
-		if s.Class == debpkg.BLRepro_DTRepro || s.Class == debpkg.BLIrrepro_DTRepro {
-			cands = append(cands, s)
-		}
-		if len(cands) >= 400 {
-			break
-		}
-	}
-	return cands
-}
-
 // With dir-size virtualization on, every package builds bitwise-identically
 // across the Skylake/4.15 and Broadwell/4.18 profiles.
 func TestRunPortabilityVirtualized(t *testing.T) {
@@ -101,13 +86,8 @@ func TestRunPortabilityVirtualized(t *testing.T) {
 func TestPortabilityDirSizeAblation(t *testing.T) {
 	o := &Options{Seed: 1}
 	var leaky, clean *debpkg.Spec
-	for _, s := range portCandidates(o.Seed) {
-		dirsize := false
-		for _, d := range s.PortDirectives {
-			if d == "dirsize:src" {
-				dirsize = true
-			}
-		}
+	for _, s := range portCandidates(o.Seed, 400) {
+		dirsize := slices.Contains(s.PortDirectives, "dirsize:src")
 		if dirsize && leaky == nil {
 			leaky = s
 		}
@@ -122,32 +102,17 @@ func TestPortabilityDirSizeAblation(t *testing.T) {
 		t.Fatal("candidate set lacks a dirsize:src package or a directive-free package")
 	}
 
-	buildBoth := func(spec *debpkg.Spec, ablate bool) (a, b dtRun) {
-		seed := pkgSeed(o.Seed, spec)
-		v1, _ := reprotest.Pair(seed)
-		vB := reprotest.PortabilityHost(v1, seed)
-		l := obs.NewLocal()
-		a = o.buildDT(l, spec, seed, v1, func(c *core.Config) {
-			c.Profile = machine.CloudLabC220G5()
-			c.DisableDirSizes = ablate
-		})
-		b = o.buildDT(l, spec, seed, vB, func(c *core.Config) {
-			c.Profile = machine.PortabilityBroadwell()
-			c.DisableDirSizes = ablate
-		})
-		return a, b
-	}
-
+	l := obs.NewLocal()
 	// Virtualized: the dirsize package ports cleanly.
-	if a, b := buildBoth(leaky, false); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := o.buildOnBothMachines(l, leaky, false); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs differ across machines with virtualization on", leaky.Name)
 	}
 	// Ablated: the same package leaks the host's directory sizes.
-	if a, b := buildBoth(leaky, true); a.deb == nil || bytes.Equal(a.deb, b.deb) {
+	if a, b := o.buildOnBothMachines(l, leaky, true); a.deb == nil || bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs identical across machines despite the ablation", leaky.Name)
 	}
 	// Ablated, but no machine-varying directives: still identical.
-	if a, b := buildBoth(clean, true); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := o.buildOnBothMachines(l, clean, true); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: directive-free package diverged under the ablation", clean.Name)
 	}
 }

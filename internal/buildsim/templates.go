@@ -14,11 +14,13 @@
 // cold boots (kernel.TestSnapshotBootEqualsCold, core.TestTemplateForkEqualsCold),
 // templates are immutable after construction, and nothing order-dependent
 // escapes the caches — so farm output stays independent of Jobs, of cache
-// hit/miss order, and of the DisableTemplates ablation. templates_test.go
-// pins all three. Only the setup accounting below may move.
+// hit/miss order, and of the template-reuse row being off. The mechanism
+// matrix and templates_test.go pin all three. Only the setup accounting below
+// may move.
 package buildsim
 
 import (
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/fs"
@@ -294,7 +296,7 @@ func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Imag
 		return &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 	}
 	var ie *imageEntry
-	if o.DisableTemplates {
+	if o.Off.Has(core.TemplateReuse) {
 		ie = build()
 	} else {
 		key := derive.KeyFor(pkgSeed(0, spec), derive.DigestBytes([]byte(dir)))

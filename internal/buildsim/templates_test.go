@@ -4,56 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/debpkg"
 )
-
-// tmplSample sizes the template-equivalence farm: the acceptance floor is
-// 120 packages, and debpkg.Universe keeps the class proportions for any
-// prefix.
-const tmplSample = 120
-
-// The farm-level template contract: BuildAll's output — per-package verdicts,
-// virtual times, tracer events, the Table 1/2 and Fig. 5 aggregates — is
-// bitwise identical with templates on and off, at any Jobs, despite the
-// hit/miss and eviction order changing with scheduling.
-func TestFarmTemplateEquivalence(t *testing.T) {
-	specs := debpkg.Universe(3, tmplSample)
-	cold := (&Options{Seed: 3, Jobs: 4, DisableTemplates: true}).BuildAll(specs, nil)
-	coldRep := Aggregate(cold)
-	for _, jobs := range []int{1, 4, 16} {
-		o := &Options{Seed: 3, Jobs: jobs}
-		warm := o.BuildAll(specs, nil)
-		if !reflect.DeepEqual(warm, cold) {
-			for i := range warm {
-				if !reflect.DeepEqual(warm[i], cold[i]) {
-					t.Fatalf("jobs=%d: package %s diverged under template reuse:\nwarm: %+v\ncold: %+v",
-						jobs, specs[i].Name, warm[i], cold[i])
-				}
-			}
-		}
-		warmRep := Aggregate(warm)
-		for name, pair := range map[string][2]string{
-			"table1":      {warmRep.Table1Top(), coldRep.Table1Top()},
-			"table2":      {warmRep.Table2String(), coldRep.Table2String()},
-			"fig5":        {warmRep.Fig5Summary(), coldRep.Fig5Summary()},
-			"unsupported": {warmRep.UnsupportedBreakdown(), coldRep.UnsupportedBreakdown()},
-		} {
-			if pair[0] != pair[1] {
-				t.Errorf("jobs=%d: %s aggregate diverged under template reuse", jobs, name)
-			}
-		}
-		st := o.SetupStats()
-		if st.ForkBoots == 0 || st.ColdBoots != 0 {
-			t.Errorf("jobs=%d: expected all boots forked, got %d forked / %d cold", jobs, st.ForkBoots, st.ColdBoots)
-		}
-		if st.TemplateHits == 0 {
-			t.Errorf("jobs=%d: template cache never hit across %d packages", jobs, len(specs))
-		}
-	}
-	if st := (&Options{Seed: 3, Jobs: 4, DisableTemplates: true}).SetupStats(); st != (SetupStats{}) {
-		t.Errorf("fresh options carries setup state")
-	}
-}
 
 // Back-to-back builds from one farm — the second package forks the very
 // template the first one booted — must equal two cold builds: nothing a
@@ -62,7 +15,7 @@ func TestTemplateBackToBackLeakFreedom(t *testing.T) {
 	specs := debpkg.Universe(9, 6)
 	for _, jobs := range []int{1, 4, 16} {
 		warm := &Options{Seed: 9, Jobs: jobs}
-		cold := &Options{Seed: 9, Jobs: jobs, DisableTemplates: true}
+		cold := &Options{Seed: 9, Jobs: jobs, Off: core.Off(core.TemplateReuse)}
 		for round := 0; round < 2; round++ {
 			w := warm.BuildAll(specs, nil)
 			c := cold.BuildAll(specs, nil)
@@ -83,7 +36,7 @@ func TestTemplateEvictionInvisible(t *testing.T) {
 	specs := debpkg.Universe(5, 24)
 	o := &Options{Seed: 5, Jobs: 8, templateCap: 2}
 	warm := o.BuildAll(specs, nil)
-	cold := (&Options{Seed: 5, Jobs: 8, DisableTemplates: true}).BuildAll(specs, nil)
+	cold := (&Options{Seed: 5, Jobs: 8, Off: core.Off(core.TemplateReuse)}).BuildAll(specs, nil)
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("evicting template cache changed farm output")
 	}
@@ -107,7 +60,7 @@ func TestSetupStatsAccounting(t *testing.T) {
 		t.Errorf("templated farm never reused prepared state: %+v", ws)
 	}
 
-	cold := &Options{Seed: 7, Jobs: 4, DisableTemplates: true}
+	cold := &Options{Seed: 7, Jobs: 4, Off: core.Off(core.TemplateReuse)}
 	cold.BuildAll(specs, nil)
 	cs := cold.SetupStats()
 	if cs.ForkBoots != 0 || cs.ColdBoots == 0 || cs.TemplateHits+cs.TemplateMisses != 0 {

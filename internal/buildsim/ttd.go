@@ -261,7 +261,7 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		}
 		outs[i] = out
 	}
-	pairs, _, _ := o.ablate(ablations[ablDeltaSeals], specs, protocol{build: record, visit: measure})
+	pairs, _, _ := o.ablate(core.DeltaSeals, specs, protocol{build: record, visit: measure})
 	st := &TTDStudy{}
 	for i, p := range pairs {
 		if !p.ok {

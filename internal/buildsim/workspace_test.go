@@ -1,103 +1,10 @@
 package buildsim
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/debpkg"
 )
-
-// wsNorm strips the only fields workspaces may legitimately move — the
-// physical wall time and its derivatives, plus the workspace accounting
-// itself. Everything else (verdicts, .deb-derived classes, logical event
-// counts, syscall rates of the native baseline) must be bitwise stable.
-func wsNorm(outs []Out) []Out {
-	c := append([]Out(nil), outs...)
-	for i := range c {
-		c[i].DTTime = 0
-		c[i].Slowdown = 0
-		c[i].Events.WsForks = 0
-		c[i].Events.WsMerges = 0
-		c[i].Events.WsConflicts = 0
-	}
-	return c
-}
-
-// TestBuildAllWorkspaceIndependence is the ISSUE 7 farm acceptance gate:
-// BuildAll results are DeepEqual across workspaces on/off, worker-pool
-// sizes and distributed node counts. Workspaces must be invisible to every
-// output byte; only threaded packages' wall time moves, and always in the
-// right direction.
-func TestBuildAllWorkspaceIndependence(t *testing.T) {
-	specs := debpkg.Universe(9, 18)
-	ref := (&Options{Seed: 42, Jobs: 1}).BuildAll(specs, nil)
-	threaded := 0
-	for _, o := range ref {
-		if o.Threaded {
-			threaded++
-		}
-	}
-	if threaded == 0 {
-		t.Fatal("sample has no threaded (javac) packages — the matrix would test nothing")
-	}
-	refN := wsNorm(ref)
-
-	type cfg struct {
-		name string
-		opts *Options
-	}
-	var cfgs []cfg
-	for _, ws := range []bool{false, true} {
-		for _, jobs := range []int{1, 4, 16} {
-			cfgs = append(cfgs, cfg{
-				name: fmt.Sprintf("jobs=%d noWs=%v", jobs, ws),
-				opts: &Options{Seed: 42, Jobs: jobs, NoWorkspaces: ws},
-			})
-		}
-		for _, nodes := range []int{1, 3} {
-			cfgs = append(cfgs, cfg{
-				name: fmt.Sprintf("nodes=%d noWs=%v", nodes, ws),
-				opts: &Options{Seed: 42, Distributed: true, Nodes: nodes, NoWorkspaces: ws},
-			})
-		}
-	}
-	for _, c := range cfgs {
-		o := c.opts
-		outs := o.BuildAll(specs, nil)
-		if !reflect.DeepEqual(wsNorm(outs), refN) {
-			for i := range outs {
-				if !reflect.DeepEqual(wsNorm(outs[i:i+1]), refN[i:i+1]) {
-					t.Fatalf("%s: package %d (%s) diverges:\ngot:  %+v\nwant: %+v",
-						c.name, i, specs[i].Name, outs[i], ref[i])
-				}
-			}
-			t.Fatalf("%s: results diverge", c.name)
-		}
-		// The physical side: with workspaces, threaded packages must not be
-		// slower than the reference (also ws-on); without, not faster.
-		for i, out := range outs {
-			if ref[i].DT != Reproducible {
-				continue
-			}
-			if !out.Threaded {
-				if out.DTTime != ref[i].DTTime {
-					t.Errorf("%s: %s is single-threaded but DTTime moved: %d vs %d",
-						c.name, specs[i].Name, out.DTTime, ref[i].DTTime)
-				}
-				continue
-			}
-			if o.NoWorkspaces && out.DTTime < ref[i].DTTime {
-				t.Errorf("%s: threaded %s faster serialized (%d) than with workspaces (%d)",
-					c.name, specs[i].Name, out.DTTime, ref[i].DTTime)
-			}
-			if !o.NoWorkspaces && out.DTTime != ref[i].DTTime {
-				t.Errorf("%s: threaded %s ws-on DTTime not stable: %d vs %d",
-					c.name, specs[i].Name, out.DTTime, ref[i].DTTime)
-			}
-		}
-	}
-}
 
 // TestWorkspaceStudySmoke runs the X17 farm study on a small sample: every
 // completed package must be bitwise identical across the ablation, threaded

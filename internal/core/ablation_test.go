@@ -8,30 +8,8 @@ import (
 	"repro/internal/guest"
 )
 
-// Each ablation switch reopens a specific leak from the §5 taxonomy; these
-// tests demonstrate the leak and that the full configuration closes it.
-
-func inodeProgram(p *guest.Proc) int {
-	p.WriteFile("/tmp/a", []byte("a"), 0o644)
-	p.WriteFile("/tmp/b", []byte("b"), 0o644)
-	sa, _ := p.Stat("/tmp/a")
-	sb, _ := p.Stat("/tmp/b")
-	p.Printf("%d %d", sa.Ino, sb.Ino)
-	return 0
-}
-
-func TestInodeVirtAblation(t *testing.T) {
-	a := runDT(t, hostA, core.Config{DisableInodeVirt: true}, inodeProgram)
-	b := runDT(t, hostB, core.Config{DisableInodeVirt: true}, inodeProgram)
-	if a.Stdout == b.Stdout {
-		t.Skip("host inode bases coincided for these seeds")
-	}
-	a = runDT(t, hostA, core.Config{}, inodeProgram)
-	b = runDT(t, hostB, core.Config{}, inodeProgram)
-	if a.Stdout != b.Stdout {
-		t.Errorf("inode virtualization failed: %q vs %q", a.Stdout, b.Stdout)
-	}
-}
+// The leak each ablation switch reopens is TestBreaksRowsLeak's
+// (mechanism_test.go); these are the §5 edge cases around them.
 
 func TestInodeRecyclingGetsFreshVirtualInode(t *testing.T) {
 	res := runDT(t, hostA, core.Config{}, func(p *guest.Proc) int {
@@ -53,34 +31,11 @@ func TestInodeRecyclingGetsFreshVirtualInode(t *testing.T) {
 	}
 }
 
-func readdirProgram(p *guest.Proc) int {
-	for _, n := range []string{"epsilon", "alpha", "mu", "beta"} {
-		p.WriteFile("/tmp/"+n, nil, 0o644)
-	}
-	ents, _ := p.ReadDir("/tmp")
-	for _, e := range ents {
-		p.Printf("%s ", e.Name)
-	}
-	return 0
-}
-
-func TestGetdentsSortAblation(t *testing.T) {
-	a := runDT(t, hostA, core.Config{DisableGetdentsSort: true}, readdirProgram)
-	b := runDT(t, hostB, core.Config{DisableGetdentsSort: true}, readdirProgram)
-	if a.Stdout == b.Stdout {
-		t.Errorf("without sorting, the two machines' hash orders should differ")
-	}
-	a = runDT(t, hostA, core.Config{}, readdirProgram)
-	b = runDT(t, hostB, core.Config{}, readdirProgram)
-	if a.Stdout != b.Stdout || !strings.HasPrefix(a.Stdout, "alpha beta") {
-		t.Errorf("sorted getdents wrong: %q vs %q", a.Stdout, b.Stdout)
-	}
-}
-
-func TestCpuidTrapAblationLegacyHardware(t *testing.T) {
-	// On pre-Ivy-Bridge hardware cpuid cannot be hidden (§5.8) — but those
-	// machines also lack TSX/rdrand, so well-behaved programs stay
-	// reproducible within the smaller machine class.
+// TestLegacyHardwareEverySwitchOn: on pre-Ivy-Bridge hardware cpuid cannot be
+// hidden even with every switch on (§5.8) — but those machines also lack
+// TSX/rdrand, so well-behaved programs stay reproducible within the smaller
+// machine class.
+func TestLegacyHardwareEverySwitchOn(t *testing.T) {
 	legacy := host{profileLegacy(), 0x111, 1_450_000_000, 0}
 	prog := func(p *guest.Proc) int {
 		l := p.Cpuid(7)

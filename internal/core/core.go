@@ -56,65 +56,26 @@ type Config struct {
 	// classified Timeout in the evaluation. [input]
 	Deadline int64
 
-	// Ablation switches; all default to the full DetTrace configuration.
-	DisableSeccomp      bool // every syscall takes two ptrace stops (§5.11)
-	DisableSyscallBuf   bool // no in-tracee syscall buffer: light calls trap again
-	DisableVdso         bool // skip vDSO replacement: vDSO time calls leak (§5.3)
-	DisableDirSizes     bool // skip directory-size virtualization (§7.3)
-	DisableCpuidTrap    bool // pretend pre-Ivy-Bridge hardware (§5.8)
-	DisableInodeVirt    bool // report host inodes (§5.5)
-	DisableGetdentsSort bool // report host directory order (§5.5)
-
-	// DisableIncremental disables incremental rebuilds (ISSUE 8). The core
-	// container never reads it — incremental planning happens above, in
-	// buildsim — but it IS joined into ConfigHash: the ablation partitions
-	// the derivation-key space, so state prepared with incremental reuse on
-	// can never be served to an ablated run (or vice versa). Caching must
-	// not cross the ablation, even though the bits on both sides are
-	// provably identical — that identity is the property under test, not an
-	// assumption the cache may lean on.
-	DisableIncremental bool
-
-	// DisableDeltaSeals makes every checkpoint a standalone full seal
-	// instead of a delta against the previous one (ISSUE 9). Restores are
-	// provably bitwise-identical either way — the ttd equivalence gate pins
-	// it — but like DisableIncremental the ablation IS joined into
-	// ConfigHash: a delta chain and a full-seal sequence are different
-	// derivation artifacts, and cached state must never cross the ablation
-	// that is under test.
-	DisableDeltaSeals bool
-
-	// DisableTemplateReuse forces cold construction even when the container
-	// came from a Template: the kernel populates a fresh FS from the image
-	// instead of COW-forking the prepared base. A mechanism ablation, not a
-	// container input — output must be bitwise identical either way, which
-	// is exactly what the template equivalence gate checks.
-	DisableTemplateReuse bool
-
-	// DisableObservability turns the flight recorder off (metrics counters
-	// still run — they back Stats and Result.Tracer). Like template reuse,
-	// this is a mechanism ablation, not a container input: guest-visible
-	// state and output must be bitwise identical with the recorder on or
-	// off, the invariant the on/off-equivalence tests pin. Excluded from
-	// ConfigHash for the same reason.
-	DisableObservability bool
+	// Ablation switches, all off by default (the full DetTrace
+	// configuration). Each is one row of the mechanism table
+	// (mechanism.go), which declares its contract and its ConfigHash role.
+	DisableSeccomp       bool // every syscall takes two ptrace stops (§5.11)
+	DisableSyscallBuf    bool // no in-tracee syscall buffer: light calls trap again
+	DisableWorkspaces    bool // sibling threads serialize their compute on the physical clock (§5.7)
+	DisableVdso          bool // skip vDSO replacement: vDSO time calls leak (§5.3)
+	DisableDirSizes      bool // skip directory-size virtualization (§7.3)
+	DisableCpuidTrap     bool // pretend pre-Ivy-Bridge hardware (§5.8)
+	DisableInodeVirt     bool // report host inodes (§5.5)
+	DisableGetdentsSort  bool // report host directory order (§5.5)
+	DisableIncremental   bool // no incremental rebuilds; core never reads it, buildsim plans them
+	DisableDeltaSeals    bool // every checkpoint is a standalone full seal, not a delta
+	DisableTemplateReuse bool // cold-boot even a container forked from a Template
+	DisableObservability bool // no flight recorder; the metrics counters still run
 
 	// RingEvents overrides the flight-recorder ring capacity (0 keeps
 	// obs.DefaultRingEvents). Capacity only bounds retention, never
-	// behaviour, so it too stays out of ConfigHash.
+	// behaviour, so it stays out of ConfigHash.
 	RingEvents int
-
-	// DisableWorkspaces turns off the workspace-consistency execution mode
-	// (ISSUE 7): without workspaces, sibling threads serialize their compute
-	// bursts on the physical clock exactly as the paper's prototype does
-	// (§5.7, the Fig. 6 worst case). Like template reuse and observability,
-	// this is a mechanism ablation, not a container input: workspaces only
-	// overlap *physical* time — the logical clock stays token-serialized —
-	// so guest-visible state and output are bitwise identical with the mode
-	// on or off, the invariant the workspace equivalence gate pins. Joined
-	// into ConfigHash all the same, so prepared state never crosses the
-	// ablation under test.
-	DisableWorkspaces bool
 
 	// FaultInjectEntropy, when > 0, deliberately perturbs the N-th entropy
 	// draw (1-based) served to the container — the seeded-nondeterminism

@@ -471,60 +471,8 @@ func TestEndToEndDeterminismAcrossHosts(t *testing.T) {
 func TestBaselineBehaviorIsActuallyNondeterministic(t *testing.T) {
 	// Sanity: the same messy program outside DetTrace differs across hosts;
 	// otherwise the meta-test above proves nothing.
-	run := func(h host) string {
-		reg := guest.NewRegistry()
-		reg.Register("main", messyProgram)
-		img := baseimg.Minimal()
-		img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
-		c := core.New(core.Config{
-			Image: img, Profile: h.profile, HostSeed: h.seed, Epoch: h.epoch,
-			NumCPU: h.numCPU, Deadline: 3_600_000_000_000,
-		})
-		_ = c // DetTrace run not used here; baseline goes through kernel directly
-		return runBaseline(t, h, messyProgram)
-	}
-	if a, b := run(hostA), run(hostB); a == b {
+	if a, b := runBaseline(t, hostA, messyProgram), runBaseline(t, hostB, messyProgram); a == b {
 		t.Errorf("baseline runs identical across hosts — nondeterminism model broken")
-	}
-}
-
-func TestVdsoAblationLeaksTime(t *testing.T) {
-	prog := func(p *guest.Proc) int {
-		p.Printf("vdso=%d", p.VdsoNow()/1e9/86400/365) // years since epoch
-		return 0
-	}
-	// Full DetTrace: vDSO calls are downgraded to intercepted syscalls.
-	a := runDT(t, hostA, core.Config{PRNGSeed: 1}, prog)
-	b := runDT(t, hostB, core.Config{PRNGSeed: 1}, prog)
-	if a.Stdout != b.Stdout {
-		t.Errorf("vDSO replacement failed to determinize: %q vs %q", a.Stdout, b.Stdout)
-	}
-	// Ablated: raw vDSO reads the host clock and output differs.
-	a = runDT(t, hostA, core.Config{PRNGSeed: 1, DisableVdso: true}, prog)
-	b = runDT(t, hostB, core.Config{PRNGSeed: 1, DisableVdso: true}, prog)
-	if a.Stdout == b.Stdout {
-		t.Errorf("vDSO ablation should leak host time (epochs differ by a year)")
-	}
-}
-
-func TestDirSizeAblationBreaksPortability(t *testing.T) {
-	prog := func(p *guest.Proc) int {
-		for i := 0; i < 100; i++ {
-			p.WriteFile("/tmp/f"+strings.Repeat("x", i%7)+string(rune('a'+i%26)), nil, 0o644)
-		}
-		st, _ := p.Stat("/tmp")
-		p.Printf("size=%d", st.Size)
-		return 0
-	}
-	a := runDT(t, hostA, core.Config{DisableDirSizes: true}, prog)
-	b := runDT(t, hostB, core.Config{DisableDirSizes: true}, prog)
-	if a.Stdout == b.Stdout {
-		t.Skip("host dir-size formulas coincided for this entry count")
-	}
-	a = runDT(t, hostA, core.Config{}, prog)
-	b = runDT(t, hostB, core.Config{}, prog)
-	if a.Stdout != b.Stdout {
-		t.Errorf("directory size virtualization failed: %q vs %q", a.Stdout, b.Stdout)
 	}
 }
 

@@ -25,12 +25,11 @@ import (
 // behaviour-relevant Config field, and caches (internal/buildsim) key on
 // (image hash, config hash) so an incompatible reuse cannot happen.
 type Template struct {
-	cfg            Config // normalized; host fields are placeholders
-	snap           *kernel.Snapshot
-	filter         *seccomp.Filter
-	interceptCpuid bool
-	hash           uint64
-	imageHash      uint64
+	cfg       Config // normalized; host fields are placeholders
+	snap      *kernel.Snapshot
+	filter    *seccomp.Filter
+	hash      uint64
+	imageHash uint64
 
 	// PrepareNs is real time spent preparing the snapshot (populate +
 	// freeze), surfaced as the "prepare" span of containers forked from
@@ -70,7 +69,6 @@ func NewTemplate(cfg Config) *Template {
 		filter: filterFor(cfg),
 		hash:   ConfigHash(cfg),
 	}
-	tp.interceptCpuid = !cfg.DisableCpuidTrap && cfg.Profile.SupportsCpuidInterception()
 	if cfg.Image != nil {
 		tp.imageHash = cfg.Image.Hash()
 	}
@@ -124,23 +122,18 @@ func (tp *Template) CompatibleWith(cfg Config) bool {
 // Excluded on purpose: the [host] fields (HostSeed, Epoch, NumCPU) — those
 // vary per run by design and must not affect output; Image — content is
 // keyed separately via Image.Hash, so caches can share one config hash
-// across many images; Debug (an observer); and the mechanism ablations
-// whose whole contract is behavioural invisibility — DisableTemplateReuse,
-// DisableObservability and RingEvents (the recorder observes, it never
-// feeds back). FaultInjectEntropy IS hashed: perturbing an entropy draw
-// changes guest-visible bytes by design. So is FaultInjectCrash — it
-// changes how far the run gets — while FaultCorruptCheckpoint and
-// CheckpointSink stay out: checkpoints observe the run, they never feed
-// back (checkpoint validation uses recoveryHash, which re-zeroes the
-// crash knob, since a recovery deliberately clears it). DisableIncremental
-// is hashed even though core never reads it: the ablation must partition
-// the derivation-key space so cached state never crosses it (ISSUE 8).
-// DisableDeltaSeals is hashed for the same reason: whether checkpoint seals
-// are delta-chained changes what a cached derivation's seal chain means, so
-// the ablation partitions the key space too. HaltAtLTime/HaltAtAction stay
-// out: a halted replay observes a strict prefix of the run and its result
-// never enters a cache, and keeping them unhashed is what lets a debugger
-// seek resume pass checkpoint validation (recoveryHash) while halting early.
+// across many images; Debug (an observer); and RingEvents (the recorder
+// observes, it never feeds back). The Disable* switches are hashed or not as
+// their row in the mechanism table says. FaultInjectEntropy IS hashed:
+// perturbing an entropy draw changes guest-visible bytes by design. So is
+// FaultInjectCrash — it changes how far the run gets — while
+// FaultCorruptCheckpoint and CheckpointSink stay out: checkpoints observe the
+// run, they never feed back (checkpoint validation uses recoveryHash, which
+// re-zeroes the crash knob, since a recovery deliberately clears it).
+// HaltAtLTime/HaltAtAction stay out: a halted replay observes a strict prefix
+// of the run and its result never enters a cache, and keeping them unhashed
+// is what lets a debugger seek resume pass checkpoint validation
+// (recoveryHash) while halting early.
 //
 // The Profile IS included even though it is [host]-marked: the prepared
 // filesystem bakes in profile-derived state (the readdir hash salt, the
@@ -153,16 +146,11 @@ func ConfigHash(cfg Config) uint64 {
 	h.Num(cfg.PRNGSeed)
 	h.Num(uint64(cfg.LogicalEpoch))
 	h.Num(uint64(cfg.Deadline))
-	h.Flag(cfg.DisableSeccomp)
-	h.Flag(cfg.DisableSyscallBuf)
-	h.Flag(cfg.DisableWorkspaces)
-	h.Flag(cfg.DisableVdso)
-	h.Flag(cfg.DisableDirSizes)
-	h.Flag(cfg.DisableCpuidTrap)
-	h.Flag(cfg.DisableInodeVirt)
-	h.Flag(cfg.DisableGetdentsSort)
-	h.Flag(cfg.DisableIncremental)
-	h.Flag(cfg.DisableDeltaSeals)
+	for m := range NumMechanisms {
+		if m.Unhashed() == "" {
+			h.Flag(*m.field(&cfg))
+		}
+	}
 	h.Str(cfg.WorkingDir)
 	h.Num(uint64(cfg.SpinLimit))
 	h.Flag(cfg.UpdateVirtualMtimes)

@@ -153,14 +153,13 @@ func TestTemplateStateLeakFreedom(t *testing.T) {
 }
 
 // configHashExcluded lists every core.Config field ConfigHash ignores, with
-// the reason. Any other field must move the hash when changed.
+// the reason; a Disable* switch gives its reason in its mechanism row. Any
+// other field must move the hash when changed.
 var configHashExcluded = map[string]string{
 	"Image":                  "content is keyed separately via Image.Hash, so one config hash serves many images",
 	"HostSeed":               "[host] physical-run entropy: varies per run, must not reach output",
 	"Epoch":                  "[host] boot wall-clock: varies per run, must not reach output",
 	"NumCPU":                 "[host] core count: varies per run, must not reach output",
-	"DisableTemplateReuse":   "mechanism ablation pinned behaviourally invisible (fork == cold)",
-	"DisableObservability":   "the recorder observes, it never feeds back",
 	"RingEvents":             "ring capacity bounds retention, never behaviour",
 	"FaultCorruptCheckpoint": "checkpoints observe the run; the guest never sees its seals",
 	"CheckpointSink":         "sealing is read-only; output is identical with a sink attached",
@@ -179,6 +178,7 @@ func TestConfigHashGuard(t *testing.T) {
 	h0 := core.ConfigHash(base)
 
 	seen := map[uint64]string{h0: "the base config"}
+	rows := mechanismFields(t)
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -212,7 +212,11 @@ func TestConfigHashGuard(t *testing.T) {
 			t.Fatalf("field %s: the walk cannot perturb a %s — teach it", name, f.Type())
 		}
 		h := core.ConfigHash(v)
-		if _, excluded := configHashExcluded[name]; excluded {
+		_, excluded := configHashExcluded[name]
+		if m, ok := rows[name]; ok {
+			excluded = m.Unhashed() != ""
+		}
+		if excluded {
 			if h != h0 {
 				t.Errorf("excluded field %s moved the config hash — prepared state would thrash", name)
 			}

@@ -47,8 +47,9 @@ func stage(n int) guest.Program {
 }
 
 // record runs the chain once with a collecting sink and returns the session
-// a debugger would open on it, plus the recorded run's result.
-func record(t *testing.T) (*ttd.Session, *core.Result) {
+// a debugger would open on it, plus the recorded run's result. mod, when
+// non-nil, adjusts the recorded config (a fault injection).
+func record(t *testing.T, mod func(*core.Config)) (*ttd.Session, *core.Result) {
 	t.Helper()
 	reg := guest.NewRegistry()
 	img := baseimg.Minimal()
@@ -62,6 +63,9 @@ func record(t *testing.T) (*ttd.Session, *core.Result) {
 		Image: img, Profile: machine.CloudLabC220G5(), HostSeed: 0xAAAA, Epoch: 1_520_000_000,
 		Deadline:       3_600_000_000_000,
 		CheckpointSink: func(cp *core.Checkpoint) { s.Seals = append(s.Seals, cp) },
+	}
+	if mod != nil {
+		mod(&s.Cfg)
 	}
 	s.Launch = func(cfg core.Config) *core.Result {
 		return core.New(cfg).Run(reg, "/bin/stage0", []string{"stage0"}, []string{"PATH=/bin"})
@@ -96,7 +100,7 @@ func seek(t *testing.T, s *ttd.Session, ltime int64) *ttd.View {
 // TestSeekViewIndependentOfSeal: one instant, three ways to reach it — from
 // the newest preceding seal, from the first seal, from boot — one state.
 func TestSeekViewIndependentOfSeal(t *testing.T) {
-	s, res := record(t)
+	s, res := record(t, nil)
 	newest := s.Seals[len(s.Seals)-1]
 	instant := (newest.LNow() + res.LTime) / 2
 
@@ -123,7 +127,7 @@ func TestSeekViewIndependentOfSeal(t *testing.T) {
 
 // TestSeekPastEndShowsFinalState: an instant beyond the run is not a halt.
 func TestSeekPastEndShowsFinalState(t *testing.T) {
-	s, res := record(t)
+	s, res := record(t, nil)
 	v := seek(t, s, res.LTime+1_000_000_000)
 	if v.Halted {
 		t.Errorf("seek past the end reports Halted")
@@ -137,7 +141,7 @@ func TestSeekPastEndShowsFinalState(t *testing.T) {
 // TestSeekStepsDownPastCorruptSeal: a newest seal that fails validation costs
 // replay distance, never correctness.
 func TestSeekStepsDownPastCorruptSeal(t *testing.T) {
-	s, res := record(t)
+	s, res := record(t, nil)
 	newest := s.Seals[len(s.Seals)-1]
 	instant := (newest.LNow() + res.LTime) / 2
 	want := seek(t, s, instant)
@@ -158,7 +162,7 @@ func TestSeekStepsDownPastCorruptSeal(t *testing.T) {
 // TestSeekLeaksNothing: every seek is a halted replay, and a halted kernel
 // leaves no goroutine behind — fifty seeks cost fifty seeks.
 func TestSeekLeaksNothing(t *testing.T) {
-	s, res := record(t)
+	s, res := record(t, nil)
 	leaked := leakcheck.Goroutines(t)
 	for i := int64(1); i <= 50; i++ {
 		seek(t, s, res.LTime*i/51)
