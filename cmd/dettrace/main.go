@@ -138,6 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "virtual wall time : %.3fs\n", float64(res.WallTime)/1e9)
 		fmt.Fprintf(stderr, "system calls      : %d\n", res.Stats.Syscalls)
 		fmt.Fprintf(stderr, "tracer stops      : %d\n", res.Tracer.Stops)
+		fmt.Fprintf(stderr, "buffered calls    : %d\n", res.Tracer.BufferedCalls)
+		fmt.Fprintf(stderr, "buffer flushes    : %d\n", res.Tracer.Flushes)
 		fmt.Fprintf(stderr, "memory reads      : %d\n", res.Tracer.MemReads)
 		fmt.Fprintf(stderr, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
 	}

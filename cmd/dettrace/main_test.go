@@ -32,7 +32,10 @@ func TestRun(t *testing.T) {
 			stderr: []string{"usage: dettrace [flags] command [args...]", "-host-seed"}},
 		{name: "stats", args: []string{"--stats", "date"}, stdout: demoDate,
 			stderr: []string{"--- dettrace stats ---", "virtual wall time : ", "system calls      : ",
-				"tracer stops      : ", "memory reads      : ", "rdtsc intercepted : "}},
+				"tracer stops      : ", "buffered calls    : ", "buffer flushes    : ",
+				"memory reads      : ", "rdtsc intercepted : "}},
+		{name: "stats without seccomp", args: []string{"--no-seccomp", "--stats", "date"}, stdout: demoDate,
+			stderr: []string{"buffered calls    : 0\n", "buffer flushes    : 0\n"}},
 		{name: "with-package runs in the package directory", args: []string{"--with-package", "0", "ls"},
 			stdout: "Makefile\nconfigure.ac\ndebian\ninclude\nsrc\n",
 			stderr: []string{"dettrace: materialized pkg-00000 at /build/pkg-00000-"}},

@@ -4,7 +4,6 @@ import (
 	"repro/internal/abi"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/seccomp"
 )
 
 // This file is DetTrace's in-tracee syscall buffer: the rr-style fast path
@@ -28,17 +27,6 @@ import (
 // record cost while bounding how long the tracer's event log lags execution.
 const syscallBufCap = 64
 
-// verdictOf returns the seccomp verdict for sc, computing it once per
-// in-flight call: the decision is cached on the Syscall record so the entry
-// and exit stops (and the fast path before them) share a single table
-// lookup.
-func (c *Container) verdictOf(sc *abi.Syscall) seccomp.Action {
-	if sc.Verdict == 0 {
-		sc.Verdict = uint8(c.filter.Decide(sc.Num)) + 1
-	}
-	return seccomp.Action(sc.Verdict - 1)
-}
-
 // BufferSyscall implements kernel.SyscallBufferer: it runs on the guest
 // goroutine, before the call would yield to the kernel loop. Claiming the
 // call means servicing it completely right here — result, out-buffers, cost
@@ -49,7 +37,7 @@ func (c *Container) verdictOf(sc *abi.Syscall) seccomp.Action {
 // additionally keeps the slow path authoritative around signals and thread
 // startup.
 func (c *Container) BufferSyscall(t *kernel.Thread, sc *abi.Syscall) bool {
-	if c.verdictOf(sc) != seccomp.Buffer || t.BufCount >= syscallBufCap {
+	if c.verdictOf(sc) != actBuffer || t.BufCount >= syscallBufCap {
 		return false
 	}
 	w := t.Proc.Weight
@@ -62,69 +50,27 @@ func (c *Container) BufferSyscall(t *kernel.Thread, sc *abi.Syscall) bool {
 	return true
 }
 
-// serviceBuffered answers one Buffer-verdict call from container state,
-// appends its record to the thread's buffer, and returns the tracee-side
-// record cost. It must mirror exactly what the traced handlers would have
-// produced — the ablation tests compare fingerprints with the buffer off.
+// serviceBuffered answers one Buffer-verdict call in the tracee: the row's
+// own enter and exit handlers run in-process around the kernel service
+// routine, exactly as at a traced stop minus the tracer's memory charges.
+// It appends the call's record to the thread's buffer and returns the
+// tracee-side record cost. Buffer verdicts go only to calls that cannot
+// block, so direct execution cannot park the thread.
 func (c *Container) serviceBuffered(t *kernel.Thread, sc *abi.Syscall) int64 {
-	p := t.Proc
-	switch sc.Num {
-	case abi.SysTime:
-		// Logical time (§5.3), same counter the traced handler advances.
-		sc.Ret = c.logicalSeconds(p)
-
-	case abi.SysGettimeofday, abi.SysClockGettime:
-		secs := c.logicalSeconds(p)
-		if out, ok := sc.Obj.(*abi.Timespec); ok && out != nil {
-			*out = abi.Timespec{Sec: secs}
-		}
-		sc.Ret = 0
-
-	case abi.SysGetpid:
+	row := rowOf(sc.Num)
+	if row.enter == nil || row.enter(c, t, sc).Disposition != kernel.DispEmulate {
 		c.k.ExecDirect(t, sc)
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		}
-
-	case abi.SysGetppid:
-		c.k.ExecDirect(t, sc)
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		} else {
-			sc.Ret = 0 // parent is outside the namespace
-		}
-
-	case abi.SysGetTid:
-		c.k.ExecDirect(t, sc)
-		sc.Ret = int64(1000 + c.sched.VTID(t))
-
-	case abi.SysFstat:
-		// The §5.5 metadata virtualization is a pure function of the
-		// inode/mtime maps, which only the lockstep-serialized wrapper
-		// touches; the stat answer lands in tracee memory without the
-		// tracer-side WriteMem round trip. rr's syscallbuf buffers fstat
-		// for the same reason — it is the volume win of the whole list.
-		c.k.ExecDirect(t, sc)
-		if sc.Err() == abi.OK {
-			if st, ok := sc.Obj.(*abi.Stat); ok && st != nil {
-				c.rewriteStat(t, sc, st)
-			}
-		}
-
-	default:
-		// lseek, fcntl, umask, getcwd: plain kernel services whose answers
-		// are already container-deterministic; DetTrace only wants them in
-		// the event record. Buffer verdicts are restricted to non-blocking
-		// calls, so direct execution cannot park the thread.
-		c.k.ExecDirect(t, sc)
+	}
+	if row.exit != nil {
+		row.exit(c, t, sc)
 	}
 	t.BufCount++
 	// One event per buffered call, recorded here so the fast path and the
 	// slow-path Buffer verdict (buffer full, pending signal) produce the
 	// same ring: where a call was serviced is mechanism, not behaviour.
 	c.rec.Record(t.LClock, obs.KindBuffered, int32(sc.Num),
-		int32(c.vpid[p.PID]), 0, sc.Ret)
-	return c.sess.RecordBuffered(p.Weight)
+		int32(c.vpid[t.Proc.PID]), 0, sc.Ret)
+	return c.sess.RecordBuffered(t.Proc.Weight)
 }
 
 // takeBuffered empties the thread's buffer and reports how many records it

@@ -210,7 +210,7 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	if !cp.Valid() {
 		return nil, ErrCheckpointCorrupt
 	}
-	c := newContainer(cfg, filterFor(cfg))
+	c := newContainer(cfg)
 
 	// Determinization state picks up mid-stream: the PRNG cursor, the
 	// first-touch inode/mtime/pid maps and the draw counter all continue

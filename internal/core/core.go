@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prng"
 	"repro/internal/sched"
-	"repro/internal/seccomp"
 	"repro/internal/tracer"
 )
 
@@ -308,12 +307,15 @@ func (s detState) clone() detState {
 type Container struct {
 	detState
 
-	cfg    Config
-	k      *kernel.Kernel
-	sess   *tracer.Session
-	sched  *sched.Scheduler
-	filter *seccomp.Filter
-	prng   *prng.LFSR
+	cfg   Config
+	k     *kernel.Kernel
+	sess  *tracer.Session
+	sched *sched.Scheduler
+	prng  *prng.LFSR
+
+	// verdicts is the shared verdict table of this config's interception
+	// mode (syscalls.go).
+	verdicts *[abi.SysnoSlots]action
 
 	// Per-process rdtsc counts for the §5.8 linear function.
 	rdtscCount map[*kernel.Proc]int64
@@ -394,31 +396,22 @@ func normalizeConfig(cfg *Config) {
 	}
 }
 
-// filterFor compiles the seccomp verdict table for a config. The table is
-// immutable once built, so a Template compiles it once and every forked
-// container shares it.
-func filterFor(cfg Config) *seccomp.Filter {
-	switch {
-	case cfg.DisableSeccomp:
-		// No seccomp, no buffer: without the filter there is no untraced
-		// path for the wrapper to run on, so every call stops twice.
-		return seccomp.TraceAll()
-	case cfg.DisableSyscallBuf:
-		return seccomp.DetTrace()
-	default:
-		return seccomp.DetTraceBuffered()
-	}
-}
-
 // New assembles a container and its kernel, ready to Run.
 func New(cfg Config) *Container {
 	normalizeConfig(&cfg)
-	return newContainer(cfg, filterFor(cfg))
+	return newContainer(cfg)
 }
 
-// newContainer wires the per-run container state around a (possibly shared)
-// precompiled seccomp filter. cfg must already be normalized.
-func newContainer(cfg Config, filter *seccomp.Filter) *Container {
+// newContainer wires the per-run container state. cfg must already be
+// normalized.
+func newContainer(cfg Config) *Container {
+	mode := modeBuffered
+	switch {
+	case cfg.DisableSeccomp:
+		mode = modeTraceAll
+	case cfg.DisableSyscallBuf:
+		mode = modeUnbuffered
+	}
 	c := &Container{
 		detState: detState{
 			inoMap:   make(map[uint64]uint64),
@@ -431,7 +424,7 @@ func newContainer(cfg Config, filter *seccomp.Filter) *Container {
 		cfg:         cfg,
 		sched:       sched.New(),
 		prng:        prng.NewLFSR(cfg.PRNGSeed),
-		filter:      filter,
+		verdicts:    &verdicts[mode],
 		rdtscCount:  make(map[*kernel.Proc]int64),
 		rw:          make(map[*kernel.Thread]*rwRetry),
 		pendingOpen: make(map[*kernel.Thread]bool),

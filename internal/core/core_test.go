@@ -273,16 +273,6 @@ func TestSelfSignalAllowed(t *testing.T) {
 	}
 }
 
-func TestUnsupportedSyscallAborts(t *testing.T) {
-	res := runDT(t, hostA, core.Config{}, func(p *guest.Proc) int {
-		p.T.Syscall(&abi.Syscall{Num: abi.SysPersonality})
-		return 0
-	})
-	if op, ok := res.Unsupported(); !ok || !strings.Contains(op, "personality") {
-		t.Errorf("expected personality abort, got %v", res.Err)
-	}
-}
-
 func TestAlarmExpiresInstantly(t *testing.T) {
 	res := runDT(t, hostA, core.Config{}, func(p *guest.Proc) int {
 		fired := false
@@ -386,6 +376,53 @@ func TestReadRetryFillsBuffer(t *testing.T) {
 	}
 	if res.Stats.ReadRetries == 0 {
 		t.Errorf("expected read retries to be counted")
+	}
+}
+
+func TestWriteRetryCompletesPartialWrite(t *testing.T) {
+	// Fig. 4 for writes: 2,000 bytes into a 512-byte pipe go through in
+	// pieces, but the tracee sees one complete write.
+	const size = 2000
+	res := runDT(t, hostA, core.Config{}, func(p *guest.Proc) int {
+		r, w, _ := p.Pipe()
+		p.Fork(func(c *guest.Proc) int {
+			c.Close(w)
+			buf := make([]byte, 256)
+			got := 0
+			for {
+				n, err := c.Read(r, buf)
+				if err != abi.OK || n == 0 {
+					break
+				}
+				for i, b := range buf[:n] {
+					if b != byte((got+i)%251) {
+						return 1
+					}
+				}
+				got += n
+			}
+			c.Printf("reader got %d\n", got)
+			return 0
+		})
+		p.Close(r)
+		data := make([]byte, size)
+		for i := range data {
+			data[i] = byte(i % 251)
+		}
+		n, err := p.Write(w, data)
+		p.Close(w)
+		wr, _ := p.Wait()
+		p.Printf("wrote %d (%v), reader exit %d\n", n, err, wr.Status.ExitCode())
+		return 0
+	})
+	if res.Err != nil || res.ExitCode != 0 {
+		t.Fatalf("run: err=%v code=%d stderr=%s", res.Err, res.ExitCode, res.Stderr)
+	}
+	if want := "reader got 2000\nwrote 2000 (OK), reader exit 0\n"; res.Stdout != want {
+		t.Errorf("stdout = %q, want %q", res.Stdout, want)
+	}
+	if res.Stats.WriteRetries == 0 {
+		t.Errorf("expected write retries to be counted")
 	}
 }
 

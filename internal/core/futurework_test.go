@@ -166,6 +166,40 @@ func TestChecksummedDownloads(t *testing.T) {
 	}
 }
 
+// A fetch is a traced call like any other, so its stop drains the buffer
+// (DESIGN §4a): buffered calls before it flush there, one flush more than
+// the same run without the fetch, and the fetched bytes are unchanged.
+func TestFetchDrainsTheBuffer(t *testing.T) {
+	const url = "https://example.org/release.tar"
+	payload := []byte("release tarball contents")
+	sum := sha256.Sum256(payload)
+	cfg := core.Config{Downloads: map[string]core.Download{url: {Data: payload, SHA256: hex.EncodeToString(sum[:])}}}
+	run := func(fetch bool) *core.Result {
+		return runDT(t, hostA, cfg, func(p *guest.Proc) int {
+			for i := 0; i < 5; i++ {
+				p.Time()
+			}
+			if fetch {
+				if data, err := p.Fetch(url); err != abi.OK || string(data) != string(payload) {
+					return 1
+				}
+			}
+			for i := 0; i < 5; i++ {
+				p.Time()
+			}
+			return 0
+		})
+	}
+	with, without := run(true), run(false)
+	if with.Err != nil || with.ExitCode != 0 || without.Err != nil || without.ExitCode != 0 {
+		t.Fatalf("runs failed: %v (exit %d) / %v (exit %d)", with.Err, with.ExitCode, without.Err, without.ExitCode)
+	}
+	if with.Tracer.Flushes != without.Tracer.Flushes+1 {
+		t.Errorf("flushes %d with the fetch, %d without: the fetch did not drain the buffer",
+			with.Tracer.Flushes, without.Tracer.Flushes)
+	}
+}
+
 func TestFetchIsENOSYSNatively(t *testing.T) {
 	got := runBaseline(t, hostA, func(p *guest.Proc) int {
 		_, err := p.Fetch("https://example.org/x")

@@ -10,146 +10,169 @@ import (
 )
 
 // This file holds DetTrace's per-syscall determinization handlers — the
-// concrete realization of the §5 taxonomy. enterHandlers runs at the
-// pre-syscall stop (emulate or rewrite arguments), exitHandlers at the
-// post-syscall stop (rewrite results, inject retries).
+// concrete realization of the §5 taxonomy. The syscall table (syscalls.go)
+// names each call's handlers: an enter handler runs at the pre-syscall stop
+// (emulate, rewrite arguments, or abort), an exit handler at the
+// post-syscall stop (rewrite results, inject retries). On the buffered path
+// the in-tracee wrapper runs the same handlers.
 
-// enterHandlers may fully emulate the call (DispEmulate) or rewrite its
-// arguments before the kernel sees it. Returns true when the EnterResult is
-// final.
-func (c *Container) enterHandlers(t *kernel.Thread, sc *abi.Syscall, er *kernel.EnterResult) bool {
-	p := t.Proc
-	w := p.Weight
-	switch sc.Num {
-	case abi.SysTime:
-		// Logical time (§5.3): a count of time queries, monotone and
-		// reproducible.
-		er.Disposition = kernel.DispEmulate
-		sc.Ret = c.logicalSeconds(p)
-		return true
+// emulate is the enter result of a handler that answered the call itself.
+func emulate(postCost int64) kernel.EnterResult {
+	return kernel.EnterResult{Disposition: kernel.DispEmulate, PostCost: postCost}
+}
 
-	case abi.SysGettimeofday, abi.SysClockGettime:
-		er.Disposition = kernel.DispEmulate
-		secs := c.logicalSeconds(p)
-		if out, ok := sc.Obj.(*abi.Timespec); ok && out != nil {
-			*out = abi.Timespec{Sec: secs}
-			er.PostCost += c.sess.WriteMem(w, 1)
-		}
-		sc.Ret = 0
-		return true
-
-	case abi.SysNanosleep:
-		// Sleeps become NOPs: the call is rewritten to the harmless `time`
-		// syscall before the kernel examines it (§5.10).
-		er.Disposition = kernel.DispEmulate
-		sc.Ret = 0
-		return true
-
-	case abi.SysAlarm:
-		// Timers expire "instantaneously" (§5.4): DetTrace itself sends the
-		// signal and the kernel never sees a timer.
-		er.Disposition = kernel.DispEmulate
-		if sc.Arg[0] > 0 {
-			c.k.PostSignal(p, abi.SIGALRM)
-		}
-		sc.Ret = 0
-		return true
-
-	case abi.SysSetitimer:
-		er.Disposition = kernel.DispEmulate
-		if it, ok := sc.Obj.(*abi.Itimerval); ok && it != nil && it.Value > 0 {
-			c.k.PostSignal(p, abi.SIGVTALRM)
-		}
-		sc.Ret = 0
-		return true
-
-	case abi.SysGetrandom:
-		// OS randomness comes from the container's seeded LFSR — or, with
-		// the escape hatch enabled, logged/replayed true entropy (§5.2).
-		er.Disposition = kernel.DispEmulate
-		c.fillRandom(sc.Buf)
-		er.PostCost += c.sess.WriteMem(w, 1)
-		sc.Ret = int64(len(sc.Buf))
-		return true
-
-	case abi.SysUname:
-		// The container always reports the same simple machine (§3): a
-		// pinned kernel version and hostname, hiding the host's.
-		er.Disposition = kernel.DispEmulate
-		if out, ok := sc.Obj.(*abi.Utsname); ok && out != nil {
-			*out = abi.Utsname{
-				Sysname:  "Linux",
-				Nodename: "dettrace",
-				Release:  "4.0.0-dettrace",
-				Version:  "#1 SMP",
-				Machine:  "x86_64",
-			}
-			er.PostCost += c.sess.WriteMem(w, 1)
-		}
-		sc.Ret = 0
-		return true
-
-	case abi.SysSysinfo:
-		// A canonical uniprocessor with fixed memory (§5.8).
-		er.Disposition = kernel.DispEmulate
-		if out, ok := sc.Obj.(*abi.Sysinfo); ok && out != nil {
-			*out = abi.Sysinfo{
-				Uptime:   p.TimeCallCount,
-				TotalRAM: 4 << 30,
-				FreeRAM:  2 << 30,
-				Procs:    uint16(c.nextVPID - 1),
-				NumCPU:   1,
-			}
-			er.PostCost += c.sess.WriteMem(w, 1)
-		}
-		sc.Ret = 0
-		return true
-
-	case abi.SysUtimes, abi.SysUtimensat:
-		// A null times pointer would make the kernel stamp host wall-clock
-		// time; DetTrace allocates a reproducible struct in the tracee's
-		// scratch page instead (§5.10).
-		if sc.Obj == nil {
-			times := [2]abi.Timespec{{}, {Sec: c.nextMtime}}
-			sc.Obj = &times
-			er.PostCost += c.sess.WriteMem(w, 1)
-		}
-		return false
-
-	case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
-		// Pre-open existence check so the post stop can tell creations from
-		// re-opens (§5.5).
-		_, rerr := c.k.ResolveInode(p, sc.Path, true)
-		c.pendingOpen[t] = rerr == abi.OK
-		er.PreCost += c.sess.ReadProc(w)
-		return false
-
-	case abi.SysWait4:
-		// Translate a virtual pid argument back to the host pid.
-		if sc.Arg[0] > 0 {
-			if raw, ok := c.rawPid[int(sc.Arg[0])]; ok {
-				sc.Arg[0] = int64(raw)
-			}
-		}
-		return false
+// writeMem charges n writes of tracee memory at a traced stop. The buffered
+// path runs inside the tracee, so its answer lands with no tracer round
+// trip: nothing to charge or count.
+func (c *Container) writeMem(t *kernel.Thread, sc *abi.Syscall, n int64) int64 {
+	if c.verdictOf(sc) == actBuffer {
+		return 0
 	}
-	return false
+	return c.sess.WriteMem(t.Proc.Weight, n)
+}
+
+// readProc is writeMem's twin for one /proc lookup.
+func (c *Container) readProc(t *kernel.Thread, sc *abi.Syscall) int64 {
+	if c.verdictOf(sc) == actBuffer {
+		return 0
+	}
+	return c.sess.ReadProc(t.Proc.Weight)
+}
+
+// enterTime answers time with logical time (§5.3): a count of time queries,
+// monotone and reproducible.
+func (c *Container) enterTime(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	sc.Ret = c.logicalSeconds(t.Proc)
+	return emulate(0)
+}
+
+// enterClock is enterTime for gettimeofday and clock_gettime.
+func (c *Container) enterClock(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	secs := c.logicalSeconds(t.Proc)
+	var cost int64
+	if out, ok := sc.Obj.(*abi.Timespec); ok && out != nil {
+		*out = abi.Timespec{Sec: secs}
+		cost = c.writeMem(t, sc, 1)
+	}
+	sc.Ret = 0
+	return emulate(cost)
+}
+
+// enterNanosleep turns sleeps into NOPs: the call is rewritten to the
+// harmless `time` syscall before the kernel examines it (§5.10).
+func (c *Container) enterNanosleep(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	sc.Ret = 0
+	return emulate(0)
+}
+
+// enterAlarm expires timers "instantaneously" (§5.4): DetTrace itself sends
+// the signal and the kernel never sees a timer.
+func (c *Container) enterAlarm(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	if sc.Arg[0] > 0 {
+		c.k.PostSignal(t.Proc, abi.SIGALRM)
+	}
+	sc.Ret = 0
+	return emulate(0)
+}
+
+// enterSetitimer is enterAlarm for interval timers.
+func (c *Container) enterSetitimer(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	if it, ok := sc.Obj.(*abi.Itimerval); ok && it != nil && it.Value > 0 {
+		c.k.PostSignal(t.Proc, abi.SIGVTALRM)
+	}
+	sc.Ret = 0
+	return emulate(0)
+}
+
+// enterGetrandom serves OS randomness from the container's seeded LFSR — or,
+// with the escape hatch enabled, logged/replayed true entropy (§5.2).
+func (c *Container) enterGetrandom(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	c.fillRandom(sc.Buf)
+	cost := c.writeMem(t, sc, 1)
+	sc.Ret = int64(len(sc.Buf))
+	return emulate(cost)
+}
+
+// enterUname reports the same simple machine on every host (§3): a pinned
+// kernel version and hostname, hiding the host's.
+func (c *Container) enterUname(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	var cost int64
+	if out, ok := sc.Obj.(*abi.Utsname); ok && out != nil {
+		*out = abi.Utsname{
+			Sysname:  "Linux",
+			Nodename: "dettrace",
+			Release:  "4.0.0-dettrace",
+			Version:  "#1 SMP",
+			Machine:  "x86_64",
+		}
+		cost = c.writeMem(t, sc, 1)
+	}
+	sc.Ret = 0
+	return emulate(cost)
+}
+
+// enterSysinfo reports a canonical uniprocessor with fixed memory (§5.8).
+func (c *Container) enterSysinfo(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	var cost int64
+	if out, ok := sc.Obj.(*abi.Sysinfo); ok && out != nil {
+		*out = abi.Sysinfo{
+			Uptime:   t.Proc.TimeCallCount,
+			TotalRAM: 4 << 30,
+			FreeRAM:  2 << 30,
+			Procs:    uint16(c.nextVPID - 1),
+			NumCPU:   1,
+		}
+		cost = c.writeMem(t, sc, 1)
+	}
+	sc.Ret = 0
+	return emulate(cost)
+}
+
+// enterUtimes replaces a null times pointer, which would make the kernel
+// stamp host wall-clock time, with a reproducible struct in the tracee's
+// scratch page (§5.10).
+func (c *Container) enterUtimes(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	var er kernel.EnterResult
+	if sc.Obj == nil {
+		times := [2]abi.Timespec{{}, {Sec: c.nextMtime}}
+		sc.Obj = &times
+		er.PostCost = c.writeMem(t, sc, 1)
+	}
+	return er
+}
+
+// enterOpen checks existence before the open, so the post stop can tell
+// creations from re-opens (§5.5).
+func (c *Container) enterOpen(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	_, rerr := c.k.ResolveInode(t.Proc, sc.Path, true)
+	c.pendingOpen[t] = rerr == abi.OK
+	return kernel.EnterResult{PreCost: c.readProc(t, sc)}
+}
+
+// enterWait4 translates a virtual pid argument back to the host pid.
+func (c *Container) enterWait4(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
+	if sc.Arg[0] > 0 {
+		if raw, ok := c.rawPid[int(sc.Arg[0])]; ok {
+			sc.Arg[0] = int64(raw)
+		}
+	}
+	return kernel.EnterResult{}
 }
 
 // enterKill vets kill: self-signals are permitted (precise-exception style),
 // cross-process signals are unsupported (§5.4) — unless the experimental
 // reproducible-delivery mode is on, in which case the deterministic
 // scheduler makes the delivery point a pure function of logical history.
-func (c *Container) enterKill(t *kernel.Thread, sc *abi.Syscall) (kernel.EnterResult, bool) {
+func (c *Container) enterKill(t *kernel.Thread, sc *abi.Syscall) kernel.EnterResult {
 	target := int(sc.Arg[0])
 	if raw, ok := c.rawPid[target]; ok {
 		sc.Arg[0] = int64(raw)
 		target = raw
 	}
 	if target != t.Proc.PID && !c.cfg.ExperimentalSignals {
-		return abort(&UnsupportedError{Op: "cross-process signal"}), true
+		return abort(&UnsupportedError{Op: "cross-process signal"})
 	}
-	return kernel.EnterResult{}, false
+	return kernel.EnterResult{}
 }
 
 // enterFetch services the checksummed-download pseudo-syscall (§3): only
@@ -168,123 +191,128 @@ func (c *Container) enterFetch(t *kernel.Thread, sc *abi.Syscall) kernel.EnterRe
 		*out = append([]byte(nil), dl.Data...)
 	}
 	sc.Ret = int64(len(dl.Data))
-	w := t.Proc.Weight
-	return kernel.EnterResult{
-		Disposition: kernel.DispEmulate,
-		Serialize:   true,
-		LocalCost:   c.sess.InterceptCost(w),
-		PostCost:    c.sess.HandlerCost(abi.SysFetch, w) + c.sess.WriteMem(w, 1+int64(len(dl.Data))/4096),
-	}
+	return emulate(c.writeMem(t, sc, 1+int64(len(dl.Data))/4096))
 }
 
-// exitHandlers rewrites results at the post-syscall stop.
-func (c *Container) exitHandlers(t *kernel.Thread, sc *abi.Syscall, xr *kernel.ExitResult) {
-	p := t.Proc
-	w := p.Weight
-	switch sc.Num {
-	case abi.SysOpen, abi.SysOpenat, abi.SysCreat:
-		existed := c.pendingOpen[t]
-		delete(c.pendingOpen, t)
-		if sc.Err() != abi.OK {
-			return
-		}
-		// Identify the real inode through /proc/<pid>/fd (§5.5).
-		ino, ferr := c.k.FDInode(p, int(sc.Ret))
-		xr.PostCost += c.sess.ReadProc(w)
-		if ferr != abi.OK {
-			return
-		}
-		if !existed {
-			c.newFileInode(ino.Ino)
-		}
+// exitOpen identifies the real inode through /proc/<pid>/fd (§5.5) and gives
+// a created file a fresh virtual inode and mtime.
+func (c *Container) exitOpen(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	existed := c.pendingOpen[t]
+	delete(c.pendingOpen, t)
+	if sc.Err() != abi.OK {
+		return kernel.ExitResult{}
+	}
+	ino, ferr := c.k.FDInode(t.Proc, int(sc.Ret))
+	xr := kernel.ExitResult{PostCost: c.readProc(t, sc)}
+	if ferr == abi.OK && !existed {
+		c.newFileInode(ino.Ino)
+	}
+	return xr
+}
 
-	case abi.SysStat, abi.SysLstat, abi.SysFstat:
-		if sc.Err() != abi.OK {
-			return
-		}
-		st, ok := sc.Obj.(*abi.Stat)
-		if !ok || st == nil {
-			return
-		}
-		c.rewriteStat(t, sc, st)
-		xr.PostCost += c.sess.WriteMem(w, 1)
+// exitStat rewrites a stat-family answer (§5.5).
+func (c *Container) exitStat(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	st, ok := sc.Obj.(*abi.Stat)
+	if sc.Err() != abi.OK || !ok || st == nil {
+		return kernel.ExitResult{}
+	}
+	c.rewriteStat(t, sc, st)
+	return kernel.ExitResult{PostCost: c.writeMem(t, sc, 1)}
+}
 
-	case abi.SysGetdents:
-		if sc.Err() != abi.OK {
-			return
-		}
-		out, ok := sc.Obj.(*[]abi.Dirent)
-		if !ok || out == nil {
-			return
-		}
-		if !c.cfg.DisableGetdentsSort {
-			sortDirents(*out)
-		}
-		if !c.cfg.DisableInodeVirt {
-			for i := range *out {
-				(*out)[i].Ino = c.virtIno((*out)[i].Ino)
-			}
-		}
-		xr.PostCost += c.sess.WriteMem(w, int64(1+len(*out)/16))
-
-	case abi.SysRead:
-		c.retryRead(t, sc, xr)
-
-	case abi.SysWrite:
-		c.retryWrite(t, sc, xr)
-		if c.cfg.UpdateVirtualMtimes && sc.Err() == abi.OK && !xr.Retry {
-			// Extension (§5.5): writes advance the file's virtual mtime.
-			if ino, ferr := c.k.FDInode(p, int(sc.Arg[0])); ferr == abi.OK && ino.IsRegular() {
-				c.nextMtime++
-				c.mtimeMap[ino.Ino] = c.nextMtime
-				xr.PostCost += c.sess.ReadProc(w)
-			}
-		}
-
-	case abi.SysFork, abi.SysClone:
-		if sc.Err() != abi.OK {
-			return
-		}
-		if sc.Num == abi.SysClone && sc.Arg[0]&abi.CloneThread != 0 {
-			// Thread ids are scheduler-virtual.
-			sc.Ret = int64(1000 + c.sched.VTID(lastThread(p)))
-			return
-		}
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		}
-
-	case abi.SysGetpid:
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		}
-
-	case abi.SysGetppid:
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		} else {
-			sc.Ret = 0 // parent is outside the namespace
-		}
-
-	case abi.SysGetTid:
-		sc.Ret = int64(1000 + c.sched.VTID(t))
-
-	case abi.SysWait4:
-		if sc.Err() != abi.OK || sc.Ret <= 0 {
-			return
-		}
-		if v, ok := c.vpid[int(sc.Ret)]; ok {
-			sc.Ret = int64(v)
-		}
-		if wr, ok := sc.Obj.(*kernel.WaitResult); ok && wr != nil {
-			if v, ok := c.vpid[wr.PID]; ok {
-				wr.PID = v
-			}
-			// rusage carries host timing; zero it reproducibly.
-			wr.Usage = abi.Rusage{}
-			xr.PostCost += c.sess.WriteMem(w, 1)
+// exitGetdents sorts directory entries by name and virtualizes their inodes
+// (§5.5).
+func (c *Container) exitGetdents(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	out, ok := sc.Obj.(*[]abi.Dirent)
+	if sc.Err() != abi.OK || !ok || out == nil {
+		return kernel.ExitResult{}
+	}
+	if !c.cfg.DisableGetdentsSort {
+		sortDirents(*out)
+	}
+	if !c.cfg.DisableInodeVirt {
+		for i := range *out {
+			(*out)[i].Ino = c.virtIno((*out)[i].Ino)
 		}
 	}
+	return kernel.ExitResult{PostCost: c.writeMem(t, sc, int64(1+len(*out)/16))}
+}
+
+func (c *Container) exitRead(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	return c.retryPartial(t, sc, true)
+}
+
+// exitWrite retries partial writes and, as an extension (§5.5), lets writes
+// advance the file's virtual mtime.
+func (c *Container) exitWrite(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	xr := c.retryPartial(t, sc, false)
+	if c.cfg.UpdateVirtualMtimes && sc.Err() == abi.OK && !xr.Retry {
+		if ino, ferr := c.k.FDInode(t.Proc, int(sc.Arg[0])); ferr == abi.OK && ino.IsRegular() {
+			c.nextMtime++
+			c.mtimeMap[ino.Ino] = c.nextMtime
+			xr.PostCost += c.readProc(t, sc)
+		}
+	}
+	return xr
+}
+
+// exitFork reports the child's virtual pid, or a thread's virtual tid.
+func (c *Container) exitFork(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	if sc.Err() != abi.OK {
+		return kernel.ExitResult{}
+	}
+	if sc.Num == abi.SysClone && sc.Arg[0]&abi.CloneThread != 0 {
+		sc.Ret = int64(1000 + c.sched.VTID(lastThread(t.Proc)))
+		return kernel.ExitResult{}
+	}
+	c.virtPidRet(sc)
+	return kernel.ExitResult{}
+}
+
+func (c *Container) exitGetpid(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	c.virtPidRet(sc)
+	return kernel.ExitResult{}
+}
+
+func (c *Container) exitGetppid(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	if !c.virtPidRet(sc) {
+		sc.Ret = 0 // parent is outside the namespace
+	}
+	return kernel.ExitResult{}
+}
+
+// exitGettid reports the scheduler-virtual thread id.
+func (c *Container) exitGettid(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	sc.Ret = int64(1000 + c.sched.VTID(t))
+	return kernel.ExitResult{}
+}
+
+// exitWait4 reports the reaped child's virtual pid and zeroes its rusage,
+// which carries host timing.
+func (c *Container) exitWait4(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
+	if sc.Err() != abi.OK || sc.Ret <= 0 {
+		return kernel.ExitResult{}
+	}
+	c.virtPidRet(sc)
+	wr, ok := sc.Obj.(*kernel.WaitResult)
+	if !ok || wr == nil {
+		return kernel.ExitResult{}
+	}
+	if v, ok := c.vpid[wr.PID]; ok {
+		wr.PID = v
+	}
+	wr.Usage = abi.Rusage{}
+	return kernel.ExitResult{PostCost: c.writeMem(t, sc, 1)}
+}
+
+// virtPidRet rewrites the host pid in sc.Ret to its virtual pid (§5.1) and
+// reports whether the pid is inside the namespace.
+func (c *Container) virtPidRet(sc *abi.Syscall) bool {
+	v, ok := c.vpid[int(sc.Ret)]
+	if ok {
+		sc.Ret = int64(v)
+	}
+	return ok
 }
 
 // rewriteStat applies the §5.5 metadata virtualization: virtual inodes,
@@ -305,88 +333,55 @@ func (c *Container) rewriteStat(t *kernel.Thread, sc *abi.Syscall, st *abi.Stat)
 		// The host's directory size formula varies across machines; report
 		// a pure function of the entry count instead.
 		var entries int
-		switch sc.Num {
-		case abi.SysFstat:
+		if sc.Num == abi.SysFstat {
 			if n, err := c.k.FDInode(p, int(sc.Arg[0])); err == abi.OK {
 				entries = n.NumEntries()
 			}
-		default:
-			if n, err := c.k.ResolveInode(p, sc.Path, sc.Num == abi.SysStat); err == abi.OK {
-				entries = n.NumEntries()
-			}
+		} else if n, err := c.k.ResolveInode(p, sc.Path, sc.Num == abi.SysStat); err == abi.OK {
+			entries = n.NumEntries()
 		}
+		// Counted in tracer_proc_reads on both paths, but its cost is
+		// discarded: charging it would move Table 2 and virtual time.
 		c.sess.ReadProc(p.Weight)
 		st.Size = virtDirSize(entries)
 	}
 	st.Blocks = (st.Size + 511) / 512
 }
 
-// retryRead implements Fig. 4: a read that returned fewer bytes than
-// requested is replayed (PC reset, arguments advanced) until the buffer is
-// full or EOF.
-func (c *Container) retryRead(t *kernel.Thread, sc *abi.Syscall, xr *kernel.ExitResult) {
+// retryPartial implements Fig. 4: a read or write that moved fewer bytes
+// than requested is replayed (PC reset, arguments advanced) until the buffer
+// is done — or, for a read, until EOF — so the tracee perceives one
+// complete call.
+func (c *Container) retryPartial(t *kernel.Thread, sc *abi.Syscall, read bool) kernel.ExitResult {
 	st := c.rw[t]
 	if sc.Err() != abi.OK {
 		if st != nil {
 			c.finishRetry(t, sc, st)
 		}
-		return
+		return kernel.ExitResult{}
 	}
 	n := sc.Ret
+	eof := read && n == 0
 	if st == nil {
-		if n == 0 || n == int64(len(sc.Buf)) {
-			return // complete on the first try
+		if eof || n == int64(len(sc.Buf)) {
+			return kernel.ExitResult{} // complete on the first try
 		}
-		st = &rwRetry{orig: sc.Buf, total: n}
+		st = &rwRetry{orig: sc.Buf}
 		c.rw[t] = st
-		sc.Buf = sc.Buf[n:]
-		c.k.Stats.ReadRetries += t.Proc.Weight
-		xr.Retry = true
-		xr.PostCost += c.sess.Costs.Stop * t.Proc.Weight
-		return
 	}
 	st.total += n
-	if n == 0 || st.total == int64(len(st.orig)) {
+	if eof || st.total == int64(len(st.orig)) {
 		c.finishRetry(t, sc, st)
-		return
+		return kernel.ExitResult{}
 	}
 	sc.Buf = sc.Buf[n:]
-	c.k.Stats.ReadRetries += t.Proc.Weight
-	xr.Retry = true
-	xr.PostCost += c.sess.Costs.Stop * t.Proc.Weight
-}
-
-// retryWrite is the symmetric treatment for partial writes.
-func (c *Container) retryWrite(t *kernel.Thread, sc *abi.Syscall, xr *kernel.ExitResult) {
-	st := c.rw[t]
-	if sc.Err() != abi.OK {
-		if st != nil {
-			c.finishRetry(t, sc, st)
-		}
-		return
+	w := t.Proc.Weight
+	if read {
+		c.k.Stats.ReadRetries += w
+	} else {
+		c.k.Stats.WriteRetries += w
 	}
-	n := sc.Ret
-	if st == nil {
-		if n == int64(len(sc.Buf)) {
-			return
-		}
-		st = &rwRetry{orig: sc.Buf, total: n}
-		c.rw[t] = st
-		sc.Buf = sc.Buf[n:]
-		c.k.Stats.WriteRetries += t.Proc.Weight
-		xr.Retry = true
-		xr.PostCost += c.sess.Costs.Stop * t.Proc.Weight
-		return
-	}
-	st.total += n
-	if st.total == int64(len(st.orig)) {
-		c.finishRetry(t, sc, st)
-		return
-	}
-	sc.Buf = sc.Buf[n:]
-	c.k.Stats.WriteRetries += t.Proc.Weight
-	xr.Retry = true
-	xr.PostCost += c.sess.Costs.Stop * t.Proc.Weight
+	return kernel.ExitResult{Retry: true, PostCost: c.sess.Costs.Stop * w}
 }
 
 // finishRetry restores the original buffer and reports the accumulated

@@ -9,13 +9,12 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/seccomp"
 )
 
 // Container implements kernel.Policy: this file is the tracer's event loop
 // half — scheduling, the pre/post syscall stops, instruction traps and
-// lifecycle hooks. The per-syscall determinization logic lives in
-// handlers.go.
+// lifecycle hooks. Each call's verdict and handlers are one row of the
+// syscall table (syscalls.go); the handlers live in handlers.go.
 
 var (
 	_ kernel.Policy             = (*Container)(nil)
@@ -113,17 +112,6 @@ func (c *Container) PickNext(k *kernel.Kernel, pending []*kernel.Thread) *kernel
 	return t
 }
 
-// syscallKnown lists every call DetTrace has a determinization story for.
-// Anything else raises a reproducible container error (§5.9) — the "long
-// tail of miscellaneous system calls" from §7.1.1.
-func (c *Container) syscallKnown(nr abi.Sysno) bool {
-	switch nr {
-	case abi.SysMount, abi.SysSchedAffinity, abi.SysPersonality:
-		return false
-	}
-	return true
-}
-
 // argsDigest folds a call's pre-rewrite arguments into one word for the
 // flight recorder. It must run before any handler rewrites arguments
 // (enterKill and wait4 substitute raw host pids in place), because the
@@ -152,35 +140,20 @@ func (c *Container) SyscallEnter(t *kernel.Thread, sc *abi.Syscall) kernel.Enter
 	if sc.Attempts == 0 {
 		c.wsSync(t)
 	}
-	if c.rec != nil && sc.Attempts == 0 && !sc.Injected {
-		// Record before the class switch below: enter handlers rewrite
-		// arguments in place, and the event must capture the guest's view.
-		if v := c.verdictOf(sc); v != seccomp.Allow && v != seccomp.Buffer {
-			c.rec.Record(t.LClock, obs.KindSyscallEnter, int32(nr),
-				int32(c.vpid[t.Proc.PID]), argsDigest(sc), 0)
-		}
-	}
-
-	// Unsupported operation classes abort the container reproducibly.
-	switch {
-	case isSocketCall(nr) && !c.cfg.ExperimentalSockets:
-		return abort(&UnsupportedError{Op: "socket"})
-	case nr == abi.SysFetch:
-		return c.enterFetch(t, sc)
-	case !c.syscallKnown(nr):
-		return abort(&UnsupportedError{Op: "syscall:" + nr.String()})
-	case nr == abi.SysKill:
-		if res, ok := c.enterKill(t, sc); ok {
-			return res
-		}
-	}
-
-	// seccomp-bpf verdict: allowed calls run natively with no stops (§5.11).
 	// The verdict is cached on the record so the exit stop reuses it.
-	switch c.verdictOf(sc) {
-	case seccomp.Allow:
+	v := c.verdictOf(sc)
+	if c.rec != nil && sc.Attempts == 0 && !sc.Injected && v == actTrace {
+		// Record before any handler: enter handlers rewrite arguments in
+		// place, and the event must capture the guest's view.
+		c.rec.Record(t.LClock, obs.KindSyscallEnter, int32(nr),
+			int32(c.vpid[t.Proc.PID]), argsDigest(sc), 0)
+	}
+
+	switch v {
+	case actAllow:
+		// seccomp-bpf lets the call run natively with no stops (§5.11).
 		return kernel.EnterResult{Disposition: kernel.DispExecute}
-	case seccomp.Buffer:
+	case actBuffer:
 		// A bufferable call on the slow path: the fast path declined it
 		// (buffer full, pending signal, or thread startup). Flush a full
 		// buffer with a dedicated combined stop, then service the call the
@@ -194,40 +167,46 @@ func (c *Container) SyscallEnter(t *kernel.Thread, sc *abi.Syscall) kernel.Enter
 		return er
 	}
 
-	er := kernel.EnterResult{
-		Disposition: kernel.DispExecute,
-		Serialize:   true,
+	// Unsupported operation classes abort the container reproducibly.
+	row := rowOf(nr)
+	switch {
+	case row.gate == unsupported:
+		return abort(&UnsupportedError{Op: "syscall:" + nr.String()})
+	case row.gate == socketCall && !c.cfg.ExperimentalSockets:
+		return abort(&UnsupportedError{Op: "socket"})
 	}
+	// The row's handler decides first, so a call it aborts leaves no
+	// tracer charge behind, exactly like a gated one.
+	var er kernel.EnterResult
+	if row.enter != nil {
+		if er = row.enter(c, t, sc); er.Disposition == kernel.DispAbort {
+			return er
+		}
+	}
+	er.Serialize = true
 	// Any traced call is a flush point: its own stop doubles as the buffer
 	// drain, so only the per-entry tracer work is added.
 	if n := takeBuffered(t); n > 0 {
 		er.PreCost += c.sess.DrainCost(n, w)
 	}
-	if sc.Attempts == 0 {
-		er.LocalCost = c.sess.InterceptCost(w) // tracee-side stop stall
-		er.PostCost = c.sess.HandlerCost(nr, w)
-	} else {
+	if sc.Attempts > 0 {
 		// Replays pay a single stop, not the full handler again.
 		er.LocalCost = c.sess.Costs.Stop * w
+		return er
 	}
-
+	er.LocalCost = c.sess.InterceptCost(w) // tracee-side stop stall
+	er.PostCost += c.sess.HandlerCost(nr, w)
 	// Path arguments must be read from tracee memory (registers come with
 	// the stop itself).
-	if sc.Attempts == 0 {
-		n := int64(0)
-		if sc.Path != "" {
-			n++
-		}
-		if sc.Path2 != "" {
-			n++
-		}
-		if n > 0 {
-			er.PreCost += c.sess.ReadMem(w, n)
-		}
+	n := int64(0)
+	if sc.Path != "" {
+		n++
 	}
-
-	if done := c.enterHandlers(t, sc, &er); done {
-		return er
+	if sc.Path2 != "" {
+		n++
+	}
+	if n > 0 {
+		er.PreCost += c.sess.ReadMem(w, n)
 	}
 	return er
 }
@@ -239,26 +218,29 @@ func abort(err error) kernel.EnterResult {
 // SyscallExit is the post-syscall stop: result rewriting and retry
 // injection.
 func (c *Container) SyscallExit(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
-	var xr kernel.ExitResult
+	row := rowOf(sc.Num)
 	switch c.verdictOf(sc) {
-	case seccomp.Allow:
+	case actAllow:
 		// Allowed calls keep the token (no stop, no context switch), but an
 		// FS or address-space write is progress a waiting sibling may be
 		// blocked on: reset the spin count so a token holder looping
 		// mkdir/rename/brk between compute bursts is not misdeclared a
 		// busy-waiter (the §5.9 false positive).
-		if isWriteSyscall(sc.Num) {
+		if row.write {
 			c.sched.NoteWrite(t)
 		}
-		return xr
-	case seccomp.Buffer:
+		return kernel.ExitResult{}
+	case actBuffer:
 		// Already fully serviced (fast path or the emulating enter stop);
 		// the completed call is still a context-switch point, which keeps
 		// token handoff bounded even for threads looping on buffered calls.
 		c.sched.ReleaseToken(t)
-		return xr
+		return kernel.ExitResult{}
 	}
-	c.exitHandlers(t, sc, &xr)
+	var xr kernel.ExitResult
+	if row.exit != nil {
+		xr = row.exit(c, t, sc)
+	}
 	if !xr.Retry {
 		if !sc.Injected {
 			c.rec.Record(t.LClock, obs.KindSyscallExit, int32(sc.Num),
@@ -364,29 +346,6 @@ func (c *Container) OnExec(t *kernel.Thread) {
 // the patched vDSO answers timing reads with logical time, no stop needed.
 func (c *Container) VdsoTime(t *kernel.Thread) int64 {
 	return c.logicalSeconds(t.Proc) * 1e9
-}
-
-// isWriteSyscall lists the Allow-verdict calls that mutate the filesystem
-// tree or the address space — the writes sched.NoteWrite treats as progress.
-func isWriteSyscall(nr abi.Sysno) bool {
-	switch nr {
-	case abi.SysMkdir, abi.SysRmdir, abi.SysUnlink, abi.SysUnlinkat,
-		abi.SysRename, abi.SysLink, abi.SysSymlink, abi.SysChmod,
-		abi.SysChown, abi.SysTruncate, abi.SysFtruncate,
-		abi.SysBrk, abi.SysMmap:
-		return true
-	}
-	return false
-}
-
-func isSocketCall(nr abi.Sysno) bool {
-	switch nr {
-	case abi.SysSocket, abi.SysSocketpair, abi.SysBind, abi.SysListen,
-		abi.SysConnect, abi.SysAccept, abi.SysAccept4, abi.SysSendto,
-		abi.SysRecvfrom:
-		return true
-	}
-	return false
 }
 
 // sortDirents orders getdents results by name (§5.5).

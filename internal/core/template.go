@@ -8,15 +8,13 @@ import (
 	"repro/internal/derive"
 	"repro/internal/kernel"
 	"repro/internal/obs"
-	"repro/internal/seccomp"
 )
 
 // Template is a prepared container: the expensive, run-independent half of
-// New — the populated-and-frozen filesystem snapshot and the compiled
-// seccomp verdict table — built once and shared by every container forked
-// from it. The cheap, run-dependent half (virtualization maps, scheduler,
-// PRNG, tracer session) is rebuilt per NewContainer call, so forked
-// containers are bitwise indistinguishable from cold-built ones; the
+// New — the populated-and-frozen filesystem snapshot — built once and shared
+// by every container forked from it. The cheap, run-dependent half
+// (virtualization maps, scheduler, PRNG, tracer session) is rebuilt per
+// NewContainer call, so forked containers are bitwise indistinguishable from cold-built ones; the
 // equivalence tests in template_test.go and internal/buildsim pin that.
 //
 // A Template is compatible only with its exact container configuration:
@@ -27,7 +25,6 @@ import (
 type Template struct {
 	cfg       Config // normalized; host fields are placeholders
 	snap      *kernel.Snapshot
-	filter    *seccomp.Filter
 	hash      uint64
 	imageHash uint64
 
@@ -65,9 +62,8 @@ func NewTemplate(cfg Config) *Template {
 	cfg.FaultCorruptCheckpoint = 0
 	cfg.HaltAtLTime, cfg.HaltAtAction = 0, 0 // per-run debugger knobs, like the sinks
 	tp := &Template{
-		cfg:    cfg,
-		filter: filterFor(cfg),
-		hash:   ConfigHash(cfg),
+		cfg:  cfg,
+		hash: ConfigHash(cfg),
 	}
 	if cfg.Image != nil {
 		tp.imageHash = cfg.Image.Hash()
@@ -83,14 +79,13 @@ func NewTemplate(cfg Config) *Template {
 
 // NewContainer forks a ready-to-Run container for one physical run. The
 // returned container boots the template's frozen filesystem snapshot
-// (unless the config's DisableTemplateReuse ablation forces the cold path)
-// and shares the template's compiled seccomp table.
+// (unless the config's DisableTemplateReuse ablation forces the cold path).
 func (tp *Template) NewContainer(h HostRun) *Container {
 	cfg := tp.cfg
 	cfg.HostSeed, cfg.Epoch, cfg.NumCPU = h.Seed, h.Epoch, h.NumCPU
 	cfg.CheckpointSink = h.CheckpointSink
 	cfg.FaultCorruptCheckpoint = h.FaultCorruptCheckpoint
-	c := newContainer(cfg, tp.filter)
+	c := newContainer(cfg)
 	c.snap = tp.snap
 	c.spans = append(c.spans, obs.Span{Name: "prepare", RealNs: tp.PrepareNs})
 	return c
