@@ -65,44 +65,111 @@ func TestSyscallTableShape(t *testing.T) {
 	}
 }
 
-// The compiled verdict tables cover the whole dispatch universe. The
-// buffered table differs from the unbuffered one exactly on the buffer
-// rows, so the DisableSyscallBuf ablation reproduces pre-buffer behaviour;
-// the no-seccomp fallback traces everything; and a number out of range, like
-// a call with no row, takes the traced default in every mode.
-func TestVerdictTablesCoverTheSyscallUniverse(t *testing.T) {
+// A call with no row takes the traced default in every mode, and a row's
+// verdict does not leak to its neighbours.
+func TestDefaultAction(t *testing.T) {
+	if r := rowOf(abi.SysExecve); r.allow || r.buffer || r.gate != supported || r.enter != nil || r.exit != nil {
+		t.Fatalf("execve was meant to have no row")
+	}
+	for _, m := range modes {
+		if v := verdicts[m.mode][abi.SysExecve]; v != actTrace {
+			t.Errorf("%s: a call with no row got verdict %d, want the traced default", m.name, v)
+		}
+	}
+	if verdicts[modeUnbuffered][abi.SysClose] != actAllow || verdicts[modeUnbuffered][abi.SysRead] != actTrace {
+		t.Errorf("close must be allowed and read traced")
+	}
+}
+
+// The no-seccomp fallback traces every call, including the cheap and the
+// buffered ones.
+func TestTraceAll(t *testing.T) {
+	for _, nr := range []abi.Sysno{abi.SysRead, abi.SysGetcwd, abi.SysClose, abi.SysTime} {
+		if verdicts[modeTraceAll][nr] != actTrace {
+			t.Errorf("%v not traced under DisableSeccomp", nr)
+		}
+	}
+}
+
+// bufferSet is the documented buffered set: the time and pid families and
+// fstat (traced without the buffer) plus lseek/fcntl/umask/getcwd (allowed
+// without it).
+var bufferSet = map[abi.Sysno]bool{
+	abi.SysTime: true, abi.SysGettimeofday: true, abi.SysClockGettime: true,
+	abi.SysGetpid: true, abi.SysGetppid: true, abi.SysGetTid: true, abi.SysFstat: true,
+	abi.SysLseek: true, abi.SysFcntl: true, abi.SysUmask: true, abi.SysGetcwd: true,
+}
+
+// The buffered table differs from the unbuffered one in exactly the
+// documented set, so the DisableSyscallBuf ablation reproduces pre-buffer
+// behaviour bit for bit.
+func TestDetTraceBufferedDelta(t *testing.T) {
+	for nr := range abi.Sysno(abi.SysnoSlots) {
+		plain, buf := verdicts[modeUnbuffered][nr], verdicts[modeBuffered][nr]
+		if bufferSet[nr] {
+			if buf != actBuffer {
+				t.Errorf("%v: want the buffer verdict, got %d", nr, buf)
+			}
+			if plain == actBuffer {
+				t.Errorf("%v: the unbuffered table must not buffer", nr)
+			}
+			continue
+		}
+		if buf != plain {
+			t.Errorf("%v: verdict moved from %d to %d outside the buffer set", nr, plain, buf)
+		}
+	}
+}
+
+// Every table covers the whole dispatch universe with a valid verdict, the
+// unbuffered table never buffers, and a number out of range takes the traced
+// default in every mode.
+func TestFiltersCoverTheSyscallUniverse(t *testing.T) {
 	for _, nr := range abi.Sysnos() {
-		r := rowOf(nr)
-		buf, plain := verdicts[modeBuffered][nr], verdicts[modeUnbuffered][nr]
-		want := actTrace
-		if r.allow {
-			want = actAllow
+		for _, m := range modes {
+			if v := verdicts[m.mode][nr]; v != actTrace && v != actAllow && v != actBuffer {
+				t.Errorf("%v: %s table holds invalid verdict %d", nr, m.name, v)
+			}
 		}
-		if plain != want {
-			t.Errorf("%v: unbuffered verdict %d, want %d", nr, plain, want)
-		}
-		if r.buffer {
-			want = actBuffer
-		}
-		if buf != want {
-			t.Errorf("%v: buffered verdict %d, want %d", nr, buf, want)
+		if verdicts[modeUnbuffered][nr] == actBuffer {
+			t.Errorf("%v: the unbuffered table must never buffer", nr)
 		}
 		if verdicts[modeTraceAll][nr] != actTrace {
 			t.Errorf("%v: DisableSeccomp must trace everything", nr)
 		}
 	}
-	if r := rowOf(abi.SysExecve); r.allow || r.buffer || r.gate != supported || r.enter != nil || r.exit != nil {
-		t.Fatalf("execve was meant to have no row")
-	}
 	for _, m := range modes {
 		c := New(m.cfg)
-		if c.verdicts != &verdicts[m.mode] {
-			t.Errorf("%s: container does not share the compiled %d table", m.name, m.mode)
-		}
-		for _, nr := range []abi.Sysno{-1, abi.SysnoSlots, 1 << 20, abi.SysExecve} {
+		for _, nr := range []abi.Sysno{-1, abi.SysnoSlots, 1 << 20} {
 			if v := c.verdictOf(&abi.Syscall{Num: nr}); v != actTrace {
-				t.Errorf("%s: %d got verdict %d, want the traced default", m.name, nr, v)
+				t.Errorf("%s: out-of-range %d got verdict %d, want the traced default", m.name, nr, v)
 			}
+		}
+	}
+}
+
+// The dense tables compiled at init agree with the rows they come from, and
+// every container reads the shared table of its mode rather than a copy.
+func TestDenseTableMatchesSetVerdicts(t *testing.T) {
+	for nr := range abi.Sysno(abi.SysnoSlots) {
+		r := rowOf(nr)
+		want := actTrace
+		if r.allow {
+			want = actAllow
+		}
+		if plain := verdicts[modeUnbuffered][nr]; plain != want {
+			t.Errorf("%v: unbuffered verdict %d, want %d", nr, plain, want)
+		}
+		if r.buffer {
+			want = actBuffer
+		}
+		if buf := verdicts[modeBuffered][nr]; buf != want {
+			t.Errorf("%v: buffered verdict %d, want %d", nr, buf, want)
+		}
+	}
+	for _, m := range modes {
+		if c := New(m.cfg); c.verdicts != &verdicts[m.mode] {
+			t.Errorf("%s: container does not share the compiled %d table", m.name, m.mode)
 		}
 	}
 }
