@@ -110,7 +110,7 @@ var sections = []section{
 	{"tensorflow", "§7.6: TensorFlow (alexnet/cifar10) slowdowns", "", 0,
 		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
 			t := stats.NewTable("model", "DT vs 16-thread native", "DT vs serialized native")
-			for _, r := range mlsim.RunStudy(e.o.Seed) {
+			for _, r := range mlsim.RunStudy(e.o.Seed, 0) {
 				t.Row(string(r.Model), fmt.Sprintf("%.2fx", r.VsParallel), fmt.Sprintf("%.2fx", r.VsSerial))
 			}
 			wt := stats.NewTable("model", "threads", "ws on", "ws off", "speedup", "merges", "conflicts")

@@ -14,14 +14,17 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro"
+	"repro/internal/abi"
 	"repro/internal/debpkg"
 	"repro/internal/machine"
 )
@@ -142,6 +145,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "buffer flushes    : %d\n", res.Tracer.Flushes)
 		fmt.Fprintf(stderr, "memory reads      : %d\n", res.Tracer.MemReads)
 		fmt.Fprintf(stderr, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
+		fmt.Fprintf(stderr, "top system calls  :\n")
+		for _, nr := range topSyscalls(res.Stats.PerSyscall, 5) {
+			n := res.Stats.PerSyscall[nr]
+			fmt.Fprintf(stderr, "  %-15s %d (%.1f%%)\n", nr, n, 100*float64(n)/float64(res.Stats.Syscalls))
+		}
 	}
 	return res.ExitCode
+}
+
+// topSyscalls returns the n calls with the largest weighted counts, most
+// frequent first and ties in call-number order: the traced event mix that
+// ranks which family the syscall buffer should take next.
+func topSyscalls(per map[abi.Sysno]int64, n int) []abi.Sysno {
+	nrs := make([]abi.Sysno, 0, len(per))
+	for nr := range per {
+		nrs = append(nrs, nr)
+	}
+	slices.SortFunc(nrs, func(a, b abi.Sysno) int {
+		return cmp.Or(cmp.Compare(per[b], per[a]), cmp.Compare(a, b))
+	})
+	return nrs[:min(n, len(nrs))]
 }

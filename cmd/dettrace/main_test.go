@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/abi"
 )
 
 // The artifact's demo line: what `dettrace date` prints on any host.
@@ -33,7 +36,9 @@ func TestRun(t *testing.T) {
 		{name: "stats", args: []string{"--stats", "date"}, stdout: demoDate,
 			stderr: []string{"--- dettrace stats ---", "virtual wall time : ", "system calls      : ",
 				"tracer stops      : ", "buffered calls    : ", "buffer flushes    : ",
-				"memory reads      : ", "rdtsc intercepted : "}},
+				"memory reads      : ", "rdtsc intercepted : ",
+				// The census: most frequent first, ties in call-number order.
+				"top system calls  :\n  write           1 (33.3%)\n  execve          1 (33.3%)\n  time            1 (33.3%)\n"}},
 		{name: "stats without seccomp", args: []string{"--no-seccomp", "--stats", "date"}, stdout: demoDate,
 			stderr: []string{"buffered calls    : 0\n", "buffer flushes    : 0\n"}},
 		{name: "with-package runs in the package directory", args: []string{"--with-package", "0", "ls"},
@@ -55,5 +60,21 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// The census keeps the n heaviest calls, heaviest first, ties in call-number
+// order.
+func TestTopSyscalls(t *testing.T) {
+	per := map[abi.Sysno]int64{
+		abi.SysRead: 7, abi.SysOpen: 40, abi.SysClose: 9, abi.SysFstat: 7,
+		abi.SysWrite: 1, abi.SysExecve: 1, abi.SysTime: 2,
+	}
+	want := []abi.Sysno{abi.SysOpen, abi.SysClose, abi.SysRead, abi.SysFstat, abi.SysTime}
+	if got := topSyscalls(per, 5); !slices.Equal(got, want) {
+		t.Errorf("top five %v, want %v", got, want)
+	}
+	if got := topSyscalls(per, 10); len(got) != len(per) {
+		t.Errorf("top ten of %d calls has %d", len(per), len(got))
 	}
 }

@@ -24,6 +24,11 @@ type sysRow struct {
 	write  bool // an allowed call the §5.9 spin detector counts as progress
 	gate   gate // whether the container supports it at all (§5.9)
 
+	// unless is a buffer row's argument rule: the flag bits of Arg[0] that
+	// send the call back to its traced verdict, because with them set the
+	// tracer must act (the wrapper checks them, as rr's syscallbuf does).
+	unless int64
+
 	// enter runs at the pre-syscall stop: it may emulate the call, rewrite
 	// its arguments, or abort the container. exit rewrites the result at the
 	// post-syscall stop and may request a Fig. 4 retry.
@@ -108,13 +113,16 @@ var syscalls = [abi.SysnoSlots]sysRow{
 	abi.SysGetTid:  {buffer: true, exit: (*Container).exitGettid},
 
 	// Metadata (§5.5, §7.3). fstat's rewrite reads only the inode and mtime
-	// maps, so it is buffered — the volume win, as in rr's syscallbuf.
+	// maps, so it is buffered — the volume win, as in rr's syscallbuf. A
+	// read-only open is buffered too: it never mints a virtual inode or mtime
+	// (only a creation does), never mutates the tree and never blocks. An
+	// open that may create, truncate or write stays traced.
 	abi.SysStat:      {exit: (*Container).exitStat},
 	abi.SysLstat:     {exit: (*Container).exitStat},
 	abi.SysFstat:     {buffer: true, exit: (*Container).exitStat},
 	abi.SysGetdents:  {exit: (*Container).exitGetdents},
-	abi.SysOpen:      {enter: (*Container).enterOpen, exit: (*Container).exitOpen},
-	abi.SysOpenat:    {enter: (*Container).enterOpen, exit: (*Container).exitOpen},
+	abi.SysOpen:      {buffer: true, unless: writeOpen, enter: (*Container).enterOpen, exit: (*Container).exitOpen},
+	abi.SysOpenat:    {buffer: true, unless: writeOpen, enter: (*Container).enterOpen, exit: (*Container).exitOpen},
 	abi.SysCreat:     {enter: (*Container).enterOpen, exit: (*Container).exitOpen},
 	abi.SysUtimes:    {enter: (*Container).enterUtimes},
 	abi.SysUtimensat: {enter: (*Container).enterUtimes},
@@ -177,7 +185,17 @@ const (
 	numModes
 )
 
-var verdicts [numModes][abi.SysnoSlots]action
+// writeOpen is the open rows' argument rule: the flags with which an open may
+// create, truncate or write a file.
+const writeOpen = abi.OCreat | abi.OTrunc | abi.OWronly | abi.ORdwr
+
+var (
+	verdicts [numModes][abi.SysnoSlots]action
+	// unless holds each row's argument rule, compiled beside the verdict
+	// tables so that verdictOf never reads a row: rows name handlers, which
+	// reach verdictOf through writeMem — an initialization cycle.
+	unless [abi.SysnoSlots]int64
+)
 
 func init() {
 	for nr := range syscalls {
@@ -191,17 +209,22 @@ func init() {
 		}
 		verdicts[modeBuffered][nr] = v
 		// modeTraceAll stays all actTrace, the zero verdict.
+		unless[nr] = syscalls[nr].unless
 	}
 }
 
 // verdictOf returns sc's verdict, computing it once per in-flight call: it is
 // cached on the Syscall record so the entry and exit stops (and the fast path
-// before them) share a single table lookup.
+// before them) share a single table lookup. A buffer verdict whose argument
+// rule declines the call falls back to the row's seccomp verdict.
 func (c *Container) verdictOf(sc *abi.Syscall) action {
 	if sc.Verdict == 0 {
 		v := actTrace
 		if uint(sc.Num) < abi.SysnoSlots {
 			v = c.verdicts[sc.Num]
+			if v == actBuffer && sc.Arg[0]&unless[sc.Num] != 0 {
+				v = verdicts[modeUnbuffered][sc.Num]
+			}
 		}
 		sc.Verdict = uint8(v) + 1
 	}

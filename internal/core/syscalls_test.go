@@ -9,6 +9,7 @@ import (
 	"repro/internal/baseimg"
 	"repro/internal/guest"
 	"repro/internal/hashdeep"
+	"repro/internal/obs"
 )
 
 // Table-driven tests of the syscall table (syscalls.go): its shape, the
@@ -16,13 +17,15 @@ import (
 // unsupported row aborts in every interception mode, and a buffer row's
 // buffered answer is its traced answer.
 
-// runGuest runs prog as the container's init on the default host.
+// runGuest runs prog as the container's init on the default host. The
+// image holds a FIFO at /var/probe.fifo for the open probes.
 func runGuest(t *testing.T, cfg Config, prog guest.Program) *Result {
 	t.Helper()
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
 	img := baseimg.Minimal()
 	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
+	img.AddFifo("/var/probe.fifo", 0o644)
 	cfg.Image = img
 	return New(cfg).Run(reg, "/bin/main", []string{"main"}, []string{"PATH=/bin"})
 }
@@ -49,7 +52,8 @@ var mayBlock = map[abi.Sysno]bool{
 
 // A row's parts must agree: an allowed call never reaches a handler or the
 // tracer's unsupported check, the write bit only matters for allowed calls,
-// and a buffered call is supported and cannot block.
+// a buffered call is supported and cannot block, and an argument rule
+// narrows a buffer bit on a supported, non-write row.
 func TestSyscallTableShape(t *testing.T) {
 	for nr := range abi.Sysno(abi.SysnoSlots) {
 		r := rowOf(nr)
@@ -61,6 +65,12 @@ func TestSyscallTableShape(t *testing.T) {
 		}
 		if r.buffer && (r.gate != supported || mayBlock[nr]) {
 			t.Errorf("%v: a buffer row is unsupported or may block", nr)
+		}
+		if r.unless != 0 && (!r.buffer || r.gate != supported || r.write) {
+			t.Errorf("%v: an argument rule on a row without the buffer bit, or with a gate or the write bit", nr)
+		}
+		if unless[nr] != r.unless {
+			t.Errorf("%v: compiled argument rule %#x, row says %#x", nr, unless[nr], r.unless)
 		}
 	}
 }
@@ -91,12 +101,13 @@ func TestTraceAll(t *testing.T) {
 	}
 }
 
-// bufferSet is the documented buffered set: the time and pid families and
-// fstat (traced without the buffer) plus lseek/fcntl/umask/getcwd (allowed
-// without it).
+// bufferSet is the documented buffered set: the time and pid families,
+// fstat and read-only open/openat (traced without the buffer) plus
+// lseek/fcntl/umask/getcwd (allowed without it).
 var bufferSet = map[abi.Sysno]bool{
 	abi.SysTime: true, abi.SysGettimeofday: true, abi.SysClockGettime: true,
 	abi.SysGetpid: true, abi.SysGetppid: true, abi.SysGetTid: true, abi.SysFstat: true,
+	abi.SysOpen: true, abi.SysOpenat: true,
 	abi.SysLseek: true, abi.SysFcntl: true, abi.SysUmask: true, abi.SysGetcwd: true,
 }
 
@@ -267,6 +278,34 @@ var rowProbes = map[abi.Sysno]func(p *guest.Proc, fds [2]int, i int) string{
 	},
 	abi.SysUmask:  func(p *guest.Proc, _ [2]int, i int) string { return fmt.Sprint(p.Umask(uint32(i) & 0o77)) },
 	abi.SysGetcwd: func(p *guest.Proc, _ [2]int, _ int) string { s, err := p.Getcwd(); return s + err.String() },
+	abi.SysOpen:   openProbe(abi.SysOpen),
+	abi.SysOpenat: openProbe(abi.SysOpenat),
+}
+
+// openProbe opens read-only through call nr, in turn: an existing file, a
+// missing one, a directory with O_DIRECTORY, a FIFO and /dev/urandom. It
+// reports the result and what fstat says of the descriptor, then closes it.
+func openProbe(nr abi.Sysno) func(p *guest.Proc, _ [2]int, i int) string {
+	targets := [...]struct {
+		path  string
+		flags int64
+	}{
+		{"/tmp/probe", abi.ORdonly},
+		{"/tmp/missing", abi.ORdonly},
+		{"/tmp", abi.ORdonly | abi.ODirectory},
+		{"/var/probe.fifo", abi.ORdonly},
+		{"/dev/urandom", abi.ORdonly},
+	}
+	return func(p *guest.Proc, _ [2]int, i int) string {
+		tg := targets[i%len(targets)]
+		sc := p.T.Syscall(&abi.Syscall{Num: nr, Path: tg.path, Arg: [6]int64{tg.flags}})
+		if sc.Err() != abi.OK {
+			return fmt.Sprint(sc.Ret)
+		}
+		st, err := p.Fstat(int(sc.Ret))
+		p.Close(int(sc.Ret))
+		return fmt.Sprintf("%d %+v %v", sc.Ret, st, err)
+	}
 }
 
 // Buffering is mechanism: for every buffer row, a guest issuing that call
@@ -319,6 +358,60 @@ func TestBufferedRowsMatchTraced(t *testing.T) {
 			if on.Tracer.BufferedCalls == 0 || off.Tracer.BufferedCalls != 0 {
 				t.Errorf("buffered calls: %d with the buffer on, %d off", on.Tracer.BufferedCalls, off.Tracer.BufferedCalls)
 			}
+			if on.Stats.UrandomOpens != off.Stats.UrandomOpens {
+				t.Errorf("urandom opens: %d with the buffer on, %d off", on.Stats.UrandomOpens, off.Stats.UrandomOpens)
+			}
 		})
+	}
+}
+
+// The open rows' argument rule: an open whose flags may create, truncate or
+// write, and creat (no buffer bit), stay on the traced path — an enter and an
+// exit event and a tracer stop — where a read-only open leaves one buffered
+// record instead.
+func TestWriteOpensStayTraced(t *testing.T) {
+	type counts struct{ enter, exit, buffered int }
+	run := func(calls ...abi.Syscall) (counts, int64) {
+		res := runGuest(t, Config{}, func(p *guest.Proc) int {
+			for _, sc := range calls {
+				p.T.Syscall(&sc)
+			}
+			return 0
+		})
+		if res.Err != nil || res.ExitCode != 0 {
+			t.Fatalf("%+v: run failed: %v (exit %d)", calls, res.Err, res.ExitCode)
+		}
+		var c counts
+		for _, e := range res.Events {
+			switch e.Kind {
+			case obs.KindSyscallEnter:
+				c.enter++
+			case obs.KindSyscallExit:
+				c.exit++
+			case obs.KindBuffered:
+				c.buffered++
+			}
+		}
+		return c, res.Tracer.Stops
+	}
+	open := func(nr abi.Sysno, flags int64) abi.Syscall {
+		return abi.Syscall{Num: nr, Path: "/etc/hostname", Arg: [6]int64{flags, 0o644}}
+	}
+	base, baseStops := run()
+	for _, nr := range []abi.Sysno{abi.SysOpen, abi.SysOpenat} {
+		if got, _ := run(open(nr, abi.ORdonly)); got != (counts{base.enter, base.exit, base.buffered + 1}) {
+			t.Errorf("%v read-only: events %+v, want %+v plus one buffered record", nr, got, base)
+		}
+		for _, flag := range []int64{abi.OCreat, abi.OTrunc, abi.OWronly, abi.ORdwr} {
+			got, stops := run(open(nr, flag))
+			if got != (counts{base.enter + 1, base.exit + 1, base.buffered}) || stops <= baseStops {
+				t.Errorf("%v flags %#x: events %+v and %d stops, want %+v plus one enter and one exit, and more than %d stops",
+					nr, flag, got, stops, base, baseStops)
+			}
+		}
+	}
+	if got, stops := run(open(abi.SysCreat, 0)); got != (counts{base.enter + 1, base.exit + 1, base.buffered}) || stops <= baseStops {
+		t.Errorf("creat: events %+v and %d stops, want %+v plus one enter and one exit, and more than %d stops",
+			got, stops, base, baseStops)
 	}
 }

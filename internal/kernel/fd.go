@@ -23,10 +23,12 @@ const (
 type FD struct {
 	kind fdKind
 
-	ino   *fs.Inode
-	path  string // absolute container path at open time, for /proc/fd
-	pos   int64
-	flags int
+	ino *fs.Inode
+	// cwd and path are the opener's working directory and the path as
+	// passed; /proc/fd's absolute form is normalized only when asked for.
+	cwd, path string
+	pos       int64
+	flags     int
 
 	pipe *fs.Pipe
 	dev  fs.Device

@@ -65,7 +65,10 @@ func (k *Kernel) FDPath(p *Proc, fd int) (string, abi.Errno) {
 	if err != abi.OK {
 		return "", err
 	}
-	return f.path, abi.OK
+	if f.path == "" {
+		return "", abi.OK
+	}
+	return normPath(f.cwd, f.path), abi.OK
 }
 
 // PostSignal lets a tracer inject a signal into a process, the way DetTrace

@@ -1,6 +1,7 @@
 package kernel_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -360,4 +361,43 @@ func TestExitStatusPropagation(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	_ = k
+}
+
+// FDPath reports the normalized absolute path a descriptor was opened with,
+// against the working directory at open time, not the current one.
+func TestFDPathNormalizesOpenTimePath(t *testing.T) {
+	reg := guest.NewRegistry()
+	var k *kernel.Kernel
+	var got []string
+	prog := func(p *guest.Proc) int {
+		p.Chdir("/tmp")
+		var fds []int
+		for _, path := range []string{"../etc/./hostname", "/dev//null", "."} {
+			fd, err := p.Open(path, abi.ORdonly, 0)
+			if err != abi.OK {
+				t.Errorf("open %q: %v", path, err)
+				return 1
+			}
+			fds = append(fds, fd)
+		}
+		p.Chdir("/")
+		for _, fd := range append(fds, 1) {
+			path, err := k.FDPath(p.T.Proc, fd)
+			if err != abi.OK {
+				t.Errorf("FDPath(%d): %v", fd, err)
+			}
+			got = append(got, path)
+		}
+		return 0
+	}
+	reg.Register("init", prog)
+	k = newKernel(t, 1, reg)
+	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
+	k.Start(reg.Bind(prog, img), img.Argv, []string{"PATH=/bin"})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"/etc/hostname", "/dev/null", "/tmp", ""}; !slices.Equal(got, want) {
+		t.Errorf("FDPath = %q, want %q", got, want)
+	}
 }

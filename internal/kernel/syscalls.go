@@ -317,7 +317,7 @@ func (k *Kernel) sysOpen(t *Thread, sc *abi.Syscall) {
 		sc.SetErrno(abi.ENOTDIR)
 		return
 	}
-	f := &FD{ino: n, flags: flags, path: normPath(p.CwdPath, path)}
+	f := &FD{ino: n, flags: flags, cwd: p.CwdPath, path: path}
 	switch {
 	case n.IsDir():
 		f.kind = fdDir

@@ -257,27 +257,28 @@ func RunNative(m Model, threads int, seed uint64) (int64, string) {
 	return k.Now(), lossTrace(im)
 }
 
-// RunDetTrace trains inside DetTrace with 16 threads and workspaces on.
+// RunDetTrace trains inside DetTrace with 16 threads and every mechanism on.
 func RunDetTrace(m Model, hostSeed uint64) (int64, string, error) {
-	wall, loss, _, err := RunDetTraceOpt(m, 16, hostSeed, false)
+	wall, loss, _, err := RunDetTraceOpt(m, 16, hostSeed, 0)
 	return wall, loss, err
 }
 
-// RunDetTraceOpt trains inside DetTrace with the given thread count,
-// optionally disabling workspace mode (the serialized-execution ablation).
-// The returned core.Result carries the observability registry, so callers
-// can read the workspace_forks / workspace_merges / workspace_conflicts
-// counters.
-func RunDetTraceOpt(m Model, threads int, hostSeed uint64, disableWs bool) (int64, string, *core.Result, error) {
-	c := core.New(core.Config{
-		Image:             image(),
-		Profile:           machine.BioHaswell(),
-		HostSeed:          hostSeed,
-		Epoch:             1_551_000_000,
-		NumCPU:            16,
-		PRNGSeed:          0x7f,
-		DisableWorkspaces: disableWs,
-	})
+// RunDetTraceOpt trains inside DetTrace with the given thread count and the
+// mechanisms in off switched off — core.Off(core.Workspaces) is the
+// serialized-execution ablation. The returned core.Result carries the
+// observability registry, so callers can read the workspace_forks /
+// workspace_merges / workspace_conflicts counters.
+func RunDetTraceOpt(m Model, threads int, hostSeed uint64, off core.Mechanisms) (int64, string, *core.Result, error) {
+	cfg := core.Config{
+		Image:    image(),
+		Profile:  machine.BioHaswell(),
+		HostSeed: hostSeed,
+		Epoch:    1_551_000_000,
+		NumCPU:   16,
+		PRNGSeed: 0x7f,
+	}
+	off.Apply(&cfg)
+	c := core.New(cfg)
 	argv := []string{"tf_train", string(m), fmt.Sprint(threads)}
 	res := c.Run(registry(), "/bin/tf_train", argv, []string{"PATH=/bin"})
 	return res.WallTime, lossTrace(res.FS), res, res.Err
@@ -300,13 +301,14 @@ type Result struct {
 	VsSerial       float64
 }
 
-// RunStudy produces both models' slowdown numbers.
-func RunStudy(seed uint64) []Result {
+// RunStudy produces both models' slowdown numbers, DetTrace running with the
+// mechanisms in off switched off.
+func RunStudy(seed uint64, off core.Mechanisms) []Result {
 	var out []Result
 	for _, m := range Models {
 		par, _ := RunNative(m, 16, seed)
 		ser, _ := RunNative(m, 1, seed+1)
-		dt, _, err := RunDetTrace(m, seed+2)
+		dt, _, _, err := RunDetTraceOpt(m, 16, seed+2, off)
 		if err != nil {
 			panic(fmt.Sprintf("mlsim dettrace: %v", err))
 		}
@@ -346,11 +348,11 @@ func RunWorkspaceSweep(seed uint64) []WsRow {
 	var out []WsRow
 	for _, m := range Models {
 		for _, th := range WsThreadPoints {
-			on, lossOn, res, err := RunDetTraceOpt(m, th, seed, false)
+			on, lossOn, res, err := RunDetTraceOpt(m, th, seed, 0)
 			if err != nil {
 				panic(fmt.Sprintf("mlsim ws-on: %v", err))
 			}
-			off, lossOff, _, err := RunDetTraceOpt(m, th, seed, true)
+			off, lossOff, _, err := RunDetTraceOpt(m, th, seed, core.Off(core.Workspaces))
 			if err != nil {
 				panic(fmt.Sprintf("mlsim ws-off: %v", err))
 			}

@@ -3,10 +3,16 @@ package mlsim
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
+// paper is the paper's DetTrace: no syscall buffer.
+var paper = core.Off(core.SyscallBuf)
+
+// The §7.6 calibration holds in the paper's configuration.
 func TestTensorFlowSlowdownShape(t *testing.T) {
-	for _, r := range RunStudy(31) {
+	for _, r := range RunStudy(31, paper) {
 		t.Logf("%s: vsParallel=%.2fx vsSerial=%.2fx (par=%.0fs ser=%.0fs dt=%.0fs)",
 			r.Model, r.VsParallel, r.VsSerial,
 			float64(r.NativeParallel)/1e9, float64(r.NativeSerial)/1e9, float64(r.DetTrace)/1e9)
@@ -21,19 +27,39 @@ func TestTensorFlowSlowdownShape(t *testing.T) {
 		}
 	}
 	// alexnet is more syscall-intensive than cifar10, so it pays more.
-	rs := RunStudy(32)
+	rs := RunStudy(32, paper)
 	if !(rs[0].VsSerial > rs[1].VsSerial) {
 		t.Errorf("alexnet (%.2f) should pay more than cifar10 (%.2f)", rs[0].VsSerial, rs[1].VsSerial)
 	}
 }
 
+// The buffered default only takes tracer cost away: each model trains no
+// slower than in the paper's configuration, with the same loss trace.
+func TestTensorFlowBufferedDefault(t *testing.T) {
+	for _, m := range Models {
+		on, lossOn, _, errOn := RunDetTraceOpt(m, 16, 34, 0)
+		off, lossOff, _, errOff := RunDetTraceOpt(m, 16, 34, paper)
+		if errOn != nil || errOff != nil {
+			t.Fatalf("%s: %v / %v", m, errOn, errOff)
+		}
+		t.Logf("%s: %.1fs buffered, %.1fs unbuffered", m, float64(on)/1e9, float64(off)/1e9)
+		if on > off {
+			t.Errorf("%s: %d ns buffered, slower than %d ns unbuffered", m, on, off)
+		}
+		if lossOn != lossOff {
+			t.Errorf("%s: loss trace differs with the buffer on and off", m)
+		}
+	}
+}
+
 // TestSerializedAblationShape pins the historical §5.7 serialized-mode
-// numbers: with DisableWorkspaces the whole parallel speedup is lost.
+// numbers, in the paper's configuration: with DisableWorkspaces the whole
+// parallel speedup is lost.
 func TestSerializedAblationShape(t *testing.T) {
 	for _, m := range Models {
 		par, _ := RunNative(m, 16, 31)
 		ser, _ := RunNative(m, 1, 32)
-		dt, _, _, err := RunDetTraceOpt(m, 16, 33, true)
+		dt, _, _, err := RunDetTraceOpt(m, 16, 33, paper|core.Off(core.Workspaces))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
