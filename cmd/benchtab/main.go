@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/bio"
 	"repro/internal/buildsim"
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/mlsim"
 	"repro/internal/stats"
@@ -60,13 +61,15 @@ func (t text) String() string { return string(t) }
 func heading(title string) string { return fmt.Sprintf("==== %s ====", title) }
 
 // report builds the -n universe once, for the four sections that are views
-// of the same BuildAll.
+// of the same BuildAll. They reproduce the paper's tables, so DetTrace runs
+// as the paper's: without the syscall buffer (-buffering compares the two).
 func (e *env) report() *buildsim.Report {
 	if e.universe == nil {
 		specs := debpkg.Universe(e.o.Seed, e.n)
 		fmt.Fprintf(e.out, "== building %d packages (4 builds each) ==\n", len(specs))
 		start := time.Now()
-		outs := e.o.BuildAll(specs, e.progress)
+		paper := &buildsim.Options{Seed: e.o.Seed, Jobs: e.o.Jobs, Off: core.Off(core.SyscallBuf)}
+		outs := paper.BuildAll(specs, e.progress)
 		fmt.Fprintf(e.out, "   done in %s\n\n", time.Since(start).Round(time.Second))
 		e.universe = buildsim.Aggregate(outs)
 	}
@@ -110,7 +113,7 @@ var sections = []section{
 	{"tensorflow", "§7.6: TensorFlow (alexnet/cifar10) slowdowns", "", 0,
 		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
 			t := stats.NewTable("model", "DT vs 16-thread native", "DT vs serialized native")
-			for _, r := range mlsim.RunStudy(e.o.Seed, 0) {
+			for _, r := range mlsim.RunStudy(e.o.Seed) {
 				t.Row(string(r.Model), fmt.Sprintf("%.2fx", r.VsParallel), fmt.Sprintf("%.2fx", r.VsSerial))
 			}
 			wt := stats.NewTable("model", "threads", "ws on", "ws off", "speedup", "merges", "conflicts")

@@ -296,19 +296,19 @@ type Result struct {
 	Model          Model
 	NativeParallel int64 // 16-thread native wall time
 	NativeSerial   int64 // 1-thread native wall time
-	DetTrace       int64 // DetTrace wall time (16 threads, workspaces on)
+	DetTrace       int64 // DetTrace wall time (16 threads, workspaces on, no syscall buffer)
 	VsParallel     float64
 	VsSerial       float64
 }
 
-// RunStudy produces both models' slowdown numbers, DetTrace running with the
-// mechanisms in off switched off.
-func RunStudy(seed uint64, off core.Mechanisms) []Result {
+// RunStudy produces both models' §7.6 slowdown numbers, DetTrace running as
+// the paper's: without the syscall buffer.
+func RunStudy(seed uint64) []Result {
 	var out []Result
 	for _, m := range Models {
 		par, _ := RunNative(m, 16, seed)
 		ser, _ := RunNative(m, 1, seed+1)
-		dt, _, _, err := RunDetTraceOpt(m, 16, seed+2, off)
+		dt, _, _, err := RunDetTraceOpt(m, 16, seed+2, core.Off(core.SyscallBuf))
 		if err != nil {
 			panic(fmt.Sprintf("mlsim dettrace: %v", err))
 		}

@@ -10,9 +10,10 @@ import (
 // paper is the paper's DetTrace: no syscall buffer.
 var paper = core.Off(core.SyscallBuf)
 
-// The §7.6 calibration holds in the paper's configuration.
+// The §7.6 calibration holds in the paper's configuration, which RunStudy
+// runs.
 func TestTensorFlowSlowdownShape(t *testing.T) {
-	for _, r := range RunStudy(31, paper) {
+	for _, r := range RunStudy(31) {
 		t.Logf("%s: vsParallel=%.2fx vsSerial=%.2fx (par=%.0fs ser=%.0fs dt=%.0fs)",
 			r.Model, r.VsParallel, r.VsSerial,
 			float64(r.NativeParallel)/1e9, float64(r.NativeSerial)/1e9, float64(r.DetTrace)/1e9)
@@ -27,7 +28,7 @@ func TestTensorFlowSlowdownShape(t *testing.T) {
 		}
 	}
 	// alexnet is more syscall-intensive than cifar10, so it pays more.
-	rs := RunStudy(32, paper)
+	rs := RunStudy(32)
 	if !(rs[0].VsSerial > rs[1].VsSerial) {
 		t.Errorf("alexnet (%.2f) should pay more than cifar10 (%.2f)", rs[0].VsSerial, rs[1].VsSerial)
 	}
