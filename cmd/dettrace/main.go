@@ -137,26 +137,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *showStats {
-		fmt.Fprintf(stderr, "--- dettrace stats ---\n")
-		fmt.Fprintf(stderr, "virtual wall time : %.3fs\n", float64(res.WallTime)/1e9)
-		fmt.Fprintf(stderr, "system calls      : %d\n", res.Stats.Syscalls)
-		fmt.Fprintf(stderr, "tracer stops      : %d\n", res.Tracer.Stops)
-		fmt.Fprintf(stderr, "buffered calls    : %d\n", res.Tracer.BufferedCalls)
-		fmt.Fprintf(stderr, "buffer flushes    : %d\n", res.Tracer.Flushes)
-		fmt.Fprintf(stderr, "memory reads      : %d\n", res.Tracer.MemReads)
-		fmt.Fprintf(stderr, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
-		fmt.Fprintf(stderr, "top system calls  :\n")
-		for _, nr := range topSyscalls(res.Stats.PerSyscall, 5) {
-			n := res.Stats.PerSyscall[nr]
-			fmt.Fprintf(stderr, "  %-15s %d (%.1f%%)\n", nr, n, 100*float64(n)/float64(res.Stats.Syscalls))
-		}
+		printStats(stderr, res)
 	}
 	return res.ExitCode
 }
 
+// printStats writes --stats' report of a finished run: the tracer's totals,
+// then the five calls that stopped at the tracer most, each with its share
+// of those stops.
+func printStats(w io.Writer, res *repro.Result) {
+	fmt.Fprintf(w, "--- dettrace stats ---\n")
+	fmt.Fprintf(w, "virtual wall time : %.3fs\n", float64(res.WallTime)/1e9)
+	fmt.Fprintf(w, "system calls      : %d\n", res.Stats.Syscalls)
+	fmt.Fprintf(w, "tracer stops      : %d\n", res.Tracer.Stops)
+	fmt.Fprintf(w, "buffered calls    : %d\n", res.Tracer.BufferedCalls)
+	fmt.Fprintf(w, "buffer flushes    : %d\n", res.Tracer.Flushes)
+	fmt.Fprintf(w, "memory reads      : %d\n", res.Tracer.MemReads)
+	fmt.Fprintf(w, "rdtsc intercepted : %d\n", res.Stats.RdtscTrapped)
+	fmt.Fprintf(w, "top tracer stops  :\n")
+	stops := res.Stats.StopsPerSyscall.Map()
+	var total int64
+	for _, n := range stops {
+		total += n
+	}
+	for _, nr := range topSyscalls(stops, 5) {
+		fmt.Fprintf(w, "  %-15s %d (%.1f%%)\n", nr, stops[nr], 100*float64(stops[nr])/float64(total))
+	}
+}
+
 // topSyscalls returns the n calls with the largest weighted counts, most
-// frequent first and ties in call-number order: the traced event mix that
-// ranks which family the syscall buffer should take next.
+// frequent first and ties in call-number order. Over the tracer's stops per
+// call it ranks which family the syscall buffer should take next.
 func topSyscalls(per map[abi.Sysno]int64, n int) []abi.Sysno {
 	nrs := make([]abi.Sysno, 0, len(per))
 	for nr := range per {

@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/abi"
+	"repro/internal/guest"
 )
 
 // The artifact's demo line: what `dettrace date` prints on any host.
@@ -37,8 +40,9 @@ func TestRun(t *testing.T) {
 			stderr: []string{"--- dettrace stats ---", "virtual wall time : ", "system calls      : ",
 				"tracer stops      : ", "buffered calls    : ", "buffer flushes    : ",
 				"memory reads      : ", "rdtsc intercepted : ",
-				// The census: most frequent first, ties in call-number order.
-				"top system calls  :\n  write           1 (33.3%)\n  execve          1 (33.3%)\n  time            1 (33.3%)\n"}},
+				// The census of stops: most first, ties in call-number
+				// order; the buffered time call never stops.
+				"top tracer stops  :\n  write           1 (50.0%)\n  execve          1 (50.0%)\n"}},
 		{name: "stats without seccomp", args: []string{"--no-seccomp", "--stats", "date"}, stdout: demoDate,
 			stderr: []string{"buffered calls    : 0\n", "buffer flushes    : 0\n"}},
 		{name: "with-package runs in the package directory", args: []string{"--with-package", "0", "ls"},
@@ -61,6 +65,45 @@ func TestRun(t *testing.T) {
 			}
 		})
 	}
+
+	// The stats census ranks what still stops, not what is called most: a
+	// guest that opens and reads many regular files and forks once ranks
+	// fork above open and read, which the syscall buffer serves stop-free.
+	t.Run("stats ranks tracer stops", func(t *testing.T) {
+		reg := repro.NewRegistry()
+		reg.Register("readmany", func(p *guest.Proc) int {
+			for range 40 {
+				p.ReadFile("/etc/hostname")
+				p.ReadFile("/etc/os-release")
+			}
+			p.Fork(func(*guest.Proc) int { return 0 })
+			p.Wait()
+			return 0
+		})
+		img := repro.ToolchainImage()
+		img.AddFile("/bin/readmany", 0o755, repro.MakeExe("readmany", nil))
+		res := repro.New(repro.Config{Image: img}).Run(reg, "/bin/readmany", []string{"readmany"}, nil)
+		if res.Err != nil || res.ExitCode != 0 {
+			t.Fatalf("run failed: %v (exit %d)", res.Err, res.ExitCode)
+		}
+		per := res.Stats.PerSyscall
+		if per[abi.SysOpen] < 80 || per[abi.SysRead] < 80 || per[abi.SysFork] != 1 {
+			t.Fatalf("calls: open %d, read %d, fork %d; want many opens and reads and one fork",
+				per[abi.SysOpen], per[abi.SysRead], per[abi.SysFork])
+		}
+		var stderr bytes.Buffer
+		printStats(&stderr, res)
+		_, census, _ := strings.Cut(stderr.String(), "top tracer stops  :\n")
+		rank := func(nr abi.Sysno) int {
+			if i := strings.Index(census, fmt.Sprintf("  %-15s ", nr)); i >= 0 {
+				return i
+			}
+			return len(census)
+		}
+		if fork := rank(abi.SysFork); fork == len(census) || fork > rank(abi.SysOpen) || fork > rank(abi.SysRead) {
+			t.Errorf("census does not rank fork above open and read:\n%s", census)
+		}
+	})
 }
 
 // The census keeps the n heaviest calls, heaviest first, ties in call-number

@@ -16,9 +16,10 @@ import (
 // every buffered answer is computed from container state that is itself a
 // pure function of logical history (the logical clock, the vpid map, kernel
 // fd/cwd state under the determinized schedule), the costs charged are
-// constants applied identically to the physical and logical clocks, and
-// every flush point — buffer full, any traced call, thread exit — is a pure
-// function of the thread's own logical history. Nothing host-visible decides
+// constants plus the kernel's data-copy term for the bytes the call moved,
+// applied identically to the physical and logical clocks, and every flush
+// point — buffer full, any traced call, thread exit — is a pure function of
+// the thread's own logical history. Nothing host-visible decides
 // when or what to buffer, so results are bitwise identical with the buffer
 // on, off, and at any parallelism.
 
@@ -37,14 +38,15 @@ const syscallBufCap = 64
 // additionally keeps the slow path authoritative around signals and thread
 // startup.
 func (c *Container) BufferSyscall(t *kernel.Thread, sc *abi.Syscall) bool {
-	if c.verdictOf(sc) != actBuffer || t.BufCount >= syscallBufCap {
+	if c.verdictOf(t, sc) != actBuffer || t.BufCount >= syscallBufCap {
 		return false
 	}
-	w := t.Proc.Weight
-	// The call still enters the kernel natively (seccomp lets it through);
-	// the wrapper's bookkeeping rides on top. Both clocks take the same
-	// constant, keeping logical ordering in lockstep with physical time.
-	cost := c.k.Cost.SyscallBase*w + c.serviceBuffered(t, sc)
+	// The call still enters the kernel natively (seccomp lets it through)
+	// and pays the kernel's data-copy term, as at a traced stop; the
+	// wrapper's bookkeeping rides on top. Both clocks take the same cost,
+	// keeping logical ordering in lockstep with physical time.
+	cost := c.serviceBuffered(t, sc)
+	cost += c.k.DirectCost(sc, t.Proc.Weight)
 	t.Clock += cost
 	t.LClock += cost
 	return true
@@ -53,16 +55,21 @@ func (c *Container) BufferSyscall(t *kernel.Thread, sc *abi.Syscall) bool {
 // serviceBuffered answers one Buffer-verdict call in the tracee: the row's
 // own enter and exit handlers run in-process around the kernel service
 // routine, exactly as at a traced stop minus the tracer's memory charges.
-// It appends the call's record to the thread's buffer and returns the
-// tracee-side record cost. Buffer verdicts go only to calls that cannot
-// block, so direct execution cannot park the thread.
+// An exit handler's Fig. 4 retry re-runs the routine in-process until the
+// call completes, so a short read returns the traced total. It appends the
+// call's record to the thread's buffer and returns the tracee-side record
+// cost. Buffer verdicts go only to calls that cannot block, so direct
+// execution cannot park the thread.
 func (c *Container) serviceBuffered(t *kernel.Thread, sc *abi.Syscall) int64 {
 	row := rowOf(sc.Num)
-	if row.enter == nil || row.enter(c, t, sc).Disposition != kernel.DispEmulate {
-		c.k.ExecDirect(t, sc)
-	}
-	if row.exit != nil {
-		row.exit(c, t, sc)
+	emulated := row.enter != nil && row.enter(c, t, sc).Disposition == kernel.DispEmulate
+	for {
+		if !emulated {
+			c.k.ExecDirect(t, sc)
+		}
+		if row.exit == nil || !row.exit(c, t, sc).Retry {
+			break
+		}
 	}
 	t.BufCount++
 	// One event per buffered call, recorded here so the fast path and the

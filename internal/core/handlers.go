@@ -25,7 +25,7 @@ func emulate(postCost int64) kernel.EnterResult {
 // path runs inside the tracee, so its answer lands with no tracer round
 // trip: nothing to charge or count.
 func (c *Container) writeMem(t *kernel.Thread, sc *abi.Syscall, n int64) int64 {
-	if c.verdictOf(sc) == actBuffer {
+	if c.verdictOf(t, sc) == actBuffer {
 		return 0
 	}
 	return c.sess.WriteMem(t.Proc.Weight, n)
@@ -33,7 +33,7 @@ func (c *Container) writeMem(t *kernel.Thread, sc *abi.Syscall, n int64) int64 {
 
 // readProc is writeMem's twin for one /proc lookup.
 func (c *Container) readProc(t *kernel.Thread, sc *abi.Syscall) int64 {
-	if c.verdictOf(sc) == actBuffer {
+	if c.verdictOf(t, sc) == actBuffer {
 		return 0
 	}
 	return c.sess.ReadProc(t.Proc.Weight)

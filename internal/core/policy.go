@@ -141,7 +141,7 @@ func (c *Container) SyscallEnter(t *kernel.Thread, sc *abi.Syscall) kernel.Enter
 		c.wsSync(t)
 	}
 	// The verdict is cached on the record so the exit stop reuses it.
-	v := c.verdictOf(sc)
+	v := c.verdictOf(t, sc)
 	if c.rec != nil && sc.Attempts == 0 && !sc.Injected && v == actTrace {
 		// Record before any handler: enter handlers rewrite arguments in
 		// place, and the event must capture the guest's view.
@@ -196,6 +196,7 @@ func (c *Container) SyscallEnter(t *kernel.Thread, sc *abi.Syscall) kernel.Enter
 	}
 	er.LocalCost = c.sess.InterceptCost(w) // tracee-side stop stall
 	er.PostCost += c.sess.HandlerCost(nr, w)
+	c.k.Stats.StopsPerSyscall.Add(nr, w)
 	// Path arguments must be read from tracee memory (registers come with
 	// the stop itself).
 	n := int64(0)
@@ -219,7 +220,7 @@ func abort(err error) kernel.EnterResult {
 // injection.
 func (c *Container) SyscallExit(t *kernel.Thread, sc *abi.Syscall) kernel.ExitResult {
 	row := rowOf(sc.Num)
-	switch c.verdictOf(sc) {
+	switch c.verdictOf(t, sc) {
 	case actAllow:
 		// Allowed calls keep the token (no stop, no context switch), but an
 		// FS or address-space write is progress a waiting sibling may be

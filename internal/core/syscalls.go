@@ -28,6 +28,11 @@ type sysRow struct {
 	// send the call back to its traced verdict, because with them set the
 	// tracer must act (the wrapper checks them, as rr's syscallbuf does).
 	unless int64
+	// regularFD is a buffer row's descriptor rule: the wrapper services the
+	// call only when Arg[0] names an open regular file. Any other descriptor
+	// — pipe, FIFO, device, console, socket, directory or none — keeps the
+	// traced verdict, because on it the call may block.
+	regularFD bool
 
 	// enter runs at the pre-syscall stop: it may emulate the call, rewrite
 	// its arguments, or abort the container. exit rewrites the result at the
@@ -127,8 +132,12 @@ var syscalls = [abi.SysnoSlots]sysRow{
 	abi.SysUtimes:    {enter: (*Container).enterUtimes},
 	abi.SysUtimensat: {enter: (*Container).enterUtimes},
 
-	// Partial IO (Fig. 4).
-	abi.SysRead:  {exit: (*Container).exitRead},
+	// Partial IO (Fig. 4). A read of a regular file is buffered: it never
+	// blocks, moves only the descriptor's offset and touches no
+	// virtualization map, and the wrapper runs Fig. 4's retry loop itself.
+	// A write stays traced: it mutates the tree, and the fast path is not a
+	// workspace sync point.
+	abi.SysRead:  {buffer: true, regularFD: true, exit: (*Container).exitRead},
 	abi.SysWrite: {exit: (*Container).exitWrite},
 
 	// Timers, sleeps and signals (§5.4, §5.10).
@@ -191,10 +200,12 @@ const writeOpen = abi.OCreat | abi.OTrunc | abi.OWronly | abi.ORdwr
 
 var (
 	verdicts [numModes][abi.SysnoSlots]action
-	// unless holds each row's argument rule, compiled beside the verdict
-	// tables so that verdictOf never reads a row: rows name handlers, which
-	// reach verdictOf through writeMem — an initialization cycle.
-	unless [abi.SysnoSlots]int64
+	// unless and regularFD hold each row's argument and descriptor rules,
+	// compiled beside the verdict tables so that verdictOf never reads a row:
+	// rows name handlers, which reach verdictOf through writeMem — an
+	// initialization cycle.
+	unless    [abi.SysnoSlots]int64
+	regularFD [abi.SysnoSlots]bool
 )
 
 func init() {
@@ -210,23 +221,33 @@ func init() {
 		verdicts[modeBuffered][nr] = v
 		// modeTraceAll stays all actTrace, the zero verdict.
 		unless[nr] = syscalls[nr].unless
+		regularFD[nr] = syscalls[nr].regularFD
 	}
 }
 
-// verdictOf returns sc's verdict, computing it once per in-flight call: it is
-// cached on the Syscall record so the entry and exit stops (and the fast path
-// before them) share a single table lookup. A buffer verdict whose argument
-// rule declines the call falls back to the row's seccomp verdict.
-func (c *Container) verdictOf(sc *abi.Syscall) action {
+// verdictOf returns sc's verdict for thread t, computing it once per
+// in-flight call: it is cached on the Syscall record so the entry and exit
+// stops (and the fast path before them) share a single table lookup. A buffer
+// verdict whose argument or descriptor rule declines the call falls back to
+// the row's seccomp verdict; only a row with the descriptor rule looks t's fd
+// table up.
+func (c *Container) verdictOf(t *kernel.Thread, sc *abi.Syscall) action {
 	if sc.Verdict == 0 {
 		v := actTrace
 		if uint(sc.Num) < abi.SysnoSlots {
 			v = c.verdicts[sc.Num]
-			if v == actBuffer && sc.Arg[0]&unless[sc.Num] != 0 {
+			if v == actBuffer && (sc.Arg[0]&unless[sc.Num] != 0 ||
+				regularFD[sc.Num] && !c.isRegularFD(t, sc.Arg[0])) {
 				v = verdicts[modeUnbuffered][sc.Num]
 			}
 		}
 		sc.Verdict = uint8(v) + 1
 	}
 	return action(sc.Verdict - 1)
+}
+
+// isRegularFD reports whether fd names an open regular file of t's process.
+func (c *Container) isRegularFD(t *kernel.Thread, fd int64) bool {
+	ino, err := c.k.FDInode(t.Proc, int(fd))
+	return err == abi.OK && ino.IsRegular()
 }

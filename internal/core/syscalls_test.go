@@ -43,7 +43,8 @@ var modes = []struct {
 
 // mayBlock lists the calls whose kernel service routine can report "would
 // block". The buffered path runs that routine directly on the guest side,
-// where it must not park.
+// where it must not park, so such a row is buffered only under the descriptor
+// rule: on a regular file the routine never blocks.
 var mayBlock = map[abi.Sysno]bool{
 	abi.SysRead: true, abi.SysWrite: true, abi.SysNanosleep: true, abi.SysPause: true,
 	abi.SysWait4: true, abi.SysFutex: true, abi.SysAccept: true, abi.SysAccept4: true,
@@ -52,8 +53,9 @@ var mayBlock = map[abi.Sysno]bool{
 
 // A row's parts must agree: an allowed call never reaches a handler or the
 // tracer's unsupported check, the write bit only matters for allowed calls,
-// a buffered call is supported and cannot block, and an argument rule
-// narrows a buffer bit on a supported, non-write row.
+// a buffered call is supported and cannot block unless the descriptor rule
+// keeps it on regular files, and an argument or descriptor rule narrows a
+// buffer bit on a supported, non-write row.
 func TestSyscallTableShape(t *testing.T) {
 	for nr := range abi.Sysno(abi.SysnoSlots) {
 		r := rowOf(nr)
@@ -63,11 +65,11 @@ func TestSyscallTableShape(t *testing.T) {
 		if r.write && !r.allow {
 			t.Errorf("%v: write bit on a row seccomp traps", nr)
 		}
-		if r.buffer && (r.gate != supported || mayBlock[nr]) {
-			t.Errorf("%v: a buffer row is unsupported or may block", nr)
+		if r.buffer && (r.gate != supported || mayBlock[nr] && !r.regularFD) {
+			t.Errorf("%v: a buffer row is unsupported, or may block without the descriptor rule", nr)
 		}
-		if r.unless != 0 && (!r.buffer || r.gate != supported || r.write) {
-			t.Errorf("%v: an argument rule on a row without the buffer bit, or with a gate or the write bit", nr)
+		if (r.unless != 0 || r.regularFD) && (!r.buffer || r.gate != supported || r.write) {
+			t.Errorf("%v: an argument or descriptor rule on a row without the buffer bit, or with a gate or the write bit", nr)
 		}
 	}
 }
@@ -99,12 +101,12 @@ func TestTraceAll(t *testing.T) {
 }
 
 // bufferSet is the documented buffered set: the time and pid families,
-// fstat and read-only open/openat (traced without the buffer) plus
-// lseek/fcntl/umask/getcwd (allowed without it).
+// fstat, read-only open/openat and regular-file read (traced without the
+// buffer) plus lseek/fcntl/umask/getcwd (allowed without it).
 var bufferSet = map[abi.Sysno]bool{
 	abi.SysTime: true, abi.SysGettimeofday: true, abi.SysClockGettime: true,
 	abi.SysGetpid: true, abi.SysGetppid: true, abi.SysGetTid: true, abi.SysFstat: true,
-	abi.SysOpen: true, abi.SysOpenat: true,
+	abi.SysOpen: true, abi.SysOpenat: true, abi.SysRead: true,
 	abi.SysLseek: true, abi.SysFcntl: true, abi.SysUmask: true, abi.SysGetcwd: true,
 }
 
@@ -149,7 +151,7 @@ func TestFiltersCoverTheSyscallUniverse(t *testing.T) {
 	for _, m := range modes {
 		c := New(m.cfg)
 		for _, nr := range []abi.Sysno{-1, abi.SysnoSlots, 1 << 20} {
-			if v := c.verdictOf(&abi.Syscall{Num: nr}); v != actTrace {
+			if v := c.verdictOf(nil, &abi.Syscall{Num: nr}); v != actTrace {
 				t.Errorf("%s: out-of-range %d got verdict %d, want the traced default", m.name, nr, v)
 			}
 		}
@@ -277,6 +279,26 @@ var rowProbes = map[abi.Sysno]func(p *guest.Proc, fds [2]int, i int) string{
 	abi.SysGetcwd: func(p *guest.Proc, _ [2]int, _ int) string { s, err := p.Getcwd(); return s + err.String() },
 	abi.SysOpen:   openProbe(abi.SysOpen),
 	abi.SysOpenat: openProbe(abi.SysOpenat),
+	abi.SysRead:   readProbe,
+}
+
+// readProbe reads the 16-byte regular file fds[0] three ways in turn: in
+// full from the start; from offset 11 with an odd 7-byte buffer, so the read
+// crosses EOF and Fig. 4 retries it; and 3 bytes after an lseek. It reports
+// what was read and the offset it left.
+func readProbe(p *guest.Proc, fds [2]int, i int) string {
+	off, size := int64(0), 16
+	switch i % 3 {
+	case 1:
+		off, size = 11, 7
+	case 2:
+		off, size = int64(i%16), 3
+	}
+	p.Lseek(fds[0], off, abi.SeekSet)
+	buf := make([]byte, size)
+	n, err := p.Read(fds[0], buf)
+	pos, _ := p.Lseek(fds[0], 0, abi.SeekCur)
+	return fmt.Sprintf("%d %v %q @%d", n, err, buf[:max(n, 0)], pos)
 }
 
 // openProbe opens read-only through call nr, in turn: an existing file, a
@@ -358,6 +380,9 @@ func TestBufferedRowsMatchTraced(t *testing.T) {
 			if on.Stats.UrandomOpens != off.Stats.UrandomOpens {
 				t.Errorf("urandom opens: %d with the buffer on, %d off", on.Stats.UrandomOpens, off.Stats.UrandomOpens)
 			}
+			if on.Stats.ReadRetries != off.Stats.ReadRetries || nr == abi.SysRead && on.Stats.ReadRetries == 0 {
+				t.Errorf("read retries: %d with the buffer on, %d off", on.Stats.ReadRetries, off.Stats.ReadRetries)
+			}
 		})
 	}
 }
@@ -410,5 +435,163 @@ func TestWriteOpensStayTraced(t *testing.T) {
 	if got, stops := run(open(abi.SysCreat, 0)); got != (counts{base.enter + 1, base.exit + 1, base.buffered}) || stops <= baseStops {
 		t.Errorf("creat: events %+v and %d stops, want %+v plus one enter and one exit, and more than %d stops",
 			got, stops, base, baseStops)
+	}
+}
+
+// The read row's descriptor rule: a read of anything but an open regular
+// file — a pipe (also one that parks until its writer writes), a FIFO, a
+// device, console stdin, a directory or a closed descriptor — stays on the
+// traced path, with an enter and an exit event and a tracer stop, where a
+// regular-file read leaves one buffered record and no stop.
+func TestNonRegularReadsStayTraced(t *testing.T) {
+	read := func(p *guest.Proc, fd, n int) string {
+		buf := make([]byte, n)
+		got, err := p.Read(fd, buf)
+		return fmt.Sprintf("%d %v %q", got, err, buf[:max(got, 0)])
+	}
+	cases := []struct {
+		name   string
+		prog   func(p *guest.Proc) string
+		want   string
+		traced bool
+	}{
+		{"regular file", func(p *guest.Proc) string {
+			fd, _ := p.Open("/etc/hostname", abi.ORdonly, 0)
+			return read(p, fd, 3)
+		}, `3 OK "whe"`, false},
+		{"pipe", func(p *guest.Proc) string {
+			r, w, _ := p.Pipe()
+			p.Write(w, []byte("hi"))
+			return read(p, r, 2)
+		}, `2 OK "hi"`, true},
+		{"parked pipe", func(p *guest.Proc) string {
+			r, w, _ := p.Pipe()
+			p.Fork(func(c *guest.Proc) int {
+				c.Compute(50_000_000)
+				c.Write(w, []byte("hi"))
+				return 0
+			})
+			got := read(p, r, 2)
+			p.Wait()
+			return got
+		}, `2 OK "hi"`, true},
+		{"fifo", func(p *guest.Proc) string {
+			w, _ := p.Open("/var/probe.fifo", abi.OWronly, 0)
+			r, _ := p.Open("/var/probe.fifo", abi.ORdonly, 0)
+			p.Write(w, []byte("fifo"))
+			return read(p, r, 4)
+		}, `4 OK "fifo"`, true},
+		{"urandom", func(p *guest.Proc) string {
+			fd, _ := p.Open("/dev/urandom", abi.ORdonly, 0)
+			got, err := p.Read(fd, make([]byte, 8))
+			return fmt.Sprint(got, err)
+		}, "8 OK", true},
+		{"console stdin", func(p *guest.Proc) string { return read(p, 0, 4) }, `0 OK ""`, true},
+		{"directory", func(p *guest.Proc) string {
+			fd, _ := p.Open("/tmp", abi.ORdonly|abi.ODirectory, 0)
+			return read(p, fd, 4)
+		}, `0 EISDIR ""`, true},
+		{"closed fd", func(p *guest.Proc) string {
+			fd, _ := p.Open("/etc/hostname", abi.ORdonly, 0)
+			p.Close(fd)
+			return read(p, fd, 4)
+		}, `0 EBADF ""`, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got string
+			res := runGuest(t, Config{}, func(p *guest.Proc) int {
+				got = tc.prog(p)
+				return 0
+			})
+			if res.Err != nil || res.ExitCode != 0 {
+				t.Fatalf("run failed: %v (exit %d)", res.Err, res.ExitCode)
+			}
+			if got != tc.want {
+				t.Errorf("read returned %s, want %s", got, tc.want)
+			}
+			// The ring holds events in the order the tracer saw them.
+			var enter, exit, buffered, readExit, writeEnter int
+			for i, e := range res.Events {
+				switch {
+				case e.Num == int32(abi.SysWrite) && e.Kind == obs.KindSyscallEnter:
+					writeEnter = i
+				case e.Num != int32(abi.SysRead):
+				case e.Kind == obs.KindSyscallEnter:
+					enter++
+				case e.Kind == obs.KindSyscallExit:
+					exit++
+					readExit = i
+				case e.Kind == obs.KindBuffered:
+					buffered++
+				}
+			}
+			stops := res.Stats.StopsPerSyscall.Map()[abi.SysRead]
+			want := [4]int64{0, 0, 1, 0}
+			if tc.traced {
+				want = [4]int64{1, 1, 0, 1}
+			}
+			if got := [4]int64{int64(enter), int64(exit), int64(buffered), stops}; got != want {
+				t.Errorf("read events (enter, exit, buffered) and stops %v, want %v", got, want)
+			}
+			if tc.name == "parked pipe" && readExit <= writeEnter {
+				t.Errorf("the read completed at event %d, before its writer wrote at event %d: it never parked", readExit, writeEnter)
+			}
+		})
+	}
+}
+
+// Computing a verdict allocates nothing, the descriptor rule's fd lookup
+// included: it runs once per call on the fast path.
+func TestVerdictOfAllocatesNothing(t *testing.T) {
+	img := baseimg.Minimal()
+	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
+	c := New(Config{Image: img})
+	reg := guest.NewRegistry()
+	reg.Register("main", func(p *guest.Proc) int {
+		fd, _ := p.Open("/etc/hostname", abi.ORdonly, 0)
+		for _, sc := range []abi.Syscall{
+			{Num: abi.SysRead, Arg: [6]int64{int64(fd)}},
+			{Num: abi.SysRead, Arg: [6]int64{0}},
+			{Num: abi.SysOpen, Arg: [6]int64{abi.ORdonly}},
+		} {
+			if n := testing.AllocsPerRun(100, func() {
+				call := sc
+				c.verdictOf(p.T, &call)
+			}); n != 0 {
+				t.Errorf("%v(%d): %v allocations per verdict", sc.Num, sc.Arg[0], n)
+			}
+		}
+		return 0
+	})
+	if res := c.Run(reg, "/bin/main", []string{"main"}, nil); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+}
+
+// A buffered read saves the stop, the handler and the drain, never the
+// kernel's data copy: it costs the kernel entry, SyscallPerKB per KiB moved
+// and the wrapper's record.
+func TestBufferedReadPaysTheCopy(t *testing.T) {
+	const kb = 256
+	img := baseimg.Minimal()
+	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
+	img.AddFile("/tmp/big", 0o644, make([]byte, kb*1024))
+	c := New(Config{Image: img})
+	var got int64
+	reg := guest.NewRegistry()
+	reg.Register("main", func(p *guest.Proc) int {
+		fd, _ := p.Open("/tmp/big", abi.ORdonly, 0)
+		before := p.T.Clock
+		p.Read(fd, make([]byte, kb*1024))
+		got = p.T.Clock - before
+		return 0
+	})
+	res := c.Run(reg, "/bin/main", []string{"main"}, nil)
+	if res.Err != nil || res.Tracer.BufferedCalls != 2 {
+		t.Fatalf("run failed or did not buffer the open and the read: %v, %d buffered", res.Err, res.Tracer.BufferedCalls)
+	}
+	if want := c.k.Cost.SyscallBase + kb*c.k.Cost.SyscallPerKB + c.sess.Costs.BufferRecord; got != want {
+		t.Errorf("a buffered %d KiB read cost %d ns, want %d", kb, got, want)
 	}
 }

@@ -291,7 +291,7 @@ func (k *Kernel) runSyscall(t *Thread, act *yieldMsg) {
 
 	// Charge virtual time: tracee-side stall runs on the process's own
 	// core; tracer-side service serializes.
-	dur := (k.Cost.SyscallBase + k.Cost.SyscallPerKB*(moved/1024)) * w
+	dur := k.entryCost(moved, w)
 	if er.Serialize {
 		t.Clock += er.LocalCost
 		t.LClock += er.LocalCost
@@ -315,6 +315,22 @@ func (k *Kernel) runSyscall(t *Thread, act *yieldMsg) {
 		t.eintr = false
 	}
 	k.resumeWithSignals(t, resumeMsg{})
+}
+
+// entryCost is the kernel's own charge for one system call of weight w that
+// moved the given number of bytes: the entry cost plus the data-copy term.
+func (k *Kernel) entryCost(moved, w int64) int64 {
+	return (k.Cost.SyscallBase + k.Cost.SyscallPerKB*(moved/1024)) * w
+}
+
+// DirectCost is entryCost for a call ExecDirect serviced to completion: a
+// read or write is charged the bytes its final result reports.
+func (k *Kernel) DirectCost(sc *abi.Syscall, w int64) int64 {
+	var moved int64
+	if sc.Ret > 0 && (sc.Num == abi.SysRead || sc.Num == abi.SysWrite) {
+		moved = sc.Ret
+	}
+	return k.entryCost(moved, w)
 }
 
 // ExecDirect runs sc's kernel service routine immediately on the caller's

@@ -316,6 +316,49 @@ type Stats struct {
 	VdsoCalls      int64 // time reads served without kernel entry
 	TracerBusy     int64 // ns the serialized tracer timeline was occupied
 	PerSyscall     map[abi.Sysno]int64
+	// StopsPerSyscall is the weighted count of traced calls per syscall: the
+	// stops a policy charged a tracer handler for. The policy keeps it.
+	StopsPerSyscall SyscallCounts
+}
+
+// SyscallCounts is a sparse weighted count per syscall. The first few
+// distinct calls live inline and only a run with more makes a map, so a short
+// run (a boot, a one-shot command) counts without allocating; a package build
+// stops on eight to ten.
+type SyscallCounts struct {
+	nr   [4]abi.Sysno
+	n    [4]int64
+	more map[abi.Sysno]int64
+}
+
+// Add counts w more for nr; w must be positive.
+func (c *SyscallCounts) Add(nr abi.Sysno, w int64) {
+	for i := range c.nr {
+		if c.n[i] == 0 {
+			c.nr[i], c.n[i] = nr, w
+			return
+		}
+		if c.nr[i] == nr {
+			c.n[i] += w
+			return
+		}
+	}
+	if c.more == nil {
+		c.more = make(map[abi.Sysno]int64)
+	}
+	c.more[nr] += w
+}
+
+// Map returns the counts as a fresh map.
+func (c *SyscallCounts) Map() map[abi.Sysno]int64 {
+	m := make(map[abi.Sysno]int64, len(c.n)+len(c.more))
+	maps.Copy(m, c.more)
+	for i, n := range c.n {
+		if n != 0 {
+			m[c.nr[i]] = n
+		}
+	}
+	return m
 }
 
 // kernelState is the kernel's own sealed state: a field declared here is
@@ -354,6 +397,7 @@ func (s kernelState) clone() kernelState {
 	s.lcores = slices.Clone(s.lcores)
 	s.tracerGaps = slices.Clone(s.tracerGaps)
 	s.Stats.PerSyscall = maps.Clone(s.Stats.PerSyscall)
+	s.Stats.StopsPerSyscall.more = maps.Clone(s.Stats.StopsPerSyscall.more)
 	return s
 }
 
