@@ -68,7 +68,7 @@ func (e *env) report() *buildsim.Report {
 		specs := debpkg.Universe(e.o.Seed, e.n)
 		fmt.Fprintf(e.out, "== building %d packages (4 builds each) ==\n", len(specs))
 		start := time.Now()
-		paper := &buildsim.Options{Seed: e.o.Seed, Jobs: e.o.Jobs, Off: core.Off(core.SyscallBuf)}
+		paper := &buildsim.Options{Seed: e.o.Seed, Jobs: e.o.Jobs, Off: core.PaperDetTrace}
 		outs := paper.BuildAll(specs, e.progress)
 		fmt.Fprintf(e.out, "   done in %s\n\n", time.Since(start).Round(time.Second))
 		e.universe = buildsim.Aggregate(outs)

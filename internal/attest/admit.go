@@ -21,6 +21,14 @@ type Admission struct {
 	OK bool
 }
 
+// Checker is the signature check admission runs on each delivered
+// attestation. *Keyring is the reference implementation; a caller may wrap
+// it (the farm caches one job's verdicts so each attestation is checked
+// once however often the job's pool is judged).
+type Checker interface {
+	Verify(Attestation) bool
+}
+
 // Admit runs k-of-n quorum admission over one job's attestation pool:
 // the primary's claim plus every rebuilder's independent re-execution,
 // judged by replica.QuorumDissent over the statement digests. An
@@ -32,8 +40,9 @@ type Admission struct {
 // agree and any lie is a minority — the quorum never admits it.
 //
 // expected lists the ordinals whose attestations were solicited; atts holds
-// what actually arrived (same order not required).
-func Admit(ring *Keyring, expected []int32, atts []Attestation, k int) Admission {
+// what actually arrived (same order not required). check is consulted once
+// per expected ordinal that delivered.
+func Admit(check Checker, expected []int32, atts []Attestation, k int) Admission {
 	byOrd := make(map[int32]Attestation, len(atts))
 	for _, a := range atts {
 		byOrd[a.Builder] = a
@@ -44,7 +53,7 @@ func Admit(ring *Keyring, expected []int32, atts []Attestation, k int) Admission
 		switch {
 		case !got:
 			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), Err: fmt.Errorf("attest: ordinal %d withheld attestation", ord)}
-		case !ring.Verify(a):
+		case !check.Verify(a):
 			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), Err: fmt.Errorf("attest: ordinal %d signature invalid", ord)}
 		default:
 			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), StateHash: fmt.Sprintf("%016x", a.Statement.Digest())}

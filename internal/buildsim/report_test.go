@@ -40,7 +40,7 @@ func paperSample(t *testing.T) *Report {
 	t.Helper()
 	paperOnce.Do(func() {
 		specs := debpkg.Universe(1, aggSample)
-		paperRep = Aggregate((&Options{Seed: 1, Jobs: 8, Off: core.Off(core.SyscallBuf)}).BuildAll(specs, nil))
+		paperRep = Aggregate((&Options{Seed: 1, Jobs: 8, Off: core.PaperDetTrace}).BuildAll(specs, nil))
 	})
 	return paperRep
 }

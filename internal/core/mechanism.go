@@ -113,6 +113,11 @@ func Off(ms ...Mechanism) Mechanisms {
 	return s
 }
 
+// PaperDetTrace is the paper's DetTrace: every row on but the syscall
+// buffer, which the paper's prototype does not have. The sections and
+// calibrations that reproduce the paper's figures run with it.
+const PaperDetTrace = Mechanisms(1 << SyscallBuf)
+
 // Has reports whether m is in the set.
 func (s Mechanisms) Has(m Mechanism) bool { return s&(1<<m) != 0 }
 

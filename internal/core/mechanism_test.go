@@ -61,6 +61,15 @@ func TestMechanismTableCoversConfig(t *testing.T) {
 	}
 }
 
+// The paper's DetTrace switches exactly one row off: the syscall buffer.
+func TestPaperDetTraceIsUnbuffered(t *testing.T) {
+	var cfg core.Config
+	core.PaperDetTrace.Apply(&cfg)
+	if want := (core.Config{DisableSyscallBuf: true}); !reflect.DeepEqual(cfg, want) {
+		t.Fatalf("PaperDetTrace switches %+v, want only DisableSyscallBuf", cfg)
+	}
+}
+
 // ConfigHash values are derivation keys, seal keys and attestation subjects,
 // so the table must keep every one of them. These are the values the
 // hand-listed ConfigHash produced before the table existed, for the zero

@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"bytes"
+	"crypto/ed25519"
 	"sort"
 	"sync"
 
@@ -43,6 +45,7 @@ type attestPlane struct {
 	l      obs.Local
 	signer *attest.Signer // coordinator, ordinal 0
 	ring   *attest.Keyring
+	check  attest.Checker // the ring, as each job's jobSigs wraps it
 	chain  *attest.Chain
 	logs   []*attest.Server
 
@@ -63,6 +66,7 @@ func newAttestPlane(cl *Cluster) *attestPlane {
 		quarantined: make(map[int32]bool),
 		exercised:   make(map[int32]bool),
 	}
+	ap.check = ap.ring
 	for i := 1; i <= cl.cfg.LogServers; i++ {
 		if cl.cfg.Plan.EquivocateEpoch == i {
 			ap.logs = append(ap.logs, attest.NewEquivocatingServer())
@@ -169,6 +173,49 @@ func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 	return a
 }
 
+// jobSigs is one job's attestation pool with each member's signature
+// verdict kept beside it, so every attestation is checked once per job
+// however often the pool is judged: each admission attempt, the arbiter and
+// the corrupt/lie census all read the same verdict. The cache key is the
+// whole signed tuple — statement, builder, role and signature bytes —
+// compared against the pool member, never an ordinal alone; ed25519
+// verification is a pure function of (key, message, signature), so a hit
+// answers exactly what a fresh check would. Pool members are never mutated
+// once added, and the cache lives only as long as the job's admission.
+type jobSigs struct {
+	check attest.Checker
+	atts  []attest.Attestation
+	valid []int8 // per atts[i]: 0 unchecked, +1 valid, -1 invalid
+}
+
+func (s *jobSigs) add(a attest.Attestation) {
+	s.atts = append(s.atts, a)
+	s.valid = append(s.valid, 0)
+}
+
+// Verify implements attest.Checker over the pool's cached verdicts. A
+// signature of the wrong length fails closed without a check or an entry;
+// an attestation outside the pool is checked fresh and not remembered.
+func (s *jobSigs) Verify(a attest.Attestation) bool {
+	if len(a.Sig) != ed25519.SignatureSize {
+		return false
+	}
+	for i := range s.atts {
+		p := &s.atts[i]
+		if p.Statement != a.Statement || p.Builder != a.Builder || p.Role != a.Role || !bytes.Equal(p.Sig, a.Sig) {
+			continue
+		}
+		if s.valid[i] == 0 {
+			s.valid[i] = -1
+			if s.check.Verify(a) {
+				s.valid[i] = 1
+			}
+		}
+		return s.valid[i] > 0
+	}
+	return s.check.Verify(a)
+}
+
 // admitJob runs the full admission pipeline for one completed job: widen the
 // rebuilder pool under bounded retries with exponential virtual backoff
 // until a k-of-n majority quorum forms (k = majority of the pool), escalate
@@ -178,9 +225,11 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 	cl := ap.cl
 	pool := []int32{primary}
 	tried := map[int32]bool{primary: true}
-	var atts []attest.Attestation
+	n := 1 + cl.cfg.Rebuilders
+	sigs := &jobSigs{check: ap.check,
+		atts: make([]attest.Attestation, 0, n), valid: make([]int8, 0, n)}
 	if primAtt != nil {
-		atts = append(atts, *primAtt)
+		sigs.add(*primAtt)
 		cl.c.attestations.Add(ap.l, 1)
 	} else {
 		cl.c.withholds.Add(ap.l, 1)
@@ -192,10 +241,10 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 			tried[ord] = true
 			pool = append(pool, ord)
 			if a := ap.solicit(job, ord); a != nil {
-				atts = append(atts, *a)
+				sigs.add(*a)
 			}
 		}
-		adm = attest.Admit(ap.ring, pool, atts, len(pool)/2+1)
+		adm = attest.Admit(sigs, pool, sigs.atts, len(pool)/2+1)
 		if adm.OK {
 			break
 		}
@@ -212,15 +261,15 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 			tried[0] = true
 			pool = append(pool, 0)
 			if a := ap.solicit(job, 0); a != nil {
-				atts = append(atts, *a)
+				sigs.add(*a)
 			}
 		}
-		adm = ap.arbiter(pool, atts)
+		adm = ap.arbiter(pool, sigs)
 	}
 
-	for _, a := range atts {
+	for _, a := range sigs.atts {
 		switch {
-		case !ap.ring.Verify(a):
+		case !sigs.Verify(a):
 			cl.c.corrupts.Add(ap.l, 1)
 		case adm.OK && a.Statement.Digest() != adm.Record.Statement.Digest():
 			cl.c.lies.Add(ap.l, 1)
@@ -245,10 +294,11 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 // every valid attestation agreeing with it co-signs, everything else in the
 // pool dissents. Used only when no majority quorum formed within the retry
 // budget.
-func (ap *attestPlane) arbiter(pool []int32, atts []attest.Attestation) attest.Admission {
+func (ap *attestPlane) arbiter(pool []int32, sigs *jobSigs) attest.Admission {
+	atts := sigs.atts
 	var ref *attest.Attestation
 	for i := range atts {
-		if atts[i].Builder == 0 && ap.ring.Verify(atts[i]) {
+		if atts[i].Builder == 0 && sigs.Verify(atts[i]) {
 			ref = &atts[i]
 			break
 		}
@@ -263,7 +313,7 @@ func (ap *attestPlane) arbiter(pool []int32, atts []attest.Attestation) attest.A
 	}
 	agree := map[int32]bool{}
 	for _, a := range atts {
-		if ap.ring.Verify(a) && a.Statement.Digest() == ref.Statement.Digest() {
+		if sigs.Verify(a) && a.Statement.Digest() == ref.Statement.Digest() {
 			agree[a.Builder] = true
 		}
 	}
@@ -345,7 +395,7 @@ func (ap *attestPlane) audit(jobs []Job) {
 		switch {
 		case a == nil:
 			ap.quarantine(o, jobs[0].ID)
-		case !ap.ring.Verify(*a):
+		case !ap.check.Verify(*a):
 			ap.cl.c.corrupts.Add(ap.l, 1)
 			ap.quarantine(o, jobs[0].ID)
 		case a.Statement.Digest() != rec.Statement.Digest():

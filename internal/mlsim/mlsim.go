@@ -308,7 +308,7 @@ func RunStudy(seed uint64) []Result {
 	for _, m := range Models {
 		par, _ := RunNative(m, 16, seed)
 		ser, _ := RunNative(m, 1, seed+1)
-		dt, _, _, err := RunDetTraceOpt(m, 16, seed+2, core.Off(core.SyscallBuf))
+		dt, _, _, err := RunDetTraceOpt(m, 16, seed+2, core.PaperDetTrace)
 		if err != nil {
 			panic(fmt.Sprintf("mlsim dettrace: %v", err))
 		}

@@ -7,9 +7,6 @@ import (
 	"repro/internal/core"
 )
 
-// paper is the paper's DetTrace: no syscall buffer.
-var paper = core.Off(core.SyscallBuf)
-
 // The §7.6 calibration holds in the paper's configuration, which RunStudy
 // runs.
 func TestTensorFlowSlowdownShape(t *testing.T) {
@@ -39,7 +36,7 @@ func TestTensorFlowSlowdownShape(t *testing.T) {
 func TestTensorFlowBufferedDefault(t *testing.T) {
 	for _, m := range Models {
 		on, lossOn, _, errOn := RunDetTraceOpt(m, 16, 34, 0)
-		off, lossOff, _, errOff := RunDetTraceOpt(m, 16, 34, paper)
+		off, lossOff, _, errOff := RunDetTraceOpt(m, 16, 34, core.PaperDetTrace)
 		if errOn != nil || errOff != nil {
 			t.Fatalf("%s: %v / %v", m, errOn, errOff)
 		}
@@ -60,7 +57,7 @@ func TestSerializedAblationShape(t *testing.T) {
 	for _, m := range Models {
 		par, _ := RunNative(m, 16, 31)
 		ser, _ := RunNative(m, 1, 32)
-		dt, _, _, err := RunDetTraceOpt(m, 16, 33, paper|core.Off(core.Workspaces))
+		dt, _, _, err := RunDetTraceOpt(m, 16, 33, core.PaperDetTrace|core.Off(core.Workspaces))
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
