@@ -256,6 +256,10 @@ func (f *FS) ResolveParent(ctx LookupCtx, path string) (*Inode, string, abi.Errn
 // resolve returns (target, parentDir, finalName, errno). When the final
 // component is missing it returns (nil, parent, name, ENOENT) so callers can
 // create it.
+//
+// It walks path in place, one component at a time, skipping every run of
+// slashes: a lookup allocates nothing unless it meets a symlink, which gets
+// the rest of path as it stands appended to its target.
 func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*Inode, *Inode, string, abi.Errno) {
 	if depth > maxSymlinkDepth {
 		return nil, nil, "", abi.ELOOP
@@ -264,17 +268,23 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 		return nil, nil, "", abi.ENOENT
 	}
 	cur := ctx.Cwd
-	if strings.HasPrefix(path, "/") {
+	if path[0] == '/' {
 		cur = ctx.Root
 	}
 	if cur == nil {
 		return nil, nil, "", abi.ENOENT
 	}
-	comps := splitPath(path)
-	if len(comps) == 0 {
+	rest := strings.TrimLeft(path, "/")
+	if rest == "" {
 		return cur, cur, "", abi.OK
 	}
-	for i, c := range comps {
+	for {
+		c := rest
+		if i := strings.IndexByte(rest, '/'); i >= 0 {
+			c, rest = rest[:i], strings.TrimLeft(rest[i:], "/")
+		} else {
+			rest = ""
+		}
 		if !cur.IsDir() {
 			return nil, nil, "", abi.ENOTDIR
 		}
@@ -291,7 +301,7 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 		default:
 			next = cur.ents()[c]
 		}
-		last := i == len(comps)-1
+		last := rest == ""
 		if next == nil {
 			if last {
 				return nil, cur, c, abi.ENOENT
@@ -299,7 +309,6 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 			return nil, nil, "", abi.ENOENT
 		}
 		if next.IsSymlink() && (!last || followLast) {
-			rest := strings.Join(comps[i+1:], "/")
 			tgt := next.Target
 			if rest != "" {
 				tgt = tgt + "/" + rest
@@ -309,9 +318,10 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 			return f.resolve(sub, tgt, followLast, depth+1)
 		}
 		cur = next
+		if last {
+			return cur, cur.parent, c, abi.OK
+		}
 	}
-	// cur's parent/name: recompute name for callers that need it.
-	return cur, cur.parent, comps[len(comps)-1], abi.OK
 }
 
 func splitPath(p string) []string {

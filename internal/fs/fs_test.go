@@ -442,3 +442,56 @@ func TestCreateUnlinkInvariant(t *testing.T) {
 func profFor() *machine.Profile { return machine.CloudLabC220G5() }
 
 func hostPool(seed uint64) *prng.Host { return prng.NewHost(seed) }
+
+// TestResolveWalk pins what the in-place walk returns — target, parent,
+// final name, errno — on the paths whose slashes, dot-dots and symlinks a
+// split-based walk used to normalise away.
+func TestResolveWalk(t *testing.T) {
+	f := newFS()
+	a := mustMkdir(t, f, f.Root, "a")
+	b := mustMkdir(t, f, a, "b")
+	jail := mustMkdir(t, f, b, "jail")
+	if _, err := f.Symlink(f.Root, "l", "/a", 0, 0); err != abi.OK {
+		t.Fatal(err)
+	}
+	if _, err := f.Symlink(f.Root, "loop", "loop", 0, 0); err != abi.OK {
+		t.Fatal(err)
+	}
+	root := rootCtx(f)
+	jailed := LookupCtx{Root: jail, Cwd: jail}
+	cases := []struct {
+		name   string
+		ctx    LookupCtx
+		path   string
+		node   *Inode
+		parent *Inode
+		final  string
+		err    abi.Errno
+	}{
+		{"empty", root, "", nil, nil, "", abi.ENOENT},
+		{"root", root, "/", f.Root, f.Root, "", abi.OK},
+		{"all slashes", root, "///", f.Root, f.Root, "", abi.OK},
+		{"doubled slashes", root, "//a//b/", b, a, "b", abi.OK},
+		{"dot-dot at chroot root", jailed, "..", jail, b, "..", abi.OK},
+		{"trailing slash", root, "a/", a, f.Root, "a", abi.OK},
+		{"symlink mid-path", root, "/l//b//", b, a, "b", abi.OK},
+		{"symlink then dot-dot", root, "l///b//..//b", b, a, "b", abi.OK},
+		{"symlink loop", root, "/loop/x", nil, nil, "", abi.ELOOP},
+		{"missing last", root, "/a//missing/", nil, a, "missing", abi.ENOENT},
+		{"missing mid-path", root, "/a/missing/b", nil, nil, "", abi.ENOENT},
+		{"dot-dots among doubled slashes", root, "/a/b/jail/../../b/jail//", jail, b, "jail", abi.OK},
+	}
+	for _, c := range cases {
+		node, parent, final, err := f.resolve(c.ctx, c.path, true, 0)
+		if node != c.node || parent != c.parent || final != c.final || err != c.err {
+			t.Errorf("%s: resolve(%q) = (%v, %v, %q, %v), want (%v, %v, %q, %v)", c.name, c.path,
+				node, parent, final, err, c.node, c.parent, c.final, c.err)
+		}
+	}
+	if dir, name, err := f.ResolveParent(root, "/l//missing"); dir != a || name != "missing" || err != abi.OK {
+		t.Errorf("ResolveParent(/l//missing) = (%v, %q, %v), want (/a, missing, OK)", dir, name, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Resolve(root, "//a//b/jail/", true) }); allocs != 0 {
+		t.Errorf("a symlink-free lookup allocated %v times, want 0", allocs)
+	}
+}

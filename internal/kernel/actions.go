@@ -63,6 +63,7 @@ func (k *Kernel) runCompute(t *Thread, act *yieldMsg) {
 	t.LClock = scheduleBurst(t.LClock, d, k.lcores, &t.Proc.lthreadBusyUntil, serialized, len(t.Proc.Threads))
 	k.advanceGlobal(t.Clock)
 	k.advanceLogical(t.LClock)
+	k.spin = t // nothing but the loop's tail follows this resume
 	k.resumeWithSignals(t, resumeMsg{})
 }
 
@@ -464,7 +465,7 @@ func (k *Kernel) wakeKernelBlocked() {
 					t.LClock = k.lnow
 				}
 				// Back to pending: the policy reschedules the retried call.
-				k.pending = append(k.pending, t)
+				k.addPending(t)
 				changed = true
 				break
 			}
@@ -562,6 +563,21 @@ func (k *Kernel) disarmTimer(p *Proc, sig abi.Signal) {
 		}
 	}
 	k.timers = out
+}
+
+// timersDue reports whether checkTimers would fire a timer. It drops the
+// timers of exited processes, which is all checkTimers does when none is due.
+func (k *Kernel) timersDue() bool {
+	due := false
+	live := k.timers[:0]
+	for _, tm := range k.timers {
+		if !tm.proc.exited {
+			live = append(live, tm)
+			due = due || tm.expiry <= k.now
+		}
+	}
+	k.timers = live
+	return due
 }
 
 // checkTimers fires every timer whose expiry has passed.

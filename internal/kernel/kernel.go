@@ -10,7 +10,9 @@
 // in strict lockstep with the kernel loop: the kernel switches to exactly one
 // guest at a time and gets control back at its next yield, so guest code is
 // mutually excluded and the simulation is a deterministic function of the
-// kernel's scheduling decisions.
+// kernel's scheduling decisions. (A compute burst the policy hands straight
+// back runs its loop iteration on the guest's own coroutine instead of
+// switching; the decisions and their order are the same.)
 //
 // Virtual parallelism is modelled in time, not in execution: compute bursts
 // are list-scheduled onto the machine profile's cores, and each thread
@@ -430,13 +432,24 @@ type Kernel struct {
 	statsFolded bool
 
 	procs    map[int]*Proc
-	pending  []*Thread // yielded, waiting for their action to be processed
+	pending  []*Thread // yielded, waiting for their action to be processed; TID order
 	kblocked []*Thread // blocked with kernel semantics (baseline)
 	parked   []*Thread // blocked with policy semantics (DetTrace queues)
 
 	deadline   int64
 	maxActions int64
 	abortErr   error
+
+	// The inline step (handoff.go). spin is the thread whose compute burst
+	// the kernel goroutine is completing: it is parked in the resume that
+	// ends runCompute for spin. inline is the thread running a loop
+	// iteration on its own coroutine, and ahead is where that iteration
+	// stopped when it handed the rest back (stageTail when it did not).
+	// switches counts the kernel's switches to a guest.
+	spin     *Thread
+	inline   *Thread
+	ahead    step
+	switches int64
 
 	// Fault/checkpoint plane (checkpoint.go). lastCheckpoint guards against
 	// re-sealing the same action count: a resumed kernel starts at its seal
@@ -657,46 +670,50 @@ func (k *Kernel) Run() error {
 	return err
 }
 
+// A step is where the kernel loop goes next. One iteration of the loop is
+// processAction, then tail, then pick: the steps below are the points an
+// iteration can be interrupted and continued from. tail and pick never take
+// a step only the kernel goroutine may take — firing a timer (it may resume
+// another guest) or ending the run (it stops every guest) — they return it,
+// which is what lets a guest run an iteration on its own coroutine
+// (runAhead, in handoff.go) and hand the rest back to run exactly where it
+// stopped.
+type step struct {
+	at  stage
+	t   *Thread // stageAct: the thread whose action is processed
+	err error   // stageEnd: what the run ends with (nil: everything exited)
+}
+
+type stage uint8
+
+const (
+	stageTail   stage = iota // finish the action just processed: tail
+	stagePick                // top of the loop: pick
+	stageAct                 // process t's action
+	stageTimers              // fire the due timers, then count the action
+	stageIdle                // nothing runnable: advance to the earliest timer
+	stageEnd                 // stop every guest and return err
+)
+
 func (k *Kernel) run() error {
+	s := step{at: stagePick}
 	for {
-		if k.abortErr != nil {
-			k.killEverything()
-			return k.abortErr
-		}
-		if len(k.pending) == 0 && len(k.kblocked) == 0 && len(k.parked) == 0 {
-			return nil // everything exited
-		}
-		// Checkpoint before the pick (the pick's scheduler event belongs to
-		// the suffix), then let an injected crash fire — a run killed at a
-		// stop that was just sealed recovers from that very seal.
-		k.maybeCheckpoint()
-		if k.crashAt > 0 && k.actions >= k.crashAt {
-			k.killEverything()
-			return ErrInjectedCrash
-		}
-		// Debugger halt points stop at the same top-of-loop boundary the
-		// fault plane uses, so a halted replay's history is a strict prefix
-		// of the uninterrupted run's.
-		if (k.haltAtAction > 0 && k.actions >= k.haltAtAction) ||
-			(k.haltAtLTime > 0 && k.lnow >= k.haltAtLTime) {
-			k.killEverything()
-			return ErrHalted
-		}
-		if len(k.pending) == 0 && len(k.parked) == 0 {
-			// Only kernel-blocked threads remain: time can only advance via
-			// timers (e.g. everyone in nanosleep/alarm).
-			if !k.fireEarliestTimer() {
-				k.killEverything()
-				return ErrDeadlock
-			}
-			k.wakeKernelBlocked()
-			continue
-		}
-		t := k.choose()
-		if t == nil {
-			// The policy had nothing runnable; give timers a chance before
-			// declaring deadlock (DetTrace's Blocked queue may be waiting
-			// on an alarm).
+		switch s.at {
+		case stageTail:
+			s = k.tail()
+		case stagePick:
+			s = k.pick()
+		case stageAct:
+			k.processAction(s.t)
+			// stageTail, unless t ran the iteration ahead on its coroutine.
+			s, k.ahead = k.ahead, step{}
+		case stageTimers:
+			k.checkTimers()
+			s = k.count()
+		case stageIdle:
+			// Only blocked threads remain, or the policy had nothing
+			// runnable (DetTrace's Blocked queue may be waiting on an
+			// alarm): time can only advance via timers.
 			if !k.fireEarliestTimer() {
 				k.killEverything()
 				if k.abortErr != nil {
@@ -705,30 +722,75 @@ func (k *Kernel) run() error {
 				return ErrDeadlock
 			}
 			k.wakeKernelBlocked()
-			continue
-		}
-		k.processAction(t)
-		k.wakeKernelBlocked()
-		k.checkTimers()
-		k.actions++
-		if k.deadline > 0 && k.now > k.deadline {
+			s = step{at: stagePick}
+		case stageEnd:
 			k.killEverything()
-			return ErrTimeout
-		}
-		if k.actions > k.maxActions {
-			k.killEverything()
-			return ErrRunaway
+			return s.err
 		}
 	}
 }
 
-// choose asks the policy for the next thread among the pending set.
+// tail ends the iteration of the action just processed: it wakes what that
+// action unblocked, fires due timers and counts the action against the
+// limits.
+func (k *Kernel) tail() step {
+	k.wakeKernelBlocked()
+	if k.timersDue() {
+		return step{at: stageTimers}
+	}
+	return k.count()
+}
+
+// count is the rest of tail once the timers are fired.
+func (k *Kernel) count() step {
+	k.actions++
+	if k.deadline > 0 && k.now > k.deadline {
+		return step{at: stageEnd, err: ErrTimeout}
+	}
+	if k.actions > k.maxActions {
+		return step{at: stageEnd, err: ErrRunaway}
+	}
+	return step{at: stagePick}
+}
+
+// pick is the top of the loop: it ends the run, or chooses the thread whose
+// action is processed next.
+func (k *Kernel) pick() step {
+	if k.abortErr != nil {
+		return step{at: stageEnd, err: k.abortErr}
+	}
+	if len(k.pending) == 0 && len(k.kblocked) == 0 && len(k.parked) == 0 {
+		return step{at: stageEnd} // everything exited
+	}
+	// Checkpoint before the pick (the pick's scheduler event belongs to
+	// the suffix), then let an injected crash fire — a run killed at a
+	// stop that was just sealed recovers from that very seal.
+	k.maybeCheckpoint()
+	if k.crashAt > 0 && k.actions >= k.crashAt {
+		return step{at: stageEnd, err: ErrInjectedCrash}
+	}
+	// Debugger halt points stop at the same top-of-loop boundary the
+	// fault plane uses, so a halted replay's history is a strict prefix
+	// of the uninterrupted run's.
+	if (k.haltAtAction > 0 && k.actions >= k.haltAtAction) ||
+		(k.haltAtLTime > 0 && k.lnow >= k.haltAtLTime) {
+		return step{at: stageEnd, err: ErrHalted}
+	}
+	if len(k.pending) == 0 && len(k.parked) == 0 {
+		return step{at: stageIdle}
+	}
+	t := k.choose()
+	if t == nil {
+		return step{at: stageIdle}
+	}
+	return step{at: stageAct, t: t}
+}
+
+// choose asks the policy for the next thread among the pending set, which
+// addPending keeps in TID order.
 func (k *Kernel) choose() *Thread {
 	if len(k.pending) > 1 || len(k.parked) > 0 {
 		k.Stats.SchedRequests += k.weightOf(nil)
-	}
-	if len(k.pending) > 1 {
-		slices.SortFunc(k.pending, func(a, b *Thread) int { return a.TID - b.TID })
 	}
 	return k.Policy.PickNext(k, k.pending)
 }
@@ -763,6 +825,15 @@ func (k *Kernel) advanceLogical(t int64) {
 	if t > k.lnow {
 		k.lnow = t
 	}
+}
+
+// addPending puts t into the pending set at its TID position.
+func (k *Kernel) addPending(t *Thread) {
+	i := len(k.pending)
+	for i > 0 && k.pending[i-1].TID > t.TID {
+		i--
+	}
+	k.pending = slices.Insert(k.pending, i, t)
 }
 
 // removePending drops t from the pending set.

@@ -33,6 +33,16 @@ func spin(p *guest.Proc) int {
 	}
 }
 
+// burn never returns and issues nothing but compute bursts: alone, it runs
+// the kernel loop on its own coroutine (the inline step), so a run stopped
+// while it spins stops inside that chain.
+func burn(p *guest.Proc) int {
+	defer leaveDeferred(p)()
+	for {
+		p.Compute(50_000)
+	}
+}
+
 // park never returns either: a thread that is kernel-blocked at the stop.
 func park(p *guest.Proc) int {
 	defer leaveDeferred(p)()
@@ -76,6 +86,14 @@ func TestTeardownLeavesNothingBehind(t *testing.T) {
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrTimeout},
 		{name: "MaxActions", cfg: func(c *kernel.Config) { c.MaxActions = 300 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrRunaway},
+		{name: "HaltAtAction inline", cfg: func(c *kernel.Config) { c.HaltAtAction = 300 },
+			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrHalted},
+		{name: "HaltAtLTime inline", cfg: func(c *kernel.Config) { c.HaltAtLTime = 3_000_000 },
+			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrHalted},
+		{name: "CrashAtAction inline", cfg: func(c *kernel.Config) { c.CrashAtAction = 300 },
+			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrInjectedCrash},
+		{name: "Deadline inline", cfg: func(c *kernel.Config) { c.Deadline = 5_000_000 },
+			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrTimeout},
 		{name: "deadlock", siblings: [2]guest.Program{park, park}, main: park, want: kernel.ErrDeadlock},
 		{name: "Abort", siblings: [2]guest.Program{spin, park},
 			main: thenStop(func(p *guest.Proc) int { p.T.Kernel().Abort(errAbort); return spin(p) }), want: errAbort},
