@@ -26,8 +26,8 @@ type Record struct {
 
 // Cosig is one node's endorsement of a sealed epoch block.
 type Cosig struct {
-	Ord int32  `json:"ord"`
-	Sig []byte `json:"sig"`
+	Ord int32
+	Sig []byte
 }
 
 // Epoch is one sealed batch of admitted statements: a block of the
@@ -37,20 +37,20 @@ type Cosig struct {
 // the collective signature over the block hash: the coordinator (ordinal 0,
 // the log authority) plus every live honest worker at seal time.
 type Epoch struct {
-	Index int `json:"index"`
+	Index int
 	// Prev is the previous block's hash (0 for the genesis epoch).
-	Prev uint64 `json:"prev"`
+	Prev uint64
 	// Skip[k] is the hash of the block at Index - 2^(k+1); Prev covers the
 	// 2^0 link. Only links that land at index >= 0 are present.
-	Skip []uint64 `json:"skip,omitempty"`
+	Skip []uint64
 	// Root commits the admitted statements (and nothing else — see Record).
-	Root    uint64   `json:"root"`
-	Records []Record `json:"records"`
+	Root    uint64
+	Records []Record
 	// Participants are the ordinals eligible to co-sign at seal time
 	// (coordinator included); a valid block needs cosignatures from a
 	// majority of them, the coordinator's among them.
-	Participants []int32 `json:"participants"`
-	Cosigs       []Cosig `json:"cosigs"`
+	Participants []int32
+	Cosigs       []Cosig
 }
 
 // statementsRoot commits an epoch's admitted statements in record order.

@@ -1,7 +1,6 @@
 package attest
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/derive"
@@ -162,30 +161,5 @@ func TestVerifierAllServersDead(t *testing.T) {
 	vd := v.Verify(testSubject(1), 1, 0xF001)
 	if vd.OK || vd.Refuted || vd.Level != LevelUnverifiable {
 		t.Fatalf("dead log: %+v", vd)
-	}
-}
-
-// TestHTTPVerificationService runs the whole surface over net/http: log
-// replicas behind NewLogHandler, the verifier talking HTTPLogClient, and the
-// public verify endpoint — one GET replaces one rebuild.
-func TestHTTPVerificationService(t *testing.T) {
-	srv := NewServer()
-	ring, _ := buildLog(5, 2, srv)
-	ts := httptest.NewServer(NewLogHandler(srv))
-	defer ts.Close()
-	v := NewVerifier(ring, NewHTTPLogClient(ts.URL))
-	vd := v.Verify(testSubject(3), 3, 0xF003)
-	if !vd.OK || vd.Level != LevelSkipchain {
-		t.Fatalf("remote skipchain proof: %+v", vd)
-	}
-	if vd := v.Verify(testSubject(3), 3, 0xBAD); vd.OK || !vd.Refuted {
-		t.Fatalf("remote refutation: %+v", vd)
-	}
-	// Killed replica answers 503; the client maps it to ErrServerDown and
-	// the verdict degrades exactly as in-process.
-	srv.Kill()
-	v2 := NewVerifier(ring, NewHTTPLogClient(ts.URL))
-	if vd := v2.Verify(testSubject(3), 3, 0xF003); vd.OK || vd.Level != LevelUnverifiable {
-		t.Fatalf("remote dead replica: %+v", vd)
 	}
 }

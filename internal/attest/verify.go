@@ -50,10 +50,10 @@ type Verdict struct {
 	Detail  string
 }
 
-// LogClient is the verifier's view of one transparency-log replica —
-// satisfied by *Server in-process and by the net/http client in http.go.
-// Every answer is untrusted: the verifier checks cosignatures and hash
-// links itself, so a Byzantine server can at worst fail to help.
+// LogClient is the verifier's view of one transparency-log replica,
+// satisfied by *Server. Every answer is untrusted: the verifier checks
+// cosignatures and hash links itself, so a Byzantine server can at worst
+// fail to help.
 type LogClient interface {
 	Head() (*Epoch, error)
 	EpochAt(i int) (*Epoch, error)

@@ -90,13 +90,6 @@ type Options struct {
 	// execs advance virtual time — so its outputs are compared against other
 	// checkpointed runs, never against plain ones.
 	Checkpoints bool
-	// InjectFaults schedules deterministic faults (worker crashes, checkpoint
-	// corruption, restore failures) from per-job fault plans derived from
-	// Seed — see reprotest.PlanFor. Crashed jobs recover from their last
-	// valid checkpoint with bounded retries, degrading to a cold replay; the
-	// farm's outputs must be bitwise-unchanged by the whole ordeal (faults.go
-	// and faults_test.go pin that). Requires Checkpoints.
-	InjectFaults bool
 	// Incremental enables derivation-store rebuild reuse (ISSUE 8): patched
 	// packages fork the freshest checkpoint seal whose prefix read no dirty
 	// file instead of cold-building, re-executing only the invalidated
@@ -136,15 +129,19 @@ type Options struct {
 	// pins the admitted set and the Out bodies DeepEqual across fault
 	// schedules and farm shapes.
 	Attest bool
-	// Rebuilders is the independent re-executions certifying each job
-	// (0 = farm default, 2).
-	Rebuilders int
-	// LogServers is the transparency-log replica count (0 = farm default, 3).
-	LogServers int
 
 	// Test overrides for the store caps (templateCap, sealCap) and the local
 	// restore-attempt budget (restoreRetries); zero selects the constant.
 	templateCap, sealCap, restoreRetries int
+	// injectFaults is a test override that schedules deterministic faults
+	// (worker crashes, checkpoint corruption, restore failures) from per-job
+	// fault plans derived from Seed — see reprotest.PlanFor. Crashed jobs
+	// recover from their last valid checkpoint with bounded retries,
+	// degrading to a cold replay; the farm's outputs must be
+	// bitwise-unchanged by the whole ordeal (faults.go and faults_test.go pin
+	// that). Requires Checkpoints. Like every unexported field, derive does
+	// not copy it.
+	injectFaults bool
 
 	// jobSeq hands each checkpointed build a farm-unique identity for its
 	// seal keys. Scheduling-dependent, so it must never influence results —
@@ -286,8 +283,8 @@ func (o *Options) BuildAll(specs []*debpkg.Spec, progress func(done, total int))
 		}
 		mu.Unlock()
 	}
-	// The farm declines only when registration fails (a custom transport):
-	// nothing has landed yet, so the local pool keeps BuildAll's contract.
+	// The farm declines only when a worker cannot register: nothing has
+	// landed yet, so the local pool keeps BuildAll's contract.
 	if !o.Distributed || !o.buildAllFarm(specs, land) {
 		o.forEach(len(specs), func(l obs.Local, i int) {
 			land(i, o.build(l, specs[i], i))
@@ -507,8 +504,8 @@ func (o *Options) buildNativeFrom(l obs.Local, snapshots derive.Store, spec *deb
 // bootNative boots the package's toolchain image on the simulated host under
 // one reprotest variation and returns the kernel with the package's source
 // directory. A nil policy is the kernel's baseline. Unless the template
-// ablation is on (or the store carries no bodies), the kernel boots from the
-// store's prepared snapshot of the image instead of repopulating it.
+// ablation is on, the kernel boots from the store's prepared snapshot of the
+// image instead of repopulating it.
 func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64, policy kernel.Policy) (*kernel.Kernel, string) {
 	sc := o.sc()
 	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
@@ -624,7 +621,7 @@ func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprote
 	}
 	if o.Checkpoints {
 		var plan reprotest.FaultPlan
-		if o.InjectFaults {
+		if o.injectFaults {
 			plan = reprotest.PlanFor(seed ^ v.HostSeed)
 		}
 		return o.buildDTFault(l, spec, plan, cfg, img, imgHash, pkgdir)

@@ -15,10 +15,11 @@
 // correctness oracle: any placement bug, stale-cache bug or botched recovery
 // shows up as a bit difference, not a heisenbug.
 //
-// Distributed mode ignores Options.InjectFaults (the per-job container fault
-// plans): the farm's fault plane is Options.FarmPlan, which schedules faults
-// at the cluster level (node crash, message loss/duplication) and injects
-// the container-level crash only into the doomed node's build.
+// Distributed mode ignores the injectFaults test override (the per-job
+// container fault plans): the farm's fault plane is Options.FarmPlan, which
+// schedules faults at the cluster level (node crash, message
+// loss/duplication) and injects the container-level crash only into the
+// doomed node's build.
 package buildsim
 
 import (
@@ -69,8 +70,7 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) 
 	}
 	cl := farm.New(farm.Config{Nodes: nodes, Slots: slots,
 		PlacementSeed: o.PlacementSeed, Plan: o.FarmPlan,
-		Attest: o.Attest, Rebuilders: o.Rebuilders,
-		LogServers: o.LogServers, KeySeed: o.Seed}, exec)
+		Attest: o.Attest, KeySeed: o.Seed}, exec)
 	jobs := make([]farm.Job, len(specs))
 	for i, spec := range specs {
 		// Affinity/Image are the spec's pure identity hash: placement input
@@ -89,8 +89,8 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) 
 
 // outDigest condenses one Out into the digest the farm protocol reports:
 // verdicts, virtual times and headline event counts. The equivalence gates
-// compare full Out bodies DeepEqual; the protocol-level digest is what
-// remote deployments (HTTP binding) would compare across sites.
+// compare full Out bodies DeepEqual; the digest is what job reports and
+// attestation statements carry.
 func outDigest(out *Out) uint64 {
 	h := obs.DigestBytes([]byte(string(out.BL) + "\x00" + string(out.DT) +
 		"\x00" + out.UnsupReason))

@@ -150,7 +150,7 @@ func (o *Options) recoverJob(l obs.Local, j ckptJob, failRestore bool, cfg core.
 		v, _, _ := j.seals.Seal(derive.SealKey{State: j.state, Job: j.job, Ordinal: ordinal})
 		cp, _ := v.(*core.Checkpoint)
 		if cp == nil {
-			ordinal-- // evicted under pressure, or a transport without bodies
+			ordinal-- // evicted under pressure
 			continue
 		}
 		res, err := core.Resume(cp, registry(), cfg)

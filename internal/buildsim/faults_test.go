@@ -20,7 +20,7 @@ func TestFarmFaultEquivalence(t *testing.T) {
 	ref := (&Options{Seed: 3, Jobs: 1, Checkpoints: true}).BuildAll(specs, nil)
 
 	for _, jobs := range []int{1, 4, 16} {
-		o := &Options{Seed: 3, Jobs: jobs, Checkpoints: true, InjectFaults: true}
+		o := &Options{Seed: 3, Jobs: jobs, Checkpoints: true, injectFaults: true}
 		outs := o.BuildAll(specs, nil)
 		if !reflect.DeepEqual(outs, ref) {
 			for i := range outs {

@@ -118,9 +118,8 @@ func patchImage(img *fs.Image, paths ...string) *fs.Image {
 
 // sealInfos reads the job's seal trail out of the derivation store and
 // derives each seal's rebuild-planning record from its sealed filesystem.
-// Seals whose stored digest no longer matches their body — and transports
-// that carry digests without bodies — are skipped: the planner only ever
-// sees seals that could actually be forked.
+// Seals whose stored digest no longer matches their body are skipped: the
+// planner only ever sees seals that could actually be forked.
 func sealInfos(store derive.Store, state derive.Key, job uint64, pkgdir string) ([]derive.SealInfo, map[int]*core.Checkpoint) {
 	latest := store.Latest(state, job)
 	var infos []derive.SealInfo

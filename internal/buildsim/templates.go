@@ -310,8 +310,7 @@ func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Imag
 }
 
 // prepared serves one piece of prepared boot state from store, building it
-// on first use, and books the lookup. The value is nil when the store is a
-// transport that carries no bodies; callers then boot cold.
+// on first use, and books the lookup.
 func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, build func() any) any {
 	sc := o.sc()
 	v, hit := derive.Prepared(store, key, build)

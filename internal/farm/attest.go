@@ -35,6 +35,14 @@ const (
 	// per failed admission attempt (accounted, never slept — the farm has no
 	// host-time dependence).
 	admitBackoffNs = 1000
+	// rebuildersPerJob is how many independent re-executions certify each
+	// job beyond the primary; the coordinator tops up the pool as rebuilder
+	// of last resort when the farm is smaller.
+	rebuildersPerJob = 2
+	// logServers is the transparency-log replica count.
+	logServers = 3
+	// epochSize is how many admitted records one sealed epoch batches.
+	epochSize = 4
 )
 
 // attestPlane is the cluster's attestation state: the coordinator's signer,
@@ -67,7 +75,7 @@ func newAttestPlane(cl *Cluster) *attestPlane {
 		exercised:   make(map[int32]bool),
 	}
 	ap.check = ap.ring
-	for i := 1; i <= cl.cfg.LogServers; i++ {
+	for i := 1; i <= logServers; i++ {
 		if cl.cfg.Plan.EquivocateEpoch == i {
 			ap.logs = append(ap.logs, attest.NewEquivocatingServer())
 		} else {
@@ -157,7 +165,7 @@ func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 		cl.c.attestations.Add(ap.l, 1)
 		return &a
 	}
-	resp, err := cl.tr.Send(&Envelope{
+	resp, err := cl.tr.send(&Envelope{
 		Type: MsgAssign, From: Coordinator, To: NodeID(ord),
 		Job: job.ID, Image: job.Image, Config: job.Config, Rebuild: true,
 	})
@@ -225,7 +233,7 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 	cl := ap.cl
 	pool := []int32{primary}
 	tried := map[int32]bool{primary: true}
-	n := 1 + cl.cfg.Rebuilders
+	n := 1 + rebuildersPerJob
 	sigs := &jobSigs{check: ap.check,
 		atts: make([]attest.Attestation, 0, n), valid: make([]int8, 0, n)}
 	if primAtt != nil {
@@ -237,7 +245,7 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 
 	var adm attest.Admission
 	for attempt := 0; attempt < maxAdmitAttempts; attempt++ {
-		for _, ord := range ap.rebuilders(job, primary, cl.cfg.Rebuilders+attempt, tried) {
+		for _, ord := range ap.rebuilders(job, primary, rebuildersPerJob+attempt, tried) {
 			tried[ord] = true
 			pool = append(pool, ord)
 			if a := ap.solicit(job, ord); a != nil {
@@ -437,8 +445,8 @@ func (ap *attestPlane) sealEpochs() {
 		participants = append(participants, int32(ord))
 	}
 
-	for off := 0; off < len(records); off += cl.cfg.EpochSize {
-		end := off + cl.cfg.EpochSize
+	for off := 0; off < len(records); off += epochSize {
+		end := off + epochSize
 		if end > len(records) {
 			end = len(records)
 		}
@@ -447,7 +455,7 @@ func (ap *attestPlane) sealEpochs() {
 		e.Cosigs = append(e.Cosigs, attest.Cosig{Ord: 0, Sig: ap.signer.Cosign(h)})
 		cl.c.cosigns.Add(ap.l, 1)
 		for _, ord := range participants[1:] {
-			resp, err := cl.tr.Send(&Envelope{
+			resp, err := cl.tr.send(&Envelope{
 				Type: MsgCosign, From: Coordinator, To: NodeID(ord),
 				Job: uint64(e.Index), Digest: h,
 			})

@@ -183,7 +183,7 @@ func (co *coordinator) serve(id NodeID) {
 		co.mu.Unlock()
 
 		co.cl.c.assigns.Add(co.l, 1)
-		resp, err := co.cl.tr.Send(&Envelope{
+		resp, err := co.cl.tr.send(&Envelope{
 			Type: MsgAssign, From: Coordinator, To: id,
 			Job: p.job.ID, Attempt: int32(p.attempt),
 			Image: p.job.Image, Config: p.job.Config,
@@ -323,10 +323,10 @@ func (co *coordinator) runLocal(p pending) {
 	}
 }
 
-// Receive implements Receiver: the coordinator's half of the protocol —
-// registration and the content-addressed store. Every handler is idempotent
-// by construction (re-registration is a no-op, puts are first-wins, gets are
-// reads), so duplicate deliveries need no idem cache here.
+// Receive is the coordinator's half of the protocol — registration and the
+// content-addressed store. Every handler is idempotent by construction
+// (re-registration is a no-op, puts are first-wins, gets are reads), so
+// duplicate deliveries need no idem cache here.
 func (co *coordinator) Receive(env *Envelope) *Envelope {
 	switch env.Type {
 	case MsgRegister:

@@ -1,8 +1,7 @@
 // Package farm is the distributed build-farm service: a coordinator and
 // worker nodes speaking a message-typed request/response protocol (proto.go)
-// over a pluggable transport — an in-process deterministic transport for
-// tests and simulation (transport.go), and a net/http+JSON binding for real
-// deployment (http.go).
+// through one deterministic in-process transport (transport.go) that also
+// carries the fault plan's message loss and duplication.
 //
 // The design premise is the paper's §3 purity argument at fleet scale: a
 // DetTrace build is a pure function of its declared inputs, so the farm
@@ -115,27 +114,12 @@ type Config struct {
 	// duplication) plus the container-level crash plan injected into the
 	// doomed worker's build.
 	Plan reprotest.FaultPlan
-	// RingEvents caps the coordinator's flight-recorder ring (default 256).
-	RingEvents int
-	// Transport overrides the in-process transport (used by the HTTP
-	// binding's tests); nil means the deterministic memTransport. The fault
-	// decorator wraps whatever is supplied.
-	Transport Transport
 
 	// Attest enables the Byzantine-robust attestation chain (DESIGN §4i):
-	// every completed job is independently re-executed by Rebuilders other
-	// nodes, quorum-admitted with dissent naming and quarantine, and sealed
-	// into an epoch-batched transparency log replicated across LogServers.
+	// every completed job is independently re-executed by two other nodes,
+	// quorum-admitted with dissent naming and quarantine, and sealed into an
+	// epoch-batched transparency log replicated across three log servers.
 	Attest bool
-	// Rebuilders is how many independent re-executions certify each job
-	// beyond the primary (default 2; the coordinator tops up the pool as
-	// rebuilder of last resort when the farm is smaller).
-	Rebuilders int
-	// LogServers is the transparency-log replica count (default 3).
-	LogServers int
-	// EpochSize is how many admitted records one sealed epoch batches
-	// (default 4).
-	EpochSize int
 	// KeySeed seeds the deterministic attestation keyring: every node's
 	// ed25519 key is a pure function of (ordinal, KeySeed), so any party
 	// reconstructs the ring without a distribution protocol.
@@ -172,7 +156,7 @@ type Cluster struct {
 	recTime int64 // farm logical clock for ring stamps
 
 	c  farmCounters
-	tr Transport // fault-decorated transport every node sends through
+	tr transport // the message path every node sends through
 	co *coordinator
 	ws []*Worker
 	at *attestPlane // nil unless cfg.Attest
@@ -180,7 +164,10 @@ type Cluster struct {
 
 // farmCounters is the coordinator's slice of the farm registry.
 type farmCounters struct {
-	transportCounters
+	sent      *obs.Counter
+	lost      *obs.Counter
+	retrans   *obs.Counter
+	duped     *obs.Counter
 	deduped   *obs.Counter
 	assigns   *obs.Counter
 	results   *obs.Counter
@@ -241,6 +228,9 @@ func newFarmCounters(reg *obs.Registry, nodes int) farmCounters {
 	return c
 }
 
+// ringEvents caps the coordinator's flight-recorder ring.
+const ringEvents = 256
+
 // New assembles a cluster: coordinator, workers, transport, store. The
 // executor runs on whichever node a job lands on.
 func New(cfg Config, exec ExecFunc) *Cluster {
@@ -250,46 +240,17 @@ func New(cfg Config, exec ExecFunc) *Cluster {
 	if cfg.Slots < 1 {
 		cfg.Slots = 1
 	}
-	if cfg.RingEvents < 1 {
-		cfg.RingEvents = 256
-	}
 	if cfg.Plan.KillNode > 0 && cfg.Plan.KillAtJob < 1 {
 		cfg.Plan.KillAtJob = 1
 	}
-	if cfg.Attest {
-		if cfg.Rebuilders < 1 {
-			cfg.Rebuilders = 2
-		}
-		if cfg.LogServers < 1 {
-			cfg.LogServers = 3
-		}
-		if cfg.EpochSize < 1 {
-			cfg.EpochSize = 4
-		}
-	}
 	cl := &Cluster{cfg: cfg, exec: exec}
 	cl.reg = obs.NewRegistry()
-	cl.rec = obs.NewRecorder(cfg.RingEvents)
+	cl.rec = obs.NewRecorder(ringEvents)
 	cl.c = newFarmCounters(cl.reg, cfg.Nodes)
-
-	inner := cfg.Transport
-	var mem *memTransport
-	if inner == nil {
-		mem = newMemTransport()
-		inner = mem
-	}
-	cl.tr = newFaultTransport(inner, cfg.Plan, cl.c.transportCounters)
-
+	cl.tr = transport{cl: cl, l: obs.NewLocal(), seq: make(map[linkKey]uint64)}
 	cl.co = newCoordinator(cl, NewShards(storeShards))
-	if mem != nil {
-		mem.attach(Coordinator, cl.co)
-	}
 	for i := 1; i <= cfg.Nodes; i++ {
-		w := newWorker(cl, NodeID(i))
-		cl.ws = append(cl.ws, w)
-		if mem != nil {
-			mem.attach(w.id, w)
-		}
+		cl.ws = append(cl.ws, newWorker(cl, NodeID(i)))
 	}
 	if cfg.Attest {
 		cl.at = newAttestPlane(cl)
@@ -329,23 +290,6 @@ func (cl *Cluster) Run(jobs []Job) ([]JobReport, error) {
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Job < reports[j].Job })
 	return reports, nil
-}
-
-// Receivers exposes the cluster's nodes by ID, for wiring a custom
-// transport: the HTTP binding's tests serve each receiver from its own
-// httptest server and point an HTTPTransport at the URLs.
-func (cl *Cluster) Receivers() map[NodeID]Receiver {
-	m := map[NodeID]Receiver{Coordinator: cl.co}
-	for _, w := range cl.ws {
-		m[w.id] = w
-	}
-	return m
-}
-
-// UseTransport replaces the cluster's transport with tr (the fault
-// decorator still wraps it). Call before Run.
-func (cl *Cluster) UseTransport(tr Transport) {
-	cl.tr = newFaultTransport(tr, cl.cfg.Plan, cl.c.transportCounters)
 }
 
 // Reports returns the most recent Run's per-job reports, sorted by job ID.

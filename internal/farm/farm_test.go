@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -172,30 +173,39 @@ func TestKillLastNode(t *testing.T) {
 	}
 }
 
-// TestMessageFaultAccounting checks the loss and duplication planes leave
-// their deterministic traces: lost transmissions are retransmitted,
-// duplicated deliveries are deduped, and output is unaffected (covered by
-// the shape test).
+// TestMessageFaultAccounting pins the transport's message accounting under
+// the loss and duplication planes: lost transmissions are retransmitted on
+// the next link ordinal, duplicated deliveries are deduped, and output is
+// unaffected (covered by the shape test). A loss on ordinal 1 moves that
+// assign to ordinal 2, so the combined plan duplicates ordinal 2. Sends to
+// a node the cluster does not have fail with ErrUnknownNode.
 func TestMessageFaultAccounting(t *testing.T) {
-	cl := New(Config{Nodes: 3, Slots: 1, Plan: reprotest.FaultPlan{DupMsg: 1}}, toyExec)
-	if _, err := cl.Run(toyJobs(9)); err != nil {
-		t.Fatal(err)
-	}
-	st := cl.Stats()
-	if st.MsgsDuplicated == 0 {
-		t.Fatal("DupMsg plan produced no duplicated deliveries")
-	}
-	if st.MsgsDeduped != st.MsgsDuplicated {
-		t.Fatalf("deduped %d of %d duplicated deliveries", st.MsgsDeduped, st.MsgsDuplicated)
-	}
-
-	cl = New(Config{Nodes: 3, Slots: 1, Plan: reprotest.FaultPlan{LoseMsg: 1}}, toyExec)
-	if _, err := cl.Run(toyJobs(9)); err != nil {
-		t.Fatal(err)
-	}
-	st = cl.Stats()
-	if st.MsgsLost == 0 || st.MsgsRetransmitted != st.MsgsLost {
-		t.Fatalf("lost %d, retransmitted %d", st.MsgsLost, st.MsgsRetransmitted)
+	type msgs struct{ sent, lost, retrans, duped, deduped int64 }
+	for _, tc := range []struct {
+		name string
+		plan reprotest.FaultPlan
+		want msgs
+	}{
+		{"lose", reprotest.FaultPlan{LoseMsg: 1}, msgs{56, 2, 2, 0, 0}},
+		{"dup", reprotest.FaultPlan{DupMsg: 1}, msgs{54, 0, 0, 2, 2}},
+		{"lose+dup", reprotest.FaultPlan{LoseMsg: 1, DupMsg: 2}, msgs{56, 2, 2, 2, 2}},
+	} {
+		cl := New(Config{Nodes: 3, Slots: 1, Plan: tc.plan}, toyExec)
+		if _, err := cl.Run(toyJobs(9)); err != nil {
+			t.Fatal(err)
+		}
+		st := cl.Stats()
+		got := msgs{st.MsgsSent, st.MsgsLost, st.MsgsRetransmitted,
+			st.MsgsDuplicated, st.MsgsDeduped}
+		if got != tc.want {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+		for _, to := range []NodeID{4, -1} {
+			resp, err := cl.tr.send(&Envelope{Type: MsgAssign, From: Coordinator, To: to, Job: 1})
+			if !errors.Is(err, ErrUnknownNode) || resp != nil {
+				t.Errorf("%s: send to node %d = (%v, %v), want ErrUnknownNode", tc.name, to, resp, err)
+			}
+		}
 	}
 }
 

@@ -112,56 +112,54 @@ func (t MsgType) String() string {
 
 // Envelope is the one message shape of the protocol: a flat, fixed field set
 // every message type draws from, so the codec is a single function and fuzzing
-// the round-trip covers the whole protocol. Unused fields are zero and omitted
-// on the JSON wire.
+// the round-trip covers the whole protocol. Unused fields are zero.
 type Envelope struct {
-	Type MsgType `json:"type"`
-	From NodeID  `json:"from"`
-	To   NodeID  `json:"to"`
+	Type MsgType
+	From NodeID
+	To   NodeID
 	// Seq is the per-link message ordinal, stamped by the transport. Fault
 	// schedules (message loss, duplication) key on Seq, so faults fire at the
 	// same logical instant regardless of host-level interleaving.
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Idem is the idempotency key: a pure hash of the message's semantic
 	// identity (type, origin, job, attempt, content address). At-least-once
 	// delivery plus receiver-side Idem dedup yields exactly-once effect.
-	Idem    uint64 `json:"idem,omitempty"`
-	Job     uint64 `json:"job,omitempty"`
-	Attempt int32  `json:"attempt,omitempty"`
-	Image   uint64 `json:"image,omitempty"`
-	Config  uint64 `json:"config,omitempty"`
-	Ordinal int32  `json:"ordinal,omitempty"`
-	Digest  uint64 `json:"digest,omitempty"`
+	Idem    uint64
+	Job     uint64
+	Attempt int32
+	Image   uint64
+	Config  uint64
+	Ordinal int32
+	Digest  uint64
 	// Wall is a virtual-clock timestamp (ns): time of death in a "crashed"
 	// MsgResult, previous attempt's death in a recovery MsgAssign.
-	Wall  int64 `json:"wall,omitempty"`
-	Slots int32 `json:"slots,omitempty"`
+	Wall  int64
+	Slots int32
 	// Doom marks a MsgAssign whose build the farm fault plan kills: the
 	// coordinator decides doom at placement time (the plan's KillAtJob-th
 	// job placed on the killed node), so the crash site is a pure function
 	// of the schedule, not of slot interleaving.
-	Doom bool `json:"doom,omitempty"`
+	Doom bool
 	// Source is the attestation subject's source Merkle root — distinct from
 	// Image, which is the farm-level placement/content hash. Together with
 	// Config, Digest (output) and Ring it reconstructs the attest.Statement a
 	// result or rebuild response certifies.
-	Source uint64 `json:"source,omitempty"`
+	Source uint64
 	// Ring is the run's logical flight-recorder digest (attestation field).
-	Ring uint64 `json:"ring,omitempty"`
+	Ring uint64
 	// Rebuild marks a MsgAssign as an independent re-execution for the
 	// attestation quorum: the worker builds and attests but the result is
 	// admission evidence, not farm output.
-	Rebuild bool     `json:"rebuild,omitempty"`
-	Pinned  []uint64 `json:"pinned,omitempty"`
-	Status  string   `json:"status,omitempty"`
+	Rebuild bool
+	Pinned  []uint64
+	Status  string
 	// Sig is an ed25519 attestation or epoch co-signature (attest package).
-	Sig []byte `json:"sig,omitempty"`
+	Sig []byte
 	// Val is the in-process body reference (a kernel snapshot, container
-	// template or checkpoint seal). It never crosses a real wire: both codecs
-	// carry only the content address (Image, Config, Job, Ordinal, Digest),
-	// and a remote node materialises the body from its shard of the
-	// content-addressed cache. In-process, Val is the shared pointer itself.
-	Val any `json:"-"`
+	// template or checkpoint seal): the shared pointer itself. The binary
+	// codec does not encode it; it carries only the content address (Image,
+	// Config, Job, Ordinal, Digest).
+	Val any
 }
 
 // IdemKey derives the envelope's idempotency key from its semantic identity.

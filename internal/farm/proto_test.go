@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -31,7 +30,7 @@ func sampleEnvelopes() []*Envelope {
 	}
 }
 
-// TestEnvelopeRoundTrip covers both codecs on every message shape.
+// TestEnvelopeRoundTrip covers the binary codec on every message shape.
 func TestEnvelopeRoundTrip(t *testing.T) {
 	for _, e := range sampleEnvelopes() {
 		got, err := DecodeEnvelope(e.MarshalBinary())
@@ -40,17 +39,6 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, e) {
 			t.Fatalf("%s: binary round trip\n got %+v\nwant %+v", e.Type, got, e)
-		}
-		js, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Envelope
-		if err := json.Unmarshal(js, &back); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(&back, e) {
-			t.Fatalf("%s: json round trip\n got %+v\nwant %+v", e.Type, &back, e)
 		}
 	}
 }

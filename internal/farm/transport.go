@@ -5,56 +5,11 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/reprotest"
 )
 
-// Receiver handles one protocol request and returns the response envelope.
-// Handlers must be idempotent for redelivered requests (same Idem key): the
-// transport is at-least-once, so exactly-once effect comes from receiver-side
-// dedup, never from delivery guarantees.
-type Receiver interface {
-	Receive(*Envelope) *Envelope
-}
-
-// Transport delivers one request envelope to its destination node and
-// returns the response. The farm is strict request/response: there is no
-// one-way send, so the transport never buffers and the in-process
-// implementation is a direct call.
-type Transport interface {
-	Send(*Envelope) (*Envelope, error)
-}
-
-// ErrUnknownNode is returned by a transport for a destination that was never
-// wired into the farm.
+// ErrUnknownNode is returned for a destination that is neither the
+// coordinator nor one of the cluster's workers.
 var ErrUnknownNode = errors.New("farm: unknown destination node")
-
-// memTransport is the in-process transport: direct dispatch to the
-// destination's Receive. Deterministic by construction — no queues, no
-// timeouts, no reordering.
-type memTransport struct {
-	mu    sync.Mutex
-	nodes map[NodeID]Receiver
-}
-
-func newMemTransport() *memTransport {
-	return &memTransport{nodes: make(map[NodeID]Receiver)}
-}
-
-func (t *memTransport) attach(id NodeID, r Receiver) {
-	t.mu.Lock()
-	t.nodes[id] = r
-	t.mu.Unlock()
-}
-
-func (t *memTransport) Send(env *Envelope) (*Envelope, error) {
-	t.mu.Lock()
-	r := t.nodes[env.To]
-	t.mu.Unlock()
-	if r == nil {
-		return nil, ErrUnknownNode
-	}
-	return r.Receive(env), nil
-}
 
 // linkKey identifies one directed link; per-link ordinal clocks make fault
 // schedules independent of cross-link interleaving.
@@ -62,41 +17,30 @@ type linkKey struct {
 	from, to NodeID
 }
 
-// transportCounters is the transport's slice of the farm registry.
-type transportCounters struct {
-	sent    *obs.Counter
-	lost    *obs.Counter
-	retrans *obs.Counter
-	duped   *obs.Counter
-}
-
-// faultTransport decorates any Transport with the X15 fault plane's message
-// events: it stamps each envelope with its per-link ordinal (Seq), and fires
-// the plan's loss and duplication events when an ordinal matches.
+// transport is the farm's one message path. The protocol is strict
+// request/response, so delivery is a direct call to the destination's
+// Receive: no queues, no timeouts, no reordering. On the way it stamps each
+// envelope with its per-link ordinal (Seq) and idempotency key (Idem), and
+// fires the X15 fault plan's message events when an ordinal matches.
 //
 // Loss is modelled as lose-then-retransmit: the doomed transmission is
 // counted lost, and the at-least-once layer immediately resends the same
 // envelope (same Idem, fresh Seq). Duplication delivers the request twice;
-// the receiver's Idem cache absorbs the second copy. Both event kinds key on
-// the link ordinals of MsgAssign carriers on coordinator->worker links: on a
-// real wire every message is at risk, but assigns are the only traffic that
-// is not idempotent by construction, so they are where dedup is load-bearing
+// the receiver's Idem cache absorbs the second copy, so every Receive must
+// be idempotent for a redelivered request. Both event kinds key on the link
+// ordinals of MsgAssign carriers on coordinator->worker links: on a real
+// wire every message is at risk, but assigns are the only traffic that is
+// not idempotent by construction, so they are where dedup is load-bearing
 // and where the property tests aim the schedule.
-type faultTransport struct {
-	inner Transport
-	plan  reprotest.FaultPlan
-	c     transportCounters
-	l     obs.Local
+type transport struct {
+	cl *Cluster
+	l  obs.Local
 
 	mu  sync.Mutex
 	seq map[linkKey]uint64
 }
 
-func newFaultTransport(inner Transport, plan reprotest.FaultPlan, c transportCounters) *faultTransport {
-	return &faultTransport{inner: inner, plan: plan, c: c, l: obs.NewLocal(), seq: make(map[linkKey]uint64)}
-}
-
-func (t *faultTransport) next(env *Envelope) uint64 {
+func (t *transport) next(env *Envelope) uint64 {
 	k := linkKey{env.From, env.To}
 	t.mu.Lock()
 	t.seq[k]++
@@ -107,37 +51,48 @@ func (t *faultTransport) next(env *Envelope) uint64 {
 
 // fires reports whether a scheduled event ordinal hits this envelope: only
 // MsgAssign carriers on coordinator->worker links are at risk (see type doc).
-func (t *faultTransport) fires(at int64, env *Envelope) bool {
+func (t *transport) fires(at int64, env *Envelope) bool {
 	return at > 0 && env.Type == MsgAssign && env.From == Coordinator &&
 		env.Seq == uint64(at)
 }
 
-func (t *faultTransport) Send(env *Envelope) (*Envelope, error) {
+// deliver hands env to its destination node and returns the response.
+func (t *transport) deliver(env *Envelope) (*Envelope, error) {
+	if env.To == Coordinator {
+		return t.cl.co.Receive(env), nil
+	}
+	if i := int(env.To) - 1; i >= 0 && i < len(t.cl.ws) {
+		return t.cl.ws[i].Receive(env), nil
+	}
+	return nil, ErrUnknownNode
+}
+
+// send delivers one request envelope and returns the response.
+func (t *transport) send(env *Envelope) (*Envelope, error) {
+	c, plan := &t.cl.c, &t.cl.cfg.Plan
 	env.Seq = t.next(env)
 	if env.Idem == 0 {
 		env.Idem = env.IdemKey()
 	}
-	t.c.sent.Add(t.l, 1)
-	if t.fires(t.plan.LoseMsg, env) {
+	c.sent.Add(t.l, 1)
+	if t.fires(plan.LoseMsg, env) {
 		// The transmission is lost in flight; at-least-once delivery
 		// retransmits the identical envelope on the next link ordinal.
-		t.c.lost.Add(t.l, 1)
-		t.c.retrans.Add(t.l, 1)
+		c.lost.Add(t.l, 1)
+		c.retrans.Add(t.l, 1)
 		env.Seq = t.next(env)
-		t.c.sent.Add(t.l, 1)
+		c.sent.Add(t.l, 1)
 	}
-	resp, err := t.inner.Send(env)
+	resp, err := t.deliver(env)
 	if err != nil {
 		return nil, err
 	}
-	if t.fires(t.plan.DupMsg, env) {
+	if t.fires(plan.DupMsg, env) {
 		// The network delivers the request a second time; the receiver's
 		// idempotency cache must absorb it. The duplicate's response is
 		// discarded, as a real wire would drop the late reply.
-		t.c.duped.Add(t.l, 1)
-		if dup, err := t.inner.Send(env); err == nil {
-			_ = dup
-		}
+		c.duped.Add(t.l, 1)
+		t.deliver(env)
 	}
 	return resp, nil
 }

@@ -59,7 +59,7 @@ func newWorker(cl *Cluster, id NodeID) *Worker {
 
 // register announces the worker to the coordinator with its capacity.
 func (w *Worker) register() error {
-	resp, err := w.cl.tr.Send(&Envelope{
+	resp, err := w.cl.tr.send(&Envelope{
 		Type: MsgRegister, From: w.id, To: Coordinator,
 		Slots: int32(w.cl.cfg.Slots), Pinned: w.Pins,
 	})
@@ -70,9 +70,9 @@ func (w *Worker) register() error {
 	return nil
 }
 
-// Receive implements Receiver: the worker's half of the protocol. Only
-// MsgAssign (builds and attestation rebuilds) and MsgCosign arrive here;
-// everything else is a protocol error.
+// Receive is the worker's half of the protocol. Only MsgAssign (builds and
+// attestation rebuilds) and MsgCosign arrive here; everything else is a
+// protocol error.
 func (w *Worker) Receive(env *Envelope) *Envelope {
 	w.c.msgs.Add(w.l, 1)
 	if env.Type == MsgCosign {
@@ -212,8 +212,7 @@ func (w *Worker) cosign(env *Envelope) *Envelope {
 // ctxStore is a worker's view of the coordinator's derivation store:
 // derive.Store spoken over the transport, so an executor is oblivious to
 // which node it runs on and drives the remote store exactly as it would an
-// in-process one. A transport that carries digests without bodies (the HTTP
-// binding) yields nil values; executors fall back to building locally.
+// in-process one.
 type ctxStore struct{ c *ExecCtx }
 
 // Store returns the coordinator's derivation store as seen from this job's
@@ -223,7 +222,7 @@ func (c *ExecCtx) Store() derive.Store { return ctxStore{c} }
 func (s ctxStore) send(env *Envelope) *Envelope {
 	env.From = s.c.Node
 	env.To = Coordinator
-	resp, err := s.c.c.tr.Send(env)
+	resp, err := s.c.c.tr.send(env)
 	if err != nil {
 		return &Envelope{Type: MsgErr, Status: err.Error()}
 	}

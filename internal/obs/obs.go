@@ -71,24 +71,6 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// Gauge is a last-value-wins metric.
-type Gauge struct {
-	name string
-	v    atomic.Int64
-}
-
-// Name returns the gauge's registry name.
-func (g *Gauge) Name() string { return g.name }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Histogram is a fixed-bucket histogram: bounds are inclusive upper edges in
 // ascending order, with an implicit +Inf bucket at the end.
 type Histogram struct {
@@ -162,7 +144,6 @@ func (cv *CounterVec) Drain(fn func(i int, v int64)) {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	vecs     map[string]*CounterVec
 }
@@ -171,7 +152,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		vecs:     make(map[string]*CounterVec),
 	}
@@ -187,18 +167,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given bounds
@@ -247,9 +215,6 @@ func (r *Registry) Gather() []Sample {
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Value: c.Value()})
 	}
-	for name, g := range r.gauges {
-		out = append(out, Sample{Name: name, Value: g.Value()})
-	}
 	for name, h := range r.hists {
 		out = append(out, Sample{Name: name + "_count", Value: h.Count()})
 		out = append(out, Sample{Name: name + "_sum", Value: h.Sum()})
@@ -282,10 +247,6 @@ func (r *Registry) Absorb(src *Registry) {
 	counters := make(map[string]int64, len(src.counters))
 	for name, c := range src.counters {
 		counters[name] = c.Value()
-	}
-	gauges := make(map[string]int64, len(src.gauges))
-	for name, g := range src.gauges {
-		gauges[name] = g.Value()
 	}
 	hists := make(map[string]struct {
 		bounds  []int64
@@ -320,11 +281,6 @@ func (r *Registry) Absorb(src *Registry) {
 			r.Counter(name).Inc(v)
 		}
 	}
-	for name, v := range gauges {
-		if v != 0 {
-			r.Gauge(name).Add(v)
-		}
-	}
 	for name, h := range hists {
 		dst := r.Histogram(name, h.bounds)
 		for i, n := range h.buckets {
@@ -350,13 +306,9 @@ func (r *Registry) Absorb(src *Registry) {
 // two dumps of equal registries are byte-identical.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
+	names := make([]string, 0, len(r.counters))
 	for name := range r.counters {
 		names = append(names, name)
-	}
-	gnames := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		gnames = append(gnames, name)
 	}
 	hnames := make([]string, 0, len(r.hists))
 	for name := range r.hists {
@@ -368,17 +320,11 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	r.mu.Unlock()
 	sort.Strings(names)
-	sort.Strings(gnames)
 	sort.Strings(hnames)
 	sort.Strings(vnames)
 
 	for _, name := range names {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, r.Counter(name).Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range gnames {
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, r.Gauge(name).Value()); err != nil {
 			return err
 		}
 	}

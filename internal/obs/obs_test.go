@@ -31,15 +31,6 @@ func TestCounterStripes(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	g := NewRegistry().Gauge("depth")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("Value = %d, want 4", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewRegistry().Histogram("lat", []int64{10, 100, 1000})
 	for _, v := range []int64{1, 10, 11, 100, 5000} {
@@ -75,16 +66,12 @@ func TestAbsorb(t *testing.T) {
 	farm.Counter("hits").Inc(1)
 	child := NewRegistry()
 	child.Counter("hits").Inc(4)
-	child.Gauge("depth").Set(2)
 	child.Histogram("lat", []int64{10}).Observe(3)
 	child.CounterVec("sys", 4).Add(2, 9)
 	farm.Absorb(child)
 	farm.Absorb(nil)
 	if got := farm.Counter("hits").Value(); got != 5 {
 		t.Fatalf("hits = %d, want 5", got)
-	}
-	if got := farm.Gauge("depth").Value(); got != 2 {
-		t.Fatalf("depth = %d, want 2", got)
 	}
 	if got := farm.Histogram("lat", nil).Count(); got != 1 {
 		t.Fatalf("lat count = %d, want 1", got)
@@ -99,7 +86,6 @@ func TestWritePromDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("zeta").Inc(1)
 		r.Counter("alpha").Inc(2)
-		r.Gauge("g").Set(-4)
 		r.Histogram("h", []int64{5, 50}).Observe(7)
 		r.CounterVec("v", 4).Add(3, 2)
 		return r
@@ -115,7 +101,7 @@ func TestWritePromDeterministic(t *testing.T) {
 		t.Fatal("prom dumps of equal registries differ")
 	}
 	out := a.String()
-	for _, want := range []string{"alpha 2", "zeta 1", "g -4", `h_bucket{le="+Inf"} 1`, `v{idx="3"} 2`} {
+	for _, want := range []string{"alpha 2", "zeta 1", `h_bucket{le="+Inf"} 1`, `v{idx="3"} 2`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom dump missing %q:\n%s", want, out)
 		}
