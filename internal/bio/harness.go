@@ -39,11 +39,12 @@ func RunNative(tool Tool, procs int, seed uint64, epoch int64) (int64, *fs.Image
 	reg := registry(tool)
 	k := kernel.New(kernel.Config{
 		Profile:  machine.BioHaswell(),
-		Seed:     seed,
-		Epoch:    epoch,
-		NumCPU:   16, // the paper runs up to 16 parallel processes
 		Image:    image(tool),
 		Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed:   seed,
+		Epoch:  epoch,
+		NumCPU: 16, // the paper runs up to 16 parallel processes
 	})
 	argv := []string{string(tool), "-np", fmt.Sprint(procs)}
 	init := func(t *kernel.Thread) int {

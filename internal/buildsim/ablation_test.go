@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
+	"repro/internal/farm"
 	"repro/internal/reprotest"
 )
 
@@ -28,20 +29,25 @@ func TestDeriveCopiesEveryExportedField(t *testing.T) {
 		case reflect.Uint64, reflect.Uint16:
 			f.SetUint(uint64(i) + 2)
 		case reflect.Struct:
-			f.Set(reflect.ValueOf(reprotest.FaultPlan{KillNode: 2, DupMsg: 3}))
+			f.Set(reflect.ValueOf(farm.Config{Nodes: 2, Slots: 3, PlacementSeed: 4,
+				Plan: reprotest.FaultPlan{KillNode: 2, DupMsg: 3}, Attest: true, KeySeed: 5}))
 		default:
 			t.Fatalf("Options.%s: kind %s not covered by this test", v.Type().Field(i).Name, f.Kind())
 		}
 	}
 	o.sealCap = 7
-	d := o.derive(func(f *Options) { f.Nodes = 99 })
+	// An override assigns one field of Farm; the rest of the caller's farm
+	// settings must survive it.
+	d := o.derive(func(f *Options) { f.Farm.Nodes = 99 })
 	dv := reflect.ValueOf(d).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		switch {
-		case name == "Nodes":
-			if d.Nodes != 99 {
-				t.Errorf("override lost: Nodes = %d", d.Nodes)
+		case name == "Farm":
+			want := o.Farm
+			want.Nodes = 99
+			if !reflect.DeepEqual(d.Farm, want) {
+				t.Errorf("derived Farm = %+v, want %+v", d.Farm, want)
 			}
 		case v.Type().Field(i).IsExported() && !reflect.DeepEqual(v.Field(i).Interface(), dv.Field(i).Interface()):
 			t.Errorf("derive dropped Options.%s", name)

@@ -24,9 +24,7 @@ import (
 // attested run). The verifier answers "is this artifact the honest build of
 // this source?" from the log alone — no source tree, no rebuild.
 func (o *Options) AttestVerifier() *attest.Verifier {
-	o.farmMu.Lock()
-	cl := o.lastFarm
-	o.farmMu.Unlock()
+	cl := o.LastFarm()
 	if cl == nil || cl.Keyring() == nil {
 		return nil
 	}
@@ -36,18 +34,6 @@ func (o *Options) AttestVerifier() *attest.Verifier {
 		clients[i] = s
 	}
 	return attest.NewVerifier(cl.Keyring(), clients...)
-}
-
-// AdmittedSet returns the admitted statements of the most recent distributed
-// run, sorted by job (nil before any attested run) — the value the
-// equivalence gates compare across fault schedules and farm shapes.
-func (o *Options) AdmittedSet() []attest.Statement {
-	o.farmMu.Lock()
-	defer o.farmMu.Unlock()
-	if o.lastFarm == nil {
-		return nil
-	}
-	return o.lastFarm.AdmittedSet()
 }
 
 // byzantineSeats returns the worker ordinals a plan seats as adversaries
@@ -110,19 +96,20 @@ func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok boo
 	}
 	specs := []*debpkg.Spec{spec}
 	honest := o.derive(func(f *Options) {
-		f.Checkpoints, f.Distributed, f.Attest, f.Nodes = true, true, true, nodes
+		f.Checkpoints, f.Farm.Attest, f.Farm.Nodes = true, true, nodes
 	})
 	want := honest.BuildAll(specs, nil)
-	wantAdmitted := honest.AdmittedSet()
+	wantAdmitted := honest.LastFarm().AdmittedSet()
 
-	faulted := honest.derive(func(f *Options) { f.FarmPlan = plan })
+	faulted := honest.derive(func(f *Options) { f.Farm.Plan = plan })
 	got := faulted.BuildAll(specs, nil)
-	gotAdmitted := faulted.AdmittedSet()
+	fcl := faulted.LastFarm()
+	gotAdmitted := fcl.AdmittedSet()
 
 	outsOK := reflect.DeepEqual(got, want)
 	admitOK := reflect.DeepEqual(gotAdmitted, wantAdmitted) && len(gotAdmitted) > 0
 	seats := byzantineSeats(plan, nodes)
-	quarantined := faulted.quarantinedOrds()
+	quarantined := fcl.Quarantined()
 	caughtOK := quarantinedAll(seats, quarantined)
 
 	v := faulted.AttestVerifier()
@@ -142,7 +129,7 @@ func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok boo
 	}
 	ok = outsOK && admitOK && caughtOK && verifyOK && refuteOK && equivOK
 
-	st, _ := faulted.FarmStats()
+	st := fcl.Stats()
 	verdict := func(b bool, yes, no string) string {
 		if b {
 			return yes
@@ -170,16 +157,6 @@ func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok boo
 		v.BadBlocks,
 		verdict(equivOK, "equivocation caught", "EQUIVOCATION MISSED"))
 	return report, ok
-}
-
-// quarantinedOrds returns the most recent run's quarantined ordinals.
-func (o *Options) quarantinedOrds() []int {
-	o.farmMu.Lock()
-	defer o.farmMu.Unlock()
-	if o.lastFarm == nil {
-		return nil
-	}
-	return o.lastFarm.Quarantined()
 }
 
 // AttestStudy is the X20 Byzantine-robustness experiment: the same package
@@ -276,10 +253,10 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 		Nodes: []int{1, 3, 8}, Slots: []int{1, 4, 16}}
 
 	ref := o.derive(func(f *Options) {
-		f.Checkpoints, f.Distributed, f.Attest, f.Nodes, f.NodeSlots = true, true, true, 1, 1
+		f.Checkpoints, f.Farm.Attest, f.Farm.Nodes, f.Farm.Slots = true, true, 1, 1
 	})
 	refOuts := ref.BuildAll(specs, nil)
-	refAdmitted := ref.AdmittedSet()
+	refAdmitted := ref.LastFarm().AdmittedSet()
 	refOutput := make(map[uint64]uint64, len(refAdmitted))
 	for _, s := range refAdmitted {
 		refOutput[s.Job] = s.Output
@@ -289,14 +266,15 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 		for _, slots := range st.Slots {
 			for _, plan := range attestPlans(o.Seed, nodes) {
 				cell := ref.derive(func(f *Options) {
-					f.Nodes, f.NodeSlots, f.FarmPlan = nodes, slots, plan
+					f.Farm.Nodes, f.Farm.Slots, f.Farm.Plan = nodes, slots, plan
 				})
 				got := cell.BuildAll(specs, nil)
+				cl := cell.LastFarm()
 				st.Cells++
 				if reflect.DeepEqual(got, refOuts) {
 					st.IdenticalOuts++
 				}
-				admitted := cell.AdmittedSet()
+				admitted := cl.AdmittedSet()
 				if reflect.DeepEqual(admitted, refAdmitted) {
 					st.IdenticalAdmitted++
 				}
@@ -308,11 +286,11 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 				seats := byzantineSeats(plan, nodes)
 				if plan.Byzantine() {
 					st.ByzantineCells++
-					if quarantinedAll(seats, cell.quarantinedOrds()) {
+					if quarantinedAll(seats, cl.Quarantined()) {
 						st.Caught++
 					}
 				}
-				fst, _ := cell.FarmStats()
+				fst := cl.Stats()
 				st.Attestations += fst.Attestations
 				st.Rebuilds += fst.Rebuilds
 				st.AdmitRetries += fst.AdmitRetries

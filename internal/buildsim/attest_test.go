@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
+	"repro/internal/farm"
 	"repro/internal/reprotest"
 )
 
@@ -16,10 +17,10 @@ import (
 // surface here as a bit difference.
 func TestAttestAdmittedSetEquivalence(t *testing.T) {
 	specs := debpkg.Universe(3, 2)
-	ref := &Options{Seed: 7, Checkpoints: true, Distributed: true,
-		Nodes: 1, NodeSlots: 1, Attest: true}
+	ref := &Options{Seed: 7, Checkpoints: true,
+		Farm: farm.Config{Nodes: 1, Slots: 1, Attest: true}}
 	wantOuts := ref.BuildAll(specs, nil)
-	wantAdmitted := ref.AdmittedSet()
+	wantAdmitted := ref.LastFarm().AdmittedSet()
 	if len(wantAdmitted) != len(specs) {
 		t.Fatalf("reference admitted %d statements, want %d", len(wantAdmitted), len(specs))
 	}
@@ -31,13 +32,13 @@ func TestAttestAdmittedSetEquivalence(t *testing.T) {
 				{LieOutput: 2, WithholdCosign: 3},
 				{EquivocateEpoch: 1, CorruptAttestation: 1},
 			} {
-				cell := &Options{Seed: 7, Checkpoints: true, Distributed: true,
-					Nodes: nodes, NodeSlots: slots, Attest: true, FarmPlan: plan}
+				cell := &Options{Seed: 7, Checkpoints: true,
+					Farm: farm.Config{Nodes: nodes, Slots: slots, Attest: true, Plan: plan}}
 				got := cell.BuildAll(specs, nil)
 				if !reflect.DeepEqual(got, wantOuts) {
 					t.Errorf("nodes=%d slots=%d plan=%+v: build output diverged", nodes, slots, plan)
 				}
-				if admitted := cell.AdmittedSet(); !reflect.DeepEqual(admitted, wantAdmitted) {
+				if admitted := cell.LastFarm().AdmittedSet(); !reflect.DeepEqual(admitted, wantAdmitted) {
 					t.Errorf("nodes=%d slots=%d plan=%+v: admitted set diverged\n got %+v\nwant %+v",
 						nodes, slots, plan, admitted, wantAdmitted)
 				}
@@ -46,12 +47,12 @@ func TestAttestAdmittedSetEquivalence(t *testing.T) {
 	}
 	// The template ablation changes how containers boot, never what they
 	// are: subjects carry the real image content hash either way.
-	cold := &Options{Seed: 7, Checkpoints: true, Distributed: true,
-		Nodes: 3, NodeSlots: 1, Attest: true, Off: core.Off(core.TemplateReuse)}
+	cold := &Options{Seed: 7, Checkpoints: true, Off: core.Off(core.TemplateReuse),
+		Farm: farm.Config{Nodes: 3, Slots: 1, Attest: true}}
 	if got := cold.BuildAll(specs, nil); !reflect.DeepEqual(got, wantOuts) {
 		t.Errorf("template ablation: build output diverged")
 	}
-	if admitted := cold.AdmittedSet(); !reflect.DeepEqual(admitted, wantAdmitted) {
+	if admitted := cold.LastFarm().AdmittedSet(); !reflect.DeepEqual(admitted, wantAdmitted) {
 		t.Errorf("template ablation: admitted set diverged\n got %+v\nwant %+v", admitted, wantAdmitted)
 	}
 	for _, st := range wantAdmitted {
@@ -74,10 +75,10 @@ func TestAttestQuarantineNamesAdversaries(t *testing.T) {
 		{reprotest.FaultPlan{WithholdCosign: 3}, []int{3}},
 		{reprotest.FaultPlan{LieOutput: 1, WithholdCosign: 2}, []int{1, 2}},
 	} {
-		cell := &Options{Seed: 7, Checkpoints: true, Distributed: true,
-			Nodes: 5, Attest: true, FarmPlan: tc.plan}
+		cell := &Options{Seed: 7, Checkpoints: true,
+			Farm: farm.Config{Nodes: 5, Attest: true, Plan: tc.plan}}
 		cell.BuildAll(specs, nil)
-		quarantined := cell.quarantinedOrds()
+		quarantined := cell.LastFarm().Quarantined()
 		if !quarantinedAll(tc.seats, quarantined) {
 			t.Errorf("plan %+v: quarantined %v, want superset of %v", tc.plan, quarantined, tc.seats)
 		}
@@ -99,13 +100,13 @@ func TestAttestQuarantineNamesAdversaries(t *testing.T) {
 // quarantines, every job attested and admitted, epochs sealed.
 func TestAttestHonestFarmCleanRun(t *testing.T) {
 	specs := debpkg.Universe(4, 2)
-	o := &Options{Seed: 3, Checkpoints: true, Distributed: true,
-		Nodes: 3, Attest: true}
+	o := &Options{Seed: 3, Checkpoints: true, Farm: farm.Config{Nodes: 3, Attest: true}}
 	o.BuildAll(specs, nil)
-	st, ok := o.FarmStats()
-	if !ok {
-		t.Fatal("no farm stats after distributed run")
+	cl := o.LastFarm()
+	if cl == nil {
+		t.Fatal("no farm after distributed run")
 	}
+	st := cl.Stats()
 	if st.LiesDetected != 0 || st.Quarantines != 0 || st.CorruptAttestations != 0 {
 		t.Errorf("honest farm reported faults: lies=%d corrupt=%d quarantines=%d",
 			st.LiesDetected, st.CorruptAttestations, st.Quarantines)
@@ -114,7 +115,7 @@ func TestAttestHonestFarmCleanRun(t *testing.T) {
 		t.Errorf("attestation plane idle: attestations=%d rebuilds=%d epochs=%d",
 			st.Attestations, st.Rebuilds, st.EpochsSealed)
 	}
-	if got := len(o.AdmittedSet()); got != len(specs) {
+	if got := len(cl.AdmittedSet()); got != len(specs) {
 		t.Errorf("admitted %d statements, want %d", got, len(specs))
 	}
 }
@@ -124,14 +125,13 @@ func TestAttestHonestFarmCleanRun(t *testing.T) {
 // claim the log contradicts is refuted — never verified.
 func TestAttestVerifierConfirmsAndRefutes(t *testing.T) {
 	specs := debpkg.Universe(3, 2)
-	o := &Options{Seed: 5, Checkpoints: true, Distributed: true,
-		Nodes: 3, Attest: true}
+	o := &Options{Seed: 5, Checkpoints: true, Farm: farm.Config{Nodes: 3, Attest: true}}
 	o.BuildAll(specs, nil)
 	v := o.AttestVerifier()
 	if v == nil {
 		t.Fatal("no verifier after attested run")
 	}
-	for _, s := range o.AdmittedSet() {
+	for _, s := range o.LastFarm().AdmittedSet() {
 		vd := v.Verify(s.Subject, s.Job, s.Output)
 		if !vd.OK || vd.Refuted {
 			t.Errorf("job %d: admitted artifact not verified: %+v", s.Job, vd)

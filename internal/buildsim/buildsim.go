@@ -98,37 +98,19 @@ type Options struct {
 	// runs occupy disjoint derivation-key spaces — while their outputs stay
 	// bitwise-identical, which incremental_test.go pins.
 	Incremental bool
-	// Distributed routes BuildAll through the internal/farm coordinator
-	// instead of the in-process pool: worker nodes register over the farm
-	// protocol, jobs are placed by rendezvous hashing, and prepared state is
-	// forked from the coordinator's content-addressed shard store. Like Jobs,
-	// the whole arrangement must not change any output byte — farm_test.go
-	// pins DeepEqual across node counts, placement seeds and fault schedules.
-	Distributed bool
-	// Nodes is the distributed farm's worker count (0 = DefaultFarmNodes).
-	Nodes int
-	// NodeSlots is each worker's concurrent-build capacity (0 = 1).
-	NodeSlots int
-	// PlacementSeed selects the distributed farm's placement schedule; it
-	// must never reach an output byte.
-	PlacementSeed uint64
-	// FarmPlan is the farm-level fault schedule (node crash, message loss
-	// and duplication — see reprotest.FarmPlanFor). A node-killing plan
-	// requires Checkpoints: the doomed build dies mid-flight and its job is
-	// recovered on another node from the freshest seal in the shard store.
-	// It also carries the Byzantine plane (reprotest.ByzantinePlanFor) when
-	// Attest is on: lying builders, corrupted attestations, equivocating log
-	// servers and withheld co-signatures.
-	FarmPlan reprotest.FaultPlan
-	// Attest enables the farm's Byzantine-robust attestation chain (ISSUE
-	// 10): every completed job is independently re-executed by rebuilder
-	// nodes, quorum-admitted with dissent naming and quarantine, and sealed
-	// into an epoch-batched transparency log so consumers can verify
-	// artifacts rebuild-free. Requires Distributed. Like everything else in
-	// the farm layer, it must not change any output byte — attest_test.go
-	// pins the admitted set and the Out bodies DeepEqual across fault
-	// schedules and farm shapes.
-	Attest bool
+	// Farm configures the distributed farm. Farm.Nodes > 0 routes BuildAll
+	// through the internal/farm coordinator instead of the in-process pool:
+	// jobs are placed by rendezvous hashing over Farm.PlacementSeed, and
+	// prepared state is forked from the coordinator's content-addressed
+	// shard store. Like Jobs, the arrangement must not change any output
+	// byte; farm_test.go pins DeepEqual across node counts, placement seeds
+	// and fault schedules. Farm.Plan is the farm-level fault schedule (see
+	// reprotest.FarmPlanFor and ByzantinePlanFor); a node-killing plan
+	// requires Checkpoints, so the doomed job recovers on another node from
+	// the freshest seal. Farm.Attest adds the attestation chain, whose
+	// admitted set attest_test.go pins. Farm.KeySeed is overwritten with
+	// Seed.
+	Farm farm.Config
 
 	// Test overrides for the store caps (templateCap, sealCap) and the local
 	// restore-attempt budget (restoreRetries); zero selects the constant.
@@ -166,7 +148,7 @@ type Options struct {
 	deriveLTime int64
 
 	// lastFarm is the cluster behind the most recent distributed BuildAll,
-	// kept so FarmStats/FarmReports can expose its accounting (farm.go).
+	// kept so LastFarm can expose its accounting (farm.go).
 	farmMu   sync.Mutex
 	lastFarm *farm.Cluster
 }
@@ -283,13 +265,13 @@ func (o *Options) BuildAll(specs []*debpkg.Spec, progress func(done, total int))
 		}
 		mu.Unlock()
 	}
-	// The farm declines only when a worker cannot register: nothing has
-	// landed yet, so the local pool keeps BuildAll's contract.
-	if !o.Distributed || !o.buildAllFarm(specs, land) {
-		o.forEach(len(specs), func(l obs.Local, i int) {
-			land(i, o.build(l, specs[i], i))
-		})
+	if o.Farm.Nodes > 0 {
+		o.buildAllFarm(specs, land)
+		return outs
 	}
+	o.forEach(len(specs), func(l obs.Local, i int) {
+		land(i, o.build(l, specs[i], i))
+	})
 	return outs
 }
 
@@ -521,9 +503,9 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 		Policy:   policy,
 	}
 	if snap == nil {
-		b.Resolver = registry().Resolver() // a snapshot carries its own
 		sc.coldBoots.Add(l, 1)
-		return kernel.ColdBoot(machine.CloudLabC220G5(), kernel.CostModel{}, img, b), pkgdir
+		cfg := kernel.Config{Profile: machine.CloudLabC220G5(), Image: img, Resolver: registry().Resolver()}
+		return kernel.New(cfg, b), pkgdir
 	}
 	sc.forkBoots.Add(l, 1)
 	return snap.Boot(b), pkgdir

@@ -1,4 +1,4 @@
-// The distributed build farm driver: BuildAll behind Options.Distributed.
+// The distributed build farm driver: BuildAll when Options.Farm.Nodes > 0.
 //
 // The single-process farm (buildsim.go) proves output is independent of the
 // worker-pool size; this file raises the same claim one level: output is
@@ -16,7 +16,7 @@
 // shows up as a bit difference, not a heisenbug.
 //
 // Distributed mode ignores the injectFaults test override (the per-job
-// container fault plans): the farm's fault plane is Options.FarmPlan, which
+// container fault plans): the farm's fault plane is Options.Farm.Plan, which
 // schedules faults at the cluster level (node crash, message
 // loss/duplication) and injects the container-level crash only into the
 // doomed node's build.
@@ -35,24 +35,12 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultFarmNodes is the worker-node count when Options.Nodes is zero.
-const DefaultFarmNodes = 3
-
 // buildAllFarm is BuildAll on the distributed path: one farm.Job per spec,
 // executed wherever the coordinator places it. Out bodies stay in-process
 // (the protocol carries digests and content addresses only), land through
 // the caller's collector, and must be bitwise-identical to the local
-// pool's. Reports false, having landed nothing, if the workers could not
-// register.
-func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) bool {
-	nodes := o.Nodes
-	if nodes <= 0 {
-		nodes = DefaultFarmNodes
-	}
-	slots := o.NodeSlots
-	if slots <= 0 {
-		slots = 1
-	}
+// pool's.
+func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) {
 	exec := func(ctx *farm.ExecCtx) (uint64, error) {
 		i := int(ctx.Job.ID) - 1
 		out, err := o.buildProto(obs.NewLocal(), specs[i], i, ctx.Store(), o.farmDT1(ctx, specs[i]))
@@ -68,9 +56,9 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) 
 		}
 		return outDigest(&out), nil
 	}
-	cl := farm.New(farm.Config{Nodes: nodes, Slots: slots,
-		PlacementSeed: o.PlacementSeed, Plan: o.FarmPlan,
-		Attest: o.Attest, KeySeed: o.Seed}, exec)
+	cfg := o.Farm
+	cfg.KeySeed = o.Seed
+	cl := farm.New(cfg, exec)
 	jobs := make([]farm.Job, len(specs))
 	for i, spec := range specs {
 		// Affinity/Image are the spec's pure identity hash: placement input
@@ -80,11 +68,23 @@ func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) 
 		id := pkgSeed(0, spec)
 		jobs[i] = farm.Job{ID: uint64(i) + 1, Affinity: id, Image: id}
 	}
-	_, err := cl.Run(jobs)
+	if _, err := cl.Run(jobs); err != nil {
+		// Run fails only when a worker cannot register, which the farm's
+		// in-process transport never refuses.
+		panic(err)
+	}
 	o.farmMu.Lock()
 	o.lastFarm = cl
 	o.farmMu.Unlock()
-	return err == nil
+}
+
+// LastFarm returns the cluster behind the most recent distributed BuildAll
+// (nil before any): its Stats, Reports, AdmittedSet and Quarantined are that
+// run's accounting.
+func (o *Options) LastFarm() *farm.Cluster {
+	o.farmMu.Lock()
+	defer o.farmMu.Unlock()
+	return o.lastFarm
 }
 
 // outDigest condenses one Out into the digest the farm protocol reports:
@@ -156,39 +156,14 @@ func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(obs.Local, 
 	}
 }
 
-// FarmStats returns the farm accounting of the most recent distributed
-// BuildAll (false before any distributed run).
-func (o *Options) FarmStats() (farm.Stats, bool) {
-	o.farmMu.Lock()
-	defer o.farmMu.Unlock()
-	if o.lastFarm == nil {
-		return farm.Stats{}, false
-	}
-	return o.lastFarm.Stats(), true
-}
-
-// FarmReports returns the per-job reports of the most recent distributed
-// BuildAll (nil before any distributed run).
-func (o *Options) FarmReports() []farm.JobReport {
-	o.farmMu.Lock()
-	cl := o.lastFarm
-	o.farmMu.Unlock()
-	if cl == nil {
-		return nil
-	}
-	return cl.Reports()
-}
-
 // FarmCrashRecovery is the single-package distributed crash gate behind
 // `reprotest -nodes N -kill-node ORD`: build the package on a single-node
 // farm for reference, then on an N-node farm whose fault plan kills the
 // chosen worker mid-build, and compare the full Out bodies bitwise. ORD <= 0
 // auto-picks the node the job lands on, so the crash is guaranteed to fire.
-// The report is human-readable; ok is the machine verdict.
+// nodes must be at least 1. The report is human-readable; ok is the machine
+// verdict.
 func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (report string, ok bool) {
-	if nodes <= 0 {
-		nodes = DefaultFarmNodes
-	}
 	// Reference action count, for a mid-build crash point.
 	local := o.derive(func(f *Options) { f.Checkpoints = true })
 	l := obs.NewLocal()
@@ -203,14 +178,14 @@ func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (rep
 		for i := range live {
 			live[i] = i + 1
 		}
-		killNode = farm.Place(o.PlacementSeed, pkgSeed(0, spec), live)
+		killNode = farm.Place(o.Farm.PlacementSeed, pkgSeed(0, spec), live)
 	}
 	specs := []*debpkg.Spec{spec}
-	single := local.derive(func(f *Options) { f.Distributed, f.Nodes = true, 1 })
+	single := local.derive(func(f *Options) { f.Farm.Nodes = 1 })
 	want := single.BuildAll(specs, nil)
 	killed := single.derive(func(f *Options) {
-		f.Nodes = nodes
-		f.FarmPlan = reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1,
+		f.Farm.Nodes = nodes
+		f.Farm.Plan = reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1,
 			CrashAtAction: ref.actions / 2}
 	})
 	got := killed.BuildAll(specs, nil)
@@ -220,8 +195,9 @@ func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (rep
 		verdict = "DIVERGED from the single-node farm"
 	}
 	how := "completed before the crash point"
-	st, _ := killed.FarmStats()
-	if reps := killed.FarmReports(); len(reps) == 1 && reps[0].Recovered {
+	cl := killed.LastFarm()
+	st := cl.Stats()
+	if reps := cl.Reports(); len(reps) == 1 && reps[0].Recovered {
 		where := fmt.Sprintf("node %d", reps[0].Node)
 		if reps[0].Node == 0 {
 			where = "the coordinator (local fallback)"
@@ -296,7 +272,7 @@ func (st *FarmStudy) String() string {
 // duplicate-messages), every cell checkpointed and single-slot, all compared
 // DeepEqual against the local checkpointed farm's output.
 func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
-	local := o.derive(func(f *Options) { f.Checkpoints, f.Distributed = true, false })
+	local := o.derive(func(f *Options) { f.Checkpoints, f.Farm.Nodes = true, 0 })
 	ref := local.BuildAll(specs, nil)
 
 	// A mid-build crash point needs a reference action count; take the first
@@ -328,14 +304,14 @@ func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
 			}
 			for _, plan := range plans {
 				cell := local.derive(func(f *Options) {
-					f.Distributed, f.Nodes, f.PlacementSeed, f.FarmPlan = true, nodes, seed, plan
+					f.Farm.Nodes, f.Farm.PlacementSeed, f.Farm.Plan = nodes, seed, plan
 				})
 				got := cell.BuildAll(specs, nil)
 				st.Cells++
 				if reflect.DeepEqual(got, ref) {
 					st.Identical++
 				}
-				fst, _ := cell.FarmStats()
+				fst := cell.LastFarm().Stats()
 				st.Crashes += fst.NodeCrashes
 				st.Steals += fst.Steals
 				st.Recoveries += fst.Recoveries

@@ -56,8 +56,8 @@ func TestDistributedFarmShapeEquivalence(t *testing.T) {
 				"dup":   {DupMsg: 2},
 			}
 			for name, plan := range plans {
-				o := &Options{Seed: 3, Checkpoints: true, Distributed: true,
-					Nodes: nodes, PlacementSeed: seed, FarmPlan: plan}
+				o := &Options{Seed: 3, Checkpoints: true,
+					Farm: farm.Config{Nodes: nodes, PlacementSeed: seed, Plan: plan}}
 				got := o.BuildAll(specs, nil)
 				if !reflect.DeepEqual(got, ref) {
 					for i := range got {
@@ -69,10 +69,11 @@ func TestDistributedFarmShapeEquivalence(t *testing.T) {
 					t.Fatalf("nodes=%d seed=%d plan=%s: farm output != local output",
 						nodes, seed, name)
 				}
-				st, ok := o.FarmStats()
-				if !ok {
-					t.Fatalf("nodes=%d seed=%d plan=%s: no farm stats", nodes, seed, name)
+				cl := o.LastFarm()
+				if cl == nil {
+					t.Fatalf("nodes=%d seed=%d plan=%s: no farm", nodes, seed, name)
 				}
+				st := cl.Stats()
 				crashed += st.NodeCrashes
 				recovered += st.Recoveries
 				if st.Jobs != len(specs) {
@@ -97,12 +98,12 @@ func TestDistributedPlainMatchesLocal(t *testing.T) {
 	specs := debpkg.Universe(5, 3)
 	specs = append(specs, specs[0])
 	ref := (&Options{Seed: 5, Jobs: 2}).BuildAll(specs, nil)
-	o := &Options{Seed: 5, Distributed: true, Nodes: 3, PlacementSeed: 9}
+	o := &Options{Seed: 5, Farm: farm.Config{Nodes: 3, PlacementSeed: 9}}
 	got := o.BuildAll(specs, nil)
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatal("plain distributed output != plain local output")
 	}
-	st, _ := o.FarmStats()
+	st := o.LastFarm().Stats()
 	if st.SealPuts != 0 {
 		t.Fatalf("plain farm published %d seals", st.SealPuts)
 	}
@@ -148,16 +149,16 @@ func TestFarmCrashRecoveryLastNode(t *testing.T) {
 // never fetch one.
 func TestFarmSealTraffic(t *testing.T) {
 	specs := debpkg.Universe(7, 2)
-	o := &Options{Seed: 7, Checkpoints: true, Distributed: true, Nodes: 3}
+	o := &Options{Seed: 7, Checkpoints: true, Farm: farm.Config{Nodes: 3}}
 	o.BuildAll(specs, nil)
-	st, _ := o.FarmStats()
+	st := o.LastFarm().Stats()
 	if st.SealPuts == 0 {
 		t.Fatal("checkpointed farm published no seals")
 	}
 	if st.Recoveries != 0 || st.NodeCrashes != 0 {
 		t.Fatalf("fault-free farm recorded faults: %+v", st)
 	}
-	reports := o.FarmReports()
+	reports := o.LastFarm().Reports()
 	if len(reports) != len(specs) {
 		t.Fatalf("%d job reports, want %d", len(reports), len(specs))
 	}

@@ -125,11 +125,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 func TestIncrementalSealsFromFarmShards(t *testing.T) {
 	spec := incrSpecs(t, 9, 1, 3)[0]
 	o := &Options{Seed: 9, Checkpoints: true, Incremental: true,
-		Distributed: true, Nodes: 3}
+		Farm: farm.Config{Nodes: 3}}
 	o.BuildAll([]*debpkg.Spec{spec}, nil)
-	o.farmMu.Lock()
-	cl := o.lastFarm
-	o.farmMu.Unlock()
+	cl := o.LastFarm()
 	if cl == nil {
 		t.Fatal("distributed BuildAll left no cluster behind")
 	}

@@ -62,8 +62,8 @@ func checkMechanismCells(t *testing.T, off core.Mechanisms, moves core.Moves) {
 	}{
 		{"jobs=1", func(f *Options) { f.Jobs = 1 }},
 		{"jobs=16", func(f *Options) { f.Jobs = 16 }},
-		{"nodes=1", func(f *Options) { f.Distributed, f.Nodes = true, 1 }},
-		{"nodes=3", func(f *Options) { f.Distributed, f.Nodes = true, 3 }},
+		{"nodes=1", func(f *Options) { f.Farm.Nodes = 1 }},
+		{"nodes=3", func(f *Options) { f.Farm.Nodes = 3 }},
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -111,7 +111,7 @@ func checkMechanismCells(t *testing.T, off core.Mechanisms, moves core.Moves) {
 			switch cold := off.Has(core.TemplateReuse); {
 			case cold && (st.ForkBoots != 0 || st.ColdBoots == 0):
 				t.Errorf("%d forked, %d cold boots; want every boot cold", st.ForkBoots, st.ColdBoots)
-			case !cold && (st.ColdBoots != 0 || st.ForkBoots == 0 || !o.Distributed && st.TemplateHits == 0):
+			case !cold && (st.ColdBoots != 0 || st.ForkBoots == 0 || o.Farm.Nodes == 0 && st.TemplateHits == 0):
 				t.Errorf("%d forked, %d cold boots, %d template hits; want every boot forked and hits", st.ForkBoots, st.ColdBoots, st.TemplateHits)
 			}
 		})

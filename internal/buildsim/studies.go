@@ -356,11 +356,9 @@ func selftest(prog []byte) []byte {
 	img.AddFile("/prog", 0o755, prog)
 	k := kernel.New(kernel.Config{
 		Profile:  machine.CloudLabC220G5(),
-		NumCPU:   1,
 		Image:    img,
 		Resolver: registry().Resolver(),
-		Deadline: BLDeadline,
-	})
+	}, kernel.BootConfig{NumCPU: 1, Deadline: BLDeadline})
 	argv := []string{"prog", "--selftest"}
 	init := func(t *kernel.Thread) int {
 		p := &guest.Proc{T: t}

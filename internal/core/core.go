@@ -47,10 +47,6 @@ type Config struct {
 
 	PRNGSeed uint64 // [input] seed for container-visible randomness (§5.2)
 
-	// LogicalEpoch is the fixed base for logical time; 0 selects
-	// DefaultLogicalEpoch. [input]
-	LogicalEpoch int64
-
 	// Deadline bounds virtual time; 0 means unlimited. A timed-out build is
 	// classified Timeout in the evaluation. [input]
 	Deadline int64
@@ -103,7 +99,7 @@ type Config struct {
 	FaultCorruptCheckpoint int
 
 	// CheckpointSink, when non-nil, enables crash-consistent checkpoints:
-	// at every quiescent traced stop (see kernel.Config.Checkpointer for
+	// at every quiescent traced stop (see kernel.BootConfig.Checkpointer for
 	// the eligibility rules) the container seals its complete state and
 	// hands the Checkpoint to the sink; latest-wins callers keep only the
 	// last one. Sealing is read-only and never perturbs the run, so this
@@ -115,10 +111,6 @@ type Config struct {
 	// bind-mount target); empty selects /build when the image has it.
 	// [input]
 	WorkingDir string
-
-	// SpinLimit overrides the busy-wait detection threshold (0 keeps the
-	// scheduler default). [input]
-	SpinLimit int
 
 	// UpdateVirtualMtimes makes writes advance a file's virtual mtime —
 	// the "more realistic-looking virtual mtimes" extension §5.5 mentions.
@@ -391,9 +383,6 @@ func normalizeConfig(cfg *Config) {
 	if cfg.Profile == nil {
 		cfg.Profile = machine.CloudLabC220G5()
 	}
-	if cfg.LogicalEpoch == 0 {
-		cfg.LogicalEpoch = DefaultLogicalEpoch
-	}
 }
 
 // New assembles a container and its kernel, ready to Run.
@@ -429,9 +418,6 @@ func newContainer(cfg Config) *Container {
 		rw:          make(map[*kernel.Thread]*rwRetry),
 		pendingOpen: make(map[*kernel.Thread]bool),
 		ws:          make(map[*kernel.Thread]*fs.Workspace),
-	}
-	if cfg.SpinLimit > 0 {
-		c.sched.SpinLimit = cfg.SpinLimit
 	}
 	c.sched.Workspace = !cfg.DisableWorkspaces
 	c.obs = obs.NewRegistry()
@@ -505,7 +491,7 @@ func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *R
 		k = c.snap.Boot(b)
 		setupSpan = "fork"
 	} else {
-		k = kernel.ColdBoot(c.cfg.Profile, kernel.CostModel{}, c.cfg.Image, b)
+		k = kernel.New(kernel.Config{Profile: c.cfg.Profile, Image: c.cfg.Image}, b)
 	}
 	setupNs := time.Since(setupStart).Nanoseconds()
 	c.attach(k, setupSpan, setupNs, forked)

@@ -553,13 +553,9 @@ func runBaseline(t *testing.T, h host, prog guest.Program) string {
 	img := baseimg.Minimal()
 	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
 	k := kernel.New(kernel.Config{
-		Profile:  h.profile,
-		Seed:     h.seed,
-		Epoch:    h.epoch,
-		NumCPU:   h.numCPU,
-		Image:    img,
-		Resolver: reg.Resolver(),
-		Deadline: 3_600_000_000_000,
+		Profile: h.profile, Image: img, Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: h.seed, Epoch: h.epoch, NumCPU: h.numCPU, Deadline: 3_600_000_000_000,
 	})
 	execImg := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}
 	k.Start(reg.Bind(prog, execImg), execImg.Argv, []string{"PATH=/bin"})

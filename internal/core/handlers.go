@@ -399,7 +399,7 @@ func (c *Container) finishRetry(t *kernel.Thread, sc *abi.Syscall, st *rwRetry) 
 
 // logicalSeconds advances and returns the process's logical clock (§5.3).
 func (c *Container) logicalSeconds(p *kernel.Proc) int64 {
-	s := c.cfg.LogicalEpoch + p.TimeCallCount
+	s := DefaultLogicalEpoch + p.TimeCallCount
 	p.TimeCallCount++
 	return s
 }

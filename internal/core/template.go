@@ -134,12 +134,16 @@ func (tp *Template) CompatibleWith(cfg Config) bool {
 // filesystem bakes in profile-derived state (the readdir hash salt, the
 // directory-size formula), so a template must never serve a run on a
 // different simulated machine.
+//
+// Two slots hold constants: the logical epoch (DefaultLogicalEpoch) and a
+// zero where a spin-limit override once sat. They stay so that no hash,
+// and no key derived from one, moves; TestConfigHashPinned pins them.
 func ConfigHash(cfg Config) uint64 {
 	normalizeConfig(&cfg)
 	h := derive.NewHasher()
 	h.Str(cfg.Profile.Name)
 	h.Num(cfg.PRNGSeed)
-	h.Num(uint64(cfg.LogicalEpoch))
+	h.Num(DefaultLogicalEpoch)
 	h.Num(uint64(cfg.Deadline))
 	for m := range NumMechanisms {
 		if m.Unhashed() == "" {
@@ -147,7 +151,7 @@ func ConfigHash(cfg Config) uint64 {
 		}
 	}
 	h.Str(cfg.WorkingDir)
-	h.Num(uint64(cfg.SpinLimit))
+	h.Num(0) // the retired spin-limit override
 	h.Flag(cfg.UpdateVirtualMtimes)
 	h.Flag(cfg.FastVdso)
 	h.Flag(cfg.ExperimentalSockets)

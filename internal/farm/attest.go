@@ -153,7 +153,7 @@ func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 	cl := ap.cl
 	cl.c.rebuilds.Add(ap.l, 1)
 	if ord == 0 {
-		ctx := &ExecCtx{Node: Coordinator, Ord: 0, Job: job, Rebuild: true, c: cl}
+		ctx := &ExecCtx{Node: Coordinator, Job: job, Rebuild: true, c: cl}
 		digest, err := cl.exec(ctx)
 		if err != nil {
 			return nil
@@ -411,18 +411,6 @@ func (ap *attestPlane) audit(jobs []Job) {
 			ap.quarantine(o, jobs[0].ID)
 		}
 	}
-}
-
-// quarantinedOrds returns the quarantined ordinals sorted ascending.
-func (ap *attestPlane) quarantinedOrds() []int {
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	var out []int
-	for ord := range ap.quarantined {
-		out = append(out, int(ord))
-	}
-	sort.Ints(out)
-	return out
 }
 
 // sealEpochs closes the run: admitted records, sorted by job so the chain is

@@ -22,20 +22,19 @@ type pending struct {
 type nodeState struct {
 	id    NodeID
 	slots int
-	pins  []uint64
 	down  bool
 	queue []pending
 }
 
 // coordinator schedules jobs across registered workers, rebalances on
 // failure, and fronts the content-addressed store. Placement is static and
-// pure — rendezvous hashing of (placement seed, job affinity, worker
-// ordinal) with a pinned-image bonus — so the schedule is a function of the
-// job list and the seed, never of execution timing. When a worker dies its
-// unfinished jobs are re-placed among the survivors ("stolen"); the crashed
-// job itself returns with attempt+1 so the executor recovers it from the
-// freshest seal in the store. With no survivors left the coordinator runs
-// the remainder inline (local fallback).
+// pure — Place, rendezvous hashing of (placement seed, job affinity, worker
+// ordinal) — so the schedule is a function of the job list and the seed,
+// never of execution timing. When a worker dies its unfinished jobs are
+// re-placed among the survivors ("stolen"); the crashed job itself returns
+// with attempt+1 so the executor recovers it from the freshest seal in the
+// store. With no survivors left the coordinator runs the remainder inline
+// (local fallback).
 type coordinator struct {
 	cl     *Cluster
 	shards *Shards
@@ -58,18 +57,17 @@ func newCoordinator(cl *Cluster, shards *Shards) *coordinator {
 }
 
 // placeWeight is the rendezvous weight of one (job, node) pair. The top bit
-// is reserved for the pinned-image bonus, so any pinned candidate outranks
-// every unpinned one while ties within each class still break by hash.
+// is masked off: the seeded schedules the farm tests and gates pin were
+// drawn with it masked, and unmasking it would move them.
 func placeWeight(seed, affinity uint64, ord int) uint64 {
 	return obs.DigestU64(seed, affinity, uint64(ord)) &^ (1 << 63)
 }
 
-// Place is the farm's placement function, exported for callers that need to
-// predict a schedule (cmd/reprotest's -kill-node 0 auto-picks the node a
-// job lands on): the highest-weight live ordinal wins, lower ordinal on a
-// tie. It matches the coordinator's choice exactly when no worker pins the
-// job's image; a pinned worker additionally gains the reserved top-bit
-// bonus.
+// Place is the farm's placement function: the highest-weight live ordinal
+// wins, lower ordinal on a tie. The coordinator places and re-places every
+// job through it, so a caller that needs to predict a schedule
+// (cmd/reprotest's -kill-node 0 auto-picks the node a job lands on) gets
+// the coordinator's exact choice.
 func Place(seed, affinity uint64, live []int) int {
 	best, bestW := 0, uint64(0)
 	for _, ord := range live {
@@ -92,24 +90,6 @@ func (co *coordinator) liveLocked() []int {
 	return live
 }
 
-func (co *coordinator) placeLocked(j Job, live []int) int {
-	best, bestW := 0, uint64(0)
-	for _, ord := range live {
-		w := placeWeight(co.cl.cfg.PlacementSeed, j.Affinity, ord)
-		n := co.nodes[NodeID(ord)]
-		for _, p := range n.pins {
-			if p == j.Image && j.Image != 0 {
-				w |= 1 << 63
-				break
-			}
-		}
-		if best == 0 || w > bestW {
-			best, bestW = ord, w
-		}
-	}
-	return best
-}
-
 // dispatch places every job, serves the queues through the workers' slot
 // loops, then drains any fallback remainder inline. Blocks until all
 // reports are in.
@@ -118,7 +98,7 @@ func (co *coordinator) dispatch(jobs []Job) []JobReport {
 	live := co.liveLocked()
 	kill := co.cl.cfg.Plan.KillNode
 	for _, j := range jobs {
-		ord := co.placeLocked(j, live)
+		ord := Place(co.cl.cfg.PlacementSeed, j.Affinity, live)
 		if ord == 0 {
 			// No workers at all: everything falls back to the coordinator.
 			co.fallback = append(co.fallback, pending{job: j})
@@ -276,7 +256,7 @@ func (co *coordinator) stealLocked(ps []pending, deadOrd int) {
 			co.cl.record(obs.KindFarmSteal, 0, p.job.ID, int64(deadOrd))
 			continue
 		}
-		ord := co.placeLocked(p.job, live)
+		ord := Place(co.cl.cfg.PlacementSeed, p.job.Affinity, live)
 		co.nodes[NodeID(ord)].queue = append(co.nodes[NodeID(ord)].queue, p)
 		co.cl.record(obs.KindFarmSteal, ord, p.job.ID, int64(deadOrd))
 	}
@@ -286,7 +266,7 @@ func (co *coordinator) stealLocked(ps []pending, deadOrd int) {
 // degenerate farm every worker has left.
 func (co *coordinator) runLocal(p pending) {
 	ctx := &ExecCtx{
-		Node: Coordinator, Ord: 0, Job: p.job,
+		Node: Coordinator, Job: p.job,
 		Attempt: p.attempt, PrevWall: p.prevWall, c: co.cl,
 	}
 	digest, err := co.cl.exec(ctx)
@@ -333,7 +313,7 @@ func (co *coordinator) Receive(env *Envelope) *Envelope {
 		co.mu.Lock()
 		if _, ok := co.nodes[env.From]; !ok {
 			co.nodes[env.From] = &nodeState{
-				id: env.From, slots: int(env.Slots), pins: env.Pinned,
+				id: env.From, slots: int(env.Slots),
 			}
 			co.order = append(co.order, env.From)
 		}
@@ -377,14 +357,6 @@ func (co *coordinator) Receive(env *Envelope) *Envelope {
 	case MsgStatePut:
 		co.shards.Put(derive.KeyFor(env.Image, env.Config), env.Val)
 		return &Envelope{Type: MsgStateAck, From: Coordinator, To: env.From}
-	case MsgDown:
-		co.mu.Lock()
-		if n, ok := co.nodes[env.From]; ok {
-			n.down = true
-		}
-		co.cond.Broadcast()
-		co.mu.Unlock()
-		return &Envelope{Type: MsgDownAck, From: Coordinator, To: env.From}
 	default:
 		return &Envelope{Type: MsgErr, From: Coordinator, To: env.From,
 			Status: "unexpected " + env.Type.String()}

@@ -56,14 +56,13 @@ func (c *Crash) Error() string {
 
 // ExecCtx is everything an executor may consult about WHERE and WHY it is
 // running. By the farm's purity contract none of it may influence output
-// bytes: Node/Ord/Attempt exist for accounting, Doom carries the fault plan
+// bytes: Node/Attempt exist for accounting, Doom carries the fault plan
 // the schedule injects into this run, PrevWall the previous attempt's time
 // of death for recovery bookkeeping. The seal and prepared-state accessors
 // route through the coordinator's content-addressed store over the
 // transport, so any node sees the same cache.
 type ExecCtx struct {
 	Node    NodeID
-	Ord     int
 	Job     Job
 	Attempt int
 	// Doom is non-zero when the farm fault plan kills this node during this
@@ -295,9 +294,6 @@ func (cl *Cluster) Run(jobs []Job) ([]JobReport, error) {
 // Reports returns the most recent Run's per-job reports, sorted by job ID.
 func (cl *Cluster) Reports() []JobReport { return cl.co.reports }
 
-// Registry exposes the cluster's rolled-up metric registry.
-func (cl *Cluster) Registry() *obs.Registry { return cl.reg }
-
 // Ring exposes the coordinator's flight-recorder ring.
 func (cl *Cluster) Ring() *obs.Recorder { return cl.rec }
 
@@ -347,7 +343,15 @@ func (cl *Cluster) Quarantined() []int {
 	if cl.at == nil {
 		return nil
 	}
-	return cl.at.quarantinedOrds()
+	ap := cl.at
+	ap.mu.Lock()
+	defer ap.mu.Unlock()
+	var out []int
+	for ord := range ap.quarantined {
+		out = append(out, int(ord))
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Stats is the farm's deterministic accounting, gathered from the rolled-up

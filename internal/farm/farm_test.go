@@ -209,9 +209,10 @@ func TestMessageFaultAccounting(t *testing.T) {
 	}
 }
 
-// TestPlacementPinsAndPurity: Place is pure and stable, and a pinned image
-// overrides rendezvous order.
-func TestPlacementPinsAndPurity(t *testing.T) {
+// TestPlacementPurity: Place is pure and stable, and it is the coordinator's
+// placement: on a fault-free run every job completes on the node Place
+// predicts for it.
+func TestPlacementPurity(t *testing.T) {
 	live := []int{1, 2, 3, 4, 5}
 	for seed := uint64(0); seed < 8; seed++ {
 		a := Place(seed, 0xFEED, live)
@@ -220,18 +221,26 @@ func TestPlacementPinsAndPurity(t *testing.T) {
 			t.Fatalf("seed %d: Place unstable or out of range: %d vs %d", seed, a, b)
 		}
 	}
-	// Pin the job's image on a node Place would not pick.
-	img := uint64(0xABC001)
-	plain := Place(7, img, []int{1, 2, 3})
-	pinOn := plain%3 + 1 // some other node
-	cl := New(Config{Nodes: 3, Slots: 1, PlacementSeed: 7}, toyExec)
-	cl.ws[pinOn-1].Pins = []uint64{img}
-	reports, err := cl.Run([]Job{{ID: 1, Affinity: img, Image: img, Config: 1}})
-	if err != nil {
-		t.Fatal(err)
+	jobs := toyJobs(12)
+	for i := range jobs {
+		jobs[i].Affinity = obs.DigestU64(uint64(i)) // twelve distinct affinities
 	}
-	if reports[0].Node != pinOn {
-		t.Fatalf("pinned job ran on node %d, want pinned node %d", reports[0].Node, pinOn)
+	for _, seed := range []uint64{7, 8} {
+		cl := New(Config{Nodes: 3, Slots: 1, PlacementSeed: seed}, toyExec)
+		reports, err := cl.Run(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := map[int]bool{}
+		for i, r := range reports {
+			if want := Place(seed, jobs[i].Affinity, []int{1, 2, 3}); r.Node != want {
+				t.Errorf("seed %d job %d ran on node %d, Place predicts %d", seed, r.Job, r.Node, want)
+			}
+			used[r.Node] = true
+		}
+		if len(used) < 2 {
+			t.Errorf("seed %d: every job on one node %v; the check would not tell placements apart", seed, used)
+		}
 	}
 }
 

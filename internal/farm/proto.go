@@ -20,9 +20,9 @@ const Coordinator NodeID = 0
 type MsgType uint8
 
 const (
-	// MsgRegister: worker -> coordinator. Advertises capacity (Slots) and
-	// pinned image hashes (Pinned). Response: MsgRegisterAck carrying the
-	// worker's assigned ordinal in Ordinal.
+	// MsgRegister: worker -> coordinator. Advertises capacity (Slots).
+	// Response: MsgRegisterAck carrying the worker's assigned ordinal in
+	// Ordinal.
 	MsgRegister MsgType = iota + 1
 	MsgRegisterAck
 	// MsgAssign: coordinator -> worker. Assigns one build job (Job, Attempt,
@@ -54,10 +54,6 @@ const (
 	// under a lease. Response: MsgStateAck.
 	MsgStatePut
 	MsgStateAck
-	// MsgDown: worker -> coordinator. Reports the worker is leaving the farm
-	// (after a planned node crash). Response: MsgDownAck.
-	MsgDown
-	MsgDownAck
 	// MsgCosign: coordinator -> worker. Asks the worker to co-sign a sealed
 	// transparency-log epoch (Digest carries the block hash, Job the epoch
 	// index). Response: MsgCosignAck with Sig, or Status "withheld" when the
@@ -95,10 +91,6 @@ func (t MsgType) String() string {
 		return "state-put"
 	case MsgStateAck:
 		return "state-ack"
-	case MsgDown:
-		return "down"
-	case MsgDownAck:
-		return "down-ack"
 	case MsgCosign:
 		return "cosign"
 	case MsgCosignAck:
@@ -151,7 +143,6 @@ type Envelope struct {
 	// attestation quorum: the worker builds and attests but the result is
 	// admission evidence, not farm output.
 	Rebuild bool
-	Pinned  []uint64
 	Status  string
 	// Sig is an ed25519 attestation or epoch co-signature (attest package).
 	Sig []byte
@@ -171,14 +162,14 @@ func (e *Envelope) IdemKey() uint64 {
 		e.Image, e.Config, uint64(uint32(e.Ordinal)), e.Digest)
 }
 
-// envWireSize is the fixed portion of the binary encoding; Status, Pinned
-// and Sig are length-prefixed tails.
+// envWireSize is the fixed portion of the binary encoding; Status and Sig
+// are length-prefixed tails.
 const envWireSize = 1 + 4 + 4 + 8 + 8 + 8 + 4 + 8 + 8 + 4 + 8 + 8 + 4 + 1 + 8 + 8 + 1
 
 // MarshalBinary encodes the envelope in the compact little-endian wire
 // format (Val, the in-process body, is not encoded — see Envelope.Val).
 func (e *Envelope) MarshalBinary() []byte {
-	buf := make([]byte, 0, envWireSize+2+len(e.Status)+2+8*len(e.Pinned)+2+len(e.Sig))
+	buf := make([]byte, 0, envWireSize+2+len(e.Status)+2+len(e.Sig))
 	buf = append(buf, byte(e.Type))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.From))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.To))
@@ -206,10 +197,6 @@ func (e *Envelope) MarshalBinary() []byte {
 	buf = append(buf, rebuild)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Status)))
 	buf = append(buf, e.Status...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Pinned)))
-	for _, p := range e.Pinned {
-		buf = binary.LittleEndian.AppendUint64(buf, p)
-	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Sig)))
 	buf = append(buf, e.Sig...)
 	return buf
@@ -217,7 +204,7 @@ func (e *Envelope) MarshalBinary() []byte {
 
 // DecodeEnvelope decodes the binary wire format produced by MarshalBinary.
 func DecodeEnvelope(buf []byte) (*Envelope, error) {
-	if len(buf) < envWireSize+6 {
+	if len(buf) < envWireSize+4 {
 		return nil, fmt.Errorf("farm: short envelope: %d bytes", len(buf))
 	}
 	e := &Envelope{}
@@ -241,25 +228,13 @@ func DecodeEnvelope(buf []byte) (*Envelope, error) {
 	off := envWireSize
 	slen := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2
-	if len(buf) < off+slen+4 {
+	if len(buf) < off+slen+2 {
 		return nil, fmt.Errorf("farm: envelope truncated in status")
 	}
 	if slen > 0 {
 		e.Status = string(buf[off : off+slen])
 	}
 	off += slen
-	plen := int(binary.LittleEndian.Uint16(buf[off:]))
-	off += 2
-	if len(buf) < off+8*plen+2 {
-		return nil, fmt.Errorf("farm: envelope truncated in pinned")
-	}
-	if plen > 0 {
-		e.Pinned = make([]uint64, plen)
-		for i := range e.Pinned {
-			e.Pinned[i] = binary.LittleEndian.Uint64(buf[off+8*i:])
-		}
-	}
-	off += 8 * plen
 	glen := int(binary.LittleEndian.Uint16(buf[off:]))
 	off += 2
 	if len(buf) != off+glen {

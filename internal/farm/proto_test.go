@@ -7,8 +7,7 @@ import (
 
 func sampleEnvelopes() []*Envelope {
 	return []*Envelope{
-		{Type: MsgRegister, From: 3, To: Coordinator, Slots: 2,
-			Pinned: []uint64{0xABC000, 0xABC001}},
+		{Type: MsgRegister, From: 3, To: Coordinator, Slots: 2},
 		{Type: MsgAssign, From: Coordinator, To: 1, Seq: 7, Idem: 0xDEAD,
 			Job: 42, Attempt: 1, Image: 0xABC000, Config: 0xC0F,
 			Wall: 123456789, Doom: true},
@@ -17,7 +16,7 @@ func sampleEnvelopes() []*Envelope {
 		{Type: MsgSealPut, From: 2, To: Coordinator, Job: 7,
 			Image: 1, Config: 2, Ordinal: 4, Digest: 99},
 		{Type: MsgSealData, From: Coordinator, To: 2, Status: "miss"},
-		{Type: MsgErr, From: Coordinator, To: 9, Status: "unexpected down-ack"},
+		{Type: MsgErr, From: Coordinator, To: 9, Status: "unexpected register-ack"},
 		{Type: MsgAssign, From: Coordinator, To: 2, Seq: 9, Idem: 0xBEEF,
 			Job: 42, Image: 0xABC000, Config: 0xC0F, Rebuild: true},
 		{Type: MsgResult, From: 2, To: Coordinator, Job: 42, Status: "ok",

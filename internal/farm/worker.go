@@ -9,11 +9,10 @@ import (
 )
 
 // Worker is one farm node: it registers with the coordinator, advertises
-// capacity (slots, pinned images), executes assigned builds, and publishes
-// checkpoint seals into the coordinator's content-addressed store. Each
-// worker owns its own metric registry — the per-node stripe of the farm's
-// observation plane — which the coordinator absorbs (commutatively) when the
-// run finishes.
+// capacity (slots), executes assigned builds, and publishes checkpoint seals
+// into the coordinator's content-addressed store. Each worker owns its own
+// metric registry — the per-node stripe of the farm's observation plane —
+// which the coordinator absorbs (commutatively) when the run finishes.
 type Worker struct {
 	id NodeID
 	cl *Cluster
@@ -26,11 +25,6 @@ type Worker struct {
 		deduped *obs.Counter
 		crashes *obs.Counter
 	}
-
-	// Pins are the image content hashes this worker advertises as pinned
-	// (pre-staged locally); placement prefers a pinned node for matching
-	// jobs. Set before Run.
-	Pins []uint64
 
 	// signer is the worker's deterministic attestation key (nil unless the
 	// cluster's attestation plane is on).
@@ -61,7 +55,7 @@ func newWorker(cl *Cluster, id NodeID) *Worker {
 func (w *Worker) register() error {
 	resp, err := w.cl.tr.send(&Envelope{
 		Type: MsgRegister, From: w.id, To: Coordinator,
-		Slots: int32(w.cl.cfg.Slots), Pinned: w.Pins,
+		Slots: int32(w.cl.cfg.Slots),
 	})
 	if err != nil {
 		return err
@@ -119,7 +113,6 @@ func (w *Worker) Receive(env *Envelope) *Envelope {
 func (w *Worker) run(env *Envelope) *Envelope {
 	ctx := &ExecCtx{
 		Node:     w.id,
-		Ord:      int(w.id),
 		Job:      Job{ID: env.Job, Image: env.Image, Config: env.Config},
 		Attempt:  int(env.Attempt),
 		PrevWall: env.Wall,

@@ -58,8 +58,9 @@ func run(t *testing.T, prog guest.Program) *kernel.Kernel {
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
 	k := kernel.New(kernel.Config{
-		Profile: machine.CloudLabC220G5(), Seed: 1, Epoch: 1_500_000_000,
-		Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: 1, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}
 	k.Start(reg.Bind(prog, img), img.Argv, []string{"PATH=/bin", "WHO=me"})

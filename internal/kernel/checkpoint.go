@@ -33,7 +33,7 @@ import (
 // uninterrupted and the resumed run, so scheduler rings and counters match.
 
 // ErrInjectedCrash is returned by Run when the deterministic fault plane
-// kills the kernel at a scheduled action count (Config.CrashAtAction).
+// kills the kernel at a scheduled action count (BootConfig.CrashAtAction).
 var ErrInjectedCrash = errors.New("kernel: injected crash (deterministic fault plane)")
 
 // Checkpoint is the sealed kernel state. Fields are unexported: a checkpoint
@@ -46,7 +46,6 @@ var ErrInjectedCrash = errors.New("kernel: injected crash (deterministic fault p
 // representation of its own.
 type Checkpoint struct {
 	profile *machine.Profile
-	cost    CostModel
 
 	kern   kernelState
 	proc   procState
@@ -168,7 +167,6 @@ func (k *Kernel) seal(t *Thread) *Checkpoint {
 	sc := t.act.sc
 	cp := &Checkpoint{
 		profile:        k.Profile,
-		cost:           k.Cost,
 		kern:           k.kernelState.clone(),
 		proc:           p.procState.clone(),
 		thread:         t.threadState.clone(),
@@ -227,7 +225,7 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 	if b.Policy == nil {
 		panic("kernel: Resume requires an explicit policy (baseline policy state is not sealed)")
 	}
-	k := attach(cp.profile, cp.cost, b)
+	k := attach(cp.profile, b)
 	k.kernelState = cp.kern.clone()
 	k.lastCheckpoint = cp.kern.actions
 	k.Console = &Console{Out: slices.Clone(cp.consoleOut), Err: slices.Clone(cp.consoleErr)}

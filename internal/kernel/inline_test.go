@@ -99,13 +99,12 @@ func observe(k *kernel.Kernel, err error, spins int) observed {
 }
 
 // runBaseline runs mk's program as init under the baseline policy.
-func runBaseline(mk func() (guest.Program, *int), cfg kernel.Config) (observed, int64) {
+func runBaseline(mk func() (guest.Program, *int), b kernel.BootConfig) (observed, int64) {
 	prog, spins := mk()
 	reg := guest.NewRegistry()
 	reg.Register("init", prog)
-	cfg.Profile, cfg.Seed, cfg.Epoch = profFor(), 11, 1_500_000_000
-	cfg.Image, cfg.Resolver = imgFor(), reg.Resolver()
-	k := kernel.New(cfg)
+	b.Seed, b.Epoch = 11, 1_500_000_000
+	k := kernel.New(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}, b)
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 	k.Start(reg.Bind(prog, img), img.Argv, nil)
 	err := k.Run()
@@ -153,15 +152,15 @@ func TestInlineStepExact(t *testing.T) {
 	baseline := []struct {
 		name string
 		mk   func() (guest.Program, *int)
-		cfg  kernel.Config
+		cfg  kernel.BootConfig
 		want error
 	}{
 		{name: "to completion", mk: spinFarm},
-		{name: "HaltAtAction", mk: spinFarm, cfg: kernel.Config{HaltAtAction: 1_500}, want: kernel.ErrHalted},
-		{name: "HaltAtLTime", mk: spinFarm, cfg: kernel.Config{HaltAtLTime: 400_000}, want: kernel.ErrHalted},
-		{name: "CrashAtAction", mk: spinFarm, cfg: kernel.Config{CrashAtAction: 2_000}, want: kernel.ErrInjectedCrash},
-		{name: "Deadline", mk: spinFarm, cfg: kernel.Config{Deadline: 500_000}, want: kernel.ErrTimeout},
-		{name: "MaxActions", mk: spinFarm, cfg: kernel.Config{MaxActions: 2_500}, want: kernel.ErrRunaway},
+		{name: "HaltAtAction", mk: spinFarm, cfg: kernel.BootConfig{HaltAtAction: 1_500}, want: kernel.ErrHalted},
+		{name: "HaltAtLTime", mk: spinFarm, cfg: kernel.BootConfig{HaltAtLTime: 400_000}, want: kernel.ErrHalted},
+		{name: "CrashAtAction", mk: spinFarm, cfg: kernel.BootConfig{CrashAtAction: 2_000}, want: kernel.ErrInjectedCrash},
+		{name: "Deadline", mk: spinFarm, cfg: kernel.BootConfig{Deadline: 500_000}, want: kernel.ErrTimeout},
+		{name: "MaxActions", mk: spinFarm, cfg: kernel.BootConfig{MaxActions: 2_500}, want: kernel.ErrRunaway},
 		{name: "SIGALRM", mk: alarmSpin},
 	}
 	for _, tc := range baseline {

@@ -242,57 +242,12 @@ type ProgramFn func(t *Thread) int
 // ENOEXEC-style errors as errnos.
 type Resolver func(img *ExecImage) (ProgramFn, abi.Errno)
 
-// Config assembles one simulated run.
+// Config is the prepared half of a boot: what Prepare reads and what two
+// boots of the same image share. The per-run half is BootConfig.
 type Config struct {
 	Profile  *machine.Profile
-	Seed     uint64    // host entropy seed: "which physical run is this"
-	Epoch    int64     // wall-clock seconds at boot (reprotest varies this)
 	Image    *fs.Image // initial filesystem state
-	Policy   Policy    // nil means the baseline nondeterministic policy
 	Resolver Resolver
-	Cost     CostModel
-
-	// Deadline bounds virtual time (ns); 0 means no limit.
-	Deadline int64
-	// MaxActions bounds processed actions; 0 picks a generous default.
-	MaxActions int64
-	// NumCPU overrides the profile's core count (reprotest varies CPUs).
-	NumCPU int
-
-	// Obs, when non-nil, is the metrics registry this boot's counters land
-	// on (a private registry is created otherwise). Rec, when non-nil, is
-	// the flight recorder event sinks write to; a nil recorder records
-	// nothing (the DisableObservability ablation). Neither feeds back into
-	// guest-visible state.
-	Obs *obs.Registry
-	Rec *obs.Recorder
-
-	// CrashAtAction, when > 0, is the deterministic fault plane: Run fails
-	// with ErrInjectedCrash once the processed-action count reaches it. The
-	// action count is a pure function of guest behaviour (independent of
-	// observability or templates), so the same config crashes at the same
-	// traced stop on every run.
-	CrashAtAction int64
-
-	// Checkpointer, when non-nil, is offered a sealed Checkpoint (plus the
-	// surviving thread, for policy-side sealing) at every quiescent traced
-	// stop. Sealing is read-only and fires only at stops a checkpoint-free
-	// run reaches identically, so attaching a checkpointer never perturbs
-	// guest-visible behaviour.
-	Checkpointer func(*Checkpoint, *Thread)
-
-	// DeltaSeals makes every checkpoint after the first a delta against the
-	// previous seal (fs.SealCheckpoint's delta mode). Mechanism-only: seals
-	// restore bitwise-identically either way.
-	DeltaSeals bool
-
-	// HaltAtAction / HaltAtLTime, when > 0, stop the run with ErrHalted at
-	// the first top-of-loop stop where the processed-action count (resp. the
-	// logical clock) has reached the given value — the time-travel debugger's
-	// seek primitive. Both are pure functions of guest behaviour, so a halted
-	// replay observes exactly the state the uninterrupted run passed through.
-	HaltAtAction int64
-	HaltAtLTime  int64
 }
 
 // Stats aggregates everything a run counted. Weighted counters account for
@@ -475,37 +430,18 @@ type Kernel struct {
 	debugf func(format string, args ...any)
 }
 
-// New boots a kernel per the config. The filesystem is populated from the
-// image; no process exists yet — call Start. It is the flat front end of
-// ColdBoot: the one place a Config is split into its prepared and per-run
-// halves.
-func New(cfg Config) *Kernel {
-	return ColdBoot(cfg.Profile, cfg.Cost, cfg.Image, BootConfig{
-		Seed:          cfg.Seed,
-		Epoch:         cfg.Epoch,
-		Policy:        cfg.Policy,
-		Deadline:      cfg.Deadline,
-		MaxActions:    cfg.MaxActions,
-		NumCPU:        cfg.NumCPU,
-		Resolver:      cfg.Resolver,
-		Obs:           cfg.Obs,
-		Rec:           cfg.Rec,
-		CrashAtAction: cfg.CrashAtAction,
-		Checkpointer:  cfg.Checkpointer,
-		DeltaSeals:    cfg.DeltaSeals,
-		HaltAtAction:  cfg.HaltAtAction,
-		HaltAtLTime:   cfg.HaltAtLTime,
-	})
-}
-
-// ColdBoot is New for callers that already hold the per-run half as a
-// BootConfig: it populates img into a fresh filesystem, where Snapshot.Boot
-// COW-forks a prepared one. A zero cost selects DefaultCostModel.
-func ColdBoot(profile *machine.Profile, cost CostModel, img *fs.Image, b BootConfig) *Kernel {
-	return newKernel(profile, cost, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
-		f := fs.New(profile, k.WallClock, fsEntropy)
-		if img != nil {
-			f.Populate(img)
+// New boots a kernel cold: it populates cfg.Image into a fresh filesystem,
+// where Snapshot.Boot COW-forks a prepared one, and is otherwise its twin —
+// New(cfg, b) is bitwise Prepare(cfg).Boot(b), b.Resolver overriding
+// cfg.Resolver the same way. No process exists yet — call Start.
+func New(cfg Config, b BootConfig) *Kernel {
+	if b.Resolver == nil {
+		b.Resolver = cfg.Resolver
+	}
+	return newKernel(cfg.Profile, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
+		f := fs.New(cfg.Profile, k.WallClock, fsEntropy)
+		if cfg.Image != nil {
+			f.Populate(cfg.Image)
 		}
 		return f
 	})
@@ -515,16 +451,13 @@ func ColdBoot(profile *machine.Profile, cost CostModel, img *fs.Image, b BootCon
 // BootConfig names apart from the accidents of the boot (Seed, Epoch,
 // NumCPU). The machine state is its caller's to supply — newKernel boots it
 // fresh from the seed, Resume restores it from a Checkpoint.
-func attach(profile *machine.Profile, cost CostModel, b BootConfig) *Kernel {
-	if cost == (CostModel{}) {
-		cost = DefaultCostModel()
-	}
+func attach(profile *machine.Profile, b BootConfig) *Kernel {
 	if b.MaxActions == 0 {
 		b.MaxActions = 200_000_000
 	}
 	k := &Kernel{
 		Profile:    profile,
-		Cost:       cost,
+		Cost:       DefaultCostModel(),
 		Policy:     b.Policy,
 		resolver:   b.Resolver,
 		Obs:        b.Obs,
@@ -550,7 +483,7 @@ func attach(profile *machine.Profile, cost CostModel, b BootConfig) *Kernel {
 	return k
 }
 
-// newKernel is the boot path shared by ColdBoot (populate the image into a
+// newKernel is the boot path shared by New (populate the image into a
 // fresh FS) and Snapshot.Boot (warm: COW-fork a frozen template base).
 //
 // The host entropy draw order below is a compatibility contract: the seed
@@ -559,8 +492,8 @@ func attach(profile *machine.Profile, cost CostModel, b BootConfig) *Kernel {
 // (4) the baseline policy when no policy is supplied. Warm boots are bitwise
 // identical to cold boots only while both paths consume entropy in exactly
 // this sequence, so mkFS receives its own pre-forked pool.
-func newKernel(profile *machine.Profile, cost CostModel, b BootConfig, mkFS func(k *Kernel, fsEntropy *prng.Host) *fs.FS) *Kernel {
-	k := attach(profile, cost, b)
+func newKernel(profile *machine.Profile, b BootConfig, mkFS func(k *Kernel, fsEntropy *prng.Host) *fs.FS) *Kernel {
+	k := attach(profile, b)
 	k.Entropy = prng.NewHost(b.Seed)
 	k.epoch = b.Epoch
 	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
@@ -650,7 +583,7 @@ func (k *Kernel) Start(fn ProgramFn, argv, env []string) *Proc {
 }
 
 // Actions returns the processed-action count: the logical-history index
-// fault injection (Config.CrashAtAction) and checkpoints are scheduled on.
+// fault injection (BootConfig.CrashAtAction) and checkpoints are scheduled on.
 // Deterministic — a pure function of the container's inputs and config.
 func (k *Kernel) Actions() int64 { return k.actions }
 

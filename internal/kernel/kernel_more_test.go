@@ -266,8 +266,9 @@ func TestRunawayBudgetStopsInfiniteLoops(t *testing.T) {
 	}
 	reg.Register("init", prog)
 	k := kernel.New(kernel.Config{
-		Profile: profFor(), Seed: 45, Epoch: 1_500_000_000,
-		Image: imgFor(), Resolver: reg.Resolver(), MaxActions: 10_000,
+		Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: 45, Epoch: 1_500_000_000, MaxActions: 10_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 	k.Start(reg.Bind(prog, img), img.Argv, nil)

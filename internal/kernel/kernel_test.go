@@ -21,9 +21,9 @@ func imgFor() *fs.Image         { return baseimg.Minimal() }
 func newKernel(t *testing.T, seed uint64, reg *guest.Registry) *kernel.Kernel {
 	t.Helper()
 	return kernel.New(kernel.Config{
-		Profile: profFor(), Seed: seed, Epoch: 1_500_000_000,
-		Image: imgFor(), Resolver: reg.Resolver(),
-		Deadline: 3_600_000_000_000,
+		Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: seed, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000,
 	})
 }
 
@@ -33,12 +33,9 @@ func boot(t *testing.T, seed uint64, prog guest.Program) (*kernel.Kernel, error)
 	reg := guest.NewRegistry()
 	reg.Register("init", prog)
 	k := kernel.New(kernel.Config{
-		Profile:  machine.CloudLabC220G5(),
-		Seed:     seed,
-		Epoch:    1_500_000_000,
-		Image:    baseimg.Minimal(),
-		Resolver: reg.Resolver(),
-		Deadline: int64(3_600_000_000_000), // 1h virtual
+		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: seed, Epoch: 1_500_000_000, Deadline: int64(3_600_000_000_000), // 1h virtual
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 	k.Start(reg.Bind(prog, img), img.Argv, []string{"PATH=/bin"})
@@ -140,11 +137,9 @@ func TestExecveRunsRegisteredProgram(t *testing.T) {
 	}
 	reg.Register("init", init)
 	k := kernel.New(kernel.Config{
-		Profile:  machine.CloudLabC220G5(),
-		Seed:     4,
-		Epoch:    1_500_000_000,
-		Image:    baseimg.Minimal(),
-		Resolver: reg.Resolver(),
+		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: 4, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 	k.Start(reg.Bind(init, img), img.Argv, nil)
@@ -242,8 +237,9 @@ func TestGetdentsOrderIsHashOrderPerMachine(t *testing.T) {
 		}
 		reg.Register("init", prog)
 		k := kernel.New(kernel.Config{
-			Profile: prof, Seed: seed, Epoch: 1_500_000_000,
-			Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+			Profile: prof, Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+		}, kernel.BootConfig{
+			Seed: seed, Epoch: 1_500_000_000,
 		})
 		img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 		k.Start(reg.Bind(prog, img), img.Argv, nil)

@@ -64,30 +64,66 @@ func runObserver(t *testing.T, k *kernel.Kernel, reg *guest.Registry) string {
 	return k.Console.Stdout()
 }
 
+// whoResolves execs /bin/who as init's only act and returns what it
+// printed: the tag of the resolver the boot bound it through.
+func whoResolves(t *testing.T, k *kernel.Kernel) string {
+	t.Helper()
+	init := func(p *guest.Proc) int {
+		p.Exec("/bin/who", []string{"who"}, nil)
+		return 127
+	}
+	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
+	k.Start(guest.NewRegistry().Bind(init, img), img.Argv, nil)
+	if err := k.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return k.Console.Stdout()
+}
+
 // The Prepare/Boot contract: a warm boot from a snapshot is bitwise
-// indistinguishable from a cold New with the same per-run config — same
-// pids, inos, timestamps, getdents order, entropy stream.
+// indistinguishable from a cold New with the same Config and BootConfig —
+// same pids, inos, timestamps, getdents order, entropy stream — and both
+// resolve programs the same way: through BootConfig.Resolver when it is
+// set, through Config.Resolver otherwise.
 func TestSnapshotBootEqualsCold(t *testing.T) {
 	reg := guest.NewRegistry()
-	cfgOf := func(seed uint64, epoch int64) kernel.Config {
-		return kernel.Config{
-			Profile: profFor(), Seed: seed, Epoch: epoch,
-			Image: imgFor(), Resolver: reg.Resolver(),
-			Deadline: 3_600_000_000_000,
-		}
-	}
-	snap := kernel.Prepare(cfgOf(0, 0))
+	cfg := kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}
+	snap := kernel.Prepare(cfg)
 	for _, run := range []struct {
 		seed  uint64
 		epoch int64
 	}{{0xAAAA, 1_520_000_000}, {0xB0B0, 1_545_999_999}, {7, 42}} {
-		cold := runObserver(t, kernel.New(cfgOf(run.seed, run.epoch)), reg)
-		warm := runObserver(t, snap.Boot(kernel.BootConfig{
-			Seed: run.seed, Epoch: run.epoch, Deadline: 3_600_000_000_000,
-		}), reg)
+		b := kernel.BootConfig{Seed: run.seed, Epoch: run.epoch, Deadline: 3_600_000_000_000}
+		cold := runObserver(t, kernel.New(cfg, b), reg)
+		warm := runObserver(t, snap.Boot(b), reg)
 		if cold != warm {
 			t.Errorf("seed %#x epoch %d: warm boot diverged from cold boot\n--- cold ---\n%s--- warm ---\n%s",
 				run.seed, run.epoch, cold, warm)
+		}
+	}
+
+	tagged := func(tag string) kernel.Resolver {
+		r := guest.NewRegistry()
+		r.Register("who", func(p *guest.Proc) int {
+			p.Printf("%s", tag)
+			return 0
+		})
+		return r.Resolver()
+	}
+	img := imgFor()
+	img.AddFile("/bin/who", 0o755, guest.MakeExe("who", nil))
+	cfg = kernel.Config{Profile: profFor(), Image: img, Resolver: tagged("prepared")}
+	snap = kernel.Prepare(cfg)
+	for _, tc := range []struct {
+		resolver kernel.Resolver
+		want     string
+	}{{nil, "prepared"}, {tagged("per-run"), "per-run"}} {
+		b := kernel.BootConfig{Seed: 5, Epoch: 1_500_000_000, Resolver: tc.resolver}
+		if got := whoResolves(t, kernel.New(cfg, b)); got != tc.want {
+			t.Errorf("New resolved through %q, want %q", got, tc.want)
+		}
+		if got := whoResolves(t, snap.Boot(b)); got != tc.want {
+			t.Errorf("Snapshot.Boot resolved through %q, want %q", got, tc.want)
 		}
 	}
 }
@@ -125,10 +161,10 @@ func TestSnapshotConcurrentBoots(t *testing.T) {
 	}
 	// And a boot after all of that still matches a cold kernel: the template
 	// accumulated no state.
-	cold := runObserver(t, kernel.New(kernel.Config{
-		Profile: profFor(), Seed: 99, Epoch: 1_500_000_000,
-		Image: imgFor(), Resolver: reg.Resolver(), Deadline: 3_600_000_000_000,
-	}), reg)
+	cold := runObserver(t, kernel.New(
+		kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()},
+		kernel.BootConfig{Seed: 99, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000},
+	), reg)
 	if outs[0] != cold {
 		t.Errorf("warm boots diverged from cold:\n%s\nvs\n%s", outs[0], cold)
 	}

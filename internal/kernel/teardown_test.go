@@ -69,30 +69,30 @@ func TestTeardownLeavesNothingBehind(t *testing.T) {
 	errAbort := errors.New("teardown test abort")
 	cases := []struct {
 		name     string
-		cfg      func(*kernel.Config)
+		cfg      func(*kernel.BootConfig)
 		siblings [2]guest.Program
 		main     guest.Program
 		want     error
 	}{
 		{name: "sibling exit_group", siblings: [2]guest.Program{spin, park},
 			main: thenStop(func(*guest.Proc) int { return 3 })},
-		{name: "HaltAtAction", cfg: func(c *kernel.Config) { c.HaltAtAction = 300 },
+		{name: "HaltAtAction", cfg: func(c *kernel.BootConfig) { c.HaltAtAction = 300 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrHalted},
-		{name: "HaltAtLTime", cfg: func(c *kernel.Config) { c.HaltAtLTime = 3_000_000 },
+		{name: "HaltAtLTime", cfg: func(c *kernel.BootConfig) { c.HaltAtLTime = 3_000_000 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrHalted},
-		{name: "CrashAtAction", cfg: func(c *kernel.Config) { c.CrashAtAction = 300 },
+		{name: "CrashAtAction", cfg: func(c *kernel.BootConfig) { c.CrashAtAction = 300 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrInjectedCrash},
-		{name: "Deadline", cfg: func(c *kernel.Config) { c.Deadline = 5_000_000 },
+		{name: "Deadline", cfg: func(c *kernel.BootConfig) { c.Deadline = 5_000_000 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrTimeout},
-		{name: "MaxActions", cfg: func(c *kernel.Config) { c.MaxActions = 300 },
+		{name: "MaxActions", cfg: func(c *kernel.BootConfig) { c.MaxActions = 300 },
 			siblings: [2]guest.Program{spin, park}, main: spin, want: kernel.ErrRunaway},
-		{name: "HaltAtAction inline", cfg: func(c *kernel.Config) { c.HaltAtAction = 300 },
+		{name: "HaltAtAction inline", cfg: func(c *kernel.BootConfig) { c.HaltAtAction = 300 },
 			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrHalted},
-		{name: "HaltAtLTime inline", cfg: func(c *kernel.Config) { c.HaltAtLTime = 3_000_000 },
+		{name: "HaltAtLTime inline", cfg: func(c *kernel.BootConfig) { c.HaltAtLTime = 3_000_000 },
 			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrHalted},
-		{name: "CrashAtAction inline", cfg: func(c *kernel.Config) { c.CrashAtAction = 300 },
+		{name: "CrashAtAction inline", cfg: func(c *kernel.BootConfig) { c.CrashAtAction = 300 },
 			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrInjectedCrash},
-		{name: "Deadline inline", cfg: func(c *kernel.Config) { c.Deadline = 5_000_000 },
+		{name: "Deadline inline", cfg: func(c *kernel.BootConfig) { c.Deadline = 5_000_000 },
 			siblings: [2]guest.Program{park, park}, main: burn, want: kernel.ErrTimeout},
 		{name: "deadlock", siblings: [2]guest.Program{park, park}, main: park, want: kernel.ErrDeadlock},
 		{name: "Abort", siblings: [2]guest.Program{spin, park},
@@ -115,14 +115,11 @@ func TestTeardownLeavesNothingBehind(t *testing.T) {
 			}
 			reg := guest.NewRegistry()
 			reg.Register("init", init)
-			cfg := kernel.Config{
-				Profile: profFor(), Seed: 7, Epoch: 1_500_000_000,
-				Image: imgFor(), Resolver: reg.Resolver(),
-			}
+			b := kernel.BootConfig{Seed: 7, Epoch: 1_500_000_000}
 			if tc.cfg != nil {
-				tc.cfg(&cfg)
+				tc.cfg(&b)
 			}
-			k := kernel.New(cfg)
+			k := kernel.New(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}, b)
 			img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 			k.Start(reg.Bind(init, img), img.Argv, nil)
 			if err := k.Run(); !errors.Is(err, tc.want) {

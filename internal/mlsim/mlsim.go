@@ -235,12 +235,9 @@ func RunNative(m Model, threads int, seed uint64) (int64, string) {
 	reg := registry()
 	k := kernel.New(kernel.Config{
 		Profile:  machine.BioHaswell(),
-		Seed:     seed,
-		Epoch:    1_550_000_000,
-		NumCPU:   16,
 		Image:    image(),
 		Resolver: reg.Resolver(),
-	})
+	}, kernel.BootConfig{Seed: seed, Epoch: 1_550_000_000, NumCPU: 16})
 	argv := []string{"tf_train", string(m), fmt.Sprint(threads)}
 	init := func(t *kernel.Thread) int {
 		p := &guest.Proc{T: t}

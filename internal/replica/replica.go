@@ -154,14 +154,8 @@ func (c *Cluster) ExecuteNative(log []string) []Result {
 	out := make([]Result, 0, len(c.Hosts))
 	for _, h := range c.Hosts {
 		reg := registry()
-		k := kernel.New(kernel.Config{
-			Profile:  h.Profile,
-			Seed:     h.Seed,
-			Epoch:    h.Epoch,
-			NumCPU:   h.NumCPU,
-			Image:    image(log),
-			Resolver: reg.Resolver(),
-		})
+		k := kernel.New(kernel.Config{Profile: h.Profile, Image: image(log), Resolver: reg.Resolver()},
+			kernel.BootConfig{Seed: h.Seed, Epoch: h.Epoch, NumCPU: h.NumCPU})
 		prog, _ := reg.Lookup("bank")
 		img := &kernel.ExecImage{Path: "/bin/bank", Argv: []string{"bank"}}
 		k.Start(reg.Bind(prog, img), img.Argv, nil)

@@ -20,8 +20,9 @@ func record(t *testing.T, seed uint64, prog guest.Program) (*kernel.Kernel, *rr.
 	reg.Register("main", prog)
 	rec := rr.NewRecorder(true)
 	k := kernel.New(kernel.Config{
-		Profile: machine.CloudLabC220G5(), Seed: seed, Epoch: 1_500_000_000,
-		Image: baseimg.Minimal(), Policy: rec, Resolver: reg.Resolver(),
+		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: seed, Epoch: 1_500_000_000, Policy: rec,
 	})
 	rec.Attach(k)
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}
@@ -77,8 +78,9 @@ func TestReplayReproducesRecording(t *testing.T) {
 	reg.Register("main", nondetProg)
 	rp := rr.NewReplayer(trace)
 	k := kernel.New(kernel.Config{
-		Profile: machine.PortabilityBroadwell(), Seed: 999, Epoch: 1_999_999_999,
-		Image: baseimg.Minimal(), Policy: rp, Resolver: reg.Resolver(),
+		Profile: machine.PortabilityBroadwell(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: 999, Epoch: 1_999_999_999, Policy: rp,
 	})
 	rp.Attach(k)
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}
@@ -119,8 +121,9 @@ func TestRecorderSlowerThanNative(t *testing.T) {
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
 	k := kernel.New(kernel.Config{
-		Profile: machine.CloudLabC220G5(), Seed: 4, Epoch: 1_500_000_000,
-		Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: 4, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}
 	k.Start(reg.Bind(prog, img), img.Argv, nil)

@@ -63,8 +63,6 @@ type Scheduler struct {
 	// currently holding the execution token.
 	token map[*kernel.Proc]*kernel.Thread
 
-	SpinLimit int
-
 	// Workspace marks the workspace-consistency execution mode (ISSUE 7):
 	// syscall-free sibling threads run concurrently in private COW
 	// workspaces and serialize only at sync points. In this mode a PARKED
@@ -167,7 +165,6 @@ func New() *Scheduler {
 		vtid:       make(map[*kernel.Thread]int),
 		inRunnable: make(map[*kernel.Thread]bool),
 		token:      make(map[*kernel.Proc]*kernel.Thread),
-		SpinLimit:  DefaultSpinLimit,
 	}
 }
 
@@ -335,7 +332,7 @@ func (s *Scheduler) Pick(k *kernel.Kernel, pending []*kernel.Thread) *kernel.Thr
 func (s *Scheduler) pickParallel(t *kernel.Thread, pending []*kernel.Thread, k *kernel.Kernel) *kernel.Thread {
 	if s.siblingStarved(t, pending, k) {
 		t.SpinCount++
-		if t.SpinCount > s.SpinLimit {
+		if t.SpinCount > DefaultSpinLimit {
 			s.Err = ErrBusyWait
 			return nil
 		}

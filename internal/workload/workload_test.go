@@ -25,9 +25,9 @@ func boot(t *testing.T, seed uint64, files map[string]string, driver guest.Progr
 		im.AddFile(p, 0o644, []byte(data))
 	}
 	k := kernel.New(kernel.Config{
-		Profile: machine.CloudLabC220G5(), Seed: seed, Epoch: 1_500_000_000,
-		Image: im, Resolver: reg.Resolver(),
-		Deadline: 3_600_000_000_000,
+		Profile: machine.CloudLabC220G5(), Image: im, Resolver: reg.Resolver(),
+	}, kernel.BootConfig{
+		Seed: seed, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/driver", Argv: []string{"driver"}}
 	k.Start(reg.Bind(driver, img), img.Argv, []string{"PATH=/bin", "CCFACTOR=1"})
