@@ -9,7 +9,9 @@
 // With -diagnose the tool instead double-builds the package with identical
 // inputs and aligns the two flight-recorder streams, printing the first
 // divergent event; -inject-entropy N perturbs the second run's N'th entropy
-// draw to demonstrate the diagnoser localizing a seeded fault.
+// draw to demonstrate the diagnoser localizing a seeded fault. The tool
+// exits non-zero unless the clean double build is identical with no
+// divergence, or the seeded fault is localized to a divergence.
 //
 //	reprotest -pkg 7 -diagnose
 //	reprotest -pkg 7 -diagnose -inject-entropy 3
@@ -33,8 +35,8 @@
 // built on an N-node farm whose fault plan kills worker -kill-node mid-build
 // (0 auto-picks the node the job lands on), the job is stolen and recovered
 // on another node from the freshest seal in the coordinator's shard store,
-// and the tool exits non-zero unless the result is bitwise-identical to a
-// single-node farm's.
+// and the tool exits non-zero unless the result is bitwise-identical to the
+// local checkpointed farm's.
 //
 //	reprotest -pkg 7 -nodes 3 -kill-node 0
 //
@@ -127,6 +129,11 @@ var gates = []gate{
 		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.CrashRecovery(spec, *crashAt) }},
 	{"bisect", func() bool { return *bisect },
 		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) { return o.BisectDiagnose(spec, *inject) }},
+	{"diagnose", func() bool { return *diagnose },
+		func(o *buildsim.Options, spec *debpkg.Spec) (string, bool) {
+			r := o.Diagnose(spec, *inject)
+			return r.String(), r.OK(*inject)
+		}},
 }
 
 // selectGate returns the gate the command line asks for, nil for the plain
@@ -178,11 +185,6 @@ func main() {
 		if !ok {
 			os.Exit(1)
 		}
-		return
-	}
-	if *diagnose {
-		fmt.Println()
-		fmt.Println(o.Diagnose(spec, *inject))
 		return
 	}
 	out := o.BuildPackage(spec)

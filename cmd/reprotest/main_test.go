@@ -16,6 +16,7 @@ var gateArgs = map[string][]string{
 	"nodes":        {"-pkg", "2", "-nodes", "3", "-kill-node", "0"},
 	"inject-crash": {"-pkg", "2", "-inject-crash", "0"},
 	"bisect":       {"-pkg", "2", "-bisect", "-inject-entropy", "1"},
+	"diagnose":     {"-pkg", "2", "-diagnose"},
 }
 
 // parseFresh resets the tool's flags (not the test binary's) to their

@@ -1,11 +1,6 @@
 package attest
 
-import (
-	"fmt"
-	"sort"
-
-	"repro/internal/replica"
-)
+import "sort"
 
 // Admission is the outcome of judging one job's attestation pool.
 type Admission struct {
@@ -29,15 +24,18 @@ type Checker interface {
 	Verify(Attestation) bool
 }
 
-// Admit runs k-of-n quorum admission over one job's attestation pool:
-// the primary's claim plus every rebuilder's independent re-execution,
-// judged by replica.QuorumDissent over the statement digests. An
-// attestation with an invalid signature is demoted to an errored vote
-// before counting (a corrupted attestation can never help a quorum), and
-// expected ordinals that never delivered (WithholdCosign) enter as errored
-// votes so they are named in the dissent. Under determinism every honest
-// builder computes the identical statement, so k honest participants always
-// agree and any lie is a minority — the quorum never admits it.
+// Admit runs k-of-n quorum admission over one job's attestation pool: the
+// primary's claim plus every rebuilder's independent re-execution, each a
+// vote for its statement digest. An attestation with an invalid signature
+// is an errored vote (a corrupted attestation can never help a quorum), and
+// so is an expected ordinal that never delivered (WithholdCosign); errored
+// votes count for no digest and are named in the dissent. The quorum value
+// is the digest with the most valid votes, the lowest digest on a tie, and
+// it is admitted when at least k votes back it (0 < k <= n). Under
+// determinism every honest builder computes the identical statement, so k
+// honest participants always agree and any lie is a minority — the quorum
+// never admits it, and a dissenting ordinal names a faulty or lying node.
+// When no quorum forms, every expected ordinal dissents.
 //
 // expected lists the ordinals whose attestations were solicited; atts holds
 // what actually arrived (same order not required). check is consulted once
@@ -47,37 +45,35 @@ func Admit(check Checker, expected []int32, atts []Attestation, k int) Admission
 	for _, a := range atts {
 		byOrd[a.Builder] = a
 	}
-	votes := make([]replica.Result, len(expected))
+	votes := make([]uint64, len(expected))
+	valid := make([]bool, len(expected))
+	counts := make(map[uint64]int, len(expected))
 	for i, ord := range expected {
-		a, got := byOrd[ord]
-		switch {
-		case !got:
-			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), Err: fmt.Errorf("attest: ordinal %d withheld attestation", ord)}
-		case !check.Verify(a):
-			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), Err: fmt.Errorf("attest: ordinal %d signature invalid", ord)}
-		default:
-			votes[i] = replica.Result{Host: fmt.Sprintf("node-%d", ord), StateHash: fmt.Sprintf("%016x", a.Statement.Digest())}
+		if a, got := byOrd[ord]; got && check.Verify(a) {
+			votes[i], valid[i] = a.Statement.Digest(), true
+			counts[votes[i]]++
 		}
 	}
-	_, dissentIdx, ok := replica.QuorumDissent(votes, k)
-	adm := Admission{OK: ok}
-	dissentSet := make(map[int32]bool, len(dissentIdx))
-	for _, i := range dissentIdx {
-		adm.Dissent = append(adm.Dissent, expected[i])
-		dissentSet[expected[i]] = true
+	var best uint64
+	bestN := 0
+	for d, n := range counts {
+		if n > bestN || (n == bestN && d < best) {
+			best, bestN = d, n
+		}
 	}
-	sort.Slice(adm.Dissent, func(i, j int) bool { return adm.Dissent[i] < adm.Dissent[j] })
-	if !ok {
-		return adm
-	}
-	for _, ord := range expected {
-		if dissentSet[ord] {
+	adm := Admission{OK: k > 0 && k <= len(expected) && bestN >= k}
+	for i, ord := range expected {
+		if !adm.OK || !valid[i] || votes[i] != best {
+			adm.Dissent = append(adm.Dissent, ord)
 			continue
 		}
 		adm.Record.Statement = byOrd[ord].Statement
 		adm.Record.Cosigners = append(adm.Record.Cosigners, ord)
 	}
+	sort.Slice(adm.Dissent, func(i, j int) bool { return adm.Dissent[i] < adm.Dissent[j] })
 	sort.Slice(adm.Record.Cosigners, func(i, j int) bool { return adm.Record.Cosigners[i] < adm.Record.Cosigners[j] })
-	adm.Record.Dissent = adm.Dissent
+	if adm.OK {
+		adm.Record.Dissent = adm.Dissent
+	}
 	return adm
 }

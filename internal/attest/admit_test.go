@@ -18,8 +18,9 @@ func (c *countingChecker) Verify(a Attestation) bool {
 }
 
 // TestAdmit pins quorum admission case by case: who co-signs, who is named
-// in the dissent, whether a record is admitted at all — and that each
-// delivered attestation's signature is checked exactly once.
+// in the dissent, whether a record is admitted at all (k out of bounds,
+// errored votes, a tie between two digests) — and that each delivered
+// attestation's signature is checked exactly once.
 func TestAdmit(t *testing.T) {
 	const seed = 99
 	honest := sampleStatement()
@@ -37,6 +38,11 @@ func TestAdmit(t *testing.T) {
 		a.Sig[0] ^= 0xFF
 		return a
 	}
+	// A 1-1 split with k = 1 admits the lower digest and names the other.
+	low, lowOrd, highOrd := honest, int32(1), int32(2)
+	if lie.Digest() < honest.Digest() {
+		low, lowOrd, highOrd = lie, 2, 1
+	}
 	cases := []struct {
 		name      string
 		expected  []int32
@@ -45,22 +51,38 @@ func TestAdmit(t *testing.T) {
 		ok        bool
 		dissent   []int32
 		cosigners []int32
+		want      Statement // the admitted statement; zero = honest
 	}{
 		{"all honest", []int32{1, 2, 3},
 			[]Attestation{sign(1, honest), sign(2, honest), sign(3, honest)},
-			2, true, nil, []int32{1, 2, 3}},
+			2, true, nil, []int32{1, 2, 3}, Statement{}},
 		{"one withheld", []int32{1, 2, 3},
 			[]Attestation{sign(3, honest), sign(1, honest)},
-			2, true, []int32{2}, []int32{1, 3}},
+			2, true, []int32{2}, []int32{1, 3}, Statement{}},
 		{"one invalid signature", []int32{1, 2, 3},
 			[]Attestation{sign(1, honest), corrupt(sign(2, honest)), sign(3, honest)},
-			2, true, []int32{2}, []int32{1, 3}},
+			2, true, []int32{2}, []int32{1, 3}, Statement{}},
 		{"one lying minority", []int32{1, 2, 3},
 			[]Attestation{sign(1, honest), sign(2, honest), sign(3, lie)},
-			2, true, []int32{3}, []int32{1, 2}},
+			2, true, []int32{3}, []int32{1, 2}, Statement{}},
 		{"no quorum 1-of-2 split", []int32{1, 2},
 			[]Attestation{sign(1, honest), sign(2, lie)},
-			2, false, []int32{1, 2}, nil},
+			2, false, []int32{1, 2}, nil, Statement{}},
+		{"k zero certifies nothing", []int32{1, 2, 3},
+			[]Attestation{sign(1, honest), sign(2, honest), sign(3, honest)},
+			0, false, []int32{1, 2, 3}, nil, Statement{}},
+		{"k beyond the pool", []int32{1, 2, 3},
+			[]Attestation{sign(1, honest), sign(2, honest), sign(3, honest)},
+			4, false, []int32{1, 2, 3}, nil, Statement{}},
+		{"one withheld fails 3-of-3", []int32{1, 2, 3},
+			[]Attestation{sign(1, honest), sign(3, honest)},
+			3, false, []int32{1, 2, 3}, nil, Statement{}},
+		{"two errored votes fail 2-of-3", []int32{1, 2, 3},
+			[]Attestation{sign(1, honest), corrupt(sign(2, honest))},
+			2, false, []int32{1, 2, 3}, nil, Statement{}},
+		{"tie breaks on the lowest digest", []int32{1, 2},
+			[]Attestation{sign(1, honest), sign(2, lie)},
+			1, true, []int32{highOrd}, []int32{lowOrd}, low},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,8 +98,12 @@ func TestAdmit(t *testing.T) {
 				t.Errorf("Record.Cosigners = %v, want %v", adm.Record.Cosigners, tc.cosigners)
 			}
 			if tc.ok {
-				if adm.Record.Statement != honest {
-					t.Errorf("admitted %+v, want the honest statement", adm.Record.Statement)
+				want := tc.want
+				if want == (Statement{}) {
+					want = honest
+				}
+				if adm.Record.Statement != want {
+					t.Errorf("admitted %+v, want %+v", adm.Record.Statement, want)
 				}
 				if !reflect.DeepEqual(adm.Record.Dissent, adm.Dissent) {
 					t.Errorf("Record.Dissent = %v, want %v", adm.Record.Dissent, adm.Dissent)

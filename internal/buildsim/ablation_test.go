@@ -2,7 +2,6 @@ package buildsim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -74,14 +73,15 @@ func TestCrashGateHonoursCallerFlags(t *testing.T) {
 	if spec == nil {
 		t.Fatal("no threaded package in the sample")
 	}
-	reference := func(report string) string { return strings.SplitN(report, ";", 2)[0] }
-	on, okOn := (&Options{Seed: 1}).CrashRecovery(spec, 0)
-	off, okOff := (&Options{Seed: 1, Off: core.Off(core.Workspaces)}).CrashRecovery(spec, 0)
-	if !okOn || !okOff {
+	one := []*debpkg.Spec{spec}
+	on := (&Options{Seed: 1}).faultStudy(one, 0)
+	off := (&Options{Seed: 1, Off: core.Off(core.Workspaces)}).faultStudy(one, 0)
+	if !on.OK() || !off.OK() || on.Crashed != 1 || off.Crashed != 1 {
 		t.Fatalf("recovery diverged:\n%s\n%s", on, off)
 	}
-	if reference(on) == reference(off) {
-		t.Errorf("Off did not reach the gate's builds: both report %q", reference(on))
+	// AvgReplayNs is the one crashed package's reference virtual time.
+	if on.AvgReplayNs == off.AvgReplayNs {
+		t.Errorf("Off did not reach the gate's builds: both references take %.0f ns", on.AvgReplayNs)
 	}
 }
 

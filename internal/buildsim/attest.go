@@ -12,6 +12,7 @@ package buildsim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/attest"
 	"repro/internal/debpkg"
@@ -36,137 +37,29 @@ func (o *Options) AttestVerifier() *attest.Verifier {
 	return attest.NewVerifier(cl.Keyring(), clients...)
 }
 
-// byzantineSeats returns the worker ordinals a plan seats as adversaries
-// (the equivocating log server is not a worker and is caught by the
-// verifier, not the quarantine).
-func byzantineSeats(p reprotest.FaultPlan, nodes int) []int {
-	var seats []int
+// seatedQuarantined reports whether every worker plan seats as an adversary
+// on a farm of the given size appears in the quarantine list. (The
+// equivocating log server is not a worker: the verifier catches it, not the
+// quarantine.)
+func seatedQuarantined(p reprotest.FaultPlan, nodes int, quarantined []int) bool {
 	for _, ord := range []int{p.LieOutput, p.CorruptAttestation, p.WithholdCosign} {
-		if ord > 0 && ord <= nodes {
-			seats = append(seats, ord)
-		}
-	}
-	return seats
-}
-
-// quarantinedAll reports whether every seated adversary appears in the
-// quarantine list.
-func quarantinedAll(seats, quarantined []int) bool {
-	q := make(map[int]bool, len(quarantined))
-	for _, ord := range quarantined {
-		q[ord] = true
-	}
-	for _, ord := range seats {
-		if !q[ord] {
+		if ord > 0 && ord <= nodes && !slices.Contains(quarantined, ord) {
 			return false
 		}
 	}
 	return true
 }
 
-// ByzantineGate is the single-package adversarial gate behind
-// `reprotest -attest -byzantine N`: build the package on an honest attested
-// farm for reference, then on a farm seating N simultaneous adversaries — a
-// lying builder, an equivocating log server, a signature corrupter, a
-// co-signature withholder, in that order — and check that (1) the build
-// output and the admitted statement set are bitwise-unchanged, (2) every
-// seated Byzantine worker is identified and quarantined, (3) the rebuild-free
-// verifier confirms the admitted artifact despite the equivocating replica
-// (naming its forged blocks), and (4) a false claim is refuted, never
-// verified. The report is human-readable; ok is the machine verdict.
-func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok bool) {
-	if n <= 0 {
-		n = 2
-	}
-	if n > 4 {
-		n = 4
-	}
-	nodes := 2*n + 1
-	var plan reprotest.FaultPlan
-	// Seat adversaries on distinct ordinals; the equivocator is log server 1
-	// so the verifier meets the forged view first.
-	seatings := []func(*reprotest.FaultPlan){
-		func(p *reprotest.FaultPlan) { p.LieOutput = 1 },
-		func(p *reprotest.FaultPlan) { p.EquivocateEpoch = 1 },
-		func(p *reprotest.FaultPlan) { p.CorruptAttestation = 2 },
-		func(p *reprotest.FaultPlan) { p.WithholdCosign = 3 },
-	}
-	for _, seat := range seatings[:n] {
-		seat(&plan)
-	}
-	specs := []*debpkg.Spec{spec}
-	honest := o.derive(func(f *Options) {
-		f.Checkpoints, f.Farm.Attest, f.Farm.Nodes = true, true, nodes
-	})
-	want := honest.BuildAll(specs, nil)
-	wantAdmitted := honest.LastFarm().AdmittedSet()
-
-	faulted := honest.derive(func(f *Options) { f.Farm.Plan = plan })
-	got := faulted.BuildAll(specs, nil)
-	fcl := faulted.LastFarm()
-	gotAdmitted := fcl.AdmittedSet()
-
-	outsOK := reflect.DeepEqual(got, want)
-	admitOK := reflect.DeepEqual(gotAdmitted, wantAdmitted) && len(gotAdmitted) > 0
-	seats := byzantineSeats(plan, nodes)
-	quarantined := fcl.Quarantined()
-	caughtOK := quarantinedAll(seats, quarantined)
-
-	v := faulted.AttestVerifier()
-	verifyOK, refuteOK := true, true
-	equivOK := plan.EquivocateEpoch == 0
-	for _, st := range gotAdmitted {
-		vd := v.Verify(st.Subject, st.Job, st.Output)
-		if !vd.OK || vd.Refuted {
-			verifyOK = false
-		}
-		if fd := v.Verify(st.Subject, st.Job, st.Output^1); fd.OK {
-			refuteOK = false
-		}
-	}
-	if plan.EquivocateEpoch > 0 && v.BadBlocks > 0 {
-		equivOK = true
-	}
-	ok = outsOK && admitOK && caughtOK && verifyOK && refuteOK && equivOK
-
-	st := fcl.Stats()
-	verdict := func(b bool, yes, no string) string {
-		if b {
-			return yes
-		}
-		return no
-	}
-	report = fmt.Sprintf(
-		"farm: %d nodes, %d adversaries seated (plan %+v)\n"+
-			"build output %s; admitted set (%d statements) %s\n"+
-			"detection: %d lies, %d corrupt attestations, %d withheld co-signatures; "+
-			"quarantined %v (seated workers %v) — %s\n"+
-			"admission: %d attestations, %d rebuilds, %d retries\n"+
-			"verifier: admitted artifacts %s, false claims %s, "+
-			"%d forged blocks rejected (%s)",
-		nodes, n, plan,
-		verdict(outsOK, "bitwise-identical to the honest farm", "DIVERGED"),
-		len(gotAdmitted),
-		verdict(admitOK, "unchanged", "CHANGED"),
-		st.LiesDetected, st.CorruptAttestations, st.CosignsWithheld,
-		quarantined, seats,
-		verdict(caughtOK, "all seated adversaries named", "ADVERSARY ESCAPED"),
-		st.Attestations, st.Rebuilds, st.AdmitRetries,
-		verdict(verifyOK, "verified", "NOT VERIFIED"),
-		verdict(refuteOK, "refuted", "FALSELY VERIFIED"),
-		v.BadBlocks,
-		verdict(equivOK, "equivocation caught", "EQUIVOCATION MISSED"))
-	return report, ok
-}
-
 // AttestStudy is the X20 Byzantine-robustness experiment: the same package
 // set built under adversarial schedules x node counts x slot counts, every
 // cell's admitted statement set and build output compared bitwise against
 // the honest single-node reference. IdenticalOuts and IdenticalAdmitted must
-// both equal Cells and LiesAdmitted must be zero (the oracle); Caught must
-// equal ByzantineCells (every adversary named); the verifier must confirm
-// every admitted artifact and verify no false claim. What a verification
-// costs on the host clock is bench/'s farm-control row attest.verify_query_us.
+// both equal Cells, something must be admitted and LiesAdmitted must be zero
+// (the oracle); Caught must equal ByzantineCells (every adversary named, and
+// an equivocating log replica's forged blocks rejected); the verifier must
+// confirm every admitted artifact and verify no false claim. What a
+// verification costs on the host clock is bench/'s farm-control row
+// attest.verify_query_us.
 type AttestStudy struct {
 	Packages int   `json:"packages"`    // packages per cell
 	Cells    int   `json:"cells"`       // farm shapes x fault schedules run
@@ -178,7 +71,7 @@ type AttestStudy struct {
 	LiesAdmitted      int `json:"lies_admitted"`      // admitted statements carrying a wrong output (must be 0)
 
 	ByzantineCells int `json:"byzantine_cells"`  // cells whose schedule seated at least one adversary
-	Caught         int `json:"byzantine_caught"` // of those, cells where every seated worker was quarantined
+	Caught         int `json:"byzantine_caught"` // of those, cells where every seated worker was quarantined and any equivocation caught
 
 	Attestations        int64 `json:"attestations"`         // signed statements collected
 	Rebuilds            int64 `json:"rebuilds"`             // independent re-executions solicited
@@ -189,6 +82,7 @@ type AttestStudy struct {
 	Quarantines         int64 `json:"quarantines"`          // workers named and evicted
 	EpochsSealed        int64 `json:"epochs_sealed"`        // transparency-log epochs sealed and co-signed
 
+	Admitted    int `json:"admitted"`               // admitted artifacts, summed over cells
 	Verified    int `json:"verified"`               // admitted artifacts the log-only verifier confirmed
 	Refuted     int `json:"refuted"`                // false claims the verifier rejected with evidence
 	FalsePos    int `json:"false_verified"`         // false claims verified (must be 0)
@@ -200,6 +94,7 @@ type AttestStudy struct {
 // OK is the machine verdict over the study's pinned claims.
 func (st *AttestStudy) OK() bool {
 	return st.IdenticalOuts == st.Cells && st.IdenticalAdmitted == st.Cells &&
+		st.Admitted > 0 && st.Verified == st.Admitted &&
 		st.LiesAdmitted == 0 && st.FalsePos == 0 &&
 		st.Caught == st.ByzantineCells
 }
@@ -216,7 +111,7 @@ func (st *AttestStudy) String() string {
 			"adversaries: %d Byzantine cells, all seated workers named in %s; "+
 			"%d lies out-voted, %d corrupt signatures demoted, %d withheld, %d quarantined\n"+
 			"chain: %d attestations, %d rebuilds, %d admission retries, %d epochs sealed\n"+
-			"verifier: %d artifacts confirmed, %d false claims refuted, %d falsely verified, "+
+			"verifier: %d of %d admitted artifacts confirmed, %d false claims refuted, %d falsely verified, "+
 			"%d forged blocks rejected, %.1f skip hops/query",
 		st.Packages, st.Cells, st.Nodes, st.Slots,
 		stats.Pct(st.IdenticalAdmitted, st.Cells),
@@ -224,7 +119,7 @@ func (st *AttestStudy) String() string {
 		st.ByzantineCells, stats.Pct(st.Caught, st.ByzantineCells),
 		st.LiesDetected, st.CorruptAttestations, st.CosignsWithheld, st.Quarantines,
 		st.Attestations, st.Rebuilds, st.AdmitRetries, st.EpochsSealed,
-		st.Verified, st.Refuted, st.FalsePos, st.ForgedSeen, hops)
+		st.Verified, st.Admitted, st.Refuted, st.FalsePos, st.ForgedSeen, hops)
 }
 
 // attestPlans is the X20 fault-schedule sweep for a farm of the given size:
@@ -242,16 +137,21 @@ func attestPlans(seed uint64, nodes int) []reprotest.FaultPlan {
 	}
 }
 
-// RunAttestStudy sweeps adversarial schedules over farm shapes: node counts
-// {1,3,8} x per-node slots {1,4,16} x the five X20 fault schedules, every
-// cell attested and checkpointed, compared against the honest single-node
-// single-slot reference. Each cell's admitted artifacts are then confirmed
-// through the rebuild-free verifier — and one false claim per cell is pushed
-// through it, which must come back refuted.
-func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
-	st := &AttestStudy{Packages: len(specs),
-		Nodes: []int{1, 3, 8}, Slots: []int{1, 4, 16}}
+// attestShape is one X20 cell's arrangement: node count, per-node slots and
+// fault plan.
+type attestShape struct {
+	nodes, slots int
+	plan         reprotest.FaultPlan
+}
 
+// attestStudy builds specs on the honest single-node single-slot attested
+// farm for reference, then on every shape, and judges each cell: build
+// output and admitted set against the reference's, no admitted lie, every
+// seated worker quarantined and any equivocating log replica caught, every
+// admitted artifact confirmed through the rebuild-free verifier — and one
+// false claim pushed through it, which must come back refuted.
+func (o *Options) attestStudy(specs []*debpkg.Spec, nodes, slots []int, shapes []attestShape) *AttestStudy {
+	st := &AttestStudy{Packages: len(specs), Nodes: nodes, Slots: slots}
 	ref := o.derive(func(f *Options) {
 		f.Checkpoints, f.Farm.Attest, f.Farm.Nodes, f.Farm.Slots = true, true, 1, 1
 	})
@@ -261,67 +161,108 @@ func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
 	for _, s := range refAdmitted {
 		refOutput[s.Job] = s.Output
 	}
+	for _, sh := range shapes {
+		cell := ref.derive(func(f *Options) {
+			f.Farm.Nodes, f.Farm.Slots, f.Farm.Plan = sh.nodes, sh.slots, sh.plan
+		})
+		got := cell.BuildAll(specs, nil)
+		cl := cell.LastFarm()
+		st.Cells++
+		if reflect.DeepEqual(got, refOuts) {
+			st.IdenticalOuts++
+		}
+		admitted := cl.AdmittedSet()
+		if reflect.DeepEqual(admitted, refAdmitted) {
+			st.IdenticalAdmitted++
+		}
+		for _, s := range admitted {
+			if want, okRef := refOutput[s.Job]; okRef && s.Output != want {
+				st.LiesAdmitted++
+			}
+		}
+		fst := cl.Stats()
+		st.Attestations += fst.Attestations
+		st.Rebuilds += fst.Rebuilds
+		st.AdmitRetries += fst.AdmitRetries
+		st.LiesDetected += fst.LiesDetected
+		st.CorruptAttestations += fst.CorruptAttestations
+		st.CosignsWithheld += fst.CosignsWithheld
+		st.Quarantines += fst.Quarantines
+		st.EpochsSealed += fst.EpochsSealed
 
-	for _, nodes := range st.Nodes {
-		for _, slots := range st.Slots {
-			for _, plan := range attestPlans(o.Seed, nodes) {
-				cell := ref.derive(func(f *Options) {
-					f.Farm.Nodes, f.Farm.Slots, f.Farm.Plan = nodes, slots, plan
-				})
-				got := cell.BuildAll(specs, nil)
-				cl := cell.LastFarm()
-				st.Cells++
-				if reflect.DeepEqual(got, refOuts) {
-					st.IdenticalOuts++
-				}
-				admitted := cl.AdmittedSet()
-				if reflect.DeepEqual(admitted, refAdmitted) {
-					st.IdenticalAdmitted++
-				}
-				for _, s := range admitted {
-					if want, okRef := refOutput[s.Job]; okRef && s.Output != want {
-						st.LiesAdmitted++
-					}
-				}
-				seats := byzantineSeats(plan, nodes)
-				if plan.Byzantine() {
-					st.ByzantineCells++
-					if quarantinedAll(seats, cl.Quarantined()) {
-						st.Caught++
-					}
-				}
-				fst := cl.Stats()
-				st.Attestations += fst.Attestations
-				st.Rebuilds += fst.Rebuilds
-				st.AdmitRetries += fst.AdmitRetries
-				st.LiesDetected += fst.LiesDetected
-				st.CorruptAttestations += fst.CorruptAttestations
-				st.CosignsWithheld += fst.CosignsWithheld
-				st.Quarantines += fst.Quarantines
-				st.EpochsSealed += fst.EpochsSealed
-
-				v := cell.AttestVerifier()
-				for _, s := range admitted {
-					vd := v.Verify(s.Subject, s.Job, s.Output)
-					st.VerifyCalls++
-					st.VerifyHops += vd.Hops
-					if vd.OK && !vd.Refuted {
-						st.Verified++
-					}
-				}
-				if len(admitted) > 0 {
-					s := admitted[0]
-					fd := v.Verify(s.Subject, s.Job, s.Output^1)
-					st.VerifyCalls++
-					if fd.OK {
-						st.FalsePos++
-					} else if fd.Refuted {
-						st.Refuted++
-					}
-				}
-				st.ForgedSeen += v.BadBlocks
+		v := cell.AttestVerifier()
+		st.Admitted += len(admitted)
+		for _, s := range admitted {
+			vd := v.Verify(s.Subject, s.Job, s.Output)
+			st.VerifyCalls++
+			st.VerifyHops += vd.Hops
+			if vd.OK && !vd.Refuted {
+				st.Verified++
+			}
+		}
+		if len(admitted) > 0 {
+			s := admitted[0]
+			fd := v.Verify(s.Subject, s.Job, s.Output^1)
+			st.VerifyCalls++
+			if fd.OK {
+				st.FalsePos++
+			} else if fd.Refuted {
+				st.Refuted++
+			}
+		}
+		st.ForgedSeen += v.BadBlocks
+		if sh.plan.Byzantine() {
+			st.ByzantineCells++
+			if seatedQuarantined(sh.plan, sh.nodes, cl.Quarantined()) &&
+				(sh.plan.EquivocateEpoch == 0 || v.BadBlocks > 0) {
+				st.Caught++
 			}
 		}
 	}
 	return st
+}
+
+// RunAttestStudy sweeps adversarial schedules over farm shapes: node counts
+// {1,3,8} x per-node slots {1,4,16} x the five X20 fault schedules, every
+// cell attested and checkpointed.
+func (o *Options) RunAttestStudy(specs []*debpkg.Spec) *AttestStudy {
+	nodes, slots := []int{1, 3, 8}, []int{1, 4, 16}
+	var shapes []attestShape
+	for _, n := range nodes {
+		for _, k := range slots {
+			for _, plan := range attestPlans(o.Seed, n) {
+				shapes = append(shapes, attestShape{n, k, plan})
+			}
+		}
+	}
+	return o.attestStudy(specs, nodes, slots, shapes)
+}
+
+// ByzantineGate is the single-package adversarial gate behind
+// `reprotest -attest -byzantine N`: the X20 study's cell for a 2N+1-node
+// farm seating N simultaneous adversaries — a lying builder, an
+// equivocating log server, a signature corrupter, a co-signature withholder,
+// in that order (N is clamped to 1..4; 0 selects 2). The report is
+// human-readable; ok is the machine verdict.
+func (o *Options) ByzantineGate(spec *debpkg.Spec, n int) (report string, ok bool) {
+	if n <= 0 {
+		n = 2
+	}
+	n = min(n, 4)
+	nodes := 2*n + 1
+	// Seat adversaries on distinct ordinals; the equivocator is log server 1
+	// so the verifier meets the forged view first.
+	plan := reprotest.FaultPlan{LieOutput: 1}
+	if n >= 2 {
+		plan.EquivocateEpoch = 1
+	}
+	if n >= 3 {
+		plan.CorruptAttestation = 2
+	}
+	if n >= 4 {
+		plan.WithholdCosign = 3
+	}
+	st := o.attestStudy([]*debpkg.Spec{spec}, []int{nodes}, []int{o.Farm.Slots},
+		[]attestShape{{nodes, o.Farm.Slots, plan}})
+	return st.String(), st.OK()
 }

@@ -79,7 +79,7 @@ func TestAttestQuarantineNamesAdversaries(t *testing.T) {
 			Farm: farm.Config{Nodes: 5, Attest: true, Plan: tc.plan}}
 		cell.BuildAll(specs, nil)
 		quarantined := cell.LastFarm().Quarantined()
-		if !quarantinedAll(tc.seats, quarantined) {
+		if !seatedQuarantined(tc.plan, 5, quarantined) {
 			t.Errorf("plan %+v: quarantined %v, want superset of %v", tc.plan, quarantined, tc.seats)
 		}
 		for _, ord := range quarantined {

@@ -138,15 +138,6 @@ type Options struct {
 	setup   setupCounters
 	obsReg  *obs.Registry
 
-	// deriveRec is the farm's derivation-store event ring: one KindDeriveHit
-	// or KindDeriveMiss per store lookup, at template, phase-seal and
-	// compile-unit granularity (templates.go: recordDerive). Farm-level and
-	// mutex-guarded — unlike container rings it is written by the whole
-	// worker pool.
-	deriveMu    sync.Mutex
-	deriveRec   *obs.Recorder
-	deriveLTime int64
-
 	// lastFarm is the cluster behind the most recent distributed BuildAll,
 	// kept so LastFarm can expose its accounting (farm.go).
 	farmMu   sync.Mutex
@@ -606,7 +597,8 @@ func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprote
 		if o.injectFaults {
 			plan = reprotest.PlanFor(seed ^ v.HostSeed)
 		}
-		return o.buildDTFault(l, spec, plan, cfg, img, imgHash, pkgdir)
+		r, _ := o.buildDTFault(l, spec, plan, cfg, img, imgHash, pkgdir)
+		return r
 	}
 	res := o.runContainer(l, cfg, img, imgHash, containerEnv)
 	return dtRunFrom(res, spec, pkgdir)

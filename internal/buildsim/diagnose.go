@@ -56,6 +56,17 @@ func (r *DiagnoseReport) String() string {
 	return s
 }
 
+// OK is the `reprotest -diagnose` verdict for a report built with the given
+// injection. With none, both builds must complete with identical outputs and
+// the diagnoser must find no divergence; with one (inject > 0) it must find a
+// divergence to localize — the same non-vacuity rule as `-bisect`.
+func (r *DiagnoseReport) OK(inject int) bool {
+	if inject > 0 {
+		return r.Divergence != nil
+	}
+	return r.OutputIdentical && r.Divergence == nil
+}
+
 // Diagnose builds spec twice under DetTrace with the SAME variation — so any
 // divergence is a real determinism failure, not a varied input — and aligns
 // the flight-recorder rings. inject > 0 perturbs the second run's inject'th

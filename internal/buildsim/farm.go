@@ -156,71 +156,6 @@ func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(obs.Local, 
 	}
 }
 
-// FarmCrashRecovery is the single-package distributed crash gate behind
-// `reprotest -nodes N -kill-node ORD`: build the package on a single-node
-// farm for reference, then on an N-node farm whose fault plan kills the
-// chosen worker mid-build, and compare the full Out bodies bitwise. ORD <= 0
-// auto-picks the node the job lands on, so the crash is guaranteed to fire.
-// nodes must be at least 1. The report is human-readable; ok is the machine
-// verdict.
-func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (report string, ok bool) {
-	// Reference action count, for a mid-build crash point.
-	local := o.derive(func(f *Options) { f.Checkpoints = true })
-	l := obs.NewLocal()
-	seed := pkgSeed(o.Seed, spec)
-	v1, _ := reprotest.Pair(seed)
-	ref := local.buildDT(l, spec, seed, v1, nil)
-	if v, _ := ref.verdict(); v != "" {
-		return fmt.Sprintf("reference build did not complete: %s", v), false
-	}
-	if killNode <= 0 {
-		live := make([]int, nodes)
-		for i := range live {
-			live[i] = i + 1
-		}
-		killNode = farm.Place(o.Farm.PlacementSeed, pkgSeed(0, spec), live)
-	}
-	specs := []*debpkg.Spec{spec}
-	single := local.derive(func(f *Options) { f.Farm.Nodes = 1 })
-	want := single.BuildAll(specs, nil)
-	killed := single.derive(func(f *Options) {
-		f.Farm.Nodes = nodes
-		f.Farm.Plan = reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1,
-			CrashAtAction: ref.actions / 2}
-	})
-	got := killed.BuildAll(specs, nil)
-	ok = reflect.DeepEqual(got, want)
-	verdict := "bitwise-identical to the single-node farm"
-	if !ok {
-		verdict = "DIVERGED from the single-node farm"
-	}
-	how := "completed before the crash point"
-	cl := killed.LastFarm()
-	st := cl.Stats()
-	if reps := cl.Reports(); len(reps) == 1 && reps[0].Recovered {
-		where := fmt.Sprintf("node %d", reps[0].Node)
-		if reps[0].Node == 0 {
-			where = "the coordinator (local fallback)"
-		}
-		if reps[0].SealOrd > 0 {
-			how = fmt.Sprintf("stolen from node %d, restored from seal ordinal %d on %s",
-				reps[0].StolenFrom, reps[0].SealOrd, where)
-		} else {
-			how = fmt.Sprintf("stolen from node %d, cold-replayed on %s",
-				reps[0].StolenFrom, where)
-		}
-	}
-	report = fmt.Sprintf(
-		"reference: %d actions, %.1f s virtual\n"+
-			"farm: %d nodes, worker %d killed mid-build at action %d\n"+
-			"job %s; %d seal puts, %d steals, %d recoveries\n"+
-			"recovered run %s",
-		ref.actions, float64(ref.wall)/1e9,
-		nodes, killNode, ref.actions/2,
-		how, st.SealPuts, st.Steals, st.Recoveries, verdict)
-	return report, ok
-}
-
 // FarmStudy is the X16 scaling-and-recovery experiment: the same package set
 // built on farms of every shape — node counts x placement seeds x fault
 // schedules — against one local reference. Identical must equal Cells (the
@@ -267,67 +202,59 @@ func (st *FarmStudy) String() string {
 		st.AvgMTTRNs/1e9, st.AvgRedoneNs/1e9)
 }
 
-// RunFarmStudy sweeps farm shapes over specs: node counts {1,3,8} x two
-// placement seeds x three fault schedules (fault-free, kill-a-worker,
-// duplicate-messages), every cell checkpointed and single-slot, all compared
-// DeepEqual against the local checkpointed farm's output.
-func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
+// farmShape is one X16 cell's arrangement: node count, placement seed and
+// fault plan.
+type farmShape struct {
+	nodes int
+	seed  uint64
+	plan  reprotest.FaultPlan
+}
+
+// farmStudy builds specs on the local checkpointed farm for reference, then
+// on every farm shape cells returns, and judges each cell's output DeepEqual
+// against the reference. cells sees the reference output and the first
+// package's checkpointed build, whose action count places a mid-build
+// crash. It returns the study and the last cell's cluster.
+func (o *Options) farmStudy(specs []*debpkg.Spec, cells func(ref []Out, probe dtRun) []farmShape) (*FarmStudy, *farm.Cluster) {
 	local := o.derive(func(f *Options) { f.Checkpoints, f.Farm.Nodes = true, 0 })
 	ref := local.BuildAll(specs, nil)
-
-	// A mid-build crash point needs a reference action count; take the first
-	// package's (any in-range action works — the plan dodges harmlessly on
-	// packages it overshoots).
-	var crashAt int64 = 1500
-	if len(ref) > 0 && ref[0].DTTime > 0 {
-		l := obs.NewLocal()
-		spec := specs[0]
-		seed := pkgSeed(o.Seed, spec)
+	var probe dtRun
+	if len(specs) > 0 {
+		seed := pkgSeed(o.Seed, specs[0])
 		v1, _ := reprotest.Pair(seed)
-		probe := local.buildDT(l, spec, seed, v1, nil)
-		if probe.actions > 1 {
-			crashAt = probe.actions / 2
-		}
+		probe = local.buildDT(obs.NewLocal(), specs[0], seed, v1, nil)
 	}
-	st := &FarmStudy{Packages: len(specs), Nodes: []int{1, 3, 8}}
+	st := &FarmStudy{Packages: len(specs)}
 	var mttrNs, redoneNs, restores int64
-	for _, nodes := range st.Nodes {
-		for _, seed := range []uint64{1, 2} {
-			kill := nodes
-			if kill > 2 {
-				kill = 2
-			}
-			plans := []reprotest.FaultPlan{
-				{},
-				{KillNode: kill, KillAtJob: 1, CrashAtAction: crashAt},
-				{DupMsg: 2},
-			}
-			for _, plan := range plans {
-				cell := local.derive(func(f *Options) {
-					f.Farm.Nodes, f.Farm.PlacementSeed, f.Farm.Plan = nodes, seed, plan
-				})
-				got := cell.BuildAll(specs, nil)
-				st.Cells++
-				if reflect.DeepEqual(got, ref) {
-					st.Identical++
-				}
-				fst := cell.LastFarm().Stats()
-				st.Crashes += fst.NodeCrashes
-				st.Steals += fst.Steals
-				st.Recoveries += fst.Recoveries
-				st.ColdRecoveries += fst.ColdRecoveries
-				st.SealPuts += fst.SealPuts
-				st.StateMisses += fst.StateMisses
-				st.StateHits += fst.StateHits
-				st.MsgsLost += fst.MsgsLost
-				st.MsgsDuplicated += fst.MsgsDuplicated
-				st.MsgsDeduped += fst.MsgsDeduped
-				cf := cell.FaultStats()
-				mttrNs += cf.MTTRNs
-				redoneNs += cf.RedoneNs
-				restores += cf.Restores
-			}
+	var cl *farm.Cluster
+	for _, sh := range cells(ref, probe) {
+		if k := len(st.Nodes); k == 0 || st.Nodes[k-1] != sh.nodes {
+			st.Nodes = append(st.Nodes, sh.nodes)
 		}
+		cell := local.derive(func(f *Options) {
+			f.Farm.Nodes, f.Farm.PlacementSeed, f.Farm.Plan = sh.nodes, sh.seed, sh.plan
+		})
+		got := cell.BuildAll(specs, nil)
+		st.Cells++
+		if reflect.DeepEqual(got, ref) {
+			st.Identical++
+		}
+		cl = cell.LastFarm()
+		fst := cl.Stats()
+		st.Crashes += fst.NodeCrashes
+		st.Steals += fst.Steals
+		st.Recoveries += fst.Recoveries
+		st.ColdRecoveries += fst.ColdRecoveries
+		st.SealPuts += fst.SealPuts
+		st.StateMisses += fst.StateMisses
+		st.StateHits += fst.StateHits
+		st.MsgsLost += fst.MsgsLost
+		st.MsgsDuplicated += fst.MsgsDuplicated
+		st.MsgsDeduped += fst.MsgsDeduped
+		cf := cell.FaultStats()
+		mttrNs += cf.MTTRNs
+		redoneNs += cf.RedoneNs
+		restores += cf.Restores
 	}
 	if restores > 0 {
 		st.AvgMTTRNs = float64(mttrNs) / float64(restores)
@@ -335,5 +262,65 @@ func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
 	if n := st.Recoveries; n > 0 {
 		st.AvgRedoneNs = float64(redoneNs) / float64(n)
 	}
+	return st, cl
+}
+
+// RunFarmStudy sweeps farm shapes over specs: node counts {1,3,8} x two
+// placement seeds x three fault schedules (fault-free, kill-a-worker,
+// duplicate-messages), every cell checkpointed and single-slot, all compared
+// DeepEqual against the local checkpointed farm's output.
+func (o *Options) RunFarmStudy(specs []*debpkg.Spec) *FarmStudy {
+	st, _ := o.farmStudy(specs, func(ref []Out, probe dtRun) []farmShape {
+		// Any in-range crash point works — the plan dodges harmlessly on
+		// packages it overshoots — so the first package's midpoint serves all.
+		var crashAt int64 = 1500
+		if len(ref) > 0 && ref[0].DTTime > 0 && probe.actions > 1 {
+			crashAt = probe.actions / 2
+		}
+		var cells []farmShape
+		for _, nodes := range []int{1, 3, 8} {
+			kill := min(nodes, 2)
+			for _, seed := range []uint64{1, 2} {
+				for _, plan := range []reprotest.FaultPlan{
+					{},
+					{KillNode: kill, KillAtJob: 1, CrashAtAction: crashAt},
+					{DupMsg: 2},
+				} {
+					cells = append(cells, farmShape{nodes, seed, plan})
+				}
+			}
+		}
+		return cells
+	})
 	return st
+}
+
+// FarmCrashRecovery is the single-package distributed crash gate behind
+// `reprotest -nodes N -kill-node ORD`: the X16 study's cell for an N-node
+// farm whose fault plan kills worker ORD at the package's mid-build action.
+// ORD <= 0 auto-picks the node the job lands on, so the crash is guaranteed
+// to fire. nodes must be at least 1. The report is human-readable; ok is the
+// machine verdict.
+func (o *Options) FarmCrashRecovery(spec *debpkg.Spec, nodes, killNode int) (report string, ok bool) {
+	st, _ := o.farmCrashCell(spec, nodes, killNode)
+	return gateVerdict(st, st.Cells)
+}
+
+// farmCrashCell runs FarmCrashRecovery's one cell and returns its cluster.
+// A package whose checkpointed build does not complete gets no cell.
+func (o *Options) farmCrashCell(spec *debpkg.Spec, nodes, killNode int) (*FarmStudy, *farm.Cluster) {
+	return o.farmStudy([]*debpkg.Spec{spec}, func(_ []Out, probe dtRun) []farmShape {
+		if v, _ := probe.verdict(); v != "" {
+			return nil
+		}
+		if killNode <= 0 {
+			live := make([]int, nodes)
+			for i := range live {
+				live[i] = i + 1
+			}
+			killNode = farm.Place(o.Farm.PlacementSeed, pkgSeed(0, spec), live)
+		}
+		plan := reprotest.FaultPlan{KillNode: killNode, KillAtJob: 1, CrashAtAction: probe.actions / 2}
+		return []farmShape{{nodes, o.Farm.PlacementSeed, plan}}
+	})
 }

@@ -2,7 +2,6 @@ package buildsim
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/debpkg"
@@ -114,18 +113,23 @@ func TestDistributedPlainMatchesLocal(t *testing.T) {
 
 // TestFarmCrashRecovery drives the reprotest gate end to end: a worker is
 // killed mid-build, the job is stolen and restored from a shard-store seal
-// on a different node, and the output matches the single-node farm bitwise.
+// on a different node, and the output matches the local reference bitwise.
 func TestFarmCrashRecovery(t *testing.T) {
 	spec := debpkg.Universe(1, 1)[0]
 	o := &Options{Seed: 1}
-	report, ok := o.FarmCrashRecovery(spec, 3, 0)
-	if !ok {
+	if report, ok := o.FarmCrashRecovery(spec, 3, 0); !ok {
 		t.Fatalf("distributed crash recovery diverged:\n%s", report)
 	}
-	if !strings.Contains(report, "restored from seal ordinal") {
-		t.Fatalf("recovery did not restore from a seal:\n%s", report)
+	st, cl := o.farmCrashCell(spec, 3, 0)
+	if !st.OK() || st.Cells != 1 {
+		t.Fatalf("gate cell failed:\n%s", st)
 	}
-	t.Logf("\n%s", report)
+	reps := cl.Reports()
+	if st.Crashes != 1 || st.Steals != 1 || st.Recoveries != 1 || st.ColdRecoveries != 0 ||
+		len(reps) != 1 || reps[0].SealOrd == 0 || reps[0].Node == reps[0].StolenFrom {
+		t.Fatalf("recovery did not restore from a seal on another node: %+v\n%s", reps, st)
+	}
+	t.Logf("\n%s", st)
 }
 
 // TestFarmCrashRecoveryLastNode kills the only worker: the coordinator must
@@ -133,15 +137,17 @@ func TestFarmCrashRecovery(t *testing.T) {
 func TestFarmCrashRecoveryLastNode(t *testing.T) {
 	spec := debpkg.Universe(1, 1)[0]
 	o := &Options{Seed: 1}
-	report, ok := o.FarmCrashRecovery(spec, 1, 1)
-	if !ok {
+	if report, ok := o.FarmCrashRecovery(spec, 1, 1); !ok {
 		t.Fatalf("fallback crash recovery diverged:\n%s", report)
 	}
-	if !strings.Contains(report, "local fallback") &&
-		!strings.Contains(report, "coordinator") {
-		t.Fatalf("expected coordinator fallback in report:\n%s", report)
+	st, cl := o.farmCrashCell(spec, 1, 1)
+	if !st.OK() || st.Cells != 1 {
+		t.Fatalf("gate cell failed:\n%s", st)
 	}
-	t.Logf("\n%s", report)
+	if fst := cl.Stats(); fst.LocalFallbacks == 0 || fst.Recoveries != 1 {
+		t.Fatalf("expected a recovery by coordinator fallback: %+v", fst)
+	}
+	t.Logf("\n%s", st)
 }
 
 // TestFarmSealTraffic: a checkpointed distributed build publishes its seals

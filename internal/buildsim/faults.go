@@ -102,8 +102,9 @@ func crashed(res *core.Result) bool {
 // plan is the fault-free checkpointed build: same trampoline, same seals,
 // no crash. Otherwise the run dies at the planned action and is recovered
 // through recoverJob; either way the returned observables must be the bits
-// the uninterrupted run would have produced.
-func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string) dtRun {
+// the uninterrupted run would have produced. fired reports whether the
+// planned crash fired.
+func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string) (run dtRun, fired bool) {
 	st := o.stores()
 	j := ckptJob{templates: st.templates, seals: st.seals,
 		state: derive.KeyFor(imgHash, core.ConfigHash(cfg)), job: o.jobSeq.Add(1),
@@ -118,11 +119,11 @@ func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.Fa
 	runCfg.FaultInjectCrash = plan.CrashAtAction
 	runCfg.FaultCorruptCheckpoint = plan.CorruptCheckpoint
 	res := o.runContainer(l, runCfg, img, imgHash, checkpointEnv)
-	if crashed(res) {
+	if fired = crashed(res); fired {
 		o.sc().crashes.Add(l, 1)
 		res, _ = o.recoverJob(l, j, plan.FailRestore, cfg, img, imgHash, checkpointEnv, res.WallTime)
 	}
-	return dtRunFrom(res, spec, pkgdir)
+	return dtRunFrom(res, spec, pkgdir), fired
 }
 
 // recoverJob brings a crashed job back: restore from the freshest seal,
@@ -224,11 +225,15 @@ type FaultStudy struct {
 	AvgReplayNs float64 `json:"avg_replay_ns"` // crash-to-completion virtual time for a cold replay
 	AvgRedoneNs float64 `json:"avg_redone_ns"` // virtual work executed twice, per recovery
 	Speedup     float64 `json:"mttr_speedup"`  // replay/MTTR: the recovery headline
+
+	// diverged counts packages whose second run — crashed and recovered, or
+	// finished before the crash point — missed the reference bits.
+	diverged int
 }
 
-// OK is the study's oracle: every crashed build recovered to the reference
-// bits.
-func (st *FaultStudy) OK() bool { return st.Identical == st.Crashed }
+// OK is the study's oracle: every second run, crashed or not, landed on the
+// reference bits.
+func (st *FaultStudy) OK() bool { return st.Identical == st.Crashed && st.diverged == 0 }
 
 // String renders the study summary.
 func (st *FaultStudy) String() string {
@@ -243,62 +248,60 @@ func (st *FaultStudy) String() string {
 		st.AvgRedoneNs/1e9)
 }
 
-// crashAndRecover builds spec on the checkpointing farm o uninterrupted, then
+// faultCell is one X15 cell: a package's checkpointed reference build and
+// its second run, crashed at a planned action and recovered.
+type faultCell struct {
+	ref                Verdict // the reference build's failure verdict ("" = completed)
+	refWall            int64
+	crashed, identical bool
+}
+
+// faultCell builds spec on the checkpointing farm o uninterrupted, then
 // again with a crash injected at action n (n <= 0 picks the reference run's
-// midpoint) and recovered. A reference that did not complete is returned
-// alone.
-func (o *Options) crashAndRecover(l obs.Local, spec *debpkg.Spec, n int64) (ref, got dtRun, at int64) {
+// midpoint) and recovered, and compares the two bitwise. A reference that
+// did not complete ends the cell.
+func (o *Options) faultCell(l obs.Local, spec *debpkg.Spec, n int64) faultCell {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	ref = o.buildDT(l, spec, seed, v1, nil)
-	if v, _ := ref.verdict(); v != "" {
-		return ref, dtRun{}, 0
+	ref := o.buildDT(l, spec, seed, v1, nil)
+	c := faultCell{refWall: ref.wall}
+	if c.ref, _ = ref.verdict(); c.ref != "" {
+		return c
 	}
 	if n <= 0 {
 		n = ref.actions / 2
 	}
 	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
-	got = o.buildDTFault(l, spec, reprotest.FaultPlan{CrashAtAction: n}, cfg, img, imgHash, pkgdir)
-	return ref, got, n
+	var got dtRun
+	got, c.crashed = o.buildDTFault(l, spec, reprotest.FaultPlan{CrashAtAction: n}, cfg, img, imgHash, pkgdir)
+	c.identical = got.same(ref, core.MovesNothing)
+	return c
 }
 
-// RunFaultStudy builds each spec twice in checkpoint mode — uninterrupted,
-// then crashed at half its reference action count and recovered — and
-// compares the recovered observables bitwise against the reference.
-func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
+// faultStudy runs one X15 cell per spec, each crashed at action n (<= 0:
+// its midpoint), on a checkpointing farm derived from o, and aggregates
+// them with that farm's recovery accounting.
+func (o *Options) faultStudy(specs []*debpkg.Spec, n int64) *FaultStudy {
 	on := o.derive(func(f *Options) { f.Checkpoints = true })
-	type fOut struct {
-		ok, crashed, identical bool
-		refWall                int64
-	}
-	outs := make([]fOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		before := on.FaultStats().Crashes
-		ref, got, _ := on.crashAndRecover(l, specs[i], 0)
-		if v, _ := ref.verdict(); v != "" {
-			return
-		}
-		outs[i] = fOut{
-			ok:        true,
-			crashed:   on.FaultStats().Crashes > before,
-			identical: got.same(ref, core.MovesNothing),
-			refWall:   ref.wall,
-		}
-	})
+	cells := make([]faultCell, len(specs))
+	o.forEach(len(specs), func(l obs.Local, i int) { cells[i] = on.faultCell(l, specs[i], n) })
 	st := &FaultStudy{}
 	var replaySum int64
-	for _, fo := range outs {
-		if !fo.ok {
+	for _, c := range cells {
+		if c.ref != "" {
 			continue
 		}
 		st.Packages++
-		if fo.crashed {
-			st.Crashed++
-			replaySum += fo.refWall
+		if !c.identical {
+			st.diverged++
 		}
-		if fo.crashed && fo.identical {
-			st.Identical++
+		if c.crashed {
+			st.Crashed++
+			replaySum += c.refWall
+			if c.identical {
+				st.Identical++
+			}
 		}
 	}
 	fst := on.FaultStats()
@@ -318,35 +321,30 @@ func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy {
 	return st
 }
 
+// RunFaultStudy builds each spec twice in checkpoint mode — uninterrupted,
+// then crashed at half its reference action count and recovered — and
+// compares the recovered observables bitwise against the reference.
+func (o *Options) RunFaultStudy(specs []*debpkg.Spec) *FaultStudy { return o.faultStudy(specs, 0) }
+
+// gateVerdict is a reprotest gate's answer from the one-package study it
+// ran: the study's report and oracle, failing when the package never reached
+// the study's judge (judged == 0) because its reference build did not
+// complete.
+func gateVerdict(st interface {
+	fmt.Stringer
+	OK() bool
+}, judged int) (report string, ok bool) {
+	if judged == 0 {
+		return "reference build did not complete\n" + st.String(), false
+	}
+	return st.String(), st.OK()
+}
+
 // CrashRecovery is the single-package crash gate behind
-// `reprotest -inject-crash N`: build the package checkpointed and
-// uninterrupted, crash a second run at action n (n <= 0 picks the midpoint),
-// recover it, and compare bitwise. The report is human-readable; ok is the
-// machine verdict.
+// `reprotest -inject-crash N`: the X15 study's cell for one package crashed
+// at action n (n <= 0 picks the midpoint). The report is human-readable; ok
+// is the machine verdict.
 func (o *Options) CrashRecovery(spec *debpkg.Spec, n int64) (report string, ok bool) {
-	on := o.derive(func(f *Options) { f.Checkpoints = true })
-	ref, got, n := on.crashAndRecover(obs.NewLocal(), spec, n)
-	if v, _ := ref.verdict(); v != "" {
-		return fmt.Sprintf("reference build did not complete: %s", v), false
-	}
-	fst := on.FaultStats()
-	ok = got.same(ref, core.MovesNothing)
-	verdict := "bitwise-identical to the uninterrupted build"
-	if !ok {
-		verdict = "DIVERGED from the uninterrupted build"
-	}
-	how := "completed before the crash point"
-	switch {
-	case fst.Restores > 0:
-		how = fmt.Sprintf("restored from checkpoint, %.1f s virtual redone of %.1f s",
-			float64(fst.RedoneNs)/1e9, float64(ref.wall)/1e9)
-	case fst.ColdReplays > 0:
-		how = "recovered by cold replay"
-	}
-	report = fmt.Sprintf(
-		"reference: %d actions, %.3f s virtual; %d checkpoints sealed across runs\n"+
-			"crash injected at action %d: %s\n"+
-			"recovered run %s",
-		ref.actions, float64(ref.wall)/1e9, fst.Sealed, n, how, verdict)
-	return report, ok
+	st := o.faultStudy([]*debpkg.Spec{spec}, n)
+	return gateVerdict(st, st.Packages)
 }

@@ -104,7 +104,7 @@ func crashOne(t *testing.T, o *Options, plan func(ref dtRun, seals []int64) repr
 	seals := sealGeometry(t, o, spec)
 	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
-	got = o.buildDTFault(l, spec, plan(ref, seals), cfg, img, imgHash, pkgdir)
+	got, _ = o.buildDTFault(l, spec, plan(ref, seals), cfg, img, imgHash, pkgdir)
 	return ref, got
 }
 

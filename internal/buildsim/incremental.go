@@ -100,12 +100,15 @@ func patchBytes(data []byte) []byte {
 	return []byte{'x'}
 }
 
-// patchImage clones img and edits each named path's content in place.
-// Unknown paths are ignored — the planner sees exactly the leaves that
-// actually moved.
-func patchImage(img *fs.Image, paths ...string) *fs.Image {
+// patchImage clones img and edits each named path's content in place;
+// relative paths name files under pkgdir. Unknown paths are ignored — the
+// planner sees exactly the leaves that actually moved.
+func patchImage(img *fs.Image, pkgdir string, paths ...string) *fs.Image {
 	out := img.Clone()
 	for _, p := range paths {
+		if !strings.HasPrefix(p, "/") {
+			p = pkgdir + "/" + p
+		}
 		e, ok := out.Entries[p]
 		if !ok {
 			continue
@@ -141,18 +144,16 @@ func sealInfos(store derive.Store, state derive.Key, job uint64, pkgdir string) 
 
 // RebuildStats describes how one rebuild executed: which seal it forked,
 // how the units split between reuse and re-execution, and what the rebuild
-// cost in virtual time against the cold alternative. Benchmarking metadata
-// only — the bits are identical either way.
+// cost in virtual time. Benchmarking metadata only — the bits are identical
+// either way.
 type RebuildStats struct {
 	Cold        bool // no seal was forkable: full rebuild
 	SealOrdinal int  // seal forked (0 when cold)
-	DirtyFiles  int  // tree leaves the patch moved
 	UnitsTotal  int
 	UnitsReused int // objects reused from the forked seal
 	UnitsRedone int // units the suffix re-executed
 
 	RebuildNs int64 // virtual work the rebuild executed (suffix only when forked)
-	ColdNs    int64 // the run's full virtual time — what a cold rebuild costs
 }
 
 // incrementalRebuild rebuilds the session's package for the patched image
@@ -167,32 +168,28 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 	pstate := derive.KeyFor(pimg.Hash(), core.ConfigHash(pcfg))
 	pjob := incrJobBit | o.jobSeq.Add(1)
 
-	cold := func(st RebuildStats) (dtRun, RebuildStats) {
+	cold := func() (dtRun, RebuildStats) {
 		sc.incrCold.Add(l, 1)
-		o.recordDerive(l, false, deriveGranPhase, s.state.Hash(), 0)
+		sc.derivePhaseMisses.Add(l, 1)
 		runCfg := pcfg
 		runCfg.CheckpointSink = o.sealSink(l, s.store, pstate, pjob)
 		res := o.runContainer(l, runCfg, pimg, pimg.Hash(), checkpointEnv)
 		r := dtRunFrom(res, s.spec, s.pkgdir)
 		s.advance(pimg, ptree, pstate, pjob)
-		st.Cold, st.SealOrdinal = true, 0
-		st.UnitsTotal, st.UnitsReused, st.UnitsRedone = s.spec.Units, 0, s.spec.Units
-		st.RebuildNs, st.ColdNs = r.wall, r.wall
-		return r, st
+		return r, RebuildStats{Cold: true, UnitsTotal: s.spec.Units, UnitsRedone: s.spec.Units, RebuildNs: r.wall}
 	}
 
 	if pcfg.DisableIncremental {
-		return cold(RebuildStats{})
+		return cold()
 	}
 
 	infos, seals := sealInfos(s.store, s.state, s.job, s.pkgdir)
 	plan := derive.PlanRebuild(s.tree, ptree, debpkg.InputSets(s.spec, s.pkgdir), infos)
-	st := RebuildStats{SealOrdinal: plan.Ordinal, DirtyFiles: len(plan.Dirty),
-		UnitsTotal:  s.spec.Units,
+	st := RebuildStats{SealOrdinal: plan.Ordinal, UnitsTotal: s.spec.Units,
 		UnitsReused: len(plan.Reused), UnitsRedone: s.spec.Units - len(plan.Reused)}
 	cp := seals[plan.Ordinal]
 	if plan.Cold || cp == nil {
-		return cold(RebuildStats{DirtyFiles: len(plan.Dirty)})
+		return cold()
 	}
 
 	patch := make(map[string][]byte, len(plan.Dirty))
@@ -206,20 +203,15 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		// The seal and the patch disagree (shape drift, config mismatch):
 		// the plan was unusable after all. Cold is always sound.
 		sc.ckptInvalid.Add(l, 1)
-		return cold(RebuildStats{DirtyFiles: len(plan.Dirty)})
+		return cold()
 	}
 	sc.incrRebuilds.Add(l, 1)
 	sc.deriveUnitsReused.Add(l, int64(st.UnitsReused))
 	sc.deriveUnitsRedone.Add(l, int64(st.UnitsRedone))
-	o.recordDerive(l, true, deriveGranPhase, s.state.Hash(), int32(plan.Ordinal))
-	o.recordDerive(l, true, deriveGranUnit, s.state.Hash(), int32(st.UnitsReused))
-	if st.UnitsRedone > 0 {
-		o.recordDerive(l, false, deriveGranUnit, pstate.Hash(), int32(st.UnitsRedone))
-	}
+	sc.derivePhaseHits.Add(l, 1)
 	o.Obs().Absorb(res.Obs)
 	r := dtRunFrom(res, s.spec, s.pkgdir)
 	st.RebuildNs = r.wall - cp.VirtualNow()
-	st.ColdNs = r.wall
 	s.advance(pimg, ptree, pstate, pjob)
 	return r, st
 }
@@ -249,24 +241,25 @@ func roundOf(r dtRun) RoundResult {
 }
 
 // patchSchedule derives the deterministic chained patch schedule for one
-// package: reprotest.PatchFor picks 1-3 candidate files per round. With
+// package from the universe seed: reprotest.PatchFor picks 1-3 candidate
+// files (paths relative to the package directory) per round. With
 // unitsOnly the candidates are the compile units and each round is trimmed
 // to a single file — X18's "one-file patch" shape; otherwise the Makefile,
 // debian/rules and a header join the pool, so random dirty subsets also
 // exercise the shared- and phase-input invalidation classes.
-func patchSchedule(spec *debpkg.Spec, pkgdir string, seed uint64, rounds int, unitsOnly bool) [][]string {
+func patchSchedule(spec *debpkg.Spec, seed uint64, rounds int, unitsOnly bool) [][]string {
 	var cand []string
 	for u := 0; u < spec.Units; u++ {
-		cand = append(cand, fmt.Sprintf("%s/src/unit%03d.c", pkgdir, u))
+		cand = append(cand, fmt.Sprintf("src/unit%03d.c", u))
 	}
 	if !unitsOnly {
-		cand = append(cand, pkgdir+"/Makefile", pkgdir+"/debian/rules")
+		cand = append(cand, "Makefile", "debian/rules")
 		if spec.Headers > 0 {
-			cand = append(cand, pkgdir+"/include/h000.h")
+			cand = append(cand, "include/h000.h")
 		}
 	}
 	sched := make([][]string, 0, rounds)
-	for _, round := range reprotest.PatchFor(seed, len(cand), rounds) {
+	for _, round := range reprotest.PatchFor(pkgSeed(seed, spec), len(cand), rounds) {
 		if unitsOnly {
 			round = round[:1]
 		}
@@ -279,87 +272,28 @@ func patchSchedule(spec *debpkg.Spec, pkgdir string, seed uint64, rounds int, un
 	return sched
 }
 
-// RebuildRounds drives one package through a chained patch schedule: base
-// build into the store, then per round patch the current tree and rebuild —
-// incrementally when o.Incremental, cold otherwise. The schedule is a pure
-// function of (Seed, spec), so two Options differing only in Jobs, store
-// shape or the ablation run the identical schedule and must produce
-// DeepEqual []RoundResult. Returns the base run last; a failed base yields
-// nil rounds.
-func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Store, rounds int, unitsOnly bool) ([]RoundResult, []RebuildStats, dtRun) {
+// RebuildRounds drives one package through a chained patch schedule (see
+// patchSchedule): base build into the store, then per round patch the
+// current tree and rebuild — incrementally when o.Incremental, cold
+// otherwise. Two Options differing only in Jobs, store shape or the
+// ablation must produce DeepEqual []RoundResult for one schedule. Returns
+// the base run last; a failed base yields nil rounds.
+func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Store, sched [][]string) ([]RoundResult, []RebuildStats, dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
 	s, base := o.buildIncrBase(l, spec, seed, v1, store)
 	if v, _ := base.verdict(); v != "" {
 		return nil, nil, base
 	}
-	results := make([]RoundResult, 0, rounds)
-	rstats := make([]RebuildStats, 0, rounds)
-	for _, paths := range patchSchedule(spec, s.pkgdir, seed, rounds, unitsOnly) {
-		pimg := patchImage(s.img, paths...)
+	var results []RoundResult
+	var rstats []RebuildStats
+	for _, paths := range sched {
+		pimg := patchImage(s.img, s.pkgdir, paths...)
 		r, st := o.incrementalRebuild(l, s, pimg)
 		results = append(results, roundOf(r))
 		rstats = append(rstats, st)
 	}
 	return results, rstats, base
-}
-
-// PatchRebuild is the single-package incremental gate behind
-// `reprotest -patch PKG:FILE`: build the package checkpointed, patch one
-// source file (default the first compile unit), rebuild incrementally, and
-// compare bitwise against a cold double build of the same patched tree. The
-// double build pins that the patched tree is itself deterministic; the
-// incremental run must land on those exact bits. The report is
-// human-readable; ok is the machine verdict.
-func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, ok bool) {
-	off := o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
-	on := off.derive(func(f *Options) { f.Incremental = true })
-	l := obs.NewLocal()
-	seed := pkgSeed(o.Seed, spec)
-	v1, _ := reprotest.Pair(seed)
-	s, base := on.buildIncrBase(l, spec, seed, v1, derive.NewMemStore())
-	if v, _ := base.verdict(); v != "" {
-		return fmt.Sprintf("base build did not complete: %s", v), false
-	}
-	if file == "" {
-		file = "src/unit000.c"
-	}
-	path := file
-	if !strings.HasPrefix(path, "/") {
-		path = s.pkgdir + "/" + path
-	}
-	if _, present := s.img.Entries[path]; !present {
-		return fmt.Sprintf("no such file in the package tree: %s", path), false
-	}
-	pimg := patchImage(s.img, path)
-	incr, st := on.incrementalRebuild(l, s, pimg)
-
-	c1 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
-	c2 := off.runPatchedCold(l, spec, pimg, s.pkgdir, seed, v1)
-	det, match := c1.same(c2, core.MovesNothing), incr.same(c1, core.MovesNothing)
-	ok = det && match
-
-	how := fmt.Sprintf("forked seal ordinal %d: %d/%d units reused, %d re-executed (%.1f s virtual of %.1f s)",
-		st.SealOrdinal, st.UnitsReused, st.UnitsTotal, st.UnitsRedone,
-		float64(st.RebuildNs)/1e9, float64(st.ColdNs)/1e9)
-	if st.Cold {
-		how = "degraded to a cold rebuild (no reusable seal)"
-	}
-	verdict := "bitwise-identical to the cold build of the patch"
-	switch {
-	case !det:
-		verdict = "cold double build DIVERGED (patched tree not deterministic)"
-	case !match:
-		verdict = "DIVERGED from the cold build of the patch"
-	}
-	report = fmt.Sprintf(
-		"base: %.1f s virtual, %d units\n"+
-			"patched %s (%d dirty leaf)\n"+
-			"incremental rebuild %s\n"+
-			"rebuilt run %s",
-		float64(base.wall)/1e9, spec.Units,
-		path, st.DirtyFiles, how, verdict)
-	return report, ok
 }
 
 // IncrementalStudy is the X18 experiment: every package base-built into the
@@ -400,51 +334,55 @@ func (st *IncrementalStudy) String() string {
 		st.AvgRebuildNs/1e9, st.AvgColdNs/1e9, st.Speedup)
 }
 
-// RunIncrementalStudy runs X18 over specs: `rounds` single-file patches per
-// package (rounds <= 0 selects 3), every round rebuilt through an
-// incremental farm sharing one derivation store and through a cold farm,
-// outputs compared bitwise round by round.
-func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *IncrementalStudy {
-	if rounds <= 0 {
-		rounds = 3
+// incrCell is one X18 cell: a package's patch schedule rebuilt round by
+// round on the incremental farm and on the cold farm. ok is false when
+// either base build failed.
+type incrCell struct {
+	ok         bool
+	warm, cold []RoundResult
+	warmStats  []RebuildStats
+}
+
+// buildIncrCell rebuilds spec through sched on the incremental farm on,
+// sealing into store, and on the cold farm off, sealing into a private store.
+func buildIncrCell(l obs.Local, on, off *Options, spec *debpkg.Spec, store derive.Store, sched [][]string) incrCell {
+	warm, wst, wbase := on.RebuildRounds(l, spec, store, sched)
+	if v, _ := wbase.verdict(); v != "" {
+		return incrCell{}
 	}
-	off := o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
-	on := off.derive(func(f *Options) { f.Incremental = true })
-	store := derive.NewMemStore()
-	type iOut struct {
-		ok         bool
-		warm, cold []RoundResult
-		warmStats  []RebuildStats
+	cold, _, cbase := off.RebuildRounds(l, spec, derive.NewMemStore(), sched)
+	if v, _ := cbase.verdict(); v != "" {
+		return incrCell{}
 	}
-	outs := make([]iOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		spec := specs[i]
-		warm, wst, wbase := on.RebuildRounds(l, spec, store, rounds, true)
-		if v, _ := wbase.verdict(); v != "" {
-			return
-		}
-		coldRs, _, cbase := off.RebuildRounds(l, spec, derive.NewMemStore(), rounds, true)
-		if v, _ := cbase.verdict(); v != "" {
-			return
-		}
-		outs[i] = iOut{ok: true, warm: warm, cold: coldRs, warmStats: wst}
-	})
+	return incrCell{ok: true, warm: warm, cold: cold, warmStats: wst}
+}
+
+// incrFarms derives X18's two checkpointing farms from o: incremental on
+// and off.
+func (o *Options) incrFarms() (on, off *Options) {
+	off = o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
+	return off.derive(func(f *Options) { f.Incremental = true }), off
+}
+
+// incrStudy judges X18 cells: every round bitwise-identical to the cold
+// rebuild, and the reuse and time accounting of the forked rounds.
+func incrStudy(cells []incrCell) *IncrementalStudy {
 	st := &IncrementalStudy{}
 	var rebuildNs, coldNs int64
 	var lnRatio float64
-	for _, io := range outs {
-		if !io.ok {
+	for _, c := range cells {
+		if !c.ok {
 			continue
 		}
 		st.Packages++
-		for r := range io.warm {
+		for r := range c.warm {
 			st.Rounds++
-			c := io.cold[r]
-			if reflect.DeepEqual(io.warm[r], c) {
+			cold := c.cold[r]
+			if reflect.DeepEqual(c.warm[r], cold) {
 				st.Identical++
 			}
-			ws := io.warmStats[r]
-			coldNs += c.Wall
+			ws := c.warmStats[r]
+			coldNs += cold.Wall
 			if ws.Cold {
 				st.ColdFalls++
 				continue
@@ -454,19 +392,77 @@ func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *Increme
 			st.UnitsReused += int64(ws.UnitsReused)
 			st.UnitsRedone += int64(ws.UnitsRedone)
 			rebuildNs += ws.RebuildNs
-			if ws.RebuildNs > 0 && c.Wall > 0 {
-				lnRatio += math.Log(float64(c.Wall) / float64(ws.RebuildNs))
+			if ws.RebuildNs > 0 && cold.Wall > 0 {
+				lnRatio += math.Log(float64(cold.Wall) / float64(ws.RebuildNs))
 			}
 		}
 	}
 	if st.Forked > 0 {
 		st.AvgRebuildNs = float64(rebuildNs) / float64(st.Forked)
+		st.Speedup = math.Exp(lnRatio / float64(st.Forked))
 	}
 	if st.Rounds > 0 {
 		st.AvgColdNs = float64(coldNs) / float64(st.Rounds)
 	}
-	if st.Forked > 0 {
-		st.Speedup = math.Exp(lnRatio / float64(st.Forked))
-	}
 	return st
+}
+
+// RunIncrementalStudy runs X18 over specs: `rounds` single-file patches per
+// package (rounds <= 0 selects 3), every round rebuilt through an
+// incremental farm sharing one derivation store and through a cold farm,
+// outputs compared bitwise round by round.
+func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *IncrementalStudy {
+	if rounds <= 0 {
+		rounds = 3
+	}
+	on, off := o.incrFarms()
+	store := derive.NewMemStore()
+	cells := make([]incrCell, len(specs))
+	o.forEach(len(specs), func(l obs.Local, i int) {
+		cells[i] = buildIncrCell(l, on, off, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, true))
+	})
+	return incrStudy(cells)
+}
+
+// PatchRebuild is the single-package incremental gate behind
+// `reprotest -patch PKG:FILE`: the X18 study's cell for the one-round
+// schedule [[FILE]] (default the first compile unit; relative to the
+// package directory unless absolute). On top of the cell, a second cold
+// build of the patched tree pins that the tree is itself deterministic. The
+// report is human-readable; ok is the machine verdict.
+func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, ok bool) {
+	st, det := o.patchCell(spec, file)
+	switch {
+	case st == nil:
+		return "no such file in the package tree: " + file, false
+	case !det:
+		return st.String() + "\ncold double build of the patched tree DIVERGED (patched tree not deterministic)", false
+	}
+	return gateVerdict(st, st.Packages)
+}
+
+// patchCell runs PatchRebuild's cell and its double cold build. The study is
+// nil when the package tree has no such file.
+func (o *Options) patchCell(spec *debpkg.Spec, file string) (st *IncrementalStudy, det bool) {
+	on, off := o.incrFarms()
+	l := obs.NewLocal()
+	img, pkgdir, _ := on.pkgImage(l, spec, "/build")
+	if file == "" {
+		file = "src/unit000.c"
+	}
+	if !strings.HasPrefix(file, "/") {
+		file = pkgdir + "/" + file
+	}
+	if _, present := img.Entries[file]; !present {
+		return nil, false
+	}
+	c := buildIncrCell(l, on, off, spec, derive.NewMemStore(), [][]string{{file}})
+	det = true
+	if c.ok {
+		seed := pkgSeed(o.Seed, spec)
+		v1, _ := reprotest.Pair(seed)
+		again := off.runPatchedCold(l, spec, patchImage(img, pkgdir, file), pkgdir, seed, v1)
+		det = reflect.DeepEqual(roundOf(again), c.cold[0])
+	}
+	return incrStudy([]incrCell{c}), det
 }

@@ -3,7 +3,6 @@ package buildsim
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -41,14 +40,21 @@ func incrSpecs(t *testing.T, seed uint64, n, minUnits int) []*debpkg.Spec {
 // the patch — and actually fork a seal while doing it.
 func TestPatchRebuildGate(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 3)[0]
-	report, ok := (&Options{Seed: 5}).PatchRebuild(spec, "")
-	if !ok {
+	o := &Options{Seed: 5}
+	if report, ok := o.PatchRebuild(spec, ""); !ok {
 		t.Fatalf("patch gate failed:\n%s", report)
 	}
-	if !strings.Contains(report, "forked seal ordinal") {
-		t.Fatalf("gate degraded to a cold rebuild:\n%s", report)
+	st, det := o.patchCell(spec, "")
+	if st == nil || !det || !st.OK() || st.Rounds != 1 {
+		t.Fatalf("gate cell failed (det %v):\n%v", det, st)
 	}
-	t.Logf("\n%s", report)
+	if st.Forked != 1 {
+		t.Fatalf("gate degraded to a cold rebuild:\n%s", st)
+	}
+	if report, ok := o.PatchRebuild(spec, "src/no-such-unit.c"); ok {
+		t.Fatalf("patching a missing file passed:\n%s", report)
+	}
+	t.Logf("\n%s", st)
 }
 
 // TestIncrementalEquivalence is the property test: the same chained patch
@@ -63,7 +69,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 		o := &Options{Seed: 7, Jobs: jobs, Checkpoints: true, Incremental: incremental}
 		outs := make([][]RoundResult, len(specs))
 		o.forEach(len(specs), func(l obs.Local, i int) {
-			rs, _, base := o.RebuildRounds(l, specs[i], store, rounds, false)
+			rs, _, base := o.RebuildRounds(l, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, false))
 			if v, _ := base.verdict(); v != "" {
 				t.Errorf("%s: base build did not complete: %s", specs[i].Name, v)
 			}
@@ -79,7 +85,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 	ref := make([][]RoundResult, len(specs))
 	forked := 0
 	for i, spec := range specs {
-		rs, sts, _ := refOpts.RebuildRounds(obs.NewLocal(), spec, refStore, rounds, false)
+		rs, sts, _ := refOpts.RebuildRounds(obs.NewLocal(), spec, refStore, patchSchedule(spec, refOpts.Seed, rounds, false))
 		ref[i] = rs
 		for _, st := range sts {
 			if !st.Cold {
@@ -145,7 +151,7 @@ func TestIncrementalSealsFromFarmShards(t *testing.T) {
 
 	s := &rebuildSession{spec: spec, store: store, img: img, pkgdir: pkgdir,
 		state: state, job: 1, tree: img.TreeHash(), seed: seed, v: v1}
-	pimg := patchImage(img, pkgdir+"/src/unit000.c")
+	pimg := patchImage(img, pkgdir, "src/unit000.c")
 	got, st := o.incrementalRebuild(l, s, pimg)
 	if st.Cold {
 		t.Fatalf("rebuild went cold instead of forking a farm seal: %+v", st)
@@ -195,32 +201,32 @@ func TestIncrementalStudy(t *testing.T) {
 	t.Logf("\n%s", st)
 }
 
-// TestDeriveTraceRecordsReuse: the farm's derivation ring must carry the
-// hit/miss events the rebuilds and template lookups produce.
-func TestDeriveTraceRecordsReuse(t *testing.T) {
+// TestDeriveCountersRecordReuse: the farm's derivation counters must carry
+// the hits and misses the rebuilds and template lookups produce — one
+// phase-granularity lookup per round, and units reused on a forked one.
+func TestDeriveCountersRecordReuse(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 3)[0]
 	o := &Options{Seed: 5, Checkpoints: true, Incremental: true}
-	_, _, base := o.RebuildRounds(obs.NewLocal(), spec, derive.NewMemStore(), 2, true)
+	const rounds = 2
+	_, sts, base := o.RebuildRounds(obs.NewLocal(), spec, derive.NewMemStore(), patchSchedule(spec, o.Seed, rounds, true))
 	if v, _ := base.verdict(); v != "" {
 		t.Fatalf("base build did not complete: %s", v)
 	}
-	var hits, misses, phase int
-	for _, ev := range o.DeriveTrace() {
-		switch ev.Kind {
-		case obs.KindDeriveHit:
-			hits++
-		case obs.KindDeriveMiss:
-			misses++
-		default:
-			t.Fatalf("foreign event on the derive ring: %v", ev.Kind)
-		}
-		if ev.Ret == deriveGranPhase {
-			phase++
+	c := func(name string) int64 { return o.Obs().Counter(name).Value() }
+	forked := 0
+	for _, st := range sts {
+		if !st.Cold {
+			forked++
 		}
 	}
-	if hits == 0 || misses == 0 || phase == 0 {
-		t.Fatalf("derive ring incomplete: %d hits, %d misses, %d phase-granularity events",
-			hits, misses, phase)
+	if hits, misses := c("farm_derive_phase_hits"), c("farm_derive_phase_misses"); hits != int64(forked) || hits+misses != rounds {
+		t.Fatalf("phase lookups: %d hits, %d misses; want %d hits of %d rounds", hits, misses, forked, rounds)
+	}
+	if forked == 0 || c("farm_derive_units_reused") == 0 {
+		t.Fatalf("no round reused derived state: %d forked, %d units reused", forked, c("farm_derive_units_reused"))
+	}
+	if c("farm_template_hits")+c("farm_template_misses") == 0 {
+		t.Fatal("template lookups booked nothing")
 	}
 	for _, name := range []string{"checkpoint_delta_bytes", "checkpoint_full_bytes"} {
 		if o.Obs().Counter(name).Value() == 0 {

@@ -188,49 +188,6 @@ func (o *Options) initObsLocked() {
 		ckptFullBytes:  r.Counter("checkpoint_full_bytes"),
 	}
 	o.obsReg = r
-	o.deriveRec = obs.NewRecorder(obs.DefaultRingEvents)
-}
-
-// Derivation-event granularities, carried in Event.Ret (see obs.KindDeriveHit).
-const (
-	deriveGranTemplate = 0 // prepared snapshot/template
-	deriveGranPhase    = 1 // checkpoint seal forked for a rebuild
-	deriveGranUnit     = 2 // compile units reused / re-executed (Num = count)
-)
-
-// recordDerive books one derivation-store lookup outcome on the farm's
-// derive ring (Arg = derivation key hash, Ret = granularity, Num = ordinal
-// or unit count) and bumps the phase-granularity counters. The ring is
-// farm-level metadata: lookups happen on whatever worker got there first,
-// so event order is scheduling-dependent and must never be compared across
-// runs — only aggregated.
-func (o *Options) recordDerive(l obs.Local, hit bool, gran int, keyHash uint64, n int32) {
-	sc := o.sc()
-	kind := obs.KindDeriveMiss
-	if hit {
-		kind = obs.KindDeriveHit
-	}
-	if gran == deriveGranPhase {
-		if hit {
-			sc.derivePhaseHits.Add(l, 1)
-		} else {
-			sc.derivePhaseMisses.Add(l, 1)
-		}
-	}
-	o.deriveMu.Lock()
-	o.deriveLTime++
-	o.deriveRec.Record(o.deriveLTime, kind, n, 0, keyHash, int64(gran))
-	o.deriveMu.Unlock()
-}
-
-// DeriveTrace returns the farm's retained derivation-store events (for
-// `benchtab -incremental` and debugging): reuse observability at template,
-// phase and unit granularity.
-func (o *Options) DeriveTrace() []obs.Event {
-	o.sc() // ensure initObsLocked ran
-	o.deriveMu.Lock()
-	defer o.deriveMu.Unlock()
-	return o.deriveRec.Events()
 }
 
 // stores is the per-Options prepared state: materialized images, baseline
@@ -319,7 +276,6 @@ func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, buil
 	} else {
 		sc.templateMisses.Add(l, 1)
 	}
-	o.recordDerive(l, hit, deriveGranTemplate, key.Hash(), 0)
 	return v
 }
 

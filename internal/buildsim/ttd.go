@@ -5,11 +5,11 @@
 // SeekTo a logical instant, and Bisect two runs to their first divergent
 // event in O(log n) seal probes plus a constant number of window replays.
 //
-// BisectDiagnose is the `reprotest -bisect` gate: it must land on the SAME
-// event the linear diagnoser (diagnose.go) finds, while re-executing only
-// the checkpoint-bracketed window. RunTTDStudy is the `benchtab -ttd` study:
-// delta-vs-full seal sizes, seek latency against cold replay, bisect probe
-// counts.
+// RunTTDStudy is the `benchtab -ttd` study: delta-vs-full seal sizes, seek
+// latency against cold replay, and bisect cells that must land on the SAME
+// event the linear diagnoser (diagnose.go) finds while re-executing only the
+// checkpoint-bracketed window. BisectDiagnose, the `reprotest -bisect` gate,
+// is one such cell.
 package buildsim
 
 import (
@@ -89,60 +89,81 @@ func sameDivergence(a, b *obs.Divergence) bool {
 	return same(a.A, b.A) && same(a.B, b.B)
 }
 
+// bisectCell is one X19 bisect cell: a recorded build bisected against a
+// recording of the same build with its inject'th entropy draw perturbed,
+// and the answer checked against the linear diagnoser over both full
+// traces.
+type bisectCell struct {
+	spec   *debpkg.Spec
+	inject int
+	// divergent: the perturbed run diverged — or did not complete, or the
+	// bisection failed or saw a divergence the linear diagnoser did not.
+	// Only "both methods agree there is none" is vacuous.
+	divergent bool
+	agree     bool  // bisect and linear named the same first divergent event
+	seals     int   // seals in the shorter chain
+	bound     int   // ceil(log2(seals))+1: the O(log n) window-replay bound
+	err       error // the perturbed run did not complete, or bisection failed
+	res       *ttd.BisectResult
+	linear    *obs.Divergence
+}
+
+// bisectCell records spec with its inject'th entropy draw perturbed and
+// localizes its first divergence from the reference recording a by
+// checkpoint bisection.
+func (o *Options) bisectCell(l obs.Local, spec *debpkg.Spec, a *ttd.Session, inject int) *bisectCell {
+	c := &bisectCell{spec: spec, inject: inject, divergent: true}
+	b, run := o.recordSession(l, spec, inject, nil)
+	if v, _ := run.verdict(); v != "" {
+		c.err = fmt.Errorf("perturbed build did not complete: %s", v)
+		return c
+	}
+	c.linear = obs.FirstDivergence(a.Trace, b.Trace)
+	c.seals = min(len(a.Seals), len(b.Seals))
+	c.bound = int(math.Ceil(math.Log2(float64(c.seals)))) + 1
+	if c.res, c.err = a.Bisect(b); c.err == nil {
+		c.agree = sameDivergence(c.res.Divergence, c.linear)
+		c.divergent = c.linear != nil || c.res.Divergence != nil
+	}
+	return c
+}
+
+// OK is the cell's oracle: bisection landed on the linear diagnoser's exact
+// event within the O(log n) window-replay bound — and, when a fault was
+// injected, there was a divergence to land on.
+func (c *bisectCell) OK() bool {
+	return c.agree && c.res.WindowReplays <= c.bound && (c.divergent || c.inject == 0)
+}
+
+// String renders the cell for reprotest -bisect.
+func (c *bisectCell) String() string {
+	s := fmt.Sprintf("%s_%s: injected entropy fault at draw %d\n", c.spec.Name, c.spec.Version, c.inject)
+	if c.err != nil {
+		return s + c.err.Error()
+	}
+	s += fmt.Sprintf("bisect: %d seals, %d digest probes, window (%d, %d], %d window replays (bound %d)\n",
+		c.seals, c.res.Probes, c.res.LowOrdinal, c.res.HighOrdinal, c.res.WindowReplays, c.bound)
+	switch {
+	case !c.divergent:
+		return s + "no divergence found by either method"
+	case c.agree:
+		return s + fmt.Sprintf("bisect and linear diagnoser agree:\n%s", c.res.Divergence)
+	}
+	return s + fmt.Sprintf("MISMATCH\nbisect:  %s\nlinear:  %s", c.res.Divergence, c.linear)
+}
+
 // BisectDiagnose is the gate behind `reprotest -bisect -inject-entropy N`:
-// record the build twice (run B with the injected entropy perturbation),
-// localize the first divergent event by checkpoint bisection, and check the
-// answer against the linear diagnoser over the two full traces. ok requires
-// agreement on the exact event AND the O(log n) bound — at most
-// ceil(log2(seals))+1 window re-executions.
+// record the build, then run the X19 bisect cell for draw N against it. ok
+// requires agreement on the exact event AND the O(log n) bound — at most
+// ceil(log2(seals))+1 window re-executions — and, for N > 0, a divergence.
 func (o *Options) BisectDiagnose(spec *debpkg.Spec, inject int) (report string, ok bool) {
-	on := o.derive(func(f *Options) { f.Checkpoints = true })
 	l := obs.NewLocal()
-	a, runA := on.recordSession(l, spec, 0, nil)
+	a, runA := o.recordSession(l, spec, 0, nil)
 	if v, _ := runA.verdict(); v != "" {
 		return fmt.Sprintf("reference build did not complete: %s", v), false
 	}
-	b, runB := on.recordSession(l, spec, inject, nil)
-	if v, _ := runB.verdict(); v != "" {
-		return fmt.Sprintf("perturbed build did not complete: %s", v), false
-	}
-
-	linear := obs.FirstDivergence(a.Trace, b.Trace)
-	bres, err := a.Bisect(b)
-	if err != nil {
-		return fmt.Sprintf("bisect failed: %v", err), false
-	}
-
-	seals := len(a.Seals)
-	if len(b.Seals) < seals {
-		seals = len(b.Seals)
-	}
-	bound := int(math.Ceil(math.Log2(float64(seals)))) + 1
-	agree := sameDivergence(bres.Divergence, linear)
-	ok = agree && bres.WindowReplays <= bound
-
-	report = fmt.Sprintf(
-		"%s_%s: %d seals (run A %d, run B %d), injected entropy fault at draw %d\n"+
-			"bisect: %d digest probes, window (%d, %d], %d window replays (bound %d)\n",
-		spec.Name, spec.Version, seals, len(a.Seals), len(b.Seals), inject,
-		bres.Probes, bres.LowOrdinal, bres.HighOrdinal, bres.WindowReplays, bound)
-	switch {
-	case bres.Divergence == nil && linear == nil:
-		report += "no divergence found by either method"
-		if inject > 0 {
-			report += " (injection did not reach an entropy draw)"
-			ok = false
-		}
-	case agree:
-		report += fmt.Sprintf("bisect and linear diagnoser agree:\n%s", bres.Divergence)
-	default:
-		report += fmt.Sprintf("MISMATCH\nbisect:  %s\nlinear:  %s", bres.Divergence, linear)
-	}
-	if agree && bres.WindowReplays > bound {
-		report += fmt.Sprintf("\nwindow replays %d exceed the O(log n) bound %d",
-			bres.WindowReplays, bound)
-	}
-	return report, ok
+	c := o.bisectCell(l, spec, a, inject)
+	return c.String(), c.OK()
 }
 
 // TTDStudy is the `benchtab -ttd` result: what dense delta checkpointing
@@ -173,10 +194,15 @@ type TTDStudy struct {
 	Speedup         float64 `json:"seek_speedup"`
 
 	// BisectProbes/BisectReplays aggregate the entropy-injected bisections;
-	// BisectAgree counts those landing on the linear diagnoser's event.
-	BisectProbes  int `json:"bisect_probes"`
-	BisectReplays int `json:"bisect_window_replays"`
-	BisectAgree   int `json:"bisect_agree_linear"`
+	// BisectAgree counts those landing on the linear diagnoser's event, a
+	// vacuous "neither found one" included. BisectDivergent counts the
+	// packages whose injected run diverged (see bisectCell.divergent): only
+	// those are evidence, and bisectHeld counts those whose cell passed.
+	BisectProbes    int `json:"bisect_probes"`
+	BisectReplays   int `json:"bisect_window_replays"`
+	BisectAgree     int `json:"bisect_agree_linear"`
+	BisectDivergent int `json:"bisect_divergent"`
+	bisectHeld      int
 }
 
 // String renders the study for benchtab text output.
@@ -185,17 +211,20 @@ func (st *TTDStudy) String() string {
 		"ttd: %d packages, %d seals; delta/full equivalent %d/%d\n"+
 			"seal bytes: delta %d vs full %d (ratio %.3f)\n"+
 			"seek: %d actions replayed from seal chain vs %d cold (%.1fx)\n"+
-			"bisect: %d probes, %d window replays, %s agree with linear",
+			"bisect: %d probes, %d window replays; %d of %d injected runs diverged, "+
+			"%s of those localized to the linear diagnoser's event within the O(log n) bound",
 		st.Packages, st.Seals, st.Equivalent, st.Packages,
 		st.DeltaBytes, st.FullBytes, st.Ratio,
 		st.ReplayedActions, st.ColdActions, st.Speedup,
-		st.BisectProbes, st.BisectReplays, stats.Pct(st.BisectAgree, st.Packages))
+		st.BisectProbes, st.BisectReplays, st.BisectDivergent, st.Packages,
+		stats.Pct(st.bisectHeld, st.BisectDivergent))
 }
 
 // OK is the study's oracle: delta seals moved no output bit, and every
-// bisection landed on the linear diagnoser's event.
+// divergent bisection landed on the linear diagnoser's event within the
+// O(log n) window-replay bound.
 func (st *TTDStudy) OK() bool {
-	return st.Equivalent == st.Packages && st.BisectAgree == st.Packages
+	return st.Equivalent == st.Packages && st.bisectHeld == st.BisectDivergent
 }
 
 // RunTTDStudy measures the time-travel debug service over specs: the
@@ -204,11 +233,10 @@ func (st *TTDStudy) OK() bool {
 // diagnosis.
 func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 	type tOut struct {
-		agree                  bool
 		seals                  int
 		deltaBytes, fullBytes  int64
 		replayed, coldReplayed int64
-		probes, replays        int
+		bisect                 *bisectCell
 	}
 	outs := make([]tOut, len(specs))
 	record := func(f *Options, l obs.Local, spec *debpkg.Spec, _ uint64, _ reprotest.Variation) dtRun {
@@ -250,15 +278,7 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		}
 
 		// Bisect against an entropy-injected recording of the same build.
-		inj, injRun := o.recordSession(l, specs[i], 1, nil)
-		if v, _ := injRun.verdict(); v == "" {
-			if bres, err := sess.Bisect(inj); err == nil {
-				out.probes = bres.Probes
-				out.replays = bres.WindowReplays
-				out.agree = sameDivergence(bres.Divergence,
-					obs.FirstDivergence(sess.Trace, inj.Trace))
-			}
-		}
+		out.bisect = o.bisectCell(l, specs[i], sess, 1)
 		outs[i] = out
 	}
 	pairs, _, _ := o.ablate(core.DeltaSeals, specs, protocol{build: record, visit: measure})
@@ -277,10 +297,19 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		st.FullBytes += out.fullBytes
 		st.ReplayedActions += out.replayed
 		st.ColdActions += out.coldReplayed
-		st.BisectProbes += out.probes
-		st.BisectReplays += out.replays
-		if out.agree {
+		c := out.bisect
+		if c.err == nil {
+			st.BisectProbes += c.res.Probes
+			st.BisectReplays += c.res.WindowReplays
+		}
+		if c.agree {
 			st.BisectAgree++
+		}
+		if c.divergent {
+			st.BisectDivergent++
+			if c.OK() {
+				st.bisectHeld++
+			}
 		}
 	}
 	if st.FullBytes > 0 {

@@ -14,7 +14,7 @@ import (
 // This file is the farm half of the Byzantine-robust attestation chain
 // (DESIGN §4i). The coordinator drives quorum admission job by job: the
 // primary's signed claim plus independent rebuilder re-executions, judged by
-// replica.QuorumDissent over statement digests. Dissenters are named and
+// attest.Admit, a quorum over statement digests. Dissenters are named and
 // quarantined — marked down, their queued jobs re-placed by the same
 // rendezvous hashing that handles crashes — and admission retries with a
 // widened pool under exponential virtual backoff, escalating to the

@@ -67,13 +67,10 @@ const (
 	// KindWsConflict marks a deterministic workspace merge conflict; the
 	// container aborts reproducibly right after recording it.
 	KindWsConflict
-	// KindDeriveHit marks a derivation-store hit (ISSUE 8): derived state
-	// was reused instead of rebuilt. Arg is the derivation key hash, Ret
-	// the granularity (0 = template/snapshot, 1 = phase seal, 2 = compile
-	// unit). Observability-only — reuse never changes guest-visible bytes.
+	// KindDeriveHit and KindDeriveMiss (derivation-store hit and miss) are
+	// reserved: nothing records them, but they hold their slots so every
+	// later kind keeps its number, and with it every ring digest.
 	KindDeriveHit
-	// KindDeriveMiss marks a derivation-store miss at the same granularity
-	// encoding: the state had to be built (or a unit re-executed).
 	KindDeriveMiss
 	// KindSeek marks a time-travel debugger seek (ISSUE 9): Arg is the
 	// requested logical instant, Ret the checkpoint ordinal restored from

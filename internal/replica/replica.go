@@ -180,57 +180,6 @@ func Agree(results []Result) bool {
 	return true
 }
 
-// Quorum generalizes Agree: it reports whether at least k healthy replicas
-// reached the same state, returning that state's hash. Under determinism a
-// quorum is degenerate — every healthy replica computes the same bits — so k
-// expresses fault tolerance, not voting: it is how many crashed, corrupted
-// or lagging replicas the caller is willing to absorb while still certifying
-// the cluster state from the survivors. Agree(results) is equivalent to
-// Quorum(results, len(results)) succeeding. The distributed build farm uses
-// the same principle job-by-job (any one completed attempt's digest IS the
-// answer); Quorum is the cluster-level form.
-func Quorum(results []Result, k int) (string, bool) {
-	if k <= 0 || k > len(results) {
-		return "", false
-	}
-	counts := make(map[string]int)
-	for _, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		counts[r.StateHash]++
-	}
-	best, bestN := "", 0
-	for h, n := range counts {
-		if n > bestN || (n == bestN && h < best) {
-			best, bestN = h, n
-		}
-	}
-	if bestN < k {
-		return "", false
-	}
-	return best, true
-}
-
-// QuorumDissent is Quorum plus accountability: alongside the winning state
-// hash it returns the indices of every replica that dissented from the
-// quorum value — errored replicas and replicas reporting a different hash.
-// Under determinism a healthy honest replica CANNOT dissent (the quorum
-// value is the unique function of the inputs), so a dissenting index names a
-// faulty or lying node, which is what lets the attestation layer quarantine
-// Byzantine builders instead of merely failing the k-of-n check. When no
-// quorum forms, every index is returned as dissenting.
-func QuorumDissent(results []Result, k int) (string, []int, bool) {
-	best, ok := Quorum(results, k)
-	dissent := make([]int, 0, len(results))
-	for i, r := range results {
-		if !ok || r.Err != nil || r.StateHash != best {
-			dissent = append(dissent, i)
-		}
-	}
-	return best, dissent, ok
-}
-
 // Reference computes the cluster's canonical checkpointed outcome once, on
 // the first host. Determinism makes any single healthy replica THE cluster
 // reference — so recovery validation costs one replica's work, not N.

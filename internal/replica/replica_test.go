@@ -158,86 +158,3 @@ func TestSeedIsADeclaredInput(t *testing.T) {
 		t.Fatal("same seed on another host must match")
 	}
 }
-
-func TestQuorumGeneralizesAgree(t *testing.T) {
-	c := &Cluster{Hosts: DefaultHosts(), Seed: 7}
-	results := c.Execute(testLog)
-	hash, ok := Quorum(results, len(results))
-	if !ok || hash != results[0].StateHash {
-		t.Fatalf("unanimous quorum failed: ok=%v hash=%q", ok, hash)
-	}
-	if ok != Agree(results) {
-		t.Fatal("Quorum(results, n) disagrees with Agree")
-	}
-
-	// One replica crashed: a 2-of-3 quorum still certifies the state, a
-	// 3-of-3 one cannot.
-	faulty := append([]Result(nil), results...)
-	faulty[1].Err = errors.New("node lost")
-	faulty[1].StateHash = ""
-	if hash, ok := Quorum(faulty, 2); !ok || hash != results[0].StateHash {
-		t.Fatalf("2-of-3 quorum with one dead replica: ok=%v hash=%q", ok, hash)
-	}
-	if _, ok := Quorum(faulty, 3); ok {
-		t.Fatal("3-of-3 quorum should fail with a dead replica")
-	}
-
-	// A diverged replica must not be counted toward the quorum hash.
-	diverged := append([]Result(nil), results...)
-	diverged[2].StateHash = "not-the-cluster-state"
-	if hash, ok := Quorum(diverged, 2); !ok || hash != results[0].StateHash {
-		t.Fatalf("quorum picked the wrong state: ok=%v hash=%q", ok, hash)
-	}
-
-	// Degenerate ks.
-	if _, ok := Quorum(results, 0); ok {
-		t.Fatal("k=0 must not certify anything")
-	}
-	if _, ok := Quorum(results, len(results)+1); ok {
-		t.Fatal("k beyond the cluster size must fail")
-	}
-}
-
-func TestQuorumDissentNamesMinority(t *testing.T) {
-	c := &Cluster{Hosts: DefaultHosts(), Seed: 7}
-	results := c.Execute(testLog)
-
-	// Unanimous: quorum forms, nobody dissents.
-	hash, dissent, ok := QuorumDissent(results, 2)
-	if !ok || hash != results[0].StateHash || len(dissent) != 0 {
-		t.Fatalf("unanimous: ok=%v dissent=%v", ok, dissent)
-	}
-
-	// One lying replica: the quorum still certifies the honest state and the
-	// liar is named by index — determinism makes dissent an accusation.
-	lying := append([]Result(nil), results...)
-	lying[1].StateHash = "a-lie"
-	hash, dissent, ok = QuorumDissent(lying, 2)
-	if !ok || hash != results[0].StateHash {
-		t.Fatalf("2-of-3 with liar: ok=%v hash=%q", ok, hash)
-	}
-	if len(dissent) != 1 || dissent[0] != 1 {
-		t.Fatalf("dissent %v, want [1]", dissent)
-	}
-
-	// An errored replica dissents too (it failed to certify).
-	dead := append([]Result(nil), results...)
-	dead[2].Err = errors.New("node lost")
-	if _, dissent, ok := QuorumDissent(dead, 2); !ok || len(dissent) != 1 || dissent[0] != 2 {
-		t.Fatalf("dead replica: ok=%v dissent=%v", ok, dissent)
-	}
-
-	// No quorum: every index is dissenting — the caller must not admit.
-	if _, dissent, ok := QuorumDissent(lying, 3); ok || len(dissent) != len(lying) {
-		t.Fatalf("failed quorum: ok=%v dissent=%v", ok, dissent)
-	}
-
-	// The signature stays compatible with Quorum's verdict.
-	for _, k := range []int{0, 1, 2, 3, 4} {
-		qh, qok := Quorum(lying, k)
-		dh, _, dok := QuorumDissent(lying, k)
-		if qh != dh || qok != dok {
-			t.Fatalf("k=%d: QuorumDissent disagrees with Quorum", k)
-		}
-	}
-}
