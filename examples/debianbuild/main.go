@@ -1,13 +1,14 @@
 // Debian-style reproducible build: a small hand-written package whose
 // compiler embeds timestamps, build paths and randomness into the binary.
-// Built twice natively the .debs differ; built twice under DetTrace — on
-// different hosts — they are bitwise identical.
+// Built twice under DetTrace — on different hosts — the .debs are bitwise
+// identical. It exits 1 if they differ.
 //
 //	go run ./examples/debianbuild
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro"
 )
@@ -64,11 +65,11 @@ func main() {
 	a := build(0xAAAA, 1_520_000_000, repro.CloudLabC220G5())
 	b := build(0xBBBB, 1_560_000_000, repro.PortabilityBroadwell())
 
-	if string(a) == string(b) {
-		fmt.Println("=> .deb files are bitwise identical despite embedded time/path/randomness.")
-	} else {
+	if string(a) != string(b) {
 		fmt.Println("=> .deb files DIFFER — reproducibility violated!")
+		os.Exit(1)
 	}
+	fmt.Println("=> .deb files are bitwise identical despite embedded time/path/randomness.")
 	fmt.Println("\nfirst bytes of the artifact:")
 	n := 240
 	if len(a) < n {

@@ -1,13 +1,14 @@
 // ML training: a threaded training loop whose minibatch sampling draws OS
 // randomness. The loss trace differs on every native run (§7.6); inside
 // DetTrace it is a pure function of the container seed, so experiments can
-// be audited and re-run exactly.
+// be audited and re-run exactly. It exits 1 if two hosts' traces differ.
 //
 //	go run ./examples/mltraining
 package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"repro"
@@ -72,9 +73,9 @@ func main() {
 	fmt.Println("training twice under DetTrace on different hosts:")
 	a := run("host A", 0x1111, 7)
 	b := run("host B", 0x2222, 7)
-	if a == b {
-		fmt.Println("=> loss traces identical: the experiment is auditable and exactly re-runnable.")
-	} else {
+	if a != b {
 		fmt.Println("=> MISMATCH!")
+		os.Exit(1)
 	}
+	fmt.Println("=> loss traces identical: the experiment is auditable and exactly re-runnable.")
 }

@@ -1,12 +1,13 @@
 // Quickstart: run a deliberately nondeterministic program inside a
 // reproducible container on two completely different "machines" and watch
-// the output come out bitwise-identical.
+// the output come out bitwise-identical. It exits 1 if the two runs differ.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro"
 )
@@ -60,9 +61,9 @@ func main() {
 		Profile: repro.PortabilityBroadwell(), HostSeed: 999_999, Epoch: 1_550_000_000, NumCPU: 8,
 	})
 
-	if a == b {
-		fmt.Println("=> bitwise identical output and filesystem state on both hosts.")
-	} else {
+	if a != b {
 		fmt.Println("=> MISMATCH — reproducibility violated!")
+		os.Exit(1)
 	}
+	fmt.Println("=> bitwise identical output and filesystem state on both hosts.")
 }

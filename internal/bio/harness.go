@@ -47,14 +47,7 @@ func RunNative(tool Tool, procs int, seed uint64, epoch int64) (int64, *fs.Image
 		NumCPU: 16, // the paper runs up to 16 parallel processes
 	})
 	argv := []string{string(tool), "-np", fmt.Sprint(procs)}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/bin/"+string(tool), argv, []string{"PATH=/bin"}); err != 0 {
-			return 127
-		}
-		return 127
-	}
-	k.Start(init, argv, []string{"PATH=/bin"})
+	guest.Start(k, "/bin/"+string(tool), argv, []string{"PATH=/bin"}, "")
 	if err := k.Run(); err != nil {
 		panic(fmt.Sprintf("bio native run failed: %v", err))
 	}

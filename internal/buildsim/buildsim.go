@@ -505,19 +505,7 @@ func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.S
 // startBuild starts dpkg-buildpackage as the kernel's init process, in the
 // package's source directory.
 func startBuild(k *kernel.Kernel, pkgdir string, env []string) *kernel.Proc {
-	argv := []string{"dpkg-buildpackage", "-b"}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/bin/dpkg-buildpackage", argv, env); err != abi.OK {
-			return 127
-		}
-		return 127 // unreachable
-	}
-	proc := k.Start(init, argv, env)
-	if n, err := k.ResolveInode(proc, pkgdir, true); err == abi.OK && n.IsDir() {
-		proc.Cwd, proc.CwdPath = n, pkgdir
-	}
-	return proc
+	return guest.Start(k, "/bin/dpkg-buildpackage", []string{"dpkg-buildpackage", "-b"}, env, pkgdir)
 }
 
 func inodeData(k *kernel.Kernel, p *kernel.Proc, path string) []byte {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/abi"
 	"repro/internal/baseimg"
 	"repro/internal/core"
 	"repro/internal/debpkg"
@@ -359,15 +358,7 @@ func selftest(prog []byte) []byte {
 		Image:    img,
 		Resolver: registry().Resolver(),
 	}, kernel.BootConfig{NumCPU: 1, Deadline: BLDeadline})
-	argv := []string{"prog", "--selftest"}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/prog", argv, containerEnv); err != abi.OK {
-			return 127
-		}
-		return 127 // unreachable
-	}
-	k.Start(init, argv, containerEnv)
+	guest.Start(k, "/prog", []string{"prog", "--selftest"}, containerEnv, "")
 	if k.Run() != nil {
 		return nil
 	}

@@ -262,9 +262,9 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 	if !adm.OK {
 		// Arbiter of last resort: the coordinator re-executes the build
 		// itself and its statement decides — determinism makes any single
-		// honest replica THE reference (replica.Reference), and the
-		// coordinator is the log authority already. This is what keeps a
-		// 1-worker farm with a lying worker from deadlocking admission.
+		// honest replica THE reference, and the coordinator is the log
+		// authority already. This is what keeps a 1-worker farm with a
+		// lying worker from deadlocking admission.
 		if !tried[0] {
 			tried[0] = true
 			pool = append(pool, 0)

@@ -116,6 +116,21 @@ func (r *Registry) Bind(prog Program, img *kernel.ExecImage) kernel.ProgramFn {
 	}
 }
 
+// Start launches a native run: it execs path as k's first process, in cwd
+// when the image has that directory ("" keeps the root), so the exec hooks
+// fire for the command exactly as for any later process.
+func Start(k *kernel.Kernel, path string, argv, env []string, cwd string) *kernel.Proc {
+	init := func(t *kernel.Thread) int {
+		(&Proc{T: t}).Exec(path, argv, env)
+		return 127 // exec failed
+	}
+	proc := k.Start(init, argv, env)
+	if n, err := k.ResolveInode(proc, cwd, true); err == abi.OK && n.IsDir() {
+		proc.Cwd, proc.CwdPath = n, cwd
+	}
+	return proc
+}
+
 // --- process identity ---------------------------------------------------------
 
 // Argv returns the program's argument vector.

@@ -239,14 +239,7 @@ func RunNative(m Model, threads int, seed uint64) (int64, string) {
 		Resolver: reg.Resolver(),
 	}, kernel.BootConfig{Seed: seed, Epoch: 1_550_000_000, NumCPU: 16})
 	argv := []string{"tf_train", string(m), fmt.Sprint(threads)}
-	init := func(t *kernel.Thread) int {
-		p := &guest.Proc{T: t}
-		if err := p.Exec("/bin/tf_train", argv, []string{"PATH=/bin"}); err != abi.OK {
-			return 127
-		}
-		return 127
-	}
-	k.Start(init, argv, []string{"PATH=/bin"})
+	guest.Start(k, "/bin/tf_train", argv, []string{"PATH=/bin"}, "")
 	if err := k.Run(); err != nil {
 		panic(fmt.Sprintf("mlsim native: %v", err))
 	}

@@ -71,39 +71,6 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// Histogram is a fixed-bucket histogram: bounds are inclusive upper edges in
-// ascending order, with an implicit +Inf bucket at the end.
-type Histogram struct {
-	name    string
-	bounds  []int64
-	buckets []int64 // len(bounds)+1, atomic
-	count   int64
-	sum     int64
-}
-
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
-
-// Bounds returns the configured upper edges.
-func (h *Histogram) Bounds() []int64 { return append([]int64(nil), h.bounds...) }
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	atomic.AddInt64(&h.buckets[i], 1)
-	atomic.AddInt64(&h.count, 1)
-	atomic.AddInt64(&h.sum, v)
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return atomic.LoadInt64(&h.count) }
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return atomic.LoadInt64(&h.sum) }
-
-// Bucket returns the count in bucket i (i == len(Bounds()) is +Inf).
-func (h *Histogram) Bucket(i int) int64 { return atomic.LoadInt64(&h.buckets[i]) }
-
 // CounterVec is a dense vector of counters indexed by a small integer — the
 // shape of the kernel's per-syscall table, where the index is the syscall
 // number. Adds are single atomic ops on a flat slice: the hot-path property
@@ -144,7 +111,6 @@ func (cv *CounterVec) Drain(fn func(i int, v int64)) {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	hists    map[string]*Histogram
 	vecs     map[string]*CounterVec
 }
 
@@ -152,7 +118,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
 		vecs:     make(map[string]*CounterVec),
 	}
 }
@@ -167,23 +132,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use (later calls keep the original bounds).
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{
-			name:    name,
-			bounds:  append([]int64(nil), bounds...),
-			buckets: make([]int64, len(bounds)+1),
-		}
-		r.hists[name] = h
-	}
-	return h
 }
 
 // CounterVec returns the named dense vector, creating it with n slots on
@@ -205,19 +153,14 @@ type Sample struct {
 	Value int64
 }
 
-// Gather snapshots every scalar metric, sorted by name. Histograms expand to
-// <name>_count and <name>_sum; vectors to <name>{idx} entries for non-zero
-// indexes.
+// Gather snapshots every scalar metric, sorted by name. Vectors expand to
+// <name>{idx} entries for non-zero indexes.
 func (r *Registry) Gather() []Sample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Sample
 	for name, c := range r.counters {
 		out = append(out, Sample{Name: name, Value: c.Value()})
-	}
-	for name, h := range r.hists {
-		out = append(out, Sample{Name: name + "_count", Value: h.Count()})
-		out = append(out, Sample{Name: name + "_sum", Value: h.Sum()})
 	}
 	for name, cv := range r.vecs {
 		for i := range cv.v {
@@ -248,24 +191,6 @@ func (r *Registry) Absorb(src *Registry) {
 	for name, c := range src.counters {
 		counters[name] = c.Value()
 	}
-	hists := make(map[string]struct {
-		bounds  []int64
-		buckets []int64
-		count   int64
-		sum     int64
-	}, len(src.hists))
-	for name, h := range src.hists {
-		b := make([]int64, len(h.buckets))
-		for i := range h.buckets {
-			b[i] = h.Bucket(i)
-		}
-		hists[name] = struct {
-			bounds  []int64
-			buckets []int64
-			count   int64
-			sum     int64
-		}{h.Bounds(), b, h.Count(), h.Sum()}
-	}
 	vecs := make(map[string]vecSnap, len(src.vecs))
 	for name, cv := range src.vecs {
 		s := vecSnap{n: len(cv.v), v: make([]int64, len(cv.v))}
@@ -281,16 +206,6 @@ func (r *Registry) Absorb(src *Registry) {
 			r.Counter(name).Inc(v)
 		}
 	}
-	for name, h := range hists {
-		dst := r.Histogram(name, h.bounds)
-		for i, n := range h.buckets {
-			if i < len(dst.buckets) {
-				atomic.AddInt64(&dst.buckets[i], n)
-			}
-		}
-		atomic.AddInt64(&dst.count, h.count)
-		atomic.AddInt64(&dst.sum, h.sum)
-	}
 	for name, s := range vecs {
 		dst := r.CounterVec(name, s.n)
 		for i, v := range s.v {
@@ -302,17 +217,13 @@ func (r *Registry) Absorb(src *Registry) {
 }
 
 // WriteProm writes a plain-text Prometheus-style dump: one `name value` line
-// per scalar, `name_bucket{le="..."}` lines per histogram bucket, sorted so
-// two dumps of equal registries are byte-identical.
+// per scalar and `name{idx="..."}` lines per vector index, sorted so two
+// dumps of equal registries are byte-identical.
 func (r *Registry) WriteProm(w io.Writer) error {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.counters))
 	for name := range r.counters {
 		names = append(names, name)
-	}
-	hnames := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hnames = append(hnames, name)
 	}
 	vnames := make([]string, 0, len(r.vecs))
 	for name := range r.vecs {
@@ -320,29 +231,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 	r.mu.Unlock()
 	sort.Strings(names)
-	sort.Strings(hnames)
 	sort.Strings(vnames)
 
 	for _, name := range names {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, r.Counter(name).Value()); err != nil {
-			return err
-		}
-	}
-	for _, name := range hnames {
-		h := r.Histogram(name, nil)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
-		}
-		cum := int64(0)
-		for i, b := range h.bounds {
-			cum += h.Bucket(i)
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b, cum); err != nil {
-				return err
-			}
-		}
-		cum += h.Bucket(len(h.bounds))
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n",
-			name, cum, name, h.Sum(), name, h.Count()); err != nil {
 			return err
 		}
 	}

@@ -31,22 +31,6 @@ func TestCounterStripes(t *testing.T) {
 	}
 }
 
-func TestHistogramBuckets(t *testing.T) {
-	h := NewRegistry().Histogram("lat", []int64{10, 100, 1000})
-	for _, v := range []int64{1, 10, 11, 100, 5000} {
-		h.Observe(v)
-	}
-	want := []int64{2, 2, 0, 1} // ≤10, ≤100, ≤1000, +Inf
-	for i, w := range want {
-		if got := h.Bucket(i); got != w {
-			t.Fatalf("bucket %d = %d, want %d", i, got, w)
-		}
-	}
-	if h.Count() != 5 || h.Sum() != 5122 {
-		t.Fatalf("count/sum = %d/%d, want 5/5122", h.Count(), h.Sum())
-	}
-}
-
 func TestCounterVecDrain(t *testing.T) {
 	cv := NewRegistry().CounterVec("sys", 8)
 	cv.Add(1, 3)
@@ -66,15 +50,11 @@ func TestAbsorb(t *testing.T) {
 	farm.Counter("hits").Inc(1)
 	child := NewRegistry()
 	child.Counter("hits").Inc(4)
-	child.Histogram("lat", []int64{10}).Observe(3)
 	child.CounterVec("sys", 4).Add(2, 9)
 	farm.Absorb(child)
 	farm.Absorb(nil)
 	if got := farm.Counter("hits").Value(); got != 5 {
 		t.Fatalf("hits = %d, want 5", got)
-	}
-	if got := farm.Histogram("lat", nil).Count(); got != 1 {
-		t.Fatalf("lat count = %d, want 1", got)
 	}
 	if got := farm.CounterVec("sys", 4).At(2); got != 9 {
 		t.Fatalf("sys[2] = %d, want 9", got)
@@ -86,7 +66,6 @@ func TestWritePromDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Counter("zeta").Inc(1)
 		r.Counter("alpha").Inc(2)
-		r.Histogram("h", []int64{5, 50}).Observe(7)
 		r.CounterVec("v", 4).Add(3, 2)
 		return r
 	}
@@ -101,7 +80,7 @@ func TestWritePromDeterministic(t *testing.T) {
 		t.Fatal("prom dumps of equal registries differ")
 	}
 	out := a.String()
-	for _, want := range []string{"alpha 2", "zeta 1", `h_bucket{le="+Inf"} 1`, `v{idx="3"} 2`} {
+	for _, want := range []string{"alpha 2", "zeta 1", `v{idx="3"} 2`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prom dump missing %q:\n%s", want, out)
 		}

@@ -58,6 +58,10 @@ type (
 	// HostRun names the physical run a forked container executes as: the
 	// [host] Config fields a template deliberately does not bake in.
 	HostRun = core.HostRun
+	// Checkpoint is a sealed mid-run container state, handed to
+	// Config.CheckpointSink at each quiescent stop of a run whose command
+	// sets DETTRACE_CHECKPOINT.
+	Checkpoint = core.Checkpoint
 )
 
 // Guest programming types.
@@ -88,6 +92,13 @@ func New(cfg Config) *Container { return core.New(cfg) }
 // run-independent half of New done once, so each Template.NewContainer
 // fork pays only per-run setup.
 func NewTemplate(cfg Config) *Template { return core.NewTemplate(cfg) }
+
+// Resume restores a container from cp and runs it to completion. cfg must be
+// the sealed run's config with FaultInjectCrash cleared; the Result is
+// bitwise identical to what the uninterrupted run would have produced.
+func Resume(cp *Checkpoint, reg *Registry, cfg Config) (*Result, error) {
+	return core.Resume(cp, reg, cfg)
+}
 
 // NewRegistry returns an empty guest program registry.
 func NewRegistry() *Registry { return guest.NewRegistry() }

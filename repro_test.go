@@ -34,7 +34,8 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeToolchainBuild(t *testing.T) {
+// buildConfig is a one-package source tree for dpkg-buildpackage.
+func buildConfig() repro.Config {
 	img := repro.ToolchainImage()
 	img.AddDir("/build/p-1", 0o755)
 	img.AddDir("/build/p-1/debian", 0o755)
@@ -43,17 +44,61 @@ func TestFacadeToolchainBuild(t *testing.T) {
 	img.AddFile("/build/p-1/debian/rules", 0o755, []byte("weight 1\nstep make -j1\nstep pack\n"))
 	img.AddFile("/build/p-1/Makefile", 0o644, []byte("compiler=cc\nsrcdir=src\nbuilddir=build\noutput=build/prog\n"))
 	img.AddFile("/build/p-1/src/u.c", 0o644, []byte("@embed-timestamp@\nint main(void){return 0;}\n"))
+	return repro.Config{Image: img, HostSeed: 3, Epoch: 1_600_000_000, WorkingDir: "/build/p-1"}
+}
 
+func toolchain() *repro.Registry {
 	reg := repro.NewRegistry()
 	repro.RegisterToolchain(reg)
-	c := repro.New(repro.Config{Image: img, HostSeed: 3, Epoch: 1_600_000_000, WorkingDir: "/build/p-1"})
-	res := c.Run(reg, "/bin/dpkg-buildpackage", []string{"dpkg-buildpackage", "-b"},
-		[]string{"PATH=/bin", "USER=root", "HOME=/root"})
+	return reg
+}
+
+// build runs dpkg-buildpackage in cfg; env extends the build environment.
+func build(cfg repro.Config, env ...string) *repro.Result {
+	return repro.New(cfg).Run(toolchain(), "/bin/dpkg-buildpackage", []string{"dpkg-buildpackage", "-b"},
+		append([]string{"PATH=/bin", "USER=root", "HOME=/root"}, env...))
+}
+
+func TestFacadeToolchainBuild(t *testing.T) {
+	res := build(buildConfig())
 	if res.Err != nil || res.ExitCode != 0 {
 		t.Fatalf("build failed: err=%v code=%d stderr=%s", res.Err, res.ExitCode, res.Stderr)
 	}
 	if _, ok := res.FS.Entries["/build/out/p_1_amd64.deb"]; !ok {
 		t.Errorf("no .deb in output tree")
+	}
+}
+
+// TestFacadeCheckpointResume is crash recovery through the facade alone: a
+// checkpointed build crashed halfway resumes from its last seal and finishes
+// bitwise identical to the uninterrupted build.
+func TestFacadeCheckpointResume(t *testing.T) {
+	const ckpt = "DETTRACE_CHECKPOINT=1"
+	ref := build(buildConfig(), ckpt)
+	if ref.Err != nil || ref.ExitCode != 0 {
+		t.Fatalf("reference build failed: err=%v code=%d stderr=%s", ref.Err, ref.ExitCode, ref.Stderr)
+	}
+
+	cfg := buildConfig()
+	var last *repro.Checkpoint
+	cfg.FaultInjectCrash = ref.Actions / 2
+	cfg.CheckpointSink = func(cp *repro.Checkpoint) { last = cp }
+	if crashed := build(cfg, ckpt); crashed.Err == nil {
+		t.Fatal("the injected crash did not fire")
+	}
+	if last == nil || last.Ordinal() <= 0 {
+		t.Fatalf("no checkpoint sealed before the crash: %v", last)
+	}
+
+	cfg.FaultInjectCrash, cfg.CheckpointSink = 0, nil
+	res, err := repro.Resume(last, toolchain(), cfg)
+	if err != nil {
+		t.Fatalf("resume from checkpoint %d: %v", last.Ordinal(), err)
+	}
+	if res.Err != nil || res.ExitCode != ref.ExitCode || res.Stdout != ref.Stdout ||
+		repro.HashImage(res.FS) != repro.HashImage(ref.FS) {
+		t.Fatalf("resumed build differs from the uninterrupted one: err=%v code=%d stdout=%q",
+			res.Err, res.ExitCode, res.Stdout)
 	}
 }
 
