@@ -67,7 +67,9 @@ func Unpack(raw []byte) (*Archive, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(rest)) < size+1 {
+		// size bytes of data, then a newline: compared without size+1,
+		// which overflows at the largest size.
+		if size >= int64(len(rest)) {
 			return nil, fmt.Errorf("artar: truncated member %q", m.Name)
 		}
 		m.Data = append([]byte(nil), rest[:size]...)
@@ -89,32 +91,33 @@ func parseHeader(h string) (Member, int64, error) {
 		if !ok {
 			return Member{}, 0, fmt.Errorf("artar: bad field %q", f)
 		}
+		var err error
 		switch k {
 		case "name":
-			name, err := strconv.Unquote(v)
-			if err != nil {
-				return Member{}, 0, fmt.Errorf("artar: bad name %q", v)
-			}
-			m.Name = name
+			m.Name, err = strconv.Unquote(v)
 		case "mode":
-			n, err := strconv.ParseUint(v, 8, 32)
-			if err != nil {
-				return Member{}, 0, err
-			}
-			m.Mode = uint32(n)
+			m.Mode, err = parseU32(v, 8)
 		case "uid":
-			n, _ := strconv.ParseUint(v, 10, 32)
-			m.UID = uint32(n)
+			m.UID, err = parseU32(v, 10)
 		case "gid":
-			n, _ := strconv.ParseUint(v, 10, 32)
-			m.GID = uint32(n)
+			m.GID, err = parseU32(v, 10)
 		case "mtime":
-			m.Mtime, _ = strconv.ParseInt(v, 10, 64)
+			m.Mtime, err = strconv.ParseInt(v, 10, 64)
 		case "size":
-			size, _ = strconv.ParseInt(v, 10, 64)
+			if size, err = strconv.ParseInt(v, 10, 64); err == nil && size < 0 {
+				err = strconv.ErrRange
+			}
+		}
+		if err != nil {
+			return Member{}, 0, fmt.Errorf("artar: bad %s %q", k, v)
 		}
 	}
 	return m, size, nil
+}
+
+func parseU32(v string, base int) (uint32, error) {
+	n, err := strconv.ParseUint(v, base, 32)
+	return uint32(n), err
 }
 
 // splitFields splits on spaces outside quotes.
@@ -125,7 +128,13 @@ func splitFields(s string) []string {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
-		case c == '"' && (i == 0 || s[i-1] != '\\'):
+		case c == '\\' && inQuote && i+1 < len(s):
+			// An escape inside a quoted name: keep it and the escaped
+			// byte, so `\\"` still ends the quote and `\"` does not.
+			cur.WriteByte(c)
+			i++
+			cur.WriteByte(s[i])
+		case c == '"':
 			inQuote = !inQuote
 			cur.WriteByte(c)
 		case c == ' ' && !inQuote:

@@ -2,6 +2,7 @@ package artar
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,12 +13,13 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	ar.Add(Member{Name: "usr/bin/tool", Mode: 0o755, UID: 0, GID: 0, Mtime: 12345, Data: []byte("#!exe\npayload")})
 	ar.Add(Member{Name: "doc/с изменениями.txt", Mode: 0o644, Mtime: -1, Data: []byte("utf-8 names & \"quotes\"\nnewlines\n")})
 	ar.Add(Member{Name: "empty", Mode: 0o600})
+	ar.Add(Member{Name: `ends in an escaped backslash \`, Mode: 0o644, Data: []byte("x")})
 
 	back, err := Unpack(ar.Pack())
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}
-	if len(back.Members) != 3 {
+	if len(back.Members) != len(ar.Members) {
 		t.Fatalf("members = %d", len(back.Members))
 	}
 	for i, m := range ar.Members {
@@ -34,6 +36,16 @@ func TestUnpackRejectsGarbage(t *testing.T) {
 		[]byte("not an archive"),
 		[]byte(Magic + "\nentry broken"),
 		[]byte(Magic + "\nentry name=\"a\" mode=644 uid=0 gid=0 mtime=0 size=100\nshort\n"),
+		// These two used to panic: a negative size sliced out of range,
+		// and the largest size overflowed the bounds check.
+		[]byte(Magic + "\nentry name=\"a\" size=-1\n"),
+		[]byte(Magic + "\nentry name=\"a\" size=9223372036854775807\n"),
+		// Bad numbers are errors, not zeros.
+		[]byte(Magic + "\nentry name=\"a\" size=x\n\n"),
+		[]byte(Magic + "\nentry name=\"a\" uid=-1 size=0\n\n"),
+		[]byte(Magic + "\nentry name=\"a\" gid=4294967296 size=0\n\n"),
+		[]byte(Magic + "\nentry name=\"a\" mtime=1.5 size=0\n\n"),
+		[]byte(Magic + "\nentry name=\"a\" mode=9 size=0\n\n"),
 	}
 	for i, c := range cases {
 		if _, err := Unpack(c); err == nil {
@@ -141,4 +153,30 @@ func TestAdversarialPayloadProperty(t *testing.T) {
 			t.Errorf("payload %q corrupted", pl)
 		}
 	}
+}
+
+// FuzzArtarUnpack: Unpack never panics, and every archive it accepts packs
+// back into one it reads identically. diffoscope and strip-nondeterminism
+// unpack whatever a guest build produced, so a malformed archive must be a
+// verdict, not a crash.
+func FuzzArtarUnpack(f *testing.F) {
+	ar := &Archive{}
+	ar.Add(Member{Name: "usr/bin/tool", Mode: 0o755, UID: 1, GID: 2, Mtime: 12345, Data: []byte("#!exe\npayload")})
+	ar.Add(Member{Name: `a\"b\\`, Mode: 0o644, Mtime: -1})
+	f.Add(ar.Pack())
+	f.Add([]byte(Magic + "\nentry name=\"a\" size=-1\n"))
+	f.Add([]byte(Magic + "\nentry name=\"a\" size=9223372036854775807\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ar, err := Unpack(raw)
+		if err != nil {
+			return
+		}
+		back, err := Unpack(ar.Pack())
+		if err != nil {
+			t.Fatalf("accepted archive does not unpack after Pack: %v", err)
+		}
+		if !reflect.DeepEqual(back, ar) {
+			t.Fatalf("Pack round trip changed the archive:\n got %+v\nwant %+v", back, ar)
+		}
+	})
 }

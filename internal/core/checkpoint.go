@@ -140,7 +140,7 @@ func recoveryHash(cfg Config) uint64 {
 
 // sealCheckpoint is the kernel's Checkpointer hook: it runs at a quiescent
 // traced stop, with kcp the sealed kernel state and t the surviving thread.
-// The KindCheckpoint marker is recorded *before* the ring is cloned so the
+// The KindCheckpoint marker is recorded *before* the ring is sealed so the
 // sealed prefix contains its own marker — exactly what the uninterrupted
 // run's ring holds at that point.
 func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
@@ -155,10 +155,9 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 		prngState:    c.prng.State(),
 		rdtscCount:   c.rdtscCount[t.Proc],
 		regSeal:      regSeal,
-		ringSeal:     c.rec.CloneState(),
 		recoveryHash: recoveryHash(c.cfg),
 	}
-	cp.ringDigest = cp.ringSeal.Digest() // nil-safe: a DisableObservability seal digests its empty header
+	cp.ringSeal, cp.ringDigest = c.rec.Seal() // nil-safe: a DisableObservability seal digests an empty ring
 	if c.cfg.FaultCorruptCheckpoint > 0 && c.checkpoints == c.cfg.FaultCorruptCheckpoint {
 		// Injected checkpoint-write corruption: the stored digests no longer
 		// match the contents, so Valid() — and therefore Resume — rejects

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/abi"
@@ -447,5 +449,78 @@ func TestResumeChainsCheckpoints(t *testing.T) {
 	}
 	if bitwise(t, final) != bitwise(t, ref) {
 		t.Errorf("double-fault recovery diverged from uninterrupted run")
+	}
+}
+
+// loopExec re-execs itself argv[1] more times, issuing 150 getpid calls per
+// stage, so consecutive seals sit more than one 256-event ring chunk apart.
+func loopExec(p *guest.Proc) int {
+	left, _ := strconv.Atoi(p.Argv()[1])
+	for i := 0; i < 150; i++ {
+		p.Getpid()
+	}
+	if left == 0 {
+		p.Printf("done t=%d\n", p.Time())
+		return 0
+	}
+	if err := p.Exec("/bin/loop", []string{"loop", strconv.Itoa(left - 1)}, p.Environ()); err != abi.OK {
+		return 1
+	}
+	return 127
+}
+
+// TestRingSealSharedByConcurrentResumes resumes one checkpoint from four
+// goroutines at once. The seal holds a full ring chunk, and every resumed
+// run shares it and seals it again, so this is the race detector's view of
+// the copy-on-write ring: each resume must match the uninterrupted run, and
+// the seal must still validate to the digest it was sealed with.
+func TestRingSealSharedByConcurrentResumes(t *testing.T) {
+	reg := guest.NewRegistry()
+	reg.Register("loop", loopExec)
+	cfg := chainConfig(hostA)
+	cfg.Image.AddFile("/bin/loop", 0o755, guest.MakeExe("loop", nil))
+	run := func(sink func(*core.Checkpoint)) *core.Result {
+		c := cfg
+		c.CheckpointSink = sink
+		return core.New(c).Run(reg, "/bin/loop", []string{"loop", "4"}, []string{"PATH=/bin"})
+	}
+	var seals []*core.Checkpoint
+	ref := run(func(cp *core.Checkpoint) { seals = append(seals, cp) })
+	if ref.Err != nil || len(seals) < 3 {
+		t.Fatalf("sealed run: err=%v, %d seals", ref.Err, len(seals))
+	}
+	cp := seals[2]
+	for i, ev := range ref.Events {
+		if ev.Kind == obs.KindCheckpoint && ev.Arg == 3 && i < 256 {
+			t.Fatalf("seal 3 lands at ring event %d, inside the first chunk", i)
+		}
+	}
+	digest := cp.Digest()
+
+	const resumes = 4
+	results := make([]*core.Result, resumes)
+	errs := make([]error, resumes)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.CheckpointSink = func(*core.Checkpoint) {}
+			results[i], errs[i] = core.Resume(cp, reg, c)
+		}()
+	}
+	wg.Wait()
+	want := bitwise(t, ref)
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatalf("resume %d: %v", i, errs[i])
+		}
+		if bitwise(t, res) != want {
+			t.Errorf("resume %d diverged from the uninterrupted run", i)
+		}
+	}
+	if !cp.Valid() || cp.Digest() != digest {
+		t.Error("concurrent resumes changed the seal")
 	}
 }

@@ -167,23 +167,56 @@ const eventBytes = 8 + 8 + 8 + 4 + 4 + 1
 // keeps the newest events and counts the drops.
 const DefaultRingEvents = 8192
 
+// chunkEvents is the ring's unit of storage and of sharing: chunk k holds the
+// events with absolute indices [k*chunkEvents, (k+1)*chunkEvents).
+const chunkEvents = 256
+
+// chunk is one fixed span of the ring. Only a recorder's tail chunk is ever
+// written, and only while sealed is false: a full chunk never changes again,
+// and a chunk a seal holds is immutable — the recorder that wants to write it
+// copies it first. sum memoizes the digest of a full chunk's wire records;
+// Seal stores it only on chunks no seal holds yet, so a chunk that several
+// resumed recorders share is read, never written.
+type chunk struct {
+	ev     []Event
+	sum    uint64
+	summed bool
+	sealed bool
+}
+
+// block is a chunk allocated at full size together with its storage.
+type block struct {
+	chunk
+	buf [chunkEvents]Event
+}
+
+// newChunk allocates an empty chunk with room for chunkEvents events.
+func newChunk() *chunk {
+	b := new(block)
+	b.ev = b.buf[:0]
+	return &b.chunk
+}
+
 // Recorder is a bounded ring of events. It is nil-safe: every method on a
 // nil *Recorder is a no-op, which is how DisableObservability is spelled at
 // the recording sites. The recorder is written only under the kernel's
 // lockstep (exactly one guest runs at a time), so it needs no locking of its
 // own.
 //
-// The ring costs its contents, not its capacity: it grows by append up to
-// limit and only then wraps, so booting, sealing and restoring a recorder
-// that holds 39 events moves 39 events. next is the slot the next event
-// lands in — len(ring) while growing, the oldest event once full — so
-// ring[next:] followed by ring[:next] is always record order.
+// The ring is a list of chunks, oldest first; the retained events start at
+// chunks[0].ev[head]. It costs its contents, not its capacity: the first
+// chunk grows by append, and a chunk is dropped whole once wraparound has
+// overwritten all of it (it is then reused as the next tail unless a seal
+// holds it). Seal and RestoreState copy only the chunk pointers, so a
+// checkpoint's ring costs the events recorded since the last one.
 type Recorder struct {
-	ring    []Event
+	chunks  []*chunk
+	head    int
 	limit   int
-	next    int
 	total   int64
 	dropped int64
+	w       *chunk // the tail while it is writable; nil once sealed
+	spare   *chunk // a dropped chunk no seal holds, the next tail
 }
 
 // NewRecorder returns a recorder with the given ring capacity
@@ -200,20 +233,84 @@ func (r *Recorder) Record(ltime int64, kind Kind, num int32, pid int32, arg uint
 	if r == nil {
 		return
 	}
-	ev := Event{LTime: ltime, Arg: arg, Ret: ret, Pid: pid, Num: num, Kind: kind}
-	if n := len(r.ring); n < r.limit {
-		if n == cap(r.ring) {
-			// Double, and stop at the limit: append's own 1.25x steps would
-			// have allocated four times a full ring on the way to filling it.
-			r.ring = slices.Grow(r.ring, min(max(n, 16), r.limit-n))
-		}
-		r.ring = append(r.ring, ev)
-	} else {
-		r.ring[r.next] = ev
-		r.dropped++
+	t := r.w
+	if t == nil || len(t.ev) == cap(t.ev) {
+		t = r.tail()
 	}
-	r.next = (r.next + 1) % r.limit
+	t.ev = append(t.ev, Event{LTime: ltime, Arg: arg, Ret: ret, Pid: pid, Num: num, Kind: kind})
 	r.total++
+	if r.total-r.dropped > int64(r.limit) {
+		r.dropped++
+		if r.head++; r.head == chunkEvents {
+			r.dropChunk()
+		}
+	}
+}
+
+// dropChunk retires the oldest chunk once wraparound has overwritten all of
+// it.
+func (r *Recorder) dropChunk() {
+	if old := r.chunks[0]; !old.sealed {
+		r.spare = old
+	}
+	r.chunks = slices.Delete(r.chunks, 0, 1)
+	r.head = 0
+}
+
+// tail makes the chunk the next event lands in writable, with room for it,
+// and caches it in w: a full tail starts a new chunk, a sealed one is copied
+// first, and a ring's first chunk, which alone starts small, grows.
+func (r *Recorder) tail() *chunk {
+	n := len(r.chunks)
+	var t *chunk
+	if n > 0 {
+		t = r.chunks[n-1]
+	}
+	switch {
+	case n == 0:
+		// The chunk list is sized once, for a full ring; a chunk's
+		// events cost their contents.
+		t = &chunk{}
+		r.chunks = append(make([]*chunk, 0, r.limit/chunkEvents+2), t)
+	case len(t.ev) == chunkEvents:
+		t = r.spare // never sealed, so never summed either
+		if t == nil {
+			t = newChunk()
+		}
+		r.spare = nil
+		t.ev = t.ev[:0]
+		r.chunks = append(r.chunks, t)
+	case t.sealed:
+		c := newChunk()
+		c.ev = append(c.ev, t.ev...)
+		r.chunks[n-1], t = c, c
+	}
+	if l := len(t.ev); l == cap(t.ev) {
+		// Double, and stop at the chunk size: a full slice is a full chunk.
+		t.ev = slices.Grow(t.ev, min(max(l, 16), chunkEvents-l))
+		t.ev = t.ev[:l:min(cap(t.ev), chunkEvents)]
+	}
+	r.w = t
+	return t
+}
+
+// retained is chunk i's retained events: the whole chunk, except that
+// wraparound has already overwritten the oldest chunk's first head events.
+func (r *Recorder) retained(i int) []Event {
+	if i == 0 {
+		return r.chunks[0].ev[r.head:]
+	}
+	return r.chunks[i].ev
+}
+
+// segments calls fn with each chunk's retained events, oldest first.
+func (r *Recorder) segments(fn func([]Event)) {
+	if r == nil {
+		return
+	}
+	for i := range r.chunks {
+		fn(r.retained(i))
+	}
 }
 
 // Total is the number of events ever recorded (including dropped ones).
@@ -237,30 +334,58 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	return slices.Concat(r.ring[r.next:], r.ring[:r.next])
-}
-
-// CloneState returns an immutable deep copy of the recorder's state (ring
-// contents, write cursor, total/dropped counters) for sealing into a
-// checkpoint. Nil-safe: a nil recorder (DisableObservability) seals as nil.
-func (r *Recorder) CloneState() *Recorder {
-	if r == nil {
+	n := r.total - r.dropped
+	if n == 0 {
 		return nil
 	}
-	c := *r
-	c.ring = slices.Clone(r.ring)
-	return &c
+	out := make([]Event, 0, n)
+	r.segments(func(evs []Event) { out = append(out, evs...) })
+	return out
 }
 
-// RestoreState overwrites the recorder with a seal taken by CloneState, so a
+// Seal returns an immutable copy of the recorder's state for a checkpoint,
+// and its Digest. The copy shares every chunk with the live ring: sealing
+// copies the chunk pointers and marks the chunks held, and the live ring
+// copies its tail before writing to it again. A full chunk is digested once,
+// by the first seal that holds it, and its sum reused after that; only the
+// tail and a wrapped ring's partly dropped oldest chunk are digested anew on
+// every seal. Nil-safe:
+// a nil recorder (DisableObservability) seals as nil with the digest of an
+// empty ring.
+func (r *Recorder) Seal() (*Recorder, uint64) {
+	if r == nil {
+		return nil, r.Digest()
+	}
+	h := derive.NewHasher()
+	r.header(h)
+	for i, c := range r.chunks {
+		evs := r.retained(i)
+		whole := len(evs) == chunkEvents
+		sum := c.sum
+		if !whole || !c.summed {
+			sum = segmentSum(evs)
+		}
+		if !c.sealed {
+			c.sum, c.summed, c.sealed = sum, whole, true
+		}
+		h.Num(sum)
+	}
+	r.w = nil
+	return &Recorder{chunks: slices.Clone(r.chunks), head: r.head, limit: r.limit,
+		total: r.total, dropped: r.dropped}, h.Sum()
+}
+
+// RestoreState overwrites the recorder with a seal taken by Seal, so a
 // resumed run's ring continues byte-for-byte where the sealed prefix ended.
-// The seal is copied, not aliased, and can be restored from repeatedly.
+// The recorder shares the seal's chunks and copies the tail before writing
+// to it, so the seal is never changed and can be restored from repeatedly,
+// concurrently too.
 func (r *Recorder) RestoreState(seal *Recorder) {
 	if r == nil || seal == nil {
 		return
 	}
-	*r = *seal
-	r.ring = slices.Clone(seal.ring)
+	*r = Recorder{chunks: slices.Clone(seal.chunks), head: seal.head, limit: seal.limit,
+		total: seal.total, dropped: seal.dropped}
 }
 
 // MarshalBinary renders the retained events as canonical little-endian
@@ -268,48 +393,57 @@ func (r *Recorder) RestoreState(seal *Recorder) {
 // same event stream marshal byte-identically — the property the ring
 // determinism test pins.
 func (r *Recorder) MarshalBinary() []byte {
-	n := 0
-	if r != nil {
-		n = len(r.ring)
-	}
-	out := make([]byte, 0, 16+n*eventBytes)
-	r.wire(func(p []byte) { out = append(out, p...) })
+	out := make([]byte, 16, 16+int(r.Total()-r.Dropped())*eventBytes)
+	binary.LittleEndian.PutUint64(out[0:], uint64(r.Total()))
+	binary.LittleEndian.PutUint64(out[8:], uint64(r.Dropped()))
+	var rec [eventBytes]byte
+	r.segments(func(evs []Event) {
+		for i := range evs {
+			evs[i].wire(&rec)
+			out = append(out, rec[:]...)
+		}
+	})
 	return out
 }
 
-// Digest is DigestBytes(MarshalBinary()) folded in place: the same bytes in
-// the same order into the same FNV-1a state, with neither the event copy nor
-// the wire buffer materialised. Checkpoints validate their sealed ring with
-// it on every seal and every resume.
+// Digest is the ring's content digest, framed by chunk: total and dropped,
+// then for each chunk's retained events (absolute index / chunkEvents) the
+// DigestBytes of their wire records. It is recomputed from the events on
+// every call and never reads a memoized sum, so Checkpoint.Valid checks
+// every sealed byte; Seal returns the same value at the cost of the chunks
+// filled since the last seal.
 func (r *Recorder) Digest() uint64 {
 	h := derive.NewHasher()
-	r.wire(h.Bytes)
+	r.header(h)
+	r.segments(func(evs []Event) { h.Num(segmentSum(evs)) })
 	return h.Sum()
 }
 
-// wire feeds the canonical encoding to emit piece by piece: the 16-byte
-// header first, then one eventBytes record per retained event, oldest first.
-// emit must not keep the slice.
-func (r *Recorder) wire(emit func([]byte)) {
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(r.Total()))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(r.Dropped()))
-	emit(hdr[:])
-	if r == nil {
-		return
-	}
+// header folds what every ring digest starts with: total, then dropped.
+func (r *Recorder) header(h *derive.Hasher) {
+	h.Num(uint64(r.Total()))
+	h.Num(uint64(r.Dropped()))
+}
+
+// segmentSum is DigestBytes of one segment's wire records.
+func segmentSum(evs []Event) uint64 {
+	h := derive.NewHasher()
 	var rec [eventBytes]byte
-	for _, evs := range [2][]Event{r.ring[r.next:], r.ring[:r.next]} {
-		for _, ev := range evs {
-			binary.LittleEndian.PutUint64(rec[0:], uint64(ev.LTime))
-			binary.LittleEndian.PutUint64(rec[8:], ev.Arg)
-			binary.LittleEndian.PutUint64(rec[16:], uint64(ev.Ret))
-			binary.LittleEndian.PutUint32(rec[24:], uint32(ev.Pid))
-			binary.LittleEndian.PutUint32(rec[28:], uint32(ev.Num))
-			rec[32] = byte(ev.Kind)
-			emit(rec[:])
-		}
+	for i := range evs {
+		evs[i].wire(&rec)
+		h.Bytes(rec[:])
 	}
+	return h.Sum()
+}
+
+// wire writes the event's canonical eventBytes record into rec.
+func (ev *Event) wire(rec *[eventBytes]byte) {
+	binary.LittleEndian.PutUint64(rec[0:], uint64(ev.LTime))
+	binary.LittleEndian.PutUint64(rec[8:], ev.Arg)
+	binary.LittleEndian.PutUint64(rec[16:], uint64(ev.Ret))
+	binary.LittleEndian.PutUint32(rec[24:], uint32(ev.Pid))
+	binary.LittleEndian.PutUint32(rec[28:], uint32(ev.Num))
+	rec[32] = byte(ev.Kind)
 }
 
 // Span is one timed phase of a container's lifecycle (prepare, boot, fork,

@@ -2,9 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/derive"
 )
 
 func TestRecorderNilSafe(t *testing.T) {
@@ -137,12 +140,12 @@ func TestRecorderGrowsToLimit(t *testing.T) {
 
 		// A seal and a restore carry the same stream, and both keep wrapping
 		// where the original would.
-		seal := r.CloneState()
+		seal, _ := r.Seal()
 		restored := NewRecorder(limit * 4)
 		restored.RestoreState(seal)
 		for _, c := range []*Recorder{seal, restored} {
 			if !bytes.Equal(c.MarshalBinary(), wire) {
-				t.Fatalf("n=%d: clone/restore changed the wire form", n)
+				t.Fatalf("n=%d: seal/restore changed the wire form", n)
 			}
 		}
 		for _, c := range []*Recorder{r, restored} {
@@ -154,28 +157,180 @@ func TestRecorderGrowsToLimit(t *testing.T) {
 			t.Fatalf("n=%d: restored ring diverges from the original after more events", n)
 		}
 		if !bytes.Equal(seal.MarshalBinary(), wire) {
-			t.Fatalf("n=%d: seal aliases the ring it was cloned from", n)
+			t.Fatalf("n=%d: seal aliases the ring it was taken from", n)
 		}
 	}
 }
 
-// TestRecorderDigestMatchesMarshal pins Digest as the in-place form of
-// DigestBytes(MarshalBinary()) over every ring shape.
-func TestRecorderDigestMatchesMarshal(t *testing.T) {
-	const limit = 8
-	shapes := map[string]*Recorder{"nil": nil}
-	for name, n := range map[string]int{"empty": 0, "partly filled": 3, "exactly full": limit, "wrapped once": limit + 1, "wrapped twice": 2*limit + 4} {
-		shapes[name], _ = fillRing(limit, n)
+// refDigest is Digest's definition, folded independently of the ring's
+// layout: total and dropped, then one DigestBytes per run of retained events
+// that share absolute index / chunkEvents, each over that run's records in
+// MarshalBinary.
+func refDigest(r *Recorder) uint64 {
+	h := derive.NewHasher()
+	h.Num(uint64(r.Total()))
+	h.Num(uint64(r.Dropped()))
+	n := int64(len(r.Events()))
+	first := r.Total() - n
+	recs := r.MarshalBinary()[16:]
+	for i := int64(0); i < n; {
+		j := i + 1
+		for j < n && (first+j)/chunkEvents == (first+i)/chunkEvents {
+			j++
+		}
+		h.Num(DigestBytes(recs[i*eventBytes : j*eventBytes]))
+		i = j
 	}
+	return h.Sum()
+}
+
+// recordN records n distinguishable events starting at stream position from,
+// sealing every sealEvery events (0 = never) and checking each seal's digest
+// against Digest and the reference fold.
+func recordN(t *testing.T, r *Recorder, from, n, sealEvery int) {
+	t.Helper()
+	for i := from; i < from+n; i++ {
+		r.Record(int64(100+i), Kind(1+i%5), int32(i%7), int32(1000+i), uint64(i)<<33, int64(-i))
+		if sealEvery > 0 && (i+1)%sealEvery == 0 {
+			checkSeal(t, r)
+		}
+	}
+}
+
+// checkSeal seals r and asserts the seal's digest, Digest and the reference
+// fold agree, for both the live ring and its seal.
+func checkSeal(t *testing.T, r *Recorder) (*Recorder, uint64) {
+	t.Helper()
+	seal, d := r.Seal()
+	if live, ref := r.Digest(), refDigest(r); d != live || d != ref {
+		t.Fatalf("total=%d: Seal digest %#x, Digest %#x, reference %#x", r.Total(), d, live, ref)
+	}
+	if got := seal.Digest(); got != d {
+		t.Fatalf("total=%d: sealed ring digests to %#x, Seal returned %#x", r.Total(), got, d)
+	}
+	return seal, d
+}
+
+// TestRecorderDigestFramedByChunk pins Digest against the reference fold
+// over every ring shape, with seals taken throughout the fill so memoized
+// chunk sums are exercised, and keeps distinct shapes apart.
+func TestRecorderDigestFramedByChunk(t *testing.T) {
+	shapes := map[string]*Recorder{"nil": nil}
+	for _, sh := range []struct {
+		name      string
+		limit, n  int
+		sealEvery int
+	}{
+		{"empty", 0, 0, 0},
+		{"3 events", 0, 3, 1},
+		{"exactly one chunk", 0, chunkEvents, 37},
+		{"one past a chunk", 0, chunkEvents + 1, 37},
+		{"limit 8 full", 8, 8, 3},
+		{"limit 8 wrapped once", 8, 9, 3},
+		{"limit 8 wrapped twice", 8, 2*8 + 4, 3},
+		{"limit 8 across chunks", 8, 3*chunkEvents + 5, 41},
+		{"limit 300 full", 300, 300, 29},
+		{"limit 300 wrapped once", 300, 301, 29},
+		{"limit 300 wrapped twice", 300, 2*300 + 4, 29},
+	} {
+		r := NewRecorder(sh.limit)
+		recordN(t, r, 0, sh.n, sh.sealEvery)
+		checkSeal(t, r)
+		shapes[sh.name] = r
+	}
+
+	// Restored, then continued: a seal mid-chunk, restored into a recorder
+	// of another capacity, carries on exactly as the original ring.
+	orig := NewRecorder(300)
+	recordN(t, orig, 0, 280, 50)
+	seal, _ := checkSeal(t, orig)
+	restored := NewRecorder(4)
+	restored.RestoreState(seal)
+	for _, r := range []*Recorder{orig, restored} {
+		recordN(t, r, 280, 350, 43)
+		checkSeal(t, r)
+	}
+	if orig.Digest() != restored.Digest() || !bytes.Equal(orig.MarshalBinary(), restored.MarshalBinary()) {
+		t.Fatal("restored ring diverges from the original after more events")
+	}
+	shapes["restored then continued"] = restored
+
 	seen := map[uint64]string{}
 	for name, r := range shapes {
-		got, want := r.Digest(), DigestBytes(r.MarshalBinary())
-		if got != want {
-			t.Errorf("%s ring: Digest() = %#x, DigestBytes(MarshalBinary()) = %#x", name, got, want)
+		got := r.Digest()
+		if ref := refDigest(r); got != ref {
+			t.Errorf("%s ring: Digest() = %#x, reference = %#x", name, got, ref)
 		}
-		if other, dup := seen[got]; dup && !(name == "nil" || other == "nil") {
+		if other, dup := seen[got]; dup && !(name == "nil" || other == "nil" || name == "empty" || other == "empty") {
 			t.Errorf("%s and %s rings share a digest", name, other)
 		}
 		seen[got] = name
+	}
+	if shapes["nil"].Digest() != shapes["empty"].Digest() {
+		t.Error("a nil ring and an empty one digest differently")
+	}
+}
+
+// TestRecorderSealIsolated pins the copy-on-write contract: a seal never
+// changes, whatever the live ring or the recorders restored from it record
+// afterwards, and the restored rings are as if never interrupted.
+func TestRecorderSealIsolated(t *testing.T) {
+	const limit, sealed = 300, chunkEvents + 4
+	live := NewRecorder(limit)
+	recordN(t, live, 0, sealed, 0)
+	seal, d := checkSeal(t, live)
+	wire := seal.MarshalBinary()
+	unchanged := func(when string) {
+		t.Helper()
+		if !bytes.Equal(seal.MarshalBinary(), wire) || seal.Digest() != d {
+			t.Fatalf("seal changed after %s", when)
+		}
+	}
+
+	recordN(t, live, sealed, 2*chunkEvents-sealed+1, 0) // wraps, then crosses a chunk boundary
+	unchanged("the live ring wrapped and crossed a chunk boundary")
+	recordN(t, live, 2*chunkEvents+1, 3*chunkEvents, 0) // drops every sealed chunk
+	unchanged("the live ring dropped the sealed chunks")
+
+	// Two rings restored from the one seal each record 300 more events of
+	// their own; each must match a ring that recorded its stream unbroken.
+	for k, from := range []int{1000, 5000} {
+		r := NewRecorder(limit)
+		r.RestoreState(seal)
+		ref := NewRecorder(limit)
+		recordN(t, ref, 0, sealed, 0)
+		for _, x := range []*Recorder{r, ref} {
+			recordN(t, x, from, 300, 0)
+		}
+		if !bytes.Equal(r.MarshalBinary(), ref.MarshalBinary()) {
+			t.Fatalf("restored ring %d diverges from the unbroken one", k)
+		}
+		unchanged(fmt.Sprintf("restored ring %d recorded 300 events", k))
+	}
+}
+
+// TestRecorderDigestRecomputes: Digest folds the events themselves, never a
+// memoized chunk sum, so corrupting one event of a sealed, memoized chunk is
+// caught.
+func TestRecorderDigestRecomputes(t *testing.T) {
+	r := NewRecorder(0)
+	recordN(t, r, 0, 2*chunkEvents+10, 0)
+	seal, d := r.Seal()
+	if c := seal.chunks[0]; !c.summed || !c.sealed {
+		t.Fatalf("full sealed chunk not memoized: summed=%v sealed=%v", c.summed, c.sealed)
+	}
+	seal.chunks[0].ev[5].Arg ^= 1
+	if seal.Digest() == d {
+		t.Fatal("Digest read a memoized sum: the corrupted event went unnoticed")
+	}
+}
+
+// TestRecorderRecyclesChunks: a wrapped ring that no seal holds reuses its
+// dropped chunks, so steady-state recording allocates nothing.
+func TestRecorderRecyclesChunks(t *testing.T) {
+	r := NewRecorder(300)
+	recordN(t, r, 0, 4*chunkEvents, 0)
+	if allocs := testing.AllocsPerRun(4, func() { recordN(t, r, 0, chunkEvents, 0) }); allocs != 0 {
+		t.Fatalf("wrapped ring allocates %.1f times per chunk of events", allocs)
 	}
 }
