@@ -189,8 +189,12 @@ type Result struct {
 	ExitCode int
 	Stdout   string
 	Stderr   string
-	FS       *fs.Image // final filesystem state
-	Err      error     // nil, *UnsupportedError (wrapped), timeout, or deadlock
+	// FS is the final filesystem state. It is read-only: a forked run's
+	// image lends the frozen template's file bodies instead of copying
+	// them (fs.FS.SnapshotImage), so writing its Data in place would
+	// corrupt every later fork. Edit a Clone.
+	FS  *fs.Image
+	Err error // nil, *UnsupportedError (wrapped), timeout, or deadlock
 
 	WallTime int64 // virtual ns the run took on this host
 	// Actions is the kernel's processed-action count at the end of the

@@ -94,9 +94,6 @@ func (tp *Template) NewContainer(h HostRun) *Container {
 // ConfigHash returns the template's configuration hash.
 func (tp *Template) ConfigHash() uint64 { return tp.hash }
 
-// ImageHash returns the content hash of the template's image (0 if none).
-func (tp *Template) ImageHash() uint64 { return tp.imageHash }
-
 // CompatibleWith reports whether a container built from this template would
 // behave identically to core.New(cfg): same image content, same
 // behaviour-relevant configuration.

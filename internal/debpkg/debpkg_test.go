@@ -198,3 +198,25 @@ func TestTimeoutProneShape(t *testing.T) {
 		}
 	}
 }
+
+// TestMaterializeGolden pins the rendered source trees byte for byte: the
+// image hash of every package of two universe prefixes, materialized into
+// one image, against values recorded from the fmt-based renderer. A
+// renderer rewrite that moves one byte of one file moves these hashes.
+func TestMaterializeGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want uint64
+	}{
+		{1, 0xc009afea42a3f3df},
+		{7, 0x1a69dee2b46d9976},
+	} {
+		im := fs.NewImage()
+		for _, s := range Universe(c.seed, 300) {
+			s.Materialize(im, "/build")
+		}
+		if got := im.Hash(); got != c.want {
+			t.Errorf("Universe(%d, 300) materializes to image hash %#x, want %#x", c.seed, got, c.want)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package debpkg
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/derive"
@@ -31,14 +33,15 @@ func (s *Spec) Materialize(im *fs.Image, dir string) string {
 	// exists, so include scanning produces the ENOENT-heavy open pattern of
 	// a real preprocessor search path.
 	for h := 0; h < s.Headers; h += 3 {
-		im.AddFile(fmt.Sprintf("%s/include/h%03d.h", pkgdir, h), 0o644,
-			[]byte(fmt.Sprintf("#define H%03d 1\n", h)))
+		h3 := string(appendPad3(nil, h))
+		im.AddFile(pkgdir+"/include/h"+h3+".h", 0o644, []byte("#define H"+h3+" 1\n"))
 	}
 
 	rng := prng.NewHost(hashName(s.Name))
+	var buf []byte // one render buffer; each file gets an exact-size copy
 	for u := 0; u < s.Units; u++ {
-		im.AddFile(fmt.Sprintf("%s/src/unit%03d.c", pkgdir, u), 0o644,
-			[]byte(s.unitSource(u, rng)))
+		buf = s.unitSource(buf[:0], u, rng)
+		im.AddFile(pkgdir+"/src/unit"+string(appendPad3(nil, u))+".c", 0o644, bytes.Clone(buf))
 	}
 	return pkgdir
 }
@@ -115,37 +118,74 @@ func (s *Spec) makefile() string {
 	return b.String()
 }
 
-// unitSource renders one compile unit: include probes, code lines sized to
-// UnitKB, and the spec's directives spread across the first units.
-func (s *Spec) unitSource(u int, rng *prng.Host) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "/* %s unit %d */\n", s.Name, u)
+// unitSource appends one rendered compile unit to b: include probes, code
+// lines sized to UnitKB, and the spec's directives spread across the first
+// units.
+func (s *Spec) unitSource(b []byte, u int, rng *prng.Host) []byte {
+	target := len(b) + s.UnitKB*1024
+	b = append(b, "/* "...)
+	b = append(b, s.Name...)
+	b = append(b, " unit "...)
+	b = strconv.AppendInt(b, int64(u), 10)
+	b = append(b, " */\n"...)
 	for h := 0; h < s.Headers; h++ {
-		fmt.Fprintf(&b, "#include <h%03d.h>\n", h)
+		b = append(b, "#include <h"...)
+		b = appendPad3(b, h)
+		b = append(b, ".h>\n"...)
 	}
 	if s.BrokenSource && u == 0 {
-		b.WriteString("@@SYNTAX ERROR@@\n")
-		b.WriteString("this unit does not compile\n")
+		b = append(b, "@@SYNTAX ERROR@@\n"...)
+		b = append(b, "this unit does not compile\n"...)
 	}
 	// Directives: spread one per unit over the leading units; machine-
 	// capturing (portability) directives follow so they too reach the
 	// shipped binary.
 	if u < len(s.Directives) {
-		fmt.Fprintf(&b, "@embed-%s@\n", s.Directives[u])
+		b = appendDirective(b, s.Directives[u])
 	} else if pu := u - len(s.Directives); pu < len(s.PortDirectives) {
-		fmt.Fprintf(&b, "@embed-%s@\n", s.PortDirectives[pu])
+		b = appendDirective(b, s.PortDirectives[pu])
 	}
 	if u == 0 && s.Tests[0] > 0 {
-		fmt.Fprintf(&b, "@tests:%d:%d:%d@\n", s.Tests[0], s.Tests[1], s.Tests[2])
+		b = append(b, "@tests:"...)
+		for i, n := range s.Tests {
+			if i > 0 {
+				b = append(b, ':')
+			}
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
+		b = append(b, "@\n"...)
 	}
-	// Fill to UnitKB with stable pseudo-code.
-	target := s.UnitKB * 1024
-	line := 0
-	for b.Len() < target {
-		fmt.Fprintf(&b, "int fn_%s_%d_%d(void) { return %d; }\n", s.Name, u, line, rng.Intn(1000))
-		line++
+	// Fill to UnitKB with stable pseudo-code: "int fn_<name>_<u>_<line>(void)
+	// { return <n>; }" lines.
+	fn := strconv.AppendInt(append([]byte("int fn_"+s.Name), '_'), int64(u), 10)
+	fn = append(fn, '_')
+	for line := 0; len(b) < target; line++ {
+		b = append(b, fn...)
+		b = strconv.AppendInt(b, int64(line), 10)
+		b = append(b, "(void) { return "...)
+		b = strconv.AppendInt(b, int64(rng.Intn(1000)), 10)
+		b = append(b, "; }\n"...)
 	}
-	return b.String()
+	return b
+}
+
+// appendDirective appends one "@embed-<d>@" directive line.
+func appendDirective(b []byte, d string) []byte {
+	b = append(b, "@embed-"...)
+	b = append(b, d...)
+	return append(b, "@\n"...)
+}
+
+// appendPad3 appends n (n >= 0) in decimal, zero-padded to three digits:
+// fmt's %03d without fmt.
+func appendPad3(b []byte, n int) []byte {
+	if n < 100 {
+		b = append(b, '0')
+	}
+	if n < 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }
 
 func hashName(s string) uint64 { return derive.DigestBytes([]byte(s)) }

@@ -41,6 +41,19 @@ func (f *FS) Freeze() {
 		panic("fs: cannot freeze a fork")
 	}
 	f.frozen = true
+	f.paths = countPaths(f.Root)
+}
+
+// countPaths returns the number of paths below dir: the entry count of its
+// SnapshotImage (a hard-linked file counts once per name).
+func countPaths(dir *Inode) int {
+	n := len(dir.entries)
+	for _, child := range dir.entries {
+		if child.IsDir() {
+			n += countPaths(child)
+		}
+	}
+	return n
 }
 
 // Frozen reports whether Freeze has been called.
@@ -95,11 +108,12 @@ func (f *FS) shell(b *Inode) *Inode {
 		Ctime:  f.bootStamp,
 		Target: b.Target,
 		DevID:  b.DevID,
+		origin: b,
 		fs:     f,
 	}
 	switch {
 	case b.IsDir():
-		s.cowDir = b // entries materialize on first ents()
+		s.cowDir = true // entries materialize from origin on first ents()
 	case b.IsRegular():
 		s.Data = b.Data // shared read-only until breakCOWData
 		s.cowData = true
@@ -117,8 +131,8 @@ func (f *FS) shell(b *Inode) *Inode {
 // base on first access. All readers and writers of .entries in this package
 // go through here so a fork never exposes base inode pointers.
 func (n *Inode) ents() map[string]*Inode {
-	if n.cowDir != nil {
-		base := n.cowDir
+	if n.cowDir {
+		base := n.origin
 		n.entries = make(map[string]*Inode, len(base.entries))
 		for name, child := range base.entries {
 			cs := n.fs.shell(child)
@@ -127,7 +141,7 @@ func (n *Inode) ents() map[string]*Inode {
 			}
 			n.entries[name] = cs
 		}
-		n.cowDir = nil
+		n.cowDir = false
 	}
 	return n.entries
 }
@@ -135,8 +149,8 @@ func (n *Inode) ents() map[string]*Inode {
 // entryCount returns the number of entries without forcing materialization,
 // so stat on an untouched forked directory stays allocation-free.
 func (n *Inode) entryCount() int {
-	if n.cowDir != nil {
-		return len(n.cowDir.entries)
+	if n.cowDir {
+		return len(n.origin.entries)
 	}
 	return len(n.entries)
 }

@@ -263,7 +263,8 @@ func freshMetaClone(n *Inode, nf *FS) *Inode {
 		Ino: n.Ino, Mode: n.Mode, UID: n.UID, GID: n.GID, Nlink: n.Nlink,
 		Atime: n.Atime, Mtime: n.Mtime, Ctime: n.Ctime,
 		Target: n.Target, DevID: n.DevID,
-		fs: nf,
+		origin: n.origin,
+		fs:     nf,
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/abi"
 	"repro/internal/derive"
@@ -64,6 +65,7 @@ type FS struct {
 	base      *FS
 	clones    map[*Inode]*Inode
 	bootStamp int64 // fork boot time: the timestamp cold Populate would use
+	paths     int   // frozen: paths below Root, a fork's SnapshotImage size hint
 
 	// wsOut counts forked thread workspaces (workspace.go) not yet merged
 	// or discarded. Checkpoint seals require quiescence, so it must be zero
@@ -130,11 +132,20 @@ type Inode struct {
 	Pipe    *Pipe             // FIFOs
 	DevID   string            // character devices, resolved by the kernel
 
-	// COW state, set on inodes of a forked FS. cowDir points at the frozen
-	// base directory whose entries this shell has not yet materialized;
-	// cowData marks file Data still shared read-only with the base.
-	cowDir  *Inode
+	// COW state, set on inodes of a forked FS. origin is the frozen base
+	// inode a shell was materialized from (seal clones carry it over), so an
+	// image entry taken from the shell can reach the base inode's memoized
+	// leaf digest. cowDir marks a directory shell whose entries are not yet
+	// materialized from origin; cowData marks file Data still shared
+	// read-only with the base.
+	origin  *Inode
+	cowDir  bool
 	cowData bool
+
+	// leaf memoizes the LeafHash of this inode's image entry. Only inodes of
+	// a frozen filesystem fill it (see ImageEntry.LeafHash); 0 means not yet
+	// computed. Atomic because concurrent forks hash one base at once.
+	leaf atomic.Uint64
 
 	// dataEpoch is the owning filesystem's sealEpoch at the last Data
 	// mutation (WriteAt/Truncate/Amend). Data is unchanged since the last

@@ -20,6 +20,12 @@ type Image struct {
 }
 
 // ImageEntry is one node in an Image.
+//
+// An entry SnapshotImage took from a frozen inode, or from a fork's shell of
+// one, carries a pointer to that frozen inode (src) so LeafHash can reuse the
+// inode's memoized digest. The pointer is a hint, never an authority:
+// LeafHash trusts it only while the entry still describes the inode exactly,
+// so editing a copied entry's fields simply costs a full recompute.
 type ImageEntry struct {
 	Mode   uint32 // full S_IF | perm bits
 	Data   []byte // regular files
@@ -27,6 +33,8 @@ type ImageEntry struct {
 	DevID  string // character devices
 	UID    uint32
 	GID    uint32
+
+	src *Inode // frozen inode this entry was read from, nil if none
 }
 
 // NewImage returns an empty image.
@@ -80,7 +88,28 @@ func (im *Image) Equal(other *Image) bool {
 // bits, ownership, file body, link target and device identity. One file's
 // leaf is the per-file granule the incremental-rebuild planner diffs — a
 // one-byte patch moves exactly one leaf.
+//
+// An entry read off a frozen inode (see ImageEntry) takes the inode's
+// memoized digest, filling it on first use, when the entry still has the
+// inode's exact Mode, UID, GID, Target and DevID and the very same Data
+// slice (same backing array, same length). A frozen inode never changes and
+// its bytes are never written in place, so such an entry hashes to the
+// memo; any other entry is hashed from its fields.
 func (e ImageEntry) LeafHash() uint64 {
+	n := e.src
+	if n == nil || !n.fs.frozen || !e.describes(n) {
+		return e.leafHash()
+	}
+	if h := n.leaf.Load(); h != 0 {
+		return h
+	}
+	h := e.leafHash()
+	n.leaf.Store(h)
+	return h
+}
+
+// leafHash is LeafHash computed from the entry's fields alone.
+func (e ImageEntry) leafHash() uint64 {
 	h := derive.NewHasher()
 	h.Num(uint64(e.Mode))
 	h.Num(uint64(e.UID))
@@ -89,6 +118,20 @@ func (e ImageEntry) LeafHash() uint64 {
 	h.Str(e.Target)
 	h.Str(e.DevID)
 	return h.Sum()
+}
+
+// describes reports whether e is exactly the entry SnapshotImage records for
+// n, with Data compared by identity rather than by content.
+func (e ImageEntry) describes(n *Inode) bool {
+	o := n.imageEntry()
+	return e.Mode == o.Mode && e.UID == o.UID && e.GID == o.GID &&
+		e.Target == o.Target && e.DevID == o.DevID && sameSlice(e.Data, o.Data)
+}
+
+// sameSlice reports whether a and b are the same bytes in memory: equal
+// length and, when non-empty, the same first element.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // TreeHash returns the Merkle-style tree hash of the image: one leaf per
@@ -105,25 +148,20 @@ func (im *Image) TreeHash() derive.TreeHash {
 
 // Hash returns the content hash of the image — the root of TreeHash. Two
 // images with Equal contents hash identically; every cache layer keys on
-// this through derive.KeyFor, per ISSUE 3's "keyed by image content hash"
-// and ISSUE 8's unified derivation keys.
-func (im *Image) Hash() uint64 {
-	leaves := make(map[string]uint64, len(im.Entries))
-	for p, e := range im.Entries {
-		leaves[p] = e.LeafHash()
-	}
-	return derive.FoldLeaves(leaves)
-}
+// this through derive.KeyFor.
+func (im *Image) Hash() uint64 { return im.TreeHash().Root }
 
 // Clone returns a deep copy, so experiment images can be derived from a
 // control image without aliasing (the control/experiment chroot split of
-// §6.1).
+// §6.1). The copy is the caller's to edit: it shares no bytes with any
+// filesystem and no entry keeps a frozen inode's memoized digest.
 func (im *Image) Clone() *Image {
 	out := NewImage()
 	for p, e := range im.Entries {
 		if e.Data != nil {
 			e.Data = append([]byte(nil), e.Data...)
 		}
+		e.src = nil
 		out.Entries[p] = e
 	}
 	return out
@@ -217,22 +255,65 @@ func baseOf(p string) string {
 
 // SnapshotImage captures the subtree at root back into an Image — the
 // inverse of Populate, used to compare end-of-build filesystem states.
+//
+// On a fork the image costs only what the guest touched. A directory the
+// fork never listed is read straight off the frozen base; a file still
+// sharing the base's bytes (and any frozen inode) lends its Data to the
+// image instead of copying it, and its entry keeps the frozen inode's
+// memoized leaf digest within reach of LeafHash. The image is therefore
+// read-only: never write its Data in place — edit a Clone instead.
 func (f *FS) SnapshotImage(root *Inode) *Image {
-	im := NewImage()
-	f.Walk(root, func(path string, n *Inode) {
-		if path == "/" {
-			return
-		}
-		e := ImageEntry{Mode: n.Mode, UID: n.UID, GID: n.GID}
-		switch {
-		case n.IsRegular():
-			e.Data = append([]byte(nil), n.Data...)
-		case n.IsSymlink():
-			e.Target = n.Target
-		case n.IsDevice():
-			e.DevID = n.DevID
-		}
-		im.Entries[path] = e
-	})
+	hint := 0
+	if f.base != nil && root == f.Root {
+		hint = f.base.paths // a fork's result is mostly its base's paths
+	}
+	im := &Image{Entries: make(map[string]ImageEntry, hint)}
+	if root.IsDir() {
+		snapshotDir(im, "", f, root)
+	}
 	return im
+}
+
+// snapshotDir records every path below dir under prefix. A directory the
+// fork f never listed is read straight off its frozen base; a base inode f
+// did materialize elsewhere — a hard link listed under its other name — is
+// read through its shell, which holds the fork's view of it.
+func snapshotDir(im *Image, prefix string, f *FS, dir *Inode) {
+	ents := dir.entries
+	if dir.cowDir {
+		ents = dir.origin.entries
+	}
+	for name, n := range ents {
+		if s, ok := f.clones[n]; ok {
+			n = s
+		}
+		p := prefix + "/" + name
+		im.Entries[p] = n.imageEntry()
+		if n.IsDir() {
+			snapshotDir(im, p, f, n)
+		}
+	}
+}
+
+// imageEntry returns the image entry of n. Bytes that can no longer change —
+// a frozen inode's, or a shell's still shared with its base — are lent to the
+// entry; a live file's bytes are copied, because WriteAt edits them in place.
+func (n *Inode) imageEntry() ImageEntry {
+	e := ImageEntry{Mode: n.Mode, UID: n.UID, GID: n.GID, src: n.origin}
+	if n.fs.frozen {
+		e.src = n
+	}
+	switch {
+	case n.IsRegular():
+		if n.cowData || n.fs.frozen {
+			e.Data = n.Data
+		} else {
+			e.Data = append([]byte(nil), n.Data...)
+		}
+	case n.IsSymlink():
+		e.Target = n.Target
+	case n.IsDevice():
+		e.DevID = n.DevID
+	}
+	return e
 }
