@@ -37,11 +37,11 @@ func registry(tool Tool) *guest.Registry {
 // returns wall time plus the output tree.
 func RunNative(tool Tool, procs int, seed uint64, epoch int64) (int64, *fs.Image) {
 	reg := registry(tool)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile:  machine.BioHaswell(),
 		Image:    image(tool),
 		Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed:   seed,
 		Epoch:  epoch,
 		NumCPU: 16, // the paper runs up to 16 parallel processes

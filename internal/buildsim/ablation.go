@@ -327,9 +327,9 @@ func (o *Options) RunObsStudy(specs []*debpkg.Spec) *ObsStudy {
 // Reuse is a pure performance mechanism, so Identical must equal Packages;
 // only the setup traffic may move, and the study reports it exactly: the
 // templated farm forks every boot off a handful of prepares and image builds,
-// the cold farm boots cold and rebuilds its image every time. What a fork or
-// a cold boot costs on the host clock is bench/'s boot-churn row
-// (core.fork_us, core.cold_new_us).
+// the cold farm prepares a private snapshot for every boot and rebuilds its
+// image every time. What a fork or a private boot costs on the host clock is
+// bench/'s boot-churn row (core.fork_us, core.cold_new_us).
 type TemplateStudy struct {
 	Packages  int `json:"packages"`          // packages whose builds completed under both farms
 	Runs      int `json:"runs_per_package"`  // perturbation builds per package (each done twice)
@@ -348,9 +348,10 @@ type TemplateStudy struct {
 	ImageBuildsOff int64 `json:"image_builds_templates_off"`
 
 	// Recorder overhead per setup path: flight-recorder events produced per
-	// forked vs cold-booted container. Equal rates are the observability
-	// layer's invisibility evidence — recording is independent of how the
-	// container was set up. (Reported in the JSON's obs section.)
+	// container forked from a shared template vs booted from a private
+	// snapshot. Equal rates are the observability layer's invisibility
+	// evidence — recording is independent of how the container was set up.
+	// (Reported in the JSON's obs section.)
 	AvgRecEventsFork float64 `json:"-"`
 	AvgRecEventsCold float64 `json:"-"`
 }

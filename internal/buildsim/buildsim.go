@@ -70,16 +70,16 @@ type Options struct {
 	// sockets and scheduler-ordered signals) in the DetTrace runs.
 	Experimental bool
 	// Off switches mechanism-table rows off in every DetTrace run. Off
-	// containing core.TemplateReuse also puts the native builds on the cold
-	// path and rebuilds every image. A row may move only what its contract
-	// declares.
+	// containing core.TemplateReuse also boots the native builds from
+	// private snapshots and rebuilds every image. A row may move only what
+	// its contract declares.
 	Off core.Mechanisms
 	// KeepTraces retains each package's flight-recorder ring, span list and
 	// event count in Out (for `benchtab -trace`). Off by default because the
-	// ring legitimately differs across setup paths — forked containers record
-	// COW breaks, cold boots don't, and span wall-clock durations are host
-	// accidents — while Out is otherwise pinned bitwise-identical across
-	// every mechanism ablation.
+	// ring legitimately differs across mechanism ablations — it records
+	// buffered-call batches and checkpoints, and span wall-clock durations
+	// are host accidents — while Out is otherwise pinned bitwise-identical
+	// across every mechanism ablation.
 	KeepTraces bool
 	// Checkpoints runs the DetTrace builds in checkpoint mode: the build
 	// driver self-execs at phase boundaries (post-configure, post-compile)
@@ -105,7 +105,7 @@ type Options struct {
 	// shard store. Like Jobs, the arrangement must not change any output
 	// byte; farm_test.go pins DeepEqual across node counts, placement seeds
 	// and fault schedules. Farm.Plan is the farm-level fault schedule (see
-	// reprotest.FarmPlanFor and ByzantinePlanFor); a node-killing plan
+	// reprotest.ByzantinePlanFor); a node-killing plan
 	// requires Checkpoints, so the doomed job recovers on another node from
 	// the freshest seal. Farm.Attest adds the attestation chain, whose
 	// admitted set attest_test.go pins. Farm.KeySeed is overwritten with
@@ -476,30 +476,16 @@ func (o *Options) buildNativeFrom(l obs.Local, snapshots derive.Store, spec *deb
 
 // bootNative boots the package's toolchain image on the simulated host under
 // one reprotest variation and returns the kernel with the package's source
-// directory. A nil policy is the kernel's baseline. Unless the template
-// ablation is on, the kernel boots from the store's prepared snapshot of the
-// image instead of repopulating it.
+// directory. A nil policy is the kernel's baseline.
 func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64, policy kernel.Policy) (*kernel.Kernel, string) {
-	sc := o.sc()
 	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
-	var snap *kernel.Snapshot
-	if !o.Off.Has(core.TemplateReuse) {
-		snap = o.snapshot(l, snapshots, imgHash, img)
-	}
-	b := kernel.BootConfig{
+	return o.snapshot(l, snapshots, imgHash, img).Boot(kernel.BootConfig{
 		Seed:     v.HostSeed,
 		Epoch:    v.Epoch,
 		NumCPU:   v.NumCPU,
 		Deadline: deadline,
 		Policy:   policy,
-	}
-	if snap == nil {
-		sc.coldBoots.Add(l, 1)
-		cfg := kernel.Config{Profile: machine.CloudLabC220G5(), Image: img, Resolver: registry().Resolver()}
-		return kernel.New(cfg, b), pkgdir
-	}
-	sc.forkBoots.Add(l, 1)
-	return snap.Boot(b), pkgdir
+	}), pkgdir
 }
 
 // startBuild starts dpkg-buildpackage as the kernel's init process, in the
@@ -618,13 +604,14 @@ func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgH
 }
 
 // runContainerFrom builds the container for cfg — forked from the template
-// the store holds (or leases to this caller to prepare) unless an ablation or a fault knob
-// forces the cold path — runs the package build in it, and books the setup
-// accounting. Crash-carrying configs always cold-boot: their config hash
-// differs by design, and a run doomed to die mid-flight must not hold a
-// prepare lease — that keeps the lease protocol deadlock-free (holders always
-// complete their put) and the store unchurned. Forked and cold boots are
-// pinned bitwise-identical, so the detour is invisible.
+// the store holds (or leases to this caller to prepare) unless an ablation or
+// a fault knob sends it to core.New, which boots a private snapshot — runs
+// the package build in it, and books the setup accounting. Crash-carrying
+// configs always boot privately: their config hash differs by design, and a
+// run doomed to die mid-flight must not hold a prepare lease — that keeps the
+// lease protocol deadlock-free (holders always complete their put) and the
+// store unchurned. Shared and private snapshots boot bitwise-identically, so
+// the detour is invisible.
 func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
 	sc := o.sc()
 	var tpl *core.Template

@@ -353,11 +353,11 @@ func selftest(prog []byte) []byte {
 	}
 	img := baseimg.WithBinaries()
 	img.AddFile("/prog", 0o755, prog)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile:  machine.CloudLabC220G5(),
 		Image:    img,
 		Resolver: registry().Resolver(),
-	}, kernel.BootConfig{NumCPU: 1, Deadline: BLDeadline})
+	}).Boot(kernel.BootConfig{NumCPU: 1, Deadline: BLDeadline})
 	guest.Start(k, "/prog", []string{"prog", "--selftest"}, containerEnv, "")
 	if k.Run() != nil {
 		return nil

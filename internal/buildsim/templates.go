@@ -10,8 +10,9 @@
 // core.Template for DetTrace builds — keyed by (image content hash, config
 // hash). A run then COW-forks the frozen template instead of repopulating it.
 //
-// The reuse must be invisible. Forked boots are pinned bitwise-identical to
-// cold boots (kernel.TestSnapshotBootEqualsCold, core.TestTemplateForkEqualsCold),
+// The reuse must be invisible. Boots of a shared snapshot are pinned
+// bitwise-identical to boots of a private one
+// (kernel.TestSnapshotBootEqualsCold, core.TestTemplateForkEqualsCold),
 // templates are immutable after construction, and nothing order-dependent
 // escapes the caches — so farm output stays independent of Jobs, of cache
 // hit/miss order, and of the template-reuse row being off. The mechanism
@@ -105,11 +106,11 @@ type SetupStats struct {
 	ImageBuilds    int64 // toolchain images assembled + materialized
 	ImageHits      int64 // image requests served from the memo
 
-	ColdBoots int64 // kernels/containers built on the cold path
-	ForkBoots int64 // kernels/containers forked from a template
+	ColdBoots int64 // kernels/containers booted from a private snapshot
+	ForkBoots int64 // kernels/containers forked from a shared snapshot or template
 
 	RecEventsFork int64 // flight-recorder events from forked containers
-	RecEventsCold int64 // flight-recorder events from cold-booted containers
+	RecEventsCold int64 // flight-recorder events from privately booted containers
 }
 
 // SetupStats snapshots the farm's setup accounting so far.
@@ -243,8 +244,8 @@ func (o *Options) stores() *stores {
 // memoized — it is only ever read after construction (kernel populate,
 // template prepare), so sharing one *fs.Image across concurrent builds is
 // safe. Under the ablation every call rebuilds, like the pre-template farm,
-// so the cold farm pays the real cold cost — hashing included: seal keys and
-// attestation subjects carry the content hash either way.
+// so the cold farm pays the real unshared cost — hashing included: seal keys
+// and attestation subjects carry the content hash either way.
 func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
 	sc := o.sc()
 	build := func() *imageEntry {
@@ -279,14 +280,23 @@ func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, buil
 	return v
 }
 
-// snapshot returns the prepared baseline-kernel snapshot for an image.
+// snapshot returns the baseline-kernel snapshot one boot of an image forks:
+// the store's shared one, or under the template ablation a private one
+// prepared for this boot alone. It books the boot.
 func (o *Options) snapshot(l obs.Local, store derive.Store, imgHash uint64, img *fs.Image) *kernel.Snapshot {
-	snap, _ := o.prepared(l, store, derive.KeyFor(imgHash, 0), func() any {
+	prepare := func() any {
 		return kernel.Prepare(kernel.Config{
 			Profile:  machine.CloudLabC220G5(),
 			Image:    img,
 			Resolver: registry().Resolver(),
 		})
-	}).(*kernel.Snapshot)
+	}
+	sc := o.sc()
+	if o.Off.Has(core.TemplateReuse) {
+		sc.coldBoots.Add(l, 1)
+		return prepare().(*kernel.Snapshot)
+	}
+	sc.forkBoots.Add(l, 1)
+	snap, _ := o.prepared(l, store, derive.KeyFor(imgHash, 0), prepare).(*kernel.Snapshot)
 	return snap
 }

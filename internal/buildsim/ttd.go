@@ -30,9 +30,9 @@ import (
 // wraps the recording in a ttd.Session.
 // inject > 0 perturbs the inject'th entropy draw (the divergence the bisect
 // gate localizes); mod further adjusts the config (the delta-seal ablation).
-// The session's Launch closure cold-boots deliberately — core templates
+// The session's Launch closure uses core.New deliberately — core templates
 // zero the per-run halt knobs, so a halted replay must never route through
-// the template fork path.
+// a shared template.
 func (o *Options) recordSession(l obs.Local, spec *debpkg.Spec, inject int, mod func(*core.Config)) (*ttd.Session, dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v, _ := reprotest.Pair(seed)

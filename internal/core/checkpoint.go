@@ -226,7 +226,7 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	setupStart := time.Now()
 	k, p, t := kernel.Resume(cp.kern, c.bootConfig(reg))
 	setupNs := time.Since(setupStart).Nanoseconds()
-	c.attach(k, "resume", setupNs, true)
+	c.attach(k, "resume", setupNs)
 	c.rdtscCount[p] = cp.rdtscCount
 	c.sched.RestoreSeal(cp.schedSeal, t)
 

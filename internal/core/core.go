@@ -64,7 +64,7 @@ type Config struct {
 	DisableGetdentsSort  bool // report host directory order (§5.5)
 	DisableIncremental   bool // no incremental rebuilds; core never reads it, buildsim plans them
 	DisableDeltaSeals    bool // every checkpoint is a standalone full seal, not a delta
-	DisableTemplateReuse bool // cold-boot even a container forked from a Template
+	DisableTemplateReuse bool // no shared snapshots; core never reads it, buildsim's stores honour it
 	DisableObservability bool // no flight recorder; the metrics counters still run
 
 	// RingEvents overrides the flight-recorder ring capacity (0 keeps
@@ -213,9 +213,10 @@ type Result struct {
 	ReplayExhausted bool
 
 	// SetupNs is real (not virtual) time spent constructing the kernel for
-	// this run — populate-from-image on the cold path, COW fork on the
-	// template path. Forked reports which path ran. Benchmarking metadata
-	// only: never part of the reproducibility-observable output.
+	// this run: preparing a private snapshot and forking it, or only the
+	// fork when Forked — the run booted from a shared Template's snapshot.
+	// Benchmarking metadata only: never part of the reproducibility-
+	// observable output.
 	SetupNs int64
 	Forked  bool
 	// Resumed reports the run was reconstructed from a Checkpoint rather
@@ -324,9 +325,8 @@ type Container struct {
 
 	interceptCpuid bool
 
-	// snap, when non-nil, is the prepared kernel snapshot this container was
-	// forked from (see Template); Run boots it instead of cold-constructing,
-	// unless DisableTemplateReuse insists on the cold path.
+	// snap is the shared snapshot of the Template this container was forked
+	// from; nil for a core.New container, whose Run prepares a private one.
 	snap *kernel.Snapshot
 
 	// Observability: the per-run metrics registry (always on — it backs
@@ -389,7 +389,8 @@ func normalizeConfig(cfg *Config) {
 	}
 }
 
-// New assembles a container and its kernel, ready to Run.
+// New assembles a container ready to Run, which prepares a private snapshot
+// of cfg.Image and boots it (a Template shares one snapshot instead).
 func New(cfg Config) *Container {
 	normalizeConfig(&cfg)
 	return newContainer(cfg)
@@ -438,8 +439,8 @@ func newContainer(cfg Config) *Container {
 }
 
 // bootConfig is the per-run half every kernel this container attaches to is
-// built from, whichever source the machine state comes from: a cold boot, a
-// template fork, or a checkpoint (which ignores Seed, Epoch and NumCPU — the
+// built from, whichever source the machine state comes from: a snapshot
+// fork or a checkpoint (which ignores Seed, Epoch and NumCPU — the
 // seal carries the original boot's).
 func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
 	b := kernel.BootConfig{
@@ -463,15 +464,15 @@ func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
 }
 
 // attach binds the container to the kernel it was just handed, recording the
-// setup phase as a span. cow says the filesystem may share data with a
-// frozen template base (a forked boot, or a resume — COW flags survive
-// sealing), so the break hook is worth installing: a resumed fork-path run
-// then fires the same break events at the same writes the original would.
-func (c *Container) attach(k *kernel.Kernel, span string, setupNs int64, cow bool) {
+// setup phase as a span. Every kernel's filesystem shares data with a frozen
+// snapshot base (a boot forks one, and COW flags survive sealing), so the
+// break hook fires at the writes the guest makes, however the container was
+// set up: a resumed run fires the same break events the original would.
+func (c *Container) attach(k *kernel.Kernel, span string, setupNs int64) {
 	c.k = k
-	if cow && c.rec != nil {
-		// COW data breaks are mechanism-level events: they exist only on
-		// the template path, so the diagnoser skips their kind.
+	if c.rec != nil {
+		// COW data breaks are mechanism-level events (the diagnoser skips
+		// their kind), though every run records them alike.
 		k.FS.OnCOWBreak = func(bytes int64) {
 			c.rec.Record(k.LNow(), obs.KindCOWBreak, 0, 0, uint64(bytes), 0)
 		}
@@ -487,18 +488,13 @@ func (c *Container) attach(k *kernel.Kernel, span string, setupNs int64, cow boo
 // programs against reg. It blocks until the container finishes.
 func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *Result {
 	setupStart := time.Now()
-	b := c.bootConfig(reg)
-	var k *kernel.Kernel
-	forked := c.snap != nil && !c.cfg.DisableTemplateReuse
-	setupSpan := "boot"
-	if forked {
-		k = c.snap.Boot(b)
-		setupSpan = "fork"
-	} else {
-		k = kernel.New(kernel.Config{Profile: c.cfg.Profile, Image: c.cfg.Image}, b)
+	snap, span := c.snap, "fork"
+	if snap == nil {
+		snap, span = kernel.Prepare(kernel.Config{Profile: c.cfg.Profile, Image: c.cfg.Image}), "boot"
 	}
+	k := snap.Boot(c.bootConfig(reg))
 	setupNs := time.Since(setupStart).Nanoseconds()
-	c.attach(k, setupSpan, setupNs, forked)
+	c.attach(k, span, setupNs)
 
 	// Init execs the requested command so the OnExec hook (vDSO, traps,
 	// scratch page) fires exactly as it would for any process.
@@ -528,7 +524,7 @@ func (c *Container) Run(reg *guest.Registry, path string, argv, env []string) *R
 	}
 
 	res := c.finish(proc, setupNs)
-	res.Forked = forked
+	res.Forked = c.snap != nil
 	return res
 }
 

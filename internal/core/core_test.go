@@ -552,9 +552,9 @@ func runBaseline(t *testing.T, h host, prog guest.Program) string {
 	reg.Register("main", prog)
 	img := baseimg.Minimal()
 	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: h.profile, Image: img, Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: h.seed, Epoch: h.epoch, NumCPU: h.numCPU, Deadline: 3_600_000_000_000,
 	})
 	execImg := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}

@@ -48,7 +48,7 @@ type Moves uint8
 
 const (
 	MovesNothing      Moves = iota // not even the virtual clock
-	MovesSetup                     // how a container is set up (fork or cold boot) and the farm's setup counters
+	MovesSetup                     // how a container is set up (shared or private snapshot) and the farm's setup counters
 	MovesVirtualTime               // the virtual clock, and the workspace fork/merge counts that overlap it
 	MovesTracerCounts              // the virtual clock and the Table 2 tracer event counts
 )
@@ -73,7 +73,7 @@ var mechanisms = [NumMechanisms]mechanismRow{
 	Incremental:  {"incremental", "§3", unsafe.Offsetof(Config{}.DisableIncremental), "", MovesNothing, ""},
 	DeltaSeals:   {"delta-seals", "§3", unsafe.Offsetof(Config{}.DisableDeltaSeals), "", MovesNothing, ""},
 	TemplateReuse: {"template-reuse", "§3", unsafe.Offsetof(Config{}.DisableTemplateReuse),
-		"a forked container is bitwise a cold-built one", MovesSetup, ""},
+		"a boot of a shared snapshot is bitwise a boot of a private one", MovesSetup, ""},
 	Observability: {"observability", "§6.1", unsafe.Offsetof(Config{}.DisableObservability),
 		"the recorder observes, it never feeds back", MovesNothing, ""},
 }

@@ -10,12 +10,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Template is a prepared container: the expensive, run-independent half of
-// New — the populated-and-frozen filesystem snapshot — built once and shared
-// by every container forked from it. The cheap, run-dependent half
+// Template is a prepared container: the expensive, run-independent half of a
+// run — the populated-and-frozen filesystem snapshot — built once and shared
+// by every container forked from it. A core.New container boots a private
+// snapshot of the same kind, and the cheap, run-dependent half
 // (virtualization maps, scheduler, PRNG, tracer session) is rebuilt per
-// NewContainer call, so forked containers are bitwise indistinguishable from cold-built ones; the
-// equivalence tests in template_test.go and internal/buildsim pin that.
+// NewContainer call, so forked containers are bitwise indistinguishable from
+// core.New ones; the equivalence tests in template_test.go and
+// internal/buildsim pin that.
 //
 // A Template is compatible only with its exact container configuration:
 // reusing a base across, say, a DisableDirSizes ablation and a full run
@@ -23,10 +25,9 @@ import (
 // behaviour-relevant Config field, and caches (internal/buildsim) key on
 // (image hash, config hash) so an incompatible reuse cannot happen.
 type Template struct {
-	cfg       Config // normalized; host fields are placeholders
-	snap      *kernel.Snapshot
-	hash      uint64
-	imageHash uint64
+	cfg  Config // normalized; host fields are placeholders
+	snap *kernel.Snapshot
+	hash uint64
 
 	// PrepareNs is real time spent preparing the snapshot (populate +
 	// freeze), surfaced as the "prepare" span of containers forked from
@@ -65,9 +66,6 @@ func NewTemplate(cfg Config) *Template {
 		cfg:  cfg,
 		hash: ConfigHash(cfg),
 	}
-	if cfg.Image != nil {
-		tp.imageHash = cfg.Image.Hash()
-	}
 	prepStart := time.Now()
 	tp.snap = kernel.Prepare(kernel.Config{
 		Profile: cfg.Profile,
@@ -78,8 +76,7 @@ func NewTemplate(cfg Config) *Template {
 }
 
 // NewContainer forks a ready-to-Run container for one physical run. The
-// returned container boots the template's frozen filesystem snapshot
-// (unless the config's DisableTemplateReuse ablation forces the cold path).
+// returned container boots the template's frozen filesystem snapshot.
 func (tp *Template) NewContainer(h HostRun) *Container {
 	cfg := tp.cfg
 	cfg.HostSeed, cfg.Epoch, cfg.NumCPU = h.Seed, h.Epoch, h.NumCPU
@@ -93,22 +90,6 @@ func (tp *Template) NewContainer(h HostRun) *Container {
 
 // ConfigHash returns the template's configuration hash.
 func (tp *Template) ConfigHash() uint64 { return tp.hash }
-
-// CompatibleWith reports whether a container built from this template would
-// behave identically to core.New(cfg): same image content, same
-// behaviour-relevant configuration.
-func (tp *Template) CompatibleWith(cfg Config) bool {
-	normalizeConfig(&cfg)
-	if ConfigHash(cfg) != tp.hash {
-		return false
-	}
-	switch {
-	case cfg.Image == nil:
-		return tp.imageHash == 0
-	default:
-		return cfg.Image.Hash() == tp.imageHash
-	}
-}
 
 // ConfigHash hashes every Config field that can change container behaviour.
 // Excluded on purpose: the [host] fields (HostSeed, Epoch, NumCPU) — those
@@ -173,5 +154,5 @@ func ConfigHash(cfg Config) uint64 {
 
 // String identifies the template in logs and cache debug output.
 func (tp *Template) String() string {
-	return fmt.Sprintf("template(image=%016x cfg=%016x)", tp.imageHash, tp.hash)
+	return fmt.Sprintf("template(cfg=%016x)", tp.hash)
 }

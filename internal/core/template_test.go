@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -61,22 +62,31 @@ func runFromTemplate(t *testing.T, tp *core.Template, h host, prog guest.Program
 	return c.Run(reg, "/bin/main", []string{"main"}, []string{"PATH=/bin"})
 }
 
-// The Template contract: a forked container's observable behaviour is
-// bitwise identical to a cold-built one, on any host, for any seed.
+// The Template contract: a container forked from a shared template is
+// bitwise identical to a core.New one, on any host, for any seed — its
+// output, its virtual cost and its whole flight-recorder ring. The guest
+// overwrites a file from its image, so both runs break copy-on-write data.
 func TestTemplateForkEqualsCold(t *testing.T) {
 	img := baseimg.Minimal()
 	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
 	base := core.Config{Image: img, Deadline: 3_600_000_000_000, PRNGSeed: 7}
+	overwrite := func(p *guest.Proc) int {
+		p.WriteFile("/etc/hostname", []byte("overwritten\n"), 0o644)
+		return templateWorkload(p)
+	}
 
 	for _, h := range []host{hostA, hostB} {
 		cfg := base
 		cfg.Profile = h.profile
 		tp := core.NewTemplate(cfg)
-		warm := runFromTemplate(t, tp, h, templateWorkload)
+		warm := runFromTemplate(t, tp, h, overwrite)
 		if !warm.Forked {
 			t.Fatalf("template container did not take the fork path")
 		}
-		cold := runDT(t, h, core.Config{Deadline: base.Deadline, PRNGSeed: base.PRNGSeed}, templateWorkload)
+		cold := runDT(t, h, core.Config{Deadline: base.Deadline, PRNGSeed: base.PRNGSeed}, overwrite)
+		if cold.Forked {
+			t.Fatalf("core.New container reports a shared template")
+		}
 		if warm.Err != nil || cold.Err != nil {
 			t.Fatalf("runs failed: %v / %v", warm.Err, cold.Err)
 		}
@@ -88,29 +98,10 @@ func TestTemplateForkEqualsCold(t *testing.T) {
 			t.Errorf("%s: virtual cost diverged: wall %d vs %d, syscalls %d vs %d",
 				h.profile.Name, warm.WallTime, cold.WallTime, warm.Stats.Syscalls, cold.Stats.Syscalls)
 		}
-	}
-}
-
-// The DisableTemplateReuse ablation keeps the cold path alive: same
-// template, same host, identical output, but no fork.
-func TestTemplateDisableReuseAblation(t *testing.T) {
-	img := baseimg.Minimal()
-	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
-	cfg := core.Config{Image: img, Deadline: 3_600_000_000_000, Profile: hostA.profile}
-
-	warmTp := core.NewTemplate(cfg)
-	warm := runFromTemplate(t, warmTp, hostA, templateWorkload)
-
-	cold := cfg
-	cold.DisableTemplateReuse = true
-	coldTp := core.NewTemplate(cold)
-	ablated := runFromTemplate(t, coldTp, hostA, templateWorkload)
-
-	if !warm.Forked || ablated.Forked {
-		t.Fatalf("fork flags wrong: warm=%v ablated=%v", warm.Forked, ablated.Forked)
-	}
-	if fullPrint(warm) != fullPrint(ablated) {
-		t.Errorf("DisableTemplateReuse changed results — it may only change setup cost")
+		if !bytes.Equal(warm.Trace.MarshalBinary(), cold.Trace.MarshalBinary()) {
+			t.Errorf("%s: flight recorder diverged: %d vs %d events",
+				h.profile.Name, warm.Trace.Total(), cold.Trace.Total())
+		}
 	}
 }
 
@@ -231,18 +222,5 @@ func TestConfigHashGuard(t *testing.T) {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("configHashExcluded names %s, which core.Config no longer has", name)
 		}
-	}
-
-	tp := core.NewTemplate(base)
-	if !tp.CompatibleWith(base) {
-		t.Errorf("template rejects its own config")
-	}
-	if tp.CompatibleWith(core.Config{Image: img, PRNGSeed: 1, DisableSeccomp: true}) {
-		t.Errorf("template accepts an incompatible ablation config")
-	}
-	changed := baseimg.Minimal()
-	changed.AddFile("/etc/extra", 0o644, []byte("new"))
-	if tp.CompatibleWith(core.Config{Image: changed, PRNGSeed: 1}) {
-		t.Errorf("template accepts a different image")
 	}
 }

@@ -56,9 +56,6 @@ func countPaths(dir *Inode) int {
 	return n
 }
 
-// Frozen reports whether Freeze has been called.
-func (f *FS) Frozen() bool { return f.frozen }
-
 // Fork returns a mutable copy-on-write overlay of a frozen base. The clock
 // and entropy pool play exactly the roles they play in New: entropy is read
 // once for the inode numbering base, clock supplies the boot timestamp that

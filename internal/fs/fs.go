@@ -17,7 +17,6 @@
 package fs
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -629,9 +628,4 @@ func (f *FS) Walk(root *Inode, fn func(path string, n *Inode)) {
 	if root.IsDir() {
 		rec("", root)
 	}
-}
-
-// PathError formats an errno with the offending path for debug output.
-func PathError(op, path string, err abi.Errno) error {
-	return fmt.Errorf("%s %s: %s", op, path, err)
 }

@@ -185,16 +185,18 @@ func clean(p string) string {
 }
 
 // Populate instantiates the image under the root of f. Missing parent
-// directories are created with mode 0755. Inode numbers and timestamps are
-// whatever the live filesystem hands out — per-boot values, not image
-// properties.
+// directories are created with mode 0755. An entry that cannot be created is
+// skipped: one whose name is taken by an entry of another type, and one below
+// a non-directory (a file /a and a file /a/b/c leave /a a file). Inode
+// numbers and timestamps are whatever the live filesystem hands out —
+// per-boot values, not image properties.
 func (f *FS) Populate(im *Image) {
 	for _, p := range im.Paths() {
 		e := im.Entries[p]
 		dir := f.ensureDirs(parentOf(p))
 		name := baseOf(p)
-		if name == "" {
-			continue // the root itself
+		if dir == nil || name == "" {
+			continue // below a non-directory, or the root itself
 		}
 		switch e.Mode & abi.ModeTypeMask {
 		case abi.ModeDir:
@@ -228,12 +230,17 @@ func (f *FS) Populate(im *Image) {
 	}
 }
 
+// ensureDirs returns the directory at path, creating what is missing of it,
+// or nil when a component is not a directory.
 func (f *FS) ensureDirs(path string) *Inode {
 	cur := f.Root
 	for _, c := range splitPath(path) {
 		next, ok := cur.ents()[c]
 		if !ok {
 			next, _ = f.Mkdir(cur, c, 0o755, 0, 0)
+		}
+		if next == nil || !next.IsDir() {
+			return nil
 		}
 		cur = next
 	}

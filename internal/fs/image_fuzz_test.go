@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/abi"
@@ -9,13 +8,13 @@ import (
 	"repro/internal/prng"
 )
 
-// genImage decodes raw into a well-formed image of files, directories,
-// symlinks, devices and FIFOs: no entry sits under a non-directory and no
-// name is "." or "..". A leaf may sit under directories the image never
+// genImage decodes raw into an image of files, directories, symlinks,
+// devices and FIFOs, no name "." or "..". An entry may sit under any earlier
+// entry, a non-directory included, or under directories the image never
 // names; Populate creates those as implicit parents.
 func genImage(raw []byte) *Image {
 	im := NewImage()
-	dirs := []string{""} // "" is the root
+	parents := []string{""} // "" is the root
 	next := func() byte {
 		if len(raw) == 0 {
 			return 0
@@ -31,20 +30,20 @@ func genImage(raw []byte) *Image {
 		if name == ".." {
 			name = "dd"
 		}
-		parent := dirs[int(where)%len(dirs)]
+		parent := parents[int(where)%len(parents)]
 		if where&0x80 != 0 { // an implicit parent the image never names
 			parent += "/imp" + string(alphabet[where%byte(len(alphabet))])
 		}
 		p := parent + "/" + name
 		perm := (uint32(next())<<8 | uint32(next())) & abi.ModePermMask
 		uid, gid := uint32(next()%3), uint32(next()%3)
-		if _, taken := im.Entries[p]; taken || !underDirs(im, p) {
+		if _, taken := im.Entries[p]; taken {
 			continue
 		}
+		parents = append(parents, p)
 		switch kind % 5 {
 		case 0:
 			im.AddDir(p, perm)
-			dirs = append(dirs, p)
 		case 1:
 			n := int(next())
 			im.AddFile(p, perm, append([]byte(nil), raw[:n%(len(raw)+1)]...))
@@ -62,28 +61,17 @@ func genImage(raw []byte) *Image {
 	return im
 }
 
-// underDirs reports whether no proper ancestor of p is a non-directory
-// entry of im, and p is not itself an ancestor of an entry.
-func underDirs(im *Image, p string) bool {
-	for q := parentOf(p); q != "/"; q = parentOf(q) {
-		if e, ok := im.Entries[q]; ok && e.Mode&abi.ModeTypeMask != abi.ModeDir {
-			return false
-		}
-	}
-	for q := range im.Entries {
-		if strings.HasPrefix(q, p+"/") {
-			return false
-		}
-	}
-	return true
-}
-
-// withParents returns im plus every implicit parent directory Populate
-// creates for it (mode 0755, owned by root).
-func withParents(im *Image) *Image {
+// populated returns what Populate makes of im: im minus every entry below a
+// non-directory entry, plus every implicit parent directory of what is left
+// (mode 0755, owned by root).
+func populated(im *Image) *Image {
 	out := NewImage()
 	for p, e := range im.Entries {
-		out.Entries[p] = e
+		if !belowNonDir(im, p) {
+			out.Entries[p] = e
+		}
+	}
+	for p := range out.Entries {
 		for q := parentOf(p); q != "/"; q = parentOf(q) {
 			if _, ok := im.Entries[q]; !ok {
 				out.Entries[q] = ImageEntry{Mode: abi.ModeDir | 0o755}
@@ -93,22 +81,35 @@ func withParents(im *Image) *Image {
 	return out
 }
 
+// belowNonDir reports whether a proper ancestor of p is a non-directory
+// entry of im.
+func belowNonDir(im *Image, p string) bool {
+	for q := parentOf(p); q != "/"; q = parentOf(q) {
+		if e, ok := im.Entries[q]; ok && e.Mode&abi.ModeTypeMask != abi.ModeDir {
+			return true
+		}
+	}
+	return false
+}
+
 // FuzzImageRoundTrip: Populate then SnapshotImage gives back the generated
-// image plus its implicit parents — on a live filesystem and on a fork of a
-// frozen one, partly listed — and each result hashes as a full recompute.
+// image minus its entries below a non-directory, plus its implicit parents —
+// on a live filesystem and on a fork of a frozen one, partly listed — and
+// each result hashes as a full recompute.
 func FuzzImageRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 0o7, 0o55, 0, 0, 1, 1, 3, 4, 1, 0xa4, 1, 1, 5, 'h', 'i'})
 	f.Add([]byte{0, 0x81, 1, 1, 0, 0o70, 2, 2, 1, 1, 2, 2, 0, 0o44, 0, 0, 2, 'x', 'y',
 		2, 1, 3, 3, 0, 0, 0, 0, 3, 0, 4, 4, 0, 0, 1, 1, 4, 1, 5, 5, 1, 0o22, 2, 0})
+	f.Add([]byte{1, 0, 0, 0, 1, 0xa4, 0, 0, 0, 1, 1, 1, 1, 1, 0xa4, 0, 0, 0}) // a file below a file
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		im := genImage(raw)
-		want := withParents(im)
+		want := populated(im)
 		check := func(how string, got *Image) {
 			t.Helper()
 			if !got.Equal(want) {
 				reportImageDiff(t, want, got)
-				t.Fatalf("%s: SnapshotImage(Populate(image)) is not the image plus its implicit parents", how)
+				t.Fatalf("%s: SnapshotImage(Populate(image)) is not the image, minus entries below non-directories, plus its implicit parents", how)
 			}
 			if h := got.Hash(); h != got.Clone().Hash() || h != want.Hash() {
 				t.Fatalf("%s: snapshot hashes to %#x, a full recompute to %#x", how, h, want.Hash())

@@ -60,6 +60,22 @@ func TestPopulateCreatesMissingParents(t *testing.T) {
 	}
 }
 
+// An entry below a non-directory cannot be created; Populate skips it and
+// keeps the rest, as it skips any create that fails.
+func TestPopulateSkipsEntriesBelowFiles(t *testing.T) {
+	im := NewImage()
+	im.AddFile("/a", 0o644, []byte("file"))
+	im.AddFile("/a/b/c", 0o644, []byte("below a file"))
+	f := newFS()
+	f.Populate(im)
+	want := NewImage()
+	want.AddFile("/a", 0o644, []byte("file"))
+	if got := f.SnapshotImage(f.Root); !got.Equal(want) {
+		reportImageDiff(t, want, got)
+		t.Fatalf("Populate did not keep /a a file and skip /a/b/c")
+	}
+}
+
 func TestPopulateDeviceAndSymlink(t *testing.T) {
 	im := NewImage()
 	im.AddDev("/dev/custom", "custom-id")

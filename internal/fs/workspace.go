@@ -102,9 +102,6 @@ func (f *FS) Outstanding() int { return f.wsOut }
 // VTID returns the owning thread's virtual TID.
 func (w *Workspace) VTID() int { return w.vtid }
 
-// Ops returns the journal length.
-func (w *Workspace) Ops() int { return len(w.journal) }
-
 // Discard drops the workspace without merging (thread killed mid-phase).
 func (w *Workspace) Discard() {
 	if !w.discarded {

@@ -57,9 +57,9 @@ func run(t *testing.T, prog guest.Program) *kernel.Kernel {
 	t.Helper()
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: 1, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}

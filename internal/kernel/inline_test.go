@@ -104,7 +104,7 @@ func runBaseline(mk func() (guest.Program, *int), b kernel.BootConfig) (observed
 	reg := guest.NewRegistry()
 	reg.Register("init", prog)
 	b.Seed, b.Epoch = 11, 1_500_000_000
-	k := kernel.New(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}, b)
+	k := kernel.Prepare(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}).Boot(b)
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 	k.Start(reg.Bind(prog, img), img.Argv, nil)
 	err := k.Run()

@@ -430,27 +430,10 @@ type Kernel struct {
 	debugf func(format string, args ...any)
 }
 
-// New boots a kernel cold: it populates cfg.Image into a fresh filesystem,
-// where Snapshot.Boot COW-forks a prepared one, and is otherwise its twin —
-// New(cfg, b) is bitwise Prepare(cfg).Boot(b), b.Resolver overriding
-// cfg.Resolver the same way. No process exists yet — call Start.
-func New(cfg Config, b BootConfig) *Kernel {
-	if b.Resolver == nil {
-		b.Resolver = cfg.Resolver
-	}
-	return newKernel(cfg.Profile, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
-		f := fs.New(cfg.Profile, k.WallClock, fsEntropy)
-		if cfg.Image != nil {
-			f.Populate(cfg.Image)
-		}
-		return f
-	})
-}
-
 // attach is the one Kernel constructor: the per-run half, everything a
 // BootConfig names apart from the accidents of the boot (Seed, Epoch,
-// NumCPU). The machine state is its caller's to supply — newKernel boots it
-// fresh from the seed, Resume restores it from a Checkpoint.
+// NumCPU). The machine state is its caller's to supply — Snapshot.Boot boots
+// it fresh from the seed, Resume restores it from a Checkpoint.
 func attach(profile *machine.Profile, b BootConfig) *Kernel {
 	if b.MaxActions == 0 {
 		b.MaxActions = 200_000_000
@@ -480,38 +463,6 @@ func attach(profile *machine.Profile, b BootConfig) *Kernel {
 	k.registerStandardDevices()
 	k.fastPath, _ = b.Policy.(SyscallBufferer)
 	k.wsched, _ = b.Policy.(WorkspaceScheduler)
-	return k
-}
-
-// newKernel is the boot path shared by New (populate the image into a
-// fresh FS) and Snapshot.Boot (warm: COW-fork a frozen template base).
-//
-// The host entropy draw order below is a compatibility contract: the seed
-// pool is read for (1) the PID base, (2) the filesystem fork — whose single
-// draw both fs.New and fs.Fork perform identically — (3) the hardware model,
-// (4) the baseline policy when no policy is supplied. Warm boots are bitwise
-// identical to cold boots only while both paths consume entropy in exactly
-// this sequence, so mkFS receives its own pre-forked pool.
-func newKernel(profile *machine.Profile, b BootConfig, mkFS func(k *Kernel, fsEntropy *prng.Host) *fs.FS) *Kernel {
-	k := attach(profile, b)
-	k.Entropy = prng.NewHost(b.Seed)
-	k.epoch = b.Epoch
-	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
-	k.Console = &Console{}
-	k.lastCheckpoint = -1
-	k.Stats.PerSyscall = make(map[abi.Sysno]int64)
-	cores := profile.Cores
-	if b.NumCPU > 0 {
-		cores = b.NumCPU
-	}
-	k.cores = make([]int64, cores)
-	k.lcores = make([]int64, cores)
-	k.FS = mkFS(k, k.Entropy.Fork())
-	k.HW = cpu.NewHW(profile, k.Entropy.Fork(), func() int64 { return k.now })
-	k.populateProc()
-	if k.Policy == nil {
-		k.Policy = newBaselinePolicy(k.Entropy.Fork())
-	}
 	return k
 }
 
@@ -742,9 +693,6 @@ func (k *Kernel) Abort(err error) {
 		k.abortErr = &AbortError{Err: err}
 	}
 }
-
-// Aborted reports the pending abort error, if any.
-func (k *Kernel) Aborted() error { return k.abortErr }
 
 // advanceGlobal moves the monotone global clock forward.
 func (k *Kernel) advanceGlobal(t int64) {

@@ -265,9 +265,9 @@ func TestRunawayBudgetStopsInfiniteLoops(t *testing.T) {
 		}
 	}
 	reg.Register("init", prog)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: 45, Epoch: 1_500_000_000, MaxActions: 10_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}

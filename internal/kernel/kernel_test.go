@@ -20,9 +20,9 @@ func imgFor() *fs.Image         { return baseimg.Minimal() }
 // newKernel builds a kernel with the standard test setup.
 func newKernel(t *testing.T, seed uint64, reg *guest.Registry) *kernel.Kernel {
 	t.Helper()
-	return kernel.New(kernel.Config{
+	return kernel.Prepare(kernel.Config{
 		Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: seed, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000,
 	})
 }
@@ -32,9 +32,9 @@ func boot(t *testing.T, seed uint64, prog guest.Program) (*kernel.Kernel, error)
 	t.Helper()
 	reg := guest.NewRegistry()
 	reg.Register("init", prog)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: seed, Epoch: 1_500_000_000, Deadline: int64(3_600_000_000_000), // 1h virtual
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
@@ -136,9 +136,9 @@ func TestExecveRunsRegisteredProgram(t *testing.T) {
 		return wr.Status.ExitCode()
 	}
 	reg.Register("init", init)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: 4, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
@@ -236,9 +236,9 @@ func TestGetdentsOrderIsHashOrderPerMachine(t *testing.T) {
 			return 0
 		}
 		reg.Register("init", prog)
-		k := kernel.New(kernel.Config{
+		k := kernel.Prepare(kernel.Config{
 			Profile: prof, Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-		}, kernel.BootConfig{
+		}).Boot(kernel.BootConfig{
 			Seed: seed, Epoch: 1_500_000_000,
 		})
 		img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}

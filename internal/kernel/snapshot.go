@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"repro/internal/abi"
+	"repro/internal/cpu"
 	"repro/internal/fs"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -16,10 +18,11 @@ import (
 //
 // The paper's §3 purity argument is what makes this sound: a container's
 // behaviour is a function of its initial filesystem state, so sharing that
-// state (read-only) between runs cannot couple them. Boot's warm path is
-// pinned bitwise-identical to New's cold path by TestSnapshotBootEqualsCold
-// and, end to end, by the template equivalence tests in internal/core and
-// internal/buildsim.
+// state (read-only) between runs cannot couple them. Boot is the only way to
+// start a fresh kernel (Resume restores one from a Checkpoint), so a
+// one-off boot prepares a private snapshot: Prepare(cfg).Boot(b).
+// TestSnapshotBootEqualsCold pins a boot of a shared, well-used snapshot
+// bitwise-identical to a fresh one.
 type Snapshot struct {
 	Profile  *machine.Profile
 	Resolver Resolver
@@ -93,17 +96,40 @@ func Prepare(cfg Config) *Snapshot {
 	return &Snapshot{Profile: cfg.Profile, Resolver: cfg.Resolver, base: base}
 }
 
-// Boot instantiates a runnable kernel from the snapshot. It is the warm
-// twin of New: instead of populating the image into a fresh FS it COW-forks
-// the frozen base, and the fork consumes exactly the entropy a cold
-// fs.New would have, so the booted kernel is bitwise indistinguishable from
-// a cold boot with the same Config and BootConfig. Safe to call from any
-// number of goroutines at once.
+// Boot instantiates a runnable kernel from the snapshot: it COW-forks the
+// frozen base, and the fork renumbers, restamps and draws entropy exactly as
+// populating the image into a fresh filesystem would
+// (fs.TestForkBitwiseEqualsCold), so a boot depends on the Config and
+// BootConfig alone, never on what other boots the snapshot served.
+// b.Resolver overrides the prepared one. No process exists yet — call Start.
+// Safe to call from any number of goroutines at once.
+//
+// The host entropy draw order below is a compatibility contract: the seed
+// pool is read for (1) the PID base, (2) the filesystem fork, (3) the
+// hardware model, (4) the baseline policy when no policy is supplied. Every
+// output of the tree was recorded under this sequence.
 func (s *Snapshot) Boot(b BootConfig) *Kernel {
 	if b.Resolver == nil {
 		b.Resolver = s.Resolver
 	}
-	return newKernel(s.Profile, b, func(k *Kernel, fsEntropy *prng.Host) *fs.FS {
-		return s.base.Fork(k.WallClock, fsEntropy)
-	})
+	k := attach(s.Profile, b)
+	k.Entropy = prng.NewHost(b.Seed)
+	k.epoch = b.Epoch
+	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
+	k.Console = &Console{}
+	k.lastCheckpoint = -1
+	k.Stats.PerSyscall = make(map[abi.Sysno]int64)
+	cores := s.Profile.Cores
+	if b.NumCPU > 0 {
+		cores = b.NumCPU
+	}
+	k.cores = make([]int64, cores)
+	k.lcores = make([]int64, cores)
+	k.FS = s.base.Fork(k.WallClock, k.Entropy.Fork())
+	k.HW = cpu.NewHW(s.Profile, k.Entropy.Fork(), func() int64 { return k.now })
+	k.populateProc()
+	if k.Policy == nil {
+		k.Policy = newBaselinePolicy(k.Entropy.Fork())
+	}
+	return k
 }

@@ -11,8 +11,8 @@ import (
 
 // observerProgram prints every host-visible property a boot can leak: pid,
 // wall time, inode numbers and timestamps of populated files, raw getdents
-// order, /proc pseudo-file contents, urandom bytes, a write-then-stat. If a
-// warm boot differs from a cold boot in any of it, the fingerprint splits.
+// order, /proc pseudo-file contents, urandom bytes, a write-then-stat. If two
+// boots differ in any of it, the fingerprint splits.
 func observerProgram(p *guest.Proc) int {
 	p.Printf("pid=%d ppid=%d\n", p.Getpid(), p.Getppid())
 	p.Printf("time=%d\n", p.Time())
@@ -80,25 +80,30 @@ func whoResolves(t *testing.T, k *kernel.Kernel) string {
 	return k.Console.Stdout()
 }
 
-// The Prepare/Boot contract: a warm boot from a snapshot is bitwise
-// indistinguishable from a cold New with the same Config and BootConfig —
-// same pids, inos, timestamps, getdents order, entropy stream — and both
-// resolve programs the same way: through BootConfig.Resolver when it is
-// set, through Config.Resolver otherwise.
+// The Prepare/Boot contract: a snapshot keeps nothing from the boots it
+// served, so booting a shared snapshot that has already served other runs is
+// bitwise indistinguishable from a fresh Prepare(cfg).Boot(b) — same pids,
+// inos, timestamps, getdents order, entropy stream — and both resolve
+// programs through BootConfig.Resolver when it is set, through
+// Config.Resolver otherwise.
 func TestSnapshotBootEqualsCold(t *testing.T) {
 	reg := guest.NewRegistry()
 	cfg := kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}
 	snap := kernel.Prepare(cfg)
-	for _, run := range []struct {
-		seed  uint64
-		epoch int64
-	}{{0xAAAA, 1_520_000_000}, {0xB0B0, 1_545_999_999}, {7, 42}} {
-		b := kernel.BootConfig{Seed: run.seed, Epoch: run.epoch, Deadline: 3_600_000_000_000}
-		cold := runObserver(t, kernel.New(cfg, b), reg)
-		warm := runObserver(t, snap.Boot(b), reg)
-		if cold != warm {
-			t.Errorf("seed %#x epoch %d: warm boot diverged from cold boot\n--- cold ---\n%s--- warm ---\n%s",
-				run.seed, run.epoch, cold, warm)
+	boots := []kernel.BootConfig{
+		{Seed: 0xAAAA, Epoch: 1_520_000_000, Deadline: 3_600_000_000_000},
+		{Seed: 0xB0B0, Epoch: 1_545_999_999, Deadline: 3_600_000_000_000},
+		{Seed: 7, Epoch: 42, Deadline: 3_600_000_000_000},
+	}
+	for _, b := range boots {
+		runObserver(t, snap.Boot(b), reg) // the shared snapshot serves every run once first
+	}
+	for _, b := range boots {
+		fresh := runObserver(t, kernel.Prepare(cfg).Boot(b), reg)
+		shared := runObserver(t, snap.Boot(b), reg)
+		if fresh != shared {
+			t.Errorf("seed %#x epoch %d: boot of a shared snapshot diverged from a fresh one\n--- fresh ---\n%s--- shared ---\n%s",
+				b.Seed, b.Epoch, fresh, shared)
 		}
 	}
 
@@ -119,11 +124,11 @@ func TestSnapshotBootEqualsCold(t *testing.T) {
 		want     string
 	}{{nil, "prepared"}, {tagged("per-run"), "per-run"}} {
 		b := kernel.BootConfig{Seed: 5, Epoch: 1_500_000_000, Resolver: tc.resolver}
-		if got := whoResolves(t, kernel.New(cfg, b)); got != tc.want {
-			t.Errorf("New resolved through %q, want %q", got, tc.want)
+		if got := whoResolves(t, kernel.Prepare(cfg).Boot(b)); got != tc.want {
+			t.Errorf("a fresh boot resolved through %q, want %q", got, tc.want)
 		}
 		if got := whoResolves(t, snap.Boot(b)); got != tc.want {
-			t.Errorf("Snapshot.Boot resolved through %q, want %q", got, tc.want)
+			t.Errorf("a shared snapshot's boot resolved through %q, want %q", got, tc.want)
 		}
 	}
 }
@@ -159,13 +164,12 @@ func TestSnapshotConcurrentBoots(t *testing.T) {
 			t.Fatalf("boot %d diverged:\n%s\nvs\n%s", i, outs[i], outs[0])
 		}
 	}
-	// And a boot after all of that still matches a cold kernel: the template
-	// accumulated no state.
-	cold := runObserver(t, kernel.New(
+	// And a fresh boot still matches them: the shared snapshot accumulated
+	// no state.
+	fresh := runObserver(t, kernel.Prepare(
 		kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()},
-		kernel.BootConfig{Seed: 99, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000},
-	), reg)
-	if outs[0] != cold {
-		t.Errorf("warm boots diverged from cold:\n%s\nvs\n%s", outs[0], cold)
+	).Boot(kernel.BootConfig{Seed: 99, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000}), reg)
+	if outs[0] != fresh {
+		t.Errorf("boots of a shared snapshot diverged from a fresh one:\n%s\nvs\n%s", outs[0], fresh)
 	}
 }

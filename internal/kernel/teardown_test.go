@@ -119,7 +119,7 @@ func TestTeardownLeavesNothingBehind(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&b)
 			}
-			k := kernel.New(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}, b)
+			k := kernel.Prepare(kernel.Config{Profile: profFor(), Image: imgFor(), Resolver: reg.Resolver()}).Boot(b)
 			img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
 			k.Start(reg.Bind(init, img), img.Argv, nil)
 			if err := k.Run(); !errors.Is(err, tc.want) {

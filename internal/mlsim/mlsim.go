@@ -233,11 +233,11 @@ func registry() *guest.Registry {
 // and the loss trace.
 func RunNative(m Model, threads int, seed uint64) (int64, string) {
 	reg := registry()
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile:  machine.BioHaswell(),
 		Image:    image(),
 		Resolver: reg.Resolver(),
-	}, kernel.BootConfig{Seed: seed, Epoch: 1_550_000_000, NumCPU: 16})
+	}).Boot(kernel.BootConfig{Seed: seed, Epoch: 1_550_000_000, NumCPU: 16})
 	argv := []string{"tf_train", string(m), fmt.Sprint(threads)}
 	guest.Start(k, "/bin/tf_train", argv, []string{"PATH=/bin"}, "")
 	if err := k.Run(); err != nil {

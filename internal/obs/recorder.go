@@ -29,8 +29,9 @@ const (
 	// trap code, Ret the determinized value handed to the guest.
 	KindInstr
 	// KindCOWBreak is a copy-on-write data break in a forked filesystem:
-	// Arg is the copied byte count. Mechanism-level: occurs only on
-	// template forks, so the diagnoser skips it during alignment.
+	// Arg is the copied byte count. Mechanism-level (every boot forks a
+	// snapshot, so it marks the guest's first write to a file from its
+	// image): the diagnoser skips it during alignment.
 	KindCOWBreak
 	// KindSpan marks span begin/end instants emitted by the container
 	// lifecycle; mechanism-level like KindCOWBreak.

@@ -96,28 +96,6 @@ func PlanFor(seed uint64) FaultPlan {
 	return p
 }
 
-// FarmPlanFor derives a farm-level fault schedule from a seed for a farm of
-// the given worker count — again a pure function, so the same seed fires the
-// same faults on every run regardless of placement or host scheduling. About
-// half of all seeds kill a worker early in its job stream; a quarter lose an
-// assign transmission and a quarter duplicate one.
-func FarmPlanFor(seed uint64, nodes int) FaultPlan {
-	rng := prng.NewHost(seed ^ 0xFA9A17)
-	var p FaultPlan
-	if nodes > 0 && rng.Uint64()%2 == 0 {
-		p.KillNode = 1 + int(rng.Uint64()%uint64(nodes))
-		p.KillAtJob = 1 + int(rng.Uint64()%2)
-		p.CrashAtAction = 1 + int64(rng.Uint64()%crashHorizon)
-	}
-	if rng.Uint64()%4 == 0 {
-		p.LoseMsg = 1 + int64(rng.Uint64()%3)
-	}
-	if rng.Uint64()%4 == 0 {
-		p.DupMsg = 1 + int64(rng.Uint64()%3)
-	}
-	return p
-}
-
 // Byzantine reports whether the plan seats any lying participant.
 func (p FaultPlan) Byzantine() bool {
 	return p.LieOutput > 0 || p.CorruptAttestation > 0 || p.EquivocateEpoch > 0 || p.WithholdCosign > 0

@@ -19,9 +19,9 @@ func record(t *testing.T, seed uint64, prog guest.Program) (*kernel.Kernel, *rr.
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
 	rec := rr.NewRecorder(true)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: seed, Epoch: 1_500_000_000, Policy: rec,
 	})
 	rec.Attach(k)
@@ -77,9 +77,9 @@ func TestReplayReproducesRecording(t *testing.T) {
 	reg := guest.NewRegistry()
 	reg.Register("main", nondetProg)
 	rp := rr.NewReplayer(trace)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.PortabilityBroadwell(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: 999, Epoch: 1_999_999_999, Policy: rp,
 	})
 	rp.Attach(k)
@@ -120,9 +120,9 @@ func TestRecorderSlowerThanNative(t *testing.T) {
 	// Native run.
 	reg := guest.NewRegistry()
 	reg.Register("main", prog)
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: 4, Epoch: 1_500_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/main", Argv: []string{"main"}}

@@ -128,7 +128,7 @@ func TestInsertRunnableOrdersByLogicalArrival(t *testing.T) {
 
 func TestPickNilOnEmpty(t *testing.T) {
 	s := New()
-	k := kernel.New(kernel.Config{Profile: machine.CloudLabC220G5()}, kernel.BootConfig{Seed: 1})
+	k := kernel.Prepare(kernel.Config{Profile: machine.CloudLabC220G5()}).Boot(kernel.BootConfig{Seed: 1})
 	if got := s.Pick(k, nil); got != nil {
 		t.Errorf("Pick on empty = %v", got)
 	}

@@ -24,9 +24,9 @@ func boot(t *testing.T, seed uint64, files map[string]string, driver guest.Progr
 	for p, data := range files {
 		im.AddFile(p, 0o644, []byte(data))
 	}
-	k := kernel.New(kernel.Config{
+	k := kernel.Prepare(kernel.Config{
 		Profile: machine.CloudLabC220G5(), Image: im, Resolver: reg.Resolver(),
-	}, kernel.BootConfig{
+	}).Boot(kernel.BootConfig{
 		Seed: seed, Epoch: 1_500_000_000, Deadline: 3_600_000_000_000,
 	})
 	img := &kernel.ExecImage{Path: "/bin/driver", Argv: []string{"driver"}}

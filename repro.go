@@ -52,8 +52,9 @@ type (
 	// Download declares one checksummed external file a container may fetch.
 	Download = core.Download
 	// Template is a prepared container — image populated and frozen — from
-	// which NewContainer forks containers bitwise identical to cold-built
-	// ones at a fraction of the setup cost.
+	// which NewContainer forks containers bitwise identical to New ones
+	// (which each prepare a private snapshot) at a fraction of the setup
+	// cost.
 	Template = core.Template
 	// HostRun names the physical run a forked container executes as: the
 	// [host] Config fields a template deliberately does not bake in.
