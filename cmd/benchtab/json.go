@@ -68,8 +68,8 @@ func (b syscallBench) String() string {
 func (b syscallBench) OK() bool { return b.err == nil }
 
 // timeLoop runs a guest that issues `calls` intercepted time() calls in a
-// fresh container.
-func timeLoop(calls int, disableBuf bool) *repro.Result {
+// fresh container with the mechanisms in off switched off.
+func timeLoop(calls int, off repro.Mechanisms) *repro.Result {
 	reg := repro.NewRegistry()
 	reg.Register("loop", func(p *repro.GuestProc) int {
 		for i := 0; i < calls; i++ {
@@ -79,12 +79,12 @@ func timeLoop(calls int, disableBuf bool) *repro.Result {
 	})
 	img := repro.MinimalImage()
 	img.AddFile("/bin/loop", 0o755, repro.MakeExe("loop", nil))
-	c := repro.New(repro.Config{Image: img, HostSeed: 1, DisableSyscallBuf: disableBuf})
+	c := repro.New(repro.Config{Image: img, HostSeed: 1, Off: off})
 	return c.Run(reg, "/bin/loop", []string{"loop"}, nil)
 }
 
-func runSyscallBench(disableBuf bool) syscallBench {
-	res := timeLoop(syscallCalls, disableBuf)
+func runSyscallBench(off repro.Mechanisms) syscallBench {
+	res := timeLoop(syscallCalls, off)
 	return syscallBench{Calls: syscallCalls, Stops: res.Tracer.Stops,
 		Buffered: res.Tracer.BufferedCalls, Flushes: res.Tracer.Flushes, err: res.Err}
 }
@@ -105,7 +105,7 @@ func runObsSection(e *env, specs []*debpkg.Spec) fmt.Stringer {
 	ts := e.results["templates"].(*buildsim.TemplateStudy)
 	b := obsSection{ObsStudy: e.o.RunObsStudy(specs),
 		AvgRecEventsFork: ts.AvgRecEventsFork, AvgRecEventsCold: ts.AvgRecEventsCold}
-	if res := timeLoop(1000, false); res.Err == nil && res.Trace != nil {
+	if res := timeLoop(1000, 0); res.Err == nil && res.Trace != nil {
 		b.MicrobenchEvents = res.Trace.Total()
 		b.MicrobenchDrops = res.Trace.Dropped()
 	}

@@ -131,8 +131,9 @@ var sections = []section{
 		func(e *env, _ []*debpkg.Spec) fmt.Stringer { return e.o.RunRRStudy() }},
 	{"portability", "§7.3: portability across Skylake/4.15 and Broadwell/4.18", "", 0,
 		func(e *env, _ []*debpkg.Spec) fmt.Stringer {
+			ablated := &buildsim.Options{Seed: e.o.Seed, Jobs: e.o.Jobs, Off: core.Off(core.DirSizes)}
 			return text(fmt.Sprintf("%s\nablation (directory-size virtualization disabled):\n%s",
-				e.o.RunPortability(e.nport, false), e.o.RunPortability(e.nport, true)))
+				e.o.RunPortability(e.nport), ablated.RunPortability(e.nport)))
 		}},
 	{"rescue", "extension ablation: experimental sockets+signals vs the unsupported set", "", 2400,
 		func(e *env, universe []*debpkg.Spec) fmt.Stringer {
@@ -156,9 +157,9 @@ var sections = []section{
 				len(specs), rescued))
 		}},
 	{"", "syscall microbenchmark: 200k intercepted time() calls, buffer on", "syscall_buffered", 0,
-		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(false) }},
+		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(0) }},
 	{"", "syscall microbenchmark: buffer off", "syscall_unbuffered", 0,
-		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(true) }},
+		func(*env, []*debpkg.Spec) fmt.Stringer { return runSyscallBench(core.Off(core.SyscallBuf)) }},
 	{"buffering", "syscall-buffer ablation: Fig. 5 with and without the in-tracee buffer", "aggregate_slowdown", 120,
 		func(e *env, specs []*debpkg.Spec) fmt.Stringer { return e.o.RunBufferStudy(specs) }},
 	{"templates", "container-template ablation: setup cost with and without COW forks", "templates", 120,

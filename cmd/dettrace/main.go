@@ -25,6 +25,7 @@ import (
 
 	"repro"
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/machine"
 )
@@ -42,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hostSeed   = fs.Uint64("host-seed", 1, "simulated physical-run entropy (must not affect output)")
 		epoch      = fs.Int64("epoch", 1_600_000_000, "host wall-clock epoch at boot (must not affect output)")
 		mach       = fs.String("machine", "skylake", "host machine: skylake|broadwell|haswell|sandybridge")
-		noSeccomp  = fs.Bool("no-seccomp", false, "disable seccomp-bpf selective interception (slower, same results)")
 		debug      = fs.Int("debug", 0, "debug verbosity (>=1 traces every system call)")
 		workingDir = fs.String("working-dir", "", "container working directory (default /build)")
 		withPkg    = fs.Int("with-package", -1, "materialize universe package N under /build")
@@ -51,7 +51,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		expSigs    = fs.Bool("experimental-signals", false, "allow reproducible cross-process signals")
 		fastVdso   = fs.Bool("fast-vdso", false, "answer vDSO timing calls logically without a stop")
 		download   = fs.String("download", "", "declare a fetchable file: url=sha256hex=literal-content")
+		off        repro.Mechanisms
 	)
+	fs.Var(&off, "off", core.OffUsage)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -79,8 +81,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	img := repro.ToolchainImage()
 	wd := *workingDir
 	if *withPkg >= 0 {
-		specs := debpkg.Universe(1, *withPkg+1)
-		spec := specs[*withPkg]
+		spec, err := debpkg.Package(1, *withPkg)
+		if err != nil {
+			fmt.Fprintf(stderr, "dettrace: %v\n", err)
+			return 2
+		}
 		pkgdir := spec.Materialize(img, "/build")
 		if wd == "" {
 			wd = pkgdir
@@ -95,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Epoch:               *epoch,
 		PRNGSeed:            *seed,
 		WorkingDir:          wd,
-		DisableSeccomp:      *noSeccomp,
+		Off:                 off,
 		ExperimentalSockets: *expSocks,
 		ExperimentalSignals: *expSigs,
 		FastVdso:            *fastVdso,

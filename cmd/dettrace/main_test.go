@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/abi"
+	"repro/internal/core"
 	"repro/internal/guest"
 )
 
@@ -16,6 +17,10 @@ import (
 const demoDate = "Sun Aug  8 22:00:00 UTC 1993\n"
 
 func TestRun(t *testing.T) {
+	var rows []string
+	for m := range core.NumMechanisms {
+		rows = append(rows, m.String())
+	}
 	cases := []struct {
 		name   string
 		args   []string
@@ -43,8 +48,14 @@ func TestRun(t *testing.T) {
 				// The census of stops: most first, ties in call-number
 				// order; the buffered time call never stops.
 				"top tracer stops  :\n  write           1 (50.0%)\n  execve          1 (50.0%)\n"}},
-		{name: "stats without seccomp", args: []string{"--no-seccomp", "--stats", "date"}, stdout: demoDate,
+		{name: "stats without seccomp", args: []string{"--off", "seccomp", "--stats", "date"}, stdout: demoDate,
 			stderr: []string{"buffered calls    : 0\n", "buffer flushes    : 0\n"}},
+		{name: "unknown mechanism", args: []string{"--off", "seccomp,nosuch", "date"}, exit: 2,
+			stderr: append([]string{`unknown mechanism "nosuch"`}, rows...)},
+		{name: "help names every mechanism", args: []string{"-help"},
+			stderr: append([]string{"-off list"}, rows...)},
+		{name: "package out of range", args: []string{"--with-package", "17145", "pwd"}, exit: 2,
+			stderr: []string{"dettrace: package 17145 out of range"}},
 		{name: "with-package runs in the package directory", args: []string{"--with-package", "0", "ls"},
 			stdout: "Makefile\nconfigure.ac\ndebian\ninclude\nsrc\n",
 			stderr: []string{"dettrace: materialized pkg-00000 at /build/pkg-00000-"}},

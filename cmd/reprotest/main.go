@@ -50,11 +50,11 @@
 //
 //	reprotest -pkg 7 -attest -byzantine 2
 //
-// Multi-threaded (javac) builds run with copy-on-write thread workspaces by
-// default; -workspaces=false serializes sibling threads instead. The ablation
+// -off switches mechanisms off in the DetTrace builds: -off workspaces
+// serializes the sibling threads of multi-threaded (javac) builds, which
 // never changes a verdict or an output byte — only the modeled wall time.
 //
-//	reprotest -pkg 3 -workspaces=false
+//	reprotest -pkg 3 -off workspaces
 //
 // With -patch FILE (or -patch PKG:FILE, which selects the universe package
 // inline) the tool runs the incremental-rebuild gate: build the package
@@ -91,9 +91,11 @@ var (
 	killNode  = flag.Int("kill-node", 0, "with -nodes: worker ordinal to kill mid-build (0 auto-picks the node the job lands on)")
 	attest    = flag.Bool("attest", false, "run the Byzantine-robustness gate: attested farm build under seated adversaries")
 	byzantine = flag.Int("byzantine", 2, "with -attest: number of simultaneous adversaries to seat (1-4)")
-	wsFlag    = flag.Bool("workspaces", true, "thread workspaces for multi-threaded builds (false = serialized-thread ablation; never changes an output byte)")
 	patch     = flag.String("patch", "", "incremental-rebuild gate: patch FILE (or PKG:FILE) in the source tree, rebuild from the derivation store, and verify the bits")
+	off       core.Mechanisms
 )
+
+func init() { flag.Var(&off, "off", core.OffUsage) }
 
 // parse reads the command line into the flags above; -patch PKG:FILE selects
 // the universe package inline.
@@ -150,16 +152,13 @@ func selectGate() *gate {
 func main() {
 	parse(os.Args[1:])
 
-	var spec *debpkg.Spec
-	if *llvm {
-		spec = debpkg.LLVM()
-	} else {
-		specs := debpkg.Universe(*seed, *pkgN+1)
-		if *pkgN >= len(specs) {
-			fmt.Fprintf(os.Stderr, "reprotest: package %d out of range\n", *pkgN)
-			os.Exit(2)
-		}
-		spec = specs[*pkgN]
+	spec, err := debpkg.LLVM(), error(nil)
+	if !*llvm {
+		spec, err = debpkg.Package(*seed, *pkgN)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reprotest: %v\n", err)
+		os.Exit(2)
 	}
 
 	fmt.Printf("package %s %s  (units=%d headers=%d weight=%d compiler=%s)\n",
@@ -174,10 +173,7 @@ func main() {
 		fmt.Printf("uses unsupported feature: %s\n", spec.Unsup)
 	}
 
-	o := &buildsim.Options{Seed: *seed}
-	if !*wsFlag {
-		o.Off = core.Off(core.Workspaces)
-	}
+	o := &buildsim.Options{Seed: *seed, Off: off}
 	if g := selectGate(); g != nil {
 		fmt.Println()
 		report, ok := g.run(o, spec)

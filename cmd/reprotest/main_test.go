@@ -2,10 +2,12 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/buildsim"
+	"repro/internal/core"
 	"repro/internal/debpkg"
 )
 
@@ -49,11 +51,44 @@ func TestGates(t *testing.T) {
 			if parseFresh(args...); selectGate() != g {
 				t.Fatalf("%v selects %v, want the %q gate", args, selectGate(), g.flag)
 			}
-			spec := debpkg.Universe(*seed, *pkgN+1)[*pkgN]
+			spec, err := debpkg.Package(*seed, *pkgN)
+			if err != nil {
+				t.Fatal(err)
+			}
 			report, ok := g.run(&buildsim.Options{Seed: *seed}, spec)
 			if !ok {
 				t.Errorf("gate failed on package %d:\n%s", *pkgN, report)
 			}
 		})
+	}
+}
+
+// The package index is bounded before the universe is drawn.
+func TestLookup(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		want string // the package name; "" for an out-of-range index
+	}{
+		{-1, ""},
+		{debpkg.UniverseSize, ""},
+		{0, "pkg-00000"},
+	} {
+		spec, err := debpkg.Package(1, tc.n)
+		switch {
+		case tc.want == "" && (err == nil || err.Error() != fmt.Sprintf("package %d out of range", tc.n)):
+			t.Errorf("Package(%d): %v, want out of range", tc.n, err)
+		case tc.want != "" && (err != nil || spec.Name != tc.want):
+			t.Errorf("Package(%d) = %v, %v; want %s", tc.n, spec, err, tc.want)
+		}
+	}
+}
+
+// -off parses into the farm's set, and an unset flag switches nothing off.
+func TestOffFlag(t *testing.T) {
+	if parseFresh("-pkg", "17", "-off", "workspaces"); off != core.Off(core.Workspaces) {
+		t.Errorf("-off workspaces parsed to %#x", off)
+	}
+	if parseFresh("-pkg", "17"); off != 0 {
+		t.Errorf("no -off flag left %#x switched off", off)
 	}
 }

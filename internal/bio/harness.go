@@ -54,8 +54,11 @@ func RunNative(tool Tool, procs int, seed uint64, epoch int64) (int64, *fs.Image
 	return k.Now(), k.FS.SnapshotImage(k.FS.Root)
 }
 
-// RunDetTrace executes the tool inside DetTrace.
-func RunDetTrace(tool Tool, procs int, hostSeed uint64, epoch int64) (int64, *fs.Image, error) {
+// RunDetTrace executes the tool inside DetTrace on n workers — `-np n`
+// processes, or `-nt n` sibling threads of the pthreads build — with the
+// mechanisms in off switched off (core.Off(core.Workspaces) serializes the
+// threads).
+func RunDetTrace(tool Tool, workers string, n int, hostSeed uint64, epoch int64, off core.Mechanisms) *core.Result {
 	c := core.New(core.Config{
 		Image:    image(tool),
 		Profile:  machine.BioHaswell(),
@@ -63,28 +66,10 @@ func RunDetTrace(tool Tool, procs int, hostSeed uint64, epoch int64) (int64, *fs
 		Epoch:    epoch,
 		NumCPU:   16,
 		PRNGSeed: 0xb10,
+		Off:      off,
 	})
-	argv := []string{string(tool), "-np", fmt.Sprint(procs)}
-	res := c.Run(registry(tool), "/bin/"+string(tool), argv, []string{"PATH=/bin"})
-	return res.WallTime, res.FS, res.Err
-}
-
-// RunDetTraceThreaded executes the pthreads build of the tool inside
-// DetTrace with the given sibling-thread count, optionally disabling
-// workspace mode (the serialized-thread ablation).
-func RunDetTraceThreaded(tool Tool, threads int, hostSeed uint64, epoch int64, disableWs bool) (*core.Result, error) {
-	c := core.New(core.Config{
-		Image:             image(tool),
-		Profile:           machine.BioHaswell(),
-		HostSeed:          hostSeed,
-		Epoch:             epoch,
-		NumCPU:            16,
-		PRNGSeed:          0xb10,
-		DisableWorkspaces: disableWs,
-	})
-	argv := []string{string(tool), "-nt", fmt.Sprint(threads)}
-	res := c.Run(registry(tool), "/bin/"+string(tool), argv, []string{"PATH=/bin"})
-	return res, res.Err
+	argv := []string{string(tool), workers, fmt.Sprint(n)}
+	return c.Run(registry(tool), "/bin/"+string(tool), argv, []string{"PATH=/bin"})
 }
 
 // ThreadCell is one row of the workspace thread study (X17): the pthreads
@@ -109,13 +94,10 @@ func RunThreadStudy(seed uint64) []ThreadCell {
 	var cells []ThreadCell
 	for _, tool := range Tools {
 		for _, nt := range Fig6Procs {
-			on, err := RunDetTraceThreaded(tool, nt, seed+uint64(nt), 1_542_000_000, false)
-			if err != nil {
-				panic(fmt.Sprintf("bio ws-on threaded run failed: %v", err))
-			}
-			off, err := RunDetTraceThreaded(tool, nt, seed+uint64(nt), 1_542_000_000, true)
-			if err != nil {
-				panic(fmt.Sprintf("bio ws-off threaded run failed: %v", err))
+			on := RunDetTrace(tool, "-nt", nt, seed+uint64(nt), 1_542_000_000, 0)
+			off := RunDetTrace(tool, "-nt", nt, seed+uint64(nt), 1_542_000_000, core.Off(core.Workspaces))
+			if on.Err != nil || off.Err != nil {
+				panic(fmt.Sprintf("bio threaded runs failed: ws on %v, ws off %v", on.Err, off.Err))
 			}
 			if eq, diff := hashdeep.Equal(hashdeep.HashSubtree(on.FS, "/"), hashdeep.HashSubtree(off.FS, "/")); !eq {
 				panic(fmt.Sprintf("bio %s -nt %d: workspace ablation changed the output tree: %s", tool, nt, diff))
@@ -166,11 +148,11 @@ func RunFig6(seed uint64) []Fig6Cell {
 			cells = append(cells, Fig6Cell{tool, np, true, nw, float64(seqWall) / float64(nw)})
 		}
 		for _, np := range Fig6Procs {
-			dw, _, err := RunDetTrace(tool, np, seed+uint64(np)^0xD7, 1_541_000_000)
-			if err != nil {
-				panic(fmt.Sprintf("bio DetTrace run failed: %v", err))
+			res := RunDetTrace(tool, "-np", np, seed+uint64(np)^0xD7, 1_541_000_000, 0)
+			if res.Err != nil {
+				panic(fmt.Sprintf("bio DetTrace run failed: %v", res.Err))
 			}
-			cells = append(cells, Fig6Cell{tool, np, false, dw, float64(seqWall) / float64(dw)})
+			cells = append(cells, Fig6Cell{tool, np, false, res.WallTime, float64(seqWall) / float64(res.WallTime)})
 		}
 	}
 	return cells
@@ -218,14 +200,14 @@ func VerifyRepro(seed uint64) []ReproResult {
 		nEq, _ := hashdeep.Equal(
 			hashdeep.HashSubtree(n1, "/data/out"),
 			hashdeep.HashSubtree(n2, "/data/out"))
-		_, d1, err1 := RunDetTrace(tool, 4, seed+3, 1_540_000_000)
-		_, d2, err2 := RunDetTrace(tool, 4, seed+4, 1_540_011_111)
-		if err1 != nil || err2 != nil {
-			panic(fmt.Sprintf("bio DetTrace verify failed: %v / %v", err1, err2))
+		d1 := RunDetTrace(tool, "-np", 4, seed+3, 1_540_000_000, 0)
+		d2 := RunDetTrace(tool, "-np", 4, seed+4, 1_540_011_111, 0)
+		if d1.Err != nil || d2.Err != nil {
+			panic(fmt.Sprintf("bio DetTrace verify failed: %v / %v", d1.Err, d2.Err))
 		}
 		dEq, _ := hashdeep.Equal(
-			hashdeep.HashSubtree(d1, "/data/out"),
-			hashdeep.HashSubtree(d2, "/data/out"))
+			hashdeep.HashSubtree(d1.FS, "/data/out"),
+			hashdeep.HashSubtree(d2.FS, "/data/out"))
 		out = append(out, ReproResult{tool, nEq, dEq})
 	}
 	return out

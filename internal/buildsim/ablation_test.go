@@ -92,7 +92,7 @@ func TestCrashGateHonoursCallerFlags(t *testing.T) {
 // clock may move it.
 func TestAblationTable(t *testing.T) {
 	specs := debpkg.Universe(1, 18)[10:] // includes the threaded pkg-00010 and pkg-00017
-	o := &Options{Seed: 1, Jobs: 2, Checkpoints: true, Incremental: true}
+	o := &Options{Seed: 1, Jobs: 2, Checkpoints: true}
 	for m := range core.NumMechanisms {
 		if m.Breaks() != "" {
 			continue

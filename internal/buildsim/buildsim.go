@@ -69,10 +69,10 @@ type Options struct {
 	// Experimental enables the §5.9/§5.4 extensions (container-internal
 	// sockets and scheduler-ordered signals) in the DetTrace runs.
 	Experimental bool
-	// Off switches mechanism-table rows off in every DetTrace run. Off
-	// containing core.TemplateReuse also boots the native builds from
-	// private snapshots and rebuilds every image. A row may move only what
-	// its contract declares.
+	// Off switches mechanism-table rows off in every DetTrace run; the empty
+	// set runs every row, incremental rebuilds included. Off containing
+	// core.TemplateReuse also boots the native builds from private snapshots
+	// and rebuilds every image. A row may move only what its contract declares.
 	Off core.Mechanisms
 	// KeepTraces retains each package's flight-recorder ring, span list and
 	// event count in Out (for `benchtab -trace`). Off by default because the
@@ -90,14 +90,6 @@ type Options struct {
 	// execs advance virtual time — so its outputs are compared against other
 	// checkpointed runs, never against plain ones.
 	Checkpoints bool
-	// Incremental enables derivation-store rebuild reuse (ISSUE 8): patched
-	// packages fork the freshest checkpoint seal whose prefix read no dirty
-	// file instead of cold-building, re-executing only the invalidated
-	// compile units. Joined (inverted) into the container config hash as
-	// core.Config.DisableIncremental, so incremental and non-incremental
-	// runs occupy disjoint derivation-key spaces — while their outputs stay
-	// bitwise-identical, which incremental_test.go pins.
-	Incremental bool
 	// Farm configures the distributed farm. Farm.Nodes > 0 routes BuildAll
 	// through the internal/farm coordinator instead of the in-process pool:
 	// jobs are placed by rendezvous hashing over Farm.PlacementSeed, and
@@ -591,9 +583,8 @@ func (o *Options) dtConfig(img *fs.Image, pkgdir string, seed uint64, v reprotes
 		Deadline:            DTDeadline,
 		ExperimentalSockets: o.Experimental,
 		ExperimentalSignals: o.Experimental,
-		DisableIncremental:  !o.Incremental,
+		Off:                 o.Off,
 	}
-	o.Off.Apply(&cfg)
 	return cfg
 }
 
@@ -615,7 +606,7 @@ func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgH
 func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
 	sc := o.sc()
 	var tpl *core.Template
-	if !cfg.DisableTemplateReuse && cfg.Image == img && cfg.FaultInjectCrash == 0 {
+	if !cfg.Off.Has(core.TemplateReuse) && cfg.Image == img && cfg.FaultInjectCrash == 0 {
 		// cfg carries its final behaviour-relevant fields by now (mod applied),
 		// and the key's config hash ignores the per-run host fields, so one
 		// template serves every perturbation of a build and no other.

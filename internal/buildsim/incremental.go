@@ -18,8 +18,8 @@
 // same .deb, same log, same exit, same virtual time. Whenever the planner
 // cannot prove a seal's prefix clean (tree shape changed, an unclaimed path
 // went dirty, every prefix read a patched file) the rebuild degrades to that
-// cold build, trading time for the same bits. The DisableIncremental
-// ablation is joined into the config hash, so cached state can never cross
+// cold build, trading time for the same bits. The incremental row's
+// ablation (Options.Off) is joined into the config hash, so cached state can never cross
 // the ablation: incremental-on and incremental-off runs occupy disjoint key
 // spaces while producing identical outputs.
 package buildsim
@@ -179,7 +179,7 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		return r, RebuildStats{Cold: true, UnitsTotal: s.spec.Units, UnitsRedone: s.spec.Units, RebuildNs: r.wall}
 	}
 
-	if pcfg.DisableIncremental {
+	if pcfg.Off.Has(core.Incremental) {
 		return cold()
 	}
 
@@ -274,8 +274,8 @@ func patchSchedule(spec *debpkg.Spec, seed uint64, rounds int, unitsOnly bool) [
 
 // RebuildRounds drives one package through a chained patch schedule (see
 // patchSchedule): base build into the store, then per round patch the
-// current tree and rebuild — incrementally when o.Incremental, cold
-// otherwise. Two Options differing only in Jobs, store shape or the
+// current tree and rebuild — incrementally, or cold when o.Off has the
+// incremental row. Two Options differing only in Jobs, store shape or the
 // ablation must produce DeepEqual []RoundResult for one schedule. Returns
 // the base run last; a failed base yields nil rounds.
 func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Store, sched [][]string) ([]RoundResult, []RebuildStats, dtRun) {
@@ -360,8 +360,8 @@ func buildIncrCell(l obs.Local, on, off *Options, spec *debpkg.Spec, store deriv
 // incrFarms derives X18's two checkpointing farms from o: incremental on
 // and off.
 func (o *Options) incrFarms() (on, off *Options) {
-	off = o.derive(func(f *Options) { f.Checkpoints, f.Incremental = true, false })
-	return off.derive(func(f *Options) { f.Incremental = true }), off
+	off = o.derive(func(f *Options) { f.Checkpoints, f.Off = true, f.Off|core.Off(core.Incremental) })
+	return off.derive(func(f *Options) { f.Off &^= core.Off(core.Incremental) }), off
 }
 
 // incrStudy judges X18 cells: every round bitwise-identical to the cold

@@ -65,8 +65,8 @@ func TestPatchRebuildGate(t *testing.T) {
 func TestIncrementalEquivalence(t *testing.T) {
 	specs := incrSpecs(t, 7, 3, 2)
 	const rounds = 3
-	run := func(jobs int, incremental bool, store derive.Store) [][]RoundResult {
-		o := &Options{Seed: 7, Jobs: jobs, Checkpoints: true, Incremental: incremental}
+	run := func(jobs int, off core.Mechanisms, store derive.Store) [][]RoundResult {
+		o := &Options{Seed: 7, Jobs: jobs, Checkpoints: true, Off: off}
 		outs := make([][]RoundResult, len(specs))
 		o.forEach(len(specs), func(l obs.Local, i int) {
 			rs, _, base := o.RebuildRounds(l, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, false))
@@ -80,7 +80,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 
 	// Reference: single worker, incremental, in-process store — and proof
 	// the schedule exercises real seal forks, not wall-to-wall cold falls.
-	refOpts := &Options{Seed: 7, Jobs: 1, Checkpoints: true, Incremental: true}
+	refOpts := &Options{Seed: 7, Jobs: 1, Checkpoints: true}
 	refStore := derive.NewMemStore()
 	ref := make([][]RoundResult, len(specs))
 	forked := 0
@@ -98,20 +98,20 @@ func TestIncrementalEquivalence(t *testing.T) {
 	}
 
 	cases := []struct {
-		name        string
-		jobs        int
-		incremental bool
-		store       derive.Store
+		name  string
+		jobs  int
+		off   core.Mechanisms
+		store derive.Store
 	}{
-		{"jobs4-mem", 4, true, derive.NewMemStore()},
-		{"jobs16-mem", 16, true, derive.NewMemStore()},
-		{"jobs1-shards1", 1, true, farm.NewShards(1)},
-		{"jobs4-shards3", 4, true, farm.NewShards(3)},
-		{"jobs1-cold", 1, false, derive.NewMemStore()},
-		{"jobs4-cold-shards3", 4, false, farm.NewShards(3)},
+		{"jobs4-mem", 4, 0, derive.NewMemStore()},
+		{"jobs16-mem", 16, 0, derive.NewMemStore()},
+		{"jobs1-shards1", 1, 0, farm.NewShards(1)},
+		{"jobs4-shards3", 4, 0, farm.NewShards(3)},
+		{"jobs1-cold", 1, core.Off(core.Incremental), derive.NewMemStore()},
+		{"jobs4-cold-shards3", 4, core.Off(core.Incremental), farm.NewShards(3)},
 	}
 	for _, tc := range cases {
-		got := run(tc.jobs, tc.incremental, tc.store)
+		got := run(tc.jobs, tc.off, tc.store)
 		if !reflect.DeepEqual(got, ref) {
 			for i := range got {
 				if !reflect.DeepEqual(got[i], ref[i]) {
@@ -130,8 +130,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 // farm-produced seals — landing on the cold build's exact bits.
 func TestIncrementalSealsFromFarmShards(t *testing.T) {
 	spec := incrSpecs(t, 9, 1, 3)[0]
-	o := &Options{Seed: 9, Checkpoints: true, Incremental: true,
-		Farm: farm.Config{Nodes: 3}}
+	o := &Options{Seed: 9, Checkpoints: true, Farm: farm.Config{Nodes: 3}}
 	o.BuildAll([]*debpkg.Spec{spec}, nil)
 	cl := o.LastFarm()
 	if cl == nil {
@@ -167,19 +166,19 @@ func TestIncrementalSealsFromFarmShards(t *testing.T) {
 }
 
 // TestIncrementalAblationPartitionsKeys guards the key-space join: the
-// DisableIncremental knob must flow into the config hash, so cached state
+// incremental row of Options.Off must flow into the config hash, so cached state
 // can never cross the ablation.
 func TestIncrementalAblationPartitionsKeys(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 2)[0]
 	l := obs.NewLocal()
 	seed := pkgSeed(5, spec)
 	v1, _ := reprotest.Pair(seed)
-	on := &Options{Seed: 5, Incremental: true}
-	off := &Options{Seed: 5}
+	on := &Options{Seed: 5}
+	off := &Options{Seed: 5, Off: core.Off(core.Incremental)}
 	img, pkgdir, _ := on.pkgImage(l, spec, "/build")
 	if core.ConfigHash(on.dtConfig(img, pkgdir, seed, v1)) ==
 		core.ConfigHash(off.dtConfig(img, pkgdir, seed, v1)) {
-		t.Fatal("DisableIncremental does not partition the derivation key space")
+		t.Fatal("the incremental row does not partition the derivation key space")
 	}
 }
 
@@ -206,7 +205,7 @@ func TestIncrementalStudy(t *testing.T) {
 // phase-granularity lookup per round, and units reused on a forked one.
 func TestDeriveCountersRecordReuse(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 3)[0]
-	o := &Options{Seed: 5, Checkpoints: true, Incremental: true}
+	o := &Options{Seed: 5, Checkpoints: true}
 	const rounds = 2
 	_, sts, base := o.RebuildRounds(obs.NewLocal(), spec, derive.NewMemStore(), patchSchedule(spec, o.Seed, rounds, true))
 	if v, _ := base.verdict(); v != "" {

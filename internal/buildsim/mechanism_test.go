@@ -68,7 +68,7 @@ func checkMechanismCells(t *testing.T, off core.Mechanisms, moves core.Moves) {
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
 			t.Parallel() // single-worker cells leave a core idle
-			o := &Options{Seed: 1, Incremental: true, Off: off}
+			o := &Options{Seed: 1, Off: off}
 			shape.set(o)
 			if st := o.SetupStats(); st != (SetupStats{}) {
 				t.Fatalf("a fresh farm carries setup state: %+v", st)

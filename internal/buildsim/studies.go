@@ -208,7 +208,6 @@ func (o *Options) buildRR(l obs.Local, spec *debpkg.Spec, v reprotest.Variation)
 type PortStudy struct {
 	Packages  int // DT-reproducible packages built on both machines
 	Identical int
-	Ablate    bool // dir-size virtualization disabled
 	Example   string
 }
 
@@ -224,10 +223,10 @@ func (st *PortStudy) String() string {
 
 // RunPortability builds n DT-reproducible candidates once per machine
 // profile (same container inputs, different physical host) and compares the
-// .debs. With ablate the §7.3 directory-size virtualization is disabled,
-// reopening the leak the paper found: only packages whose configure step
-// stats a directory's size diverge.
-func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
+// .debs. With the dir-sizes row in o.Off the §7.3 directory-size
+// virtualization is disabled, reopening the leak the paper found: only
+// packages whose configure step stats a directory's size diverge.
+func (o *Options) RunPortability(n int) *PortStudy {
 	if n <= 0 {
 		n = 100
 	}
@@ -239,7 +238,7 @@ func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
 	outs := make([]portOut, len(cands))
 	o.forEach(len(cands), func(l obs.Local, i int) {
 		spec := cands[i]
-		a, b := o.buildOnBothMachines(l, spec, ablate)
+		a, b := o.buildOnBothMachines(l, spec)
 		if a.deb == nil || b.deb == nil {
 			return
 		}
@@ -249,7 +248,7 @@ func (o *Options) RunPortability(n int, ablate bool) *PortStudy {
 			outs[i].diff = firstDebDiff(spec, a.deb, b.deb)
 		}
 	})
-	st := &PortStudy{Ablate: ablate}
+	st := &PortStudy{}
 	for _, po := range outs {
 		if !po.ok {
 			continue
@@ -280,16 +279,13 @@ func portCandidates(seed uint64, n int) []*debpkg.Spec {
 }
 
 // buildOnBothMachines builds spec under DetTrace once on each §7.3 machine
-// profile, same container inputs, with dir-size virtualization off when
-// ablate.
-func (o *Options) buildOnBothMachines(l obs.Local, spec *debpkg.Spec, ablate bool) (a, b dtRun) {
+// profile, same container inputs.
+func (o *Options) buildOnBothMachines(l obs.Local, spec *debpkg.Spec) (a, b dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	at := func(p *machine.Profile) func(*core.Config) {
-		return func(c *core.Config) { c.Profile, c.DisableDirSizes = p, ablate }
-	}
-	a = o.buildDT(l, spec, seed, v1, at(machine.CloudLabC220G5()))
-	b = o.buildDT(l, spec, seed, reprotest.PortabilityHost(v1, seed), at(machine.PortabilityBroadwell()))
+	a = o.buildDT(l, spec, seed, v1, nil) // dtConfig's profile: CloudLabC220G5
+	b = o.buildDT(l, spec, seed, reprotest.PortabilityHost(v1, seed),
+		func(c *core.Config) { c.Profile = machine.PortabilityBroadwell() })
 	return a, b
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/obs"
 	"repro/internal/reprotest"
@@ -68,7 +69,7 @@ func TestRunRRStudy(t *testing.T) {
 // With dir-size virtualization on, every package builds bitwise-identically
 // across the Skylake/4.15 and Broadwell/4.18 profiles.
 func TestRunPortabilityVirtualized(t *testing.T) {
-	st := (&Options{Seed: 1, Jobs: 4}).RunPortability(12, false)
+	st := (&Options{Seed: 1, Jobs: 4}).RunPortability(12)
 	if st.Packages == 0 {
 		t.Fatal("no packages completed on both machines")
 	}
@@ -103,16 +104,17 @@ func TestPortabilityDirSizeAblation(t *testing.T) {
 	}
 
 	l := obs.NewLocal()
+	ablated := &Options{Seed: 1, Off: core.Off(core.DirSizes)}
 	// Virtualized: the dirsize package ports cleanly.
-	if a, b := o.buildOnBothMachines(l, leaky, false); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := o.buildOnBothMachines(l, leaky); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs differ across machines with virtualization on", leaky.Name)
 	}
 	// Ablated: the same package leaks the host's directory sizes.
-	if a, b := o.buildOnBothMachines(l, leaky, true); a.deb == nil || bytes.Equal(a.deb, b.deb) {
+	if a, b := ablated.buildOnBothMachines(l, leaky); a.deb == nil || bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs identical across machines despite the ablation", leaky.Name)
 	}
 	// Ablated, but no machine-varying directives: still identical.
-	if a, b := o.buildOnBothMachines(l, clean, true); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := ablated.buildOnBothMachines(l, clean); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: directive-free package diverged under the ablation", clean.Name)
 	}
 }

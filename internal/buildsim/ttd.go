@@ -173,7 +173,7 @@ type TTDStudy struct {
 	Seals    int `json:"seals"` // seals recorded per reference run, summed
 
 	// Equivalent counts packages whose delta-sealed build matched the
-	// DisableDeltaSeals build bitwise (the ablation equivalence gate).
+	// delta-seals-off build bitwise (the ablation equivalence gate).
 	Equivalent int `json:"delta_full_equivalent"`
 
 	// DeltaBytes is what the delta chains actually stored (base seal + fresh

@@ -24,7 +24,7 @@ func ttdSpec(t *testing.T) *debpkg.Spec {
 
 // TestTTDDeltaEquivalence is the CI equivalence gate: a build recorded with
 // delta checkpoint seals is bitwise identical to the same build recorded with
-// DisableDeltaSeals — same artifacts, same wall time, same per-seal ring
+// the delta-seals row off — same artifacts, same wall time, same per-seal ring
 // digests — while the delta chain stores strictly fewer bytes.
 func TestTTDDeltaEquivalence(t *testing.T) {
 	spec := ttdSpec(t)
@@ -35,7 +35,7 @@ func TestTTDDeltaEquivalence(t *testing.T) {
 	if v, _ := dRun.verdict(); v != "" {
 		t.Fatalf("delta-sealed build did not complete: %s", v)
 	}
-	f, fRun := o.recordSession(l, spec, 0, func(c *core.Config) { c.DisableDeltaSeals = true })
+	f, fRun := o.recordSession(l, spec, 0, func(c *core.Config) { c.Off |= core.Off(core.DeltaSeals) })
 	if v, _ := fRun.verdict(); v != "" {
 		t.Fatalf("full-sealed build did not complete: %s", v)
 	}

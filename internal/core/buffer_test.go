@@ -53,7 +53,7 @@ func bufferHeavyProgram(p *guest.Proc) int {
 
 func TestSyscallBufferOnOffEquivalence(t *testing.T) {
 	on := runDT(t, hostA, core.Config{}, bufferHeavyProgram)
-	off := runDT(t, hostA, core.Config{DisableSyscallBuf: true}, bufferHeavyProgram)
+	off := runDT(t, hostA, core.Config{Off: core.Off(core.SyscallBuf)}, bufferHeavyProgram)
 	if on.Err != nil || off.Err != nil || on.ExitCode != 0 || off.ExitCode != 0 {
 		t.Fatalf("runs failed: %v (exit %d) / %v (exit %d)", on.Err, on.ExitCode, off.Err, off.ExitCode)
 	}
@@ -81,7 +81,7 @@ func TestSyscallBufferOnOffEquivalence(t *testing.T) {
 func TestSyscallBufferDeterminismAcrossHosts(t *testing.T) {
 	a := runDT(t, hostA, core.Config{}, bufferHeavyProgram)
 	b := runDT(t, hostB, core.Config{}, bufferHeavyProgram)
-	bOff := runDT(t, hostB, core.Config{DisableSyscallBuf: true}, bufferHeavyProgram)
+	bOff := runDT(t, hostB, core.Config{Off: core.Off(core.SyscallBuf)}, bufferHeavyProgram)
 	if a.Err != nil || b.Err != nil || bOff.Err != nil {
 		t.Fatalf("runs failed: %v / %v / %v", a.Err, b.Err, bOff.Err)
 	}

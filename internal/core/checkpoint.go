@@ -157,7 +157,7 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 		regSeal:      regSeal,
 		recoveryHash: recoveryHash(c.cfg),
 	}
-	cp.ringSeal, cp.ringDigest = c.rec.Seal() // nil-safe: a DisableObservability seal digests an empty ring
+	cp.ringSeal, cp.ringDigest = c.rec.Seal() // nil-safe: with observability off a seal digests an empty ring
 	if c.cfg.FaultCorruptCheckpoint > 0 && c.checkpoints == c.cfg.FaultCorruptCheckpoint {
 		// Injected checkpoint-write corruption: the stored digests no longer
 		// match the contents, so Valid() — and therefore Resume — rejects
@@ -175,8 +175,8 @@ func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 // point and runs it to completion. cfg must be the sealed run's config with
 // FaultInjectCrash cleared (or re-aimed past the seal); template reuse,
 // checkpoint sinks and the debugger halts may differ freely. Observability
-// may only be turned off: a seal taken with the recorder on resumes under
-// DisableObservability (the Result then carries no ring), but a seal taken
+// may only be turned off: a seal taken with the recorder on resumes with
+// the observability row off (the Result then carries no ring), but a seal taken
 // with it off holds no ring prefix and is rejected under a recording config
 // with ErrCheckpointMismatch. The returned Result is bitwise identical —
 // output, ring, rolled-up metrics — to what the uninterrupted run under cfg
@@ -203,7 +203,7 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	// recoveryHash leaves the observability knob out on purpose, so the one
 	// direction that cannot work is checked here: a ringless seal would
 	// resume into a ring missing its prefix.
-	if recoveryHash(cfg) != cp.recoveryHash || (cp.ringSeal == nil && !cfg.DisableObservability) {
+	if recoveryHash(cfg) != cp.recoveryHash || (cp.ringSeal == nil && !cfg.Off.Has(Observability)) {
 		return nil, ErrCheckpointMismatch
 	}
 	if !cp.Valid() {

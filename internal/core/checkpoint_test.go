@@ -386,7 +386,7 @@ func TestCheckpointConfigMismatchRejected(t *testing.T) {
 	// seal resumes with the recorder off and still equals the reference in
 	// everything but the ring ...
 	quiet := chainConfig(hostA)
-	quiet.DisableObservability = true
+	quiet.Off = core.Off(core.Observability)
 	res, err := core.Resume(last, chainRegistry(), quiet)
 	if err != nil {
 		t.Fatalf("ring-carrying seal, recorder off: %v", err)

@@ -51,21 +51,12 @@ type Config struct {
 	// classified Timeout in the evaluation. [input]
 	Deadline int64
 
-	// Ablation switches, all off by default (the full DetTrace
-	// configuration). Each is one row of the mechanism table
-	// (mechanism.go), which declares its contract and its ConfigHash role.
-	DisableSeccomp       bool // every syscall takes two ptrace stops (§5.11)
-	DisableSyscallBuf    bool // no in-tracee syscall buffer: light calls trap again
-	DisableWorkspaces    bool // sibling threads serialize their compute on the physical clock (§5.7)
-	DisableVdso          bool // skip vDSO replacement: vDSO time calls leak (§5.3)
-	DisableDirSizes      bool // skip directory-size virtualization (§7.3)
-	DisableCpuidTrap     bool // pretend pre-Ivy-Bridge hardware (§5.8)
-	DisableInodeVirt     bool // report host inodes (§5.5)
-	DisableGetdentsSort  bool // report host directory order (§5.5)
-	DisableIncremental   bool // no incremental rebuilds; core never reads it, buildsim plans them
-	DisableDeltaSeals    bool // every checkpoint is a standalone full seal, not a delta
-	DisableTemplateReuse bool // no shared snapshots; core never reads it, buildsim's stores honour it
-	DisableObservability bool // no flight recorder; the metrics counters still run
+	// Off switches rows of the mechanism table (mechanism.go) off, each with
+	// its declared contract; the empty set is the full DetTrace configuration.
+	Off Mechanisms
+	// DisableIncremental is an older spelling of Off.Has(Incremental), which
+	// normalizeConfig folds into Off.
+	DisableIncremental bool
 
 	// RingEvents overrides the flight-recorder ring capacity (0 keeps
 	// obs.DefaultRingEvents). Capacity only bounds retention, never
@@ -236,7 +227,7 @@ type Result struct {
 	// Observability metadata, like SetupNs never part of the
 	// reproducibility-observable output. Obs is the run's metrics registry
 	// (absorb it into a farm registry for roll-ups); Trace the flight
-	// recorder (nil under DisableObservability); Events its retained ring
+	// recorder (nil with the observability row off); Events its retained ring
 	// and Spans the lifecycle phases (prepare → boot/fork → run → flush).
 	Obs    *obs.Registry
 	Trace  *obs.Recorder
@@ -330,8 +321,8 @@ type Container struct {
 	snap *kernel.Snapshot
 
 	// Observability: the per-run metrics registry (always on — it backs
-	// Stats and Result.Tracer) and the flight recorder (nil under the
-	// DisableObservability ablation; every Record on a nil recorder is a
+	// Stats and Result.Tracer) and the flight recorder (nil with the
+	// observability row off; every Record on a nil recorder is a
 	// no-op); spans collects lifecycle phases.
 	obs   *obs.Registry
 	rec   *obs.Recorder
@@ -381,11 +372,15 @@ type rwRetry struct {
 	total int64
 }
 
-// normalizeConfig fills the defaulted Config fields in place; New and
-// NewTemplate must agree on them so ConfigHash is stable.
+// normalizeConfig fills the defaulted Config fields and folds the incremental
+// alias into Off, in place; New and NewTemplate must agree so ConfigHash is stable.
 func normalizeConfig(cfg *Config) {
 	if cfg.Profile == nil {
 		cfg.Profile = machine.CloudLabC220G5()
+	}
+	if cfg.DisableIncremental {
+		cfg.Off |= Off(Incremental)
+		cfg.DisableIncremental = false
 	}
 }
 
@@ -401,9 +396,9 @@ func New(cfg Config) *Container {
 func newContainer(cfg Config) *Container {
 	mode := modeBuffered
 	switch {
-	case cfg.DisableSeccomp:
+	case cfg.Off.Has(Seccomp):
 		mode = modeTraceAll
-	case cfg.DisableSyscallBuf:
+	case cfg.Off.Has(SyscallBuf):
 		mode = modeUnbuffered
 	}
 	c := &Container{
@@ -424,17 +419,17 @@ func newContainer(cfg Config) *Container {
 		pendingOpen: make(map[*kernel.Thread]bool),
 		ws:          make(map[*kernel.Thread]*fs.Workspace),
 	}
-	c.sched.Workspace = !cfg.DisableWorkspaces
+	c.sched.Workspace = !cfg.Off.Has(Workspaces)
 	c.obs = obs.NewRegistry()
 	c.wsForks = c.obs.Counter("workspace_forks")
 	c.wsMerges = c.obs.Counter("workspace_merges")
 	c.wsConflicts = c.obs.Counter("workspace_conflicts")
-	if !cfg.DisableObservability {
+	if !cfg.Off.Has(Observability) {
 		c.rec = obs.NewRecorder(cfg.RingEvents)
 	}
 	c.sched.Rec = c.rec
-	c.sess = tracer.NewSessionOn(c.obs, cfg.Profile.SeccompSingleStop && !cfg.DisableSeccomp)
-	c.interceptCpuid = !cfg.DisableCpuidTrap && cfg.Profile.SupportsCpuidInterception()
+	c.sess = tracer.NewSessionOn(c.obs, cfg.Profile.SeccompSingleStop && !cfg.Off.Has(Seccomp))
+	c.interceptCpuid = !cfg.Off.Has(CpuidTrap) && cfg.Profile.SupportsCpuidInterception()
 	return c
 }
 
@@ -453,7 +448,7 @@ func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
 		Obs:           c.obs,
 		Rec:           c.rec,
 		CrashAtAction: c.cfg.FaultInjectCrash,
-		DeltaSeals:    !c.cfg.DisableDeltaSeals,
+		DeltaSeals:    !c.cfg.Off.Has(DeltaSeals),
 		HaltAtAction:  c.cfg.HaltAtAction,
 		HaltAtLTime:   c.cfg.HaltAtLTime,
 	}
@@ -614,7 +609,7 @@ func (c *Container) assembleResult(proc *kernel.Proc, runErr error) *Result {
 func (c *Container) armProcess(p *kernel.Proc) {
 	p.Trap.TSCTrap = true
 	p.Trap.CpuidTrap = c.interceptCpuid
-	if !c.cfg.DisableVdso {
+	if !c.cfg.Off.Has(Vdso) {
 		p.VdsoReplaced = true
 		p.VdsoLogical = c.cfg.FastVdso
 		c.sess.WriteMem(p.Weight, 1) // patching the vDSO page

@@ -523,7 +523,7 @@ func TestNoSeccompSameResultsSlower(t *testing.T) {
 		return 0
 	}
 	fast := runDT(t, hostA, core.Config{}, prog)
-	slow := runDT(t, hostA, core.Config{DisableSeccomp: true}, prog)
+	slow := runDT(t, hostA, core.Config{Off: core.Off(core.Seccomp)}, prog)
 	if fast.Err != nil || slow.Err != nil {
 		t.Fatalf("runs failed: %v / %v", fast.Err, slow.Err)
 	}

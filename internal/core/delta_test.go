@@ -9,7 +9,7 @@ import (
 
 // Delta checkpoint seals (DESIGN.md §4h): after the first seal, a checkpoint
 // records only the inodes dirtied since the previous seal, chained onto it.
-// The ablation contract is absolute — DisableDeltaSeals is mechanism-only, a
+// The ablation contract is absolute — the delta-seals row is mechanism-only, a
 // run and every resume from its seals must be bitwise identical either way —
 // and the chain validator must contain corruption to the suffix that chains
 // through it.
@@ -27,7 +27,7 @@ func TestDeltaSealsBitwiseEquivalent(t *testing.T) {
 		t.Fatalf("delta-sealed run: %v", dres.Err)
 	}
 	fcfg := chainConfig(hostA)
-	fcfg.DisableDeltaSeals = true
+	fcfg.Off = core.Off(core.DeltaSeals)
 	fcfg.CheckpointSink = func(cp *core.Checkpoint) { full = append(full, cp) }
 	fres := runChain(fcfg)
 	if fres.Err != nil {
@@ -75,10 +75,11 @@ func TestDeltaSealsBitwiseEquivalent(t *testing.T) {
 func TestDeltaChainResumeSweep(t *testing.T) {
 	ref := refChain(t, hostA)
 	want := bitwise(t, ref)
-	for _, ablate := range []bool{false, true} {
+	for _, off := range []core.Mechanisms{0, core.Off(core.DeltaSeals)} {
+		ablate := off != 0
 		var seals []*core.Checkpoint
 		cfg := chainConfig(hostA)
-		cfg.DisableDeltaSeals = ablate
+		cfg.Off = off
 		cfg.CheckpointSink = func(cp *core.Checkpoint) { seals = append(seals, cp) }
 		if res := runChain(cfg); res.Err != nil {
 			t.Fatalf("sealed run (ablate=%v): %v", ablate, res.Err)
@@ -88,7 +89,7 @@ func TestDeltaChainResumeSweep(t *testing.T) {
 		}
 		for _, cp := range seals {
 			rcfg := discardSink(chainConfig(hostA))
-			rcfg.DisableDeltaSeals = ablate
+			rcfg.Off = off
 			res, err := core.Resume(cp, chainRegistry(), rcfg)
 			if err != nil {
 				t.Fatalf("resume seal %d (ablate=%v): %v", cp.Ordinal(), ablate, err)
@@ -110,7 +111,9 @@ func TestDeltaCorruptionPoisonsSuffix(t *testing.T) {
 	run := func(ablate bool) []*core.Checkpoint {
 		var seals []*core.Checkpoint
 		cfg := chainConfig(hostA)
-		cfg.DisableDeltaSeals = ablate
+		if ablate {
+			cfg.Off = core.Off(core.DeltaSeals)
+		}
 		cfg.FaultCorruptCheckpoint = 2
 		cfg.CheckpointSink = func(cp *core.Checkpoint) { seals = append(seals, cp) }
 		if res := runChain(cfg); res.Err != nil {
@@ -201,9 +204,9 @@ func TestDeltaSealsPartitionConfigHash(t *testing.T) {
 	want := core.ConfigHash(base)
 
 	ablated := base
-	ablated.DisableDeltaSeals = true
+	ablated.Off = core.Off(core.DeltaSeals)
 	if core.ConfigHash(ablated) == want {
-		t.Errorf("DisableDeltaSeals does not partition the config-hash key space")
+		t.Errorf("the delta-seals row does not partition the config-hash key space")
 	}
 
 	halting := base

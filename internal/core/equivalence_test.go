@@ -31,7 +31,7 @@ func fingerprint(r *core.Result) string {
 
 func TestSeccompOnOffEquivalence(t *testing.T) {
 	on := runDT(t, hostA, core.Config{}, busyProgram)
-	off := runDT(t, hostA, core.Config{DisableSeccomp: true}, busyProgram)
+	off := runDT(t, hostA, core.Config{Off: core.Off(core.Seccomp)}, busyProgram)
 	if on.Err != nil || off.Err != nil {
 		t.Fatalf("runs failed: %v / %v", on.Err, off.Err)
 	}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/abi"
 	"repro/internal/core"
@@ -116,9 +115,7 @@ func TestFuzzDeterminismAcrossHosts(t *testing.T) {
 	if testing.Short() {
 		n = 25
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: n}); err != nil {
-		t.Error(err)
-	}
+	core.CheckQuick(t, prop, n)
 }
 
 // TestFuzzRunsAreIdempotent: the same host twice is the weaker determinism
@@ -130,7 +127,5 @@ func TestFuzzRunsAreIdempotent(t *testing.T) {
 		b := runDT(t, hostA, core.Config{PRNGSeed: 3}, prog)
 		return a.Stdout == b.Stdout
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	core.CheckQuick(t, prop, 40)
 }

@@ -227,10 +227,10 @@ func (c *Container) exitGetdents(t *kernel.Thread, sc *abi.Syscall) kernel.ExitR
 	if sc.Err() != abi.OK || !ok || out == nil {
 		return kernel.ExitResult{}
 	}
-	if !c.cfg.DisableGetdentsSort {
+	if !c.cfg.Off.Has(GetdentsSort) {
 		sortDirents(*out)
 	}
-	if !c.cfg.DisableInodeVirt {
+	if !c.cfg.Off.Has(InodeVirt) {
 		for i := range *out {
 			(*out)[i].Ino = c.virtIno((*out)[i].Ino)
 		}
@@ -321,7 +321,7 @@ func (c *Container) virtPidRet(sc *abi.Syscall) bool {
 func (c *Container) rewriteStat(t *kernel.Thread, sc *abi.Syscall, st *abi.Stat) {
 	p := t.Proc
 	realIno := st.Ino
-	if !c.cfg.DisableInodeVirt {
+	if !c.cfg.Off.Has(InodeVirt) {
 		st.Ino = c.virtIno(realIno)
 		st.Dev = 1
 	}
@@ -329,7 +329,7 @@ func (c *Container) rewriteStat(t *kernel.Thread, sc *abi.Syscall, st *abi.Stat)
 	st.Ctime = abi.Timespec{}
 	st.Mtime = abi.Timespec{Sec: c.virtMtime(realIno)}
 	st.Blksize = 512
-	if st.IsDir() && !c.cfg.DisableDirSizes {
+	if st.IsDir() && !c.cfg.Off.Has(DirSizes) {
 		// The host's directory size formula varies across machines; report
 		// a pure function of the entry count instead.
 		var entries int

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/kernel"
 )
@@ -35,9 +34,7 @@ func TestVirtInoInjectiveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	CheckQuick(t, prop, 60)
 }
 
 // Property: virtual inodes depend only on first-touch ORDER, never on the
@@ -55,9 +52,7 @@ func TestVirtInoOrderOnlyProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	CheckQuick(t, prop, 60)
 }
 
 // Property: a recycled real inode re-registered as a new file gets a fresh
@@ -78,9 +73,7 @@ func TestNewFileInodeFreshness(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	CheckQuick(t, prop, 40)
 }
 
 func TestUntouchedInodeHasMtimeZero(t *testing.T) {
@@ -99,9 +92,7 @@ func TestVirtDirSizeMonotoneProperty(t *testing.T) {
 		}
 		return virtDirSize(x) <= virtDirSize(y) && virtDirSize(0) > 0
 	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
+	CheckQuick(t, prop, 0)
 }
 
 func TestMaskedCPUIDIsConstant(t *testing.T) {
@@ -137,9 +128,7 @@ func TestLogicalSecondsMonotoneProperty(t *testing.T) {
 		q := fabricateProc()
 		return c.logicalSeconds(q) == DefaultLogicalEpoch
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
-	}
+	CheckQuick(t, prop, 30)
 }
 
 // fabricateProc builds a bare process for map tests.

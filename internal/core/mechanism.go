@@ -1,12 +1,15 @@
 package core
 
-import "unsafe"
+import (
+	"fmt"
+	"strings"
+)
 
-// The mechanism table: one row per Config.Disable* switch, and the one place
-// a switch is declared. Each row names the mechanism and the paper section it
-// implements or extends, says whether ConfigHash folds the switch in (and why
-// not, when it does not), and states its contract — the §5 argument in two
-// halves:
+// The mechanism table: one row per mechanism Config.Off can switch off, and
+// the one place a switch is declared. Each row names the mechanism and the
+// paper section it implements or extends, says whether ConfigHash folds the
+// switch in (and why not, when it does not), and states its contract — the
+// §5 argument in two halves:
 //
 //   - A determinization rule *breaks* reproducibility when switched off: the
 //     row names the debpkg directive family that then leaks host state into
@@ -55,34 +58,26 @@ const (
 
 type mechanismRow struct {
 	name, section string
-	offset        uintptr // of the row's switch in Config; see field
-	unhashed      string  // why ConfigHash leaves the switch out; "" = hashed
-	moves         Moves   // a performance mechanism's contract
-	breaks        string  // a determinization rule's contract: the directive family that leaks
+	unhashed      string // why ConfigHash leaves the switch out; "" = hashed
+	moves         Moves  // a performance mechanism's contract
+	breaks        string // a determinization rule's contract: the directive family that leaks
 }
 
 var mechanisms = [NumMechanisms]mechanismRow{
-	Seccomp:      {"seccomp", "§5.11", unsafe.Offsetof(Config{}.DisableSeccomp), "", MovesTracerCounts, ""},
-	SyscallBuf:   {"syscall-buffer", "§5.11", unsafe.Offsetof(Config{}.DisableSyscallBuf), "", MovesTracerCounts, ""},
-	Workspaces:   {"workspaces", "§5.7", unsafe.Offsetof(Config{}.DisableWorkspaces), "", MovesVirtualTime, ""},
-	Vdso:         {"vdso", "§5.3", unsafe.Offsetof(Config{}.DisableVdso), "", 0, "timestamp-vdso"},
-	DirSizes:     {"dir-sizes", "§7.3", unsafe.Offsetof(Config{}.DisableDirSizes), "", 0, "dirsize"},
-	CpuidTrap:    {"cpuid-trap", "§5.8", unsafe.Offsetof(Config{}.DisableCpuidTrap), "", 0, "cpuinfo"},
-	InodeVirt:    {"inode-virt", "§5.5", unsafe.Offsetof(Config{}.DisableInodeVirt), "", 0, "inode"},
-	GetdentsSort: {"getdents-sort", "§5.5", unsafe.Offsetof(Config{}.DisableGetdentsSort), "", 0, "readdir"},
-	Incremental:  {"incremental", "§3", unsafe.Offsetof(Config{}.DisableIncremental), "", MovesNothing, ""},
-	DeltaSeals:   {"delta-seals", "§3", unsafe.Offsetof(Config{}.DisableDeltaSeals), "", MovesNothing, ""},
-	TemplateReuse: {"template-reuse", "§3", unsafe.Offsetof(Config{}.DisableTemplateReuse),
+	Seccomp:      {"seccomp", "§5.11", "", MovesTracerCounts, ""},
+	SyscallBuf:   {"syscall-buffer", "§5.11", "", MovesTracerCounts, ""},
+	Workspaces:   {"workspaces", "§5.7", "", MovesVirtualTime, ""},
+	Vdso:         {"vdso", "§5.3", "", 0, "timestamp-vdso"},
+	DirSizes:     {"dir-sizes", "§7.3", "", 0, "dirsize"},
+	CpuidTrap:    {"cpuid-trap", "§5.8", "", 0, "cpuinfo"},
+	InodeVirt:    {"inode-virt", "§5.5", "", 0, "inode"},
+	GetdentsSort: {"getdents-sort", "§5.5", "", 0, "readdir"},
+	Incremental:  {"incremental", "§3", "", MovesNothing, ""},
+	DeltaSeals:   {"delta-seals", "§3", "", MovesNothing, ""},
+	TemplateReuse: {"template-reuse", "§3",
 		"a boot of a shared snapshot is bitwise a boot of a private one", MovesSetup, ""},
-	Observability: {"observability", "§6.1", unsafe.Offsetof(Config{}.DisableObservability),
+	Observability: {"observability", "§6.1",
 		"the recorder observes, it never feeds back", MovesNothing, ""},
-}
-
-// field is the row's pointer-to-field accessor: its switch in cfg. A field
-// offset rather than a closure per row, because a call through a func value
-// makes ConfigHash's config copy escape to the heap.
-func (m Mechanism) field(cfg *Config) *bool {
-	return (*bool)(unsafe.Add(unsafe.Pointer(cfg), mechanisms[m].offset))
 }
 
 // String is the row's name.
@@ -121,12 +116,38 @@ const PaperDetTrace = Mechanisms(1 << SyscallBuf)
 // Has reports whether m is in the set.
 func (s Mechanisms) Has(m Mechanism) bool { return s&(1<<m) != 0 }
 
-// Apply switches every row in the set off in cfg; rows outside it keep
-// whatever cfg already says.
-func (s Mechanisms) Apply(cfg *Config) {
+// String lists the set's rows by name, comma-separated, as ParseMechanisms reads them.
+func (s Mechanisms) String() string {
+	var names []string
 	for m := range NumMechanisms {
 		if s.Has(m) {
-			*m.field(cfg) = true
+			names = append(names, m.String())
 		}
 	}
+	return strings.Join(names, ",")
 }
+
+// ParseMechanisms reads a list of row names such as "seccomp,vdso" into a set
+// ("" is the empty set); an unknown or empty name is an error listing the rows.
+func ParseMechanisms(list string) (Mechanisms, error) {
+	var s Mechanisms
+	for _, name := range strings.Split(list, ",") {
+		m := Mechanism(0)
+		for m < NumMechanisms && m.String() != name {
+			m++
+		}
+		switch {
+		case m < NumMechanisms:
+			s |= Off(m)
+		case list != "":
+			return 0, fmt.Errorf("unknown mechanism %q: want a comma-separated list of %s", name, ^Mechanisms(0))
+		}
+	}
+	return s, nil
+}
+
+// Set parses list into s, so that a *Mechanisms is a command's -off flag.
+func (s *Mechanisms) Set(list string) (err error) { *s, err = ParseMechanisms(list); return err }
+
+// OffUsage is the usage text of a command's -off flag.
+var OffUsage = "switch mechanisms off: a comma-separated `list` of " + (^Mechanisms(0)).String()

@@ -11,39 +11,16 @@ import (
 	"repro/internal/guest"
 )
 
-// mechanismFields maps each core.Config field the mechanism table switches to
-// its row, found by switching the row off on a zero config.
-func mechanismFields(t *testing.T) map[string]core.Mechanism {
-	t.Helper()
-	rows := map[string]core.Mechanism{}
-	for m := range core.NumMechanisms {
-		var cfg core.Config
-		core.Off(m).Apply(&cfg)
-		v := reflect.ValueOf(cfg)
-		for i := 0; i < v.NumField(); i++ {
-			if f := v.Field(i); f.Kind() == reflect.Bool && f.Bool() {
-				rows[v.Type().Field(i).Name] = m
-			}
-		}
-	}
-	if len(rows) != int(core.NumMechanisms) {
-		t.Fatalf("%d rows switch %d distinct Config bools, want one each", core.NumMechanisms, len(rows))
-	}
-	return rows
-}
-
-// Every Disable* switch on core.Config is one row of the mechanism table, and
-// every row names its paper section and one contract: a performance
+// Config switches rows off through Off alone: its one Disable* field is the
+// older incremental alias, which hashes like its row (TestConfigHashPinned).
+// Every row names its paper section and one contract: a performance
 // mechanism's moves, or a determinization rule's directive family, which the
 // package universe must actually draw.
 func TestMechanismTableCoversConfig(t *testing.T) {
-	rows := mechanismFields(t)
 	typ := reflect.TypeOf(core.Config{})
 	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); strings.HasPrefix(f.Name, "Disable") && f.Type.Kind() == reflect.Bool {
-			if _, ok := rows[f.Name]; !ok {
-				t.Errorf("core.Config.%s has no row in the mechanism table", f.Name)
-			}
+		if name := typ.Field(i).Name; strings.HasPrefix(name, "Disable") && name != "DisableIncremental" {
+			t.Errorf("core.Config.%s switches a mechanism outside Off", name)
 		}
 	}
 	families := map[string]bool{}
@@ -51,22 +28,55 @@ func TestMechanismTableCoversConfig(t *testing.T) {
 		family, _, _ := strings.Cut(d, ":")
 		families[family] = true
 	}
-	for name, m := range rows {
+	for m := range core.NumMechanisms {
 		switch {
-		case !strings.HasPrefix(name, "Disable") || m.Section() == "":
-			t.Errorf("row %s switches %s and names section %q", m, name, m.Section())
+		case m.String() == "" || m.Section() == "":
+			t.Errorf("row %d has name %q and section %q", m, m, m.Section())
 		case m.Breaks() != "" && (m.Moves() != core.MovesNothing || !families[m.Breaks()]):
 			t.Errorf("row %s breaks %q, which is no debpkg directive family, and moves %d", m, m.Breaks(), m.Moves())
 		}
 	}
 }
 
+// ParseMechanisms reads every row by its name, and an unknown or empty name
+// is an error that lists the rows.
+func TestParseMechanisms(t *testing.T) {
+	for m := range core.NumMechanisms {
+		if got, err := core.ParseMechanisms(m.String()); err != nil || got != core.Off(m) {
+			t.Errorf("ParseMechanisms(%q) = %#x, %v; want %#x", m, got, err, core.Off(m))
+		}
+	}
+	cases := []struct {
+		list string
+		want core.Mechanisms
+		err  bool
+	}{
+		{"", 0, false},
+		{"seccomp,vdso", core.Off(core.Seccomp, core.Vdso), false},
+		{"nosuch", 0, true},
+		{"seccomp,,vdso", 0, true},
+		{"seccomp,", 0, true},
+	}
+	for _, tc := range cases {
+		got, err := core.ParseMechanisms(tc.list)
+		if got != tc.want || (err != nil) != tc.err {
+			t.Errorf("ParseMechanisms(%q) = %#x, %v; want %#x, error %v", tc.list, got, err, tc.want, tc.err)
+		}
+		if err == nil {
+			continue
+		}
+		for m := range core.NumMechanisms {
+			if !strings.Contains(err.Error(), m.String()) {
+				t.Errorf("ParseMechanisms(%q) error %q does not list row %s", tc.list, err, m)
+			}
+		}
+	}
+}
+
 // The paper's DetTrace switches exactly one row off: the syscall buffer.
 func TestPaperDetTraceIsUnbuffered(t *testing.T) {
-	var cfg core.Config
-	core.PaperDetTrace.Apply(&cfg)
-	if want := (core.Config{DisableSyscallBuf: true}); !reflect.DeepEqual(cfg, want) {
-		t.Fatalf("PaperDetTrace switches %+v, want only DisableSyscallBuf", cfg)
+	if core.PaperDetTrace != core.Off(core.SyscallBuf) {
+		t.Fatalf("PaperDetTrace switches %#x off, want only the syscall buffer", core.PaperDetTrace)
 	}
 }
 
@@ -86,11 +96,12 @@ func TestConfigHashPinned(t *testing.T) {
 		t.Errorf("zero config hashes to %#016x, want %#016x", got, uint64(zero))
 	}
 	for m := range core.NumMechanisms {
-		var cfg core.Config
-		core.Off(m).Apply(&cfg)
-		if got := core.ConfigHash(cfg); got != want[m] {
+		if got := core.ConfigHash(core.Config{Off: core.Off(m)}); got != want[m] {
 			t.Errorf("%s off hashes to %#016x, want %#016x", m, got, want[m])
 		}
+	}
+	if got := core.ConfigHash(core.Config{DisableIncremental: true}); got != want[core.Incremental] {
+		t.Errorf("the incremental alias hashes to %#016x, want %#016x", got, want[core.Incremental])
 	}
 }
 
@@ -143,7 +154,7 @@ func TestBreaksRowsLeak(t *testing.T) {
 			for _, off := range []bool{false, true} {
 				var cfg core.Config
 				if off {
-					core.Off(m).Apply(&cfg)
+					cfg.Off = core.Off(m)
 				}
 				a, b := runDT(t, hostA, cfg, prog), runDT(t, hostB, cfg, prog)
 				if a.Err != nil || b.Err != nil || (a.Stdout != b.Stdout) != off {

@@ -39,7 +39,7 @@ func obsProgram(p *guest.Proc) int {
 // the modeled times — the recorder charges no virtual cost at all.
 func TestObservabilityOnOffEquivalence(t *testing.T) {
 	on := runDT(t, hostA, core.Config{}, obsProgram)
-	off := runDT(t, hostA, core.Config{DisableObservability: true}, obsProgram)
+	off := runDT(t, hostA, core.Config{Off: core.Off(core.Observability)}, obsProgram)
 	if on.Err != nil || off.Err != nil {
 		t.Fatalf("runs failed: %v / %v", on.Err, off.Err)
 	}
@@ -53,7 +53,7 @@ func TestObservabilityOnOffEquivalence(t *testing.T) {
 		t.Errorf("recorder on produced no events")
 	}
 	if len(off.Events) != 0 || off.Trace.Total() != 0 {
-		t.Errorf("DisableObservability still recorded %d events", off.Trace.Total())
+		t.Errorf("observability off still recorded %d events", off.Trace.Total())
 	}
 }
 

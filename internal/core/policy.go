@@ -38,11 +38,11 @@ func (c *Container) ThreadsSerialized() bool { return true }
 // WorkspacesEnabled implements the boot-constant half of the interface: it
 // additionally gates the kernel's gap-aware tracer timeline.
 func (c *Container) WorkspacesEnabled() bool {
-	return !c.cfg.DisableWorkspaces
+	return !c.cfg.Off.Has(Workspaces)
 }
 
 func (c *Container) ComputeConcurrent(t *kernel.Thread) bool {
-	if c.cfg.DisableWorkspaces {
+	if c.cfg.Off.Has(Workspaces) {
 		return false
 	}
 	live := 0

@@ -189,8 +189,8 @@ func rowOf(nr abi.Sysno) *sysRow {
 // package init and shared by every container.
 const (
 	modeBuffered   = iota // the full configuration
-	modeUnbuffered        // DisableSyscallBuf: a buffer row takes its seccomp verdict
-	modeTraceAll          // DisableSeccomp: no filter, so no untraced path for the wrapper either
+	modeUnbuffered        // syscall-buffer off: a buffer row takes its seccomp verdict
+	modeTraceAll          // seccomp off: no filter, so no untraced path for the wrapper either
 	numModes
 )
 

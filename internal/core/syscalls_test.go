@@ -30,15 +30,16 @@ func runGuest(t *testing.T, cfg Config, prog guest.Program) *Result {
 	return New(cfg).Run(reg, "/bin/main", []string{"main"}, []string{"PATH=/bin"})
 }
 
-// modes names the three interception modes by the config that selects them.
+// modes names the three interception modes by the config that selects them;
+// the names predate Config.Off and stay, as the subtest names built from them.
 var modes = []struct {
 	name string
 	cfg  Config
 	mode int
 }{
 	{"default", Config{}, modeBuffered},
-	{"DisableSyscallBuf", Config{DisableSyscallBuf: true}, modeUnbuffered},
-	{"DisableSeccomp", Config{DisableSeccomp: true}, modeTraceAll},
+	{"DisableSyscallBuf", Config{Off: Off(SyscallBuf)}, modeUnbuffered},
+	{"DisableSeccomp", Config{Off: Off(Seccomp)}, modeTraceAll},
 }
 
 // mayBlock lists the calls whose kernel service routine can report "would
@@ -95,7 +96,7 @@ func TestDefaultAction(t *testing.T) {
 func TestTraceAll(t *testing.T) {
 	for _, nr := range []abi.Sysno{abi.SysRead, abi.SysGetcwd, abi.SysClose, abi.SysTime} {
 		if verdicts[modeTraceAll][nr] != actTrace {
-			t.Errorf("%v not traced under DisableSeccomp", nr)
+			t.Errorf("%v not traced with seccomp off", nr)
 		}
 	}
 }
@@ -111,7 +112,7 @@ var bufferSet = map[abi.Sysno]bool{
 }
 
 // The buffered table differs from the unbuffered one in exactly the
-// documented set, so the DisableSyscallBuf ablation reproduces pre-buffer
+// documented set, so the syscall-buffer ablation reproduces pre-buffer
 // behaviour bit for bit.
 func TestDetTraceBufferedDelta(t *testing.T) {
 	for nr := range abi.Sysno(abi.SysnoSlots) {
@@ -145,7 +146,7 @@ func TestFiltersCoverTheSyscallUniverse(t *testing.T) {
 			t.Errorf("%v: the unbuffered table must never buffer", nr)
 		}
 		if verdicts[modeTraceAll][nr] != actTrace {
-			t.Errorf("%v: DisableSeccomp must trace everything", nr)
+			t.Errorf("%v: seccomp off must trace everything", nr)
 		}
 	}
 	for _, m := range modes {
@@ -366,7 +367,7 @@ func TestBufferedRowsMatchTraced(t *testing.T) {
 				return 0
 			}
 			on := runGuest(t, Config{}, prog)
-			off := runGuest(t, Config{DisableSyscallBuf: true}, prog)
+			off := runGuest(t, Config{Off: Off(SyscallBuf)}, prog)
 			if on.Err != nil || off.Err != nil || on.ExitCode != 0 || off.ExitCode != 0 {
 				t.Fatalf("runs failed: %v (exit %d) / %v (exit %d)", on.Err, on.ExitCode, off.Err, off.ExitCode)
 			}

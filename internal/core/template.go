@@ -20,7 +20,7 @@ import (
 // internal/buildsim pin that.
 //
 // A Template is compatible only with its exact container configuration:
-// reusing a base across, say, a DisableDirSizes ablation and a full run
+// reusing a base across, say, a dir-sizes ablation and a full run
 // would silently leak one config into the other. ConfigHash captures every
 // behaviour-relevant Config field, and caches (internal/buildsim) key on
 // (image hash, config hash) so an incompatible reuse cannot happen.
@@ -125,7 +125,7 @@ func ConfigHash(cfg Config) uint64 {
 	h.Num(uint64(cfg.Deadline))
 	for m := range NumMechanisms {
 		if m.Unhashed() == "" {
-			h.Flag(*m.field(&cfg))
+			h.Flag(cfg.Off.Has(m))
 		}
 	}
 	h.Str(cfg.WorkingDir)

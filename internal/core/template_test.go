@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -144,8 +145,8 @@ func TestTemplateStateLeakFreedom(t *testing.T) {
 }
 
 // configHashExcluded lists every core.Config field ConfigHash ignores, with
-// the reason; a Disable* switch gives its reason in its mechanism row. Any
-// other field must move the hash when changed.
+// the reason; a row of Off gives its reason in the mechanism table. Any other
+// field must move the hash when changed.
 var configHashExcluded = map[string]string{
 	"Image":                  "content is keyed separately via Image.Hash, so one config hash serves many images",
 	"HostSeed":               "[host] physical-run entropy: varies per run, must not reach output",
@@ -162,17 +163,35 @@ var configHashExcluded = map[string]string{
 // ConfigHash must split every behaviour-relevant knob and ignore the excluded
 // ones, so prepared state can never be reused across incompatible configs.
 // The walk covers core.Config by reflection: a new field fails here until it
-// is either hashed or excluded with a reason.
+// is either hashed or excluded with a reason. Off is walked one row at a
+// time, and a Disable* alias must hash like the row it spells.
 func TestConfigHashGuard(t *testing.T) {
 	img := baseimg.Minimal()
 	base := core.Config{Image: img, PRNGSeed: 1}
 	h0 := core.ConfigHash(base)
 
 	seen := map[uint64]string{h0: "the base config"}
-	rows := mechanismFields(t)
+	for m := range core.NumMechanisms {
+		v := base
+		v.Off = core.Off(m)
+		h := core.ConfigHash(v)
+		if m.Unhashed() != "" {
+			if h != h0 {
+				t.Errorf("unhashed row %s moved the config hash — prepared state would thrash", m)
+			}
+			continue
+		}
+		if prev, dup := seen[h]; dup {
+			t.Errorf("row %s hashes like %s: ConfigHash must fold every hashed row", m, prev)
+		}
+		seen[h] = "row " + m.String()
+	}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
+		if name == "Off" {
+			continue
+		}
 		v := base
 		f := reflect.ValueOf(&v).Elem().Field(i)
 		switch x := f.Addr().Interface().(type) {
@@ -203,11 +222,13 @@ func TestConfigHashGuard(t *testing.T) {
 			t.Fatalf("field %s: the walk cannot perturb a %s — teach it", name, f.Type())
 		}
 		h := core.ConfigHash(v)
-		_, excluded := configHashExcluded[name]
-		if m, ok := rows[name]; ok {
-			excluded = m.Unhashed() != ""
+		if strings.HasPrefix(name, "Disable") {
+			if !strings.HasPrefix(seen[h], "row ") {
+				t.Errorf("alias %s hashes like no row of Off", name)
+			}
+			continue
 		}
-		if excluded {
+		if _, excluded := configHashExcluded[name]; excluded {
 			if h != h0 {
 				t.Errorf("excluded field %s moved the config hash — prepared state would thrash", name)
 			}

@@ -156,6 +156,15 @@ func ModernSample(seed uint64) []*Spec {
 	return specs
 }
 
+// Package returns package n of the seeded universe, generating only the
+// packages up to it; n outside [0, UniverseSize) is an error.
+func Package(seed uint64, n int) (*Spec, error) {
+	if n < 0 || n >= UniverseSize {
+		return nil, fmt.Errorf("package %d out of range", n)
+	}
+	return Universe(seed, n+1)[n], nil
+}
+
 // Universe generates the first n packages of the seeded universe (n <= 0
 // means all 17,145). The class sequence interleaves deterministically so any
 // prefix is an unbiased sample of the whole.

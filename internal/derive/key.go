@@ -11,8 +11,8 @@ package derive
 // kernel.Snapshot depends only on the image (the per-run BootConfig carries
 // everything else), while a core.Template additionally bakes in the
 // container policy, so its slot carries core.ConfigHash. The config hash
-// includes the DisableIncremental ablation bit, so incremental and ablated
-// builds can never share a cache line.
+// folds in every hashed row of core.Config.Off, incremental included, so
+// builds on either side of an ablation can never share a cache line.
 type Key struct {
 	Image  uint64
 	Config uint64

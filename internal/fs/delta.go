@@ -72,7 +72,7 @@ const sealSharedMark uint64 = 0x51ab51ab
 
 // SealCheckpoint seals the current filesystem state. With delta set and a
 // previous seal on record, the new seal shares every clean subtree with it;
-// otherwise (first seal of the run, or the DisableDeltaSeals ablation) the
+// otherwise (first seal of the run, or the delta-seals ablation) the
 // seal is a standalone deep copy. Either way the live filesystem rolls into
 // a new seal epoch afterwards.
 func (f *FS) SealCheckpoint(delta bool) *Seal {

@@ -41,6 +41,20 @@ func TestParseExeRejectsNonExecutables(t *testing.T) {
 	}
 }
 
+// ParseExe never panics, and whatever it accepts is exactly the image
+// MakeExe builds from the parts it returns.
+func FuzzParseExe(f *testing.F) {
+	f.Add(guest.MakeExe("cc", []byte("OBJ1\ncode:123\n")))
+	f.Add([]byte("#!repro-exe "))
+	f.Add([]byte("#!repro-exe cc"))
+	f.Fuzz(func(t *testing.T, exe []byte) {
+		prog, payload, ok := guest.ParseExe(exe)
+		if ok && !bytes.Equal(guest.MakeExe(prog, payload), exe) {
+			t.Fatalf("ParseExe(%q) = %q, %q, which MakeExe does not rebuild", exe, prog, payload)
+		}
+	})
+}
+
 func TestRegistryLookup(t *testing.T) {
 	reg := guest.NewRegistry()
 	reg.Register("x", func(p *guest.Proc) int { return 0 })

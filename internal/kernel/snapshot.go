@@ -50,7 +50,7 @@ type BootConfig struct {
 	// Obs, when non-nil, is the metrics registry this boot's counters land
 	// on (a private registry is created otherwise). Rec, when non-nil, is
 	// the flight recorder event sinks write to; a nil recorder records
-	// nothing (the DisableObservability ablation). Neither feeds back into
+	// nothing (the observability ablation). Neither feeds back into
 	// guest-visible state.
 	Obs *obs.Registry
 	Rec *obs.Recorder

@@ -247,28 +247,21 @@ func RunNative(m Model, threads int, seed uint64) (int64, string) {
 	return k.Now(), lossTrace(im)
 }
 
-// RunDetTrace trains inside DetTrace with 16 threads and every mechanism on.
-func RunDetTrace(m Model, hostSeed uint64) (int64, string, error) {
-	wall, loss, _, err := RunDetTraceOpt(m, 16, hostSeed, 0)
-	return wall, loss, err
-}
-
 // RunDetTraceOpt trains inside DetTrace with the given thread count and the
 // mechanisms in off switched off — core.Off(core.Workspaces) is the
 // serialized-execution ablation. The returned core.Result carries the
 // observability registry, so callers can read the workspace_forks /
 // workspace_merges / workspace_conflicts counters.
 func RunDetTraceOpt(m Model, threads int, hostSeed uint64, off core.Mechanisms) (int64, string, *core.Result, error) {
-	cfg := core.Config{
+	c := core.New(core.Config{
 		Image:    image(),
 		Profile:  machine.BioHaswell(),
 		HostSeed: hostSeed,
 		Epoch:    1_551_000_000,
 		NumCPU:   16,
 		PRNGSeed: 0x7f,
-	}
-	off.Apply(&cfg)
-	c := core.New(cfg)
+		Off:      off,
+	})
 	argv := []string{"tf_train", string(m), fmt.Sprint(threads)}
 	res := c.Run(registry(), "/bin/tf_train", argv, []string{"PATH=/bin"})
 	return res.WallTime, lossTrace(res.FS), res, res.Err

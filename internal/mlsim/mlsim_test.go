@@ -51,7 +51,7 @@ func TestTensorFlowBufferedDefault(t *testing.T) {
 }
 
 // TestSerializedAblationShape pins the historical §5.7 serialized-mode
-// numbers, in the paper's configuration: with DisableWorkspaces the whole
+// numbers, in the paper's configuration: with the workspaces row off the whole
 // parallel speedup is lost.
 func TestSerializedAblationShape(t *testing.T) {
 	for _, m := range Models {
@@ -117,8 +117,8 @@ func TestLossTraceReproducibility(t *testing.T) {
 	}
 	// Serialized-vs-parallel native also differ (different seed draw order
 	// is not even needed; the seed itself differs per run).
-	_, dt1, err1 := RunDetTrace(Cifar10, 300)
-	_, dt2, err2 := RunDetTrace(Cifar10, 400)
+	_, dt1, _, err1 := RunDetTraceOpt(Cifar10, 16, 300, 0)
+	_, dt2, _, err2 := RunDetTraceOpt(Cifar10, 16, 400, 0)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("dettrace runs failed: %v %v", err1, err2)
 	}

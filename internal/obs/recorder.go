@@ -199,7 +199,7 @@ func newChunk() *chunk {
 }
 
 // Recorder is a bounded ring of events. It is nil-safe: every method on a
-// nil *Recorder is a no-op, which is how DisableObservability is spelled at
+// nil *Recorder is a no-op, which is how the observability ablation is spelled at
 // the recording sites. The recorder is written only under the kernel's
 // lockstep (exactly one guest runs at a time), so it needs no locking of its
 // own.
@@ -351,7 +351,7 @@ func (r *Recorder) Events() []Event {
 // by the first seal that holds it, and its sum reused after that; only the
 // tail and a wrapped ring's partly dropped oldest chunk are digested anew on
 // every seal. Nil-safe:
-// a nil recorder (DisableObservability) seals as nil with the digest of an
+// a nil recorder (observability off) seals as nil with the digest of an
 // empty ring.
 func (r *Recorder) Seal() (*Recorder, uint64) {
 	if r == nil {

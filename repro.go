@@ -51,6 +51,9 @@ type (
 	UnsupportedError = core.UnsupportedError
 	// Download declares one checksummed external file a container may fetch.
 	Download = core.Download
+	// Mechanisms is a set of DetTrace mechanisms; Config.Off switches the
+	// set's mechanisms off, and the empty set runs every one.
+	Mechanisms = core.Mechanisms
 	// Template is a prepared container — image populated and frozen — from
 	// which NewContainer forks containers bitwise identical to New ones
 	// (which each prepare a private snapshot) at a fraction of the setup
@@ -100,6 +103,10 @@ func NewTemplate(cfg Config) *Template { return core.NewTemplate(cfg) }
 func Resume(cp *Checkpoint, reg *Registry, cfg Config) (*Result, error) {
 	return core.Resume(cp, reg, cfg)
 }
+
+// ParseMechanisms reads a comma-separated list of mechanism names, such as
+// "seccomp,vdso", into a set for Config.Off.
+func ParseMechanisms(list string) (Mechanisms, error) { return core.ParseMechanisms(list) }
 
 // NewRegistry returns an empty guest program registry.
 func NewRegistry() *Registry { return guest.NewRegistry() }
