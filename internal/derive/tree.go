@@ -13,22 +13,39 @@ type TreeHash struct {
 	Leaves map[string]uint64
 }
 
-// FoldLeaves computes the root digest over leaves in sorted path order.
-// The fold frames each (path, leaf) pair, so the root commits to the path
-// set as well as the contents: adding, removing or renaming an entry moves
-// the root even if every surviving leaf is unchanged.
+// Fold accumulates a TreeHash root from (path, leaf) pairs added in sorted
+// path order. The fold frames each pair, so the root commits to the path set
+// as well as the contents: adding, removing or renaming an entry moves the
+// root even if every surviving leaf is unchanged. A caller that already holds
+// its paths in order (fs.Image's order memo) folds them here directly;
+// FoldLeaves is the reference definition for an unordered leaf map.
+type Fold struct{ h Hasher }
+
+// NewFold returns the fold of the empty tree.
+func NewFold() Fold { return Fold{h: Hasher{h: fnvOffset}} }
+
+// Add folds the next pair. Paths must arrive in strictly increasing order.
+func (f *Fold) Add(path string, leaf uint64) {
+	f.h.Str(path)
+	f.h.Num(leaf)
+}
+
+// Root returns the root digest of the pairs added so far.
+func (f *Fold) Root() uint64 { return f.h.Sum() }
+
+// FoldLeaves computes the root digest over leaves: it sorts the paths and
+// folds them in that order.
 func FoldLeaves(leaves map[string]uint64) uint64 {
 	paths := make([]string, 0, len(leaves))
 	for p := range leaves {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	h := NewHasher()
+	f := NewFold()
 	for _, p := range paths {
-		h.Str(p)
-		h.Num(leaves[p])
+		f.Add(p, leaves[p])
 	}
-	return h.Sum()
+	return f.Root()
 }
 
 // Diff compares this tree against a base. dirty lists, in sorted order,

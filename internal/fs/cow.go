@@ -26,34 +26,41 @@ import "repro/internal/prng"
 //   - readdir order: the directory-hash salt is derived from the machine
 //     profile name, not from boot entropy, so it is copied verbatim.
 //
-// Shells. Fork never hands out base inode pointers: path resolution in a
-// fork goes through ents(), which materializes per-fork "shell" inodes
-// lazily. A shell copies the metadata, shares file Data read-only (cowData,
-// broken by WriteAt/Truncate), and defers directory entries behind cowDir
-// until first listing or lookup. The clones map memoizes base→shell so hard
-// links keep aliasing inside the fork, and so that concurrent forks of one
+// Shells. Fork never hands out base inode pointers: a fork reaches its
+// inodes through lookup() and ents(), which materialize per-fork "shell"
+// inodes lazily. A shell copies the metadata, shares file Data read-only
+// (cowData, broken by WriteAt/Truncate), and defers its directory entries
+// behind cowDir until first listing or mutation. A path lookup through a
+// deferred directory shells only the child it names, so resolving /bin/ls
+// costs three shells however many siblings /bin and / hold. The clones map
+// memoizes base→shell so hard links keep aliasing inside the fork,
+// whichever name reached them first, and so that concurrent forks of one
 // frozen base never write to shared memory: the base is only ever read.
 
 // Freeze marks the filesystem as an immutable template base. After Freeze
 // any mutation panics; the only permitted operations are Fork and reads.
+//
+// Freeze keeps the base's sorted path list, which every fork's result image
+// starts from (SnapshotImage). When Populate created exactly its image's
+// paths and nothing changed since, that is the image's own memoized order
+// and costs nothing; otherwise a sorted walk builds it, recording each
+// unstamped inode's path as it goes (a hard link keeps its first name).
 func (f *FS) Freeze() {
 	if f.base != nil {
 		panic("fs: cannot freeze a fork")
 	}
-	f.frozen = true
-	f.paths = countPaths(f.Root)
-}
-
-// countPaths returns the number of paths below dir: the entry count of its
-// SnapshotImage (a hard-linked file counts once per name).
-func countPaths(dir *Inode) int {
-	n := len(dir.entries)
-	for _, child := range dir.entries {
-		if child.IsDir() {
-			n += countPaths(child)
-		}
+	order := f.popOrder
+	if order == nil {
+		order = []string{}
+		walkSorted(f.Root, "", func(p string, n *Inode) {
+			order = append(order, p)
+			if n.path == "" {
+				n.path = p
+			}
+		})
 	}
-	return n
+	f.order, f.popOrder = &order, nil
+	f.frozen = true
 }
 
 // Fork returns a mutable copy-on-write overlay of a frozen base. The clock
@@ -125,22 +132,49 @@ func (f *FS) shell(b *Inode) *Inode {
 }
 
 // ents returns the directory's entry map, materializing it from the frozen
-// base on first access. All readers and writers of .entries in this package
-// go through here so a fork never exposes base inode pointers.
+// base on first access (replacing the partial map lookup keeps). Every lister
+// and writer of .entries in this package goes through here so a fork never
+// exposes base inode pointers.
 func (n *Inode) ents() map[string]*Inode {
 	if n.cowDir {
 		base := n.origin
 		n.entries = make(map[string]*Inode, len(base.entries))
 		for name, child := range base.entries {
-			cs := n.fs.shell(child)
-			if cs.parent == nil {
-				cs.parent = n
-			}
-			n.entries[name] = cs
+			n.entries[name] = n.adopt(child)
 		}
 		n.cowDir = false
 	}
 	return n.entries
+}
+
+// lookup returns the entry name of directory n, nil if there is none. On a
+// deferred fork directory it materializes only the named child's shell —
+// the same shell a later ents() hands out — and leaves the rest deferred.
+// Until then n.entries holds just the names looked up so far, a missing
+// name as nil, so a repeated lookup, found or not, is one map access.
+func (n *Inode) lookup(name string) *Inode {
+	if c, ok := n.entries[name]; ok || !n.cowDir {
+		return c
+	}
+	var c *Inode
+	if b, ok := n.origin.entries[name]; ok {
+		c = n.adopt(b)
+	}
+	if n.entries == nil {
+		n.entries = make(map[string]*Inode)
+	}
+	n.entries[name] = c
+	return c
+}
+
+// adopt returns the fork's shell of base child b of directory n, setting
+// the shell's parent to n if it has none yet.
+func (n *Inode) adopt(b *Inode) *Inode {
+	cs := n.fs.shell(b)
+	if cs.parent == nil {
+		cs.parent = n
+	}
+	return cs
 }
 
 // entryCount returns the number of entries without forcing materialization,
@@ -166,8 +200,11 @@ func (n *Inode) breakCOWData() {
 }
 
 // mustMutable panics on any structural mutation of a frozen template base.
+// Every change to the path set passes through here, so it also drops the
+// order Populate left for Freeze: the paths no longer match it.
 func (f *FS) mustMutable() {
 	if f.frozen {
 		panic("fs: mutation of a frozen template base")
 	}
+	f.popOrder = nil
 }

@@ -219,6 +219,12 @@ func TestForkPreservesHardLinks(t *testing.T) {
 	if string(b.Data) != "WRITTEN" {
 		t.Errorf("write through one name invisible through the other")
 	}
+
+	// Both names were reached by lookup, which shells one child at a time;
+	// listing the directories afterwards hands out that same shell.
+	if f.Root.ents()["orig"] != a || f.Root.ents()["d"].ents()["alias"] != a {
+		t.Errorf("listing after a lookup split the hard link into two shells")
+	}
 }
 
 // A frozen base rejects structural mutation outright.

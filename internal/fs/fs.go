@@ -64,7 +64,13 @@ type FS struct {
 	base      *FS
 	clones    map[*Inode]*Inode
 	bootStamp int64 // fork boot time: the timestamp cold Populate would use
-	paths     int   // frozen: paths below Root, a fork's SnapshotImage size hint
+
+	// Path order. order is a frozen base's sorted path list (Freeze), the
+	// list every fork's result image starts from; popOrder is a live
+	// filesystem's image order while Populate's paths are exactly its own
+	// (cleared by the next path-set change, see mustMutable).
+	order    *[]string
+	popOrder []string
 
 	// wsOut counts forked thread workspaces (workspace.go) not yet merged
 	// or discarded. Checkpoint seals require quiescence, so it must be zero
@@ -131,12 +137,20 @@ type Inode struct {
 	Pipe    *Pipe             // FIFOs
 	DevID   string            // character devices, resolved by the kernel
 
+	// path is the path this inode was created at by Populate, or first
+	// found at by Freeze: a string an image already holds, which
+	// SnapshotImage reuses as a key when the inode still sits there. A hint
+	// only — a rename or a hard link makes it stale, so every use compares
+	// it by content first (see at).
+	path string
+
 	// COW state, set on inodes of a forked FS. origin is the frozen base
 	// inode a shell was materialized from (seal clones carry it over), so an
 	// image entry taken from the shell can reach the base inode's memoized
 	// leaf digest. cowDir marks a directory shell whose entries are not yet
-	// materialized from origin; cowData marks file Data still shared
-	// read-only with the base.
+	// materialized from origin (entries then holds only the names lookup
+	// has seen, nil for a missing one); cowData marks file Data still
+	// shared read-only with the base.
 	origin  *Inode
 	cowDir  bool
 	cowData bool
@@ -309,7 +323,7 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 				next = cur.parent
 			}
 		default:
-			next = cur.ents()[c]
+			next = cur.lookup(c)
 		}
 		last := rest == ""
 		if next == nil {
@@ -607,25 +621,73 @@ func (f *FS) nameHash(name string) uint64 {
 // Walk visits every inode under root in sorted-path order, calling fn with
 // the path (rooted at "/") and inode. Used by hashdeep and diffoscope.
 func (f *FS) Walk(root *Inode, fn func(path string, n *Inode)) {
-	var rec func(prefix string, dir *Inode)
-	rec = func(prefix string, dir *Inode) {
-		ents := dir.ents()
-		names := make([]string, 0, len(ents))
-		for name := range ents {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			child := ents[name]
-			p := prefix + "/" + name
-			fn(p, child)
-			if child.IsDir() {
-				rec(p, child)
-			}
-		}
-	}
 	fn("/", root)
 	if root.IsDir() {
-		rec("", root)
+		walkSorted(root, "", fn)
 	}
+}
+
+// walkSorted calls fn on every path below dir, named under prefix, in
+// sorted order. That order interleaves a directory's entries with its
+// subdirectories' subtrees: an entry sorts by its name, a subtree by its
+// name plus "/", so /a, /a-b and /a.c all precede /a/x.
+func walkSorted(dir *Inode, prefix string, fn func(path string, n *Inode)) {
+	type item struct {
+		name, path string
+		n          *Inode
+		subtree    bool
+	}
+	ents := dir.ents()
+	items := make([]item, 0, len(ents))
+	for name, n := range ents {
+		p := n.path
+		if !n.at(prefix, name) {
+			p = prefix + "/" + name
+		}
+		items = append(items, item{name, p, n, false})
+		if n.IsDir() {
+			items = append(items, item{name, p, n, true})
+		}
+	}
+	sort.Slice(items, func(i, j int) bool {
+		return keyLess(items[i].name, items[i].subtree, items[j].name, items[j].subtree)
+	})
+	for _, it := range items {
+		if it.subtree {
+			walkSorted(it.n, it.path, fn)
+		} else {
+			fn(it.path, it.n)
+		}
+	}
+}
+
+// keyLess orders two children of one directory by sorted-path key: name for
+// the entry itself, name+"/" for a directory's subtree. Names never hold a
+// "/", so two distinct keys never tie.
+func keyLess(a string, aSub bool, b string, bSub bool) bool {
+	k := min(len(a), len(b))
+	if a[:k] != b[:k] {
+		return a[:k] < b[:k]
+	}
+	return keyByte(a, k, aSub) < keyByte(b, k, bSub)
+}
+
+// keyByte returns the byte at i of name's key (name, or name+"/" when sub),
+// -1 past its end.
+func keyByte(name string, i int, sub bool) int {
+	switch {
+	case i < len(name):
+		return int(name[i])
+	case sub:
+		return '/'
+	}
+	return -1
+}
+
+// at reports whether n's recorded path is prefix+"/"+name, comparing
+// content.
+func (n *Inode) at(prefix, name string) bool {
+	p := n.path
+	return len(p) == len(prefix)+1+len(name) && p[len(prefix)] == '/' &&
+		p[:len(prefix)] == prefix && p[len(prefix)+1:] == name
 }

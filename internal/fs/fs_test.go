@@ -494,4 +494,16 @@ func TestResolveWalk(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { f.Resolve(root, "//a//b/jail/", true) }); allocs != 0 {
 		t.Errorf("a symlink-free lookup allocated %v times, want 0", allocs)
 	}
+
+	// Walk's order is sorted-path order even where a directory's subtree
+	// sorts after siblings that extend its name: "/a-b" and "/a.c" precede
+	// "/a/b", because '-' and '.' sort before '/'.
+	mustCreate(t, f, f.Root, "a-b")
+	mustCreate(t, f, f.Root, "a.c")
+	var walked []string
+	f.Walk(f.Root, func(p string, _ *Inode) { walked = append(walked, p) })
+	want := "[/ /a /a-b /a.c /a/b /a/b/jail /l /loop]"
+	if got := fmt.Sprint(walked); got != want {
+		t.Errorf("Walk order %s, want %s", got, want)
+	}
 }

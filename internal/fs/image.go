@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/abi"
 	"repro/internal/derive"
@@ -15,8 +16,22 @@ import (
 // models how reprotest copies a pristine control-chroot before every build:
 // paths, contents and permission bits carry over; inode numbers and
 // timestamps are assigned by the host at copy time.
+//
+// An image memoizes the sorted list of its paths, which Paths, Populate,
+// TreeHash and Hash all walk. Entries is a public map that callers edit
+// freely, so the memo is a hint, never an authority: every use first checks
+// it against the live key set (same length, every path present) and sorts
+// afresh when it no longer matches. A fork's result image (SnapshotImage)
+// starts with its base's memo, merged with the few paths the fork added, so
+// hashing it sorts nothing.
 type Image struct {
 	Entries map[string]ImageEntry
+
+	// order is the memoized sorted key list. Published atomically because
+	// images are read (and hashed) from many goroutines; the slice it points
+	// at is never written after publication and may be shared with a frozen
+	// filesystem and with other images.
+	order atomic.Pointer[[]string]
 }
 
 // ImageEntry is one node in an Image.
@@ -139,17 +154,83 @@ func sameSlice(a, b []byte) bool {
 // the image's content address; the leaves feed derive.PlanRebuild's tree
 // diff.
 func (im *Image) TreeHash() derive.TreeHash {
-	leaves := make(map[string]uint64, len(im.Entries))
-	for p, e := range im.Entries {
-		leaves[p] = e.LeafHash()
+	order := im.sorted()
+	leaves := make(map[string]uint64, len(order))
+	f := derive.NewFold()
+	for _, p := range order {
+		leaf := im.Entries[p].LeafHash()
+		leaves[p] = leaf
+		f.Add(p, leaf)
 	}
-	return derive.TreeHash{Root: derive.FoldLeaves(leaves), Leaves: leaves}
+	return derive.TreeHash{Root: f.Root(), Leaves: leaves}
 }
 
 // Hash returns the content hash of the image — the root of TreeHash. Two
 // images with Equal contents hash identically; every cache layer keys on
-// this through derive.KeyFor.
-func (im *Image) Hash() uint64 { return im.TreeHash().Root }
+// this through derive.KeyFor. It folds the paths in their memoized order
+// and builds no leaf map, so a repeated Hash allocates nothing.
+func (im *Image) Hash() uint64 {
+	if order := im.order.Load(); order != nil {
+		if h, ok := im.fold(*order); ok {
+			return h
+		}
+	}
+	h, _ := im.fold(im.resort())
+	return h
+}
+
+// fold folds (path, LeafHash) over order. It reports false, having checked
+// as it went, when order is not exactly the key set: a different length or
+// a path no longer present.
+func (im *Image) fold(order []string) (uint64, bool) {
+	if len(order) != len(im.Entries) {
+		return 0, false
+	}
+	f := derive.NewFold()
+	for _, p := range order {
+		e, ok := im.Entries[p]
+		if !ok {
+			return 0, false
+		}
+		f.Add(p, e.LeafHash())
+	}
+	return f.Root(), true
+}
+
+// sorted returns the image's paths in sorted order: the memo when it still
+// names exactly the key set, otherwise a fresh sort, memoized. The result is
+// shared; callers only read it.
+func (im *Image) sorted() []string {
+	if order := im.order.Load(); order != nil && im.covers(*order) {
+		return *order
+	}
+	return im.resort()
+}
+
+// covers reports whether order, a sorted list of distinct paths, is exactly
+// the key set: the same length, and every path present.
+func (im *Image) covers(order []string) bool {
+	if len(order) != len(im.Entries) {
+		return false
+	}
+	for _, p := range order {
+		if _, ok := im.Entries[p]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// resort sorts the key set and memoizes it.
+func (im *Image) resort() []string {
+	order := make([]string, 0, len(im.Entries))
+	for p := range im.Entries {
+		order = append(order, p)
+	}
+	sort.Strings(order)
+	im.order.Store(&order)
+	return order
+}
 
 // Clone returns a deep copy, so experiment images can be derived from a
 // control image without aliasing (the control/experiment chroot split of
@@ -167,14 +248,11 @@ func (im *Image) Clone() *Image {
 	return out
 }
 
-// Paths returns every recorded path in sorted order.
+// Paths returns every recorded path in sorted order, a copy the caller may
+// keep and edit.
 func (im *Image) Paths() []string {
-	ps := make([]string, 0, len(im.Entries))
-	for p := range im.Entries {
-		ps = append(ps, p)
-	}
-	sort.Strings(ps)
-	return ps
+	order := im.sorted()
+	return append(make([]string, 0, len(order)), order...)
 }
 
 func clean(p string) string {
@@ -190,61 +268,81 @@ func clean(p string) string {
 // a non-directory (a file /a and a file /a/b/c leave /a a file). Inode
 // numbers and timestamps are whatever the live filesystem hands out —
 // per-boot values, not image properties.
+//
+// Every inode Populate creates records the image's own string for its path,
+// and when f was empty and Populate created exactly the image's paths — no
+// implicit parent, no skipped entry — f keeps the image's sorted order for
+// Freeze until its path set next changes.
 func (f *FS) Populate(im *Image) {
-	for _, p := range im.Paths() {
+	order := im.sorted()
+	exact := f.Root.entryCount() == 0
+	for _, p := range order {
 		e := im.Entries[p]
-		dir := f.ensureDirs(parentOf(p))
+		dir, made := f.ensureDirs(parentOf(p))
 		name := baseOf(p)
 		if dir == nil || name == "" {
+			exact = false
 			continue // below a non-directory, or the root itself
 		}
+		exact = exact && !made
+		var n *Inode
+		var err abi.Errno
 		switch e.Mode & abi.ModeTypeMask {
 		case abi.ModeDir:
-			if existing, ok := dir.ents()[name]; ok && existing.IsDir() {
+			if existing := dir.lookup(name); existing != nil && existing.IsDir() {
 				existing.Mode = e.Mode
+				exact = false
 				continue
 			}
-			n, _ := f.Mkdir(dir, name, e.Mode, e.UID, e.GID)
-			if n != nil {
-				n.Mode = e.Mode
-			}
+			n, err = f.Mkdir(dir, name, e.Mode, e.UID, e.GID)
 		case abi.ModeSymlink:
-			f.Symlink(dir, name, e.Target, e.UID, e.GID)
+			n, err = f.Symlink(dir, name, e.Target, e.UID, e.GID)
 		case abi.ModeCharDev:
-			n, err := f.Mkdev(dir, name, e.DevID, e.UID, e.GID)
-			if err == abi.OK {
-				n.Mode = e.Mode // preserve recorded device permissions
-			}
+			n, err = f.Mkdev(dir, name, e.DevID, e.UID, e.GID)
 		case abi.ModeFIFO:
-			n, err := f.Mkfifo(dir, name, e.Mode&abi.ModePermMask, e.UID, e.GID)
-			if err == abi.OK {
-				n.Mode = e.Mode
-			}
+			n, err = f.Mkfifo(dir, name, e.Mode&abi.ModePermMask, e.UID, e.GID)
 		default:
-			n, err := f.CreateFile(dir, name, e.Mode&abi.ModePermMask, e.UID, e.GID)
+			n, err = f.CreateFile(dir, name, e.Mode&abi.ModePermMask, e.UID, e.GID)
 			if err == abi.OK {
 				n.Data = append([]byte(nil), e.Data...)
-				n.Mode = e.Mode
 			}
 		}
+		if err != abi.OK {
+			exact = false
+			continue
+		}
+		if !n.IsSymlink() {
+			n.Mode = e.Mode // recorded permissions, device and FIFO bits included
+		}
+		n.path = p
+	}
+	if exact {
+		f.popOrder = order
 	}
 }
 
 // ensureDirs returns the directory at path, creating what is missing of it,
-// or nil when a component is not a directory.
-func (f *FS) ensureDirs(path string) *Inode {
+// or nil when a component is not a directory; made reports whether it
+// created anything. It walks path in place, one component at a time.
+func (f *FS) ensureDirs(path string) (dir *Inode, made bool) {
 	cur := f.Root
-	for _, c := range splitPath(path) {
-		next, ok := cur.ents()[c]
-		if !ok {
+	for rest := path; ; {
+		rest = strings.TrimLeft(rest, "/")
+		if rest == "" {
+			return cur, made
+		}
+		var c string
+		c, rest, _ = strings.Cut(rest, "/")
+		next := cur.lookup(c)
+		if next == nil {
 			next, _ = f.Mkdir(cur, c, 0o755, 0, 0)
+			made = made || next != nil
 		}
 		if next == nil || !next.IsDir() {
-			return nil
+			return nil, made
 		}
 		cur = next
 	}
-	return cur
 }
 
 func parentOf(p string) string {
@@ -269,37 +367,124 @@ func baseOf(p string) string {
 // image instead of copying it, and its entry keeps the frozen inode's
 // memoized leaf digest within reach of LeafHash. The image is therefore
 // read-only: never write its Data in place — edit a Clone instead.
+//
+// The whole tree of a fork (or of a frozen filesystem) borrows its base's
+// path strings too: an entry whose path exists in the base is keyed by the
+// base's own string for it, compared by content, never assumed. The image's
+// order memo is the base's sorted path list — shared outright when the fork
+// added and removed no path, otherwise merged with the sorted handful of
+// paths it added (decided by path, so a renamed base directory's subtree is
+// all new) and filtered of those it removed.
 func (f *FS) SnapshotImage(root *Inode) *Image {
-	hint := 0
-	if f.base != nil && root == f.Root {
-		hint = f.base.paths // a fork's result is mostly its base's paths
+	ref := f.base // the frozen tree whose paths and order the image borrows
+	if f.frozen {
+		ref = f
 	}
-	im := &Image{Entries: make(map[string]ImageEntry, hint)}
-	if root.IsDir() {
-		snapshotDir(im, "", f, root)
+	if ref != nil && (ref.order == nil || root != f.Root) {
+		ref = nil
 	}
-	return im
+	s := snapshot{f: f, im: &Image{}}
+	if ref == nil {
+		s.im.Entries = make(map[string]ImageEntry)
+		if root.IsDir() {
+			s.dir("", root, nil)
+		}
+		return s.im
+	}
+	base := *ref.order
+	s.im.Entries = make(map[string]ImageEntry, len(base))
+	s.borrow = true
+	s.dir("", root, ref.Root)
+	if len(s.added) == 0 && s.inBase == len(base) {
+		s.im.order.Store(ref.order)
+		return s.im
+	}
+	sort.Strings(s.added)
+	order := mergeOrder(base, s.added, s.inBase != len(base), s.im.Entries)
+	s.im.order.Store(&order)
+	return s.im
 }
 
-// snapshotDir records every path below dir under prefix. A directory the
+// snapshot is one SnapshotImage walk. With borrow set it tracks, for the
+// order memo, how many entries have a path the base has (inBase) and which
+// paths it lacks (added).
+type snapshot struct {
+	f      *FS
+	im     *Image
+	borrow bool
+	inBase int
+	added  []string
+}
+
+// dir records every path below dir under prefix. base is the base's inode
+// at the same path when that is a directory, nil otherwise. A directory the
 // fork f never listed is read straight off its frozen base; a base inode f
 // did materialize elsewhere — a hard link listed under its other name — is
 // read through its shell, which holds the fork's view of it.
-func snapshotDir(im *Image, prefix string, f *FS, dir *Inode) {
+func (s *snapshot) dir(prefix string, dir, base *Inode) {
 	ents := dir.entries
 	if dir.cowDir {
 		ents = dir.origin.entries
 	}
+	// mirror: ents is base's own entry map, so each entry is its base inode.
+	mirror := base != nil && (dir == base || dir.cowDir && dir.origin == base)
 	for name, n := range ents {
-		if s, ok := f.clones[n]; ok {
-			n = s
+		var b *Inode // the base inode at this path, nil if the base has none
+		switch {
+		case mirror:
+			b = n
+		case base != nil:
+			b = base.entries[name]
 		}
-		p := prefix + "/" + name
-		im.Entries[p] = n.imageEntry()
+		if sh, ok := s.f.clones[n]; ok {
+			n = sh
+		}
+		var p string
+		if b != nil && b.at(prefix, name) {
+			p = b.path
+		} else {
+			p = prefix + "/" + name
+		}
+		s.im.Entries[p] = n.imageEntry()
+		if s.borrow {
+			if b != nil {
+				s.inBase++
+			} else {
+				s.added = append(s.added, p)
+			}
+		}
 		if n.IsDir() {
-			snapshotDir(im, p, f, n)
+			if b != nil && !b.IsDir() {
+				b = nil
+			}
+			s.dir(p, n, b)
 		}
 	}
+}
+
+// mergeOrder merges the sorted base paths with the sorted added ones. With
+// filter set it drops each base path the image no longer holds. A path in
+// both lists is kept once, so the result is duplicate-free whatever the base
+// list holds: the memo's validation (length plus presence) relies on that.
+func mergeOrder(base, added []string, filter bool, entries map[string]ImageEntry) []string {
+	out := make([]string, 0, len(entries))
+	i := 0
+	for _, p := range base {
+		if filter {
+			if _, ok := entries[p]; !ok {
+				continue
+			}
+		}
+		for i < len(added) && added[i] < p {
+			out = append(out, added[i])
+			i++
+		}
+		if i < len(added) && added[i] == p {
+			i++
+		}
+		out = append(out, p)
+	}
+	return append(out, added[i:]...)
 }
 
 // imageEntry returns the image entry of n. Bytes that can no longer change —
