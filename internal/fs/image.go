@@ -2,6 +2,7 @@ package fs
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -269,22 +270,23 @@ func clean(p string) string {
 // numbers and timestamps are whatever the live filesystem hands out —
 // per-boot values, not image properties.
 //
-// Every inode Populate creates records the image's own string for its path,
-// and when f was empty and Populate created exactly the image's paths — no
-// implicit parent, no skipped entry — f keeps the image's sorted order for
-// Freeze until its path set next changes.
+// Every inode Populate creates records its path, a substring of the image's
+// own string for it, and when f was empty and Populate created every image
+// path and nothing else but implicit parents, f keeps the image's sorted
+// order, the implicit parents merged in, for Freeze until its path set next
+// changes.
 func (f *FS) Populate(im *Image) {
 	order := im.sorted()
 	exact := f.Root.entryCount() == 0
+	var made []string
 	for _, p := range order {
 		e := im.Entries[p]
-		dir, made := f.ensureDirs(parentOf(p))
+		dir := f.ensureDirs(parentOf(p), &made)
 		name := baseOf(p)
 		if dir == nil || name == "" {
 			exact = false
 			continue // below a non-directory, or the root itself
 		}
-		exact = exact && !made
 		var n *Inode
 		var err abi.Errno
 		switch e.Mode & abi.ModeTypeMask {
@@ -317,31 +319,42 @@ func (f *FS) Populate(im *Image) {
 		n.path = p
 	}
 	if exact {
+		if len(made) > 0 {
+			slices.Sort(made)
+			order = mergeOrder(order, made, false, nil)
+		}
 		f.popOrder = order
 	}
 }
 
 // ensureDirs returns the directory at path, creating what is missing of it,
-// or nil when a component is not a directory; made reports whether it
-// created anything. It walks path in place, one component at a time.
-func (f *FS) ensureDirs(path string) (dir *Inode, made bool) {
+// or nil when a component is not a directory. It walks path in place, one
+// component at a time, and stamps each directory it creates with its path,
+// the prefix of path that names it, appending that to *made.
+func (f *FS) ensureDirs(path string, made *[]string) *Inode {
 	cur := f.Root
-	for rest := path; ; {
-		rest = strings.TrimLeft(rest, "/")
-		if rest == "" {
-			return cur, made
+	for i := 0; ; {
+		for i < len(path) && path[i] == '/' {
+			i++
 		}
-		var c string
-		c, rest, _ = strings.Cut(rest, "/")
-		next := cur.lookup(c)
+		if i == len(path) {
+			return cur
+		}
+		end := len(path)
+		if j := strings.IndexByte(path[i:], '/'); j >= 0 {
+			end = i + j
+		}
+		next := cur.lookup(path[i:end])
 		if next == nil {
-			next, _ = f.Mkdir(cur, c, 0o755, 0, 0)
-			made = made || next != nil
+			if next, _ = f.Mkdir(cur, path[i:end], 0o755, 0, 0); next != nil {
+				next.path = path[:end]
+				*made = append(*made, next.path)
+			}
 		}
 		if next == nil || !next.IsDir() {
-			return nil, made
+			return nil
 		}
-		cur = next
+		cur, i = next, end
 	}
 }
 
@@ -463,11 +476,15 @@ func (s *snapshot) dir(prefix string, dir, base *Inode) {
 }
 
 // mergeOrder merges the sorted base paths with the sorted added ones. With
-// filter set it drops each base path the image no longer holds. A path in
+// filter set it drops each base path entries no longer holds. A path in
 // both lists is kept once, so the result is duplicate-free whatever the base
 // list holds: the memo's validation (length plus presence) relies on that.
 func mergeOrder(base, added []string, filter bool, entries map[string]ImageEntry) []string {
-	out := make([]string, 0, len(entries))
+	n := len(base) + len(added)
+	if filter {
+		n = len(entries)
+	}
+	out := make([]string, 0, n)
 	i := 0
 	for _, p := range base {
 		if filter {

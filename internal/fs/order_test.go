@@ -304,3 +304,41 @@ func TestOrderConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestPopulateImplicitParentsKeepOrder: an image with entries below
+// directories it never names still leaves Populate's order for Freeze, the
+// implicit parents merged in and stamped with their paths, and that order
+// is the one a sorted walk of the tree gives. /a-x sorts before /a/b, so the
+// implicit parents are made out of sorted order.
+func TestPopulateImplicitParentsKeepOrder(t *testing.T) {
+	im := NewImage()
+	im.AddFile("/a-x/y", 0o644, []byte("y"))
+	im.AddFile("/a/b/c", 0o644, []byte("c"))
+	im.AddDir("/etc", 0o755)
+	im.AddFile("/etc/ssl/certs/ca", 0o644, []byte("ca"))
+	im.AddFile("/usr/lib/x/libz.so", 0o755, []byte("z"))
+	f := New(machine.CloudLabC220G5(), func() int64 { return 1 }, prng.NewHost(1))
+	f.Populate(im)
+	if f.popOrder == nil {
+		t.Fatal("Populate kept no order for an image with implicit parents")
+	}
+	var walked []string
+	walkSorted(f.Root, "", func(p string, n *Inode) {
+		walked = append(walked, p)
+		if n.path != p {
+			t.Errorf("%s is stamped %q", p, n.path)
+		}
+	})
+	if fmt.Sprint(f.popOrder) != fmt.Sprint(walked) {
+		t.Fatalf("Populate's order %q, a sorted walk %q", f.popOrder, walked)
+	}
+	f.Freeze()
+	if fmt.Sprint(*f.order) != fmt.Sprint(walked) {
+		t.Fatalf("frozen order %q, a sorted walk %q", *f.order, walked)
+	}
+	snap := f.SnapshotImage(f.Root)
+	checkOrder(t, "frozen base", snap)
+	if got := snap.Paths(); fmt.Sprint(got) != fmt.Sprint(walked) {
+		t.Errorf("frozen base's image paths %q, a sorted walk %q", got, walked)
+	}
+}

@@ -27,6 +27,53 @@ type Program func(p *Proc) int
 type Proc struct {
 	T     *kernel.Thread
 	Image *kernel.ExecImage
+
+	// obj is the handle's out-parameter record, made on first use: the
+	// wrappers that pass the kernel an object (a stat buffer, a timespec,
+	// a cwd string) point Syscall.Obj into it instead of at a local that
+	// would escape, so a steady-state call allocates nothing. A handle
+	// makes one call at a time, and a signal handler runs with a Proc of
+	// its own, so a handler's calls never touch the record of the call it
+	// interrupted.
+	obj *objRecord
+}
+
+// objRecord holds one field per object kind a wrapper passes; callObj
+// fills and empties them.
+type objRecord struct {
+	stat    abi.Stat
+	ts      abi.Timespec
+	times   [2]abi.Timespec
+	fds     [2]int
+	str     string
+	dents   []abi.Dirent
+	bytes   []byte
+	itimer  abi.Itimerval
+	uts     abi.Utsname
+	sysinfo abi.Sysinfo
+	wait    kernel.WaitResult
+}
+
+// objs returns the handle's out-parameter record.
+func (p *Proc) objs() *objRecord {
+	if p.obj == nil {
+		p.obj = new(objRecord)
+	}
+	return p.obj
+}
+
+// callObj issues sc with *obj as its object, set to in first (an
+// out-parameter passes the zero value, so a call that fails before writing
+// returns it), and returns what the call left there. It zeroes *obj again,
+// so the record pins nothing.
+func callObj[T any](p *Proc, obj *T, in T, sc abi.Syscall) (T, abi.Errno) {
+	*obj = in
+	sc.Obj = obj
+	_, e := ret(p.call(&sc))
+	out := *obj
+	var zero T
+	*obj = zero
+	return out, e
 }
 
 type exitPanic struct{ code int }
@@ -231,33 +278,23 @@ func (p *Proc) Lseek(fd int, off int64, whence int) (int64, abi.Errno) {
 
 // Stat stats a path, following symlinks.
 func (p *Proc) Stat(path string) (abi.Stat, abi.Errno) {
-	var st abi.Stat
-	sc := p.call(&abi.Syscall{Num: abi.SysStat, Path: path, Obj: &st})
-	_, e := ret(sc)
-	return st, e
+	return callObj(p, &p.objs().stat, abi.Stat{}, abi.Syscall{Num: abi.SysStat, Path: path})
 }
 
 // Lstat stats a path without following the final symlink.
 func (p *Proc) Lstat(path string) (abi.Stat, abi.Errno) {
-	var st abi.Stat
-	sc := p.call(&abi.Syscall{Num: abi.SysLstat, Path: path, Obj: &st})
-	_, e := ret(sc)
-	return st, e
+	return callObj(p, &p.objs().stat, abi.Stat{}, abi.Syscall{Num: abi.SysLstat, Path: path})
 }
 
 // Fstat stats an open descriptor.
 func (p *Proc) Fstat(fd int) (abi.Stat, abi.Errno) {
-	var st abi.Stat
-	sc := p.call(&abi.Syscall{Num: abi.SysFstat, Arg: [6]int64{int64(fd)}, Obj: &st})
-	_, e := ret(sc)
-	return st, e
+	return callObj(p, &p.objs().stat, abi.Stat{}, abi.Syscall{Num: abi.SysFstat, Arg: [6]int64{int64(fd)}})
 }
 
 // Getdents reads up to max directory entries from fd (0 means all).
 func (p *Proc) Getdents(fd int, max int) ([]abi.Dirent, abi.Errno) {
-	var out []abi.Dirent
-	sc := p.call(&abi.Syscall{Num: abi.SysGetdents, Arg: [6]int64{int64(fd), int64(max)}, Obj: &out})
-	if _, e := ret(sc); e != abi.OK {
+	out, e := callObj(p, &p.objs().dents, nil, abi.Syscall{Num: abi.SysGetdents, Arg: [6]int64{int64(fd), int64(max)}})
+	if e != abi.OK {
 		return nil, e
 	}
 	return out, abi.OK
@@ -408,9 +445,8 @@ func (p *Proc) Symlink(target, linkpath string) abi.Errno {
 
 // Readlink reads a symlink's target.
 func (p *Proc) Readlink(path string) (string, abi.Errno) {
-	var out string
-	sc := p.call(&abi.Syscall{Num: abi.SysReadlink, Path: path, Obj: &out})
-	if _, e := ret(sc); e != abi.OK {
+	out, e := callObj(p, &p.objs().str, "", abi.Syscall{Num: abi.SysReadlink, Path: path})
+	if e != abi.OK {
 		return "", e
 	}
 	return out, abi.OK
@@ -442,8 +478,7 @@ func (p *Proc) Access(path string) abi.Errno {
 
 // Utimes sets atime/mtime explicitly.
 func (p *Proc) Utimes(path string, atime, mtime abi.Timespec) abi.Errno {
-	times := [2]abi.Timespec{atime, mtime}
-	_, e := ret(p.call(&abi.Syscall{Num: abi.SysUtimes, Path: path, Obj: &times}))
+	_, e := callObj(p, &p.objs().times, [2]abi.Timespec{atime, mtime}, abi.Syscall{Num: abi.SysUtimes, Path: path})
 	return e
 }
 
@@ -456,9 +491,8 @@ func (p *Proc) UtimesNow(path string) abi.Errno {
 
 // Getcwd returns the current working directory.
 func (p *Proc) Getcwd() (string, abi.Errno) {
-	var out string
-	sc := p.call(&abi.Syscall{Num: abi.SysGetcwd, Obj: &out})
-	if _, e := ret(sc); e != abi.OK {
+	out, e := callObj(p, &p.objs().str, "", abi.Syscall{Num: abi.SysGetcwd})
+	if e != abi.OK {
 		return "", e
 	}
 	return out, abi.OK
@@ -478,12 +512,11 @@ func (p *Proc) Chroot(path string) abi.Errno {
 
 // Pipe creates a pipe, returning the read and write descriptors.
 func (p *Proc) Pipe() (r, w int, err abi.Errno) {
-	var out [2]int
-	sc := p.call(&abi.Syscall{Num: abi.SysPipe, Obj: &out})
-	if _, e := ret(sc); e != abi.OK {
+	fds, e := callObj(p, &p.objs().fds, [2]int{}, abi.Syscall{Num: abi.SysPipe})
+	if e != abi.OK {
 		return 0, 0, e
 	}
-	return out[0], out[1], abi.OK
+	return fds[0], fds[1], abi.OK
 }
 
 // Dup2 duplicates oldfd onto newfd.

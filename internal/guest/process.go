@@ -16,15 +16,13 @@ func (p *Proc) Time() int64 {
 
 // ClockGettime returns the wall clock as a Timespec via a real system call.
 func (p *Proc) ClockGettime() abi.Timespec {
-	var ts abi.Timespec
-	p.call(&abi.Syscall{Num: abi.SysClockGettime, Obj: &ts})
+	ts, _ := callObj(p, &p.objs().ts, abi.Timespec{}, abi.Syscall{Num: abi.SysClockGettime})
 	return ts
 }
 
 // Gettimeofday returns wall-clock nanoseconds via a real system call.
 func (p *Proc) Gettimeofday() int64 {
-	var ts abi.Timespec
-	p.call(&abi.Syscall{Num: abi.SysGettimeofday, Obj: &ts})
+	ts, _ := callObj(p, &p.objs().ts, abi.Timespec{}, abi.Syscall{Num: abi.SysGettimeofday})
 	return ts.Nanos()
 }
 
@@ -46,8 +44,7 @@ func (p *Proc) Alarm(seconds int64) {
 
 // Setitimer arms an interval timer delivering SIGVTALRM.
 func (p *Proc) Setitimer(value, interval int64) {
-	it := abi.Itimerval{Value: value, Interval: interval}
-	p.call(&abi.Syscall{Num: abi.SysSetitimer, Obj: &it})
+	callObj(p, &p.objs().itimer, abi.Itimerval{Value: value, Interval: interval}, abi.Syscall{Num: abi.SysSetitimer})
 }
 
 // Pause blocks until a signal is delivered.
@@ -110,15 +107,13 @@ func (p *Proc) Umask(mask uint32) uint32 {
 
 // Uname returns machine identification.
 func (p *Proc) Uname() abi.Utsname {
-	var u abi.Utsname
-	p.call(&abi.Syscall{Num: abi.SysUname, Obj: &u})
+	u, _ := callObj(p, &p.objs().uts, abi.Utsname{}, abi.Syscall{Num: abi.SysUname})
 	return u
 }
 
 // Sysinfo returns system statistics (core counts leak here natively).
 func (p *Proc) Sysinfo() abi.Sysinfo {
-	var si abi.Sysinfo
-	p.call(&abi.Syscall{Num: abi.SysSysinfo, Obj: &si})
+	si, _ := callObj(p, &p.objs().sysinfo, abi.Sysinfo{}, abi.Syscall{Num: abi.SysSysinfo})
 	return si
 }
 
@@ -177,12 +172,7 @@ func (p *Proc) Wait() (kernel.WaitResult, abi.Errno) {
 
 // Waitpid blocks for a specific child (or any, with pid -1).
 func (p *Proc) Waitpid(pid int, options int64) (kernel.WaitResult, abi.Errno) {
-	var wr kernel.WaitResult
-	sc := p.call(&abi.Syscall{Num: abi.SysWait4, Arg: [6]int64{int64(pid), options}, Obj: &wr})
-	if _, e := ret(sc); e != abi.OK {
-		return wr, e
-	}
-	return wr, abi.OK
+	return callObj(p, &p.objs().wait, kernel.WaitResult{}, abi.Syscall{Num: abi.SysWait4, Arg: [6]int64{int64(pid), options}})
 }
 
 // Kill sends a signal to a process.
@@ -300,9 +290,8 @@ func (p *Proc) Xbegin() bool {
 // Fetch retrieves a declared external file by URL (the checksummed-download
 // extension). Outside DetTrace the kernel has no network and returns ENOSYS.
 func (p *Proc) Fetch(url string) ([]byte, abi.Errno) {
-	var out []byte
-	sc := p.call(&abi.Syscall{Num: abi.SysFetch, Path: url, Obj: &out})
-	if _, e := ret(sc); e != abi.OK {
+	out, e := callObj(p, &p.objs().bytes, nil, abi.Syscall{Num: abi.SysFetch, Path: url})
+	if e != abi.OK {
 		return nil, e
 	}
 	return out, abi.OK

@@ -59,24 +59,20 @@ func (k *Kernel) runCompute(t *Thread, act *yieldMsg) {
 	if serialized && k.wsched != nil && k.wsched.ComputeConcurrent(t) {
 		physSerialized = false
 	}
-	t.Clock = scheduleBurst(t.Clock, jd, k.cores, &t.Proc.threadBusyUntil, physSerialized, len(t.Proc.Threads))
-	t.LClock = scheduleBurst(t.LClock, d, k.lcores, &t.Proc.lthreadBusyUntil, serialized, len(t.Proc.Threads))
+	t.Clock = scheduleBurst(t.Clock, jd, k.cores, k.ctree, &t.Proc.threadBusyUntil, physSerialized, len(t.Proc.Threads))
+	t.LClock = scheduleBurst(t.LClock, d, k.lcores, k.lctree, &t.Proc.lthreadBusyUntil, serialized, len(t.Proc.Threads))
 	k.advanceGlobal(t.Clock)
 	k.advanceLogical(t.LClock)
 	k.spin = t // nothing but the loop's tail follows this resume
 	k.resumeWithSignals(t, resumeMsg{})
 }
 
-// scheduleBurst list-schedules a compute burst onto the least-loaded core,
+// scheduleBurst list-schedules a compute burst onto the least-loaded core
+// (the lowest-numbered of equally loaded ones; tree indexes cores),
 // honouring the serialized-thread token, and returns the completion time.
-func scheduleBurst(clock, d int64, cores []int64, token *int64, serialized bool, nthreads int) int64 {
+func scheduleBurst(clock, d int64, cores []int64, tree coreTree, token *int64, serialized bool, nthreads int) int64 {
 	start := clock
-	core := 0
-	for i := 1; i < len(cores); i++ {
-		if cores[i] < cores[core] {
-			core = i
-		}
-	}
+	core := tree.least()
 	if cores[core] > start {
 		start = cores[core]
 	}
@@ -85,10 +81,63 @@ func scheduleBurst(clock, d int64, cores []int64, token *int64, serialized bool,
 	}
 	end := start + d
 	cores[core] = end
+	tree.set(core, end)
 	if serialized {
 		*token = end
 	}
 	return end
+}
+
+// coreTree is a tournament tree over a core busy-until slice, so a burst
+// finds its core in O(1) and files the core's new load in O(log cores). It
+// is heap-ordered over n leaves, core i's at n+i (with one core the leaf is
+// the root), and each inner node holds the winner of its two children: the
+// smaller (load, core) pair. So the root is the lowest-numbered least-loaded
+// core, the one a left-to-right scan for a strictly smaller load picks. A
+// node carries its winner's load, so a match reads one node.
+type coreTree []coreEntry
+
+type coreEntry struct {
+	load int64
+	core int32
+}
+
+// beats reports whether a wins its match against b.
+func (a coreEntry) beats(b coreEntry) bool {
+	return a.load < b.load || (a.load == b.load && a.core < b.core)
+}
+
+// newCoreTree indexes cores.
+func newCoreTree(cores []int64) coreTree {
+	n := len(cores)
+	tree := make(coreTree, 2*n)
+	for i, load := range cores {
+		tree[n+i] = coreEntry{load, int32(i)}
+	}
+	for i := n - 1; i >= 1; i-- {
+		tree[i] = tree[2*i]
+		if tree[2*i+1].beats(tree[i]) {
+			tree[i] = tree[2*i+1]
+		}
+	}
+	return tree
+}
+
+// least returns the lowest-numbered least-loaded core.
+func (tree coreTree) least() int { return int(tree[1].core) }
+
+// set files core's new load and replays the matches on its path to the
+// root, each against the sibling's standing winner.
+func (tree coreTree) set(core int, load int64) {
+	i := len(tree)/2 + core
+	w := coreEntry{load, int32(core)}
+	tree[i] = w
+	for ; i > 1; i >>= 1 {
+		if s := tree[i^1]; s.beats(w) {
+			w = s
+		}
+		tree[i>>1] = w
+	}
 }
 
 func (k *Kernel) runVdsoTime(t *Thread, act *yieldMsg) {

@@ -227,6 +227,7 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 	}
 	k := attach(cp.profile, b)
 	k.kernelState = cp.kern.clone()
+	k.indexCores()
 	k.lastCheckpoint = cp.kern.actions
 	k.Console = &Console{Out: slices.Clone(cp.consoleOut), Err: slices.Clone(cp.consoleErr)}
 	k.Entropy = prng.NewHost(0)

@@ -216,3 +216,46 @@ func TestInlineStepSwitchCount(t *testing.T) {
 		t.Errorf("%d compute bursts cost %d switches, want O(1)", bursts, got)
 	}
 }
+
+// TestInlineBurstAllocatesNothing: a compute burst the policy hands straight
+// back runs its loop iteration on the guest's coroutine, with no switch, and
+// without allocating, under the baseline policy and under DetTrace. The
+// first ten thousand bursts fill DetTrace's flight-recorder ring (a
+// scheduler event each), so the thousand counted are the steady state.
+func TestInlineBurstAllocatesNothing(t *testing.T) {
+	burst := func(p *guest.Proc) float64 {
+		for range 10_000 {
+			p.Compute(200)
+		}
+		k := p.T.Kernel()
+		switches := k.Switches()
+		n := testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				p.Compute(200)
+			}
+		})
+		if k.Switches() != switches {
+			t.Errorf("%d switches during 2000 solo bursts: the inline step did not run", k.Switches()-switches)
+		}
+		return n
+	}
+	var baseline, dettrace float64
+	mustRun(t, 1, func(p *guest.Proc) int {
+		baseline = burst(p)
+		return 0
+	})
+	reg := guest.NewRegistry()
+	reg.Register("main", func(p *guest.Proc) int {
+		dettrace = burst(p)
+		return 0
+	})
+	img := baseimg.Minimal()
+	img.AddFile("/bin/main", 0o755, guest.MakeExe("main", nil))
+	if res := core.New(core.Config{Image: img}).Run(reg, "/bin/main", []string{"main"}, nil); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if baseline != 0 || dettrace != 0 {
+		t.Errorf("1000 inline bursts allocated %v times under the baseline policy, %v under DetTrace; want 0",
+			baseline, dettrace)
+	}
+}

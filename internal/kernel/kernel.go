@@ -329,7 +329,7 @@ type kernelState struct {
 	epoch int64 // wall seconds at boot
 	now   int64 // global virtual ns since boot (monotone)
 
-	cores      []int64 // per-core busy-until times
+	cores      []int64 // per-core busy-until times; coreTree indexes them
 	tracerBusy int64   // serialized tracer timeline busy-until
 
 	// tracerGaps are free intervals left behind on the physical tracer
@@ -371,6 +371,10 @@ type Kernel struct {
 
 	resolver Resolver
 
+	// ctree and lctree index cores and lcores for scheduleBurst. Derived
+	// from them alone, so they are rebuilt, never sealed.
+	ctree, lctree coreTree
+
 	// fastPath is non-nil when the policy implements SyscallBufferer; cached
 	// once at boot so the dispatch hot path avoids a per-call type assertion.
 	fastPath SyscallBufferer
@@ -386,8 +390,15 @@ type Kernel struct {
 	sysVec      *obs.CounterVec
 	statsFolded bool
 
-	procs    map[int]*Proc
-	pending  []*Thread // yielded, waiting for their action to be processed; TID order
+	procs map[int]*Proc
+	// pending holds the threads that yielded and wait for their action to
+	// be processed, in TID order. A thread whose action is processed keeps
+	// its slot, marked stale (Thread.waiting false, counted in stale), so
+	// one that yields again before the next pick — a compute burst, any
+	// action it comes straight back from — costs no shift either way; pick
+	// drops the stale slots before anything reads the set.
+	pending  []*Thread
+	stale    int
 	kblocked []*Thread // blocked with kernel semantics (baseline)
 	parked   []*Thread // blocked with policy semantics (DetTrace queues)
 
@@ -509,6 +520,12 @@ func (k *Kernel) Now() int64 { return k.now }
 // with this clock because it is a pure function of guest behaviour — no
 // host entropy, no epoch.
 func (k *Kernel) LNow() int64 { return k.lnow }
+
+// indexCores builds the core trees from cores and lcores, after a boot or a
+// restore set them.
+func (k *Kernel) indexCores() {
+	k.ctree, k.lctree = newCoreTree(k.cores), newCoreTree(k.lcores)
+}
 
 // NumCores returns the number of schedulable CPUs in this boot.
 func (k *Kernel) NumCores() int { return len(k.cores) }
@@ -640,6 +657,7 @@ func (k *Kernel) count() step {
 // pick is the top of the loop: it ends the run, or chooses the thread whose
 // action is processed next.
 func (k *Kernel) pick() step {
+	k.dropStale()
 	if k.abortErr != nil {
 		return step{at: stageEnd, err: k.abortErr}
 	}
@@ -708,23 +726,49 @@ func (k *Kernel) advanceLogical(t int64) {
 	}
 }
 
-// addPending puts t into the pending set at its TID position.
+// addPending puts t into the pending set at its TID position, reviving the
+// slot it kept if it has one.
 func (k *Kernel) addPending(t *Thread) {
+	if t.slotted {
+		if !t.waiting {
+			t.waiting = true
+			k.stale--
+		}
+		return
+	}
 	i := len(k.pending)
 	for i > 0 && k.pending[i-1].TID > t.TID {
 		i--
 	}
 	k.pending = slices.Insert(k.pending, i, t)
+	t.slotted, t.waiting = true, true
 }
 
-// removePending drops t from the pending set.
+// removePending drops t from the pending set; its slot stays, stale, until
+// it yields again or dropStale runs.
 func (k *Kernel) removePending(t *Thread) {
-	for i, p := range k.pending {
-		if p == t {
-			k.pending = append(k.pending[:i], k.pending[i+1:]...)
-			return
+	if t.waiting {
+		t.waiting = false
+		k.stale++
+	}
+}
+
+// dropStale compacts the pending set to the threads that wait, in TID order:
+// exactly the set a remove-and-insert kernel would hold.
+func (k *Kernel) dropStale() {
+	if k.stale == 0 {
+		return
+	}
+	live := k.pending[:0]
+	for _, t := range k.pending {
+		if t.waiting {
+			live = append(live, t)
+		} else {
+			t.slotted = false
 		}
 	}
+	clear(k.pending[len(live):])
+	k.pending, k.stale = live, 0
 }
 
 // killEverything stops every live thread's coroutine; used for aborts,
@@ -737,7 +781,7 @@ func (k *Kernel) killEverything() {
 			}
 		}
 	}
-	k.pending = nil
+	k.pending, k.stale = nil, 0
 	k.kblocked = nil
 	k.parked = nil
 }

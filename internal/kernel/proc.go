@@ -156,10 +156,20 @@ type Thread struct {
 	act  *yieldMsg // the action currently waiting to be processed
 	dead bool
 
+	// slotted: t holds a slot in k.pending; waiting: the slot is live, t's
+	// action waits to be processed (see Kernel.pending).
+	slotted, waiting bool
+
 	eintr      bool  // current blocked syscall was interrupted by a signal
 	wakeReady  bool  // explicit wake (futex wake, socket event)
 	futexWoken bool  // a FUTEX_WAKE targeted this thread
 	sleepUntil int64 // nanosleep deadline, in virtual ns
+
+	// Sched is the reproducible scheduler's bookkeeping for the thread
+	// (internal/sched). Like SpinCount it is the policy's to maintain and
+	// the kernel never touches it; unlike SpinCount it is not sealed, since
+	// the scheduler's own checkpoint seal carries what a resume needs.
+	Sched SchedState
 
 	// Event is a reusable syscall record for guest wrappers: each thread has
 	// at most one call in flight, so the wrappers (guest.Proc.call) copy
@@ -172,6 +182,15 @@ type Thread struct {
 	msg yieldMsg
 
 	k *Kernel
+}
+
+// SchedState is a scheduling policy's per-thread record: the thread's
+// virtual TID, whether it has one yet, and whether it sits in the policy's
+// Runnable queue.
+type SchedState struct {
+	VTID       int
+	Registered bool
+	Runnable   bool
 }
 
 // Kernel returns the kernel this thread runs on; used by guest wrappers.

@@ -125,6 +125,7 @@ func (s *Snapshot) Boot(b BootConfig) *Kernel {
 	}
 	k.cores = make([]int64, cores)
 	k.lcores = make([]int64, cores)
+	k.indexCores()
 	k.FS = s.base.Fork(k.WallClock, k.Entropy.Fork())
 	k.HW = cpu.NewHW(s.Profile, k.Entropy.Fork(), func() int64 { return k.now })
 	k.populateProc()

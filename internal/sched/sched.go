@@ -38,8 +38,11 @@ var ErrBusyWait = errors.New("sched: busy-waiting thread detected (unsupported u
 const DefaultSpinLimit = 4096
 
 // Scheduler is the reproducible policy's ordering engine.
+//
+// The per-thread half of the bookkeeping (vTID, Runnable membership) lives on
+// the thread itself, in kernel.Thread.Sched, so a pick reads fields instead
+// of maps.
 type Scheduler struct {
-	vtid     map[*kernel.Thread]int
 	nextVTID int
 
 	// runnable holds threads stopped at a system call, ordered by logical
@@ -47,10 +50,11 @@ type Scheduler struct {
 	// with vTID breaking ties). Servicing in logical-arrival order keeps
 	// the tracer from idling on a stop that is still far in the future
 	// while already-stopped processes wait — and stays a pure function of
-	// logical history, so it is reproducible.
+	// logical history, so it is reproducible. A pop copies the queue down
+	// rather than reslicing it, so the array keeps its capacity and a
+	// steady-state push never reallocates. Sched.Runnable marks membership,
+	// so re-offered threads aren't re-queued.
 	runnable []arrival
-	// inRunnable tracks membership so re-offered threads aren't re-queued.
-	inRunnable map[*kernel.Thread]bool
 
 	// blockedRotor remembers where the fair Blocked-queue scan left off.
 	blockedRotor int
@@ -96,7 +100,7 @@ const (
 // picked records the decision and returns t unchanged.
 func (s *Scheduler) picked(t *kernel.Thread, class uint64) *kernel.Thread {
 	if t != nil {
-		s.Rec.Record(t.LClock, obs.KindSched, 0, int32(s.vtid[t]), class, 0)
+		s.Rec.Record(t.LClock, obs.KindSched, 0, int32(t.Sched.VTID), class, 0)
 	}
 	return t
 }
@@ -104,9 +108,9 @@ func (s *Scheduler) picked(t *kernel.Thread, class uint64) *kernel.Thread {
 // Seal is the scheduler's checkpointable state at a quiescent traced stop.
 // Quiescence (one process, one live thread, stopped at an unattempted execve
 // that has not yet been through Pick) empties everything transient: the
-// Runnable queue holds nothing, inRunnable is false for the survivor, and no
-// sibling can contend for the token. What remains is the counter state that
-// future decisions are a pure function of.
+// Runnable queue holds nothing, Sched.Runnable is false for the survivor,
+// and no sibling can contend for the token. What remains is the counter
+// state that future decisions are a pure function of.
 type Seal struct {
 	VTID         int
 	NextVTID     int
@@ -125,15 +129,14 @@ type Seal struct {
 // thread t. The caller (the kernel's quiescence check) guarantees t is the
 // only live thread and its stop has not been Picked yet.
 func (s *Scheduler) CheckpointSeal(t *kernel.Thread) Seal {
-	_, registered := s.vtid[t]
 	return Seal{
-		VTID:         s.vtid[t],
+		VTID:         t.Sched.VTID,
 		NextVTID:     s.nextVTID,
 		Turn:         s.turn,
 		BlockedRotor: s.blockedRotor,
 		Requests:     s.Requests,
 		TokenHeld:    s.token[t.Proc] == t,
-		Registered:   registered,
+		Registered:   t.Sched.Registered,
 	}
 }
 
@@ -142,7 +145,7 @@ func (s *Scheduler) CheckpointSeal(t *kernel.Thread) Seal {
 // the uninterrupted run made (same vTID, same turn parity, same rotor).
 func (s *Scheduler) RestoreSeal(seal Seal, t *kernel.Thread) {
 	if seal.Registered {
-		s.vtid[t] = seal.VTID
+		t.Sched.VTID, t.Sched.Registered = seal.VTID, true
 	}
 	s.nextVTID = seal.NextVTID
 	s.turn = seal.Turn
@@ -161,26 +164,22 @@ type arrival struct {
 
 // New returns an empty scheduler.
 func New() *Scheduler {
-	return &Scheduler{
-		vtid:       make(map[*kernel.Thread]int),
-		inRunnable: make(map[*kernel.Thread]bool),
-		token:      make(map[*kernel.Proc]*kernel.Thread),
-	}
+	return &Scheduler{token: make(map[*kernel.Proc]*kernel.Thread)}
 }
 
 // Register assigns a vTID at spawn; idempotent.
 func (s *Scheduler) Register(t *kernel.Thread) {
-	if _, ok := s.vtid[t]; !ok {
-		s.vtid[t] = s.nextVTID
+	if !t.Sched.Registered {
+		t.Sched.VTID, t.Sched.Registered = s.nextVTID, true
 		s.nextVTID++
 	}
 }
 
 // VTID returns the thread's virtual TID.
-func (s *Scheduler) VTID(t *kernel.Thread) int { return s.vtid[t] }
+func (s *Scheduler) VTID(t *kernel.Thread) int { return t.Sched.VTID }
 
-// Unregister drops a thread at exit and releases its token. The vTID entry
-// is removed too: a dead thread must never be eligible for the token again.
+// Unregister drops a thread at exit and releases its token. The vTID is
+// cleared too: a dead thread must never be eligible for the token again.
 func (s *Scheduler) Unregister(t *kernel.Thread) {
 	if s.token[t.Proc] == t {
 		s.ReleaseToken(t)
@@ -188,14 +187,13 @@ func (s *Scheduler) Unregister(t *kernel.Thread) {
 			delete(s.token, t.Proc)
 		}
 	}
-	delete(s.vtid, t)
-	delete(s.inRunnable, t)
 	for i, r := range s.runnable {
 		if r.t == t {
 			s.runnable = append(s.runnable[:i], s.runnable[i+1:]...)
 			break
 		}
 	}
+	t.Sched = kernel.SchedState{}
 }
 
 // holdsToken reports whether t may run under the serialized-thread rule and
@@ -224,16 +222,16 @@ func (s *Scheduler) ReleaseToken(t *kernel.Thread) {
 	t.SpinCount = 0
 	// Hand off to the next sibling after t in vTID order, wrapping.
 	var best, first *kernel.Thread
-	myV := s.vtid[t]
+	myV := t.Sched.VTID
 	bestV, firstV := int(^uint(0)>>1), int(^uint(0)>>1)
 	for _, sib := range p.Threads {
 		if sib == t || sib.Dead() {
 			continue
 		}
-		v, ok := s.vtid[sib]
-		if !ok {
+		if !sib.Sched.Registered {
 			continue
 		}
+		v := sib.Sched.VTID
 		if v > myV && v < bestV {
 			best, bestV = sib, v
 		}
@@ -271,7 +269,7 @@ func (s *Scheduler) Pick(k *kernel.Kernel, pending []*kernel.Thread) *kernel.Thr
 		if !s.holdsToken(t) {
 			continue
 		}
-		if v := s.vtid[t]; v < parV {
+		if v := t.Sched.VTID; v < parV {
 			parallel, parV = t, v
 		}
 	}
@@ -279,9 +277,9 @@ func (s *Scheduler) Pick(k *kernel.Kernel, pending []*kernel.Thread) *kernel.Thr
 	// 2. Enqueue newly arrived syscall stops into Runnable at their logical
 	// arrival position.
 	for _, t := range pending {
-		if t.ActionIsSyscall() && !s.inRunnable[t] && s.holdsToken(t) {
+		if t.ActionIsSyscall() && !t.Sched.Runnable && s.holdsToken(t) {
 			s.insertRunnable(arrival{t: t, key: t.LClock})
-			s.inRunnable[t] = true
+			t.Sched.Runnable = true
 		}
 	}
 
@@ -294,8 +292,10 @@ func (s *Scheduler) Pick(k *kernel.Kernel, pending []*kernel.Thread) *kernel.Thr
 	}
 	if len(s.runnable) > 0 {
 		t := s.runnable[0].t
-		s.runnable = s.runnable[1:]
-		delete(s.inRunnable, t)
+		n := copy(s.runnable, s.runnable[1:])
+		s.runnable[n] = arrival{}
+		s.runnable = s.runnable[:n]
+		t.Sched.Runnable = false
 		return s.picked(t, pickedRunnable)
 	}
 	if parallel != nil {
@@ -383,7 +383,7 @@ func (s *Scheduler) insertRunnable(a arrival) {
 	i := len(s.runnable)
 	for i > 0 {
 		prev := s.runnable[i-1]
-		if prev.key < a.key || (prev.key == a.key && s.vtid[prev.t] <= s.vtid[a.t]) {
+		if prev.key < a.key || (prev.key == a.key && prev.t.Sched.VTID <= a.t.Sched.VTID) {
 			break
 		}
 		i--

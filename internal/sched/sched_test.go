@@ -3,6 +3,10 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/abi"
+	"repro/internal/baseimg"
+	"repro/internal/cpu"
+	"repro/internal/guest"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 )
@@ -134,5 +138,96 @@ func TestPickNilOnEmpty(t *testing.T) {
 	}
 	if s.Requests != 1 {
 		t.Errorf("requests = %d", s.Requests)
+	}
+}
+
+// pickProbe is a bare policy around a Scheduler that, the first time it is
+// shown two or more threads stopped at system calls beside one in compute,
+// counts what a thousand Picks on that set allocate in all, so an allocation
+// every few Picks (a queue reallocated as it walks its array) shows too.
+type pickProbe struct {
+	*Scheduler
+	allocs   float64
+	measured bool
+}
+
+func (p *pickProbe) Name() string { return "pick-probe" }
+
+func (p *pickProbe) PickNext(k *kernel.Kernel, pending []*kernel.Thread) *kernel.Thread {
+	stopped := 0
+	for _, t := range pending {
+		if t.ActionIsSyscall() {
+			stopped++
+		}
+	}
+	if !p.measured && stopped >= 2 && stopped < len(pending) {
+		p.measured = true
+		p.allocs = testing.AllocsPerRun(1, func() {
+			for range 1000 {
+				p.Pick(k, pending)
+			}
+		})
+	}
+	return p.Pick(k, pending)
+}
+
+func (p *pickProbe) SyscallEnter(*kernel.Thread, *abi.Syscall) kernel.EnterResult {
+	return kernel.EnterResult{}
+}
+
+func (p *pickProbe) SyscallExit(*kernel.Thread, *abi.Syscall) kernel.ExitResult {
+	return kernel.ExitResult{}
+}
+
+func (p *pickProbe) WouldBlock(*kernel.Thread, *abi.Syscall) bool { return false }
+
+func (p *pickProbe) Instr(*kernel.Thread, cpu.Request) (cpu.Result, bool, int64) {
+	return cpu.Result{}, false, 0
+}
+
+func (p *pickProbe) OnSpawn(parent, child *kernel.Thread) { p.Register(child) }
+func (p *pickProbe) OnExit(t *kernel.Thread)              { p.Unregister(t) }
+func (p *pickProbe) OnExec(*kernel.Thread)                {}
+
+// TestPickAllocatesNothing: Picking over and over from one pending set, two
+// threads at system calls and one in compute, is Pick's steady state: each
+// Runnable pick pops the queue's front and the next Pick queues that thread
+// again at the back, with parallel picks between. None of it allocates.
+func TestPickAllocatesNothing(t *testing.T) {
+	probe := &pickProbe{Scheduler: New()}
+	reg := guest.NewRegistry()
+	init := func(p *guest.Proc) int {
+		for i := 0; i < 2; i++ {
+			p.Fork(func(c *guest.Proc) int {
+				for j := 0; j < 50; j++ {
+					c.Getpid()
+				}
+				return 0
+			})
+		}
+		p.Fork(func(c *guest.Proc) int {
+			for j := 0; j < 50; j++ {
+				c.Compute(1_000)
+			}
+			return 0
+		})
+		for i := 0; i < 3; i++ {
+			p.Wait()
+		}
+		return 0
+	}
+	reg.Register("init", init)
+	k := kernel.Prepare(kernel.Config{Profile: machine.CloudLabC220G5(), Image: baseimg.Minimal(), Resolver: reg.Resolver()}).
+		Boot(kernel.BootConfig{Seed: 1, Epoch: 1_500_000_000, Policy: probe})
+	img := &kernel.ExecImage{Path: "/bin/init", Argv: []string{"init"}}
+	k.Start(reg.Bind(init, img), img.Argv, nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !probe.measured {
+		t.Fatal("no pick saw two system call stops beside a compute burst")
+	}
+	if probe.allocs != 0 {
+		t.Errorf("1000 steady-state Picks allocated %v times, want 0", probe.allocs)
 	}
 }
