@@ -97,10 +97,10 @@ func TestRun(t *testing.T) {
 		if res.Err != nil || res.ExitCode != 0 {
 			t.Fatalf("run failed: %v (exit %d)", res.Err, res.ExitCode)
 		}
-		per := res.Stats.PerSyscall
-		if per[abi.SysOpen] < 80 || per[abi.SysRead] < 80 || per[abi.SysFork] != 1 {
-			t.Fatalf("calls: open %d, read %d, fork %d; want many opens and reads and one fork",
-				per[abi.SysOpen], per[abi.SysRead], per[abi.SysFork])
+		per := res.Obs.CounterVec("kernel_syscalls", 0)
+		open, read, fork := per.At(int(abi.SysOpen)), per.At(int(abi.SysRead)), per.At(int(abi.SysFork))
+		if open < 80 || read < 80 || fork != 1 {
+			t.Fatalf("calls: open %d, read %d, fork %d; want many opens and reads and one fork", open, read, fork)
 		}
 		var stderr bytes.Buffer
 		printStats(&stderr, res)

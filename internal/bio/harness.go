@@ -105,9 +105,9 @@ func RunThreadStudy(seed uint64) []ThreadCell {
 			cells = append(cells, ThreadCell{
 				Tool: tool, Threads: nt, WsOn: on.WallTime, WsOff: off.WallTime,
 				Speedup:   float64(off.WallTime) / float64(on.WallTime),
-				Forks:     on.Obs.Counter("workspace_forks").Value(),
-				Merges:    on.Obs.Counter("workspace_merges").Value(),
-				Conflicts: on.Obs.Counter("workspace_conflicts").Value(),
+				Forks:     on.Stats.WsForks,
+				Merges:    on.Stats.WsMerges,
+				Conflicts: on.Stats.WsConflicts,
 			})
 		}
 	}

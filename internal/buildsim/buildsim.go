@@ -222,6 +222,12 @@ func eventsFrom(st kernel.Stats) Events {
 		ReadRetries:  st.ReadRetries,
 		WriteRetries: st.WriteRetries,
 		UrandomOpens: st.UrandomOpens,
+		Stops:        st.Stops,
+		Buffered:     st.BufferedCalls,
+		Flushes:      st.Flushes,
+		WsForks:      st.WsForks,
+		WsMerges:     st.WsMerges,
+		WsConflicts:  st.WsConflicts,
 	}
 }
 
@@ -632,8 +638,9 @@ func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core
 		sc.coldBoots.Add(l, 1)
 		sc.recEventsCold.Add(l, res.Trace.Total())
 	}
-	// Roll the run's own registry (kernel syscall table, tracer stops) into
-	// the farm-wide one so `benchtab -trace` can dump a single farm view.
+	// Roll the run's published metrics (kernel syscall table, tracer stops)
+	// into the farm-wide registry so `benchtab -trace` can dump a single
+	// farm view.
 	o.Obs().Absorb(res.Obs)
 	return res
 }
@@ -643,14 +650,6 @@ func dtRunFrom(res *core.Result, spec *debpkg.Spec, pkgdir string) dtRun {
 	r := dtRun{exit: res.ExitCode, wall: res.WallTime, actions: res.Actions,
 		events:    eventsFrom(res.Stats),
 		recEvents: res.Trace.Total(), trace: res.Events, spans: res.Spans}
-	r.events.Stops = res.Tracer.Stops
-	r.events.Buffered = res.Tracer.BufferedCalls
-	r.events.Flushes = res.Tracer.Flushes
-	if res.Obs != nil {
-		r.events.WsForks = res.Obs.Counter("workspace_forks").Value()
-		r.events.WsMerges = res.Obs.Counter("workspace_merges").Value()
-		r.events.WsConflicts = res.Obs.Counter("workspace_conflicts").Value()
-	}
 	if op, ok := res.Unsupported(); ok {
 		r.unsup = op
 		return r

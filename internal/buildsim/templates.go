@@ -130,8 +130,8 @@ func (o *Options) SetupStats() SetupStats {
 }
 
 // Obs returns the farm-wide metrics registry: the setup counters above plus
-// every container run's absorbed per-run registry (kernel per-syscall table,
-// tracer stop/buffer accounting). Lazily created; safe under the pool.
+// every container run's absorbed published metrics (kernel per-syscall
+// table, tracer stop/buffer accounting). Lazily created; safe under the pool.
 func (o *Options) Obs() *obs.Registry {
 	o.cacheMu.Lock()
 	defer o.cacheMu.Unlock()

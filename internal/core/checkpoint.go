@@ -18,7 +18,7 @@ import (
 // This file is the container half of crash-consistent checkpoints (ISSUE 5).
 // The kernel seals machine state (kernel/checkpoint.go); the container adds
 // everything the tracer layered on top — determinization maps, the scheduler
-// seal, the container PRNG cursor, the metrics/ring prefix — plus the
+// seal, the container PRNG cursor, the ring prefix — plus the
 // validation data recovery needs: a hash of the behaviour-relevant config and
 // a digest of the sealed ring. A resumed run replays nothing: it restores the
 // prefix and executes only the suffix, and the determinism contract
@@ -54,7 +54,6 @@ type Checkpoint struct {
 	prngState  uint64
 	rdtscCount int64 // surviving process's count (sole proc at quiescence)
 
-	regSeal  *obs.Registry // additive snapshot of the run's metrics prefix
 	ringSeal *obs.Recorder // flight-recorder prefix
 
 	recoveryHash uint64 // ConfigHash minus the crash-fault knob
@@ -146,15 +145,12 @@ func recoveryHash(cfg Config) uint64 {
 func (c *Container) sealCheckpoint(kcp *kernel.Checkpoint, t *kernel.Thread) {
 	c.checkpoints++
 	c.rec.Record(c.k.LNow(), obs.KindCheckpoint, 0, 0, uint64(c.checkpoints), kcp.Actions())
-	regSeal := obs.NewRegistry()
-	regSeal.Absorb(c.obs)
 	cp := &Checkpoint{
 		kern:         kcp,
 		schedSeal:    c.sched.CheckpointSeal(t),
 		det:          c.detState.clone(),
 		prngState:    c.prng.State(),
 		rdtscCount:   c.rdtscCount[t.Proc],
-		regSeal:      regSeal,
 		recoveryHash: recoveryHash(c.cfg),
 	}
 	cp.ringSeal, cp.ringDigest = c.rec.Seal() // nil-safe: with observability off a seal digests an empty ring
@@ -217,10 +213,8 @@ func resume(cp *Checkpoint, reg *guest.Registry, cfg Config, patch map[string][]
 	c.detState = cp.det.clone()
 	c.prng.SetState(cp.prngState)
 
-	// Observability prefix: absorb the sealed metrics into the fresh
-	// registry (counters are additive, so final Gather = prefix + suffix)
-	// and restore the ring so it continues byte-for-byte.
-	c.obs.Absorb(cp.regSeal)
+	// The ring continues byte-for-byte from its sealed prefix. The counts
+	// need nothing here: they are kernel state, restored with the rest.
 	c.rec.RestoreState(cp.ringSeal)
 
 	setupStart := time.Now()

@@ -138,7 +138,8 @@ func refChain(t *testing.T, h host) *core.Result {
 
 // bitwise folds everything the crash-consistency contract covers into one
 // comparable string: observable output, final filesystem, the flight-recorder
-// ring bytes, the rolled-up metrics, and the deterministic run measures.
+// ring bytes, the published metrics, and the deterministic run measures and
+// counts (Stats, Tracer), which a seal carries as kernel state.
 // Spans/SetupNs/Forked/Resumed are benchmarking metadata, excluded on purpose.
 func bitwise(t *testing.T, r *core.Result) string {
 	t.Helper()
@@ -146,10 +147,10 @@ func bitwise(t *testing.T, r *core.Result) string {
 	if err := r.Obs.WriteProm(&metrics); err != nil {
 		t.Fatalf("gather metrics: %v", err)
 	}
-	return fmt.Sprintf("exit=%d err=%v|%s|%s|%s|ring=%x|%s|wall=%d actions=%d",
+	return fmt.Sprintf("exit=%d err=%v|%s|%s|%s|ring=%x|%s|wall=%d actions=%d|%+v|%+v",
 		r.ExitCode, r.Err, r.Stdout, r.Stderr,
 		hashdeep.HashSubtree(r.FS, "/").Total(),
-		r.Trace.MarshalBinary(), metrics.String(), r.WallTime, r.Actions)
+		r.Trace.MarshalBinary(), metrics.String(), r.WallTime, r.Actions, r.Stats, r.Tracer)
 }
 
 // bitwiseNoRing is bitwise minus the recorder ring, for comparing runs whose
@@ -161,10 +162,10 @@ func bitwiseNoRing(t *testing.T, r *core.Result) string {
 	if err := r.Obs.WriteProm(&metrics); err != nil {
 		t.Fatalf("gather metrics: %v", err)
 	}
-	return fmt.Sprintf("exit=%d err=%v|%s|%s|%s|%s|wall=%d actions=%d",
+	return fmt.Sprintf("exit=%d err=%v|%s|%s|%s|%s|wall=%d actions=%d|%+v|%+v",
 		r.ExitCode, r.Err, r.Stdout, r.Stderr,
 		hashdeep.HashSubtree(r.FS, "/").Total(),
-		metrics.String(), r.WallTime, r.Actions)
+		metrics.String(), r.WallTime, r.Actions, r.Stats, r.Tracer)
 }
 
 // TestCheckpointSinkInvisible pins the mechanism half of the contract:

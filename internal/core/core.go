@@ -194,7 +194,9 @@ type Result struct {
 	// from a reference run's value.
 	Actions int64
 	Stats   kernel.Stats
-	Tracer  tracer.Counters // stop/memory counter snapshot
+	// Tracer repeats Stats' tracer counts (Stats.Counters) under the name
+	// benchmark harnesses read them by.
+	Tracer tracer.Counters
 
 	// RandomLog holds every byte of true randomness served to the
 	// container when Config.LogRealRandom was set; feed it back through
@@ -225,8 +227,9 @@ type Result struct {
 	EntropyDraws int
 
 	// Observability metadata, like SetupNs never part of the
-	// reproducibility-observable output. Obs is the run's metrics registry
-	// (absorb it into a farm registry for roll-ups); Trace the flight
+	// reproducibility-observable output. Obs is the run's counts published
+	// as metrics once it ended (absorb it into a farm registry for
+	// roll-ups); Trace the flight
 	// recorder (nil with the observability row off); Events its retained ring
 	// and Spans the lifecycle phases (prepare → boot/fork → run → flush).
 	Obs    *obs.Registry
@@ -320,22 +323,18 @@ type Container struct {
 	// from; nil for a core.New container, whose Run prepares a private one.
 	snap *kernel.Snapshot
 
-	// Observability: the per-run metrics registry (always on — it backs
-	// Stats and Result.Tracer) and the flight recorder (nil with the
-	// observability row off; every Record on a nil recorder is a
-	// no-op); spans collects lifecycle phases.
-	obs   *obs.Registry
+	// Observability: the flight recorder (nil with the observability row
+	// off; every Record on a nil recorder is a no-op); spans collects
+	// lifecycle phases. What the run counts lives in the attached kernel's
+	// Stats; publish turns it into Result.Obs.
 	rec   *obs.Recorder
 	spans []obs.Span
 
 	// Workspace-consistency state (ISSUE 7): ws maps each thread to its
 	// outstanding private workspace, forked lazily at the first concurrent
 	// compute burst of a phase and merged back at the thread's next sync
-	// point. The counters land on the per-run registry for the farm roll-up.
-	ws          map[*kernel.Thread]*fs.Workspace
-	wsForks     *obs.Counter
-	wsMerges    *obs.Counter
-	wsConflicts *obs.Counter
+	// point.
+	ws map[*kernel.Thread]*fs.Workspace
 }
 
 // fillRandom services one randomness request per the container's policy:
@@ -420,15 +419,12 @@ func newContainer(cfg Config) *Container {
 		ws:          make(map[*kernel.Thread]*fs.Workspace),
 	}
 	c.sched.Workspace = !cfg.Off.Has(Workspaces)
-	c.obs = obs.NewRegistry()
-	c.wsForks = c.obs.Counter("workspace_forks")
-	c.wsMerges = c.obs.Counter("workspace_merges")
-	c.wsConflicts = c.obs.Counter("workspace_conflicts")
 	if !cfg.Off.Has(Observability) {
 		c.rec = obs.NewRecorder(cfg.RingEvents)
 	}
 	c.sched.Rec = c.rec
-	c.sess = tracer.NewSessionOn(c.obs, cfg.Profile.SeccompSingleStop && !cfg.Off.Has(Seccomp))
+	// The session counts into the kernel it is attached to (attach points it).
+	c.sess = tracer.NewSession(nil, cfg.Profile.SeccompSingleStop && !cfg.Off.Has(Seccomp))
 	c.interceptCpuid = !cfg.Off.Has(CpuidTrap) && cfg.Profile.SupportsCpuidInterception()
 	return c
 }
@@ -445,7 +441,6 @@ func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
 		Resolver:      reg.Resolver(),
 		Deadline:      c.cfg.Deadline,
 		NumCPU:        c.cfg.NumCPU,
-		Obs:           c.obs,
 		Rec:           c.rec,
 		CrashAtAction: c.cfg.FaultInjectCrash,
 		DeltaSeals:    !c.cfg.Off.Has(DeltaSeals),
@@ -465,6 +460,7 @@ func (c *Container) bootConfig(reg *guest.Registry) kernel.BootConfig {
 // set up: a resumed run fires the same break events the original would.
 func (c *Container) attach(k *kernel.Kernel, span string, setupNs int64) {
 	c.k = k
+	c.sess.Counters = &k.Stats.Counters
 	if c.rec != nil {
 		// COW data breaks are mechanism-level events (the diagnoser skips
 		// their kind), though every run records them alike.
@@ -572,7 +568,6 @@ func (c *Container) registerContainerDevices(k *kernel.Kernel) {
 // finished kernel; finish layers the benchmarking metadata on top.
 func (c *Container) assembleResult(proc *kernel.Proc, runErr error) *Result {
 	k := c.k
-	counters := c.sess.Counters()
 	res := &Result{
 		ExitCode: proc.ExitCode(),
 		Stdout:   k.Console.Stdout(),
@@ -582,10 +577,9 @@ func (c *Container) assembleResult(proc *kernel.Proc, runErr error) *Result {
 		WallTime: k.Now(),
 		Actions:  k.Actions(),
 		Stats:    k.Stats,
-		Tracer:   counters,
+		Tracer:   k.Stats.Counters,
+		Obs:      publish(k),
 	}
-	res.Stats.MemReads = counters.MemReads
-	res.Stats.MemWrites = counters.MemWrites
 	res.RandomLog = c.randomLog
 	res.ReplayExhausted = c.replayExhausted
 	res.Halted = errors.Is(runErr, kernel.ErrHalted)
@@ -598,10 +592,36 @@ func (c *Container) assembleResult(proc *kernel.Proc, runErr error) *Result {
 	if errors.As(runErr, &ab) {
 		res.Err = fmt.Errorf("dettrace: %w", ab.Err)
 	}
-	res.Obs = c.obs
 	res.Trace = c.rec
 	res.Events = c.rec.Events()
 	return res
+}
+
+// publish builds the metrics view of a finished run: the one list of the
+// per-run metric names. Every name is registered, zeros included, so two
+// runs' dumps always list the same names; the kernel's per-syscall table is
+// handed over, not copied, since the kernel never counts again.
+func publish(k *kernel.Kernel) *obs.Registry {
+	r := obs.NewRegistry()
+	st := &k.Stats
+	for _, m := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"tracer_mem_reads", st.MemReads},
+		{"tracer_mem_writes", st.MemWrites},
+		{"tracer_proc_reads", st.ProcReads},
+		{"tracer_stops", st.Stops},
+		{"tracer_buffered_calls", st.BufferedCalls},
+		{"tracer_flushes", st.Flushes},
+		{"workspace_forks", st.WsForks},
+		{"workspace_merges", st.WsMerges},
+		{"workspace_conflicts", st.WsConflicts},
+	} {
+		r.Counter(m.name).Inc(m.v)
+	}
+	r.AdoptVec("kernel_syscalls", k.PerSyscall())
+	return r
 }
 
 // armProcess configures instruction trapping and the replaced vDSO for a

@@ -58,7 +58,7 @@ func (c *Container) ComputeConcurrent(t *kernel.Thread) bool {
 		v := c.sched.VTID(t)
 		c.ws[t] = c.k.FS.ForkWorkspace(v)
 		t.Clock += c.k.Cost.WsForkCost
-		c.wsForks.Inc(t.Proc.Weight)
+		c.k.Stats.WsForks += t.Proc.Weight
 		c.rec.Record(t.LClock, obs.KindWsFork, 0, int32(v), 0, 0)
 	}
 	return true
@@ -87,14 +87,14 @@ func (c *Container) wsSync(t *kernel.Thread) {
 	}
 	stats, err := fs.MergeWorkspaces(wss)
 	t.Clock += c.k.Cost.WsMergeCost * int64(len(wss))
-	c.wsMerges.Inc(int64(len(wss)) * t.Proc.Weight)
+	c.k.Stats.WsMerges += int64(len(wss)) * t.Proc.Weight
 	v := int32(c.sched.VTID(t))
 	c.rec.Record(t.LClock, obs.KindWsMerge, 0, v, stats.Digest, int64(len(wss)))
 	if err != nil {
 		for _, w := range wss {
 			w.Discard()
 		}
-		c.wsConflicts.Inc(int64(stats.Conflicts))
+		c.k.Stats.WsConflicts += int64(stats.Conflicts)
 		c.rec.Record(t.LClock, obs.KindWsConflict, 0, v, stats.Digest, int64(stats.Conflicts))
 		c.k.Abort(err)
 	}

@@ -211,7 +211,7 @@ func (k *Kernel) maybeCheckpoint() {
 
 // Resume reconstructs a runnable kernel from a checkpoint. The per-run knobs
 // honoured from b are Policy (required: the baseline policy's entropy state
-// is not sealed), Resolver, Deadline, MaxActions, Obs/Rec, and the fault /
+// is not sealed), Resolver, Deadline, MaxActions, Rec, and the fault /
 // checkpoint hooks; Seed, Epoch and NumCPU are ignored — those accidents
 // happened at the original boot and the seal carries them verbatim, which is
 // what keeps the §4b entropy-draw contract intact: the re-issued execve draws

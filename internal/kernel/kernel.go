@@ -43,6 +43,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/prng"
+	"repro/internal/tracer"
 )
 
 // CostModel holds the virtual-time constants of the simulation, in
@@ -254,15 +255,17 @@ type Config struct {
 // the per-action Weight multiplier (one executed event representing W real
 // events at paper scale).
 type Stats struct {
-	Syscalls       int64 // weighted syscall events
-	SyscallsRaw    int64 // unweighted (actually executed)
-	Spawns         int64 // weighted fork/clone events
-	Execs          int64
-	Instrs         int64 // weighted special instructions issued
-	RdtscTrapped   int64 // weighted rdtsc[p] emulated by the policy
-	CpuidTrapped   int64
-	MemReads       int64 // tracer reads of tracee memory (weighted)
-	MemWrites      int64
+	Syscalls     int64 // weighted syscall events
+	SyscallsRaw  int64 // unweighted (actually executed)
+	Spawns       int64 // weighted fork/clone events
+	Execs        int64
+	Instrs       int64 // weighted special instructions issued
+	RdtscTrapped int64 // weighted rdtsc[p] emulated by the policy
+	CpuidTrapped int64
+	// Counters are the tracer session's: stops paid, tracee memory and
+	// /proc traffic, buffered calls and their flushes. The policy's session
+	// counts them in place (tracer.Session.Counters points here).
+	tracer.Counters
 	SchedRequests  int64 // PickNext calls that had a choice to make
 	BlockedReplays int64 // policy-parked retries (DetTrace Blocked queue)
 	ReadRetries    int64 // injected read continuations (Fig. 4)
@@ -272,7 +275,12 @@ type Stats struct {
 	SignalsSent    int64
 	VdsoCalls      int64 // time reads served without kernel entry
 	TracerBusy     int64 // ns the serialized tracer timeline was occupied
-	PerSyscall     map[abi.Sysno]int64
+	// WsForks, WsMerges and WsConflicts count thread workspaces forked,
+	// merged back in vTID order, and rank-resolved merge conflicts. The
+	// policy keeps them.
+	WsForks     int64
+	WsMerges    int64
+	WsConflicts int64
 	// StopsPerSyscall is the weighted count of traced calls per syscall: the
 	// stops a policy charged a tracer handler for. The policy keeps it.
 	StopsPerSyscall SyscallCounts
@@ -325,6 +333,10 @@ func (c *SyscallCounts) Map() map[abi.Sysno]int64 {
 // interfaces — so a seal can never alias or pin a live kernel.
 type kernelState struct {
 	Stats Stats
+	// syscalls is the weighted count of every call by number, abi.SysnoSlots
+	// long; a number past it counts in Stats.Syscalls only. It stays out of
+	// Stats so a Result does not carry the table by value.
+	syscalls []int64
 
 	epoch int64 // wall seconds at boot
 	now   int64 // global virtual ns since boot (monotone)
@@ -353,7 +365,7 @@ func (s kernelState) clone() kernelState {
 	s.cores = slices.Clone(s.cores)
 	s.lcores = slices.Clone(s.lcores)
 	s.tracerGaps = slices.Clone(s.tracerGaps)
-	s.Stats.PerSyscall = maps.Clone(s.Stats.PerSyscall)
+	s.syscalls = slices.Clone(s.syscalls)
 	s.Stats.StopsPerSyscall.more = maps.Clone(s.Stats.StopsPerSyscall.more)
 	return s
 }
@@ -382,13 +394,8 @@ type Kernel struct {
 	// cached at boot like fastPath.
 	wsched WorkspaceScheduler
 
-	// Obs is this boot's metrics registry; Rec the (possibly nil) flight
-	// recorder. sysVec is the dense per-syscall table on Obs, indexed by
-	// syscall number and folded into Stats.PerSyscall when Run returns.
-	Obs         *obs.Registry
-	Rec         *obs.Recorder
-	sysVec      *obs.CounterVec
-	statsFolded bool
+	// Rec is the (possibly nil) flight recorder.
+	Rec *obs.Recorder
 
 	procs map[int]*Proc
 	// pending holds the threads that yielded and wait for their action to
@@ -454,7 +461,6 @@ func attach(profile *machine.Profile, b BootConfig) *Kernel {
 		Cost:       DefaultCostModel(),
 		Policy:     b.Policy,
 		resolver:   b.Resolver,
-		Obs:        b.Obs,
 		Rec:        b.Rec,
 		procs:      make(map[int]*Proc),
 		deadline:   b.Deadline,
@@ -467,43 +473,23 @@ func attach(profile *machine.Profile, b BootConfig) *Kernel {
 		haltAtAction: b.HaltAtAction,
 		haltAtLTime:  b.HaltAtLTime,
 	}
-	if k.Obs == nil {
-		k.Obs = obs.NewRegistry()
-	}
-	k.sysVec = k.Obs.CounterVec("kernel_syscalls", abi.SysnoSlots)
 	k.registerStandardDevices()
 	k.fastPath, _ = b.Policy.(SyscallBufferer)
 	k.wsched, _ = b.Policy.(WorkspaceScheduler)
 	return k
 }
 
-// countSyscall bumps the per-syscall counter on the dense obs vector,
-// falling back to the map for out-of-range numbers. The kernel loop is the
-// only writer (lockstep), so the vector's single atomic add per call keeps
-// the old dense table's hot-path profile.
+// countSyscall counts one call of nr at weight w in the per-syscall table.
 func (k *Kernel) countSyscall(nr abi.Sysno, w int64) {
-	if k.sysVec.InRange(int(nr)) {
-		k.sysVec.Add(int(nr), w)
-		return
+	if uint(nr) < uint(len(k.syscalls)) {
+		k.syscalls[nr] += w
 	}
-	k.Stats.PerSyscall[nr] += w
 }
 
-// foldStats merges the dense per-syscall vector into the exported map. The
-// obs registry keeps its copy untouched (the farm roll-up wants the
-// registry to still carry the totals), so the fold reads rather than
-// drains; the guard keeps repeated Run calls from double-counting.
-func (k *Kernel) foldStats() {
-	if k.statsFolded {
-		return
-	}
-	k.statsFolded = true
-	for i := 0; i < k.sysVec.Len(); i++ {
-		if n := k.sysVec.At(i); n != 0 {
-			k.Stats.PerSyscall[abi.Sysno(i)] += n
-		}
-	}
-}
+// PerSyscall returns the weighted count of every call by syscall number,
+// indexed by number and abi.SysnoSlots long. It is the kernel's own table:
+// read it once Run has returned, and do not write it.
+func (k *Kernel) PerSyscall() []int64 { return k.syscalls }
 
 // SetDebug installs a debug trace sink (the CLI's --debug flag).
 func (k *Kernel) SetDebug(f func(string, ...any)) { k.debugf = f }
@@ -566,9 +552,7 @@ func (k *Kernel) Run() error {
 			panic(r)
 		}
 	}()
-	err := k.run()
-	k.foldStats()
-	return err
+	return k.run()
 }
 
 // A step is where the kernel loop goes next. One iteration of the loop is

@@ -47,12 +47,9 @@ type BootConfig struct {
 	// per run.
 	Resolver Resolver
 
-	// Obs, when non-nil, is the metrics registry this boot's counters land
-	// on (a private registry is created otherwise). Rec, when non-nil, is
-	// the flight recorder event sinks write to; a nil recorder records
-	// nothing (the observability ablation). Neither feeds back into
-	// guest-visible state.
-	Obs *obs.Registry
+	// Rec, when non-nil, is the flight recorder event sinks write to; a nil
+	// recorder records nothing (the observability ablation). It never feeds
+	// back into guest-visible state.
 	Rec *obs.Recorder
 
 	// CrashAtAction, when > 0, is the deterministic fault plane: Run fails
@@ -118,7 +115,7 @@ func (s *Snapshot) Boot(b BootConfig) *Kernel {
 	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
 	k.Console = &Console{}
 	k.lastCheckpoint = -1
-	k.Stats.PerSyscall = make(map[abi.Sysno]int64)
+	k.syscalls = make([]int64, abi.SysnoSlots)
 	cores := s.Profile.Cores
 	if b.NumCPU > 0 {
 		cores = b.NumCPU

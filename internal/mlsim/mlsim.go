@@ -249,9 +249,9 @@ func RunNative(m Model, threads int, seed uint64) (int64, string) {
 
 // RunDetTraceOpt trains inside DetTrace with the given thread count and the
 // mechanisms in off switched off — core.Off(core.Workspaces) is the
-// serialized-execution ablation. The returned core.Result carries the
-// observability registry, so callers can read the workspace_forks /
-// workspace_merges / workspace_conflicts counters.
+// serialized-execution ablation. The returned core.Result carries the run's
+// counts, so callers can read the workspace forks, merges and conflicts off
+// its Stats.
 func RunDetTraceOpt(m Model, threads int, hostSeed uint64, off core.Mechanisms) (int64, string, *core.Result, error) {
 	c := core.New(core.Config{
 		Image:    image(),
@@ -348,9 +348,9 @@ func RunWorkspaceSweep(seed uint64) []WsRow {
 				WsOn:      on,
 				WsOff:     off,
 				Speedup:   float64(off) / float64(on),
-				Forks:     res.Obs.Counter("workspace_forks").Value(),
-				Merges:    res.Obs.Counter("workspace_merges").Value(),
-				Conflicts: res.Obs.Counter("workspace_conflicts").Value(),
+				Forks:     res.Stats.WsForks,
+				Merges:    res.Stats.WsMerges,
+				Conflicts: res.Stats.WsConflicts,
 			})
 		}
 	}

@@ -1,8 +1,11 @@
-// Package obs is the deterministic observability layer: one metrics
-// registry for every counter the system keeps (the kernel's per-syscall
+// Package obs is the deterministic observability layer: the metrics
+// namespace a run publishes and a farm rolls up (the kernel's per-syscall
 // table, the tracer's stop/buffer accounting, the build farm's template and
 // LRU tallies), plus a per-container flight recorder (recorder.go), a Chrome
 // trace exporter (trace.go) and a first-divergence diagnoser (diagnose.go).
+// A run does not count into a registry: its counts are plain fields of the
+// kernel's sealed state, and the container publishes them here once, when
+// the run ends.
 //
 // The design constraint that shapes everything here is the paper's §3 purity
 // argument turned inward: observing a container must never perturb it.
@@ -86,25 +89,11 @@ func (cv *CounterVec) Name() string { return cv.name }
 // Len returns the index capacity.
 func (cv *CounterVec) Len() int { return len(cv.v) }
 
-// InRange reports whether i is a valid index.
-func (cv *CounterVec) InRange(i int) bool { return i >= 0 && i < len(cv.v) }
-
-// Add bumps index i by n. Out-of-range indexes are the caller's overflow
-// problem (the kernel falls back to its map), mirroring the old dense table.
+// Add bumps index i by n; i must be in range.
 func (cv *CounterVec) Add(i int, n int64) { atomic.AddInt64(&cv.v[i], n) }
 
 // At reads index i.
 func (cv *CounterVec) At(i int) int64 { return atomic.LoadInt64(&cv.v[i]) }
-
-// Drain calls fn for every non-zero index and resets it — the fold-and-clear
-// the kernel's stats finalization wants.
-func (cv *CounterVec) Drain(fn func(i int, v int64)) {
-	for i := range cv.v {
-		if v := atomic.SwapInt64(&cv.v[i], 0); v != 0 {
-			fn(i, v)
-		}
-	}
-}
 
 // Registry is a namespace of metrics. Lookup is mutex-guarded (cold path:
 // clients cache the returned handle); the handles themselves are lock-free.
@@ -142,6 +131,21 @@ func (r *Registry) CounterVec(name string, n int) *CounterVec {
 	cv, ok := r.vecs[name]
 	if !ok {
 		cv = &CounterVec{name: name, v: make([]int64, n)}
+		r.vecs[name] = cv
+	}
+	return cv
+}
+
+// AdoptVec registers v as the named dense vector without copying it: a
+// finished run publishes its per-syscall table this way, and whoever hands
+// v over never writes it again. A vector already registered under name is
+// returned as it is.
+func (r *Registry) AdoptVec(name string, v []int64) *CounterVec {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	cv, ok := r.vecs[name]
+	if !ok {
+		cv = &CounterVec{name: name, v: v}
 		r.vecs[name] = cv
 	}
 	return cv
@@ -209,7 +213,7 @@ func (r *Registry) Absorb(src *Registry) {
 	for name, s := range vecs {
 		dst := r.CounterVec(name, s.n)
 		for i, v := range s.v {
-			if v != 0 && dst.InRange(i) {
+			if v != 0 && i < dst.Len() {
 				dst.Add(i, v)
 			}
 		}

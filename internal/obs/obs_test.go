@@ -31,17 +31,20 @@ func TestCounterStripes(t *testing.T) {
 	}
 }
 
-func TestCounterVecDrain(t *testing.T) {
-	cv := NewRegistry().CounterVec("sys", 8)
-	cv.Add(1, 3)
-	cv.Add(7, 2)
-	seen := map[int]int64{}
-	cv.Drain(func(i int, v int64) { seen[i] = v })
-	if len(seen) != 2 || seen[1] != 3 || seen[7] != 2 {
-		t.Fatalf("drain saw %v", seen)
+func TestAdoptVec(t *testing.T) {
+	r := NewRegistry()
+	v := []int64{0, 3, 0, 2}
+	cv := r.AdoptVec("sys", v)
+	if cv.Len() != 4 || cv.At(1) != 3 || cv.At(3) != 2 {
+		t.Fatalf("adopted vector reads %d slots, [1]=%d [3]=%d", cv.Len(), cv.At(1), cv.At(3))
 	}
-	if cv.At(1) != 0 || cv.At(7) != 0 {
-		t.Fatal("drain did not reset")
+	if r.CounterVec("sys", 8) != cv || r.AdoptVec("sys", nil) != cv {
+		t.Fatal("registry did not memoize the adopted vector")
+	}
+	farm := NewRegistry()
+	farm.Absorb(r)
+	if got := farm.CounterVec("sys", 0).At(1); got != 3 {
+		t.Fatalf("absorbed sys[1] = %d, want 3", got)
 	}
 }
 

@@ -58,7 +58,7 @@ type Recorder struct {
 func NewRecorder(singleStop bool) *Recorder {
 	r := &Recorder{
 		sched: sched.New(),
-		sess:  tracer.NewSession(singleStop),
+		sess:  tracer.NewSession(new(tracer.Counters), singleStop),
 		Trace: &Trace{},
 	}
 	// Recording costs more than rewriting: every handler also persists the
@@ -191,7 +191,7 @@ type Replayer struct {
 func NewReplayer(tr *Trace) *Replayer {
 	rp := &Replayer{}
 	rp.sched = sched.New()
-	rp.sess = tracer.NewSession(true)
+	rp.sess = tracer.NewSession(new(tracer.Counters), true)
 	rp.Trace = tr
 	return rp
 }

@@ -12,10 +12,7 @@
 // per intercepted call).
 package tracer
 
-import (
-	"repro/internal/abi"
-	"repro/internal/obs"
-)
+import "repro/internal/abi"
 
 // Costs holds the virtual-time constants of one tracer implementation, in
 // nanoseconds.
@@ -89,11 +86,12 @@ func ClassOf(nr abi.Sysno) Class {
 	}
 }
 
-// Counters is a plain snapshot of one session's accounting, with the same
-// field names the session itself used to expose so downstream readers
-// (benchtab's JSON schema, the equivalence tests) are unchanged.
+// Counters is one session's accounting, plain fields the session bumps in
+// place. A session counts into whatever Counters its owner points it at:
+// DetTrace's live in the attached kernel's Stats, which embeds them, so they
+// are sealed and restored with the rest of the run's state.
 type Counters struct {
-	MemReads  int64
+	MemReads  int64 // tracee memory reads (weighted)
 	MemWrites int64
 	ProcReads int64
 	Stops     int64
@@ -104,11 +102,9 @@ type Counters struct {
 	Flushes       int64
 }
 
-// Session tracks one attached tracer's accounting. The counters live on an
-// obs.Registry (under tracer_* names) so a farm can roll sessions up with
-// Registry.Absorb; Counters() snapshots them for result structs. The session
-// runs under the kernel's lockstep — single writer — so Counter.Inc's
-// stripe-0 path is the right one.
+// Session tracks one attached tracer's accounting. It runs under the
+// kernel's lockstep, so it is the single writer of the Counters it is
+// pointed at.
 type Session struct {
 	Costs Costs
 
@@ -117,45 +113,14 @@ type Session struct {
 	// (§5.11).
 	SingleStop bool
 
-	memReads  *obs.Counter
-	memWrites *obs.Counter
-	procReads *obs.Counter
-	stops     *obs.Counter
-	buffered  *obs.Counter
-	flushes   *obs.Counter
+	// Counters is where the session counts. Its owner may re-point it, as
+	// a container does each time it attaches to a kernel.
+	Counters *Counters
 }
 
-// NewSession returns a session with default costs and a private metrics
-// registry. Callers that want the counters on a shared registry use
-// NewSessionOn.
-func NewSession(singleStop bool) *Session {
-	return NewSessionOn(obs.NewRegistry(), singleStop)
-}
-
-// NewSessionOn returns a session whose counters live in reg.
-func NewSessionOn(reg *obs.Registry, singleStop bool) *Session {
-	return &Session{
-		Costs:      DefaultCosts(),
-		SingleStop: singleStop,
-		memReads:   reg.Counter("tracer_mem_reads"),
-		memWrites:  reg.Counter("tracer_mem_writes"),
-		procReads:  reg.Counter("tracer_proc_reads"),
-		stops:      reg.Counter("tracer_stops"),
-		buffered:   reg.Counter("tracer_buffered_calls"),
-		flushes:    reg.Counter("tracer_flushes"),
-	}
-}
-
-// Counters snapshots the session's accounting.
-func (s *Session) Counters() Counters {
-	return Counters{
-		MemReads:      s.memReads.Value(),
-		MemWrites:     s.memWrites.Value(),
-		ProcReads:     s.procReads.Value(),
-		Stops:         s.stops.Value(),
-		BufferedCalls: s.buffered.Value(),
-		Flushes:       s.flushes.Value(),
-	}
+// NewSession returns a session with default costs that counts into c.
+func NewSession(c *Counters, singleStop bool) *Session {
+	return &Session{Costs: DefaultCosts(), SingleStop: singleStop, Counters: c}
 }
 
 // InterceptCost returns the stop overhead for one intercepted syscall event
@@ -166,7 +131,7 @@ func (s *Session) InterceptCost(weight int64) int64 {
 	if s.SingleStop {
 		stops = 1
 	}
-	s.stops.Inc(stops * weight)
+	s.Counters.Stops += stops * weight
 	return stops * s.Costs.Stop * weight
 }
 
@@ -187,34 +152,34 @@ func (s *Session) HandlerCost(nr abi.Sysno, weight int64) int64 {
 
 // ReadMem records n reads of tracee memory and returns their cost.
 func (s *Session) ReadMem(weight int64, n int64) int64 {
-	s.memReads.Inc(n * weight)
+	s.Counters.MemReads += n * weight
 	return n * s.Costs.MemOp * weight
 }
 
 // WriteMem records n writes of tracee memory and returns their cost.
 func (s *Session) WriteMem(weight int64, n int64) int64 {
-	s.memWrites.Inc(n * weight)
+	s.Counters.MemWrites += n * weight
 	return n * s.Costs.MemOp * weight
 }
 
 // ReadProc records one /proc lookup and returns its cost.
 func (s *Session) ReadProc(weight int64) int64 {
-	s.procReads.Inc(weight)
+	s.Counters.ProcReads += weight
 	return s.Costs.ProcRead * weight
 }
 
 // RecordBuffered accounts one syscall serviced through the tracee-side
 // buffer: no stop, just the wrapper's local bookkeeping.
 func (s *Session) RecordBuffered(weight int64) int64 {
-	s.buffered.Inc(weight)
+	s.Counters.BufferedCalls += weight
 	return s.Costs.BufferRecord * weight
 }
 
 // FlushCost accounts a dedicated flush of n buffered records: one combined
 // stop amortized over the batch.
 func (s *Session) FlushCost(n, weight int64) int64 {
-	s.flushes.Inc(weight)
-	s.stops.Inc(weight)
+	s.Counters.Flushes += weight
+	s.Counters.Stops += weight
 	return (s.Costs.Stop + n*s.Costs.FlushPerEntry) * weight
 }
 
@@ -225,6 +190,6 @@ func (s *Session) DrainCost(n, weight int64) int64 {
 	if n == 0 {
 		return 0
 	}
-	s.flushes.Inc(weight)
+	s.Counters.Flushes += weight
 	return n * s.Costs.FlushPerEntry * weight
 }

@@ -8,14 +8,14 @@ import (
 )
 
 func TestInterceptCostStops(t *testing.T) {
-	single := NewSession(true)
-	double := NewSession(false)
+	single := NewSession(new(Counters), true)
+	double := NewSession(new(Counters), false)
 	cs, cd := single.InterceptCost(1), double.InterceptCost(1)
 	if cd != 2*cs {
 		t.Errorf("two-stop fallback should cost twice the combined event: %d vs %d", cd, cs)
 	}
-	if single.Counters().Stops != 1 || double.Counters().Stops != 2 {
-		t.Errorf("stop counters: %d, %d", single.Counters().Stops, double.Counters().Stops)
+	if single.Counters.Stops != 1 || double.Counters.Stops != 2 {
+		t.Errorf("stop counters: %d, %d", single.Counters.Stops, double.Counters.Stops)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestHandlerClasses(t *testing.T) {
 			t.Errorf("ClassOf(%v) = %v, want %v", nr, got, want)
 		}
 	}
-	s := NewSession(true)
+	s := NewSession(new(Counters), true)
 	if !(s.HandlerCost(abi.SysOpen, 1) > s.HandlerCost(abi.SysTime, 1) &&
 		s.HandlerCost(abi.SysTime, 1) > s.HandlerCost(abi.SysRead, 1)) {
 		t.Errorf("handler cost ordering violated")
@@ -48,7 +48,7 @@ func TestHandlerClasses(t *testing.T) {
 func TestCostsScaleWithWeightProperty(t *testing.T) {
 	prop := func(wRaw uint16) bool {
 		w := int64(wRaw)%5000 + 1
-		a, b := NewSession(true), NewSession(true)
+		a, b := NewSession(new(Counters), true), NewSession(new(Counters), true)
 		if a.InterceptCost(w) != b.InterceptCost(1)*w {
 			return false
 		}
@@ -69,11 +69,11 @@ func TestCostsScaleWithWeightProperty(t *testing.T) {
 }
 
 func TestMemCounters(t *testing.T) {
-	s := NewSession(true)
+	s := NewSession(new(Counters), true)
 	s.ReadMem(10, 3)
 	s.WriteMem(2, 5)
 	s.ReadProc(7)
-	c := s.Counters()
+	c := s.Counters
 	if c.MemReads != 30 || c.MemWrites != 10 || c.ProcReads != 7 {
 		t.Errorf("counters: reads=%d writes=%d proc=%d", c.MemReads, c.MemWrites, c.ProcReads)
 	}
