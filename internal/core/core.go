@@ -618,7 +618,7 @@ func publish(k *kernel.Kernel) *obs.Registry {
 		{"workspace_merges", st.WsMerges},
 		{"workspace_conflicts", st.WsConflicts},
 	} {
-		r.Counter(m.name).Inc(m.v)
+		r.Publish(m.name, m.v)
 	}
 	r.AdoptVec("kernel_syscalls", k.PerSyscall())
 	return r

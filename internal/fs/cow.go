@@ -186,9 +186,9 @@ func (n *Inode) entryCount() int {
 	return len(n.entries)
 }
 
-// breakCOWData unshares file contents from the frozen base before the first
-// in-place write or truncation. Without the copy, WriteAt's copy() and
-// Truncate's reslice would reach through the shared slice into the base.
+// breakCOWData unshares file contents from the frozen base, or the image,
+// before the first in-place write or truncation. Without the copy, WriteAt's
+// copy() and Truncate's reslice would reach through the shared slice into it.
 func (n *Inode) breakCOWData() {
 	if n.cowData {
 		n.Data = append([]byte(nil), n.Data...)

@@ -209,7 +209,7 @@ func sealClone(n *Inode, nf *FS, memo, prevMemo map[*Inode]*Inode, epoch uint64,
 		c := freshMetaClone(n, nf)
 		switch {
 		case n.cowData:
-			// Shared read-only with an immutable frozen base: alias it and
+			// Shared read-only with a frozen base or an image: alias it and
 			// keep the flag, so the resumed run breaks COW (and records the
 			// break) at exactly the writes the uninterrupted run would.
 			c.Data = n.Data

@@ -1,0 +1,22 @@
+package fs
+
+import (
+	"repro/internal/machine"
+	"repro/internal/prng"
+)
+
+// prepare builds a frozen base from im the way kernel.Prepare does: a fresh
+// filesystem with a constant clock and throwaway entropy, populated, frozen.
+func prepare(im *Image) *FS {
+	base := New(machine.CloudLabC220G5(), func() int64 { return 0 }, prng.NewHost(0))
+	base.Populate(im)
+	base.Freeze()
+	return base
+}
+
+// memoized reports whether n holds a leaf memo computed from exactly its own
+// image entry, so hashing an entry read off n reads none of its bytes.
+func (n *Inode) memoized() bool {
+	m := n.leaf.Load()
+	return m != nil && m.e.same(n.imageEntry())
+}

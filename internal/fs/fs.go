@@ -144,21 +144,22 @@ type Inode struct {
 	// it by content first (see at).
 	path string
 
-	// COW state, set on inodes of a forked FS. origin is the frozen base
-	// inode a shell was materialized from (seal clones carry it over), so an
-	// image entry taken from the shell can reach the base inode's memoized
-	// leaf digest. cowDir marks a directory shell whose entries are not yet
-	// materialized from origin (entries then holds only the names lookup
-	// has seen, nil for a missing one); cowData marks file Data still
-	// shared read-only with the base.
+	// COW state. origin is the frozen base inode a fork's shell was
+	// materialized from (seal clones carry it over), so an image entry taken
+	// from the shell can reach the base inode's memoized leaf digest. cowDir
+	// marks a directory shell whose entries are not yet materialized from
+	// origin (entries then holds only the names lookup has seen, nil for a
+	// missing one); cowData marks file Data still shared read-only with the
+	// base, or with the image Populate read it from.
 	origin  *Inode
 	cowDir  bool
 	cowData bool
 
-	// leaf memoizes the LeafHash of this inode's image entry. Only inodes of
-	// a frozen filesystem fill it (see ImageEntry.LeafHash); 0 means not yet
-	// computed. Atomic because concurrent forks hash one base at once.
-	leaf atomic.Uint64
+	// leaf memoizes the LeafHash of this inode's image entry, with the entry
+	// it was computed from: stamped by Populate from its image's memo, or
+	// filled by LeafHash (see ImageEntry.LeafHash). Atomic because concurrent
+	// forks hash one base at once.
+	leaf atomic.Pointer[leafMemo]
 
 	// dataEpoch is the owning filesystem's sealEpoch at the last Data
 	// mutation (WriteAt/Truncate/Amend). Data is unchanged since the last
@@ -346,17 +347,6 @@ func (f *FS) resolve(ctx LookupCtx, path string, followLast bool, depth int) (*I
 			return cur, cur.parent, c, abi.OK
 		}
 	}
-}
-
-func splitPath(p string) []string {
-	raw := strings.Split(p, "/")
-	out := raw[:0]
-	for _, c := range raw {
-		if c != "" {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // --- mutation --------------------------------------------------------------

@@ -25,6 +25,9 @@ import (
 // afresh when it no longer matches. A fork's result image (SnapshotImage)
 // starts with its base's memo, merged with the few paths the fork added, so
 // hashing it sorts nothing.
+//
+// An image's file bytes are immutable once added: every filesystem populated
+// from it, and every image read back off one, shares them. Edit a Clone.
 type Image struct {
 	Entries map[string]ImageEntry
 
@@ -33,18 +36,23 @@ type Image struct {
 	// at is never written after publication and may be shared with a frozen
 	// filesystem and with other images.
 	order atomic.Pointer[[]string]
+
+	// leaves is a []leafMemo in order's order, published like it by the last
+	// hash that missed one, for rehashes and for Populate to stamp on the
+	// inodes it creates. A SnapshotImage result (snap) keeps none: its
+	// entries reach their inodes' memos through src.
+	leaves atomic.Value
+	snap   bool
 }
 
 // ImageEntry is one node in an Image.
 //
 // An entry SnapshotImage took from a frozen inode, or from a fork's shell of
 // one, carries a pointer to that frozen inode (src) so LeafHash can reuse the
-// inode's memoized digest. The pointer is a hint, never an authority:
-// LeafHash trusts it only while the entry still describes the inode exactly,
-// so editing a copied entry's fields simply costs a full recompute.
+// digest memoized there.
 type ImageEntry struct {
 	Mode   uint32 // full S_IF | perm bits
-	Data   []byte // regular files
+	Data   []byte // regular files; immutable once in an image
 	Target string // symlinks
 	DevID  string // character devices
 	UID    uint32
@@ -61,7 +69,7 @@ func (im *Image) AddDir(path string, perm uint32) {
 	im.Entries[clean(path)] = ImageEntry{Mode: abi.ModeDir | perm}
 }
 
-// AddFile records a regular file.
+// AddFile records a regular file. The image keeps data itself, not a copy.
 func (im *Image) AddFile(path string, perm uint32, data []byte) {
 	im.Entries[clean(path)] = ImageEntry{Mode: abi.ModeRegular | perm, Data: data}
 }
@@ -105,23 +113,30 @@ func (im *Image) Equal(other *Image) bool {
 // leaf is the per-file granule the incremental-rebuild planner diffs — a
 // one-byte patch moves exactly one leaf.
 //
-// An entry read off a frozen inode (see ImageEntry) takes the inode's
-// memoized digest, filling it on first use, when the entry still has the
-// inode's exact Mode, UID, GID, Target and DevID and the very same Data
-// slice (same backing array, same length). A frozen inode never changes and
-// its bytes are never written in place, so such an entry hashes to the
-// memo; any other entry is hashed from its fields.
+// An entry read off a frozen inode (see ImageEntry) takes the memo on that
+// inode when the memo was computed from the same entry; an entry that is
+// the inode's own replaces a memo computed from any other, or none.
 func (e ImageEntry) LeafHash() uint64 {
 	n := e.src
-	if n == nil || !n.fs.frozen || !e.describes(n) {
+	if n == nil {
 		return e.leafHash()
 	}
-	if h := n.leaf.Load(); h != 0 {
-		return h
+	if m := n.leaf.Load(); m != nil && m.e.same(e) {
+		return m.h
 	}
 	h := e.leafHash()
-	n.leaf.Store(h)
+	if e.same(n.imageEntry()) {
+		n.leaf.Store(&leafMemo{e, h})
+	}
 	return h
+}
+
+// leafMemo is a leaf digest and the entry it was computed from. It holds for
+// any entry that is the same (see same), so it is never stale: a changed
+// field or a new Data slice simply misses it.
+type leafMemo struct {
+	e ImageEntry
+	h uint64
 }
 
 // leafHash is LeafHash computed from the entry's fields alone.
@@ -136,10 +151,9 @@ func (e ImageEntry) leafHash() uint64 {
 	return h.Sum()
 }
 
-// describes reports whether e is exactly the entry SnapshotImage records for
-// n, with Data compared by identity rather than by content.
-func (e ImageEntry) describes(n *Inode) bool {
-	o := n.imageEntry()
+// same reports whether e and o have every field leafHash reads equal, Data
+// compared by identity: the same bytes in memory, which never change.
+func (e ImageEntry) same(o ImageEntry) bool {
 	return e.Mode == o.Mode && e.UID == o.UID && e.GID == o.GID &&
 		e.Target == o.Target && e.DevID == o.DevID && sameSlice(e.Data, o.Data)
 }
@@ -155,45 +169,64 @@ func sameSlice(a, b []byte) bool {
 // the image's content address; the leaves feed derive.PlanRebuild's tree
 // diff.
 func (im *Image) TreeHash() derive.TreeHash {
-	order := im.sorted()
-	leaves := make(map[string]uint64, len(order))
-	f := derive.NewFold()
-	for _, p := range order {
-		leaf := im.Entries[p].LeafHash()
-		leaves[p] = leaf
-		f.Add(p, leaf)
-	}
-	return derive.TreeHash{Root: f.Root(), Leaves: leaves}
+	leaves := make(map[string]uint64, len(im.Entries))
+	return derive.TreeHash{Root: im.hash(leaves), Leaves: leaves}
 }
 
 // Hash returns the content hash of the image — the root of TreeHash. Two
 // images with Equal contents hash identically; every cache layer keys on
 // this through derive.KeyFor. It folds the paths in their memoized order
 // and builds no leaf map, so a repeated Hash allocates nothing.
-func (im *Image) Hash() uint64 {
+func (im *Image) Hash() uint64 { return im.hash(nil) }
+
+// hash folds the image in its memoized order, or sorted afresh when that
+// no longer matches, recording each leaf in leaves when it is non-nil.
+func (im *Image) hash(leaves map[string]uint64) uint64 {
 	if order := im.order.Load(); order != nil {
-		if h, ok := im.fold(*order); ok {
+		if h, ok := im.fold(*order, leaves); ok {
 			return h
 		}
 	}
-	h, _ := im.fold(im.resort())
+	h, _ := im.fold(im.resort(), leaves)
 	return h
 }
 
-// fold folds (path, LeafHash) over order. It reports false, having checked
-// as it went, when order is not exactly the key set: a different length or
-// a path no longer present.
-func (im *Image) fold(order []string) (uint64, bool) {
+// fold folds (path, leaf) over order, taking each leaf from the image's
+// memo when that was computed from the same entry, and publishes a new memo
+// when any leaf missed. It reports false, having checked as it went, when
+// order is not exactly the key set: a different length or a path no longer
+// present.
+func (im *Image) fold(order []string, leaves map[string]uint64) (uint64, bool) {
 	if len(order) != len(im.Entries) {
 		return 0, false
 	}
+	old, _ := im.leaves.Load().([]leafMemo)
+	var memo []leafMemo
 	f := derive.NewFold()
-	for _, p := range order {
+	for i, p := range order {
 		e, ok := im.Entries[p]
 		if !ok {
 			return 0, false
 		}
-		f.Add(p, e.LeafHash())
+		m := leafMemo{e: e}
+		if i < len(old) && old[i].e.same(e) {
+			m.h = old[i].h
+		} else {
+			m.h = e.LeafHash()
+			if memo == nil && !im.snap {
+				memo = append(make([]leafMemo, 0, len(order)), old[:i]...) // every earlier leaf hit
+			}
+		}
+		if memo != nil {
+			memo = append(memo, m)
+		}
+		if leaves != nil {
+			leaves[p] = m.h
+		}
+		f.Add(p, m.h)
+	}
+	if memo != nil {
+		im.leaves.Store(memo)
 	}
 	return f.Root(), true
 }
@@ -235,14 +268,12 @@ func (im *Image) resort() []string {
 
 // Clone returns a deep copy, so experiment images can be derived from a
 // control image without aliasing (the control/experiment chroot split of
-// §6.1). The copy is the caller's to edit: it shares no bytes with any
-// filesystem and no entry keeps a frozen inode's memoized digest.
+// §6.1). The copy is the caller's to edit until it is hashed or populated:
+// it shares no bytes with im or any filesystem, and carries no memo.
 func (im *Image) Clone() *Image {
 	out := NewImage()
 	for p, e := range im.Entries {
-		if e.Data != nil {
-			e.Data = append([]byte(nil), e.Data...)
-		}
+		e.Data = bytes.Clone(e.Data)
 		e.src = nil
 		out.Entries[p] = e
 	}
@@ -274,12 +305,14 @@ func clean(p string) string {
 // own string for it, and when f was empty and Populate created every image
 // path and nothing else but implicit parents, f keeps the image's sorted
 // order, the implicit parents merged in, for Freeze until its path set next
-// changes.
+// changes. A file shares the image's bytes, copy-on-write (cowData), and
+// every inode takes the image's memoized leaf digest for its entry, if any.
 func (f *FS) Populate(im *Image) {
 	order := im.sorted()
+	memo, _ := im.leaves.Load().([]leafMemo)
 	exact := f.Root.entryCount() == 0
 	var made []string
-	for _, p := range order {
+	for i, p := range order {
 		e := im.Entries[p]
 		dir := f.ensureDirs(parentOf(p), &made)
 		name := baseOf(p)
@@ -306,7 +339,7 @@ func (f *FS) Populate(im *Image) {
 		default:
 			n, err = f.CreateFile(dir, name, e.Mode&abi.ModePermMask, e.UID, e.GID)
 			if err == abi.OK {
-				n.Data = append([]byte(nil), e.Data...)
+				n.Data, n.cowData = e.Data, true
 			}
 		}
 		if err != abi.OK {
@@ -315,6 +348,9 @@ func (f *FS) Populate(im *Image) {
 		}
 		if !n.IsSymlink() {
 			n.Mode = e.Mode // recorded permissions, device and FIFO bits included
+		}
+		if i < len(memo) && memo[i].e.same(e) {
+			n.leaf.Store(&memo[i])
 		}
 		n.path = p
 	}
@@ -396,7 +432,7 @@ func (f *FS) SnapshotImage(root *Inode) *Image {
 	if ref != nil && (ref.order == nil || root != f.Root) {
 		ref = nil
 	}
-	s := snapshot{f: f, im: &Image{}}
+	s := snapshot{f: f, im: &Image{snap: true}}
 	if ref == nil {
 		s.im.Entries = make(map[string]ImageEntry)
 		if root.IsDir() {
@@ -505,8 +541,9 @@ func mergeOrder(base, added []string, filter bool, entries map[string]ImageEntry
 }
 
 // imageEntry returns the image entry of n. Bytes that can no longer change —
-// a frozen inode's, or a shell's still shared with its base — are lent to the
-// entry; a live file's bytes are copied, because WriteAt edits them in place.
+// a frozen inode's, or a file's still shared with its base or image — are
+// lent to the entry; a live file's bytes are copied, because WriteAt edits
+// them in place.
 func (n *Inode) imageEntry() ImageEntry {
 	e := ImageEntry{Mode: n.Mode, UID: n.UID, GID: n.GID, src: n.origin}
 	if n.fs.frozen {

@@ -3,6 +3,7 @@ package fs
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/abi"
 )
@@ -186,7 +187,7 @@ func (w *Workspace) stat(path string) (int, abi.Errno) {
 // checkParent verifies the parent directory exists in the workspace view.
 func (w *Workspace) checkParent(path string) abi.Errno {
 	p := wsClean(path)
-	i := lastSlash(p)
+	i := strings.LastIndexByte(p, '/')
 	if i <= 0 {
 		return abi.OK // parent is the root
 	}
@@ -200,28 +201,9 @@ func (w *Workspace) checkParent(path string) abi.Errno {
 	return abi.OK
 }
 
+// wsClean returns path rooted at "/", with empty components dropped.
 func wsClean(path string) string {
-	return "/" + joinComps(splitPath(path))
-}
-
-func joinComps(comps []string) string {
-	out := ""
-	for i, c := range comps {
-		if i > 0 {
-			out += "/"
-		}
-		out += c
-	}
-	return out
-}
-
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			return i
-		}
-	}
-	return -1
+	return "/" + strings.Join(strings.FieldsFunc(path, func(r rune) bool { return r == '/' }), "/")
 }
 
 // MergeWorkspaces merges the workspace set onto its shared base. The input
@@ -274,18 +256,18 @@ func MergeWorkspaces(wss []*Workspace) (MergeStats, error) {
 		}
 	}
 
-	stats.Digest = digestWinners(winners)
-	if conflict != nil {
-		return stats, conflict
-	}
-
-	// Apply in sorted-path order so mkdir precedes children and the base's
-	// mutation sequence (mtime touches, inode allocation) is deterministic.
+	// Digest and apply in sorted-path order: the digest is then host-order
+	// independent, mkdir precedes children, and the base's mutation sequence
+	// (mtime touches, inode allocation) is deterministic.
 	paths := make([]string, 0, len(winners))
 	for p := range winners {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
+	stats.Digest = digestWinners(paths, winners)
+	if conflict != nil {
+		return stats, conflict
+	}
 	ctx := LookupCtx{Root: base.Root, Cwd: base.Root}
 	for _, p := range paths {
 		if err := applyOp(base, ctx, winners[p]); err != abi.OK {
@@ -300,21 +282,11 @@ func MergeWorkspaces(wss []*Workspace) (MergeStats, error) {
 }
 
 // sameEffect reports whether two ops would leave the path identical.
-func sameEffect(a, b wsOp) bool {
-	if a.kind != b.kind {
-		return false
-	}
-	return string(a.data) == string(b.data)
-}
+func sameEffect(a, b wsOp) bool { return a.kind == b.kind && string(a.data) == string(b.data) }
 
-// digestWinners folds the winning effect set into one FNV value, iterating
-// in sorted-path order so the digest is host-order independent.
-func digestWinners(winners map[string]wsOp) uint64 {
-	paths := make([]string, 0, len(winners))
-	for p := range winners {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
+// digestWinners folds the winning effect set into one FNV value, visiting
+// the paths in the given (sorted) order.
+func digestWinners(paths []string, winners map[string]wsOp) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	mix := func(s string) {
 		for i := 0; i < len(s); i++ {

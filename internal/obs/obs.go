@@ -50,26 +50,39 @@ var nextLocal atomic.Uint32
 // independent of which client landed where.
 func NewLocal() Local { return Local{s: nextLocal.Add(1) % stripes} }
 
-// Counter is a monotone sharded counter.
+// Counter is a monotone counter: one cell, plus a stripe per Local when
+// many writers share it (Registry.Counter). A published value
+// (Registry.Publish) has no stripes.
 type Counter struct {
-	name string
-	v    [stripes]pad64
+	name    string
+	v       int64
+	striped *[stripes]pad64
 }
 
 // Name returns the counter's registry name.
 func (c *Counter) Name() string { return c.name }
 
-// Inc adds n on stripe 0: the uncontended single-writer fast path.
-func (c *Counter) Inc(n int64) { atomic.AddInt64(&c.v[0].v, n) }
+// Inc adds n on the counter's own cell: the uncontended single-writer fast
+// path.
+func (c *Counter) Inc(n int64) { atomic.AddInt64(&c.v, n) }
 
-// Add adds n on the caller's stripe.
-func (c *Counter) Add(l Local, n int64) { atomic.AddInt64(&c.v[l.s].v, n) }
+// Add adds n on the caller's stripe, or on the one cell of an unstriped
+// counter.
+func (c *Counter) Add(l Local, n int64) {
+	if c.striped == nil {
+		c.Inc(n)
+		return
+	}
+	atomic.AddInt64(&c.striped[l.s].v, n)
+}
 
-// Value sums the stripes.
+// Value sums the cell and the stripes.
 func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.v {
-		sum += atomic.LoadInt64(&c.v[i].v)
+	sum := atomic.LoadInt64(&c.v)
+	if c.striped != nil {
+		for i := range c.striped {
+			sum += atomic.LoadInt64(&c.striped[i].v)
+		}
 	}
 	return sum
 }
@@ -111,16 +124,30 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it, striped, on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		s := &struct { // one allocation for the counter and its stripes
+			Counter
+			cells [stripes]pad64
+		}{Counter: Counter{name: name}}
+		s.striped = &s.cells
+		c = &s.Counter
 		r.counters[name] = c
 	}
 	return c
+}
+
+// Publish registers v as the value of the named counter, which must not be
+// registered yet: a finished run publishes each count it kept once, and
+// nobody adds to it after, so it needs no stripes.
+func (r *Registry) Publish(name string, v int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = &Counter{name: name, v: v}
 }
 
 // CounterVec returns the named dense vector, creating it with n slots on

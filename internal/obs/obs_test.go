@@ -31,6 +31,26 @@ func TestCounterStripes(t *testing.T) {
 	}
 }
 
+func TestPublish(t *testing.T) {
+	r := NewRegistry()
+	r.Publish("stops", 7)
+	r.Publish("zero", 0)
+	c := r.Counter("stops")
+	if c.Value() != 7 || c.striped != nil {
+		t.Fatalf("published counter reads %d (striped %v), want 7 unstriped", c.Value(), c.striped != nil)
+	}
+	c.Add(NewLocal(), 2) // an unstriped counter takes any Local on its one cell
+	farm := NewRegistry()
+	farm.Absorb(r)
+	var prom bytes.Buffer
+	if err := r.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if got := farm.Counter("stops").Value(); got != 9 || !strings.Contains(prom.String(), "zero 0\n") {
+		t.Fatalf("absorbed stops = %d, want 9; dump:\n%s", got, prom.String())
+	}
+}
+
 func TestAdoptVec(t *testing.T) {
 	r := NewRegistry()
 	v := []int64{0, 3, 0, 2}
