@@ -13,12 +13,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
 
 // buildFunc is one DetTrace build on farm f under variation v.
-type buildFunc func(f *Options, l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation) dtRun
+type buildFunc func(f *Options, spec *debpkg.Spec, seed uint64, v reprotest.Variation) dtRun
 
 // protocol is how a study drives the runner; the zero value is one buildDT
 // pair per package with no baseline.
@@ -30,7 +29,7 @@ type protocol struct {
 	// on/off pair — the only place the full runs (.deb, log, ring, debug
 	// session) are reachable: the per-package results keep numbers only, so
 	// a study's footprint does not grow with its sample.
-	visit func(l obs.Local, i int, on, off dtRun)
+	visit func(i int, on, off dtRun)
 }
 
 // ablated is one package's result. Times and events are those of the first
@@ -70,17 +69,17 @@ func (o *Options) ablate(m core.Mechanism, specs []*debpkg.Spec, p protocol) (pa
 		p.runs = 1
 	}
 	if p.build == nil {
-		p.build = func(f *Options, l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation) dtRun {
-			return f.buildDT(l, spec, seed, v, nil)
+		p.build = func(f *Options, spec *debpkg.Spec, seed uint64, v reprotest.Variation) dtRun {
+			return f.buildDT(spec, seed, v, nil)
 		}
 	}
 	pairs = make([]ablated, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
+	o.forEach(len(specs), func(i int) {
 		pr := &pairs[i]
 		pr.spec = specs[i]
 		seed := pkgSeed(o.Seed, pr.spec)
 		if p.baseline {
-			nat := on.buildNative(l, pr.spec, reprotest.Perturbed(seed, 0), BLDeadline)
+			nat := on.buildNative(pr.spec, reprotest.Perturbed(seed, 0), BLDeadline)
 			if nat.verdict() != "" {
 				return
 			}
@@ -90,7 +89,7 @@ func (o *Options) ablate(m core.Mechanism, specs []*debpkg.Spec, p protocol) (pa
 		var on0, off0 dtRun
 		for r := 0; r < p.runs; r++ {
 			v := reprotest.Perturbed(seed, r)
-			ron := p.build(on, l, pr.spec, seed, v)
+			ron := p.build(on, pr.spec, seed, v)
 			von, _ := ron.verdict()
 			// A failed build is skipped at once, as the farm's own protocol
 			// skips it — unless the study reads the two farms' setup
@@ -98,7 +97,7 @@ func (o *Options) ablate(m core.Mechanism, specs []*debpkg.Spec, p protocol) (pa
 			if von != "" && m.Moves() != core.MovesSetup {
 				return
 			}
-			roff := p.build(off, l, pr.spec, seed, v)
+			roff := p.build(off, pr.spec, seed, v)
 			if r == 0 {
 				on0, off0 = ron, roff
 			}
@@ -120,7 +119,7 @@ func (o *Options) ablate(m core.Mechanism, specs []*debpkg.Spec, p protocol) (pa
 		pr.onTime, pr.offTime = on0.wall, off0.wall
 		pr.on, pr.off = on0.events, off0.events
 		if p.visit != nil {
-			p.visit(l, i, on0, off0)
+			p.visit(i, on0, off0)
 		}
 	})
 	return pairs, on, off

@@ -235,7 +235,7 @@ func eventsFrom(st kernel.Stats) Events {
 // build under the two reprotest variations, then (when the baseline built at
 // all) a DetTrace double build varying only host accidents.
 func (o *Options) BuildPackage(spec *debpkg.Spec) Out {
-	return o.build(obs.NewLocal(), spec, 0)
+	return o.build(spec, 0)
 }
 
 // BuildAll evaluates every spec across the worker pool. The returned slice
@@ -258,16 +258,15 @@ func (o *Options) BuildAll(specs []*debpkg.Spec, progress func(done, total int))
 		o.buildAllFarm(specs, land)
 		return outs
 	}
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		land(i, o.build(l, specs[i], i))
+	o.forEach(len(specs), func(i int) {
+		land(i, o.build(specs[i], i))
 	})
 	return outs
 }
 
-// forEach runs fn(0..n-1) across the option's worker pool, handing each
-// worker its own metrics stripe so the farm counters never contend. fn must
-// write only to its own index's state.
-func (o *Options) forEach(n int, fn func(l obs.Local, i int)) {
+// forEach runs fn(0..n-1) across the option's worker pool. fn must write
+// only to its own index's state.
+func (o *Options) forEach(n int, fn func(i int)) {
 	jobs := o.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -276,9 +275,8 @@ func (o *Options) forEach(n int, fn func(l obs.Local, i int)) {
 		jobs = n
 	}
 	if jobs <= 1 {
-		l := obs.NewLocal()
 		for i := 0; i < n; i++ {
-			fn(l, i)
+			fn(i)
 		}
 		return
 	}
@@ -288,9 +286,8 @@ func (o *Options) forEach(n int, fn func(l obs.Local, i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l := obs.NewLocal()
 			for i := range work {
-				fn(l, i)
+				fn(i)
 			}
 		}()
 	}
@@ -309,8 +306,8 @@ func pkgSeed(seed uint64, spec *debpkg.Spec) uint64 {
 }
 
 // build is the per-package protocol on the local (single-process) path.
-func (o *Options) build(l obs.Local, spec *debpkg.Spec, idx int) Out {
-	out, _ := o.buildProto(l, spec, idx, o.stores().snapshots, nil)
+func (o *Options) build(spec *debpkg.Spec, idx int) Out {
+	out, _ := o.buildProto(spec, idx, o.stores().snapshots, nil)
 	return out
 }
 
@@ -322,7 +319,7 @@ func (o *Options) build(l obs.Local, spec *debpkg.Spec, idx int) Out {
 // build runs, never WHAT it computes. A non-nil dt1 error aborts the package
 // (the coordinator retries the whole job; every step before the crash is a
 // pure function of (spec, seed), so the re-run recomputes identical bits).
-func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots derive.Store, dt1 func(obs.Local, uint64, reprotest.Variation) (dtRun, error)) (Out, error) {
+func (o *Options) buildProto(spec *debpkg.Spec, idx int, snapshots derive.Store, dt1 func(uint64, reprotest.Variation) (dtRun, error)) (Out, error) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, v2 := reprotest.Pair(seed)
 	out := Out{Spec: spec, Index: idx, Threaded: spec.Compiler == "javac"}
@@ -331,7 +328,7 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots 
 	// (environment, build path, epoch, CPUs, host seed all vary). The §6.1
 	// toolchain includes strip-nondeterminism, so the baseline verdict
 	// compares the stripped .debs.
-	b1 := o.buildNativeFrom(l, snapshots, spec, v1, BLDeadline)
+	b1 := o.buildNativeFrom(snapshots, spec, v1, BLDeadline)
 	out.BLTime = b1.wall
 	if secs := float64(b1.wall) / 1e9; secs > 0 {
 		out.SyscallRate = float64(b1.syscalls) / secs
@@ -340,7 +337,7 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots 
 		out.BL = v
 		return out, nil
 	}
-	b2 := o.buildNativeFrom(l, snapshots, spec, v2, BLDeadline)
+	b2 := o.buildNativeFrom(snapshots, spec, v2, BLDeadline)
 	if v := b2.verdict(); v != "" {
 		out.BL = v
 		return out, nil
@@ -357,10 +354,10 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots 
 	// actually vary. That is the property being measured.
 	var d1 dtRun
 	if dt1 == nil {
-		d1 = o.buildDT(l, spec, seed, v1, nil)
+		d1 = o.buildDT(spec, seed, v1, nil)
 	} else {
 		var err error
-		if d1, err = dt1(l, seed, v1); err != nil {
+		if d1, err = dt1(seed, v1); err != nil {
 			return Out{}, err
 		}
 	}
@@ -376,7 +373,7 @@ func (o *Options) buildProto(l obs.Local, spec *debpkg.Spec, idx int, snapshots 
 		out.UnsupReason = reason
 		return out, nil
 	}
-	d2 := o.buildDT(l, spec, seed, v2, nil)
+	d2 := o.buildDT(spec, seed, v2, nil)
 	if v, reason := d2.verdict(); v != "" {
 		out.DT = v
 		out.UnsupReason = reason
@@ -447,14 +444,14 @@ func (r nativeRun) verdict() Verdict {
 // buildNative runs dpkg-buildpackage on the simulated host under one
 // reprotest variation, with the kernel's baseline (nondeterministic) policy,
 // booting from the farm-wide local snapshot store.
-func (o *Options) buildNative(l obs.Local, spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
-	return o.buildNativeFrom(l, o.stores().snapshots, spec, v, deadline)
+func (o *Options) buildNative(spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
+	return o.buildNativeFrom(o.stores().snapshots, spec, v, deadline)
 }
 
 // buildNativeFrom is buildNative with the prepared snapshot served from an
 // explicit store.
-func (o *Options) buildNativeFrom(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
-	k, pkgdir := o.bootNative(l, snapshots, spec, v, deadline, nil)
+func (o *Options) buildNativeFrom(snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64) nativeRun {
+	k, pkgdir := o.bootNative(snapshots, spec, v, deadline, nil)
 	proc := startBuild(k, pkgdir, v.Env)
 	runErr := k.Run()
 	r := nativeRun{exit: proc.ExitCode(), wall: k.Now(), syscalls: k.Stats.Syscalls}
@@ -475,9 +472,9 @@ func (o *Options) buildNativeFrom(l obs.Local, snapshots derive.Store, spec *deb
 // bootNative boots the package's toolchain image on the simulated host under
 // one reprotest variation and returns the kernel with the package's source
 // directory. A nil policy is the kernel's baseline.
-func (o *Options) bootNative(l obs.Local, snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64, policy kernel.Policy) (*kernel.Kernel, string) {
-	img, pkgdir, imgHash := o.pkgImage(l, spec, v.BuildRoot)
-	return o.snapshot(l, snapshots, imgHash, img).Boot(kernel.BootConfig{
+func (o *Options) bootNative(snapshots derive.Store, spec *debpkg.Spec, v reprotest.Variation, deadline int64, policy kernel.Policy) (*kernel.Kernel, string) {
+	img, pkgdir, imgHash := o.pkgImage(spec, v.BuildRoot)
+	return o.snapshot(snapshots, imgHash, img).Boot(kernel.BootConfig{
 		Seed:     v.HostSeed,
 		Epoch:    v.Epoch,
 		NumCPU:   v.NumCPU,
@@ -558,8 +555,8 @@ var containerEnv = []string{
 // Unless the config switches template reuse off, the container is forked
 // from a cached core.Template keyed on (image hash, config hash) — mod runs
 // first, so an ablated config can never be served a mismatched template.
-func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation, mod func(*core.Config)) dtRun {
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+func (o *Options) buildDT(spec *debpkg.Spec, seed uint64, v reprotest.Variation, mod func(*core.Config)) dtRun {
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v)
 	if mod != nil {
 		mod(&cfg)
@@ -569,10 +566,10 @@ func (o *Options) buildDT(l obs.Local, spec *debpkg.Spec, seed uint64, v reprote
 		if o.injectFaults {
 			plan = reprotest.PlanFor(seed ^ v.HostSeed)
 		}
-		r, _ := o.buildDTFault(l, spec, plan, cfg, img, imgHash, pkgdir)
+		r, _ := o.buildDTFault(spec, plan, cfg, img, imgHash, pkgdir)
 		return r
 	}
-	res := o.runContainer(l, cfg, img, imgHash, containerEnv)
+	res := o.runContainer(cfg, img, imgHash, containerEnv)
 	return dtRunFrom(res, spec, pkgdir)
 }
 
@@ -596,8 +593,8 @@ func (o *Options) dtConfig(img *fs.Image, pkgdir string, seed uint64, v reprotes
 
 // runContainer runs the package build in a container for cfg, forking its
 // template from the farm-wide local store.
-func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
-	return o.runContainerFrom(l, o.stores().templates, cfg, img, imgHash, env)
+func (o *Options) runContainer(cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
+	return o.runContainerFrom(o.stores().templates, cfg, img, imgHash, env)
 }
 
 // runContainerFrom builds the container for cfg — forked from the template
@@ -609,7 +606,7 @@ func (o *Options) runContainer(l obs.Local, cfg core.Config, img *fs.Image, imgH
 // lease protocol deadlock-free (holders always complete their put) and the
 // store unchurned. Shared and private snapshots boot bitwise-identically, so
 // the detour is invisible.
-func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
+func (o *Options) runContainerFrom(templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
 	sc := o.sc()
 	var tpl *core.Template
 	if !cfg.Off.Has(core.TemplateReuse) && cfg.Image == img && cfg.FaultInjectCrash == 0 {
@@ -617,7 +614,7 @@ func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core
 		// and the key's config hash ignores the per-run host fields, so one
 		// template serves every perturbation of a build and no other.
 		key := derive.KeyFor(imgHash, core.ConfigHash(cfg))
-		tpl, _ = o.prepared(l, templates, key, func() any { return core.NewTemplate(cfg) }).(*core.Template)
+		tpl, _ = o.prepared(templates, key, func() any { return core.NewTemplate(cfg) }).(*core.Template)
 	}
 	var c *core.Container
 	if tpl == nil {
@@ -632,11 +629,11 @@ func (o *Options) runContainerFrom(l obs.Local, templates derive.Store, cfg core
 	res := c.Run(registry(), "/bin/dpkg-buildpackage",
 		[]string{"dpkg-buildpackage", "-b"}, env)
 	if res.Forked {
-		sc.forkBoots.Add(l, 1)
-		sc.recEventsFork.Add(l, res.Trace.Total())
+		sc.forkBoots.Add(1)
+		sc.recEventsFork.Add(res.Trace.Total())
 	} else {
-		sc.coldBoots.Add(l, 1)
-		sc.recEventsCold.Add(l, res.Trace.Total())
+		sc.coldBoots.Add(1)
+		sc.recEventsCold.Add(res.Trace.Total())
 	}
 	// Roll the run's published metrics (kernel syscall table, tracer stops)
 	// into the farm-wide registry so `benchtab -trace` can dump a single

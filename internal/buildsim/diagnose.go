@@ -84,11 +84,10 @@ const diagnoseRingEvents = 1 << 21
 func (o *Options) Diagnose(spec *debpkg.Spec, inject int) *DiagnoseReport {
 	seed := pkgSeed(o.Seed, spec)
 	v, _ := reprotest.Pair(seed)
-	l := obs.NewLocal()
-	a := o.buildDT(l, spec, seed, v, func(c *core.Config) {
+	a := o.buildDT(spec, seed, v, func(c *core.Config) {
 		c.RingEvents = diagnoseRingEvents
 	})
-	b := o.buildDT(l, spec, seed, v, func(c *core.Config) {
+	b := o.buildDT(spec, seed, v, func(c *core.Config) {
 		c.RingEvents = diagnoseRingEvents
 		if inject > 0 {
 			c.FaultInjectEntropy = inject

@@ -43,7 +43,7 @@ import (
 func (o *Options) buildAllFarm(specs []*debpkg.Spec, land func(i int, out Out)) {
 	exec := func(ctx *farm.ExecCtx) (uint64, error) {
 		i := int(ctx.Job.ID) - 1
-		out, err := o.buildProto(obs.NewLocal(), specs[i], i, ctx.Store(), o.farmDT1(ctx, specs[i]))
+		out, err := o.buildProto(specs[i], i, ctx.Store(), o.farmDT1(ctx, specs[i]))
 		if err != nil {
 			return 0, err
 		}
@@ -122,9 +122,9 @@ func ringDigest(out *Out) uint64 {
 // checkpoint mode seals publish to the store as they land; in plain mode a
 // doomed run still crashes but recovery can only cold-replay (there are no
 // seals to restore).
-func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(obs.Local, uint64, reprotest.Variation) (dtRun, error) {
-	return func(l obs.Local, seed uint64, v reprotest.Variation) (dtRun, error) {
-		img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(uint64, reprotest.Variation) (dtRun, error) {
+	return func(seed uint64, v reprotest.Variation) (dtRun, error) {
+		img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 		cfg := o.dtConfig(img, pkgdir, seed, v)
 		store := ctx.Store()
 		j := ckptJob{templates: store, seals: store,
@@ -137,19 +137,19 @@ func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(obs.Local, 
 		env := containerEnv
 		if o.Checkpoints {
 			env = checkpointEnv
-			cfg.CheckpointSink = o.sealSink(l, j.seals, j.state, j.job)
+			cfg.CheckpointSink = o.sealSink(j.seals, j.state, j.job)
 		}
 		if ctx.Attempt > 0 {
 			var res *core.Result
-			res, ctx.RestoredFrom = o.recoverJob(l, j, false, cfg, img, imgHash, env, ctx.PrevWall)
+			res, ctx.RestoredFrom = o.recoverJob(j, false, cfg, img, imgHash, env, ctx.PrevWall)
 			return dtRunFrom(res, spec, pkgdir), nil
 		}
 		if ctx.Doom.Crashes() {
 			cfg.FaultInjectCrash = ctx.Doom.CrashAtAction
 		}
-		res := o.runContainerFrom(l, store, cfg, img, imgHash, env)
+		res := o.runContainerFrom(store, cfg, img, imgHash, env)
 		if crashed(res) {
-			o.sc().crashes.Add(l, 1)
+			o.sc().crashes.Add(1)
 			return dtRun{}, &farm.Crash{Wall: res.WallTime}
 		}
 		return dtRunFrom(res, spec, pkgdir), nil
@@ -222,7 +222,7 @@ func (o *Options) farmStudy(specs []*debpkg.Spec, cells func(ref []Out, probe dt
 	if len(specs) > 0 {
 		seed := pkgSeed(o.Seed, specs[0])
 		v1, _ := reprotest.Pair(seed)
-		probe = local.buildDT(obs.NewLocal(), specs[0], seed, v1, nil)
+		probe = local.buildDT(specs[0], seed, v1, nil)
 	}
 	st := &FarmStudy{Packages: len(specs)}
 	var mttrNs, redoneNs, restores int64

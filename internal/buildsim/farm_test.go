@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/debpkg"
 	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
 
@@ -16,10 +15,9 @@ import (
 func farmCrashAt(t *testing.T, seedOpt uint64, spec *debpkg.Spec) int64 {
 	t.Helper()
 	o := &Options{Seed: seedOpt, Checkpoints: true}
-	l := obs.NewLocal()
 	seed := pkgSeed(seedOpt, spec)
 	v1, _ := reprotest.Pair(seed)
-	ref := o.buildDT(l, spec, seed, v1, nil)
+	ref := o.buildDT(spec, seed, v1, nil)
 	if v, _ := ref.verdict(); v != "" {
 		t.Fatalf("probe build failed: %s", v)
 	}

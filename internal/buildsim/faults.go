@@ -30,7 +30,6 @@ import (
 	"repro/internal/derive"
 	"repro/internal/fs"
 	"repro/internal/kernel"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/stats"
 )
@@ -80,14 +79,14 @@ type ckptJob struct {
 // attaching a sink must not perturb a run's own metrics registry (the
 // bitwise equivalence tests compare those): a delta seal costs the bytes
 // dirtied since the previous seal, a full seal its whole tree.
-func (o *Options) sealSink(l obs.Local, store derive.Store, state derive.Key, job uint64) func(*core.Checkpoint) {
+func (o *Options) sealSink(store derive.Store, state derive.Key, job uint64) func(*core.Checkpoint) {
 	return func(cp *core.Checkpoint) {
 		sc := o.sc()
-		sc.ckptSealed.Add(l, 1)
+		sc.ckptSealed.Add(1)
 		if st := cp.Kernel().FSSealStats(); st.Delta {
-			sc.ckptDeltaBytes.Add(l, st.FreshBytes)
+			sc.ckptDeltaBytes.Add(st.FreshBytes)
 		} else {
-			sc.ckptFullBytes.Add(l, st.TotalBytes)
+			sc.ckptFullBytes.Add(st.TotalBytes)
 		}
 		store.PutSeal(derive.SealKey{State: state, Job: job, Ordinal: cp.Ordinal()}, cp, cp.Digest())
 	}
@@ -104,7 +103,7 @@ func crashed(res *core.Result) bool {
 // through recoverJob; either way the returned observables must be the bits
 // the uninterrupted run would have produced. fired reports whether the
 // planned crash fired.
-func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string) (run dtRun, fired bool) {
+func (o *Options) buildDTFault(spec *debpkg.Spec, plan reprotest.FaultPlan, cfg core.Config, img *fs.Image, imgHash uint64, pkgdir string) (run dtRun, fired bool) {
 	st := o.stores()
 	j := ckptJob{templates: st.templates, seals: st.seals,
 		state: derive.KeyFor(imgHash, core.ConfigHash(cfg)), job: o.jobSeq.Add(1),
@@ -114,14 +113,14 @@ func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.Fa
 	}
 	defer st.seals.Release(j.state, j.job)
 
-	cfg.CheckpointSink = o.sealSink(l, j.seals, j.state, j.job)
+	cfg.CheckpointSink = o.sealSink(j.seals, j.state, j.job)
 	runCfg := cfg
 	runCfg.FaultInjectCrash = plan.CrashAtAction
 	runCfg.FaultCorruptCheckpoint = plan.CorruptCheckpoint
-	res := o.runContainer(l, runCfg, img, imgHash, checkpointEnv)
+	res := o.runContainer(runCfg, img, imgHash, checkpointEnv)
 	if fired = crashed(res); fired {
-		o.sc().crashes.Add(l, 1)
-		res, _ = o.recoverJob(l, j, plan.FailRestore, cfg, img, imgHash, checkpointEnv, res.WallTime)
+		o.sc().crashes.Add(1)
+		res, _ = o.recoverJob(j, plan.FailRestore, cfg, img, imgHash, checkpointEnv, res.WallTime)
 	}
 	return dtRunFrom(res, spec, pkgdir), fired
 }
@@ -136,16 +135,16 @@ func (o *Options) buildDTFault(l obs.Local, spec *debpkg.Spec, plan reprotest.Fa
 // crashWall is the crashed run's virtual time of death; the gap between it
 // and the restored seal is the work executed twice, charged to
 // farm_redone_ns. Returns the ordinal restored from (0 = cold replay).
-func (o *Options) recoverJob(l obs.Local, j ckptJob, failRestore bool, cfg core.Config, img *fs.Image, imgHash uint64, env []string, crashWall int64) (*core.Result, int) {
+func (o *Options) recoverJob(j ckptJob, failRestore bool, cfg core.Config, img *fs.Image, imgHash uint64, env []string, crashWall int64) (*core.Result, int) {
 	sc := o.sc()
 	ordinal := j.seals.Latest(j.state, j.job)
 	for attempt := 0; ordinal > 0 && (j.retries == 0 || attempt < j.retries); attempt++ {
-		sc.restoreAttempts.Add(l, 1)
+		sc.restoreAttempts.Add(1)
 		if j.retries > 0 {
-			sc.backoffNs.Add(l, BackoffBaseNs<<attempt)
+			sc.backoffNs.Add(BackoffBaseNs << attempt)
 		}
 		if failRestore && attempt == 0 {
-			sc.restoreFailures.Add(l, 1)
+			sc.restoreFailures.Add(1)
 			continue // planned restore failure: same seal, next attempt
 		}
 		v, _, _ := j.seals.Seal(derive.SealKey{State: j.state, Job: j.job, Ordinal: ordinal})
@@ -156,19 +155,19 @@ func (o *Options) recoverJob(l obs.Local, j ckptJob, failRestore bool, cfg core.
 		}
 		res, err := core.Resume(cp, registry(), cfg)
 		if err != nil {
-			sc.ckptInvalid.Add(l, 1)
+			sc.ckptInvalid.Add(1)
 			ordinal-- // corrupt or mismatched seal: fall back one ordinal
 			continue
 		}
-		sc.restores.Add(l, 1)
-		sc.mttrNs.Add(l, res.WallTime-cp.VirtualNow())
-		sc.redoneNs.Add(l, crashWall-cp.VirtualNow())
+		sc.restores.Add(1)
+		sc.mttrNs.Add(res.WallTime - cp.VirtualNow())
+		sc.redoneNs.Add(crashWall - cp.VirtualNow())
 		return res, ordinal
 	}
-	sc.coldReplays.Add(l, 1)
-	res := o.runContainerFrom(l, j.templates, cfg, img, imgHash, env)
-	sc.replayNs.Add(l, res.WallTime)
-	sc.redoneNs.Add(l, crashWall)
+	sc.coldReplays.Add(1)
+	res := o.runContainerFrom(j.templates, cfg, img, imgHash, env)
+	sc.replayNs.Add(res.WallTime)
+	sc.redoneNs.Add(crashWall)
 	return res, 0
 }
 
@@ -260,10 +259,10 @@ type faultCell struct {
 // again with a crash injected at action n (n <= 0 picks the reference run's
 // midpoint) and recovered, and compares the two bitwise. A reference that
 // did not complete ends the cell.
-func (o *Options) faultCell(l obs.Local, spec *debpkg.Spec, n int64) faultCell {
+func (o *Options) faultCell(spec *debpkg.Spec, n int64) faultCell {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	ref := o.buildDT(l, spec, seed, v1, nil)
+	ref := o.buildDT(spec, seed, v1, nil)
 	c := faultCell{refWall: ref.wall}
 	if c.ref, _ = ref.verdict(); c.ref != "" {
 		return c
@@ -271,10 +270,10 @@ func (o *Options) faultCell(l obs.Local, spec *debpkg.Spec, n int64) faultCell {
 	if n <= 0 {
 		n = ref.actions / 2
 	}
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
 	var got dtRun
-	got, c.crashed = o.buildDTFault(l, spec, reprotest.FaultPlan{CrashAtAction: n}, cfg, img, imgHash, pkgdir)
+	got, c.crashed = o.buildDTFault(spec, reprotest.FaultPlan{CrashAtAction: n}, cfg, img, imgHash, pkgdir)
 	c.identical = got.same(ref, core.MovesNothing)
 	return c
 }
@@ -285,7 +284,7 @@ func (o *Options) faultCell(l obs.Local, spec *debpkg.Spec, n int64) faultCell {
 func (o *Options) faultStudy(specs []*debpkg.Spec, n int64) *FaultStudy {
 	on := o.derive(func(f *Options) { f.Checkpoints = true })
 	cells := make([]faultCell, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) { cells[i] = on.faultCell(l, specs[i], n) })
+	o.forEach(len(specs), func(i int) { cells[i] = on.faultCell(specs[i], n) })
 	st := &FaultStudy{}
 	var replaySum int64
 	for _, c := range cells {

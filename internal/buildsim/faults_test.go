@@ -2,12 +2,14 @@ package buildsim
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
 
@@ -39,6 +41,37 @@ func TestFarmFaultEquivalence(t *testing.T) {
 			}
 			t.Logf("faults exercised: %+v", fst)
 		}
+	}
+}
+
+var updateObs = flag.Bool("update-obs", false, "rewrite testdata/fault_obs.golden from this tree")
+
+// TestFaultObsGolden pins the farm registry's whole WriteProm dump after a
+// small single-worker checkpointed farm with faults injected: every setup
+// and fault counter and every absorbed container metric. Regenerate with
+// -update-obs only when a count is meant to change.
+func TestFaultObsGolden(t *testing.T) {
+	o := &Options{Seed: 3, Jobs: 1, Checkpoints: true, injectFaults: true}
+	o.BuildAll(debpkg.Universe(3, 8), nil)
+	if fst := o.FaultStats(); fst.Crashes == 0 || fst.Restores == 0 {
+		t.Fatalf("fault plans never fired: %+v", fst)
+	}
+	var got bytes.Buffer
+	if err := o.Obs().WriteProm(&got); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "fault_obs.golden")
+	if *updateObs {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("farm registry dump differs from the golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
 
@@ -74,14 +107,13 @@ func TestCheckpointsOffSealsNothing(t *testing.T) {
 // build's checkpoint layout.
 func sealGeometry(t *testing.T, o *Options, spec *debpkg.Spec) []int64 {
 	t.Helper()
-	l := obs.NewLocal()
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
 	var acts []int64
 	cfg.CheckpointSink = func(cp *core.Checkpoint) { acts = append(acts, cp.Actions()) }
-	o.runContainer(l, cfg, img, imgHash, checkpointEnv)
+	o.runContainer(cfg, img, imgHash, checkpointEnv)
 	if len(acts) < 3 {
 		t.Fatalf("build sealed only %d checkpoints; geometry tests need at least 3", len(acts))
 	}
@@ -94,17 +126,16 @@ func sealGeometry(t *testing.T, o *Options, spec *debpkg.Spec) []int64 {
 func crashOne(t *testing.T, o *Options, plan func(ref dtRun, seals []int64) reprotest.FaultPlan) (ref, got dtRun) {
 	t.Helper()
 	spec := debpkg.Universe(1, 1)[0]
-	l := obs.NewLocal()
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	ref = o.buildDT(l, spec, seed, v1, nil)
+	ref = o.buildDT(spec, seed, v1, nil)
 	if v, _ := ref.verdict(); v != "" {
 		t.Fatalf("reference build failed: %s", v)
 	}
 	seals := sealGeometry(t, o, spec)
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
-	got, _ = o.buildDTFault(l, spec, plan(ref, seals), cfg, img, imgHash, pkgdir)
+	got, _ = o.buildDTFault(spec, plan(ref, seals), cfg, img, imgHash, pkgdir)
 	return ref, got
 }
 

@@ -34,7 +34,6 @@ import (
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/fs"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/stats"
 )
@@ -68,16 +67,16 @@ func (s *rebuildSession) advance(img *fs.Image, tree derive.TreeHash, state deri
 // buildIncrBase runs the package's base build in checkpoint mode with every
 // seal published to the store, and opens the rebuild session subsequent
 // patches fork from.
-func (o *Options) buildIncrBase(l obs.Local, spec *debpkg.Spec, seed uint64, v reprotest.Variation, store derive.Store) (*rebuildSession, dtRun) {
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+func (o *Options) buildIncrBase(spec *debpkg.Spec, seed uint64, v reprotest.Variation, store derive.Store) (*rebuildSession, dtRun) {
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v)
 	s := &rebuildSession{spec: spec, store: store, img: img, pkgdir: pkgdir,
 		state: derive.KeyFor(imgHash, core.ConfigHash(cfg)),
 		job:   incrJobBit | o.jobSeq.Add(1),
 		tree:  img.TreeHash(), seed: seed, v: v}
 	runCfg := cfg
-	runCfg.CheckpointSink = o.sealSink(l, store, s.state, s.job)
-	res := o.runContainer(l, runCfg, img, imgHash, checkpointEnv)
+	runCfg.CheckpointSink = o.sealSink(store, s.state, s.job)
+	res := o.runContainer(runCfg, img, imgHash, checkpointEnv)
 	return s, dtRunFrom(res, spec, pkgdir)
 }
 
@@ -161,7 +160,7 @@ type RebuildStats struct {
 // degrading to a cold build otherwise (including under the ablation). The
 // session advances to the patched tree either way, so chained schedules
 // keep diffing against the tree actually built last.
-func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Image) (dtRun, RebuildStats) {
+func (o *Options) incrementalRebuild(s *rebuildSession, pimg *fs.Image) (dtRun, RebuildStats) {
 	sc := o.sc()
 	ptree := pimg.TreeHash()
 	pcfg := o.dtConfig(pimg, s.pkgdir, s.seed, s.v)
@@ -169,11 +168,11 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 	pjob := incrJobBit | o.jobSeq.Add(1)
 
 	cold := func() (dtRun, RebuildStats) {
-		sc.incrCold.Add(l, 1)
-		sc.derivePhaseMisses.Add(l, 1)
+		sc.incrCold.Add(1)
+		sc.derivePhaseMisses.Add(1)
 		runCfg := pcfg
-		runCfg.CheckpointSink = o.sealSink(l, s.store, pstate, pjob)
-		res := o.runContainer(l, runCfg, pimg, pimg.Hash(), checkpointEnv)
+		runCfg.CheckpointSink = o.sealSink(s.store, pstate, pjob)
+		res := o.runContainer(runCfg, pimg, pimg.Hash(), checkpointEnv)
 		r := dtRunFrom(res, s.spec, s.pkgdir)
 		s.advance(pimg, ptree, pstate, pjob)
 		return r, RebuildStats{Cold: true, UnitsTotal: s.spec.Units, UnitsRedone: s.spec.Units, RebuildNs: r.wall}
@@ -197,18 +196,18 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 		patch[p] = append([]byte(nil), pimg.Entries[p].Data...)
 	}
 	runCfg := pcfg
-	runCfg.CheckpointSink = o.sealSink(l, s.store, pstate, pjob)
+	runCfg.CheckpointSink = o.sealSink(s.store, pstate, pjob)
 	res, err := core.ResumePatched(cp, registry(), runCfg, patch)
 	if err != nil {
 		// The seal and the patch disagree (shape drift, config mismatch):
 		// the plan was unusable after all. Cold is always sound.
-		sc.ckptInvalid.Add(l, 1)
+		sc.ckptInvalid.Add(1)
 		return cold()
 	}
-	sc.incrRebuilds.Add(l, 1)
-	sc.deriveUnitsReused.Add(l, int64(st.UnitsReused))
-	sc.deriveUnitsRedone.Add(l, int64(st.UnitsRedone))
-	sc.derivePhaseHits.Add(l, 1)
+	sc.incrRebuilds.Add(1)
+	sc.deriveUnitsReused.Add(int64(st.UnitsReused))
+	sc.deriveUnitsRedone.Add(int64(st.UnitsRedone))
+	sc.derivePhaseHits.Add(1)
 	o.Obs().Absorb(res.Obs)
 	r := dtRunFrom(res, s.spec, s.pkgdir)
 	st.RebuildNs = r.wall - cp.VirtualNow()
@@ -219,9 +218,9 @@ func (o *Options) incrementalRebuild(l obs.Local, s *rebuildSession, pimg *fs.Im
 // runPatchedCold is the oracle build: a cold checkpoint-mode run of an
 // explicit (patched) image, no derivation-store involvement. An incremental
 // rebuild is correct iff it lands on this run's exact bits.
-func (o *Options) runPatchedCold(l obs.Local, spec *debpkg.Spec, pimg *fs.Image, pkgdir string, seed uint64, v reprotest.Variation) dtRun {
+func (o *Options) runPatchedCold(spec *debpkg.Spec, pimg *fs.Image, pkgdir string, seed uint64, v reprotest.Variation) dtRun {
 	cfg := o.dtConfig(pimg, pkgdir, seed, v)
-	res := o.runContainer(l, cfg, pimg, pimg.Hash(), checkpointEnv)
+	res := o.runContainer(cfg, pimg, pimg.Hash(), checkpointEnv)
 	return dtRunFrom(res, spec, pkgdir)
 }
 
@@ -278,10 +277,10 @@ func patchSchedule(spec *debpkg.Spec, seed uint64, rounds int, unitsOnly bool) [
 // incremental row. Two Options differing only in Jobs, store shape or the
 // ablation must produce DeepEqual []RoundResult for one schedule. Returns
 // the base run last; a failed base yields nil rounds.
-func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Store, sched [][]string) ([]RoundResult, []RebuildStats, dtRun) {
+func (o *Options) RebuildRounds(spec *debpkg.Spec, store derive.Store, sched [][]string) ([]RoundResult, []RebuildStats, dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	s, base := o.buildIncrBase(l, spec, seed, v1, store)
+	s, base := o.buildIncrBase(spec, seed, v1, store)
 	if v, _ := base.verdict(); v != "" {
 		return nil, nil, base
 	}
@@ -289,7 +288,7 @@ func (o *Options) RebuildRounds(l obs.Local, spec *debpkg.Spec, store derive.Sto
 	var rstats []RebuildStats
 	for _, paths := range sched {
 		pimg := patchImage(s.img, s.pkgdir, paths...)
-		r, st := o.incrementalRebuild(l, s, pimg)
+		r, st := o.incrementalRebuild(s, pimg)
 		results = append(results, roundOf(r))
 		rstats = append(rstats, st)
 	}
@@ -345,12 +344,12 @@ type incrCell struct {
 
 // buildIncrCell rebuilds spec through sched on the incremental farm on,
 // sealing into store, and on the cold farm off, sealing into a private store.
-func buildIncrCell(l obs.Local, on, off *Options, spec *debpkg.Spec, store derive.Store, sched [][]string) incrCell {
-	warm, wst, wbase := on.RebuildRounds(l, spec, store, sched)
+func buildIncrCell(on, off *Options, spec *debpkg.Spec, store derive.Store, sched [][]string) incrCell {
+	warm, wst, wbase := on.RebuildRounds(spec, store, sched)
 	if v, _ := wbase.verdict(); v != "" {
 		return incrCell{}
 	}
-	cold, _, cbase := off.RebuildRounds(l, spec, derive.NewMemStore(), sched)
+	cold, _, cbase := off.RebuildRounds(spec, derive.NewMemStore(), sched)
 	if v, _ := cbase.verdict(); v != "" {
 		return incrCell{}
 	}
@@ -418,8 +417,8 @@ func (o *Options) RunIncrementalStudy(specs []*debpkg.Spec, rounds int) *Increme
 	on, off := o.incrFarms()
 	store := derive.NewMemStore()
 	cells := make([]incrCell, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
-		cells[i] = buildIncrCell(l, on, off, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, true))
+	o.forEach(len(specs), func(i int) {
+		cells[i] = buildIncrCell(on, off, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, true))
 	})
 	return incrStudy(cells)
 }
@@ -445,8 +444,7 @@ func (o *Options) PatchRebuild(spec *debpkg.Spec, file string) (report string, o
 // nil when the package tree has no such file.
 func (o *Options) patchCell(spec *debpkg.Spec, file string) (st *IncrementalStudy, det bool) {
 	on, off := o.incrFarms()
-	l := obs.NewLocal()
-	img, pkgdir, _ := on.pkgImage(l, spec, "/build")
+	img, pkgdir, _ := on.pkgImage(spec, "/build")
 	if file == "" {
 		file = "src/unit000.c"
 	}
@@ -456,12 +454,12 @@ func (o *Options) patchCell(spec *debpkg.Spec, file string) (st *IncrementalStud
 	if _, present := img.Entries[file]; !present {
 		return nil, false
 	}
-	c := buildIncrCell(l, on, off, spec, derive.NewMemStore(), [][]string{{file}})
+	c := buildIncrCell(on, off, spec, derive.NewMemStore(), [][]string{{file}})
 	det = true
 	if c.ok {
 		seed := pkgSeed(o.Seed, spec)
 		v1, _ := reprotest.Pair(seed)
-		again := off.runPatchedCold(l, spec, patchImage(img, pkgdir, file), pkgdir, seed, v1)
+		again := off.runPatchedCold(spec, patchImage(img, pkgdir, file), pkgdir, seed, v1)
 		det = reflect.DeepEqual(roundOf(again), c.cold[0])
 	}
 	return incrStudy([]incrCell{c}), det

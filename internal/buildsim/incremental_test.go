@@ -9,7 +9,6 @@ import (
 	"repro/internal/debpkg"
 	"repro/internal/derive"
 	"repro/internal/farm"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
 
@@ -68,8 +67,8 @@ func TestIncrementalEquivalence(t *testing.T) {
 	run := func(jobs int, off core.Mechanisms, store derive.Store) [][]RoundResult {
 		o := &Options{Seed: 7, Jobs: jobs, Checkpoints: true, Off: off}
 		outs := make([][]RoundResult, len(specs))
-		o.forEach(len(specs), func(l obs.Local, i int) {
-			rs, _, base := o.RebuildRounds(l, specs[i], store, patchSchedule(specs[i], o.Seed, rounds, false))
+		o.forEach(len(specs), func(i int) {
+			rs, _, base := o.RebuildRounds(specs[i], store, patchSchedule(specs[i], o.Seed, rounds, false))
 			if v, _ := base.verdict(); v != "" {
 				t.Errorf("%s: base build did not complete: %s", specs[i].Name, v)
 			}
@@ -85,7 +84,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 	ref := make([][]RoundResult, len(specs))
 	forked := 0
 	for i, spec := range specs {
-		rs, sts, _ := refOpts.RebuildRounds(obs.NewLocal(), spec, refStore, patchSchedule(spec, refOpts.Seed, rounds, false))
+		rs, sts, _ := refOpts.RebuildRounds(spec, refStore, patchSchedule(spec, refOpts.Seed, rounds, false))
 		ref[i] = rs
 		for _, st := range sts {
 			if !st.Cold {
@@ -138,10 +137,9 @@ func TestIncrementalSealsFromFarmShards(t *testing.T) {
 	}
 	store := cl.Shards()
 
-	l := obs.NewLocal()
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v1)
 	state := derive.KeyFor(imgHash, core.ConfigHash(cfg))
 	if store.Latest(state, 1) == 0 {
@@ -151,12 +149,12 @@ func TestIncrementalSealsFromFarmShards(t *testing.T) {
 	s := &rebuildSession{spec: spec, store: store, img: img, pkgdir: pkgdir,
 		state: state, job: 1, tree: img.TreeHash(), seed: seed, v: v1}
 	pimg := patchImage(img, pkgdir, "src/unit000.c")
-	got, st := o.incrementalRebuild(l, s, pimg)
+	got, st := o.incrementalRebuild(s, pimg)
 	if st.Cold {
 		t.Fatalf("rebuild went cold instead of forking a farm seal: %+v", st)
 	}
 	cold := (&Options{Seed: 9, Checkpoints: true}).
-		runPatchedCold(obs.NewLocal(), spec, pimg, pkgdir, seed, v1)
+		runPatchedCold(spec, pimg, pkgdir, seed, v1)
 	if got.exit != cold.exit || got.wall != cold.wall ||
 		!bytes.Equal(got.deb, cold.deb) || !bytes.Equal(got.log, cold.log) {
 		t.Fatalf("farm-seal rebuild diverged from the cold build of the patch")
@@ -170,12 +168,11 @@ func TestIncrementalSealsFromFarmShards(t *testing.T) {
 // can never cross the ablation.
 func TestIncrementalAblationPartitionsKeys(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 2)[0]
-	l := obs.NewLocal()
 	seed := pkgSeed(5, spec)
 	v1, _ := reprotest.Pair(seed)
 	on := &Options{Seed: 5}
 	off := &Options{Seed: 5, Off: core.Off(core.Incremental)}
-	img, pkgdir, _ := on.pkgImage(l, spec, "/build")
+	img, pkgdir, _ := on.pkgImage(spec, "/build")
 	if core.ConfigHash(on.dtConfig(img, pkgdir, seed, v1)) ==
 		core.ConfigHash(off.dtConfig(img, pkgdir, seed, v1)) {
 		t.Fatal("the incremental row does not partition the derivation key space")
@@ -207,7 +204,7 @@ func TestDeriveCountersRecordReuse(t *testing.T) {
 	spec := incrSpecs(t, 5, 1, 3)[0]
 	o := &Options{Seed: 5, Checkpoints: true}
 	const rounds = 2
-	_, sts, base := o.RebuildRounds(obs.NewLocal(), spec, derive.NewMemStore(), patchSchedule(spec, o.Seed, rounds, true))
+	_, sts, base := o.RebuildRounds(spec, derive.NewMemStore(), patchSchedule(spec, o.Seed, rounds, true))
 	if v, _ := base.verdict(); v != "" {
 		t.Fatalf("base build did not complete: %s", v)
 	}

@@ -18,7 +18,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 	"repro/internal/rr"
 	"repro/internal/stats"
@@ -61,15 +60,15 @@ func (o *Options) RunStock(specs []*debpkg.Spec) *StockStudy {
 		diff               string
 	}
 	outs := make([]stockOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
+	o.forEach(len(specs), func(i int) {
 		spec := specs[i]
 		v1, v2 := reprotest.Pair(pkgSeed(o.Seed, spec))
-		b1 := o.buildNative(l, spec, v1, BLDeadline)
+		b1 := o.buildNative(spec, v1, BLDeadline)
 		if v := b1.verdict(); v != "" {
 			outs[i].timeout = v == Timeout
 			return
 		}
-		b2 := o.buildNative(l, spec, v2, BLDeadline)
+		b2 := o.buildNative(spec, v2, BLDeadline)
 		if v := b2.verdict(); v != "" {
 			outs[i].timeout = v == Timeout
 			return
@@ -151,14 +150,14 @@ func (o *Options) RunRRStudy() *RRStudy {
 		traceKB  float64
 	}
 	outs := make([]rrOut, len(specs))
-	o.forEach(len(specs), func(l obs.Local, i int) {
+	o.forEach(len(specs), func(i int) {
 		spec := specs[i]
 		v1, _ := reprotest.Pair(pkgSeed(o.Seed, spec))
-		nat := o.buildNative(l, spec, v1, BLDeadline)
+		nat := o.buildNative(spec, v1, BLDeadline)
 		if nat.verdict() != "" {
 			return
 		}
-		wall, traceBytes, crashed := o.buildRR(l, spec, v1)
+		wall, traceBytes, crashed := o.buildRR(spec, v1)
 		if crashed {
 			outs[i].crashed = true
 			return
@@ -194,9 +193,9 @@ func (o *Options) RunRRStudy() *RRStudy {
 // like every policy — from the shared image snapshot unless the template
 // ablation is on. rr's known crash — an unhandled tty ioctl — surfaces as
 // ErrUnsupportedIoctl.
-func (o *Options) buildRR(l obs.Local, spec *debpkg.Spec, v reprotest.Variation) (wall, traceBytes int64, crashed bool) {
+func (o *Options) buildRR(spec *debpkg.Spec, v reprotest.Variation) (wall, traceBytes int64, crashed bool) {
 	rec := rr.NewRecorder(machine.CloudLabC220G5().SeccompSingleStop)
-	k, pkgdir := o.bootNative(l, o.stores().snapshots, spec, v, DTDeadline, rec)
+	k, pkgdir := o.bootNative(o.stores().snapshots, spec, v, DTDeadline, rec)
 	rec.Attach(k)
 	startBuild(k, pkgdir, v.Env)
 	runErr := k.Run()
@@ -236,9 +235,9 @@ func (o *Options) RunPortability(n int) *PortStudy {
 		diff          string
 	}
 	outs := make([]portOut, len(cands))
-	o.forEach(len(cands), func(l obs.Local, i int) {
+	o.forEach(len(cands), func(i int) {
 		spec := cands[i]
-		a, b := o.buildOnBothMachines(l, spec)
+		a, b := o.buildOnBothMachines(spec)
 		if a.deb == nil || b.deb == nil {
 			return
 		}
@@ -280,11 +279,11 @@ func portCandidates(seed uint64, n int) []*debpkg.Spec {
 
 // buildOnBothMachines builds spec under DetTrace once on each §7.3 machine
 // profile, same container inputs.
-func (o *Options) buildOnBothMachines(l obs.Local, spec *debpkg.Spec) (a, b dtRun) {
+func (o *Options) buildOnBothMachines(spec *debpkg.Spec) (a, b dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v1, _ := reprotest.Pair(seed)
-	a = o.buildDT(l, spec, seed, v1, nil) // dtConfig's profile: CloudLabC220G5
-	b = o.buildDT(l, spec, seed, reprotest.PortabilityHost(v1, seed),
+	a = o.buildDT(spec, seed, v1, nil) // dtConfig's profile: CloudLabC220G5
+	b = o.buildDT(spec, seed, reprotest.PortabilityHost(v1, seed),
 		func(c *core.Config) { c.Profile = machine.PortabilityBroadwell() })
 	return a, b
 }
@@ -311,10 +310,9 @@ func (o *Options) RunLLVM() *LLVMStudy {
 	spec := debpkg.LLVM()
 	seed := pkgSeed(o.Seed, spec)
 	v1, v2 := reprotest.Pair(seed)
-	l := obs.NewLocal()
-	nat := o.buildNative(l, spec, v1, BLDeadline)
-	d1 := o.buildDT(l, spec, seed, v1, nil)
-	d2 := o.buildDT(l, spec, seed, v2, nil)
+	nat := o.buildNative(spec, v1, BLDeadline)
+	d1 := o.buildDT(spec, seed, v1, nil)
+	d2 := o.buildDT(spec, seed, v2, nil)
 	st := &LLVMStudy{
 		NativeSummary:   testSummary(selftest(nat.prog)),
 		DetTraceSummary: testSummary(d1.log),

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
-	"repro/internal/obs"
 	"repro/internal/reprotest"
 )
 
@@ -103,18 +102,17 @@ func TestPortabilityDirSizeAblation(t *testing.T) {
 		t.Fatal("candidate set lacks a dirsize:src package or a directive-free package")
 	}
 
-	l := obs.NewLocal()
 	ablated := &Options{Seed: 1, Off: core.Off(core.DirSizes)}
 	// Virtualized: the dirsize package ports cleanly.
-	if a, b := o.buildOnBothMachines(l, leaky); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := o.buildOnBothMachines(leaky); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs differ across machines with virtualization on", leaky.Name)
 	}
 	// Ablated: the same package leaks the host's directory sizes.
-	if a, b := ablated.buildOnBothMachines(l, leaky); a.deb == nil || bytes.Equal(a.deb, b.deb) {
+	if a, b := ablated.buildOnBothMachines(leaky); a.deb == nil || bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: debs identical across machines despite the ablation", leaky.Name)
 	}
 	// Ablated, but no machine-varying directives: still identical.
-	if a, b := ablated.buildOnBothMachines(l, clean); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
+	if a, b := ablated.buildOnBothMachines(clean); a.deb == nil || !bytes.Equal(a.deb, b.deb) {
 		t.Errorf("%s: directive-free package diverged under the ablation", clean.Name)
 	}
 }
@@ -146,7 +144,7 @@ func TestRunLLVM(t *testing.T) {
 func TestSelftestTruncationHazard(t *testing.T) {
 	spec := debpkg.LLVM()
 	v1, _ := reprotest.Pair(pkgSeed(1, spec))
-	nat := (&Options{Seed: 1}).buildNative(obs.NewLocal(), spec, v1, BLDeadline)
+	nat := (&Options{Seed: 1}).buildNative(spec, v1, BLDeadline)
 	if nat.verdict() != "" {
 		t.Fatalf("native llvm build failed: %s", nat.verdict())
 	}

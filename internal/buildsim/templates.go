@@ -41,10 +41,9 @@ const templateCap = 32
 
 // setupCounters is the farm's setup accounting, held as handles into the
 // farm's obs registry (see Options.Obs) so roll-ups and the Prometheus dump
-// see the same numbers the studies report. The counters are sharded atomics:
-// each worker adds on its own stripe (the obs.Local threaded through
-// forEach), so the Jobs-wide pool shares one Options without contending.
-// None of it feeds back into build results.
+// see the same numbers the studies report. Each counter is one atomic cell,
+// so the Jobs-wide pool shares one Options without a lock. None of it feeds
+// back into build results.
 type setupCounters struct {
 	templateHits   *obs.Counter
 	templateMisses *obs.Counter
@@ -228,12 +227,12 @@ func (o *Options) stores() *stores {
 		if o.sealCap > 0 {
 			nseals = o.sealCap
 		}
-		evicted := func() { o.setup.evictions.Inc(1) }
+		evicted := func() { o.setup.evictions.Add(1) }
 		o.store = &stores{
 			images:    derive.NewStore(1, 2*n, evicted),
 			snapshots: derive.NewStore(1, n, evicted),
 			templates: derive.NewStore(1, n, evicted),
-			seals:     derive.NewStore(1, nseals, func() { o.setup.ckptEvictions.Inc(1) }),
+			seals:     derive.NewStore(1, nseals, func() { o.setup.ckptEvictions.Add(1) }),
 		}
 	}
 	return o.store
@@ -246,11 +245,11 @@ func (o *Options) stores() *stores {
 // safe. Under the ablation every call rebuilds, like the pre-template farm,
 // so the cold farm pays the real unshared cost — hashing included: seal keys
 // and attestation subjects carry the content hash either way.
-func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
+func (o *Options) pkgImage(spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
 	sc := o.sc()
 	build := func() *imageEntry {
 		img, pkgdir := toolchainImage(spec, dir)
-		sc.imageBuilds.Add(l, 1)
+		sc.imageBuilds.Add(1)
 		return &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 	}
 	var ie *imageEntry
@@ -260,7 +259,7 @@ func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Imag
 		key := derive.KeyFor(pkgSeed(0, spec), derive.DigestBytes([]byte(dir)))
 		v, hit := derive.Prepared(o.stores().images, key, func() any { return build() })
 		if hit {
-			sc.imageHits.Add(l, 1)
+			sc.imageHits.Add(1)
 		}
 		ie = v.(*imageEntry)
 	}
@@ -269,13 +268,13 @@ func (o *Options) pkgImage(l obs.Local, spec *debpkg.Spec, dir string) (*fs.Imag
 
 // prepared serves one piece of prepared boot state from store, building it
 // on first use, and books the lookup.
-func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, build func() any) any {
+func (o *Options) prepared(store derive.Store, key derive.Key, build func() any) any {
 	sc := o.sc()
 	v, hit := derive.Prepared(store, key, build)
 	if hit {
-		sc.templateHits.Add(l, 1)
+		sc.templateHits.Add(1)
 	} else {
-		sc.templateMisses.Add(l, 1)
+		sc.templateMisses.Add(1)
 	}
 	return v
 }
@@ -283,7 +282,7 @@ func (o *Options) prepared(l obs.Local, store derive.Store, key derive.Key, buil
 // snapshot returns the baseline-kernel snapshot one boot of an image forks:
 // the store's shared one, or under the template ablation a private one
 // prepared for this boot alone. It books the boot.
-func (o *Options) snapshot(l obs.Local, store derive.Store, imgHash uint64, img *fs.Image) *kernel.Snapshot {
+func (o *Options) snapshot(store derive.Store, imgHash uint64, img *fs.Image) *kernel.Snapshot {
 	prepare := func() any {
 		return kernel.Prepare(kernel.Config{
 			Profile:  machine.CloudLabC220G5(),
@@ -293,10 +292,10 @@ func (o *Options) snapshot(l obs.Local, store derive.Store, imgHash uint64, img 
 	}
 	sc := o.sc()
 	if o.Off.Has(core.TemplateReuse) {
-		sc.coldBoots.Add(l, 1)
+		sc.coldBoots.Add(1)
 		return prepare().(*kernel.Snapshot)
 	}
-	sc.forkBoots.Add(l, 1)
-	snap, _ := o.prepared(l, store, derive.KeyFor(imgHash, 0), prepare).(*kernel.Snapshot)
+	sc.forkBoots.Add(1)
+	snap, _ := o.prepared(store, derive.KeyFor(imgHash, 0), prepare).(*kernel.Snapshot)
 	return snap
 }

@@ -33,10 +33,10 @@ import (
 // The session's Launch closure uses core.New deliberately — core templates
 // zero the per-run halt knobs, so a halted replay must never route through
 // a shared template.
-func (o *Options) recordSession(l obs.Local, spec *debpkg.Spec, inject int, mod func(*core.Config)) (*ttd.Session, dtRun) {
+func (o *Options) recordSession(spec *debpkg.Spec, inject int, mod func(*core.Config)) (*ttd.Session, dtRun) {
 	seed := pkgSeed(o.Seed, spec)
 	v, _ := reprotest.Pair(seed)
-	img, pkgdir, imgHash := o.pkgImage(l, spec, "/build")
+	img, pkgdir, imgHash := o.pkgImage(spec, "/build")
 	cfg := o.dtConfig(img, pkgdir, seed, v)
 	cfg.RingEvents = diagnoseRingEvents
 	if inject > 0 {
@@ -46,8 +46,8 @@ func (o *Options) recordSession(l obs.Local, spec *debpkg.Spec, inject int, mod 
 		mod(&cfg)
 	}
 	store, state := derive.NewMemStore(), derive.KeyFor(imgHash, core.ConfigHash(cfg))
-	cfg.CheckpointSink = o.sealSink(l, store, state, 1)
-	res := o.runContainer(l, cfg, img, imgHash, checkpointEnv)
+	cfg.CheckpointSink = o.sealSink(store, state, 1)
+	res := o.runContainer(cfg, img, imgHash, checkpointEnv)
 	seals := make([]*core.Checkpoint, store.Latest(state, 1))
 	for i := range seals {
 		v, _, _ := store.Seal(derive.SealKey{State: state, Job: 1, Ordinal: i + 1})
@@ -111,9 +111,9 @@ type bisectCell struct {
 // bisectCell records spec with its inject'th entropy draw perturbed and
 // localizes its first divergence from the reference recording a by
 // checkpoint bisection.
-func (o *Options) bisectCell(l obs.Local, spec *debpkg.Spec, a *ttd.Session, inject int) *bisectCell {
+func (o *Options) bisectCell(spec *debpkg.Spec, a *ttd.Session, inject int) *bisectCell {
 	c := &bisectCell{spec: spec, inject: inject, divergent: true}
-	b, run := o.recordSession(l, spec, inject, nil)
+	b, run := o.recordSession(spec, inject, nil)
 	if v, _ := run.verdict(); v != "" {
 		c.err = fmt.Errorf("perturbed build did not complete: %s", v)
 		return c
@@ -157,12 +157,11 @@ func (c *bisectCell) String() string {
 // requires agreement on the exact event AND the O(log n) bound — at most
 // ceil(log2(seals))+1 window re-executions — and, for N > 0, a divergence.
 func (o *Options) BisectDiagnose(spec *debpkg.Spec, inject int) (report string, ok bool) {
-	l := obs.NewLocal()
-	a, runA := o.recordSession(l, spec, 0, nil)
+	a, runA := o.recordSession(spec, 0, nil)
 	if v, _ := runA.verdict(); v != "" {
 		return fmt.Sprintf("reference build did not complete: %s", v), false
 	}
-	c := o.bisectCell(l, spec, a, inject)
+	c := o.bisectCell(spec, a, inject)
 	return c.String(), c.OK()
 }
 
@@ -239,13 +238,13 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		bisect                 *bisectCell
 	}
 	outs := make([]tOut, len(specs))
-	record := func(f *Options, l obs.Local, spec *debpkg.Spec, _ uint64, _ reprotest.Variation) dtRun {
-		_, run := f.recordSession(l, spec, 0, nil)
+	record := func(f *Options, spec *debpkg.Spec, _ uint64, _ reprotest.Variation) dtRun {
+		_, run := f.recordSession(spec, 0, nil)
 		return run
 	}
 	// A recorded session pins every seal and a diagnosis-sized ring, so each
 	// package's are measured on the worker and dropped before the next.
-	measure := func(l obs.Local, i int, on, off dtRun) {
+	measure := func(i int, on, off dtRun) {
 		sess, full := on.sess, off.sess
 		out := tOut{seals: len(sess.Seals)}
 
@@ -278,7 +277,7 @@ func (o *Options) RunTTDStudy(specs []*debpkg.Spec) *TTDStudy {
 		}
 
 		// Bisect against an entropy-injected recording of the same build.
-		out.bisect = o.bisectCell(l, specs[i], sess, 1)
+		out.bisect = o.bisectCell(specs[i], sess, 1)
 		outs[i] = out
 	}
 	pairs, _, _ := o.ablate(core.DeltaSeals, specs, protocol{build: record, visit: measure})

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/hashdeep"
-	"repro/internal/obs"
 )
 
 // ttdSpec returns a package the ttd gates can record: the same universe
@@ -29,13 +28,12 @@ func ttdSpec(t *testing.T) *debpkg.Spec {
 func TestTTDDeltaEquivalence(t *testing.T) {
 	spec := ttdSpec(t)
 	o := &Options{Seed: 1, Checkpoints: true}
-	l := obs.NewLocal()
 
-	d, dRun := o.recordSession(l, spec, 0, nil)
+	d, dRun := o.recordSession(spec, 0, nil)
 	if v, _ := dRun.verdict(); v != "" {
 		t.Fatalf("delta-sealed build did not complete: %s", v)
 	}
-	f, fRun := o.recordSession(l, spec, 0, func(c *core.Config) { c.Off |= core.Off(core.DeltaSeals) })
+	f, fRun := o.recordSession(spec, 0, func(c *core.Config) { c.Off |= core.Off(core.DeltaSeals) })
 	if v, _ := fRun.verdict(); v != "" {
 		t.Fatalf("full-sealed build did not complete: %s", v)
 	}
@@ -77,7 +75,7 @@ func TestTTDDeltaEquivalence(t *testing.T) {
 func TestSeekChainMatchesCold(t *testing.T) {
 	spec := ttdSpec(t)
 	o := &Options{Seed: 1, Checkpoints: true}
-	sess, run := o.recordSession(obs.NewLocal(), spec, 0, nil)
+	sess, run := o.recordSession(spec, 0, nil)
 	if v, _ := run.verdict(); v != "" {
 		t.Fatalf("build did not complete: %s", v)
 	}
@@ -144,7 +142,7 @@ func TestSeekChainMatchesCold(t *testing.T) {
 func TestSeekStepsDownPastCorruption(t *testing.T) {
 	spec := ttdSpec(t)
 	o := &Options{Seed: 1, Checkpoints: true}
-	ref, run := o.recordSession(obs.NewLocal(), spec, 0, nil)
+	ref, run := o.recordSession(spec, 0, nil)
 	if v, _ := run.verdict(); v != "" {
 		t.Fatalf("build did not complete: %s", v)
 	}
@@ -152,7 +150,7 @@ func TestSeekStepsDownPastCorruption(t *testing.T) {
 		t.Skipf("need >=3 seals to corrupt mid-chain, got %d", len(ref.Seals))
 	}
 	corruptAt := len(ref.Seals)/2 + 1 // ordinal, 1-based
-	bad, badRun := o.recordSession(obs.NewLocal(), spec, 0, func(c *core.Config) {
+	bad, badRun := o.recordSession(spec, 0, func(c *core.Config) {
 		c.FaultCorruptCheckpoint = corruptAt
 	})
 	if v, _ := badRun.verdict(); v != "" {

@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/attest"
 	"repro/internal/derive"
@@ -50,7 +51,6 @@ const (
 // replicas.
 type attestPlane struct {
 	cl     *Cluster
-	l      obs.Local
 	signer *attest.Signer // coordinator, ordinal 0
 	ring   *attest.Keyring
 	check  attest.Checker // the ring, as each job's jobSigs wraps it
@@ -66,7 +66,7 @@ type attestPlane struct {
 
 func newAttestPlane(cl *Cluster) *attestPlane {
 	ap := &attestPlane{
-		cl: cl, l: obs.NewLocal(),
+		cl:          cl,
 		signer:      attest.NewSigner(0, cl.cfg.KeySeed),
 		ring:        attest.NewKeyring(cl.cfg.Nodes, cl.cfg.KeySeed),
 		chain:       attest.NewChain(),
@@ -151,7 +151,7 @@ func (ap *attestPlane) rebuilders(job Job, primary int32, want int, tried map[in
 // for workers. A withheld, failed or unroutable solicitation yields no vote.
 func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 	cl := ap.cl
-	cl.c.rebuilds.Add(ap.l, 1)
+	atomic.AddInt64(&cl.st.Rebuilds, 1)
 	if ord == 0 {
 		ctx := &ExecCtx{Node: Coordinator, Job: job, Rebuild: true, c: cl}
 		digest, err := cl.exec(ctx)
@@ -162,7 +162,7 @@ func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 		st.Job = job.ID
 		st.Output = digest
 		a := ap.signer.Attest(st, attest.RoleRebuilder)
-		cl.c.attestations.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.Attestations, 1)
 		return &a
 	}
 	resp, err := cl.tr.send(&Envelope{
@@ -174,10 +174,10 @@ func (ap *attestPlane) solicit(job Job, ord int32) *attest.Attestation {
 	}
 	a := attestationFrom(resp, ord, attest.RoleRebuilder)
 	if a == nil {
-		cl.c.withholds.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.CosignsWithheld, 1)
 		return nil
 	}
-	cl.c.attestations.Add(ap.l, 1)
+	atomic.AddInt64(&cl.st.Attestations, 1)
 	return a
 }
 
@@ -238,9 +238,9 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 		atts: make([]attest.Attestation, 0, n), valid: make([]int8, 0, n)}
 	if primAtt != nil {
 		sigs.add(*primAtt)
-		cl.c.attestations.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.Attestations, 1)
 	} else {
-		cl.c.withholds.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.CosignsWithheld, 1)
 	}
 
 	var adm attest.Admission
@@ -256,8 +256,8 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 		if adm.OK {
 			break
 		}
-		cl.c.admitRetries.Add(ap.l, 1)
-		cl.c.backoffNs.Add(ap.l, admitBackoffNs<<attempt)
+		atomic.AddInt64(&cl.st.AdmitRetries, 1)
+		atomic.AddInt64(&cl.st.BackoffNs, admitBackoffNs<<attempt)
 	}
 	if !adm.OK {
 		// Arbiter of last resort: the coordinator re-executes the build
@@ -278,9 +278,9 @@ func (ap *attestPlane) admitJob(job Job, primary int32, primAtt *attest.Attestat
 	for _, a := range sigs.atts {
 		switch {
 		case !sigs.Verify(a):
-			cl.c.corrupts.Add(ap.l, 1)
+			atomic.AddInt64(&cl.st.CorruptAttestations, 1)
 		case adm.OK && a.Statement.Digest() != adm.Record.Statement.Digest():
-			cl.c.lies.Add(ap.l, 1)
+			atomic.AddInt64(&cl.st.LiesDetected, 1)
 		}
 	}
 	for _, ord := range adm.Dissent {
@@ -355,7 +355,7 @@ func (ap *attestPlane) quarantine(ord int32, job uint64) {
 	ap.quarantined[ord] = true
 	ap.mu.Unlock()
 	cl := ap.cl
-	cl.c.quarantines.Add(ap.l, 1)
+	atomic.AddInt64(&cl.st.Quarantines, 1)
 	cl.record(obs.KindQuarantine, int(ord), job, 0)
 	co := cl.co
 	co.mu.Lock()
@@ -404,10 +404,10 @@ func (ap *attestPlane) audit(jobs []Job) {
 		case a == nil:
 			ap.quarantine(o, jobs[0].ID)
 		case !ap.check.Verify(*a):
-			ap.cl.c.corrupts.Add(ap.l, 1)
+			atomic.AddInt64(&ap.cl.st.CorruptAttestations, 1)
 			ap.quarantine(o, jobs[0].ID)
 		case a.Statement.Digest() != rec.Statement.Digest():
-			ap.cl.c.lies.Add(ap.l, 1)
+			atomic.AddInt64(&ap.cl.st.LiesDetected, 1)
 			ap.quarantine(o, jobs[0].ID)
 		}
 	}
@@ -441,27 +441,27 @@ func (ap *attestPlane) sealEpochs() {
 		e := ap.chain.Seal(records[off:end], participants)
 		h := e.BlockHash()
 		e.Cosigs = append(e.Cosigs, attest.Cosig{Ord: 0, Sig: ap.signer.Cosign(h)})
-		cl.c.cosigns.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.Cosigns, 1)
 		for _, ord := range participants[1:] {
 			resp, err := cl.tr.send(&Envelope{
 				Type: MsgCosign, From: Coordinator, To: NodeID(ord),
 				Job: uint64(e.Index), Digest: h,
 			})
 			if err != nil || resp.Status == "withheld" || len(resp.Sig) == 0 {
-				cl.c.withholds.Add(ap.l, 1)
+				atomic.AddInt64(&cl.st.CosignsWithheld, 1)
 				continue
 			}
 			if !ap.ring.VerifyCosign(ord, h, resp.Sig) {
-				cl.c.corrupts.Add(ap.l, 1)
+				atomic.AddInt64(&cl.st.CorruptAttestations, 1)
 				continue
 			}
 			e.Cosigs = append(e.Cosigs, attest.Cosig{Ord: ord, Sig: resp.Sig})
-			cl.c.cosigns.Add(ap.l, 1)
+			atomic.AddInt64(&cl.st.Cosigns, 1)
 		}
 		for _, s := range ap.logs {
 			s.Append(e)
 		}
-		cl.c.epochs.Add(ap.l, 1)
+		atomic.AddInt64(&cl.st.EpochsSealed, 1)
 		cl.record(obs.KindEpochSeal, 0, uint64(e.Index), int64(end-off))
 	}
 }

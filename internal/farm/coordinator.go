@@ -3,6 +3,7 @@ package farm
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/attest"
 	"repro/internal/derive"
@@ -38,7 +39,6 @@ type nodeState struct {
 type coordinator struct {
 	cl     *Cluster
 	shards *Shards
-	l      obs.Local
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -50,8 +50,7 @@ type coordinator struct {
 }
 
 func newCoordinator(cl *Cluster, shards *Shards) *coordinator {
-	co := &coordinator{cl: cl, shards: shards, l: obs.NewLocal(),
-		nodes: make(map[NodeID]*nodeState)}
+	co := &coordinator{cl: cl, shards: shards, nodes: make(map[NodeID]*nodeState)}
 	co.cond = sync.NewCond(&co.mu)
 	return co
 }
@@ -162,7 +161,7 @@ func (co *coordinator) serve(id NodeID) {
 		n.queue = n.queue[1:]
 		co.mu.Unlock()
 
-		co.cl.c.assigns.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.Assigns, 1)
 		resp, err := co.cl.tr.send(&Envelope{
 			Type: MsgAssign, From: Coordinator, To: id,
 			Job: p.job.ID, Attempt: int32(p.attempt),
@@ -179,7 +178,7 @@ func (co *coordinator) serve(id NodeID) {
 
 // result folds one MsgResult into coordinator state.
 func (co *coordinator) result(id NodeID, p pending, resp *Envelope) {
-	co.cl.c.results.Add(co.l, 1)
+	atomic.AddInt64(&co.cl.st.Results, 1)
 	switch resp.Status {
 	case "ok":
 		co.mu.Lock()
@@ -188,11 +187,11 @@ func (co *coordinator) result(id NodeID, p pending, resp *Envelope) {
 			StolenFrom: p.stolenFrom, Recovered: p.attempt > 0,
 			SealOrd: int(resp.Ordinal), Digest: resp.Digest,
 		})
-		co.cl.c.nodeJobs.Add(int(id), 1)
+		co.cl.st.Jobs++
 		if p.attempt > 0 {
-			co.cl.c.recovers.Add(co.l, 1)
+			atomic.AddInt64(&co.cl.st.Recoveries, 1)
 			if resp.Ordinal == 0 {
-				co.cl.c.coldRuns.Add(co.l, 1)
+				atomic.AddInt64(&co.cl.st.ColdRecoveries, 1)
 			}
 			co.cl.record(obs.KindFarmRecover, int(id), p.job.ID, int64(resp.Ordinal))
 		}
@@ -208,7 +207,7 @@ func (co *coordinator) result(id NodeID, p pending, resp *Envelope) {
 				attestationFrom(resp, int32(id), attest.RolePrimary))
 		}
 	case "crashed":
-		co.cl.c.crashes.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.NodeCrashes, 1)
 		co.mu.Lock()
 		n := co.nodes[id]
 		n.down = true
@@ -249,7 +248,7 @@ func (co *coordinator) stealLocked(ps []pending, deadOrd int) {
 	live := co.liveLocked()
 	for _, p := range ps {
 		p.stolenFrom = deadOrd
-		co.cl.c.steals.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.Steals, 1)
 		if len(live) == 0 {
 			co.fallback = append(co.fallback, p)
 			co.remaining--
@@ -270,7 +269,7 @@ func (co *coordinator) runLocal(p pending) {
 		Attempt: p.attempt, PrevWall: p.prevWall, c: co.cl,
 	}
 	digest, err := co.cl.exec(ctx)
-	co.cl.c.fallbacks.Add(co.l, 1)
+	atomic.AddInt64(&co.cl.st.LocalFallbacks, 1)
 	rep := JobReport{
 		Job: p.job.ID, Node: 0, Attempts: p.attempt + 1,
 		StolenFrom: p.stolenFrom, Recovered: p.attempt > 0,
@@ -282,11 +281,11 @@ func (co *coordinator) runLocal(p pending) {
 	}
 	co.mu.Lock()
 	co.reports = append(co.reports, rep)
-	co.cl.c.nodeJobs.Add(0, 1)
+	co.cl.st.Jobs++
 	if p.attempt > 0 && err == nil {
-		co.cl.c.recovers.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.Recoveries, 1)
 		if ctx.RestoredFrom == 0 {
-			co.cl.c.coldRuns.Add(co.l, 1)
+			atomic.AddInt64(&co.cl.st.ColdRecoveries, 1)
 		}
 		co.cl.record(obs.KindFarmRecover, 0, p.job.ID, int64(ctx.RestoredFrom))
 	}
@@ -321,14 +320,14 @@ func (co *coordinator) Receive(env *Envelope) *Envelope {
 		return &Envelope{Type: MsgRegisterAck, From: Coordinator, To: env.From,
 			Ordinal: int32(env.From)}
 	case MsgSealPut:
-		co.cl.c.sealPuts.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.SealPuts, 1)
 		co.shards.PutSeal(derive.SealKey{
 			State: derive.KeyFor(env.Image, env.Config), Job: env.Job,
 			Ordinal: int(env.Ordinal),
 		}, env.Val, env.Digest)
 		return &Envelope{Type: MsgSealAck, From: Coordinator, To: env.From}
 	case MsgSealGet:
-		co.cl.c.sealGets.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.SealGets, 1)
 		key := derive.KeyFor(env.Image, env.Config)
 		ord := int(env.Ordinal)
 		if ord == 0 {
@@ -348,11 +347,11 @@ func (co *coordinator) Receive(env *Envelope) *Envelope {
 	case MsgStateGet:
 		val, ok := co.shards.GetOrLease(derive.KeyFor(env.Image, env.Config))
 		if !ok {
-			co.cl.c.stateMiss.Add(co.l, 1)
+			atomic.AddInt64(&co.cl.st.StateMisses, 1)
 			return &Envelope{Type: MsgStateData, From: Coordinator, To: env.From,
 				Status: "lease"}
 		}
-		co.cl.c.stateHits.Add(co.l, 1)
+		atomic.AddInt64(&co.cl.st.StateHits, 1)
 		return &Envelope{Type: MsgStateData, From: Coordinator, To: env.From, Val: val}
 	case MsgStatePut:
 		co.shards.Put(derive.KeyFor(env.Image, env.Config), env.Val)

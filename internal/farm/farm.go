@@ -141,90 +141,23 @@ type JobReport struct {
 }
 
 // Cluster is one farm instance: a coordinator, Nodes workers, a transport
-// between them, and a content-addressed store at the coordinator. Metrics
-// stripe per node — each worker owns an obs.Registry — and roll up at the
-// coordinator with commutative Absorb, so totals are deterministic even
-// when per-slot interleaving is not.
+// between them, and a content-addressed store at the coordinator. Every
+// node counts into the cluster's one Stats, each field bumped atomically in
+// place, so totals are deterministic even when per-slot interleaving is
+// not.
 type Cluster struct {
 	cfg  Config
 	exec ExecFunc
 
-	reg     *obs.Registry // coordinator registry; workers absorbed on Run exit
 	rec     *obs.Recorder // coordinator ring: assign/steal/recover events
 	recMu   sync.Mutex
 	recTime int64 // farm logical clock for ring stamps
 
-	c  farmCounters
+	st Stats     // the farm's counts; Jobs is bumped under co.mu, the rest atomically
 	tr transport // the message path every node sends through
 	co *coordinator
 	ws []*Worker
 	at *attestPlane // nil unless cfg.Attest
-}
-
-// farmCounters is the coordinator's slice of the farm registry.
-type farmCounters struct {
-	sent      *obs.Counter
-	lost      *obs.Counter
-	retrans   *obs.Counter
-	duped     *obs.Counter
-	deduped   *obs.Counter
-	assigns   *obs.Counter
-	results   *obs.Counter
-	crashes   *obs.Counter
-	steals    *obs.Counter
-	recovers  *obs.Counter
-	coldRuns  *obs.Counter
-	fallbacks *obs.Counter
-	sealPuts  *obs.Counter
-	sealGets  *obs.Counter
-	stateHits *obs.Counter
-	stateMiss *obs.Counter
-	nodeJobs  *obs.CounterVec
-
-	// Attestation-plane counters (zero unless Config.Attest).
-	attestations *obs.Counter
-	rebuilds     *obs.Counter
-	admitRetries *obs.Counter
-	backoffNs    *obs.Counter
-	cosigns      *obs.Counter
-	withholds    *obs.Counter
-	lies         *obs.Counter
-	corrupts     *obs.Counter
-	quarantines  *obs.Counter
-	epochs       *obs.Counter
-}
-
-func newFarmCounters(reg *obs.Registry, nodes int) farmCounters {
-	var c farmCounters
-	c.sent = reg.Counter("farm_msgs_sent")
-	c.lost = reg.Counter("farm_msgs_lost")
-	c.retrans = reg.Counter("farm_msgs_retransmitted")
-	c.duped = reg.Counter("farm_msgs_duplicated")
-	c.deduped = reg.Counter("farm_msgs_deduped")
-	c.assigns = reg.Counter("farm_assigns")
-	c.results = reg.Counter("farm_results")
-	c.crashes = reg.Counter("farm_node_crashes")
-	c.steals = reg.Counter("farm_steals")
-	c.recovers = reg.Counter("farm_recoveries")
-	c.coldRuns = reg.Counter("farm_cold_recoveries")
-	c.fallbacks = reg.Counter("farm_local_fallbacks")
-	c.sealPuts = reg.Counter("farm_seal_puts")
-	c.sealGets = reg.Counter("farm_seal_gets")
-	c.stateHits = reg.Counter("farm_state_hits")
-	c.stateMiss = reg.Counter("farm_state_misses")
-	// Slot 0 is the coordinator's local-fallback lane; 1..nodes the workers.
-	c.nodeJobs = reg.CounterVec("farm_node_jobs", nodes+1)
-	c.attestations = reg.Counter("farm_attestations")
-	c.rebuilds = reg.Counter("farm_attest_rebuilds")
-	c.admitRetries = reg.Counter("farm_attest_retries")
-	c.backoffNs = reg.Counter("farm_attest_backoff_ns")
-	c.cosigns = reg.Counter("farm_epoch_cosigns")
-	c.withholds = reg.Counter("farm_attest_withholds")
-	c.lies = reg.Counter("farm_attest_lies")
-	c.corrupts = reg.Counter("farm_attest_corrupt")
-	c.quarantines = reg.Counter("farm_attest_quarantines")
-	c.epochs = reg.Counter("farm_epochs_sealed")
-	return c
 }
 
 // ringEvents caps the coordinator's flight-recorder ring.
@@ -243,10 +176,8 @@ func New(cfg Config, exec ExecFunc) *Cluster {
 		cfg.Plan.KillAtJob = 1
 	}
 	cl := &Cluster{cfg: cfg, exec: exec}
-	cl.reg = obs.NewRegistry()
 	cl.rec = obs.NewRecorder(ringEvents)
-	cl.c = newFarmCounters(cl.reg, cfg.Nodes)
-	cl.tr = transport{cl: cl, l: obs.NewLocal(), seq: make(map[linkKey]uint64)}
+	cl.tr = transport{cl: cl, seq: make(map[linkKey]uint64)}
 	cl.co = newCoordinator(cl, NewShards(storeShards))
 	for i := 1; i <= cfg.Nodes; i++ {
 		cl.ws = append(cl.ws, newWorker(cl, NodeID(i)))
@@ -269,8 +200,7 @@ func (cl *Cluster) record(kind obs.Kind, ord int, job uint64, ret int64) {
 
 // Run registers every worker, schedules the jobs, and blocks until all
 // reports are in. Reports come back ordered by Job ID regardless of
-// completion order. Worker metric stripes are absorbed into the cluster
-// registry before Run returns.
+// completion order.
 func (cl *Cluster) Run(jobs []Job) ([]JobReport, error) {
 	for _, w := range cl.ws {
 		if err := w.register(); err != nil {
@@ -283,9 +213,6 @@ func (cl *Cluster) Run(jobs []Job) ([]JobReport, error) {
 		// the first job, then seal the chain into epochs and replicate it.
 		cl.at.audit(jobs)
 		cl.at.sealEpochs()
-	}
-	for _, w := range cl.ws {
-		cl.reg.Absorb(w.reg)
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Job < reports[j].Job })
 	return reports, nil
@@ -354,8 +281,8 @@ func (cl *Cluster) Quarantined() []int {
 	return out
 }
 
-// Stats is the farm's deterministic accounting, gathered from the rolled-up
-// registry after Run.
+// Stats is the farm's deterministic accounting: the cluster's own counts,
+// bumped in place as the run goes.
 type Stats struct {
 	Nodes, Jobs                           int
 	MsgsSent, MsgsLost, MsgsRetransmitted int64
@@ -374,41 +301,9 @@ type Stats struct {
 	Quarantines, EpochsSealed            int64
 }
 
-// Stats reads the cluster's counters. Call after Run.
+// Stats returns a copy of the cluster's counts. Call after Run.
 func (cl *Cluster) Stats() Stats {
-	c := cl.c
-	var jobs int64
-	for i := 0; i < c.nodeJobs.Len(); i++ {
-		jobs += c.nodeJobs.At(i)
-	}
-	return Stats{
-		Nodes:               cl.cfg.Nodes,
-		Jobs:                int(jobs),
-		MsgsSent:            c.sent.Value(),
-		MsgsLost:            c.lost.Value(),
-		MsgsRetransmitted:   c.retrans.Value(),
-		MsgsDuplicated:      c.duped.Value(),
-		MsgsDeduped:         c.deduped.Value(),
-		Assigns:             c.assigns.Value(),
-		Results:             c.results.Value(),
-		NodeCrashes:         c.crashes.Value(),
-		Steals:              c.steals.Value(),
-		Recoveries:          c.recovers.Value(),
-		ColdRecoveries:      c.coldRuns.Value(),
-		LocalFallbacks:      c.fallbacks.Value(),
-		SealPuts:            c.sealPuts.Value(),
-		SealGets:            c.sealGets.Value(),
-		StateHits:           c.stateHits.Value(),
-		StateMisses:         c.stateMiss.Value(),
-		Attestations:        c.attestations.Value(),
-		Rebuilds:            c.rebuilds.Value(),
-		AdmitRetries:        c.admitRetries.Value(),
-		BackoffNs:           c.backoffNs.Value(),
-		Cosigns:             c.cosigns.Value(),
-		CosignsWithheld:     c.withholds.Value(),
-		LiesDetected:        c.lies.Value(),
-		CorruptAttestations: c.corrupts.Value(),
-		Quarantines:         c.quarantines.Value(),
-		EpochsSealed:        c.epochs.Value(),
-	}
+	st := cl.st
+	st.Nodes = cl.cfg.Nodes
+	return st
 }

@@ -2,6 +2,10 @@ package farm
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -241,6 +245,49 @@ func TestPlacementPurity(t *testing.T) {
 		if len(used) < 2 {
 			t.Errorf("seed %d: every job on one node %v; the check would not tell placements apart", seed, used)
 		}
+	}
+}
+
+var updateStats = flag.Bool("update-stats", false, "rewrite testdata/stats.golden from this tree")
+
+// TestStatsGolden pins every Stats field of two farm shapes, printed with
+// %+v, to a golden: TestStatsDeterministic's crash shape, and an attested
+// single-slot farm whose transport loses and duplicates assigns. Both
+// shapes read the same totals on every run. (An attested farm that loses a
+// node does not: whether a rebuild lands on the dying node depends on
+// timing.)
+// Regenerate with -update-stats only when a count is meant to change.
+func TestStatsGolden(t *testing.T) {
+	shapes := []struct {
+		name string
+		cfg  Config
+		exec ExecFunc
+	}{
+		{"deterministic", Config{Nodes: 3, Slots: 1, PlacementSeed: 5,
+			Plan: reprotest.FaultPlan{KillNode: 2, KillAtJob: 1, CrashAtAction: 9}}, toyExec},
+		{"attested", Config{Nodes: 3, Slots: 1, PlacementSeed: 5, Attest: true, KeySeed: 7,
+			Plan: reprotest.FaultPlan{LoseMsg: 1, DupMsg: 2}}, attestExec},
+	}
+	var got string
+	for _, sh := range shapes {
+		cl := New(sh.cfg, sh.exec)
+		if _, err := cl.Run(toyJobs(10)); err != nil {
+			t.Fatal(err)
+		}
+		got += fmt.Sprintf("%s: %+v\n", sh.name, cl.Stats())
+	}
+	path := filepath.Join("testdata", "stats.golden")
+	if *updateStats {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("farm stats differ from the golden:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -3,8 +3,7 @@ package farm
 import (
 	"errors"
 	"sync"
-
-	"repro/internal/obs"
+	"sync/atomic"
 )
 
 // ErrUnknownNode is returned for a destination that is neither the
@@ -34,7 +33,6 @@ type linkKey struct {
 // and where the property tests aim the schedule.
 type transport struct {
 	cl *Cluster
-	l  obs.Local
 
 	mu  sync.Mutex
 	seq map[linkKey]uint64
@@ -69,19 +67,19 @@ func (t *transport) deliver(env *Envelope) (*Envelope, error) {
 
 // send delivers one request envelope and returns the response.
 func (t *transport) send(env *Envelope) (*Envelope, error) {
-	c, plan := &t.cl.c, &t.cl.cfg.Plan
+	st, plan := &t.cl.st, &t.cl.cfg.Plan
 	env.Seq = t.next(env)
 	if env.Idem == 0 {
 		env.Idem = env.IdemKey()
 	}
-	c.sent.Add(t.l, 1)
+	atomic.AddInt64(&st.MsgsSent, 1)
 	if t.fires(plan.LoseMsg, env) {
 		// The transmission is lost in flight; at-least-once delivery
 		// retransmits the identical envelope on the next link ordinal.
-		c.lost.Add(t.l, 1)
-		c.retrans.Add(t.l, 1)
+		atomic.AddInt64(&st.MsgsLost, 1)
+		atomic.AddInt64(&st.MsgsRetransmitted, 1)
 		env.Seq = t.next(env)
-		c.sent.Add(t.l, 1)
+		atomic.AddInt64(&st.MsgsSent, 1)
 	}
 	resp, err := t.deliver(env)
 	if err != nil {
@@ -91,7 +89,7 @@ func (t *transport) send(env *Envelope) (*Envelope, error) {
 		// The network delivers the request a second time; the receiver's
 		// idempotency cache must absorb it. The duplicate's response is
 		// discarded, as a real wire would drop the late reply.
-		c.duped.Add(t.l, 1)
+		atomic.AddInt64(&st.MsgsDuplicated, 1)
 		t.deliver(env)
 	}
 	return resp, nil

@@ -2,29 +2,19 @@ package farm
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/attest"
 	"repro/internal/derive"
-	"repro/internal/obs"
 )
 
 // Worker is one farm node: it registers with the coordinator, advertises
 // capacity (slots), executes assigned builds, and publishes checkpoint seals
-// into the coordinator's content-addressed store. Each worker owns its own
-// metric registry — the per-node stripe of the farm's observation plane —
-// which the coordinator absorbs (commutatively) when the run finishes.
+// into the coordinator's content-addressed store. What it counts (the
+// assignments its idempotency cache absorbs) lands in the cluster's Stats.
 type Worker struct {
 	id NodeID
 	cl *Cluster
-
-	reg *obs.Registry
-	l   obs.Local
-	c   struct {
-		msgs    *obs.Counter
-		jobs    *obs.Counter
-		deduped *obs.Counter
-		crashes *obs.Counter
-	}
 
 	// signer is the worker's deterministic attestation key (nil unless the
 	// cluster's attestation plane is on).
@@ -37,14 +27,7 @@ type Worker struct {
 }
 
 func newWorker(cl *Cluster, id NodeID) *Worker {
-	w := &Worker{id: id, cl: cl}
-	w.reg = obs.NewRegistry()
-	w.l = obs.NewLocal()
-	w.c.msgs = w.reg.Counter("farm_worker_msgs")
-	w.c.jobs = w.reg.Counter("farm_worker_jobs")
-	w.c.deduped = w.reg.Counter("farm_msgs_deduped")
-	w.c.crashes = w.reg.Counter("farm_worker_crashes")
-	w.idem = make(map[uint64]*Envelope)
+	w := &Worker{id: id, cl: cl, idem: make(map[uint64]*Envelope)}
 	if cl.cfg.Attest {
 		w.signer = attest.NewSigner(int32(id), cl.cfg.KeySeed)
 	}
@@ -68,7 +51,6 @@ func (w *Worker) register() error {
 // attestation rebuilds) and MsgCosign arrive here; everything else is a
 // protocol error.
 func (w *Worker) Receive(env *Envelope) *Envelope {
-	w.c.msgs.Add(w.l, 1)
 	if env.Type == MsgCosign {
 		return w.cosign(env)
 	}
@@ -87,7 +69,7 @@ func (w *Worker) Receive(env *Envelope) *Envelope {
 		// Duplicate delivery of an assignment already executed (or in
 		// flight): at-least-once transport, exactly-once effect.
 		w.mu.Unlock()
-		w.c.deduped.Add(w.l, 1)
+		atomic.AddInt64(&w.cl.st.MsgsDeduped, 1)
 		if prev == nil {
 			return &Envelope{Type: MsgResult, From: w.id, To: env.From,
 				Job: env.Job, Attempt: env.Attempt, Status: "inflight"}
@@ -125,7 +107,6 @@ func (w *Worker) run(env *Envelope) *Envelope {
 	}
 	digest, err := w.cl.exec(ctx)
 	if crash, ok := err.(*Crash); ok {
-		w.c.crashes.Add(w.l, 1)
 		w.mu.Lock()
 		w.down = true
 		w.mu.Unlock()
@@ -135,9 +116,6 @@ func (w *Worker) run(env *Envelope) *Envelope {
 	if err != nil {
 		return &Envelope{Type: MsgResult, From: w.id, To: env.From,
 			Job: env.Job, Attempt: env.Attempt, Status: "error: " + err.Error()}
-	}
-	if !env.Rebuild {
-		w.c.jobs.Add(w.l, 1)
 	}
 	resp := &Envelope{Type: MsgResult, From: w.id, To: env.From,
 		Job: env.Job, Attempt: env.Attempt, Status: "ok",

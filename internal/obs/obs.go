@@ -5,11 +5,12 @@
 // trace exporter (trace.go) and a first-divergence diagnoser (diagnose.go).
 // A run does not count into a registry: its counts are plain fields of the
 // kernel's sealed state, and the container publishes them here once, when
-// the run ends.
+// the run ends. A farm cluster does not either: its counts are the fields of
+// farm.Stats.
 //
 // The design constraint that shapes everything here is the paper's §3 purity
 // argument turned inward: observing a container must never perturb it.
-// Metrics are plain sharded atomics with no locks on the hot path, the
+// A metric is one atomic cell with no lock on the hot path, the
 // recorder stamps events with logical time only (no time.Now()), and nothing
 // in this package feeds back into guest-visible state — the on/off
 // equivalence tests in internal/core and internal/buildsim pin that.
@@ -23,69 +24,20 @@ import (
 	"sync/atomic"
 )
 
-// stripes is the fixed shard count of every Counter. Eight covers the farm's
-// worker-pool contention (Jobs is typically ≤ GOMAXPROCS) while keeping
-// Value() a trivial eight-term sum.
-const stripes = 8
-
-// pad64 is one cache-line-sized counter cell, padded so neighbouring stripes
-// never false-share.
-type pad64 struct {
-	v int64
-	_ [7]int64
-}
-
-// Local is a stripe selector: a client that will hammer counters from its
-// own goroutine (a farm worker, a kernel loop) acquires one Local and passes
-// it to Counter.Add so its traffic lands on a private-ish stripe. A Local is
-// registry-independent — it is just a shard index — so one Local serves every
-// counter the client touches. The zero Local is valid (stripe 0), which is
-// what the single-writer paths use via Inc.
-type Local struct{ s uint32 }
-
-var nextLocal atomic.Uint32
-
-// NewLocal assigns the next stripe round-robin. Assignment order does not
-// matter for correctness: stripe sums are commutative, so Value() is
-// independent of which client landed where.
-func NewLocal() Local { return Local{s: nextLocal.Add(1) % stripes} }
-
-// Counter is a monotone counter: one cell, plus a stripe per Local when
-// many writers share it (Registry.Counter). A published value
-// (Registry.Publish) has no stripes.
+// Counter is a monotone counter: one atomic cell.
 type Counter struct {
-	name    string
-	v       int64
-	striped *[stripes]pad64
+	name string
+	v    atomic.Int64
 }
 
 // Name returns the counter's registry name.
 func (c *Counter) Name() string { return c.name }
 
-// Inc adds n on the counter's own cell: the uncontended single-writer fast
-// path.
-func (c *Counter) Inc(n int64) { atomic.AddInt64(&c.v, n) }
+// Add adds n.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Add adds n on the caller's stripe, or on the one cell of an unstriped
-// counter.
-func (c *Counter) Add(l Local, n int64) {
-	if c.striped == nil {
-		c.Inc(n)
-		return
-	}
-	atomic.AddInt64(&c.striped[l.s].v, n)
-}
-
-// Value sums the cell and the stripes.
-func (c *Counter) Value() int64 {
-	sum := atomic.LoadInt64(&c.v)
-	if c.striped != nil {
-		for i := range c.striped {
-			sum += atomic.LoadInt64(&c.striped[i].v)
-		}
-	}
-	return sum
-}
+// Value reads the count.
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // CounterVec is a dense vector of counters indexed by a small integer — the
 // shape of the kernel's per-syscall table, where the index is the syscall
@@ -124,30 +76,26 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it, striped, on first use.
+// Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		s := &struct { // one allocation for the counter and its stripes
-			Counter
-			cells [stripes]pad64
-		}{Counter: Counter{name: name}}
-		s.striped = &s.cells
-		c = &s.Counter
+		c = &Counter{name: name}
 		r.counters[name] = c
 	}
 	return c
 }
 
 // Publish registers v as the value of the named counter, which must not be
-// registered yet: a finished run publishes each count it kept once, and
-// nobody adds to it after, so it needs no stripes.
+// registered yet: a finished run publishes each count it kept once.
 func (r *Registry) Publish(name string, v int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters[name] = &Counter{name: name, v: v}
+	c := &Counter{name: name}
+	c.v.Store(v)
+	r.counters[name] = c
 }
 
 // CounterVec returns the named dense vector, creating it with n slots on
@@ -207,40 +155,33 @@ func (r *Registry) Gather() []Sample {
 // Absorb adds every metric value of src into this registry's same-named
 // metrics, creating them as needed — the farm roll-up: each container's
 // registry folds into the farm's. Absorbing is add-only and commutative, so
-// the roll-up total is independent of worker scheduling.
+// the roll-up total is independent of worker scheduling. src's handles are
+// collected under its lock and read after it is released, so no caller
+// holds two registry locks at once.
 func (r *Registry) Absorb(src *Registry) {
 	if src == nil {
 		return
 	}
-	// Snapshot src without holding both locks.
 	src.mu.Lock()
-	type vecSnap struct {
-		n int
-		v []int64
+	counters := make([]*Counter, 0, len(src.counters))
+	for _, c := range src.counters {
+		counters = append(counters, c)
 	}
-	counters := make(map[string]int64, len(src.counters))
-	for name, c := range src.counters {
-		counters[name] = c.Value()
-	}
-	vecs := make(map[string]vecSnap, len(src.vecs))
-	for name, cv := range src.vecs {
-		s := vecSnap{n: len(cv.v), v: make([]int64, len(cv.v))}
-		for i := range cv.v {
-			s.v[i] = cv.At(i)
-		}
-		vecs[name] = s
+	vecs := make([]*CounterVec, 0, len(src.vecs))
+	for _, cv := range src.vecs {
+		vecs = append(vecs, cv)
 	}
 	src.mu.Unlock()
 
-	for name, v := range counters {
-		if v != 0 {
-			r.Counter(name).Inc(v)
+	for _, c := range counters {
+		if v := c.Value(); v != 0 {
+			r.Counter(c.name).Add(v)
 		}
 	}
-	for name, s := range vecs {
-		dst := r.CounterVec(name, s.n)
-		for i, v := range s.v {
-			if v != 0 && i < dst.Len() {
+	for _, cv := range vecs {
+		dst := r.CounterVec(cv.name, cv.Len())
+		for i := range cv.v {
+			if v := cv.At(i); v != 0 && i < dst.Len() {
 				dst.Add(i, v)
 			}
 		}

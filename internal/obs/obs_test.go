@@ -7,22 +7,21 @@ import (
 	"testing"
 )
 
-func TestCounterStripes(t *testing.T) {
+func TestCounterConcurrentAdd(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("calls")
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
-		l := NewLocal()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Add(l, 1)
+				c.Add(1)
 			}
 		}()
 	}
 	wg.Wait()
-	c.Inc(5)
+	c.Add(5)
 	if got := c.Value(); got != 16005 {
 		t.Fatalf("Value = %d, want 16005", got)
 	}
@@ -36,10 +35,10 @@ func TestPublish(t *testing.T) {
 	r.Publish("stops", 7)
 	r.Publish("zero", 0)
 	c := r.Counter("stops")
-	if c.Value() != 7 || c.striped != nil {
-		t.Fatalf("published counter reads %d (striped %v), want 7 unstriped", c.Value(), c.striped != nil)
+	if c.Value() != 7 {
+		t.Fatalf("published counter reads %d, want 7", c.Value())
 	}
-	c.Add(NewLocal(), 2) // an unstriped counter takes any Local on its one cell
+	c.Add(2)
 	farm := NewRegistry()
 	farm.Absorb(r)
 	var prom bytes.Buffer
@@ -70,9 +69,9 @@ func TestAdoptVec(t *testing.T) {
 
 func TestAbsorb(t *testing.T) {
 	farm := NewRegistry()
-	farm.Counter("hits").Inc(1)
+	farm.Counter("hits").Add(1)
 	child := NewRegistry()
-	child.Counter("hits").Inc(4)
+	child.Counter("hits").Add(4)
 	child.CounterVec("sys", 4).Add(2, 9)
 	farm.Absorb(child)
 	farm.Absorb(nil)
@@ -87,8 +86,8 @@ func TestAbsorb(t *testing.T) {
 func TestWritePromDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()
-		r.Counter("zeta").Inc(1)
-		r.Counter("alpha").Inc(2)
+		r.Counter("zeta").Add(1)
+		r.Counter("alpha").Add(2)
 		r.CounterVec("v", 4).Add(3, 2)
 		return r
 	}
@@ -115,8 +114,8 @@ func TestWritePromDeterministic(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b").Inc(1)
-	r.Counter("a").Inc(2)
+	r.Counter("b").Add(1)
+	r.Counter("a").Add(2)
 	s := r.Gather()
 	if len(s) != 2 || s[0].Name != "a" || s[1].Name != "b" {
 		t.Fatalf("gather = %v", s)

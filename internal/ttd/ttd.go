@@ -183,7 +183,7 @@ func (s *Session) replayFrom(idx int, cfg core.Config) (*core.Result, int, error
 // count bumps a session counter; nil-safe like the registry itself.
 func (s *Session) count(name string, n int64) {
 	if s.Obs != nil && n != 0 {
-		s.Obs.Counter(name).Inc(n)
+		s.Obs.Counter(name).Add(n)
 	}
 }
 
