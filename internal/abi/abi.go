@@ -182,6 +182,11 @@ const (
 // pseudo-call, is below it.
 const SysnoSlots = 1024
 
+// SysnoLinux bounds the real Linux calls above: every Sysno but the SysFetch
+// pseudo-call is below it. A table that counts calls can start this long and
+// grow to SysnoSlots only when a number past it arrives.
+const SysnoLinux = 320
+
 var sysNames = map[Sysno]string{
 	SysRead: "read", SysWrite: "write", SysOpen: "open", SysClose: "close",
 	SysStat: "stat", SysFstat: "fstat", SysLstat: "lstat", SysLseek: "lseek",

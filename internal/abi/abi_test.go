@@ -26,6 +26,16 @@ func TestSysnoStrings(t *testing.T) {
 	}
 }
 
+// TestSysnoBounds: every real call fits a SysnoLinux-long table and every
+// call, the fetch pseudo-call included, a SysnoSlots-long one.
+func TestSysnoBounds(t *testing.T) {
+	for _, nr := range Sysnos() {
+		if nr < 0 || nr >= SysnoSlots || (nr >= SysnoLinux) != (nr == SysFetch) {
+			t.Errorf("%s = %d: SysnoLinux %d, SysnoSlots %d", nr, int(nr), SysnoLinux, SysnoSlots)
+		}
+	}
+}
+
 func TestSignalStrings(t *testing.T) {
 	if SIGALRM.String() != "SIGALRM" || Signal(99).String() != "signal(99)" {
 		t.Errorf("signal names wrong")

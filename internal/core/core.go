@@ -180,10 +180,11 @@ type Result struct {
 	ExitCode int
 	Stdout   string
 	Stderr   string
-	// FS is the final filesystem state. It is read-only: a forked run's
-	// image lends the frozen template's file bodies instead of copying
-	// them (fs.FS.SnapshotImage), so writing its Data in place would
-	// corrupt every later fork. Edit a Clone.
+	// FS is the final filesystem state. It is read-only, Entries map and
+	// bytes alike: a forked run's image lends the frozen template's file
+	// bodies instead of copying them (fs.FS.SnapshotImage), and a run that
+	// changed nothing an image shows returns its snapshot's own image, one
+	// shared by every such result. Edit a Clone.
 	FS  *fs.Image
 	Err error // nil, *UnsupportedError (wrapped), timeout, or deadlock
 

@@ -189,22 +189,56 @@ func (n *Inode) entryCount() int {
 // breakCOWData unshares file contents from the frozen base, or the image,
 // before the first in-place write or truncation. Without the copy, WriteAt's
 // copy() and Truncate's reslice would reach through the shared slice into it.
+// It marks the filesystem touched: its bodies may no longer be the base's.
 func (n *Inode) breakCOWData() {
 	if n.cowData {
 		n.Data = append([]byte(nil), n.Data...)
 		n.cowData = false
-		if n.fs != nil && n.fs.OnCOWBreak != nil {
-			n.fs.OnCOWBreak(int64(len(n.Data)))
+		if n.fs != nil {
+			n.fs.touched = true
+			if n.fs.OnCOWBreak != nil {
+				n.fs.OnCOWBreak(int64(len(n.Data)))
+			}
 		}
 	}
 }
 
 // mustMutable panics on any structural mutation of a frozen template base.
 // Every change to the path set passes through here, so it also drops the
-// order Populate left for Freeze: the paths no longer match it.
+// order Populate left for Freeze, the paths no longer matching it, and marks
+// the filesystem touched.
 func (f *FS) mustMutable() {
 	if f.frozen {
 		panic("fs: mutation of a frozen template base")
 	}
 	f.popOrder = nil
+	f.touched = true
+}
+
+// pristine reports whether f is a fork whose image-visible state — path
+// set, Mode, UID, GID, Data, Target, DevID — is still its base's. A touched
+// fork fails at once; otherwise only the shells can differ, and only in the
+// metadata the kernel writes in place.
+func (f *FS) pristine() bool {
+	if f.base == nil || f.touched {
+		return false
+	}
+	for b, s := range f.clones {
+		if s.Mode != b.Mode || s.UID != b.UID || s.GID != b.GID ||
+			s.Target != b.Target || s.DevID != b.DevID || !sameSlice(s.Data, b.Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedImage returns the frozen base's image of its whole tree, the one
+// every pristine fork's SnapshotImage returns. The first fork to ask builds
+// it; concurrent first askers race to publish and all return the winner.
+func (f *FS) sharedImage() *Image {
+	if im := f.image.Load(); im != nil {
+		return im
+	}
+	f.image.CompareAndSwap(nil, f.snapshotImage(f.Root))
+	return f.image.Load()
 }

@@ -20,3 +20,7 @@ func (n *Inode) memoized() bool {
 	m := n.leaf.Load()
 	return m != nil && m.e.same(n.imageEntry())
 }
+
+// WalkImage is SnapshotImage's walk of the whole tree: a fresh image, never
+// the one a pristine fork shares with its base.
+func (f *FS) WalkImage() *Image { return f.snapshotImage(f.Root) }

@@ -65,6 +65,15 @@ type FS struct {
 	clones    map[*Inode]*Inode
 	bootStamp int64 // fork boot time: the timestamp cold Populate would use
 
+	// Result sharing (SnapshotImage). touched marks a filesystem whose path
+	// set or file bodies changed (mustMutable, breakCOWData); a fork
+	// without it is pristine once its shells' metadata, which chmod and
+	// chown write in place, still equals its base's. image is a frozen
+	// base's image of its whole tree, built when a pristine fork first asks
+	// for it and returned to every later one.
+	touched bool
+	image   atomic.Pointer[Image]
+
 	// Path order. order is a frozen base's sorted path list (Freeze), the
 	// list every fork's result image starts from; popOrder is a live
 	// filesystem's image order while Populate's paths are exactly its own

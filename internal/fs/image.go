@@ -28,6 +28,8 @@ import (
 //
 // An image's file bytes are immutable once added: every filesystem populated
 // from it, and every image read back off one, shares them. Edit a Clone.
+// An image SnapshotImage returns may be shared by many results (a pristine
+// fork's is its base's), so its Entries map is read-only too.
 type Image struct {
 	Entries map[string]ImageEntry
 
@@ -363,6 +365,28 @@ func (f *FS) Populate(im *Image) {
 	}
 }
 
+// Mkdevs creates a character device under dir for each name, in order,
+// with the matching devID, as Mkdev does one at a time. Unlike Mkdev it
+// keeps the order Populate left for Freeze, the new paths merged in, so a
+// filesystem populated and then given its pseudo devices still freezes
+// without a walk. While that order holds, every inode's recorded path is
+// exact, dir's included.
+func (f *FS) Mkdevs(dir *Inode, names, devIDs []string) {
+	order := f.popOrder
+	var made []string
+	for i, name := range names {
+		n, err := f.Mkdev(dir, name, devIDs[i], 0, 0)
+		if err == abi.OK && order != nil {
+			n.path = dir.path + "/" + name
+			made = append(made, n.path)
+		}
+	}
+	if order != nil {
+		slices.Sort(made)
+		f.popOrder = mergeOrder(order, made, false, nil)
+	}
+}
+
 // ensureDirs returns the directory at path, creating what is missing of it,
 // or nil when a component is not a directory. It walks path in place, one
 // component at a time, and stamps each directory it creates with its path,
@@ -415,7 +439,8 @@ func baseOf(p string) string {
 // sharing the base's bytes (and any frozen inode) lends its Data to the
 // image instead of copying it, and its entry keeps the frozen inode's
 // memoized leaf digest within reach of LeafHash. The image is therefore
-// read-only: never write its Data in place — edit a Clone instead.
+// read-only: never write its Data in place or edit its Entries — edit a
+// Clone instead.
 //
 // The whole tree of a fork (or of a frozen filesystem) borrows its base's
 // path strings too: an entry whose path exists in the base is keyed by the
@@ -424,7 +449,21 @@ func baseOf(p string) string {
 // added and removed no path, otherwise merged with the sorted handful of
 // paths it added (decided by path, so a renamed base directory's subtree is
 // all new) and filtered of those it removed.
+//
+// A fork that changed nothing an image shows (see pristine) gets its base's
+// own image of the whole tree: built once, when the first such fork asks,
+// and then shared by every result of every pristine fork of that base, so
+// its Entries map is read-only as well. A frozen filesystem asked directly
+// gets a fresh walk and keeps nothing.
 func (f *FS) SnapshotImage(root *Inode) *Image {
+	if root == f.Root && f.pristine() {
+		return f.base.sharedImage()
+	}
+	return f.snapshotImage(root)
+}
+
+// snapshotImage is SnapshotImage's walk.
+func (f *FS) snapshotImage(root *Inode) *Image {
 	ref := f.base // the frozen tree whose paths and order the image borrows
 	if f.frozen {
 		ref = f

@@ -232,8 +232,8 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 	k.Console = &Console{Out: slices.Clone(cp.consoleOut), Err: slices.Clone(cp.consoleErr)}
 	k.Entropy = prng.NewHost(0)
 	k.Entropy.SetState(cp.entropyState)
-	// The /proc pseudo inodes are not per-boot state (populateProc ran at the
-	// original boot and the sealed filesystem carries them).
+	// The /proc pseudo inodes are not per-boot state (they are part of the
+	// prepared image the original boot forked, and the seal carries them).
 	k.FS = cp.fsSeal.Resume(k.WallClock, k.Entropy)
 	hwPool := prng.NewHost(0)
 	hwPool.SetState(cp.hwEntropyState)

@@ -104,13 +104,21 @@ func flagIf(b bool, s string) string {
 }
 
 // populateProc mounts the pseudo files under /proc when the image has one.
-func (k *Kernel) populateProc() {
-	ctx := fs.LookupCtx{Root: k.FS.Root, Cwd: k.FS.Root}
-	dir, err := k.FS.Resolve(ctx, "/proc", true)
+// Prepare calls it on the filesystem it is about to freeze, so every boot
+// forks them with the rest of the image; the kernel resolves their DevIDs
+// at open time, so each boot still reads its own host.
+func populateProc(f *fs.FS) {
+	ctx := fs.LookupCtx{Root: f.Root, Cwd: f.Root}
+	dir, err := f.Resolve(ctx, "/proc", true)
 	if err != abi.OK || !dir.IsDir() {
 		return
 	}
-	for _, name := range []string{"cpuinfo", "uptime", "meminfo", "version"} {
-		k.FS.Mkdev(dir, name, "proc:"+name, 0, 0)
-	}
+	f.Mkdevs(dir, procFiles[:], procDevIDs[:])
 }
+
+// procFiles are the /proc pseudo files, in creation order, and procDevIDs
+// their device IDs.
+var (
+	procFiles  = [...]string{"cpuinfo", "uptime", "meminfo", "version"}
+	procDevIDs = [...]string{"proc:cpuinfo", "proc:uptime", "proc:meminfo", "proc:version"}
+)

@@ -333,9 +333,11 @@ func (c *SyscallCounts) Map() map[abi.Sysno]int64 {
 // interfaces — so a seal can never alias or pin a live kernel.
 type kernelState struct {
 	Stats Stats
-	// syscalls is the weighted count of every call by number, abi.SysnoSlots
-	// long; a number past it counts in Stats.Syscalls only. It stays out of
-	// Stats so a Result does not carry the table by value.
+	// syscalls is the weighted count of every call by number: abi.SysnoLinux
+	// long, grown to abi.SysnoSlots by the first call past that (the fetch
+	// pseudo-call); a number past abi.SysnoSlots counts in Stats.Syscalls
+	// only. It stays out of Stats so a Result does not carry the table by
+	// value.
 	syscalls []int64
 
 	epoch int64 // wall seconds at boot
@@ -483,12 +485,16 @@ func attach(profile *machine.Profile, b BootConfig) *Kernel {
 func (k *Kernel) countSyscall(nr abi.Sysno, w int64) {
 	if uint(nr) < uint(len(k.syscalls)) {
 		k.syscalls[nr] += w
+	} else if uint(nr) < abi.SysnoSlots {
+		k.syscalls = append(k.syscalls, make([]int64, abi.SysnoSlots-len(k.syscalls))...)
+		k.syscalls[nr] += w
 	}
 }
 
 // PerSyscall returns the weighted count of every call by syscall number,
-// indexed by number and abi.SysnoSlots long. It is the kernel's own table:
-// read it once Run has returned, and do not write it.
+// indexed by number: abi.SysnoLinux long, or abi.SysnoSlots once a call past
+// that was counted. It is the kernel's own table: read it once Run has
+// returned, and do not write it.
 func (k *Kernel) PerSyscall() []int64 { return k.syscalls }
 
 // SetDebug installs a debug trace sink (the CLI's --debug flag).

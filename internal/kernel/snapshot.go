@@ -10,11 +10,11 @@ import (
 )
 
 // Snapshot is the prepared, immutable half of a boot: the populated
-// filesystem (frozen as a COW template base), the machine profile and the
-// program resolver. Everything per-run — entropy pool, clocks, run queues,
-// device instances, the /proc pseudo files, the policy — is rebuilt by Boot,
-// which is why one Snapshot can back any number of concurrent runs under any
-// policy.
+// filesystem with its /proc pseudo-file inodes (frozen as a COW template
+// base), the machine profile and the program resolver. Everything per-run —
+// entropy pool, clocks, run queues, the device instances behind those
+// inodes, the policy — is rebuilt by Boot, which is why one Snapshot can
+// back any number of concurrent runs under any policy.
 //
 // The paper's §3 purity argument is what makes this sound: a container's
 // behaviour is a function of its initial filesystem state, so sharing that
@@ -81,14 +81,17 @@ type BootConfig struct {
 }
 
 // Prepare builds the shareable half of a boot from cfg. The populated
-// filesystem is frozen: the throwaway construction-time inode numbers and
-// timestamps it carries are never observable, because every Boot renumbers
-// and restamps them through fs.Fork.
+// filesystem, /proc pseudo files included, is frozen: the throwaway
+// construction-time inode numbers and timestamps it carries are never
+// observable, because every Boot renumbers and restamps them through
+// fs.Fork. The pseudo files are created after every image path, in a fixed
+// order, because a guest sees the inode numbers that order hands out.
 func Prepare(cfg Config) *Snapshot {
 	base := fs.New(cfg.Profile, func() int64 { return 0 }, prng.NewHost(0))
 	if cfg.Image != nil {
 		base.Populate(cfg.Image)
 	}
+	populateProc(base)
 	base.Freeze()
 	return &Snapshot{Profile: cfg.Profile, Resolver: cfg.Resolver, base: base}
 }
@@ -115,7 +118,7 @@ func (s *Snapshot) Boot(b BootConfig) *Kernel {
 	k.nextPID = 1000 + k.Entropy.Intn(30_000) // host PIDs start anywhere
 	k.Console = &Console{}
 	k.lastCheckpoint = -1
-	k.syscalls = make([]int64, abi.SysnoSlots)
+	k.syscalls = make([]int64, abi.SysnoLinux)
 	cores := s.Profile.Cores
 	if b.NumCPU > 0 {
 		cores = b.NumCPU
@@ -125,7 +128,6 @@ func (s *Snapshot) Boot(b BootConfig) *Kernel {
 	k.indexCores()
 	k.FS = s.base.Fork(k.WallClock, k.Entropy.Fork())
 	k.HW = cpu.NewHW(s.Profile, k.Entropy.Fork(), func() int64 { return k.now })
-	k.populateProc()
 	if k.Policy == nil {
 		k.Policy = newBaselinePolicy(k.Entropy.Fork())
 	}

@@ -41,10 +41,12 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // CounterVec is a dense vector of counters indexed by a small integer — the
 // shape of the kernel's per-syscall table, where the index is the syscall
-// number. Adds are single atomic ops on a flat slice: the hot-path property
-// the kernel's bespoke dense table had, kept.
+// number. Adds are single atomic ops on a flat slice. A vector reads as
+// zeros past its end, and absorbing a longer one grows it (see Absorb), so
+// vectors of one name need not share a length.
 type CounterVec struct {
 	name string
+	mu   sync.RWMutex // held exclusively only while the vector grows
 	v    []int64
 }
 
@@ -52,16 +54,56 @@ type CounterVec struct {
 func (cv *CounterVec) Name() string { return cv.name }
 
 // Len returns the index capacity.
-func (cv *CounterVec) Len() int { return len(cv.v) }
+func (cv *CounterVec) Len() int { return len(cv.counts()) }
 
 // Add bumps index i by n; i must be in range.
-func (cv *CounterVec) Add(i int, n int64) { atomic.AddInt64(&cv.v[i], n) }
+func (cv *CounterVec) Add(i int, n int64) {
+	cv.mu.RLock()
+	atomic.AddInt64(&cv.v[i], n)
+	cv.mu.RUnlock()
+}
 
-// At reads index i.
-func (cv *CounterVec) At(i int) int64 { return atomic.LoadInt64(&cv.v[i]) }
+// At reads index i, 0 past the end.
+func (cv *CounterVec) At(i int) int64 {
+	v := cv.counts()
+	if uint(i) >= uint(len(v)) {
+		return 0
+	}
+	return atomic.LoadInt64(&v[i])
+}
+
+// absorb adds src's counts index by index, growing the vector first when
+// src is longer. It copies rather than appends: an adopted slice's spare
+// capacity is not the vector's.
+func (cv *CounterVec) absorb(src []int64) {
+	if len(src) > cv.Len() {
+		cv.mu.Lock()
+		if len(src) > len(cv.v) {
+			v := make([]int64, len(src))
+			copy(v, cv.v)
+			cv.v = v
+		}
+		cv.mu.Unlock()
+	}
+	cv.mu.RLock()
+	defer cv.mu.RUnlock()
+	for i := range src {
+		if n := atomic.LoadInt64(&src[i]); n != 0 {
+			atomic.AddInt64(&cv.v[i], n)
+		}
+	}
+}
+
+// counts returns the vector's current slot slice, for atomic reads. A later
+// growth replaces the slice and leaves this one as it was.
+func (cv *CounterVec) counts() []int64 {
+	cv.mu.RLock()
+	defer cv.mu.RUnlock()
+	return cv.v
+}
 
 // Registry is a namespace of metrics. Lookup is mutex-guarded (cold path:
-// clients cache the returned handle); the handles themselves are lock-free.
+// clients cache the returned handle); the handles count atomically.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -142,9 +184,10 @@ func (r *Registry) Gather() []Sample {
 		out = append(out, Sample{Name: name, Value: c.Value()})
 	}
 	for name, cv := range r.vecs {
-		for i := range cv.v {
-			if v := cv.At(i); v != 0 {
-				out = append(out, Sample{Name: fmt.Sprintf("%s{idx=%d}", name, i), Value: v})
+		v := cv.counts()
+		for i := range v {
+			if n := atomic.LoadInt64(&v[i]); n != 0 {
+				out = append(out, Sample{Name: fmt.Sprintf("%s{idx=%d}", name, i), Value: n})
 			}
 		}
 	}
@@ -155,7 +198,8 @@ func (r *Registry) Gather() []Sample {
 // Absorb adds every metric value of src into this registry's same-named
 // metrics, creating them as needed — the farm roll-up: each container's
 // registry folds into the farm's. Absorbing is add-only and commutative, so
-// the roll-up total is independent of worker scheduling. src's handles are
+// the roll-up total is independent of worker scheduling. A vector is sized to
+// the longest of its sources, so no index is dropped. src's handles are
 // collected under its lock and read after it is released, so no caller
 // holds two registry locks at once.
 func (r *Registry) Absorb(src *Registry) {
@@ -179,12 +223,8 @@ func (r *Registry) Absorb(src *Registry) {
 		}
 	}
 	for _, cv := range vecs {
-		dst := r.CounterVec(cv.name, cv.Len())
-		for i := range cv.v {
-			if v := cv.At(i); v != 0 && i < dst.Len() {
-				dst.Add(i, v)
-			}
-		}
+		v := cv.counts()
+		r.CounterVec(cv.name, len(v)).absorb(v)
 	}
 }
 
@@ -215,9 +255,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
 			return err
 		}
-		for i := range cv.v {
-			if v := cv.At(i); v != 0 {
-				if _, err := fmt.Fprintf(w, "%s{idx=\"%d\"} %d\n", name, i, v); err != nil {
+		v := cv.counts()
+		for i := range v {
+			if n := atomic.LoadInt64(&v[i]); n != 0 {
+				if _, err := fmt.Fprintf(w, "%s{idx=\"%d\"} %d\n", name, i, n); err != nil {
 					return err
 				}
 			}

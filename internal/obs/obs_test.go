@@ -121,3 +121,66 @@ func TestGather(t *testing.T) {
 		t.Fatalf("gather = %v", s)
 	}
 }
+
+// TestAbsorbShortThenLong: vectors of one name may differ in length. The
+// roll-up is sized to the longest source, whichever arrives first, and a
+// vector reads zero past its end.
+func TestAbsorbShortThenLong(t *testing.T) {
+	short := NewRegistry()
+	short.AdoptVec("sys", []int64{0, 2, 0})
+	long := NewRegistry()
+	long.AdoptVec("sys", []int64{0, 1, 0, 0, 0, 0, 0, 5})
+	for _, order := range [][]*Registry{{short, long}, {long, short}} {
+		farm := NewRegistry()
+		for _, src := range order {
+			farm.Absorb(src)
+		}
+		cv := farm.CounterVec("sys", 0)
+		if cv.Len() != 8 || cv.At(1) != 3 || cv.At(7) != 5 {
+			t.Errorf("absorbed %d slots, [1]=%d [7]=%d; want 8 slots, 3 and 5", cv.Len(), cv.At(1), cv.At(7))
+		}
+		var prom bytes.Buffer
+		if err := farm.WriteProm(&prom); err != nil {
+			t.Fatal(err)
+		}
+		if want := "sys{idx=\"1\"} 3\nsys{idx=\"7\"} 5\n"; !strings.HasSuffix(prom.String(), want) {
+			t.Errorf("dump:\n%s\nwant it to end with\n%s", prom.String(), want)
+		}
+	}
+	if got := short.CounterVec("sys", 0).At(7); got != 0 {
+		t.Errorf("a 3-slot vector reads %d at 7, want 0", got)
+	}
+	if got := short.CounterVec("sys", 0).At(-1); got != 0 {
+		t.Errorf("a vector reads %d at -1, want 0", got)
+	}
+}
+
+// TestAbsorbConcurrentGrowth: sources of different lengths absorbed at once
+// lose no count while the roll-up grows (run it under -race).
+func TestAbsorbConcurrentGrowth(t *testing.T) {
+	farm := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 1; w <= 8; w++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				src := NewRegistry()
+				v := make([]int64, 4*n)
+				v[0], v[len(v)-1] = 1, 1
+				src.AdoptVec("sys", v)
+				farm.Absorb(src)
+			}
+		}(w)
+	}
+	wg.Wait()
+	cv := farm.CounterVec("sys", 0)
+	if cv.Len() != 32 || cv.At(0) != 400 {
+		t.Fatalf("roll-up: %d slots, [0]=%d; want 32 slots and 400", cv.Len(), cv.At(0))
+	}
+	for n := 1; n <= 8; n++ {
+		if got := cv.At(4*n - 1); got != 50 {
+			t.Errorf("[%d] = %d, want 50", 4*n-1, got)
+		}
+	}
+}
