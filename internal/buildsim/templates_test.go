@@ -1,11 +1,17 @@
 package buildsim
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
+	"repro/internal/derive"
 )
 
 // Back-to-back builds from one farm — the second package forks the very
@@ -104,5 +110,44 @@ func TestTemplateStudy(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("empty study rendering")
+	}
+}
+
+var updateSetup = flag.Bool("update-setup", false, "rewrite testdata/setup_obs.golden from this tree")
+
+// TestSetupObsGolden pins the counts TestFaultObsGolden leaves at zero: the
+// Obs() dump of a two-round incremental farm (derive, incremental and seal
+// counters) and the SetupStats of a six-package farm with templates on and
+// off (template, image, boot and recorder counters). Regenerate with
+// -update-setup only when a count is meant to change.
+func TestSetupObsGolden(t *testing.T) {
+	var got bytes.Buffer
+	spec := incrSpecs(t, 5, 1, 3)[0]
+	o := &Options{Seed: 5, Checkpoints: true}
+	o.RebuildRounds(spec, derive.NewMemStore(), patchSchedule(spec, o.Seed, 2, true))
+	got.WriteString("## derive farm: Obs().WriteProm\n")
+	if err := o.Obs().WriteProm(&got); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		off  core.Mechanisms
+	}{{"templates on", 0}, {"templates off", core.Off(core.TemplateReuse)}} {
+		o := &Options{Seed: 1, Jobs: 1, Off: f.off}
+		o.BuildAll(debpkg.Universe(1, 6), nil)
+		fmt.Fprintf(&got, "## %s: SetupStats\n%+v\n", f.name, o.SetupStats())
+	}
+	path := filepath.Join("testdata", "setup_obs.golden")
+	if *updateSetup {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("setup counts differ from the golden:\n got:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
