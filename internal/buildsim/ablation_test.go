@@ -55,6 +55,17 @@ func TestDeriveCopiesEveryExportedField(t *testing.T) {
 	if d.sealCap != 0 || d.stores() == o.stores() || d.Obs() == o.Obs() {
 		t.Error("derived farm shares unexported state with its parent")
 	}
+
+	// A farm derived from one that has built starts counting from zero.
+	p := &Options{Seed: 1, Jobs: 1, Checkpoints: true}
+	p.BuildAll(debpkg.Universe(1, 1), nil)
+	if p.SetupStats() == (SetupStats{}) || p.FaultStats() == (FaultStats{}) {
+		t.Fatalf("parent farm counted nothing: %+v %+v", p.SetupStats(), p.FaultStats())
+	}
+	d = p.derive(func(*Options) {})
+	if st, fst := d.SetupStats(), d.FaultStats(); st != (SetupStats{}) || fst != (FaultStats{}) {
+		t.Errorf("derived farm inherited its parent's counts: %+v %+v", st, fst)
+	}
 }
 
 // The gates used to rebuild their farm from the seed alone, so a caller's

@@ -122,13 +122,25 @@ type Options struct {
 	// only which store slots a job's checkpoints occupy.
 	jobSeq atomic.Uint64
 
-	// Farm-wide prepared-state stores and setup accounting (templates.go).
+	// Farm-wide prepared-state stores and metrics registry (templates.go).
 	// Lazily initialized; all access is concurrency-safe, so one Options may
 	// drive the whole Jobs-sized worker pool.
 	cacheMu sync.Mutex
 	store   *stores
-	setup   setupCounters
 	obsReg  *obs.Registry
+
+	// The farm's counts, bumped in place with atomic.AddInt64 by the pool's
+	// workers and published into obsReg by Obs: setup (templates.go) and
+	// faults (faults.go) are what SetupStats and FaultStats return; the
+	// rest count incremental rebuilds that forked a seal or went cold,
+	// their compile units reused and redone (incremental.go), and the bytes
+	// delta and full seals stored (sealSink). None of it feeds back into a
+	// build result.
+	setup                         SetupStats
+	faults                        FaultStats
+	incrRebuilds, incrCold        int64
+	unitsReused, unitsRedone      int64
+	ckptDeltaBytes, ckptFullBytes int64
 
 	// lastFarm is the cluster behind the most recent distributed BuildAll,
 	// kept so LastFarm can expose its accounting (farm.go).
@@ -607,7 +619,6 @@ func (o *Options) runContainer(cfg core.Config, img *fs.Image, imgHash uint64, e
 // store unchurned. Shared and private snapshots boot bitwise-identically, so
 // the detour is invisible.
 func (o *Options) runContainerFrom(templates derive.Store, cfg core.Config, img *fs.Image, imgHash uint64, env []string) *core.Result {
-	sc := o.sc()
 	var tpl *core.Template
 	if !cfg.Off.Has(core.TemplateReuse) && cfg.Image == img && cfg.FaultInjectCrash == 0 {
 		// cfg carries its final behaviour-relevant fields by now (mod applied),
@@ -629,16 +640,16 @@ func (o *Options) runContainerFrom(templates derive.Store, cfg core.Config, img 
 	res := c.Run(registry(), "/bin/dpkg-buildpackage",
 		[]string{"dpkg-buildpackage", "-b"}, env)
 	if res.Forked {
-		sc.forkBoots.Add(1)
-		sc.recEventsFork.Add(res.Trace.Total())
+		atomic.AddInt64(&o.setup.ForkBoots, 1)
+		atomic.AddInt64(&o.setup.RecEventsFork, res.Trace.Total())
 	} else {
-		sc.coldBoots.Add(1)
-		sc.recEventsCold.Add(res.Trace.Total())
+		atomic.AddInt64(&o.setup.ColdBoots, 1)
+		atomic.AddInt64(&o.setup.RecEventsCold, res.Trace.Total())
 	}
 	// Roll the run's published metrics (kernel syscall table, tracer stops)
 	// into the farm-wide registry so `benchtab -trace` can dump a single
 	// farm view.
-	o.Obs().Absorb(res.Obs)
+	o.reg().Absorb(res.Obs)
 	return res
 }
 

@@ -25,6 +25,7 @@ package buildsim
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
@@ -149,7 +150,7 @@ func (o *Options) farmDT1(ctx *farm.ExecCtx, spec *debpkg.Spec) func(uint64, rep
 		}
 		res := o.runContainerFrom(store, cfg, img, imgHash, env)
 		if crashed(res) {
-			o.sc().crashes.Add(1)
+			atomic.AddInt64(&o.faults.Crashes, 1)
 			return dtRun{}, &farm.Crash{Wall: res.WallTime}
 		}
 		return dtRunFrom(res, spec, pkgdir), nil

@@ -24,6 +24,7 @@ package buildsim
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
@@ -81,12 +82,11 @@ type ckptJob struct {
 // dirtied since the previous seal, a full seal its whole tree.
 func (o *Options) sealSink(store derive.Store, state derive.Key, job uint64) func(*core.Checkpoint) {
 	return func(cp *core.Checkpoint) {
-		sc := o.sc()
-		sc.ckptSealed.Add(1)
+		atomic.AddInt64(&o.faults.Sealed, 1)
 		if st := cp.Kernel().FSSealStats(); st.Delta {
-			sc.ckptDeltaBytes.Add(st.FreshBytes)
+			atomic.AddInt64(&o.ckptDeltaBytes, st.FreshBytes)
 		} else {
-			sc.ckptFullBytes.Add(st.TotalBytes)
+			atomic.AddInt64(&o.ckptFullBytes, st.TotalBytes)
 		}
 		store.PutSeal(derive.SealKey{State: state, Job: job, Ordinal: cp.Ordinal()}, cp, cp.Digest())
 	}
@@ -119,7 +119,7 @@ func (o *Options) buildDTFault(spec *debpkg.Spec, plan reprotest.FaultPlan, cfg 
 	runCfg.FaultCorruptCheckpoint = plan.CorruptCheckpoint
 	res := o.runContainer(runCfg, img, imgHash, checkpointEnv)
 	if fired = crashed(res); fired {
-		o.sc().crashes.Add(1)
+		atomic.AddInt64(&o.faults.Crashes, 1)
 		res, _ = o.recoverJob(j, plan.FailRestore, cfg, img, imgHash, checkpointEnv, res.WallTime)
 	}
 	return dtRunFrom(res, spec, pkgdir), fired
@@ -136,15 +136,15 @@ func (o *Options) buildDTFault(spec *debpkg.Spec, plan reprotest.FaultPlan, cfg 
 // and the restored seal is the work executed twice, charged to
 // farm_redone_ns. Returns the ordinal restored from (0 = cold replay).
 func (o *Options) recoverJob(j ckptJob, failRestore bool, cfg core.Config, img *fs.Image, imgHash uint64, env []string, crashWall int64) (*core.Result, int) {
-	sc := o.sc()
+	f := &o.faults
 	ordinal := j.seals.Latest(j.state, j.job)
 	for attempt := 0; ordinal > 0 && (j.retries == 0 || attempt < j.retries); attempt++ {
-		sc.restoreAttempts.Add(1)
+		atomic.AddInt64(&f.Attempts, 1)
 		if j.retries > 0 {
-			sc.backoffNs.Add(BackoffBaseNs << attempt)
+			atomic.AddInt64(&f.BackoffNs, BackoffBaseNs<<attempt)
 		}
 		if failRestore && attempt == 0 {
-			sc.restoreFailures.Add(1)
+			atomic.AddInt64(&f.RestoreFailed, 1)
 			continue // planned restore failure: same seal, next attempt
 		}
 		v, _, _ := j.seals.Seal(derive.SealKey{State: j.state, Job: j.job, Ordinal: ordinal})
@@ -155,24 +155,24 @@ func (o *Options) recoverJob(j ckptJob, failRestore bool, cfg core.Config, img *
 		}
 		res, err := core.Resume(cp, registry(), cfg)
 		if err != nil {
-			sc.ckptInvalid.Add(1)
+			atomic.AddInt64(&f.Invalid, 1)
 			ordinal-- // corrupt or mismatched seal: fall back one ordinal
 			continue
 		}
-		sc.restores.Add(1)
-		sc.mttrNs.Add(res.WallTime - cp.VirtualNow())
-		sc.redoneNs.Add(crashWall - cp.VirtualNow())
+		atomic.AddInt64(&f.Restores, 1)
+		atomic.AddInt64(&f.MTTRNs, res.WallTime-cp.VirtualNow())
+		atomic.AddInt64(&f.RedoneNs, crashWall-cp.VirtualNow())
 		return res, ordinal
 	}
-	sc.coldReplays.Add(1)
+	atomic.AddInt64(&f.ColdReplays, 1)
 	res := o.runContainerFrom(j.templates, cfg, img, imgHash, env)
-	sc.replayNs.Add(res.WallTime)
-	sc.redoneNs.Add(crashWall)
+	atomic.AddInt64(&f.ReplayNs, res.WallTime)
+	atomic.AddInt64(&f.RedoneNs, crashWall)
 	return res, 0
 }
 
-// FaultStats is a point-in-time snapshot of the farm's fault-plane
-// accounting. Benchmarking metadata only, like SetupStats.
+// FaultStats is the farm's fault-plane accounting. Benchmarking metadata
+// only, like SetupStats.
 type FaultStats struct {
 	Sealed        int64 // checkpoints sealed across all builds
 	CkptEvictions int64 // seals evicted from the local store under pressure
@@ -188,24 +188,9 @@ type FaultStats struct {
 	RedoneNs      int64 // virtual work executed twice (crash point - restore point)
 }
 
-// FaultStats snapshots the farm's fault accounting so far.
-func (o *Options) FaultStats() FaultStats {
-	sc := o.sc()
-	return FaultStats{
-		Sealed:        sc.ckptSealed.Value(),
-		CkptEvictions: sc.ckptEvictions.Value(),
-		Crashes:       sc.crashes.Value(),
-		Attempts:      sc.restoreAttempts.Value(),
-		Restores:      sc.restores.Value(),
-		RestoreFailed: sc.restoreFailures.Value(),
-		Invalid:       sc.ckptInvalid.Value(),
-		ColdReplays:   sc.coldReplays.Value(),
-		BackoffNs:     sc.backoffNs.Value(),
-		MTTRNs:        sc.mttrNs.Value(),
-		ReplayNs:      sc.replayNs.Value(),
-		RedoneNs:      sc.redoneNs.Value(),
-	}
-}
+// FaultStats returns a copy of the farm's fault counts. Call it once
+// BuildAll or the study has returned, like SetupStats.
+func (o *Options) FaultStats() FaultStats { return o.faults }
 
 // FaultStudy is the X15 recovery experiment: every package built
 // checkpointed and fault-free for reference, then crashed mid-build and

@@ -29,6 +29,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/debpkg"
@@ -161,15 +162,13 @@ type RebuildStats struct {
 // session advances to the patched tree either way, so chained schedules
 // keep diffing against the tree actually built last.
 func (o *Options) incrementalRebuild(s *rebuildSession, pimg *fs.Image) (dtRun, RebuildStats) {
-	sc := o.sc()
 	ptree := pimg.TreeHash()
 	pcfg := o.dtConfig(pimg, s.pkgdir, s.seed, s.v)
 	pstate := derive.KeyFor(pimg.Hash(), core.ConfigHash(pcfg))
 	pjob := incrJobBit | o.jobSeq.Add(1)
 
 	cold := func() (dtRun, RebuildStats) {
-		sc.incrCold.Add(1)
-		sc.derivePhaseMisses.Add(1)
+		atomic.AddInt64(&o.incrCold, 1)
 		runCfg := pcfg
 		runCfg.CheckpointSink = o.sealSink(s.store, pstate, pjob)
 		res := o.runContainer(runCfg, pimg, pimg.Hash(), checkpointEnv)
@@ -201,14 +200,13 @@ func (o *Options) incrementalRebuild(s *rebuildSession, pimg *fs.Image) (dtRun, 
 	if err != nil {
 		// The seal and the patch disagree (shape drift, config mismatch):
 		// the plan was unusable after all. Cold is always sound.
-		sc.ckptInvalid.Add(1)
+		atomic.AddInt64(&o.faults.Invalid, 1)
 		return cold()
 	}
-	sc.incrRebuilds.Add(1)
-	sc.deriveUnitsReused.Add(int64(st.UnitsReused))
-	sc.deriveUnitsRedone.Add(int64(st.UnitsRedone))
-	sc.derivePhaseHits.Add(1)
-	o.Obs().Absorb(res.Obs)
+	atomic.AddInt64(&o.incrRebuilds, 1)
+	atomic.AddInt64(&o.unitsReused, int64(st.UnitsReused))
+	atomic.AddInt64(&o.unitsRedone, int64(st.UnitsRedone))
+	o.reg().Absorb(res.Obs)
 	r := dtRunFrom(res, s.spec, s.pkgdir)
 	st.RebuildNs = r.wall - cp.VirtualNow()
 	s.advance(pimg, ptree, pstate, pjob)

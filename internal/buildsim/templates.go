@@ -18,9 +18,17 @@
 // hit/miss order, and of the template-reuse row being off. The mechanism
 // matrix and templates_test.go pin all three. Only the setup accounting below
 // may move.
+//
+// Every farm count has one home: a plain int64 field of Options (SetupStats,
+// FaultStats, and the incremental-rebuild and seal-size counts beside them),
+// bumped in place with atomic.AddInt64. Nothing counts into a registry;
+// Options.Obs publishes the fields under their farm_*/checkpoint_* names,
+// from one list, each time it is called.
 package buildsim
 
 import (
+	"sync/atomic"
+
 	"repro/internal/core"
 	"repro/internal/debpkg"
 	"repro/internal/derive"
@@ -39,65 +47,10 @@ import (
 // alongside them.
 const templateCap = 32
 
-// setupCounters is the farm's setup accounting, held as handles into the
-// farm's obs registry (see Options.Obs) so roll-ups and the Prometheus dump
-// see the same numbers the studies report. Each counter is one atomic cell,
-// so the Jobs-wide pool shares one Options without a lock. None of it feeds
-// back into build results.
-type setupCounters struct {
-	templateHits   *obs.Counter
-	templateMisses *obs.Counter
-	evictions      *obs.Counter
-	imageBuilds    *obs.Counter
-	imageHits      *obs.Counter
-	coldBoots      *obs.Counter
-	forkBoots      *obs.Counter
-
-	// Recorder roll-up: flight-recorder events produced by container runs,
-	// split by setup path so the templates study can price the recorder per
-	// fork vs cold boot.
-	recEventsFork *obs.Counter
-	recEventsCold *obs.Counter
-
-	// Fault-plane accounting (faults.go): checkpoint seals, injected
-	// crashes, and how the farm recovered from them. Like all farm counters,
-	// bookkeeping only — recovery outcomes never feed back into results.
-	// Derivation-store accounting (ISSUE 8, incremental.go): seal forks at
-	// phase granularity, compile units reused vs re-executed, and how often
-	// an incremental rebuild went through versus degrading to cold.
-	derivePhaseHits   *obs.Counter
-	derivePhaseMisses *obs.Counter
-	deriveUnitsReused *obs.Counter
-	deriveUnitsRedone *obs.Counter
-	incrRebuilds      *obs.Counter
-	incrCold          *obs.Counter
-
-	ckptSealed      *obs.Counter
-	ckptEvictions   *obs.Counter
-	crashes         *obs.Counter
-	restoreAttempts *obs.Counter
-	restores        *obs.Counter
-	restoreFailures *obs.Counter
-	ckptInvalid     *obs.Counter
-	coldReplays     *obs.Counter
-	backoffNs       *obs.Counter
-	mttrNs          *obs.Counter
-	replayNs        *obs.Counter
-	redoneNs        *obs.Counter
-
-	// Seal-size accounting (ISSUE 9, ttd.go): bytes a delta seal actually
-	// stored (fresh data only) vs bytes the equivalent full seals hold.
-	// Booked here at the farm layer — never inside core.sealCheckpoint —
-	// because attaching a checkpoint sink must not perturb a run's own
-	// metrics registry (the bitwise equivalence tests compare those).
-	ckptDeltaBytes *obs.Counter
-	ckptFullBytes  *obs.Counter
-}
-
-// SetupStats is a point-in-time snapshot of the farm's container-setup
-// accounting: how often prepared state was reused and which path each boot
-// took. Counts only — what a path costs on the host clock is bench/'s
-// boot-churn workload's to measure. Build outputs never depend on it.
+// SetupStats is the farm's container-setup accounting: how often prepared
+// state was reused and which path each boot took. Counts only — what a path
+// costs on the host clock is bench/'s boot-churn workload's to measure.
+// Build outputs never depend on it.
 type SetupStats struct {
 	TemplateHits   int64 // prepared snapshot/template served from cache
 	TemplateMisses int64 // prepared on demand
@@ -108,86 +61,80 @@ type SetupStats struct {
 	ColdBoots int64 // kernels/containers booted from a private snapshot
 	ForkBoots int64 // kernels/containers forked from a shared snapshot or template
 
+	// Flight-recorder events produced by container runs, split by setup path
+	// so the templates study can price the recorder per fork vs cold boot.
 	RecEventsFork int64 // flight-recorder events from forked containers
 	RecEventsCold int64 // flight-recorder events from privately booted containers
 }
 
-// SetupStats snapshots the farm's setup accounting so far.
-func (o *Options) SetupStats() SetupStats {
-	sc := o.sc()
-	return SetupStats{
-		TemplateHits:   sc.templateHits.Value(),
-		TemplateMisses: sc.templateMisses.Value(),
-		Evictions:      sc.evictions.Value(),
-		ImageBuilds:    sc.imageBuilds.Value(),
-		ImageHits:      sc.imageHits.Value(),
-		ColdBoots:      sc.coldBoots.Value(),
-		ForkBoots:      sc.forkBoots.Value(),
-		RecEventsFork:  sc.recEventsFork.Value(),
-		RecEventsCold:  sc.recEventsCold.Value(),
-	}
-}
+// SetupStats returns a copy of the farm's setup counts. Call it once
+// BuildAll or the study has returned: until then the pool's workers are
+// still bumping them.
+func (o *Options) SetupStats() SetupStats { return o.setup }
 
-// Obs returns the farm-wide metrics registry: the setup counters above plus
-// every container run's absorbed published metrics (kernel per-syscall
-// table, tracer stop/buffer accounting). Lazily created; safe under the pool.
+// Obs returns the farm's metrics registry with every farm count published
+// into it as it stands now: the setup and fault counts, the incremental
+// rebuild counts and the seal sizes, beside the metrics every container run
+// absorbed (kernel per-syscall table, tracer stop/buffer accounting) and
+// the ttd sessions' counters. Safe while the pool runs — each count is read
+// with an atomic load — and a later call publishes the counts afresh.
 func (o *Options) Obs() *obs.Registry {
+	r := o.reg()
+	s, f := &o.setup, &o.faults
+	for _, m := range [...]struct {
+		name string
+		v    *int64
+	}{
+		{"farm_template_hits", &s.TemplateHits},
+		{"farm_template_misses", &s.TemplateMisses},
+		{"farm_cache_evictions", &s.Evictions},
+		{"farm_image_builds", &s.ImageBuilds},
+		{"farm_image_hits", &s.ImageHits},
+		{"farm_cold_boots", &s.ColdBoots},
+		{"farm_fork_boots", &s.ForkBoots},
+		{"farm_rec_events_fork", &s.RecEventsFork},
+		{"farm_rec_events_cold", &s.RecEventsCold},
+
+		// One phase-granularity seal lookup per rebuild: a hit is a forked
+		// rebuild, a miss a cold one.
+		{"farm_derive_phase_hits", &o.incrRebuilds},
+		{"farm_incremental_rebuilds", &o.incrRebuilds},
+		{"farm_derive_phase_misses", &o.incrCold},
+		{"farm_incremental_cold", &o.incrCold},
+		{"farm_derive_units_reused", &o.unitsReused},
+		{"farm_derive_units_redone", &o.unitsRedone},
+
+		{"farm_checkpoints_sealed", &f.Sealed},
+		{"farm_checkpoint_evictions", &f.CkptEvictions},
+		{"farm_crashes_injected", &f.Crashes},
+		{"farm_restore_attempts", &f.Attempts},
+		{"farm_restores", &f.Restores},
+		{"farm_restore_failures", &f.RestoreFailed},
+		{"farm_checkpoint_invalid", &f.Invalid},
+		{"farm_cold_replays", &f.ColdReplays},
+		{"farm_backoff_ns", &f.BackoffNs},
+		{"farm_mttr_ns", &f.MTTRNs},
+		{"farm_replay_ns", &f.ReplayNs},
+		{"farm_redone_ns", &f.RedoneNs},
+
+		{"checkpoint_delta_bytes", &o.ckptDeltaBytes},
+		{"checkpoint_full_bytes", &o.ckptFullBytes},
+	} {
+		r.Publish(m.name, atomic.LoadInt64(m.v))
+	}
+	return r
+}
+
+// reg returns the farm's registry, created on first use. Container runs
+// absorb their published metrics into it directly, so publishing the farm
+// counts stays off the per-run path.
+func (o *Options) reg() *obs.Registry {
 	o.cacheMu.Lock()
 	defer o.cacheMu.Unlock()
-	o.initObsLocked()
+	if o.obsReg == nil {
+		o.obsReg = obs.NewRegistry()
+	}
 	return o.obsReg
-}
-
-// sc returns the initialized setup-counter handles.
-func (o *Options) sc() *setupCounters {
-	o.cacheMu.Lock()
-	defer o.cacheMu.Unlock()
-	o.initObsLocked()
-	return &o.setup
-}
-
-// initObsLocked creates the farm registry and counter handles once; callers
-// hold cacheMu.
-func (o *Options) initObsLocked() {
-	if o.obsReg != nil {
-		return
-	}
-	r := obs.NewRegistry()
-	o.setup = setupCounters{
-		templateHits:   r.Counter("farm_template_hits"),
-		templateMisses: r.Counter("farm_template_misses"),
-		evictions:      r.Counter("farm_cache_evictions"),
-		imageBuilds:    r.Counter("farm_image_builds"),
-		imageHits:      r.Counter("farm_image_hits"),
-		coldBoots:      r.Counter("farm_cold_boots"),
-		forkBoots:      r.Counter("farm_fork_boots"),
-		recEventsFork:  r.Counter("farm_rec_events_fork"),
-		recEventsCold:  r.Counter("farm_rec_events_cold"),
-
-		derivePhaseHits:   r.Counter("farm_derive_phase_hits"),
-		derivePhaseMisses: r.Counter("farm_derive_phase_misses"),
-		deriveUnitsReused: r.Counter("farm_derive_units_reused"),
-		deriveUnitsRedone: r.Counter("farm_derive_units_redone"),
-		incrRebuilds:      r.Counter("farm_incremental_rebuilds"),
-		incrCold:          r.Counter("farm_incremental_cold"),
-
-		ckptSealed:      r.Counter("farm_checkpoints_sealed"),
-		ckptEvictions:   r.Counter("farm_checkpoint_evictions"),
-		crashes:         r.Counter("farm_crashes_injected"),
-		restoreAttempts: r.Counter("farm_restore_attempts"),
-		restores:        r.Counter("farm_restores"),
-		restoreFailures: r.Counter("farm_restore_failures"),
-		ckptInvalid:     r.Counter("farm_checkpoint_invalid"),
-		coldReplays:     r.Counter("farm_cold_replays"),
-		backoffNs:       r.Counter("farm_backoff_ns"),
-		mttrNs:          r.Counter("farm_mttr_ns"),
-		replayNs:        r.Counter("farm_replay_ns"),
-		redoneNs:        r.Counter("farm_redone_ns"),
-
-		ckptDeltaBytes: r.Counter("checkpoint_delta_bytes"),
-		ckptFullBytes:  r.Counter("checkpoint_full_bytes"),
-	}
-	o.obsReg = r
 }
 
 // stores is the per-Options prepared state: materialized images, baseline
@@ -218,7 +165,6 @@ type imageEntry struct {
 func (o *Options) stores() *stores {
 	o.cacheMu.Lock()
 	defer o.cacheMu.Unlock()
-	o.initObsLocked()
 	if o.store == nil {
 		n, nseals := templateCap, sealCap
 		if o.templateCap > 0 {
@@ -227,12 +173,12 @@ func (o *Options) stores() *stores {
 		if o.sealCap > 0 {
 			nseals = o.sealCap
 		}
-		evicted := func() { o.setup.evictions.Add(1) }
+		evicted := func() { atomic.AddInt64(&o.setup.Evictions, 1) }
 		o.store = &stores{
 			images:    derive.NewStore(1, 2*n, evicted),
 			snapshots: derive.NewStore(1, n, evicted),
 			templates: derive.NewStore(1, n, evicted),
-			seals:     derive.NewStore(1, nseals, func() { o.setup.ckptEvictions.Add(1) }),
+			seals:     derive.NewStore(1, nseals, func() { atomic.AddInt64(&o.faults.CkptEvictions, 1) }),
 		}
 	}
 	return o.store
@@ -246,10 +192,9 @@ func (o *Options) stores() *stores {
 // so the cold farm pays the real unshared cost — hashing included: seal keys
 // and attestation subjects carry the content hash either way.
 func (o *Options) pkgImage(spec *debpkg.Spec, dir string) (*fs.Image, string, uint64) {
-	sc := o.sc()
 	build := func() *imageEntry {
 		img, pkgdir := toolchainImage(spec, dir)
-		sc.imageBuilds.Add(1)
+		atomic.AddInt64(&o.setup.ImageBuilds, 1)
 		return &imageEntry{img: img, pkgdir: pkgdir, hash: img.Hash()}
 	}
 	var ie *imageEntry
@@ -259,7 +204,7 @@ func (o *Options) pkgImage(spec *debpkg.Spec, dir string) (*fs.Image, string, ui
 		key := derive.KeyFor(pkgSeed(0, spec), derive.DigestBytes([]byte(dir)))
 		v, hit := derive.Prepared(o.stores().images, key, func() any { return build() })
 		if hit {
-			sc.imageHits.Add(1)
+			atomic.AddInt64(&o.setup.ImageHits, 1)
 		}
 		ie = v.(*imageEntry)
 	}
@@ -269,12 +214,11 @@ func (o *Options) pkgImage(spec *debpkg.Spec, dir string) (*fs.Image, string, ui
 // prepared serves one piece of prepared boot state from store, building it
 // on first use, and books the lookup.
 func (o *Options) prepared(store derive.Store, key derive.Key, build func() any) any {
-	sc := o.sc()
 	v, hit := derive.Prepared(store, key, build)
 	if hit {
-		sc.templateHits.Add(1)
+		atomic.AddInt64(&o.setup.TemplateHits, 1)
 	} else {
-		sc.templateMisses.Add(1)
+		atomic.AddInt64(&o.setup.TemplateMisses, 1)
 	}
 	return v
 }
@@ -290,12 +234,11 @@ func (o *Options) snapshot(store derive.Store, imgHash uint64, img *fs.Image) *k
 			Resolver: registry().Resolver(),
 		})
 	}
-	sc := o.sc()
 	if o.Off.Has(core.TemplateReuse) {
-		sc.coldBoots.Add(1)
+		atomic.AddInt64(&o.setup.ColdBoots, 1)
 		return prepare().(*kernel.Snapshot)
 	}
-	sc.forkBoots.Add(1)
+	atomic.AddInt64(&o.setup.ForkBoots, 1)
 	snap, _ := o.prepared(store, derive.KeyFor(imgHash, 0), prepare).(*kernel.Snapshot)
 	return snap
 }

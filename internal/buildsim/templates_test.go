@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -110,6 +111,32 @@ func TestTemplateStudy(t *testing.T) {
 	}
 	if st.String() == "" {
 		t.Error("empty study rendering")
+	}
+}
+
+// Obs may be read while the pool runs: every read publishes the counts as
+// they stand, and once BuildAll returns a read agrees with SetupStats.
+func TestSetupObsReadDuringBuild(t *testing.T) {
+	o := &Options{Seed: 7, Jobs: 4}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		o.BuildAll(debpkg.Universe(7, 8), nil)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+			if err := o.Obs().WriteProm(io.Discard); err != nil {
+				<-done
+				t.Fatal(err)
+			}
+		}
+	}
+	st := o.SetupStats()
+	if got := o.Obs().Counter("farm_fork_boots").Value(); got != st.ForkBoots || got == 0 {
+		t.Errorf("farm_fork_boots = %d, SetupStats().ForkBoots = %d", got, st.ForkBoots)
 	}
 }
 

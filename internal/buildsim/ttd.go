@@ -58,7 +58,7 @@ func (o *Options) recordSession(spec *debpkg.Spec, inject int, mod func(*core.Co
 		Reg:   registry(),
 		Seals: seals,
 		Trace: res.Events,
-		Obs:   o.Obs(),
+		Obs:   o.reg(),
 		Launch: func(c core.Config) *core.Result {
 			return core.New(c).Run(registry(), "/bin/dpkg-buildpackage",
 				[]string{"dpkg-buildpackage", "-b"}, checkpointEnv)

@@ -235,10 +235,13 @@ func (f *FS) pristine() bool {
 // sharedImage returns the frozen base's image of its whole tree, the one
 // every pristine fork's SnapshotImage returns. The first fork to ask builds
 // it; concurrent first askers race to publish and all return the winner.
+// It memoizes its root on its first hash.
 func (f *FS) sharedImage() *Image {
 	if im := f.image.Load(); im != nil {
 		return im
 	}
-	f.image.CompareAndSwap(nil, f.snapshotImage(f.Root))
+	im := f.snapshotImage(f.Root)
+	im.from = f
+	f.image.CompareAndSwap(nil, im)
 	return f.image.Load()
 }

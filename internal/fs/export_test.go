@@ -24,3 +24,6 @@ func (n *Inode) memoized() bool {
 // WalkImage is SnapshotImage's walk of the whole tree: a fresh image, never
 // the one a pristine fork shares with its base.
 func (f *FS) WalkImage() *Image { return f.snapshotImage(f.Root) }
+
+// MemoRoot is the root an image memoized on its first hash, 0 if none.
+func (im *Image) MemoRoot() uint64 { return im.root.Load() }

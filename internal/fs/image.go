@@ -45,6 +45,14 @@ type Image struct {
 	// entries reach their inodes' memos through src.
 	leaves atomic.Value
 	snap   bool
+
+	// from is the frozen filesystem whose pristine forks share this image,
+	// nil on every other image. root is the shared image's memoized Hash,
+	// 0 until its first Hash or TreeHash and always 0 where from is nil.
+	// Like order it is checked before each use (unchanged), but the check
+	// hashes nothing.
+	root atomic.Uint64
+	from *FS
 }
 
 // ImageEntry is one node in an Image.
@@ -182,14 +190,24 @@ func (im *Image) TreeHash() derive.TreeHash {
 func (im *Image) Hash() uint64 { return im.hash(nil) }
 
 // hash folds the image in its memoized order, or sorted afresh when that
-// no longer matches, recording each leaf in leaves when it is non-nil.
+// no longer matches, recording each leaf in leaves when it is non-nil. A
+// shared image memoizes the root of its entries as read off the frozen tree
+// and answers a plain Hash from it while they are unchanged (a root that
+// folds to 0 is simply folded again).
 func (im *Image) hash(leaves map[string]uint64) uint64 {
-	if order := im.order.Load(); order != nil {
-		if h, ok := im.fold(*order, leaves); ok {
-			return h
-		}
+	if h := im.root.Load(); h != 0 && leaves == nil && im.unchanged() {
+		return h
 	}
-	h, _ := im.fold(im.resort(), leaves)
+	h, ok := uint64(0), false
+	if order := im.order.Load(); order != nil {
+		h, ok = im.fold(*order, leaves)
+	}
+	if !ok {
+		h, _ = im.fold(im.resort(), leaves)
+	}
+	if im.from != nil && im.unchanged() {
+		im.root.Store(h)
+	}
 	return h
 }
 
@@ -231,6 +249,27 @@ func (im *Image) fold(order []string, leaves map[string]uint64) (uint64, bool) {
 		im.leaves.Store(memo)
 	}
 	return f.Root(), true
+}
+
+// unchanged reports whether a shared image still holds exactly the entries
+// it was read with: as many as its frozen filesystem has paths, each read
+// off one of that filesystem's inodes at the path the inode records, and
+// each hitting that inode's leaf memo, which once the image is hashed holds
+// the inode's own entry. One pass over the map, no lookups, no hashing.
+func (im *Image) unchanged() bool {
+	if len(im.Entries) != len(*im.from.order) {
+		return false
+	}
+	for p, e := range im.Entries {
+		n := e.src
+		if n == nil || n.fs != im.from || n.path != p {
+			return false
+		}
+		if m := n.leaf.Load(); m == nil || !m.e.same(e) {
+			return false
+		}
+	}
+	return true
 }
 
 // sorted returns the image's paths in sorted order: the memo when it still

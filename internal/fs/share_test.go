@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/abi"
 	"repro/internal/baseimg"
+	"repro/internal/derive"
 	"repro/internal/fs"
 	"repro/internal/guest"
 	"repro/internal/kernel"
@@ -224,5 +225,78 @@ func TestPristineSnapshotAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { f.SnapshotImage(f.Root) }); a != 0 {
 		t.Errorf("a pristine fork's SnapshotImage allocated %v times, want 0", a)
+	}
+}
+
+// TestSharedImageRootMemo: the image pristine forks share is read-only, so
+// its first Hash memoizes the reference root and later ones return it
+// without allocating; a Clone of it, the caller's to edit, and a fork's own
+// result image memoize none. The memo is a hint, like the order memo: an
+// edit — two entries swapped between paths, one taken from another base's
+// image, one deleted, or one changed — is hashed afresh.
+func TestSharedImageRootMemo(t *testing.T) {
+	base := fs.New(machine.CloudLabC220G5(), func() int64 { return 0 }, prng.NewHost(0))
+	base.Populate(shareImage())
+	base.Freeze()
+	idle := base.Fork(func() int64 { return 5 }, prng.NewHost(5))
+	shared := idle.SnapshotImage(idle.Root)
+	if shared.MemoRoot() != 0 {
+		t.Fatal("the shared image holds a root before any hash")
+	}
+	fold := func(im *fs.Image) uint64 {
+		leaves := make(map[string]uint64, len(im.Entries))
+		for p, e := range im.Entries {
+			leaves[p] = e.LeafHash()
+		}
+		return derive.FoldLeaves(leaves)
+	}
+	want := fold(shared)
+	if h := shared.Hash(); h != want || shared.MemoRoot() != want {
+		t.Fatalf("Hash %#x, memoized root %#x, FoldLeaves %#x", h, shared.MemoRoot(), want)
+	}
+	if a := testing.AllocsPerRun(100, func() { shared.Hash() }); a != 0 {
+		t.Errorf("hashing the shared image again allocated %v times, want 0", a)
+	}
+	c := shared.Clone()
+	if c.Hash() != want || c.MemoRoot() != 0 {
+		t.Errorf("a Clone of the shared image memoized root %#x", c.MemoRoot())
+	}
+	f := base.Fork(func() int64 { return 6 }, prng.NewHost(6))
+	if !f.Amend("/data/a", []byte("patched")) {
+		t.Fatal("amend failed")
+	}
+	own := f.SnapshotImage(f.Root)
+	if own.Hash(); own == shared || own.MemoRoot() != 0 {
+		t.Errorf("a changed fork's result image memoized root %#x (shared %v)", own.MemoRoot(), own == shared)
+	}
+
+	other := fs.New(machine.CloudLabC220G5(), func() int64 { return 0 }, prng.NewHost(0))
+	oim := shareImage()
+	oim.AddFile("/data/a", 0o644, []byte("other"))
+	other.Populate(oim)
+	other.Freeze()
+	of := other.Fork(func() int64 { return 7 }, prng.NewHost(7))
+	foreign := of.SnapshotImage(of.Root)
+	foreign.Hash()
+	orig, origB := shared.Entries["/data/a"], shared.Entries["/data/b"]
+	swap := func() {
+		shared.Entries["/data/a"], shared.Entries["/data/b"] = shared.Entries["/data/b"], shared.Entries["/data/a"]
+	}
+	for _, edit := range []struct {
+		name string
+		do   func()
+	}{
+		{"swap", swap},
+		{"swap back", swap},
+		{"another base's entry", func() { shared.Entries["/data/a"] = foreign.Entries["/data/a"] }},
+		{"own entry back", func() { shared.Entries["/data/a"] = orig }},
+		{"delete", func() { delete(shared.Entries, "/data/b") }},
+		{"restore", func() { shared.Entries["/data/b"] = origB }},
+		{"chown", func() { e := shared.Entries["/data/a"]; e.UID++; shared.Entries["/data/a"] = e }},
+	} {
+		edit.do()
+		if h, want := shared.Hash(), fold(shared); h != want {
+			t.Errorf("%s: Hash %#x, FoldLeaves %#x", edit.name, h, want)
+		}
 	}
 }

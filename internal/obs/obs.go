@@ -5,8 +5,10 @@
 // trace exporter (trace.go) and a first-divergence diagnoser (diagnose.go).
 // A run does not count into a registry: its counts are plain fields of the
 // kernel's sealed state, and the container publishes them here once, when
-// the run ends. A farm cluster does not either: its counts are the fields of
-// farm.Stats.
+// the run ends. Neither a farm cluster nor a build farm counts into a
+// registry either: a cluster's counts are the fields of farm.Stats, and a
+// build farm's are plain fields of buildsim.Options (its SetupStats and
+// FaultStats among them), which Options.Obs publishes here when it is read.
 //
 // The design constraint that shapes everything here is the paper's §3 purity
 // argument turned inward: observing a container must never perturb it.
@@ -130,8 +132,9 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Publish registers v as the value of the named counter, which must not be
-// registered yet: a finished run publishes each count it kept once.
+// Publish registers v as the value of the named counter, replacing any
+// counter registered under name: a finished run publishes each count it kept
+// once, and a build farm republishes its counts each time they are read.
 func (r *Registry) Publish(name string, v int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -180,7 +180,8 @@ func (s *Session) replayFrom(idx int, cfg core.Config) (*core.Result, int, error
 	return res, 0, nil
 }
 
-// count bumps a session counter; nil-safe like the registry itself.
+// count bumps a session counter in Obs; a session without a registry
+// counts nothing.
 func (s *Session) count(name string, n int64) {
 	if s.Obs != nil && n != 0 {
 		s.Obs.Counter(name).Add(n)
