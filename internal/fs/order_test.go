@@ -173,9 +173,12 @@ func TestOrderMemoForkEdits(t *testing.T) {
 		if after := base.SnapshotImage(base.Root); !after.Equal(pre) || after.Hash() != pre.Hash() {
 			t.Fatalf("the frozen base changed under its fork")
 		}
-		if len(edits) > 1 { // the result image is the caller's to edit
-			editImage(got, edits[0], edits[1], -1)
-			checkOrder(t, "edited result", got)
+		if len(edits) > 1 {
+			// A pristine fork's result is its base's shared image, which
+			// no caller may edit; a Clone is the caller's own.
+			edited := got.Clone()
+			editImage(edited, edits[0], edits[1], -1)
+			checkOrder(t, "edited clone of the result", edited)
 		}
 		return true
 	}

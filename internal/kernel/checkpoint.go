@@ -253,7 +253,7 @@ func Resume(cp *Checkpoint, b BootConfig) (*Kernel, *Proc, *Thread) {
 	// faithful because console fds carry no position and their release is a
 	// no-op, so dup-sharing is unobservable.
 	for _, f := range cp.fds {
-		p.FDs.install(f.num, &FD{kind: fdConsole, flags: f.flags, consoleErr: f.consoleErr})
+		p.FDs.install(f.num, k.newFD(FD{kind: fdConsole, flags: f.flags, consoleErr: f.consoleErr}))
 	}
 	if p.CwdPath != "" {
 		if n, err := k.FS.Resolve(fs.LookupCtx{Root: k.FS.Root, Cwd: k.FS.Root}, p.CwdPath, true); err == abi.OK && n.IsDir() {

@@ -42,6 +42,23 @@ type FD struct {
 	dirRead     bool
 
 	refs int
+
+	// nextFree links a released description into its kernel's free list.
+	nextFree *FD
+}
+
+// newFD returns a description set to v, reusing one the kernel released
+// if it has one. Every description comes from here, so the free list never
+// holds more than the most descriptions a run had open at once.
+func (k *Kernel) newFD(v FD) *FD {
+	f := k.freeFDs
+	if f == nil {
+		f = new(FD)
+	} else {
+		k.freeFDs = f.nextFree
+	}
+	*f = v
+	return f
 }
 
 // FDTable maps descriptor numbers to open descriptions. Threads share it;
@@ -122,6 +139,10 @@ func (ft *FDTable) release(k *Kernel, f *FD) {
 	case fdSocket:
 		f.sock.close()
 	}
+	// No table holds f any longer: zero it, so it pins no inode, pipe or
+	// directory snapshot, and keep it for the next open.
+	*f = FD{nextFree: k.freeFDs}
+	k.freeFDs = f
 }
 
 // clone copies the table for fork: same descriptions, bumped refcounts.

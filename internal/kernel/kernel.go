@@ -439,6 +439,12 @@ type Kernel struct {
 	devices       map[string]func() fs.Device // device registry by DevID
 	unixListeners map[string]*socket          // AF_UNIX listeners by path
 
+	// freeFDs is the list of released open file descriptions, threaded
+	// through FD.nextFree, that sysOpen reuses (fd.go). It is an
+	// allocation cache, not machine state: nothing seals it, and a resumed
+	// kernel starts with it empty.
+	freeFDs *FD
+
 	// Console captures everything written to stdout/stderr fds, in the
 	// order writes were processed — itself a reproducibility observable.
 	Console *Console

@@ -263,9 +263,9 @@ func (k *Kernel) newProc(parent *Proc) *Proc {
 	} else {
 		// The init process inherits the host console on 0/1/2 and a
 		// boot-randomized address-space layout.
-		p.FDs.install(0, &FD{kind: fdConsole})
-		p.FDs.install(1, &FD{kind: fdConsole})
-		p.FDs.install(2, &FD{kind: fdConsole, consoleErr: true})
+		p.FDs.install(0, k.newFD(FD{kind: fdConsole}))
+		p.FDs.install(1, k.newFD(FD{kind: fdConsole}))
+		p.FDs.install(2, k.newFD(FD{kind: fdConsole, consoleErr: true}))
 		p.brkBase = 0x5000_0000 + k.Entropy.Int63n(1<<30)&^4095
 		p.mmapBase = 0x7f00_0000_0000 + k.Entropy.Int63n(1<<36)&^4095
 	}

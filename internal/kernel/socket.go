@@ -56,12 +56,12 @@ func (k *Kernel) sysSocketCall(t *Thread, sc *abi.Syscall) bool {
 	switch sc.Num {
 	case abi.SysSocket:
 		s := &socket{k: k}
-		sc.Ret = int64(p.FDs.alloc(&FD{kind: fdSocket, sock: s}))
+		sc.Ret = int64(p.FDs.alloc(k.newFD(FD{kind: fdSocket, sock: s})))
 	case abi.SysSocketpair:
 		a, b := &socket{k: k}, &socket{k: k}
 		connectPair(a, b)
-		fa := p.FDs.alloc(&FD{kind: fdSocket, sock: a})
-		fb := p.FDs.alloc(&FD{kind: fdSocket, sock: b})
+		fa := p.FDs.alloc(k.newFD(FD{kind: fdSocket, sock: a}))
+		fb := p.FDs.alloc(k.newFD(FD{kind: fdSocket, sock: b}))
 		if out, ok := sc.Obj.(*[2]int); ok {
 			out[0], out[1] = fa, fb
 		}
@@ -127,7 +127,7 @@ func (k *Kernel) sysSocketCall(t *Thread, sc *abi.Syscall) bool {
 		}
 		conn := f.sock.backlog[0]
 		f.sock.backlog = f.sock.backlog[1:]
-		sc.Ret = int64(p.FDs.alloc(&FD{kind: fdSocket, sock: conn}))
+		sc.Ret = int64(p.FDs.alloc(k.newFD(FD{kind: fdSocket, sock: conn})))
 	case abi.SysSendto:
 		f, err := p.FDs.get(int(sc.Arg[0]))
 		if err != abi.OK || f.kind != fdSocket {

@@ -317,7 +317,7 @@ func (k *Kernel) sysOpen(t *Thread, sc *abi.Syscall) {
 		sc.SetErrno(abi.ENOTDIR)
 		return
 	}
-	f := &FD{ino: n, flags: flags, cwd: p.CwdPath, path: path}
+	f := k.newFD(FD{ino: n, flags: flags, cwd: p.CwdPath, path: path})
 	switch {
 	case n.IsDir():
 		f.kind = fdDir
@@ -654,8 +654,8 @@ func (k *Kernel) sysPipe(t *Thread, sc *abi.Syscall) {
 	pipe := fs.NewPipe(anonPipeCapacity)
 	pipe.AddReader()
 	pipe.AddWriter()
-	r := p.FDs.alloc(&FD{kind: fdPipeR, pipe: pipe})
-	w := p.FDs.alloc(&FD{kind: fdPipeW, pipe: pipe})
+	r := p.FDs.alloc(k.newFD(FD{kind: fdPipeR, pipe: pipe}))
+	w := p.FDs.alloc(k.newFD(FD{kind: fdPipeW, pipe: pipe}))
 	if out, ok := sc.Obj.(*[2]int); ok {
 		out[0], out[1] = r, w
 	}

@@ -15,8 +15,10 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/abi"
 	"repro/internal/guest"
@@ -58,8 +60,8 @@ func ccMain(p *guest.Proc) int {
 	// through the CCFACTOR environment variable.
 	factor := int64(atoiDefault(p.Getenv("CCFACTOR"), 1))
 
-	var obj strings.Builder
-	obj.WriteString("OBJ1\n")
+	obj := []byte("OBJ1\n")
+	var scratch []byte // every found header is read into it
 	for _, in := range ins {
 		src, err := p.ReadFile(in)
 		if err != abi.OK {
@@ -76,33 +78,49 @@ func ccMain(p *guest.Proc) int {
 			_ = p.Rdtsc() - phase
 		}
 
-		for _, line := range strings.Split(string(src), "\n") {
+		obj = slices.Grow(obj, len(src))
+		for rest := string(src); rest != ""; {
+			var line string
+			line, rest, _ = strings.Cut(rest, "\n")
 			if strings.Contains(line, "@@SYNTAX ERROR@@") {
 				p.Eprintf("cc: %s: syntax error near %q\n", in, line)
 				return 1
 			}
 			if h, ok := includeTarget(line); ok {
-				if !resolveInclude(p, h) {
+				var found bool
+				if scratch, found = resolveInclude(p, h, scratch); !found {
 					// Missing headers warn but do not fail, like -MG.
-					fmt.Fprintf(&obj, "warn:missing-include:%s\n", h)
+					obj = append(append(append(obj, "warn:missing-include:"...), h...), '\n')
 				}
 				continue
 			}
-			if v, ok := p1Directive(p, line); ok {
-				obj.WriteString(v + "\n")
-				continue
-			}
-			if line == "" {
-				continue
-			}
-			fmt.Fprintf(&obj, "code:%08x\n", lineHash(line))
+			obj = appendObjLine(p, obj, line)
 		}
 	}
-	if err := p.WriteFile(out, []byte(obj.String()), 0o644); err != abi.OK {
+	if err := p.WriteFile(out, obj, 0o644); err != abi.OK {
 		p.Eprintf("cc: %s: %s\n", out, err)
 		return 1
 	}
 	return 0
+}
+
+// appendObjLine appends what one source line compiles to: an embed
+// directive's value, a pass-through marker, or the line's code hash as
+// "code:%08x". An empty line compiles to nothing.
+func appendObjLine(p *guest.Proc, obj []byte, line string) []byte {
+	if v, ok := p1Directive(p, line); ok {
+		return append(append(obj, v...), '\n')
+	}
+	if line == "" {
+		return obj
+	}
+	const hex = "0123456789abcdef"
+	h := lineHash(line)
+	obj = append(obj, "code:"...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		obj = append(obj, hex[h>>shift&0xf])
+	}
+	return append(obj, '\n')
 }
 
 // p1Directive evaluates one embed directive, returning the object line.
@@ -204,25 +222,61 @@ func includeTarget(line string) (string, bool) {
 	return line[len("#include <") : len(line)-1], true
 }
 
+// includeDirs is the preprocessor search path, in probe order.
+var includeDirs = [...]string{"/usr/local/include/", "/usr/include/", "include/"}
+
+// includePathCap bounds the include-path memo; a header name past it has
+// its search paths concatenated on every probe.
+const includePathCap = 4096
+
+// includePaths memoizes each header name's search paths for every compiler
+// in the process: farm workers compile concurrently, so it is locked. Keys
+// are clones, so an entry never pins the source text its name was cut from.
+var includePaths = struct {
+	sync.RWMutex
+	m map[string][len(includeDirs)]string
+}{m: make(map[string][len(includeDirs)]string)}
+
+// searchPaths returns header h joined to each include directory.
+func searchPaths(h string) [len(includeDirs)]string {
+	includePaths.RLock()
+	paths, ok := includePaths.m[h]
+	includePaths.RUnlock()
+	if ok {
+		return paths
+	}
+	for i, dir := range includeDirs {
+		paths[i] = dir + h
+	}
+	includePaths.Lock()
+	if len(includePaths.m) < includePathCap {
+		includePaths.m[strings.Clone(h)] = paths
+	}
+	includePaths.Unlock()
+	return paths
+}
+
 // resolveInclude walks the preprocessor search path, the ENOENT-heavy open
 // pattern that dominates a real compiler's system call profile. A found
 // header is fstat'd and read whole, like a preprocessor mapping the file —
-// which is why partial reads "never happen" on regular files (§5.5).
-func resolveInclude(p *guest.Proc, h string) bool {
-	for _, dir := range []string{"/usr/local/include/", "/usr/include/", "include/"} {
-		fd, err := p.Open(dir+h, abi.ORdonly, 0)
+// which is why partial reads "never happen" on regular files (§5.5). It is
+// read into scratch, grown to fit, which resolveInclude returns for the
+// next header.
+func resolveInclude(p *guest.Proc, h string, scratch []byte) ([]byte, bool) {
+	for _, path := range searchPaths(h) {
+		fd, err := p.Open(path, abi.ORdonly, 0)
 		if err != abi.OK {
 			continue
 		}
 		st, serr := p.Fstat(fd)
 		if serr == abi.OK && st.Size > 0 {
-			buf := make([]byte, st.Size)
-			p.Read(fd, buf)
+			scratch = slices.Grow(scratch[:0], int(st.Size))
+			p.Read(fd, scratch[:st.Size])
 		}
 		p.Close(fd)
-		return true
+		return scratch, true
 	}
-	return false
+	return scratch, false
 }
 
 // parseOutArgs extracts -o <out> and the input list.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/abi"
@@ -226,17 +225,15 @@ func javacCompile(p *guest.Proc, mf makefile, units []string, jobs int) int {
 				return 1
 			}
 			w.Work(int64(len(src)) * 350 * int64(atoiDefault(w.Getenv("CCFACTOR"), 1)))
-			var obj strings.Builder
-			obj.WriteString("OBJ1\n")
-			for _, line := range strings.Split(string(src), "\n") {
-				if v, ok := p1Directive(w, line); ok {
-					obj.WriteString(v + "\n")
-				} else if line != "" {
-					fmt.Fprintf(&obj, "code:%08x\n", lineHash(line))
-				}
+			obj := make([]byte, 0, len("OBJ1\n")+len(src))
+			obj = append(obj, "OBJ1\n"...)
+			for rest := string(src); rest != ""; {
+				var line string
+				line, rest, _ = strings.Cut(rest, "\n")
+				obj = appendObjLine(w, obj, line)
 			}
 			objPath := mf.builddir + "/" + strings.TrimSuffix(u, ".c") + ".o"
-			if werr := w.WriteFile(objPath, []byte(obj.String()), 0o644); werr != abi.OK {
+			if werr := w.WriteFile(objPath, obj, 0o644); werr != abi.OK {
 				w.Store(wordErr, 1)
 				return 1
 			}
