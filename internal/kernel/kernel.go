@@ -440,9 +440,9 @@ type Kernel struct {
 	unixListeners map[string]*socket          // AF_UNIX listeners by path
 
 	// freeFDs is the list of released open file descriptions, threaded
-	// through FD.nextFree, that sysOpen reuses (fd.go). It is an
-	// allocation cache, not machine state: nothing seals it, and a resumed
-	// kernel starts with it empty.
+	// through FD.nextFree, that newFD reuses (fd.go). It is an allocation
+	// cache, not machine state: nothing seals it, and a resumed kernel
+	// starts with it empty.
 	freeFDs *FD
 
 	// Console captures everything written to stdout/stderr fds, in the
